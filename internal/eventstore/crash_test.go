@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"logparse/internal/faultinject"
+	"logparse/internal/seglog"
 )
 
 // crashOpts arms a WALCrashFile on every segment handle the store opens
@@ -14,7 +15,7 @@ import (
 // tears the k-th byte written through the handle from now on.
 func crashOpts(dir string, arm func(*faultinject.WALCrashFile)) Options {
 	o := smallOpts(dir)
-	o.WrapFile = func(f *os.File) BlockFile {
+	o.Seam.Wrap = func(f *os.File) seglog.File {
 		cf := faultinject.NewWALCrashFile(f)
 		arm(cf)
 		return cf
@@ -165,7 +166,7 @@ func TestCrashHookPoints(t *testing.T) {
 			boom := errors.New("crash point reached")
 			o := smallOpts(dir)
 			fired := false
-			o.Hook = func(p string) error {
+			o.Seam.Hook = func(p string) error {
 				if p == point {
 					fired = true
 					return boom

@@ -10,13 +10,14 @@
 // selective query skips (and never decompresses) the blocks that cannot
 // match.
 //
-// Crash discipline extends the WAL's recovery taxonomy: a block cut short
-// by a crash is a torn tail (truncated away on open, the finalized prefix
-// is trustworthy), while bytes that are present but fail verification are
-// corruption (quarantined from that point on). Blocks are finalized and
-// fsynced together with the engine's checkpoints, so a block never spans a
-// successful-checkpoint boundary — on restart the store is aligned to the
-// restored offset and replay refills exactly what was dropped.
+// Crash discipline is internal/seglog's, shared with the WAL: a block cut
+// short by a crash is a torn tail (truncated away on open, the finalized
+// prefix is trustworthy), while bytes that are present but fail
+// verification are corruption (discarded from that point on). Blocks are
+// finalized and fsynced together with the engine's checkpoints, so a block
+// never spans a successful-checkpoint boundary — on restart the store is
+// aligned to the restored offset and replay refills exactly what was
+// dropped.
 package eventstore
 
 import (
@@ -26,6 +27,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"logparse/internal/seglog"
 )
 
 // Segment file layout (version 1):
@@ -66,11 +69,13 @@ import (
 //	kind    (1 byte)
 //	uvarint rawOff    — optional raw-line byte offset, 0 when unused
 //
-// A block cut short by a crash is a torn tail: DecodeSegment reports where
-// the finalized prefix ends and Open truncates there. A checksum mismatch,
-// an implausible length, an out-of-order block — anything where the bytes
-// are present but wrong — is corruption, and recovery discards from that
-// point on.
+// The segment header, file naming, torn-tail vs corruption taxonomy and
+// crash repair are internal/seglog's; this file holds the block codec it
+// verifies frames with.
+
+// spec is the store's segment-log identity: non-decreasing seqs ≥ 0, a
+// segment's first block starting exactly at its header's firstSeq.
+var spec = seglog.Spec{Name: "eventstore", Prefix: "evt", Magic: segMagic}
 
 const (
 	segMagic = "logevents-segment v1\n"
@@ -145,31 +150,6 @@ type Event struct {
 	RawOff int64
 }
 
-// TornTailError reports a segment whose final block was cut short — the
-// signature of a crash mid-write, not of data damage. Offset is where the
-// finalized prefix ends; everything before it is intact and trustworthy.
-type TornTailError struct {
-	Path   string
-	Offset int64
-}
-
-func (e *TornTailError) Error() string {
-	return fmt.Sprintf("eventstore: torn tail in %s at offset %d", e.Path, e.Offset)
-}
-
-// CorruptError reports segment bytes that are physically present but
-// cannot be trusted: a checksum mismatch, an implausible length, a broken
-// header, an out-of-order block. Offset is where the valid prefix ends.
-type CorruptError struct {
-	Path   string
-	Offset int64
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("eventstore: corrupt segment %s at offset %d: %s", e.Path, e.Offset, e.Reason)
-}
-
 // SegmentInfo summarizes the valid prefix of one decoded segment image.
 type SegmentInfo struct {
 	// FirstSeq is the header's first sequence number.
@@ -188,11 +168,7 @@ type SegmentInfo struct {
 
 // SegmentHeader returns the encoded header of a segment whose first block
 // starts at firstSeq. Exported for tests and fuzz seeds.
-func SegmentHeader(firstSeq int64) []byte {
-	buf := make([]byte, 0, segHeaderSize)
-	buf = append(buf, segMagic...)
-	return binary.LittleEndian.AppendUint64(buf, uint64(firstSeq))
-}
+func SegmentHeader(firstSeq int64) []byte { return spec.Header(uint64(firstSeq)) }
 
 // blockMeta is the decoded footer of one finalized block plus its position
 // in the segment file.
@@ -265,30 +241,30 @@ func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
 	for len(raw) > 0 {
 		seqDelta, k := binary.Uvarint(raw)
 		if k <= 0 {
-			return &CorruptError{Reason: "bad event seq delta"}
+			return &seglog.CorruptError{Reason: "bad event seq delta"}
 		}
 		raw = raw[k:]
 		timeDelta, k := binary.Varint(raw)
 		if k <= 0 {
-			return &CorruptError{Reason: "bad event time delta"}
+			return &seglog.CorruptError{Reason: "bad event time delta"}
 		}
 		raw = raw[k:]
 		tmpl, k := binary.Uvarint(raw)
 		if k <= 0 || tmpl > 1<<31 {
-			return &CorruptError{Reason: "bad event template"}
+			return &seglog.CorruptError{Reason: "bad event template"}
 		}
 		raw = raw[k:]
 		if len(raw) == 0 {
-			return &CorruptError{Reason: "truncated event record"}
+			return &seglog.CorruptError{Reason: "truncated event record"}
 		}
 		kind := Kind(raw[0])
 		if kind >= kindLimit {
-			return &CorruptError{Reason: fmt.Sprintf("unknown event kind %d", kind)}
+			return &seglog.CorruptError{Reason: fmt.Sprintf("unknown event kind %d", kind)}
 		}
 		raw = raw[1:]
 		rawOff, k := binary.Uvarint(raw)
 		if k <= 0 {
-			return &CorruptError{Reason: "bad event raw offset"}
+			return &seglog.CorruptError{Reason: "bad event raw offset"}
 		}
 		raw = raw[k:]
 		ev := Event{
@@ -300,15 +276,15 @@ func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
 		}
 		if n == 0 {
 			if ev.Seq != meta.minSeq {
-				return &CorruptError{Reason: "first event seq disagrees with footer"}
+				return &seglog.CorruptError{Reason: "first event seq disagrees with footer"}
 			}
 		}
 		n++
 		if n > meta.count {
-			return &CorruptError{Reason: "more events than the footer claims"}
+			return &seglog.CorruptError{Reason: "more events than the footer claims"}
 		}
 		if ev.Seq > meta.maxSeq {
-			return &CorruptError{Reason: "event seq above the footer maximum"}
+			return &seglog.CorruptError{Reason: "event seq above the footer maximum"}
 		}
 		prev = ev
 		if fn != nil {
@@ -318,10 +294,10 @@ func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
 		}
 	}
 	if n != meta.count {
-		return &CorruptError{Reason: fmt.Sprintf("footer claims %d events, body holds %d", meta.count, n)}
+		return &seglog.CorruptError{Reason: fmt.Sprintf("footer claims %d events, body holds %d", meta.count, n)}
 	}
 	if n > 0 && prev.Seq != meta.maxSeq {
-		return &CorruptError{Reason: "last event seq disagrees with footer"}
+		return &seglog.CorruptError{Reason: "last event seq disagrees with footer"}
 	}
 	return nil
 }
@@ -331,7 +307,7 @@ func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
 func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
 	var m blockMeta
 	if len(ftr) < footerFixedSize {
-		return m, &CorruptError{Reason: "short block footer"}
+		return m, &seglog.CorruptError{Reason: "short block footer"}
 	}
 	m.minSeq = int64(binary.LittleEndian.Uint64(ftr[0:8]))
 	m.maxSeq = int64(binary.LittleEndian.Uint64(ftr[8:16]))
@@ -342,13 +318,13 @@ func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
 	copy(m.bloom[:], ftr[40:40+bloomBytes])
 	indexN := binary.LittleEndian.Uint32(ftr[72:76])
 	if m.count == 0 {
-		return m, &CorruptError{Reason: "empty block"}
+		return m, &seglog.CorruptError{Reason: "empty block"}
 	}
 	if m.minSeq > m.maxSeq || m.minTime > m.maxTime {
-		return m, &CorruptError{Reason: "inverted footer bounds"}
+		return m, &seglog.CorruptError{Reason: "inverted footer bounds"}
 	}
 	if m.matched > m.count {
-		return m, &CorruptError{Reason: "footer matched above count"}
+		return m, &seglog.CorruptError{Reason: "footer matched above count"}
 	}
 	rest := ftr[footerFixedSize:]
 	prevID := int64(-1)
@@ -356,16 +332,16 @@ func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
 	for i := uint32(0); i < indexN; i++ {
 		id, k := binary.Uvarint(rest)
 		if k <= 0 || id > 1<<31-1 {
-			return m, &CorruptError{Reason: "bad index template id"}
+			return m, &seglog.CorruptError{Reason: "bad index template id"}
 		}
 		rest = rest[k:]
 		cnt, k := binary.Uvarint(rest)
 		if k <= 0 {
-			return m, &CorruptError{Reason: "bad index count"}
+			return m, &seglog.CorruptError{Reason: "bad index count"}
 		}
 		rest = rest[k:]
 		if int64(id) <= prevID {
-			return m, &CorruptError{Reason: "index template ids not ascending"}
+			return m, &seglog.CorruptError{Reason: "index template ids not ascending"}
 		}
 		prevID = int64(id)
 		total += int64(cnt)
@@ -374,61 +350,57 @@ func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
 		}
 	}
 	if len(rest) != 0 {
-		return m, &CorruptError{Reason: "trailing footer bytes"}
+		return m, &seglog.CorruptError{Reason: "trailing footer bytes"}
 	}
 	if total != int64(m.matched) {
-		return m, &CorruptError{Reason: "index counts disagree with footer matched"}
+		return m, &seglog.CorruptError{Reason: "index counts disagree with footer matched"}
 	}
 	return m, nil
 }
 
-// scanBlock verifies and parses the block starting at data[off:]. body is
+// scanBlock verifies and parses the block at the start of data. body is
 // the compressed body slice (a view into data); idx receives the inverted
-// index when non-nil. Errors carry no Path and an offset relative to off;
-// callers translate.
-func scanBlock(data []byte, off int, idx *[]IndexEntry) (meta blockMeta, body []byte, err error) {
-	rem := len(data) - off
-	if rem < blockHeaderSize {
+// index when non-nil. Errors carry no Path and an offset relative to the
+// block; whoever knows the block's position places them (seglog.Spec.At).
+func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err error) {
+	if len(data) < blockHeaderSize {
 		// Distinguish a header cut short mid-write from trailing garbage:
 		// a prefix of the magic is torn, anything else is corruption.
-		n := rem
-		if n > len(blockMagic) {
-			n = len(blockMagic)
+		n := min(len(data), len(blockMagic))
+		if string(data[:n]) != blockMagic[:n] {
+			return meta, nil, &seglog.CorruptError{Reason: "bad block magic"}
 		}
-		if !bytes.Equal(data[off:off+n], []byte(blockMagic)[:n]) {
-			return meta, nil, &CorruptError{Reason: "bad block magic"}
-		}
-		return meta, nil, &TornTailError{}
+		return meta, nil, &seglog.TornTailError{}
 	}
-	if string(data[off:off+4]) != blockMagic {
-		return meta, nil, &CorruptError{Reason: "bad block magic"}
+	if string(data[:4]) != blockMagic {
+		return meta, nil, &seglog.CorruptError{Reason: "bad block magic"}
 	}
-	bodyLen := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	rawLen := binary.LittleEndian.Uint32(data[off+8 : off+12])
-	ftrLen := binary.LittleEndian.Uint32(data[off+12 : off+16])
+	bodyLen := binary.LittleEndian.Uint32(data[4:8])
+	rawLen := binary.LittleEndian.Uint32(data[8:12])
+	ftrLen := binary.LittleEndian.Uint32(data[12:16])
 	if bodyLen > MaxBlockBytes || rawLen > MaxBlockBytes {
-		return meta, nil, &CorruptError{Reason: "implausible block body length"}
+		return meta, nil, &seglog.CorruptError{Reason: "implausible block body length"}
 	}
 	if ftrLen > maxFooterBytes {
-		return meta, nil, &CorruptError{Reason: "implausible block footer length"}
+		return meta, nil, &seglog.CorruptError{Reason: "implausible block footer length"}
 	}
-	total := blockHeaderSize + int(bodyLen) + int(ftrLen) + checksumSize
-	if rem < total {
-		return meta, nil, &TornTailError{}
+	ftrStart := blockHeaderSize + int(bodyLen)
+	sumStart := ftrStart + int(ftrLen)
+	total := sumStart + checksumSize
+	if len(data) < total {
+		return meta, nil, &seglog.TornTailError{}
 	}
-	sumStart := off + blockHeaderSize + int(bodyLen) + int(ftrLen)
-	sum := sha256.Sum256(data[off:sumStart])
-	if !bytes.Equal(sum[:], data[sumStart:sumStart+checksumSize]) {
-		return meta, nil, &CorruptError{Reason: "block checksum mismatch"}
+	sum := sha256.Sum256(data[:sumStart])
+	if !bytes.Equal(sum[:], data[sumStart:total]) {
+		return meta, nil, &seglog.CorruptError{Reason: "block checksum mismatch"}
 	}
-	ftr := data[off+blockHeaderSize+int(bodyLen) : sumStart]
-	meta, err = decodeFooter(ftr, idx)
+	meta, err = decodeFooter(data[ftrStart:sumStart], idx)
 	if err != nil {
 		return meta, nil, err
 	}
 	meta.rawLen = rawLen
 	meta.size = int64(total)
-	return meta, data[off+blockHeaderSize : off+blockHeaderSize+int(bodyLen)], nil
+	return meta, data[blockHeaderSize:ftrStart], nil
 }
 
 // inflateBlock decompresses a block body into dst (reused when large
@@ -441,149 +413,76 @@ func inflateBlock(body []byte, rawLen uint32, dst []byte) ([]byte, error) {
 	fr := flate.NewReader(bytes.NewReader(body))
 	n, err := io.ReadFull(fr, dst)
 	if err != nil {
-		return nil, &CorruptError{Reason: fmt.Sprintf("block body inflate: %v (%d/%d bytes)", err, n, rawLen)}
+		return nil, &seglog.CorruptError{Reason: fmt.Sprintf("block body inflate: %v (%d/%d bytes)", err, n, rawLen)}
 	}
 	// The body must end exactly at rawLen: trailing compressed data means
 	// the header lied.
 	var one [1]byte
 	if m, _ := fr.Read(one[:]); m != 0 {
-		return nil, &CorruptError{Reason: "block body longer than advertised"}
+		return nil, &seglog.CorruptError{Reason: "block body longer than advertised"}
 	}
 	fr.Close()
 	return dst, nil
 }
 
-// DecodeSegment walks one segment image, verifying every block (checksum,
-// footer consistency, decompression, event structure) and calling fn (when
-// non-nil) for each event in order. It never panics on malformed input:
-// the returned error is nil for a clean segment, a *TornTailError when the
-// image ends mid-block (a crash signature — the prefix in SegmentInfo.Good
-// is trustworthy), a *CorruptError when bytes present fail verification,
-// or fn's own error, which stops the walk. Path fields of returned errors
-// are empty; file-level callers fill them in. Exported for the fuzz target
-// and tests; Open and the Reader use the same walk.
-func DecodeSegment(data []byte, fn func(Event) error) (SegmentInfo, error) {
-	var info SegmentInfo
-	if len(data) < segHeaderSize {
-		n := len(data)
-		if n > len(segMagic) {
-			n = len(segMagic)
-		}
-		if bytes.Equal(data[:n], []byte(segMagic)[:n]) {
-			return info, &TornTailError{Offset: 0}
-		}
-		return info, &CorruptError{Offset: 0, Reason: "bad magic header"}
-	}
-	if string(data[:len(segMagic)]) != segMagic {
-		return info, &CorruptError{Offset: 0, Reason: "bad magic header"}
-	}
-	info.FirstSeq = int64(binary.LittleEndian.Uint64(data[len(segMagic):segHeaderSize]))
-	if info.FirstSeq < 0 {
-		return info, &CorruptError{Offset: 0, Reason: "negative first sequence"}
-	}
-	info.Good = int64(segHeaderSize)
-	off := segHeaderSize
-	prevMax := int64(-1)
-	var inflated []byte
-	for off < len(data) {
-		meta, body, err := scanBlock(data, off, nil)
-		if err != nil {
-			setErrOffset(err, int64(off))
-			return info, err
-		}
-		if info.Blocks == 0 && meta.minSeq != info.FirstSeq {
-			return info, &CorruptError{Offset: int64(off), Reason: "first block disagrees with header firstSeq"}
-		}
-		if prevMax >= 0 && meta.minSeq < prevMax {
-			return info, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("block minSeq %d below previous maxSeq %d", meta.minSeq, prevMax)}
-		}
-		inflated, err = inflateBlock(body, meta.rawLen, inflated)
-		if err != nil {
-			setErrOffset(err, int64(off))
-			return info, err
-		}
-		if err := decodeEvents(inflated, meta, fn); err != nil {
-			setErrOffset(err, int64(off))
-			return info, err
-		}
-		prevMax = meta.maxSeq
-		info.LastSeq = meta.maxSeq
-		info.Blocks++
-		info.Events += int64(meta.count)
-		off += int(meta.size)
-		info.Good = int64(off)
-	}
-	return info, nil
+// blockView is what verifying one block yields: its footer metadata, the
+// still-compressed body (a view into the segment image) and, when asked
+// for, the footer's inverted index.
+type blockView struct {
+	meta  blockMeta
+	body  []byte
+	index []IndexEntry
 }
 
-// setErrOffset fills the Offset of a taxonomy error produced below the
-// segment walk (which reports offsets relative to its own start).
-func setErrOffset(err error, off int64) {
-	switch e := err.(type) {
-	case *TornTailError:
-		e.Offset += off
-	case *CorruptError:
-		e.Offset += off
-	}
-}
-
-// scanSegmentMeta is DecodeSegment's metadata-only sibling: it verifies
-// headers, checksums and footers and reports each block's meta (with the
-// inverted index when wantIndex), but never decompresses a body — the walk
-// Open and OpenReader use.
-func scanSegmentMeta(data []byte, wantIndex bool, fn func(meta blockMeta, index []IndexEntry) error) (SegmentInfo, error) {
-	var info SegmentInfo
-	if len(data) < segHeaderSize {
-		n := len(data)
-		if n > len(segMagic) {
-			n = len(segMagic)
-		}
-		if bytes.Equal(data[:n], []byte(segMagic)[:n]) {
-			return info, &TornTailError{Offset: 0}
-		}
-		return info, &CorruptError{Offset: 0, Reason: "bad magic header"}
-	}
-	if string(data[:len(segMagic)]) != segMagic {
-		return info, &CorruptError{Offset: 0, Reason: "bad magic header"}
-	}
-	info.FirstSeq = int64(binary.LittleEndian.Uint64(data[len(segMagic):segHeaderSize]))
-	if info.FirstSeq < 0 {
-		return info, &CorruptError{Offset: 0, Reason: "negative first sequence"}
-	}
-	info.Good = int64(segHeaderSize)
-	off := segHeaderSize
-	prevMax := int64(-1)
-	for off < len(data) {
-		var index []IndexEntry
-		idxDst := &index
+// verifyBlock returns the codec's verify-one-frame function for seglog,
+// over scanBlock; wantIndex also decodes each footer's inverted index.
+func verifyBlock(wantIndex bool) func([]byte) (seglog.Frame, blockView, error) {
+	return func(data []byte) (seglog.Frame, blockView, error) {
+		var v blockView
+		var err error
+		idx := &v.index
 		if !wantIndex {
-			idxDst = nil
+			idx = nil
 		}
-		meta, _, err := scanBlock(data, off, idxDst)
-		if err != nil {
-			setErrOffset(err, int64(off))
-			return info, err
-		}
-		if info.Blocks == 0 && meta.minSeq != info.FirstSeq {
-			return info, &CorruptError{Offset: int64(off), Reason: "first block disagrees with header firstSeq"}
-		}
-		if prevMax >= 0 && meta.minSeq < prevMax {
-			return info, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("block minSeq %d below previous maxSeq %d", meta.minSeq, prevMax)}
-		}
-		meta.off = int64(off)
-		if fn != nil {
-			if err := fn(meta, index); err != nil {
-				return info, err
-			}
-		}
-		prevMax = meta.maxSeq
-		info.LastSeq = meta.maxSeq
-		info.Blocks++
-		info.Events += int64(meta.count)
-		off += int(meta.size)
-		info.Good = int64(off)
+		v.meta, v.body, err = scanBlock(data, idx)
+		return seglog.Frame{
+			Size:   int(v.meta.size),
+			MinSeq: uint64(v.meta.minSeq),
+			MaxSeq: uint64(v.meta.maxSeq),
+			Units:  int(v.meta.count),
+		}, v, err
 	}
-	return info, nil
+}
+
+// scanSegmentMeta walks one segment image verifying headers, checksums,
+// footers and block ordering, and hands each (when non-nil) every block's
+// offset and view — but never decompresses a body.
+func scanSegmentMeta(data []byte, wantIndex bool, each func(off int64, fr seglog.Frame, v blockView) error) (SegmentInfo, error) {
+	info, err := seglog.Walk(&spec, data, verifyBlock(wantIndex), each)
+	return SegmentInfo{
+		FirstSeq: int64(info.FirstSeq), LastSeq: int64(info.LastSeq),
+		Blocks: info.Frames, Events: info.Units, Good: info.Good,
+	}, err
+}
+
+// DecodeSegment is the full verification of one segment image: the
+// metadata walk plus, per block, decompression and the event-structure
+// check, calling fn (when non-nil) for each event in order. It never
+// panics on malformed input: the returned error is nil for a clean
+// segment, a *seglog.TornTailError when the image ends mid-block (a crash
+// signature — the prefix in SegmentInfo.Good is trustworthy), a
+// *seglog.CorruptError when bytes present fail verification, or fn's own
+// error, which stops the walk. Path fields of returned errors are empty.
+// Exported for the fuzz target and tests.
+func DecodeSegment(data []byte, fn func(Event) error) (SegmentInfo, error) {
+	var inflated []byte
+	return scanSegmentMeta(data, false, func(_ int64, _ seglog.Frame, v blockView) error {
+		var err error
+		if inflated, err = inflateBlock(v.body, v.meta.rawLen, inflated); err != nil {
+			return err
+		}
+		return decodeEvents(inflated, v.meta, fn)
+	})
 }
 
 // blockBuilder accumulates one block's events and seals them into the

@@ -3,6 +3,8 @@ package eventstore
 import (
 	"testing"
 	"time"
+
+	"logparse/internal/seglog"
 )
 
 // fuzzSeedSegment builds a clean two-block segment image for the seed
@@ -50,7 +52,7 @@ func FuzzBlockDecode(f *testing.F) {
 			return nil
 		})
 		switch err.(type) {
-		case nil, *TornTailError, *CorruptError:
+		case nil, *seglog.TornTailError, *seglog.CorruptError:
 		default:
 			t.Fatalf("unexpected error type %T: %v", err, err)
 		}

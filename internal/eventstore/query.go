@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
 
@@ -149,45 +148,74 @@ type Reader struct {
 // the last verified block (recorded in ReadInfo) and the surviving prefix
 // is served — repair belongs to the writer's Open.
 func OpenReader(dir string, opts ReaderOptions) (*Reader, ReadInfo, error) {
-	var info ReadInfo
-	names, err := filepath.Glob(filepath.Join(dir, "evt-*.seg"))
-	if err != nil {
-		return nil, info, fmt.Errorf("eventstore: scan dir: %w", err)
-	}
-	sort.Strings(names)
 	r := &Reader{tm: newReaderTelemetry(opts.Telemetry), now: time.Now}
-	for _, path := range names {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, info, fmt.Errorf("eventstore: read segment: %w", err)
-		}
-		segIdx := len(r.paths)
-		r.paths = append(r.paths, path)
-		meta, derr := scanSegmentMeta(data, true, func(m blockMeta, index []IndexEntry) error {
-			r.blocks = append(r.blocks, readBlock{seg: segIdx, meta: m, index: index})
-			return nil
-		})
-		info.Blocks += meta.Blocks
-		info.Events += meta.Events
-		if meta.Blocks > 0 {
-			info.LastSeq = meta.LastSeq
-		}
-		switch e := derr.(type) {
-		case nil:
-		case *TornTailError:
-			info.TornTail = true
-		case *CorruptError:
-			e.Path = path
-			info.Damaged = e.Error()
-		default:
-			return nil, info, derr
-		}
-		if derr != nil {
-			break // nothing after damage is trustworthy
-		}
+	si, err := seglog.Scan(&spec, dir, verifyBlock(true), func(seg int, off int64, _ seglog.Frame, v blockView) error {
+		v.meta.off = off
+		r.blocks = append(r.blocks, readBlock{seg: seg, meta: v.meta, index: v.index})
+		return nil
+	})
+	r.paths = si.Paths
+	info := ReadInfo{Segments: len(si.Paths), Blocks: si.Frames, Events: si.Units, LastSeq: int64(si.LastSeq)}
+	switch e := err.(type) {
+	case nil:
+	case *seglog.TornTailError:
+		info.TornTail = true
+	case *seglog.CorruptError:
+		info.Damaged = e.Error()
+	default:
+		return nil, info, err
 	}
-	info.Segments = len(r.paths)
 	return r, info, nil
+}
+
+// blockCursor reads and decodes blocks for one query, reusing the open
+// segment handle and both buffers from block to block.
+type blockCursor struct {
+	r        *Reader
+	st       *QueryStats
+	f        *os.File
+	seg      int
+	blockBuf []byte
+	rawBuf   []byte
+}
+
+func (c *blockCursor) close() {
+	if c.f != nil {
+		c.f.Close()
+	}
+}
+
+// events reads block rb from its segment, re-verifies and inflates it,
+// and feeds its events to fn.
+func (c *blockCursor) events(rb readBlock, fn func(Event) error) error {
+	path := c.r.paths[rb.seg]
+	if c.f == nil || c.seg != rb.seg {
+		c.close()
+		var err error
+		if c.f, err = os.Open(path); err != nil {
+			return fmt.Errorf("eventstore: open segment: %w", err)
+		}
+		c.seg = rb.seg
+	}
+	if cap(c.blockBuf) < int(rb.meta.size) {
+		c.blockBuf = make([]byte, rb.meta.size)
+	}
+	c.blockBuf = c.blockBuf[:rb.meta.size]
+	if _, err := c.f.ReadAt(c.blockBuf, rb.meta.off); err != nil {
+		return fmt.Errorf("eventstore: read block: %w", err)
+	}
+	meta, body, err := scanBlock(c.blockBuf, nil)
+	if err == nil {
+		c.rawBuf, err = inflateBlock(body, meta.rawLen, c.rawBuf)
+	}
+	if err != nil {
+		return spec.At(err, path, rb.meta.off)
+	}
+	c.st.Decompressed++
+	c.st.BytesDecompressed += int64(meta.rawLen)
+	c.r.tm.blocksRead.Inc()
+	c.r.tm.bytesInfl.Add(uint64(meta.rawLen))
+	return spec.At(decodeEvents(c.rawBuf, meta, fn), path, rb.meta.off)
 }
 
 // Scan streams every selected event, in store order, to fn. Blocks that
@@ -201,14 +229,8 @@ func (r *Reader) Scan(q Query, fn func(Event) error) (QueryStats, error) {
 	from, to := q.timeBounds()
 	var st QueryStats
 	st.Blocks = len(r.blocks)
-	var f *os.File
-	var fSeg = -1
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	var blockBuf, rawBuf []byte
+	cur := blockCursor{r: r, st: &st}
+	defer cur.close()
 	yielded := 0
 	for _, rb := range r.blocks {
 		if r.skip(rb, q, from, to) {
@@ -216,41 +238,7 @@ func (r *Reader) Scan(q Query, fn func(Event) error) (QueryStats, error) {
 			r.tm.skipped.Inc()
 			continue
 		}
-		if f == nil || fSeg != rb.seg {
-			if f != nil {
-				f.Close()
-			}
-			var err error
-			f, err = os.Open(r.paths[rb.seg])
-			if err != nil {
-				return st, fmt.Errorf("eventstore: open segment: %w", err)
-			}
-			fSeg = rb.seg
-		}
-		if cap(blockBuf) < int(rb.meta.size) {
-			blockBuf = make([]byte, rb.meta.size)
-		}
-		blockBuf = blockBuf[:rb.meta.size]
-		if _, err := f.ReadAt(blockBuf, rb.meta.off); err != nil {
-			return st, fmt.Errorf("eventstore: read block: %w", err)
-		}
-		meta, body, err := scanBlock(blockBuf, 0, nil)
-		if err != nil {
-			setErrOffset(err, rb.meta.off)
-			setErrPath(err, r.paths[rb.seg])
-			return st, err
-		}
-		rawBuf, err = inflateBlock(body, meta.rawLen, rawBuf)
-		if err != nil {
-			setErrPath(err, r.paths[rb.seg])
-			return st, err
-		}
-		st.Decompressed++
-		st.BytesDecompressed += int64(meta.rawLen)
-		r.tm.blocksRead.Inc()
-		r.tm.bytesInfl.Add(uint64(meta.rawLen))
-		stop := errLimitReached
-		err = decodeEvents(rawBuf, meta, func(ev Event) error {
+		err := cur.events(rb, func(ev Event) error {
 			st.Events++
 			if !q.matches(ev, from, to) {
 				return nil
@@ -261,15 +249,14 @@ func (r *Reader) Scan(q Query, fn func(Event) error) (QueryStats, error) {
 			}
 			yielded++
 			if q.Limit > 0 && yielded >= q.Limit {
-				return stop
+				return errLimitReached
 			}
 			return nil
 		})
-		if err == stop {
+		if err == errLimitReached {
 			return st, nil
 		}
 		if err != nil {
-			setErrPath(err, r.paths[rb.seg])
 			return st, err
 		}
 	}
@@ -278,16 +265,6 @@ func (r *Reader) Scan(q Query, fn func(Event) error) (QueryStats, error) {
 
 // errLimitReached is Scan's internal early-exit sentinel.
 var errLimitReached = fmt.Errorf("eventstore: limit reached")
-
-// setErrPath fills the Path of a taxonomy error surfaced from a read.
-func setErrPath(err error, path string) {
-	switch e := err.(type) {
-	case *TornTailError:
-		e.Path = path
-	case *CorruptError:
-		e.Path = path
-	}
-}
 
 // skip reports whether a block cannot hold any selected event, on
 // metadata alone.
@@ -365,14 +342,8 @@ func (r *Reader) templateCounts(q Query) (map[int32]int64, QueryStats, error) {
 	counts := make(map[int32]int64)
 	var st QueryStats
 	st.Blocks = len(r.blocks)
-	var f *os.File
-	fSeg := -1
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	var blockBuf, rawBuf []byte
+	cur := blockCursor{r: r, st: &st}
+	defer cur.close()
 	for _, rb := range r.blocks {
 		if r.skip(rb, q, from, to) {
 			st.Skipped++
@@ -403,40 +374,7 @@ func (r *Reader) templateCounts(q Query) (map[int32]int64, QueryStats, error) {
 			}
 			continue
 		}
-		if f == nil || fSeg != rb.seg {
-			if f != nil {
-				f.Close()
-			}
-			var err error
-			f, err = os.Open(r.paths[rb.seg])
-			if err != nil {
-				return counts, st, fmt.Errorf("eventstore: open segment: %w", err)
-			}
-			fSeg = rb.seg
-		}
-		if cap(blockBuf) < int(rb.meta.size) {
-			blockBuf = make([]byte, rb.meta.size)
-		}
-		blockBuf = blockBuf[:rb.meta.size]
-		if _, err := f.ReadAt(blockBuf, rb.meta.off); err != nil {
-			return counts, st, fmt.Errorf("eventstore: read block: %w", err)
-		}
-		meta, body, err := scanBlock(blockBuf, 0, nil)
-		if err != nil {
-			setErrOffset(err, rb.meta.off)
-			setErrPath(err, r.paths[rb.seg])
-			return counts, st, err
-		}
-		rawBuf, err = inflateBlock(body, meta.rawLen, rawBuf)
-		if err != nil {
-			setErrPath(err, r.paths[rb.seg])
-			return counts, st, err
-		}
-		st.Decompressed++
-		st.BytesDecompressed += int64(meta.rawLen)
-		r.tm.blocksRead.Inc()
-		r.tm.bytesInfl.Add(uint64(meta.rawLen))
-		err = decodeEvents(rawBuf, meta, func(ev Event) error {
+		err := cur.events(rb, func(ev Event) error {
 			st.Events++
 			if !q.matches(ev, from, to) {
 				return nil
@@ -446,7 +384,6 @@ func (r *Reader) templateCounts(q Query) (map[int32]int64, QueryStats, error) {
 			return nil
 		})
 		if err != nil {
-			setErrPath(err, r.paths[rb.seg])
 			return counts, st, err
 		}
 	}

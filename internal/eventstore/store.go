@@ -3,22 +3,11 @@ package eventstore
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
-
-// BlockFile is the writable handle a segment runs on — *os.File in
-// production, a fault-injection wrapper (faultinject.WALCrashFile) in
-// crash tests.
-type BlockFile interface {
-	io.Writer
-	Sync() error
-}
 
 // Options configures a Store. Dir is required; zero values elsewhere mean
 // the documented defaults.
@@ -37,16 +26,12 @@ type Options struct {
 	// segment is sealed (synced + closed) and the next block starts a
 	// fresh file.
 	SegmentBytes int64
-	// WrapFile, when non-nil, wraps each segment's file handle — the
-	// fault-injection seam for torn-block-write and failed-fsync testing.
-	WrapFile func(*os.File) BlockFile
-	// Hook, when non-nil, fires at crash points: "block" between a sealed
-	// block's write and the in-memory commit of its metadata, and
-	// "finalize" between Finalize's block write and its fsync. A non-nil
-	// return latches the store failed at exactly that point — how the
-	// recovery tests freeze the states a kill -9 can produce. The hook
-	// runs under the store lock and must not call back in.
-	Hook func(point string) error
+	// Seam is the fault-injection seam (see seglog.Seam): Wrap wraps each
+	// segment's file handle; besides seglog's own points, Hook fires at
+	// "block" (between a sealed block's write and the in-memory commit of
+	// its metadata) and "finalize" (between Finalize's block write and its
+	// fsync), where a non-nil return latches the store failed.
+	Seam seglog.Seam
 	// Telemetry, when non-nil, publishes eventstore.* metrics.
 	Telemetry *telemetry.Handle
 }
@@ -90,21 +75,7 @@ type AlignInfo struct {
 }
 
 // ErrClosed is returned by operations on a closed Store.
-var ErrClosed = errors.New("eventstore: closed")
-
-// segState is one segment file and the finalized blocks inside it.
-type segState struct {
-	path   string
-	size   int64
-	blocks []blockMeta
-}
-
-// activeFile is the segment currently open for append.
-type activeFile struct {
-	f   *os.File
-	bf  BlockFile
-	seg *segState
-}
+var ErrClosed = seglog.ErrClosed
 
 type storeTelemetry struct {
 	appends       *telemetry.Counter
@@ -140,16 +111,13 @@ type Store struct {
 	opts Options
 	tm   storeTelemetry
 
-	mu       sync.Mutex
-	segs     []*segState
-	active   *activeFile
-	bb       blockBuilder
-	wbuf     []byte // seal's reusable output buffer
-	lastSeq  int64  // newest finalized event seq
-	events   int64  // finalized events total
-	unsynced bool   // finalized blocks written but not yet fsynced
-	err      error  // latched first failure
-	closed   bool
+	mu      sync.Mutex
+	log     *seglog.Log   // segment files, repair, rotation, the latched first failure
+	blocks  [][]blockMeta // finalized blocks per segment, parallel to log.Segments()
+	bb      blockBuilder
+	wbuf    []byte // seal's reusable output buffer
+	lastSeq int64  // newest finalized event seq
+	events  int64  // finalized events total
 }
 
 // StoreStats is a point-in-time writer snapshot.
@@ -163,9 +131,9 @@ type StoreStats struct {
 	Pending int
 }
 
-// Open scans dir, repairs crash damage (truncating a torn tail, discarding
-// corrupt bytes and everything after them — the WAL's recovery taxonomy),
-// and returns a Store positioned to append after the newest surviving
+// Open scans dir, repairs crash damage (seglog.Open: a torn tail is
+// truncated, corrupt bytes and everything after them discarded), and
+// returns a Store positioned to append after the newest surviving
 // finalized block.
 func Open(opts Options) (*Store, OpenInfo, error) {
 	if opts.Dir == "" {
@@ -180,176 +148,28 @@ func Open(opts Options) (*Store, OpenInfo, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, OpenInfo{}, fmt.Errorf("eventstore: dir: %w", err)
-	}
 	s := &Store{opts: opts, tm: newStoreTelemetry(opts.Telemetry)}
 	s.bb.reset()
-	info, err := s.recover()
+	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam},
+		verifyBlock(false), func(seg int, off int64, _ seglog.Frame, v blockView) {
+			if seg == len(s.blocks) {
+				s.blocks = append(s.blocks, nil)
+			}
+			v.meta.off = off
+			s.blocks[seg] = append(s.blocks[seg], v.meta)
+		})
+	info := OpenInfo{
+		Segments: li.Segments, Blocks: li.Frames, Events: li.Units, LastSeq: int64(li.LastSeq),
+		TornTails: li.TornTails, TornBytes: li.TornBytes, CorruptDropped: li.CorruptDropped,
+	}
 	if err != nil {
 		return nil, info, err
 	}
-	s.tm.segments.Set(int64(len(s.segs)))
+	s.log, s.lastSeq, s.events = log, info.LastSeq, info.Events
+	s.tm.tornTails.Add(uint64(li.TornTails))
+	s.tm.corrupt.Add(uint64(li.CorruptDropped))
+	s.tm.segments.Set(int64(li.Segments))
 	return s, info, nil
-}
-
-// recover scans the segment files in seq order, truncates crash damage,
-// and rebuilds the in-memory block index.
-func (s *Store) recover() (OpenInfo, error) {
-	var info OpenInfo
-	names, err := filepath.Glob(filepath.Join(s.opts.Dir, "evt-*.seg"))
-	if err != nil {
-		return info, fmt.Errorf("eventstore: scan dir: %w", err)
-	}
-	sort.Strings(names) // zero-padded firstSeq names sort numerically
-
-	// dropFrom deletes every file from index i on — bytes beyond a
-	// corruption point cannot be trusted to be ordered or complete.
-	dropFrom := func(i int) error {
-		for _, path := range names[i:] {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("eventstore: drop untrusted segment: %w", err)
-			}
-			info.CorruptDropped++
-			s.tm.corrupt.Inc()
-		}
-		return nil
-	}
-
-	prevLast := int64(-1)
-	for i, path := range names {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return info, fmt.Errorf("eventstore: read segment: %w", err)
-		}
-		seg := &segState{path: path}
-		meta, derr := scanSegmentMeta(data, false, func(m blockMeta, _ []IndexEntry) error {
-			seg.blocks = append(seg.blocks, m)
-			return nil
-		})
-		seg.size = meta.Good
-		corrupt := false
-		switch derr.(type) {
-		case nil:
-		case *TornTailError:
-			// Expected after a crash mid-block: cut the partial block,
-			// keep the finalized prefix.
-			if err := os.Truncate(path, meta.Good); err != nil {
-				return info, fmt.Errorf("eventstore: truncate torn tail: %w", err)
-			}
-			info.TornTails++
-			info.TornBytes += int64(len(data)) - meta.Good
-			s.tm.tornTails.Inc()
-			if i != len(names)-1 {
-				// A torn tail anywhere but the final segment means writes
-				// continued into later files past damage — untrusted.
-				corrupt = true
-			}
-		case *CorruptError:
-			if err := os.Truncate(path, meta.Good); err != nil {
-				return info, fmt.Errorf("eventstore: truncate corrupt segment: %w", err)
-			}
-			info.CorruptDropped++
-			s.tm.corrupt.Inc()
-			corrupt = true
-		default:
-			return info, derr
-		}
-		if !corrupt && meta.Blocks > 0 && meta.FirstSeq < prevLast {
-			// Overlapping seq ranges across files: ordering is untrusted
-			// from here on.
-			corrupt = true
-			info.CorruptDropped++
-			s.tm.corrupt.Inc()
-			if err := os.Remove(path); err != nil {
-				return info, fmt.Errorf("eventstore: drop untrusted segment: %w", err)
-			}
-			seg.blocks = nil
-			seg.path = ""
-		}
-		if corrupt {
-			if len(seg.blocks) == 0 && seg.path != "" {
-				_ = os.Remove(path)
-				seg.path = ""
-			}
-			if len(seg.blocks) > 0 {
-				s.segs = append(s.segs, seg)
-				info.Blocks += len(seg.blocks)
-				info.Events += int64(meta.Events)
-				prevLast = meta.LastSeq
-			}
-			if err := dropFrom(i + 1); err != nil {
-				return info, err
-			}
-			break
-		}
-		if len(seg.blocks) == 0 {
-			// Header-only file (crash between creating a segment and its
-			// first finalized block): recreate lazily on the next seal.
-			if err := os.Remove(path); err != nil {
-				return info, fmt.Errorf("eventstore: drop empty segment: %w", err)
-			}
-			continue
-		}
-		s.segs = append(s.segs, seg)
-		info.Blocks += len(seg.blocks)
-		info.Events += int64(meta.Events)
-		prevLast = meta.LastSeq
-	}
-	if n := len(s.segs); n > 0 {
-		last := s.segs[n-1]
-		s.lastSeq = last.blocks[len(last.blocks)-1].maxSeq
-		info.LastSeq = s.lastSeq
-	}
-	s.events = info.Events
-	info.Segments = len(s.segs)
-	// The last segment is reopened lazily: reopenTailLocked runs on the
-	// first seal so AlignTo can truncate files without fighting an open
-	// append handle.
-	return info, nil
-}
-
-// reopenTailLocked ensures an active append handle: the newest segment
-// when it still has room, else nothing (the next seal starts a fresh
-// file).
-func (s *Store) reopenTailLocked() error {
-	if s.active != nil {
-		return nil
-	}
-	n := len(s.segs)
-	if n == 0 {
-		return nil
-	}
-	last := s.segs[n-1]
-	if last.size >= s.opts.SegmentBytes {
-		return nil
-	}
-	f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("eventstore: reopen segment: %w", err)
-	}
-	s.installActive(f, last)
-	return nil
-}
-
-// installActive wires a file handle (through the fault seam) as the
-// active segment.
-func (s *Store) installActive(f *os.File, seg *segState) {
-	var bf BlockFile = f
-	if s.opts.WrapFile != nil {
-		bf = s.opts.WrapFile(f)
-	}
-	s.active = &activeFile{f: f, bf: bf, seg: seg}
-}
-
-// fail latches the first error: after a failed write or sync the file
-// position is unknowable, so every later operation refuses until the
-// store is reopened (which re-verifies the on-disk state).
-func (s *Store) fail(err error) error {
-	if s.err == nil {
-		s.err = err
-	}
-	return err
 }
 
 // Append accumulates one event into the current block, sealing and
@@ -359,115 +179,79 @@ func (s *Store) fail(err error) error {
 func (s *Store) Append(ev Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.err != nil {
-		return s.err
+	if err := s.log.Check(); err != nil {
+		return err
 	}
 	floor := s.lastSeq
 	if s.bb.count > 0 {
 		floor = s.bb.maxSeq
 	}
 	if ev.Seq < floor {
-		return s.fail(fmt.Errorf("eventstore: append seq %d below %d", ev.Seq, floor))
+		return s.log.Fail(fmt.Errorf("eventstore: append seq %d below %d", ev.Seq, floor))
 	}
 	if ev.Template < -1 {
-		return s.fail(fmt.Errorf("eventstore: append template %d below -1", ev.Template))
+		return s.log.Fail(fmt.Errorf("eventstore: append template %d below -1", ev.Template))
 	}
 	s.bb.add(ev)
 	s.tm.appends.Inc()
 	if len(s.bb.raw) >= s.opts.BlockBytes {
-		if err := s.sealLocked(); err != nil {
-			return err
-		}
+		return s.sealLocked()
 	}
 	return nil
 }
 
 // sealLocked compresses the accumulating block and writes it to the
-// active segment (creating one as needed). No fsync: durability waits for
-// Finalize. Latches on failure.
+// active segment (the newest file while it has room, else a fresh one).
+// No fsync: durability waits for Finalize. Latches on failure.
 func (s *Store) sealLocked() error {
 	if s.bb.count == 0 {
 		return nil
 	}
-	s.wbuf = s.wbuf[:0]
-	out, meta, err := s.bb.seal(s.wbuf)
+	out, meta, err := s.bb.seal(s.wbuf[:0])
 	if err != nil {
-		return s.fail(fmt.Errorf("eventstore: seal block: %w", err))
+		return s.log.Fail(fmt.Errorf("eventstore: seal block: %w", err))
 	}
 	s.wbuf = out
-	if s.active == nil {
-		if err := s.reopenTailLocked(); err != nil {
-			return s.fail(err)
-		}
+	created, err := s.log.Ensure(uint64(s.bb.minSeq))
+	if err != nil {
+		return err
 	}
-	if s.active == nil {
-		if err := s.startSegmentLocked(s.bb.minSeq); err != nil {
-			return s.fail(err)
-		}
+	if created {
+		s.blocks = append(s.blocks, nil)
+		s.tm.segments.Set(int64(len(s.blocks)))
 	}
-	if _, err := s.active.bf.Write(out); err != nil {
-		return s.fail(fmt.Errorf("eventstore: write block: %w", err))
+	meta.off = s.log.Size()
+	if _, err := s.log.Write(out); err != nil {
+		return err
 	}
-	if s.opts.Hook != nil {
-		// The mid-block crash point: the block's bytes reached the file
-		// (or its wrapper), nothing is committed in memory yet.
-		if err := s.opts.Hook("block"); err != nil {
-			return s.fail(err)
-		}
+	// The mid-block crash point: the block's bytes reached the file (or
+	// its wrapper), nothing is committed in memory yet.
+	if err := s.opts.Seam.Fire("block"); err != nil {
+		return s.log.Fail(err)
 	}
-	meta.off = s.active.seg.size
-	s.active.seg.size += meta.size
-	s.active.seg.blocks = append(s.active.seg.blocks, meta)
+	tail := len(s.blocks) - 1
+	s.blocks[tail] = append(s.blocks[tail], meta)
 	s.lastSeq = meta.maxSeq
 	s.events += int64(meta.count)
-	s.unsynced = true
 	s.tm.blocksWritten.Inc()
 	s.tm.bytesRaw.Add(uint64(meta.rawLen))
 	s.tm.bytesComp.Add(uint64(meta.size))
 	s.bb.reset()
-	if s.active.seg.size >= s.opts.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return s.fail(err)
-		}
+	if s.log.Full() {
+		return s.rotateLocked()
 	}
-	return nil
-}
-
-// startSegmentLocked creates a fresh segment whose first block starts at
-// seq.
-func (s *Store) startSegmentLocked(seq int64) error {
-	path := filepath.Join(s.opts.Dir, fmt.Sprintf("evt-%020d.seg", seq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("eventstore: create segment: %w", err)
-	}
-	seg := &segState{path: path, size: int64(segHeaderSize)}
-	s.segs = append(s.segs, seg)
-	s.installActive(f, seg)
-	if _, err := s.active.bf.Write(SegmentHeader(seq)); err != nil {
-		return fmt.Errorf("eventstore: segment header: %w", err)
-	}
-	s.tm.segments.Set(int64(len(s.segs)))
 	return nil
 }
 
 // rotateLocked seals the active segment file: sync (its tail blocks may
 // be unsynced), close, and let the next seal start a successor.
 func (s *Store) rotateLocked() error {
-	if s.unsynced {
-		if err := s.active.bf.Sync(); err != nil {
-			return fmt.Errorf("eventstore: sync on rotate: %w", err)
+	if s.log.Unsynced() {
+		if err := s.log.Sync(); err != nil {
+			return err
 		}
-		s.unsynced = false
 	}
-	if err := s.active.f.Close(); err != nil {
-		return fmt.Errorf("eventstore: seal segment: %w", err)
-	}
-	s.active = nil
-	return nil
+	return s.log.Rotate(uint64(s.lastSeq))
 }
 
 // Finalize seals the pending block (if any) and fsyncs every block
@@ -479,32 +263,22 @@ func (s *Store) rotateLocked() error {
 func (s *Store) Finalize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.err != nil {
-		return s.err
+	if err := s.log.Check(); err != nil {
+		return err
 	}
 	if err := s.sealLocked(); err != nil {
 		return err
 	}
-	if !s.unsynced {
+	if !s.log.Unsynced() {
 		// Nothing written since the last sync (rotation syncs as it
 		// seals, so unsynced blocks always live in the active file).
 		return nil
 	}
-	if s.opts.Hook != nil {
-		// The mid-finalize crash point: blocks written, fsync not yet
-		// issued.
-		if err := s.opts.Hook("finalize"); err != nil {
-			return s.fail(err)
-		}
+	// The mid-finalize crash point: blocks written, fsync not yet issued.
+	if err := s.opts.Seam.Fire("finalize"); err != nil {
+		return s.log.Fail(err)
 	}
-	if err := s.active.bf.Sync(); err != nil {
-		return s.fail(fmt.Errorf("eventstore: finalize sync: %w", err))
-	}
-	s.unsynced = false
-	return nil
+	return s.log.Sync()
 }
 
 // AlignTo drops every finalized block holding events above seq — the
@@ -516,29 +290,26 @@ func (s *Store) AlignTo(seq int64) (AlignInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var info AlignInfo
-	if s.closed {
-		return info, ErrClosed
-	}
-	if s.err != nil {
-		return info, s.err
+	if err := s.log.Check(); err != nil {
+		return info, err
 	}
 	if s.bb.count > 0 {
-		return info, s.fail(errors.New("eventstore: AlignTo with unsealed events pending"))
+		return info, s.log.Fail(errors.New("eventstore: AlignTo with unsealed events pending"))
 	}
 	if s.lastSeq <= seq {
 		return info, nil
 	}
-	if s.active != nil {
+	if s.log.Active() {
 		// Release the append handle before truncating files under it.
 		if err := s.rotateLocked(); err != nil {
-			return info, s.fail(err)
+			return info, err
 		}
 	}
-	for len(s.segs) > 0 {
-		seg := s.segs[len(s.segs)-1]
-		cut := len(seg.blocks)
-		for cut > 0 && seg.blocks[cut-1].maxSeq > seq {
-			b := seg.blocks[cut-1]
+	for tail := len(s.blocks) - 1; tail >= 0; tail-- {
+		blocks := s.blocks[tail]
+		cut := len(blocks)
+		for cut > 0 && blocks[cut-1].maxSeq > seq {
+			b := blocks[cut-1]
 			info.BlocksDropped++
 			info.EventsDropped += int64(b.count)
 			if b.minSeq <= seq {
@@ -546,35 +317,33 @@ func (s *Store) AlignTo(seq int64) (AlignInfo, error) {
 			}
 			cut--
 		}
-		if cut == len(seg.blocks) {
+		if cut == len(blocks) {
 			break
 		}
-		s.tm.alignDropped.Add(uint64(len(seg.blocks) - cut))
-		if cut == 0 {
-			if err := os.Remove(seg.path); err != nil {
-				return info, s.fail(fmt.Errorf("eventstore: align remove: %w", err))
-			}
-			info.SegmentsRemoved++
-			s.segs = s.segs[:len(s.segs)-1]
-			continue
+		s.tm.alignDropped.Add(uint64(len(blocks) - cut))
+		var end, last int64 // cut == 0 removes the file whole
+		if cut > 0 {
+			end, last = blocks[cut-1].off+blocks[cut-1].size, blocks[cut-1].maxSeq
 		}
-		end := seg.blocks[cut-1].off + seg.blocks[cut-1].size
-		if err := os.Truncate(seg.path, end); err != nil {
-			return info, s.fail(fmt.Errorf("eventstore: align truncate: %w", err))
+		if err := s.log.CutTail(end, uint64(last)); err != nil {
+			return info, err
 		}
-		seg.blocks = seg.blocks[:cut]
-		seg.size = end
-		break
+		if cut > 0 {
+			s.blocks[tail] = blocks[:cut]
+			break
+		}
+		info.SegmentsRemoved++
+		s.blocks = s.blocks[:tail]
 	}
 	s.lastSeq = 0
 	s.events = 0
-	for _, seg := range s.segs {
-		for _, b := range seg.blocks {
+	for _, blocks := range s.blocks {
+		for _, b := range blocks {
 			s.events += int64(b.count)
 		}
-		s.lastSeq = seg.blocks[len(seg.blocks)-1].maxSeq
+		s.lastSeq = blocks[len(blocks)-1].maxSeq
 	}
-	s.tm.segments.Set(int64(len(s.segs)))
+	s.tm.segments.Set(int64(len(s.blocks)))
 	return info, nil
 }
 
@@ -590,7 +359,7 @@ func (s *Store) LastSeq() int64 {
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.err
+	return s.log.Err()
 }
 
 // Stats snapshots the writer.
@@ -598,13 +367,13 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Segments: len(s.segs),
+		Segments: len(s.blocks),
 		Events:   s.events,
 		LastSeq:  s.lastSeq,
 		Pending:  int(s.bb.count),
 	}
-	for _, seg := range s.segs {
-		st.Blocks += len(seg.blocks)
+	for _, blocks := range s.blocks {
+		st.Blocks += len(blocks)
 	}
 	return st
 }
@@ -614,26 +383,18 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.log.Closed() {
 		return nil
 	}
 	var err error
-	if s.err == nil && s.bb.count > 0 {
+	if s.log.Err() == nil && s.bb.count > 0 {
 		err = s.sealLocked()
 	}
-	if s.err == nil && s.unsynced && s.active != nil {
-		if serr := s.active.bf.Sync(); serr != nil {
-			err = s.fail(fmt.Errorf("eventstore: close sync: %w", serr))
-		} else {
-			s.unsynced = false
-		}
+	if s.log.Err() == nil && s.log.Unsynced() {
+		err = s.log.Sync()
 	}
-	s.closed = true
-	if s.active != nil {
-		if cerr := s.active.f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("eventstore: close: %w", cerr)
-		}
-		s.active = nil
+	if cerr := s.log.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

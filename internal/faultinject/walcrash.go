@@ -10,8 +10,8 @@ import (
 // disk problem.
 var ErrInjectedCrash = errors.New("faultinject: injected crash")
 
-// Syncer is the write-plus-fsync surface a WAL segment runs on. It is
-// structurally identical to wal.SegmentFile; declaring it here keeps the
+// Syncer is the write-plus-fsync surface a segment file runs on. It is
+// structurally identical to seglog.File; declaring it here keeps the
 // chaos harness dependency-free of the packages it torments.
 type Syncer interface {
 	io.Writer

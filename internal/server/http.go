@@ -118,21 +118,15 @@ func splitBatchLines(body []byte) [][]byte {
 func writeIngestErr(w http.ResponseWriter, err error) {
 	var qe *QuotaError
 	var tie *TenantIDError
-	var we *stream.WALError
-	var ese *stream.EventStoreError
+	var de *stream.DurableError
 	switch {
-	case errors.As(err, &ese):
-		// The tenant's event store failed mid-batch: the engine refused to
-		// checkpoint over the gap and the supervisor is rebuilding it
-		// (reopening the store repairs and realigns it). The batch was not
-		// acknowledged; the client replays it.
-		writeErr(w, http.StatusServiceUnavailable, 1, ese.Error()+"; replay the batch")
-	case errors.As(err, &we):
-		// The tenant's write-ahead log failed mid-batch: nothing in this
-		// batch was acknowledged, and the supervisor is rebuilding the
-		// engine (reopening the WAL repairs it). The client replays the
-		// whole batch; the durable prefix is skipped as duplicates.
-		writeErr(w, http.StatusServiceUnavailable, 1, we.Error()+"; replay the batch")
+	case errors.As(err, &de):
+		// The tenant's WAL or event store failed mid-batch: nothing in
+		// this batch was acknowledged, and the supervisor is rebuilding
+		// the engine (reopening the failed layer repairs it). The client
+		// replays the whole batch; the durable prefix is skipped as
+		// duplicates.
+		writeErr(w, http.StatusServiceUnavailable, 1, de.Error()+"; replay the batch")
 	case errors.As(err, &qe):
 		if qe.Permanent {
 			writeErr(w, http.StatusRequestEntityTooLarge, 0, qe.Error())

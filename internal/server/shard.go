@@ -58,21 +58,18 @@ type tenant struct {
 	done chan struct{} // closed when the supervisor exits
 }
 
-// maxWALRestarts caps how many write-ahead-log failures one tenant may
+// maxDurableRestarts caps how many failures of one durable layer (the
+// write-ahead log, the event store — counted separately) a tenant may
 // absorb over its lifetime before the supervisor declares it terminal: a
-// WAL that keeps failing after rebuilds (disk full, dead device) is not
-// going to heal by reopening, and each restart re-runs a full replay.
-const maxWALRestarts = 8
-
-// maxStoreRestarts is the same lifetime cap for event-store failures: a
-// block store that keeps failing after repair-and-realign rebuilds will
-// not heal by reopening, and each restart re-runs a full replay.
-const maxStoreRestarts = 8
+// log or store that keeps failing after repair-and-rebuild (disk full,
+// dead device) is not going to heal by reopening, and each restart re-runs
+// a full replay.
+const maxDurableRestarts = 8
 
 // supervise runs the tenant's serve loop, absorbing panics and
-// write-ahead-log failures by rebuilding the engine from its newest
-// trustworthy checkpoint (reopening the WAL repairs its torn tail, and the
-// new incarnation replays the surviving records). It exits on graceful
+// durable-layer failures by rebuilding the engine from its newest
+// trustworthy checkpoint (reopening the WAL or the event store repairs
+// it, and the new incarnation replays the surviving records). It exits on graceful
 // stop (clean drain + closing checkpoint), on ctx cancellation (the crash
 // model), or on a terminal error (recorded in t.err).
 func (t *tenant) supervise(ctx context.Context) {
@@ -84,8 +81,7 @@ func (t *tenant) supervise(ctx context.Context) {
 
 		pv, err := t.serveOnce(ctx, eng)
 		var cause string
-		var walErr *stream.WALError
-		var esErr *stream.EventStoreError
+		var durable *stream.DurableError
 		switch {
 		case pv != nil:
 			// A panic unwound the consumer: everything in that
@@ -96,39 +92,29 @@ func (t *tenant) supervise(ctx context.Context) {
 			t.panics++
 			t.mu.Unlock()
 			cause = fmt.Sprintf("panic (%v)", pv)
-		case errors.As(err, &walErr):
-			// The WAL failed mid-write: the batch that observed it was
-			// never acknowledged, progress is checkpointed, and a rebuild
-			// reopens (and repairs) the log.
-			t.srv.tm.walFailures.Inc()
+		case errors.As(err, &durable):
+			// The WAL or the event store failed mid-write. Either way the
+			// batch that observed it was never acknowledged and a rebuild
+			// reopens — and repairs — the layer: after a WAL failure
+			// progress is checkpointed and the surviving records replay;
+			// after a store failure the engine refused to checkpoint over
+			// the gap, so the store is realigned to the restored
+			// checkpoint and replay re-emits exactly the dropped events.
+			ctr, failures := t.srv.tm.walFailures, &t.walFailures
+			if durable.Layer == stream.LayerEventStore {
+				ctr, failures = t.srv.tm.storeFailures, &t.storeFailures
+			}
+			ctr.Inc()
 			t.mu.Lock()
-			t.walFailures++
-			n := t.walFailures
-			t.mu.Unlock()
-			if n > maxWALRestarts {
-				t.mu.Lock()
-				t.err = fmt.Errorf("write-ahead log failed %d times; tenant is terminal: %w", n, walErr)
+			*failures++
+			n := *failures
+			if n > maxDurableRestarts {
+				t.err = fmt.Errorf("%s failed %d times; tenant is terminal: %w", durable.Layer, n, durable)
 				t.mu.Unlock()
 				return
 			}
-			cause = "wal failure"
-		case errors.As(err, &esErr):
-			// The event store failed mid-write: the engine refused to
-			// checkpoint over the gap, so a rebuild reopens the store
-			// (repairing any torn block), realigns it to the restored
-			// checkpoint, and replay re-emits exactly the dropped events.
-			t.srv.tm.storeFailures.Inc()
-			t.mu.Lock()
-			t.storeFailures++
-			n := t.storeFailures
 			t.mu.Unlock()
-			if n > maxStoreRestarts {
-				t.mu.Lock()
-				t.err = fmt.Errorf("event store failed %d times; tenant is terminal: %w", n, esErr)
-				t.mu.Unlock()
-				return
-			}
-			cause = "event store failure"
+			cause = string(durable.Layer) + " failure"
 		default:
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.mu.Lock()

@@ -161,7 +161,7 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 		if tenant != "victim" {
 			return
 		}
-		sc.WALHook = func(point string) error {
+		sc.WALSeam.Hook = func(point string) error {
 			// Fire exactly once, between the 5th batch's WAL appends and
 			// its ring admission; the rebuilt incarnation (same closure,
 			// same counter) stays healthy.
@@ -185,7 +185,7 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 				if err == nil {
 					break
 				}
-				var we *stream.WALError
+				var we *stream.DurableError
 				if errors.As(err, &we) {
 					sawWALErr = true
 				} else if !errors.Is(err, stream.ErrNotServing) {
@@ -233,12 +233,12 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 }
 
 // TestWALFailureCapGoesTerminal pins the restart budget: a WAL that fails
-// on every incarnation exhausts maxWALRestarts and the tenant goes
+// on every incarnation exhausts maxDurableRestarts and the tenant goes
 // terminal with the failure recorded, instead of restart-looping forever.
 func TestWALFailureCapGoesTerminal(t *testing.T) {
 	cfg := walTestConfig(t.TempDir())
 	cfg.ConfigureEngine = func(tenant string, shard int, sc *stream.Config) {
-		sc.WALHook = func(point string) error {
+		sc.WALSeam.Hook = func(point string) error {
 			if point == "push" {
 				return errors.New("wal_test: permanently broken wal")
 			}
@@ -263,8 +263,8 @@ func TestWALFailureCapGoesTerminal(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st.WALFailures != maxWALRestarts+1 {
-		t.Fatalf("wal_failures = %d, want %d (cap + the terminal one)", st.WALFailures, maxWALRestarts+1)
+	if st.WALFailures != maxDurableRestarts+1 {
+		t.Fatalf("wal_failures = %d, want %d (cap + the terminal one)", st.WALFailures, maxDurableRestarts+1)
 	}
 	s.Kill()
 }
@@ -274,7 +274,7 @@ func TestWALFailureCapGoesTerminal(t *testing.T) {
 // was not acknowledged.
 func TestWALErrorHTTPMapping(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeIngestErr(rec, &stream.WALError{Err: errors.New("disk gone")})
+	writeIngestErr(rec, &stream.DurableError{Layer: stream.LayerWAL, Err: errors.New("disk gone")})
 	if rec.Code != 503 {
 		t.Fatalf("status = %d, want 503", rec.Code)
 	}

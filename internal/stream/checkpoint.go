@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
 
@@ -220,13 +221,7 @@ func (s *Store) Save(st *State) error {
 // one — so the checkpoint still succeeds, but the failure is surfaced
 // (logged once, counted every time) instead of silently swallowed.
 func (s *Store) syncDir() {
-	d, err := os.Open(s.dir)
-	if err == nil {
-		err = d.Sync()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err := seglog.SyncDir(s.dir)
 	if err == nil {
 		return
 	}

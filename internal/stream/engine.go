@@ -169,8 +169,7 @@ func New(cfg Config) (*Engine, error) {
 			SegmentBytes: cfg.WALSegmentBytes,
 			BufferBytes:  cfg.WALBufferBytes,
 			Sync:         cfg.WALSync,
-			WrapSegment:  cfg.WALSegment,
-			Hook:         cfg.WALHook,
+			Seam:         cfg.WALSeam,
 			Telemetry:    cfg.Telemetry,
 			Now:          cfg.Now,
 		})
@@ -213,8 +212,7 @@ func New(cfg Config) (*Engine, error) {
 			Dir:          cfg.EventStoreDir,
 			BlockBytes:   cfg.EventStoreBlockBytes,
 			SegmentBytes: cfg.EventStoreSegmentBytes,
-			WrapFile:     cfg.EventStoreFile,
-			Hook:         cfg.EventStoreHook,
+			Seam:         cfg.EventStoreSeam,
 			Telemetry:    cfg.Telemetry,
 		})
 		if err != nil {

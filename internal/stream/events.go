@@ -4,24 +4,6 @@ import (
 	"logparse/internal/eventstore"
 )
 
-// EventStoreError reports a parsed-event-store failure that ended the
-// engine's current incarnation. The store runs fail-stop: after a failed
-// block write, seal or fsync the file position is unknowable, so instead
-// of serving with a silent gap in the event history the engine aborts its
-// ring, refuses to checkpoint (a checkpoint would durably cover lines
-// whose events were lost, making the gap permanent), and surfaces this
-// typed error from Run/Serve/Checkpoint. Recovery is a fresh engine over
-// the same directories: eventstore.Open repairs the damage, the store is
-// aligned to the restored checkpoint, and replay re-emits exactly the
-// dropped events. The server's supervisor treats it like a WAL failure:
-// rebuild and resume, with a lifetime cap.
-type EventStoreError struct{ Err error }
-
-func (e *EventStoreError) Error() string { return "stream: event store failed: " + e.Err.Error() }
-
-// Unwrap exposes the underlying store failure to errors.Is/As.
-func (e *EventStoreError) Unwrap() error { return e.Err }
-
 // eventSinkFailLocked latches the first event-store failure and ends the
 // incarnation: the ring aborts, the consumer drains out, and the
 // Run/Serve epilogue (or the next Checkpoint) surfaces the typed error.
@@ -70,7 +52,7 @@ func (e *Engine) finalizeEventsLocked() error {
 		}
 	}
 	if e.eventsErr != nil {
-		return &EventStoreError{Err: e.eventsErr}
+		return &DurableError{Layer: LayerEventStore, Err: e.eventsErr}
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"logparse/internal/eventstore"
 	"logparse/internal/faultinject"
+	"logparse/internal/seglog"
 )
 
 // storeCounts reads the per-template event counts back out of an event
@@ -155,7 +156,7 @@ func TestEventStorePushMode(t *testing.T) {
 }
 
 // TestEventStoreCrashRecovery mirrors the WAL crash suite: a block write
-// torn mid-image must end the run with a typed *EventStoreError and no
+// torn mid-image must end the run with a typed *DurableError and no
 // saved checkpoint covering the gap; a rebuilt engine over the same
 // directories repairs the store, realigns it, and replaying the stream
 // converges to the uninterrupted digest with exact count parity.
@@ -183,7 +184,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 	crashCfg.CheckpointDir = ckptDir
 	crashCfg.EventStoreDir = storeDir
 	crashCfg.EventStoreBlockBytes = 1024
-	crashCfg.EventStoreFile = func(f *os.File) eventstore.BlockFile {
+	crashCfg.EventStoreSeam.Wrap = func(f *os.File) seglog.File {
 		cf := faultinject.NewWALCrashFile(f)
 		cf.TearAfter = 5000
 		return cf
@@ -193,9 +194,9 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = e.Run(context.Background())
-	var esErr *EventStoreError
+	var esErr *DurableError
 	if !errors.As(err, &esErr) {
-		t.Fatalf("crash run returned %v, want *EventStoreError", err)
+		t.Fatalf("crash run returned %v, want *DurableError", err)
 	}
 	if !errors.Is(err, faultinject.ErrInjectedCrash) {
 		t.Fatalf("EventStoreError does not unwrap to the injected crash: %v", err)
@@ -239,7 +240,7 @@ func TestEventStoreFinalizeCrashRefusesCheckpoint(t *testing.T) {
 	storeDir := t.TempDir()
 	cfg.EventStoreDir = storeDir
 	boom := errors.New("injected finalize failure")
-	cfg.EventStoreHook = func(point string) error {
+	cfg.EventStoreSeam.Hook = func(point string) error {
 		if point == "finalize" {
 			return boom
 		}
@@ -250,9 +251,9 @@ func TestEventStoreFinalizeCrashRefusesCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = e.Run(context.Background())
-	var esErr *EventStoreError
+	var esErr *DurableError
 	if !errors.As(err, &esErr) || !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want *EventStoreError wrapping the hook failure", err)
+		t.Fatalf("Run = %v, want *DurableError wrapping the hook failure", err)
 	}
 	st := e.Stats()
 	if st.Checkpoints != 0 {

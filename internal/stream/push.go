@@ -13,19 +13,40 @@ import (
 // supervisor may be rebuilding the engine from its checkpoint).
 var ErrNotServing = errors.New("stream: engine is not serving")
 
-// WALError reports a write-ahead-log failure that ended the serve
-// incarnation: the push that observed it was NOT acknowledged (the client
-// must replay the whole batch), progress up to the failure is
-// checkpointed, and recovery is a fresh engine over the same directories
-// — wal.Open repairs the torn tail and Serve replays the surviving
-// records. The server's supervisor treats it like a panic: rebuild and
-// resume.
-type WALError struct{ Err error }
+// Layer names one of the durable layers under the engine.
+type Layer string
 
-func (e *WALError) Error() string { return "stream: write-ahead log failed: " + e.Err.Error() }
+const (
+	LayerWAL        Layer = "write-ahead log"
+	LayerEventStore Layer = "event store"
+)
 
-// Unwrap exposes the underlying WAL failure to errors.Is/As.
-func (e *WALError) Unwrap() error { return e.Err }
+// DurableError reports a failure of a durable layer that ended the
+// engine's current incarnation. Both layers run fail-stop — after a failed
+// write or fsync the file position is unknowable — and recovery is the
+// same for both: a fresh engine over the same directories, whose Open
+// repairs the damage (the server's supervisor rebuilds and resumes, with a
+// lifetime cap per layer). What differs is the checkpoint:
+//
+//   - LayerWAL: the push that observed the failure was NOT acknowledged
+//     (the client must replay the whole batch); progress up to the failure
+//     is checkpointed before the error surfaces, and the next Serve
+//     replays the surviving records.
+//   - LayerEventStore: the engine refuses to checkpoint — a checkpoint
+//     would durably cover lines whose events were lost, making the gap in
+//     the event history permanent. The reopened store is aligned to the
+//     restored checkpoint and replay re-emits exactly the dropped events.
+type DurableError struct {
+	Layer Layer
+	Err   error
+}
+
+func (e *DurableError) Error() string {
+	return "stream: " + string(e.Layer) + " failed: " + e.Err.Error()
+}
+
+// Unwrap exposes the underlying failure to errors.Is/As.
+func (e *DurableError) Unwrap() error { return e.Err }
 
 // errReplayStopped marks a WAL replay cut short because the incarnation's
 // ring stopped under it — the incarnation is ending, not the WAL failing.
@@ -134,7 +155,7 @@ func (e *Engine) Serve(ctx context.Context) error {
 	werr := e.walErr
 	e.mu.Unlock()
 	if werr != nil {
-		return &WALError{Err: werr}
+		return &DurableError{Layer: LayerWAL, Err: werr}
 	}
 	return cerr
 }
@@ -268,11 +289,9 @@ func (e *Engine) Push(lines []string) (PushResult, error) {
 				src.release()
 				return res, e.walAbort(r, err)
 			}
-			if e.cfg.WALHook != nil {
-				if err := e.cfg.WALHook("push"); err != nil {
-					src.release()
-					return res, e.walAbort(r, err)
-				}
+			if err := e.cfg.WALSeam.Fire("push"); err != nil {
+				src.release()
+				return res, e.walAbort(r, err)
 			}
 		}
 		it := item{lineNo: e.pushSeq, data: data, src: src}
@@ -309,7 +328,7 @@ func (e *Engine) Push(lines []string) (PushResult, error) {
 
 // walAbort ends the serve incarnation after a write-ahead-log failure:
 // pending admission items are released, the failure is recorded, the ring
-// aborts (the Serve loop drains out and surfaces a *WALError for its
+// aborts (the Serve loop drains out and surfaces a *DurableError for its
 // supervisor), and the pusher gets the typed error — its batch was NOT
 // acknowledged and must be replayed whole against the next incarnation.
 // Called with pushMu held.
@@ -326,7 +345,7 @@ func (e *Engine) walAbort(r *ring, err error) error {
 	e.mu.Unlock()
 	e.tm.walFailures.Inc()
 	r.abort()
-	return &WALError{Err: err}
+	return &DurableError{Layer: LayerWAL, Err: err}
 }
 
 // PushBatch submits a batch of raw line bytes to a serving engine — the
@@ -350,7 +369,7 @@ func (e *Engine) walAbort(r *ring, err error) error {
 //
 // With a WAL (Config.WALDir), a nil return additionally means the whole
 // batch is durable: every line was appended to the log before admission
-// and one group commit fsynced them all before returning. A *WALError
+// and one group commit fsynced them all before returning. A *DurableError
 // means the batch was NOT acknowledged and the incarnation is ending —
 // replay the batch whole against the next one.
 func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, error) {
@@ -375,11 +394,11 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 	// false when the ring stopped and the push must fail with
 	// ErrNotServing (or, when walFail is set, that typed failure).
 	flush := func() bool {
-		if w != nil && e.cfg.WALHook != nil && len(e.pushItems) > 0 {
+		if w != nil && len(e.pushItems) > 0 {
 			// The enumerated crash point between WAL append and ring
 			// push: the batch's lines are in the WAL (possibly auto-
 			// flushed to disk) but not yet admitted.
-			if err := e.cfg.WALHook("push"); err != nil {
+			if err := e.cfg.WALSeam.Fire("push"); err != nil {
 				walFail = e.walAbort(r, err)
 				return false
 			}

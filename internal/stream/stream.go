@@ -42,13 +42,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"time"
 
 	"logparse/internal/core"
-	"logparse/internal/eventstore"
+	"logparse/internal/seglog"
 	"logparse/internal/stream/wal"
 	"logparse/internal/telemetry"
 )
@@ -182,17 +181,16 @@ type Config struct {
 	// WALBufferBytes sizes the WAL append buffer (default 64 KiB); tests
 	// shrink it to force auto-flushes between appends and commits.
 	WALBufferBytes int
-	// WALSegment, when non-nil, wraps each WAL segment file handle — the
-	// fault-injection seam for torn-write and failed-fsync crash tests
-	// (faultinject.WALCrashFile).
-	WALSegment func(*os.File) wal.SegmentFile
-	// WALHook, when non-nil, fires at WAL crash points: "push" between a
-	// batch's WAL appends and its ring admission, "rotate" mid segment
-	// rotation, "truncate" mid checkpoint truncation. A non-nil return
+	// WALSeam is the WAL's fault-injection seam (see seglog.Seam): Wrap
+	// wraps each segment file handle for torn-write and failed-fsync crash
+	// tests (faultinject.WALCrashFile); Hook fires at the WAL crash points —
+	// "push" between a batch's WAL appends and its ring admission,
+	// "rotate" mid segment rotation, "truncate" mid checkpoint truncation,
+	// "dirsync" before a new segment's directory fsync. A non-nil return
 	// freezes the operation at exactly that point and ends the serve
 	// incarnation — how the recovery tests pin each enumerated crash
 	// point. The hook runs under engine locks and must not call back in.
-	WALHook func(point string) error
+	WALSeam seglog.Seam
 	// EventStoreDir, when non-empty, enables the queryable parsed-event
 	// store (internal/eventstore): every per-line match decision —
 	// matched, unmatched, late-matched after a retrain — is appended as
@@ -200,7 +198,7 @@ type Config struct {
 	// checkpoint (so no block ever spans a successful-checkpoint
 	// boundary), and on restart the store is aligned back to the restored
 	// offset so replay re-emits exactly the dropped events. A store
-	// failure ends the incarnation with a typed *EventStoreError rather
+	// failure ends the incarnation with a typed *DurableError rather
 	// than serving with a silent gap in the event history. See DESIGN.md
 	// §13 "Event store format & query semantics".
 	EventStoreDir string
@@ -209,14 +207,10 @@ type Config struct {
 	// rotation threshold (default 64 MiB).
 	EventStoreBlockBytes   int
 	EventStoreSegmentBytes int64
-	// EventStoreFile, when non-nil, wraps each event-store segment file
-	// handle — the fault-injection seam for torn-block-write and
-	// failed-fsync crash tests (faultinject.WALCrashFile).
-	EventStoreFile func(*os.File) eventstore.BlockFile
-	// EventStoreHook, when non-nil, fires at event-store crash points
-	// ("block", "finalize" — see eventstore.Options.Hook). A non-nil
-	// return freezes the store at that point and ends the incarnation.
-	EventStoreHook func(point string) error
+	// EventStoreSeam is the event store's fault-injection seam, the same
+	// shape as WALSeam; its Hook additionally fires at "block" and
+	// "finalize" (see eventstore.Options.Seam).
+	EventStoreSeam seglog.Seam
 }
 
 // Stats is a point-in-time health snapshot of an Engine. All counters are

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"logparse/internal/seglog"
 )
 
 // FuzzWALDecode throws arbitrary bytes at the segment decoder — the code
@@ -46,8 +48,8 @@ func FuzzWALDecode(f *testing.F) {
 			return nil
 		})
 
-		var torn *TornTailError
-		var corrupt *CorruptError
+		var torn *seglog.TornTailError
+		var corrupt *seglog.CorruptError
 		switch {
 		case err == nil:
 		case errors.As(err, &torn):

@@ -11,10 +11,11 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"logparse/internal/seglog"
 )
 
 // Segment file layout (version 1):
@@ -31,12 +32,12 @@ import (
 //	payload (length bytes)           — the raw line
 //
 // Records never span segments and their seqs are strictly increasing
-// within and across segments. A record cut short by a crash is a torn
-// tail: DecodeSegment reports where the valid prefix ends and Open
-// truncates the file there instead of failing recovery. Anything else —
-// a CRC mismatch, an implausible length, a non-increasing seq — is body
-// corruption: the data physically present cannot be trusted, and recovery
-// discards it from that point on.
+// within and across segments. The segment header, file naming, torn-tail
+// vs corruption taxonomy and crash repair are internal/seglog's; this file
+// holds only the record codec it verifies frames with.
+
+// spec is the WAL's segment-log identity: strictly increasing seqs ≥ 1.
+var spec = seglog.Spec{Name: "wal", Prefix: "wal", Magic: segMagic, Strict: true}
 
 const (
 	segMagic = "logwal-segment v1\n"
@@ -56,32 +57,6 @@ const MaxRecordBytes = 64 << 20
 // amd64/arm64, the same choice as most storage formats).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// TornTailError reports a segment whose final record was cut short — the
-// signature of a crash mid-write, not of data damage. Offset is where the
-// valid prefix ends; everything before it is intact and trustworthy.
-type TornTailError struct {
-	Path   string
-	Offset int64
-}
-
-func (e *TornTailError) Error() string {
-	return fmt.Sprintf("wal: torn tail in %s at offset %d", e.Path, e.Offset)
-}
-
-// CorruptError reports segment bytes that are physically present but
-// cannot be trusted: a CRC mismatch, an implausible length, a broken
-// header, a non-increasing sequence. Offset is where the valid prefix
-// ends.
-type CorruptError struct {
-	Path   string
-	Offset int64
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("wal: corrupt segment %s at offset %d: %s", e.Path, e.Offset, e.Reason)
-}
-
 // SegmentInfo summarizes the valid prefix of one decoded segment image.
 type SegmentInfo struct {
 	// FirstSeq is the header's first sequence number.
@@ -99,88 +74,61 @@ type SegmentInfo struct {
 
 // SegmentHeader returns the encoded header of a segment whose first record
 // has sequence number firstSeq. Exported for tests and fuzz seeds.
-func SegmentHeader(firstSeq uint64) []byte {
-	buf := make([]byte, 0, segHeaderSize)
-	buf = append(buf, segMagic...)
-	return binary.LittleEndian.AppendUint64(buf, firstSeq)
+func SegmentHeader(firstSeq uint64) []byte { return spec.Header(firstSeq) }
+
+// encodeRecordHeader fills hdr for one record, allocation-free for the
+// append hot path.
+func encodeRecordHeader(hdr *[recHeaderSize]byte, seq uint64, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[8:16], seq)
+	crc := crc32.Update(0, castagnoli, hdr[4:])
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.LittleEndian.PutUint32(hdr[0:4], crc)
 }
 
 // AppendRecord appends the binary encoding of one record to buf and
 // returns the extended slice. Exported for tests and fuzz seeds.
 func AppendRecord(buf []byte, seq uint64, payload []byte) []byte {
 	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, hdr[4:])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[0:4], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	encodeRecordHeader(&hdr, seq, payload)
+	return append(append(buf, hdr[:]...), payload...)
+}
+
+// verifyRecord is the codec's verify-one-frame function for seglog: it
+// checks the record at the start of data and returns its extent and
+// payload, a torn-tail error when data ends mid-record, or a corruption
+// error when the bytes present fail verification.
+func verifyRecord(data []byte) (seglog.Frame, []byte, error) {
+	if len(data) < recHeaderSize {
+		return seglog.Frame{}, nil, &seglog.TornTailError{}
+	}
+	length := binary.LittleEndian.Uint32(data[4:8])
+	seq := binary.LittleEndian.Uint64(data[8:16])
+	if length > MaxRecordBytes {
+		return seglog.Frame{}, nil, &seglog.CorruptError{Reason: fmt.Sprintf("implausible record length %d", length)}
+	}
+	end := recHeaderSize + int(length)
+	if len(data) < end {
+		return seglog.Frame{}, nil, &seglog.TornTailError{}
+	}
+	if crc32.Update(0, castagnoli, data[4:end]) != binary.LittleEndian.Uint32(data[0:4]) {
+		return seglog.Frame{}, nil, &seglog.CorruptError{Reason: "record crc mismatch"}
+	}
+	return seglog.Frame{Size: end, MinSeq: seq, MaxSeq: seq, Units: 1}, data[recHeaderSize:end], nil
 }
 
 // DecodeSegment walks one segment image, calling fn (when non-nil) for
 // each verified record in order. It never panics on malformed input: the
-// returned error is nil for a clean segment, a *TornTailError when the
-// image ends mid-header or mid-record (a crash signature — the valid
-// prefix in SegmentInfo.Good is trustworthy), a *CorruptError when the
-// bytes present fail verification, or fn's own error, which stops the
-// walk. The Path fields of returned errors are empty; file-level callers
-// fill them in.
+// returned error is nil for a clean segment, a *seglog.TornTailError when
+// the image ends mid-header or mid-record (a crash signature — the valid
+// prefix in SegmentInfo.Good is trustworthy), a *seglog.CorruptError when
+// the bytes present fail verification, or fn's own error, which stops the
+// walk. The Path fields of returned errors are empty.
 func DecodeSegment(data []byte, fn func(seq uint64, payload []byte) error) (SegmentInfo, error) {
-	var info SegmentInfo
-	if len(data) < segHeaderSize {
-		n := len(data)
-		if n > len(segMagic) {
-			n = len(segMagic)
-		}
-		if bytes.Equal(data[:n], []byte(segMagic)[:n]) {
-			// A prefix of a valid header: the crash hit before the header
-			// finished. Nothing here is usable, but nothing is damaged.
-			return info, &TornTailError{Offset: 0}
-		}
-		return info, &CorruptError{Offset: 0, Reason: "bad magic header"}
+	var each func(int64, seglog.Frame, []byte) error
+	if fn != nil {
+		each = func(_ int64, fr seglog.Frame, payload []byte) error { return fn(fr.MinSeq, payload) }
 	}
-	if string(data[:len(segMagic)]) != segMagic {
-		return info, &CorruptError{Offset: 0, Reason: "bad magic header"}
-	}
-	info.FirstSeq = binary.LittleEndian.Uint64(data[len(segMagic):segHeaderSize])
-	if info.FirstSeq == 0 {
-		return info, &CorruptError{Offset: 0, Reason: "zero first sequence"}
-	}
-	info.Good = int64(segHeaderSize)
-	prev := info.FirstSeq - 1
-	off := segHeaderSize
-	for off < len(data) {
-		rem := len(data) - off
-		if rem < recHeaderSize {
-			return info, &TornTailError{Offset: int64(off)}
-		}
-		length := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		seq := binary.LittleEndian.Uint64(data[off+8 : off+16])
-		if length > MaxRecordBytes {
-			return info, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("implausible record length %d", length)}
-		}
-		if rem-recHeaderSize < int(length) {
-			return info, &TornTailError{Offset: int64(off)}
-		}
-		end := off + recHeaderSize + int(length)
-		crc := crc32.Update(0, castagnoli, data[off+4:end])
-		if crc != binary.LittleEndian.Uint32(data[off:off+4]) {
-			return info, &CorruptError{Offset: int64(off), Reason: "record crc mismatch"}
-		}
-		if seq <= prev {
-			return info, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("non-increasing sequence %d after %d", seq, prev)}
-		}
-		if fn != nil {
-			if err := fn(seq, data[off+recHeaderSize:end]); err != nil {
-				return info, err
-			}
-		}
-		prev = seq
-		info.LastSeq = seq
-		info.Records++
-		off = end
-		info.Good = int64(off)
-	}
-	return info, nil
+	info, err := seglog.Walk(&spec, data, verifyRecord, each)
+	return SegmentInfo{FirstSeq: info.FirstSeq, LastSeq: info.LastSeq, Records: info.Frames, Good: info.Good}, err
 }

@@ -2,17 +2,12 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
 
@@ -30,13 +25,6 @@ const (
 	// crash or power cut. The bench-twin policy for measuring fsync cost.
 	SyncNone
 )
-
-// SegmentFile is the writable handle a segment runs on — *os.File in
-// production, a fault-injection wrapper in crash tests.
-type SegmentFile interface {
-	io.Writer
-	Sync() error
-}
 
 // Options configures a WAL. Dir is required; zero values elsewhere mean
 // the documented defaults.
@@ -56,16 +44,10 @@ type Options struct {
 	BufferBytes int
 	// Sync is the Commit durability policy.
 	Sync SyncPolicy
-	// WrapSegment, when non-nil, wraps each segment's file handle — the
-	// fault-injection seam for torn-write and failed-fsync testing.
-	WrapSegment func(*os.File) SegmentFile
-	// Hook, when non-nil, is called at crash points ("rotate" between
-	// sealing a full segment and starting the next, "truncate" before each
-	// segment deletion). A non-nil return aborts the operation at exactly
-	// that point, leaving on-disk state mid-operation — how the recovery
-	// tests freeze a WAL in the states a kill -9 can produce. The hook
-	// runs under the WAL lock and must not call back into it.
-	Hook func(point string) error
+	// Seam is the fault-injection seam (see seglog.Seam): Wrap wraps each
+	// segment's file handle, Hook fires at the "rotate", "truncate" and
+	// "dirsync" crash points.
+	Seam seglog.Seam
 	// Telemetry, when non-nil, publishes stream.wal.* metrics.
 	Telemetry *telemetry.Handle
 	// Now is the clock for the fsync-latency histogram (default time.Now).
@@ -85,43 +67,26 @@ type OpenInfo struct {
 	TornTails int
 	// TornBytes is the total byte count those truncations removed.
 	TornBytes int64
-	// CorruptDropped counts files that were truncated or deleted because
-	// of body corruption (bad CRC, broken header) rather than a torn tail.
+	// CorruptDropped counts files that were truncated or deleted because of
+	// body corruption (bad CRC, broken header) rather than a torn tail.
 	CorruptDropped int
 }
 
 // ErrClosed is returned by operations on a closed WAL.
-var ErrClosed = errors.New("wal: closed")
-
-// segMeta describes one segment file.
-type segMeta struct {
-	path     string
-	firstSeq uint64
-	lastSeq  uint64
-	records  int
-	size     int64
-}
-
-// activeSeg is the segment currently open for append.
-type activeSeg struct {
-	f    *os.File
-	sf   SegmentFile
-	bw   *bufio.Writer
-	meta segMeta
-}
+var ErrClosed = seglog.ErrClosed
 
 type walTelemetry struct {
-	appends     *telemetry.Counter
-	bytes       *telemetry.Counter
-	commits     *telemetry.Counter
-	commitErrs  *telemetry.Counter
-	created     *telemetry.Counter
-	deleted     *telemetry.Counter
-	tornTails   *telemetry.Counter
-	corrupt     *telemetry.Counter
-	replayed    *telemetry.Counter
-	segments    *telemetry.Gauge
-	fsyncSec    *telemetry.Histogram
+	appends    *telemetry.Counter
+	bytes      *telemetry.Counter
+	commits    *telemetry.Counter
+	commitErrs *telemetry.Counter
+	created    *telemetry.Counter
+	deleted    *telemetry.Counter
+	tornTails  *telemetry.Counter
+	corrupt    *telemetry.Counter
+	replayed   *telemetry.Counter
+	segments   *telemetry.Gauge
+	fsyncSec   *telemetry.Histogram
 }
 
 func newWALTelemetry(h *telemetry.Handle) walTelemetry {
@@ -148,25 +113,21 @@ func newWALTelemetry(h *telemetry.Handle) walTelemetry {
 // (driven by the checkpointer) and stats run concurrently.
 type WAL struct {
 	opts Options
-	now  func() time.Time
 	tm   walTelemetry
 
 	mu      sync.Mutex
-	sealed  []segMeta
-	active  *activeSeg
+	log     *seglog.Log   // segment files, repair, rotation, the latched first failure
+	bw      *bufio.Writer // the append buffer, draining into log
 	lastSeq uint64
-	pending int   // records appended since the last Commit
-	err     error // latched first failure: the file position is unknowable after it
-	closed  bool
 	// hdrBuf is Append's reusable record-header scratch (guarded by mu);
 	// a per-call array would escape to the heap and cost one allocation
 	// per appended line.
 	hdrBuf [recHeaderSize]byte
 }
 
-// Open scans dir, repairs crash damage (truncating a torn tail, discarding
-// corrupt bytes and everything after them), and returns a WAL positioned
-// to append after the newest surviving record.
+// Open scans dir, repairs crash damage (seglog.Open: a torn tail is
+// truncated, corrupt bytes and everything after them discarded), and
+// returns a WAL positioned to append after the newest surviving record.
 func Open(opts Options) (*WAL, OpenInfo, error) {
 	if opts.Dir == "" {
 		return nil, OpenInfo{}, errors.New("wal: Options.Dir is required")
@@ -180,157 +141,20 @@ func Open(opts Options) (*WAL, OpenInfo, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, OpenInfo{}, fmt.Errorf("wal: dir: %w", err)
+	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam}, verifyRecord, nil)
+	info := OpenInfo{
+		Segments: li.Segments, Records: li.Units, LastSeq: li.LastSeq,
+		TornTails: li.TornTails, TornBytes: li.TornBytes, CorruptDropped: li.CorruptDropped,
 	}
-	w := &WAL{opts: opts, now: opts.Now, tm: newWALTelemetry(opts.Telemetry)}
-	info, err := w.recover()
 	if err != nil {
 		return nil, info, err
 	}
-	w.tm.segments.Set(int64(len(w.sealed)))
+	w := &WAL{opts: opts, tm: newWALTelemetry(opts.Telemetry), log: log, lastSeq: li.LastSeq}
+	w.bw = bufio.NewWriterSize(log, opts.BufferBytes)
+	w.tm.tornTails.Add(uint64(li.TornTails))
+	w.tm.corrupt.Add(uint64(li.CorruptDropped))
+	w.tm.segments.Set(int64(li.Segments))
 	return w, info, nil
-}
-
-// recover scans the segment files in seq order, truncates crash damage,
-// and rebuilds the in-memory segment index.
-func (w *WAL) recover() (OpenInfo, error) {
-	var info OpenInfo
-	names, err := filepath.Glob(filepath.Join(w.opts.Dir, "wal-*.seg"))
-	if err != nil {
-		return info, fmt.Errorf("wal: scan dir: %w", err)
-	}
-	sort.Strings(names) // zero-padded firstSeq names sort numerically
-
-	// dropFrom deletes every file from index i on — the bytes beyond a
-	// corruption point cannot be trusted to be ordered or complete.
-	dropFrom := func(i int) error {
-		for _, path := range names[i:] {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("wal: drop untrusted segment: %w", err)
-			}
-			info.CorruptDropped++
-			w.tm.corrupt.Inc()
-		}
-		return nil
-	}
-
-	prevLast := uint64(0)
-	for i, path := range names {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return info, fmt.Errorf("wal: read segment: %w", err)
-		}
-		meta, derr := DecodeSegment(data, nil)
-		sm := segMeta{path: path, firstSeq: meta.FirstSeq, lastSeq: meta.LastSeq, records: meta.Records, size: meta.Good}
-		corrupt := false
-		switch e := derr.(type) {
-		case nil:
-		case *TornTailError:
-			// Expected after a crash mid-append: cut the partial record,
-			// keep the verified prefix.
-			if err := os.Truncate(path, meta.Good); err != nil {
-				return info, fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-			info.TornTails++
-			info.TornBytes += int64(len(data)) - meta.Good
-			w.tm.tornTails.Inc()
-			if i != len(names)-1 {
-				// A torn tail anywhere but the final segment means writes
-				// continued into later files past damage — those files are
-				// untrusted.
-				corrupt = true
-			}
-		case *CorruptError:
-			e.Path = path
-			if err := os.Truncate(path, meta.Good); err != nil {
-				return info, fmt.Errorf("wal: truncate corrupt segment: %w", err)
-			}
-			info.CorruptDropped++
-			w.tm.corrupt.Inc()
-			corrupt = true
-		default:
-			return info, derr
-		}
-		if !corrupt && meta.Records > 0 && meta.FirstSeq <= prevLast {
-			// Overlapping seq ranges across files: ordering is untrusted
-			// from here on.
-			corrupt = true
-			info.CorruptDropped++
-			w.tm.corrupt.Inc()
-			if err := os.Remove(path); err != nil {
-				return info, fmt.Errorf("wal: drop untrusted segment: %w", err)
-			}
-			sm.records = 0
-		}
-		if corrupt {
-			if sm.records == 0 && sm.path != "" {
-				// Nothing verified in this file either: remove it (already
-				// removed in the overlap case; tolerate a second remove).
-				_ = os.Remove(path)
-			}
-			if sm.records > 0 {
-				w.sealed = append(w.sealed, sm)
-				info.Records += int64(sm.records)
-				prevLast = sm.lastSeq
-			}
-			if err := dropFrom(i + 1); err != nil {
-				return info, err
-			}
-			break
-		}
-		if sm.records == 0 {
-			// Header-only file (crash between creating a segment and the
-			// first commit): recreate lazily on the next append.
-			if err := os.Remove(path); err != nil {
-				return info, fmt.Errorf("wal: drop empty segment: %w", err)
-			}
-			continue
-		}
-		w.sealed = append(w.sealed, sm)
-		info.Records += int64(sm.records)
-		prevLast = sm.lastSeq
-	}
-	if n := len(w.sealed); n > 0 {
-		w.lastSeq = w.sealed[n-1].lastSeq
-		info.LastSeq = w.lastSeq
-		// Reopen the newest segment for append when it still has room, so
-		// restarts do not proliferate tiny segments.
-		last := w.sealed[n-1]
-		if last.size < w.opts.SegmentBytes {
-			f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return info, fmt.Errorf("wal: reopen segment: %w", err)
-			}
-			w.sealed = w.sealed[:n-1]
-			w.installActive(f, last)
-		}
-	}
-	info.Segments = len(w.sealed)
-	if w.active != nil {
-		info.Segments++
-	}
-	return info, nil
-}
-
-// installActive wires a file handle (through the fault seam) as the active
-// segment.
-func (w *WAL) installActive(f *os.File, meta segMeta) {
-	var sf SegmentFile = f
-	if w.opts.WrapSegment != nil {
-		sf = w.opts.WrapSegment(f)
-	}
-	w.active = &activeSeg{f: f, sf: sf, bw: bufio.NewWriterSize(sf, w.opts.BufferBytes), meta: meta}
-}
-
-// fail latches the first error: after a failed write or sync the file
-// position is unknowable, so every later operation refuses until the WAL
-// is reopened (which re-verifies the on-disk state).
-func (w *WAL) fail(err error) error {
-	if w.err == nil {
-		w.err = err
-	}
-	return err
 }
 
 // Append buffers one record. seq must exceed every previously appended
@@ -339,56 +163,37 @@ func (w *WAL) fail(err error) error {
 func (w *WAL) Append(seq uint64, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	if w.err != nil {
-		return w.err
+	if err := w.log.Check(); err != nil {
+		return err
 	}
 	if seq == 0 || seq <= w.lastSeq {
-		return w.fail(fmt.Errorf("wal: append seq %d not above %d", seq, w.lastSeq))
+		return w.log.Fail(fmt.Errorf("wal: append seq %d not above %d", seq, w.lastSeq))
 	}
 	if len(payload) > MaxRecordBytes {
-		return w.fail(fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(payload)))
+		return w.log.Fail(fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(payload)))
 	}
-	if w.active == nil {
-		if err := w.startSegmentLocked(seq); err != nil {
-			return w.fail(err)
+	if !w.log.Active() {
+		// The newest segment while it has room, else a fresh one whose
+		// header carries this record's seq.
+		created, err := w.log.Ensure(seq)
+		if err != nil {
+			return err
+		}
+		if created {
+			w.tm.created.Inc()
+			w.tm.segments.Set(int64(len(w.log.Segments())))
 		}
 	}
 	encodeRecordHeader(&w.hdrBuf, seq, payload)
-	if _, err := w.active.bw.Write(w.hdrBuf[:]); err != nil {
-		return w.fail(fmt.Errorf("wal: append: %w", err))
+	if _, err := w.bw.Write(w.hdrBuf[:]); err != nil {
+		return w.log.Fail(fmt.Errorf("wal: append: %w", err))
 	}
-	if _, err := w.active.bw.Write(payload); err != nil {
-		return w.fail(fmt.Errorf("wal: append: %w", err))
+	if _, err := w.bw.Write(payload); err != nil {
+		return w.log.Fail(fmt.Errorf("wal: append: %w", err))
 	}
-	n := int64(recHeaderSize + len(payload))
-	w.active.meta.size += n
-	w.active.meta.lastSeq = seq
-	w.active.meta.records++
 	w.lastSeq = seq
-	w.pending++
 	w.tm.appends.Inc()
-	w.tm.bytes.Add(uint64(n))
-	return nil
-}
-
-// startSegmentLocked creates a fresh segment whose first record will be
-// seq.
-func (w *WAL) startSegmentLocked(seq uint64) error {
-	path := filepath.Join(w.opts.Dir, fmt.Sprintf("wal-%020d.seg", seq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create segment: %w", err)
-	}
-	meta := segMeta{path: path, firstSeq: seq, size: int64(segHeaderSize)}
-	w.installActive(f, meta)
-	if _, err := w.active.bw.Write(SegmentHeader(seq)); err != nil {
-		return fmt.Errorf("wal: segment header: %w", err)
-	}
-	w.tm.created.Inc()
-	w.tm.segments.Set(int64(len(w.sealed)) + 1)
+	w.tm.bytes.Add(uint64(recHeaderSize + len(payload)))
 	return nil
 }
 
@@ -400,64 +205,37 @@ func (w *WAL) startSegmentLocked(seq uint64) error {
 func (w *WAL) Commit() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
+	if err := w.log.Check(); err != nil {
+		return err
 	}
-	if w.err != nil {
-		return w.err
-	}
-	if w.active == nil {
+	if !w.log.Active() {
 		return nil
 	}
-	if err := w.syncActiveLocked(); err != nil {
-		w.tm.commitErrs.Inc()
-		return w.fail(err)
-	}
-	w.pending = 0
-	w.tm.commits.Inc()
-	if w.active.meta.size >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			w.tm.commitErrs.Inc()
-			return w.fail(err)
+	err := w.syncActiveLocked()
+	if err == nil {
+		w.tm.commits.Inc()
+		if w.log.Full() {
+			err = w.log.Rotate(w.lastSeq)
 		}
 	}
-	return nil
+	if err != nil {
+		w.tm.commitErrs.Inc()
+	}
+	return err
 }
 
 // syncActiveLocked flushes the buffer and applies the sync policy.
 func (w *WAL) syncActiveLocked() error {
-	if err := w.active.bw.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	if err := w.bw.Flush(); err != nil {
+		return w.log.Fail(fmt.Errorf("wal: flush: %w", err))
 	}
 	if w.opts.Sync == SyncNone {
 		return nil
 	}
-	start := w.now()
-	err := w.active.sf.Sync()
-	w.tm.fsyncSec.Observe(w.now().Sub(start).Seconds())
-	if err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	return nil
-}
-
-// rotateLocked seals the (already flushed and synced) active segment. The
-// next append starts the successor, so its header carries the exact first
-// seq. The "rotate" hook fires between seal and successor — the
-// mid-rotation crash point.
-func (w *WAL) rotateLocked() error {
-	if err := w.active.f.Close(); err != nil {
-		return fmt.Errorf("wal: seal segment: %w", err)
-	}
-	w.sealed = append(w.sealed, w.active.meta)
-	w.active = nil
-	w.tm.segments.Set(int64(len(w.sealed)))
-	if w.opts.Hook != nil {
-		if err := w.opts.Hook("rotate"); err != nil {
-			return err
-		}
-	}
-	return nil
+	start := w.opts.Now()
+	err := w.log.Sync()
+	w.tm.fsyncSec.Observe(w.opts.Now().Sub(start).Seconds())
+	return err
 }
 
 // Replay feeds every record on disk, in seq order, to fn. The engine
@@ -467,73 +245,38 @@ func (w *WAL) rotateLocked() error {
 func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.log.Closed() {
 		return 0, ErrClosed
 	}
+	if w.log.Active() {
+		if err := w.bw.Flush(); err != nil {
+			return 0, w.log.Fail(fmt.Errorf("wal: flush before replay: %w", err))
+		}
+	}
 	var n int64
-	wrapped := func(seq uint64, payload []byte) error {
-		if err := fn(seq, payload); err != nil {
+	_, err := seglog.Scan(&spec, w.opts.Dir, verifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
+		if err := fn(fr.MinSeq, payload); err != nil {
 			return err
 		}
 		n++
 		w.tm.replayed.Inc()
 		return nil
-	}
-	metas := w.sealed
-	if w.active != nil {
-		if err := w.active.bw.Flush(); err != nil {
-			return n, w.fail(fmt.Errorf("wal: flush before replay: %w", err))
-		}
-		metas = append(append([]segMeta(nil), w.sealed...), w.active.meta)
-	}
-	for _, m := range metas {
-		data, err := os.ReadFile(m.path)
-		if err != nil {
-			return n, fmt.Errorf("wal: replay read: %w", err)
-		}
-		if _, err := DecodeSegment(data, wrapped); err != nil {
-			switch e := err.(type) {
-			case *TornTailError:
-				e.Path = m.path
-			case *CorruptError:
-				e.Path = m.path
-			}
-			return n, err
-		}
-	}
-	return n, nil
+	})
+	return n, err
 }
 
 // TruncateThrough deletes sealed segments entirely covered by seq — the
 // checkpoint-coordination point: after a checkpoint at offset N is
 // durable, records with seq ≤ N are redundant and their segments are
 // garbage. The active segment is never deleted (it may hold committed
-// records above seq). The "truncate" hook fires before each deletion —
-// the mid-truncation crash point.
+// records above seq).
 func (w *WAL) TruncateThrough(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	for len(w.sealed) > 0 && w.sealed[0].lastSeq <= seq {
-		if w.opts.Hook != nil {
-			if err := w.opts.Hook("truncate"); err != nil {
-				return err
-			}
-		}
-		if err := os.Remove(w.sealed[0].path); err != nil {
-			return fmt.Errorf("wal: truncate: %w", err)
-		}
-		w.sealed = w.sealed[1:]
-		w.tm.deleted.Inc()
-	}
-	n := int64(len(w.sealed))
-	if w.active != nil {
-		n++
-	}
-	w.tm.segments.Set(n)
-	return nil
+	n, err := w.log.DropHead(seq)
+	w.tm.deleted.Add(uint64(n))
+	w.tm.segments.Set(int64(len(w.log.Segments())))
+	return err
 }
 
 // LastSeq returns the newest appended (not necessarily committed)
@@ -548,18 +291,14 @@ func (w *WAL) LastSeq() uint64 {
 func (w *WAL) Segments() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := len(w.sealed)
-	if w.active != nil {
-		n++
-	}
-	return n
+	return len(w.log.Segments())
 }
 
 // Err returns the latched failure, nil while healthy.
 func (w *WAL) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.err
+	return w.log.Err()
 }
 
 // Close flushes and syncs the active segment and releases the file
@@ -567,30 +306,15 @@ func (w *WAL) Err() error {
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.log.Closed() {
 		return nil
 	}
-	w.closed = true
-	if w.active == nil {
-		return nil
-	}
-	err := w.err
-	if err == nil {
+	err := w.log.Err()
+	if err == nil && w.log.Active() {
 		err = w.syncActiveLocked()
 	}
-	if cerr := w.active.f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("wal: close: %w", cerr)
+	if cerr := w.log.Close(); err == nil {
+		err = cerr
 	}
-	w.active = nil
 	return err
-}
-
-// encodeRecordHeader fills hdr for one record (AppendRecord's layout,
-// allocation-free for the hot path).
-func encodeRecordHeader(hdr *[recHeaderSize]byte, seq uint64, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.Update(0, castagnoli, hdr[4:])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[0:4], crc)
 }

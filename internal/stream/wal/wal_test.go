@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"logparse/internal/seglog"
+	"logparse/internal/telemetry"
 )
 
 // appendN appends records start..end (inclusive) with deterministic
@@ -87,9 +90,16 @@ func TestReopenContinuesActiveSegment(t *testing.T) {
 	appendN(t, w, 1, 10)
 	w.Close()
 
-	w2, _, err := Open(Options{Dir: dir})
+	tel := telemetry.New()
+	w2, info2, err := Open(Options{Dir: dir, Telemetry: tel})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
+	}
+	// The reopened tail segment counts the same everywhere: OpenInfo,
+	// Segments() and the stream.wal.segments gauge (which once reported
+	// one fewer until the next rotation).
+	if g := tel.Gauge("stream.wal.segments").Value(); info2.Segments != 1 || w2.Segments() != 1 || g != 1 {
+		t.Fatalf("after reopen: OpenInfo.Segments=%d Segments()=%d gauge=%d, want 1 each", info2.Segments, w2.Segments(), g)
 	}
 	appendN(t, w2, 11, 20)
 	w2.Close()
@@ -307,12 +317,12 @@ func TestHookAbortsRotation(t *testing.T) {
 	hookErr := errors.New("injected rotate crash")
 	w, _, err := Open(Options{
 		Dir: dir, SegmentBytes: 64,
-		Hook: func(point string) error {
+		Seam: seglog.Seam{Hook: func(point string) error {
 			if point == "rotate" {
 				return hookErr
 			}
 			return nil
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +351,7 @@ func TestHookAbortsTruncationMidway(t *testing.T) {
 	hookErr := errors.New("injected truncate crash")
 	w, _, err := Open(Options{
 		Dir: dir, SegmentBytes: 256,
-		Hook: func(point string) error {
+		Seam: seglog.Seam{Hook: func(point string) error {
 			if point != "truncate" {
 				return nil
 			}
@@ -350,7 +360,7 @@ func TestHookAbortsTruncationMidway(t *testing.T) {
 				return hookErr
 			}
 			return nil
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,14 +411,14 @@ func TestDecodeSegmentClassification(t *testing.T) {
 	})
 	t.Run("torn header", func(t *testing.T) {
 		_, err := DecodeSegment(valid[:5], nil)
-		var torn *TornTailError
+		var torn *seglog.TornTailError
 		if !errors.As(err, &torn) {
 			t.Fatalf("prefix of a valid header must classify as torn tail, got %v", err)
 		}
 	})
 	t.Run("torn record", func(t *testing.T) {
 		info, err := DecodeSegment(valid[:len(valid)-3], nil)
-		var torn *TornTailError
+		var torn *seglog.TornTailError
 		if !errors.As(err, &torn) {
 			t.Fatalf("cut-short record must classify as torn tail, got %v", err)
 		}
@@ -419,7 +429,7 @@ func TestDecodeSegmentClassification(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte("not a wal segment at all........"), valid...)
 		_, err := DecodeSegment(bad, nil)
-		var corrupt *CorruptError
+		var corrupt *seglog.CorruptError
 		if !errors.As(err, &corrupt) {
 			t.Fatalf("bad magic must classify as corrupt, got %v", err)
 		}
@@ -428,7 +438,7 @@ func TestDecodeSegmentClassification(t *testing.T) {
 		flipped := append([]byte(nil), valid...)
 		flipped[len(flipped)-1] ^= 0x01
 		info, err := DecodeSegment(flipped, nil)
-		var corrupt *CorruptError
+		var corrupt *seglog.CorruptError
 		if !errors.As(err, &corrupt) {
 			t.Fatalf("crc mismatch must classify as corrupt, got %v", err)
 		}
@@ -449,7 +459,7 @@ func TestDecodeSegmentClassification(t *testing.T) {
 		img = AppendRecord(img, 3, []byte("a"))
 		img = AppendRecord(img, 3, []byte("b"))
 		_, err := DecodeSegment(img, nil)
-		var corrupt *CorruptError
+		var corrupt *seglog.CorruptError
 		if !errors.As(err, &corrupt) {
 			t.Fatalf("repeated seq must classify as corrupt, got %v", err)
 		}

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"logparse/internal/faultinject"
-	"logparse/internal/stream/wal"
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
 
@@ -56,7 +56,7 @@ func walCrashScenarios() []walCrashScenario {
 			name: "mid-record",
 			configure: func(cfg *Config, ctl *walCrashCtl) {
 				var segs atomic.Int32
-				cfg.WALSegment = func(f *os.File) wal.SegmentFile {
+				cfg.WALSeam.Wrap = func(f *os.File) seglog.File {
 					c := faultinject.NewWALCrashFile(f)
 					if segs.Add(1) == 1 {
 						c.TearAfter = 6000
@@ -72,7 +72,7 @@ func walCrashScenarios() []walCrashScenario {
 			name: "mid-fsync",
 			configure: func(cfg *Config, ctl *walCrashCtl) {
 				var segs atomic.Int32
-				cfg.WALSegment = func(f *os.File) wal.SegmentFile {
+				cfg.WALSeam.Wrap = func(f *os.File) seglog.File {
 					c := faultinject.NewWALCrashFile(f)
 					if segs.Add(1) == 1 {
 						c.SyncErrAt = 2
@@ -86,7 +86,7 @@ func walCrashScenarios() []walCrashScenario {
 			// one.
 			name: "mid-rotation",
 			configure: func(cfg *Config, ctl *walCrashCtl) {
-				cfg.WALHook = func(point string) error {
+				cfg.WALSeam.Hook = func(point string) error {
 					if point == "rotate" {
 						ctl.fired.Store(true)
 						return errCrash
@@ -105,7 +105,7 @@ func walCrashScenarios() []walCrashScenario {
 			configure: func(cfg *Config, ctl *walCrashCtl) {
 				cfg.CheckpointEvery = 500 // several sealed 8 KiB segments per checkpoint
 				var calls atomic.Int32
-				cfg.WALHook = func(point string) error {
+				cfg.WALSeam.Hook = func(point string) error {
 					if point != "truncate" {
 						return nil
 					}
@@ -126,7 +126,7 @@ func walCrashScenarios() []walCrashScenario {
 			configure: func(cfg *Config, ctl *walCrashCtl) {
 				cfg.WALBufferBytes = 256
 				var calls atomic.Int32
-				cfg.WALHook = func(point string) error {
+				cfg.WALSeam.Hook = func(point string) error {
 					if point == "push" && calls.Add(1) == 3 {
 						ctl.fired.Store(true)
 						return errCrash
@@ -273,8 +273,8 @@ func TestWALCrashPointRecovery(t *testing.T) {
 				cancel()
 			} else if pushErr == nil {
 				t.Fatal("crash point never fired: every batch was acknowledged")
-			} else if !errors.As(pushErr, new(*WALError)) {
-				t.Fatalf("PushBatch error = %v, want *WALError", pushErr)
+			} else if !errors.As(pushErr, new(*DurableError)) {
+				t.Fatalf("PushBatch error = %v, want *DurableError", pushErr)
 			}
 			serveErr := <-serveDone
 			t.Logf("crashed: acked=%d push=%v serve=%v", acked, pushErr, serveErr)

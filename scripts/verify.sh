@@ -87,5 +87,10 @@ echo "==> go test -fuzz=FuzzWALDecode -fuzztime=5s ./internal/stream/wal"
 go test ./internal/stream/wal -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime=5s >/dev/null
 echo "==> go test -fuzz=FuzzBlockDecode -fuzztime=5s ./internal/eventstore"
 go test ./internal/eventstore -run '^$' -fuzz '^FuzzBlockDecode$' -fuzztime=5s >/dev/null
+echo "==> go test -fuzz=FuzzSeglogOpen -fuzztime=5s ./internal/seglog"
+go test ./internal/seglog -run '^$' -fuzz '^FuzzSeglogOpen$' -fuzztime=5s >/dev/null
+
+echo "==> non-test Go line counts (scripts/loc.sh, informational)"
+sh scripts/loc.sh
 
 echo "verify: OK"
