@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"logparse/internal/parsers/drain"
-	"logparse/internal/parsers/spell"
 )
 
-// Fuzz targets over the streaming-native parsers' online edges: Drain's
-// incremental prefix-tree insert and Spell's LCS kernel. Seed corpora live
-// under testdata/fuzz; scripts/verify.sh and the CI fuzz job run short
-// coverage-guided passes over both.
+// Fuzz target over Drain's online edge, its incremental prefix-tree insert.
+// Seed corpora live under testdata/fuzz; scripts/verify.sh and the CI fuzz
+// job run a short coverage-guided pass. Spell's kernels and learner are
+// fuzzed next to their code (internal/parsers/spell).
 
 // FuzzDrainInsert feeds arbitrary line batches to Drain's online learner:
 // learning must never panic, the returned group index must be in range, the
@@ -64,49 +63,4 @@ func FuzzDrainInsert(f *testing.F) {
 			t.Fatal("online learning is nondeterministic across identical replays")
 		}
 	})
-}
-
-// FuzzSpellLCS checks Spell's LCS kernel against its defining properties:
-// the result is a subsequence of both inputs, no longer than either, equal
-// to the whole sequence when the inputs agree, and symmetric in length.
-func FuzzSpellLCS(f *testing.F) {
-	f.Add("a b c d", "a x c y")
-	f.Add("", "anything at all")
-	f.Add("same same same", "same same same")
-	f.Add("one two three four five", "five four three two one")
-	f.Fuzz(func(t *testing.T, sa, sb string) {
-		a, b := strings.Fields(sa), strings.Fields(sb)
-		if len(a) > 64 {
-			a = a[:64]
-		}
-		if len(b) > 64 {
-			b = b[:64]
-		}
-		got := spell.LCS(a, b)
-		if len(got) > len(a) || len(got) > len(b) {
-			t.Fatalf("LCS longer than an input: %d vs (%d, %d)", len(got), len(a), len(b))
-		}
-		if !isSubsequence(got, a) || !isSubsequence(got, b) {
-			t.Fatalf("LCS %q is not a subsequence of both %q and %q", got, a, b)
-		}
-		if reflect.DeepEqual(a, b) && len(got) != len(a) {
-			t.Fatalf("LCS of identical inputs has length %d, want %d", len(got), len(a))
-		}
-		rev := spell.LCS(b, a)
-		if len(rev) != len(got) {
-			t.Fatalf("LCS length asymmetric: |LCS(a,b)|=%d |LCS(b,a)|=%d", len(got), len(rev))
-		}
-	})
-}
-
-// isSubsequence reports whether sub appears in seq in order (not
-// necessarily contiguously).
-func isSubsequence(sub, seq []string) bool {
-	i := 0
-	for _, s := range seq {
-		if i < len(sub) && sub[i] == s {
-			i++
-		}
-	}
-	return i == len(sub)
 }

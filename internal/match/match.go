@@ -33,10 +33,13 @@ type node struct {
 
 func newNode() *node { return &node{children: make(map[string]*node), template: -1} }
 
-// Matcher matches token sequences against a fixed template set.
+// Matcher matches token sequences against a template set.
 type Matcher struct {
-	root      map[int]*node // by token length: templates only match equal length
+	root map[int]*node // by token length: templates only match equal length
+	// templates is indexed by slot: the build-order index the Match* family
+	// returns. Remove retires a slot (zero Template) and never reuses it.
 	templates []core.Template
+	removed   int
 }
 
 // New builds a matcher from templates. Duplicate template token sequences
@@ -80,8 +83,8 @@ func New(templates []core.Template) (*Matcher, error) {
 }
 
 // freeze caches the sole exact edge of every single-child node. The trie
-// changes only through New and Insert, and Insert maintains the cache along
-// the path it extends, so the cache never goes stale.
+// changes only through New, Insert and Remove, and the latter two maintain
+// the cache along the path they touch, so the cache never goes stale.
 func freeze(n *node) {
 	if len(n.children) == 1 {
 		for k, c := range n.children {
@@ -146,19 +149,79 @@ func (m *Matcher) Insert(t core.Template) error {
 	return nil
 }
 
+// Remove deletes the template with exactly these tokens in O(template
+// length) and reports whether it was present; an absent template changes
+// nothing. The trie is left exactly as New would build it from the remaining
+// set: the terminal is cleared, nodes that no longer lead to any template
+// are pruned, and a node whose fan-out drops to one gets its single-child
+// cache back. The template's slot is retired, not reused: indices returned
+// for the other templates stay valid, so after a removal they no longer
+// address Templates(), which lists only the live templates. The stream
+// engine keeps per-template state in a slice parallel to build order and
+// therefore never calls Remove; it is for learners (Spell) that own the
+// index mapping. Not safe for concurrent use with matching.
+func (m *Matcher) Remove(tokens []string) bool {
+	root := m.root[len(tokens)]
+	if root == nil || !m.remove(root, tokens) {
+		return false
+	}
+	if root.empty() {
+		delete(m.root, len(tokens))
+	}
+	return true
+}
+
+func (n *node) empty() bool { return n.template < 0 && n.wildcard == nil && len(n.children) == 0 }
+
+func (m *Matcher) remove(n *node, tokens []string) bool {
+	if len(tokens) == 0 {
+		if n.template < 0 {
+			return false
+		}
+		m.templates[n.template] = core.Template{}
+		m.removed++
+		n.template = -1
+		return true
+	}
+	tok := tokens[0]
+	child := n.wildcard
+	if tok != core.Wildcard {
+		child = n.children[tok]
+	}
+	if child == nil || !m.remove(child, tokens[1:]) {
+		return false
+	}
+	switch {
+	case !child.empty():
+	case tok == core.Wildcard:
+		n.wildcard = nil
+	default:
+		delete(n.children, tok)
+		n.soleKey, n.soleChild = "", nil
+		if len(n.children) == 1 {
+			for k, c := range n.children {
+				n.soleKey, n.soleChild = k, c
+			}
+		}
+	}
+	return true
+}
+
 // FromResult builds a matcher from a parse result's templates.
 func FromResult(res *core.ParseResult) (*Matcher, error) { return New(res.Templates) }
 
-// NumTemplates reports the size of the template set.
-func (m *Matcher) NumTemplates() int { return len(m.templates) }
+// NumTemplates reports the number of live templates.
+func (m *Matcher) NumTemplates() int { return len(m.templates) - m.removed }
 
-// Templates returns a copy of the matcher's template set in build order.
+// Templates returns a copy of the matcher's live templates in build order.
 // Long-running services checkpoint this to rebuild an equivalent matcher
 // after a restart.
 func (m *Matcher) Templates() []core.Template {
-	out := make([]core.Template, len(m.templates))
-	for i, t := range m.templates {
-		out[i] = core.Template{ID: t.ID, Tokens: append([]string(nil), t.Tokens...)}
+	out := make([]core.Template, 0, m.NumTemplates())
+	for _, t := range m.templates {
+		if t.Tokens != nil || t.ID != "" { // not a retired slot
+			out = append(out, core.Template{ID: t.ID, Tokens: append([]string(nil), t.Tokens...)})
+		}
 	}
 	return out
 }
@@ -285,14 +348,12 @@ func (m *Matcher) MatchContent(content string) (core.Template, error) {
 // Apply maps every message to a template, producing a ParseResult in the
 // matcher's template space; unmatched messages become outliers.
 func (m *Matcher) Apply(msgs []core.LogMessage) *core.ParseResult {
-	index := make(map[string]int, len(m.templates))
-	for i, t := range m.templates {
+	tmpls := m.Templates()
+	index := make(map[string]int, len(tmpls))
+	for i, t := range tmpls {
 		index[t.ID] = i
 	}
-	res := &core.ParseResult{
-		Templates:  append([]core.Template(nil), m.templates...),
-		Assignment: make([]int, len(msgs)),
-	}
+	res := &core.ParseResult{Templates: tmpls, Assignment: make([]int, len(msgs))}
 	for i := range msgs {
 		tokens := msgs[i].Tokens
 		if tokens == nil {

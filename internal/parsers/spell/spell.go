@@ -8,11 +8,13 @@
 // conformance canonicalisation, stream digests) is built on.
 //
 // A prefix-tree accelerator fronts the LCS scan: the current templates are
-// compiled into a match.Matcher trie, and a line positionally covered by an
+// kept in a match.Matcher trie, and a line positionally covered by an
 // existing template short-circuits to that object without running any LCS —
 // allocation-free, which is what keeps the stream engine's matched hot path
-// at zero allocations per line. Only lines that change the template set pay
-// the quadratic LCS work.
+// at zero allocations per line. Only lines that change the template set
+// reach the LCS scan, which runs on interned token IDs: a bit-vector LCS
+// length per same-length object, and an O(template) trie update per merge
+// (DESIGN.md, "Spell slow path").
 //
 // Spell is naturally online: LearnBytes consumes one tokenised line with no
 // retrain cycle, and the batch Parse/ParseCtx surface replays the corpus
@@ -24,7 +26,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"logparse/internal/core"
@@ -52,18 +56,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// object is one learned LCS object: a positional template plus the cached
-// list of its constant (non-wildcard) tokens the LCS runs against.
+// object is one learned LCS object: a positional template, the same template
+// as interned token IDs (0 at wildcard positions) and the cached list of its
+// constant (non-zero) IDs the LCS runs against.
 type object struct {
-	tokens    []string
-	constants []string
+	idx    int
+	tokens []string
+	ids    []uint32
+	consts []uint32
 }
 
-func (o *object) refreshConstants() {
-	o.constants = o.constants[:0]
-	for _, t := range o.tokens {
-		if t != core.Wildcard {
-			o.constants = append(o.constants, t)
+func (o *object) refreshConsts() {
+	o.consts = o.consts[:0]
+	for _, id := range o.ids {
+		if id != 0 {
+			o.consts = append(o.consts, id)
 		}
 	}
 }
@@ -71,24 +78,42 @@ func (o *object) refreshConstants() {
 // StreamParser is the online Spell learner. It is not safe for concurrent
 // use; the stream engine serialises access under its own lock.
 type StreamParser struct {
-	opts Options
-	objs []*object
+	opts  Options
+	objs  []*object
+	byLen map[int][]*object // objects by token count, in creation order
 
-	// matcher is the prefix-tree accelerator over the current templates;
-	// fastIdx maps its build order back to object indices (two objects can
-	// converge to the same template string — the trie keeps the first).
+	// intern maps a token to its ID (≥ 1; 0 means wildcard or unknown). Only
+	// founding an object inserts, so it holds tokens that are or once were a
+	// constant of some object; a line's tokens are only looked up. masks is
+	// the bit-vector kernel's table, one word per ID: the positions of that
+	// ID in the line being scanned, all zero between scans.
+	intern map[string]uint32
+	masks  []uint64
+
+	// matcher is the prefix-tree accelerator over the current templates and
+	// slotObj maps its slots back to object indices. Two objects can
+	// converge onto one template string; the trie routes it to the earliest
+	// and shadow lists the others.
 	matcher *match.Matcher
-	fastIdx []int
+	slotObj []int
+	shadow  []int
 
-	// prev/curr are the reusable LCS DP rows; lineBuf the reusable token
-	// strings of the slow path.
+	// Reusable slow-path scratch: the line as IDs, and the DP rows for
+	// lines of more than 64 tokens.
+	lineIDs    []uint32
 	prev, curr []int
-	lineBuf    []string
 }
 
 // NewStream returns an empty online learner.
 func NewStream(opts Options) *StreamParser {
-	return &StreamParser{opts: opts.withDefaults()}
+	s := &StreamParser{
+		opts:   opts.withDefaults(),
+		byLen:  make(map[int][]*object),
+		intern: make(map[string]uint32),
+		masks:  make([]uint64, 1),
+	}
+	s.rebuildMatcher()
+	return s
 }
 
 // Name identifies the algorithm in checkpoints and telemetry.
@@ -105,76 +130,80 @@ func (s *StreamParser) NumTemplates() int { return len(s.objs) }
 // (stable creation order) and whether the template set changed. Tokens
 // must be non-empty; their backing storage is not retained.
 func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
-	if s.matcher != nil {
-		if mi, ok := s.matcher.MatchBytes(tokens); ok {
-			return s.fastIdx[mi], false
-		}
+	if mi, ok := s.matcher.MatchBytes(tokens); ok {
+		return s.slotObj[mi], false
 	}
-
-	// Slow path: materialise the tokens once, scan objects in creation
-	// order for the longest LCS, earliest object on ties.
-	toks := s.lineBuf[:0]
+	ids := s.lineIDs[:0]
 	for _, t := range tokens {
-		toks = append(toks, string(t))
+		ids = append(ids, s.intern[string(t)])
 	}
-	s.lineBuf = toks
-
-	best, bestLen := -1, 0
-	for j, obj := range s.objs {
-		if len(obj.tokens) != len(toks) {
-			continue
-		}
-		if l := s.lcsLen(toks, obj.constants); l > bestLen {
-			best, bestLen = j, l
-		}
+	s.lineIDs = ids
+	if o := s.search(ids); o != nil {
+		return o.idx, s.merge(o, ids)
 	}
-	if best >= 0 && float64(bestLen) >= s.opts.Tau*float64(len(toks)) {
-		obj := s.objs[best]
-		for i, t := range obj.tokens {
-			if t != core.Wildcard && t != toks[i] {
-				obj.tokens[i] = core.Wildcard
-				changed = true
-			}
-		}
-		if changed {
-			obj.refreshConstants()
-			s.rebuildMatcher()
-		}
-		return best, changed
+	toks := make([]string, len(tokens))
+	for i, t := range tokens {
+		toks[i] = string(t)
 	}
-
-	obj := &object{tokens: append([]string(nil), toks...)}
-	obj.refreshConstants()
-	idx = len(s.objs)
-	s.objs = append(s.objs, obj)
-	s.insertMatcher(idx)
-	return idx, true
+	o := s.add(toks)
+	s.insertMatcher(o.idx)
+	return o.idx, true
 }
 
-// insertMatcher extends the accelerator with object j's template in
-// O(template length) — new objects are the common way the template set
-// grows, and a full O(objects) rebuild per growth would make learning
-// quadratic on high-cardinality streams. A duplicate insert (the new object
-// converged onto an existing rendered template) leaves the trie routing to
-// the earliest object, matching rebuildMatcher's dedup.
-func (s *StreamParser) insertMatcher(j int) {
-	if s.matcher == nil {
-		s.rebuildMatcher()
-		return
+// search returns the same-length object with the longest LCS against the
+// line, the earliest on ties, provided float64(LCS) ≥ Tau·n; nil otherwise.
+// Starting the running best one below ⌈Tau·n⌉ makes the acceptance test
+// part of "strictly longer", and skipping an object with no more constants
+// than the running best is exact: its LCS cannot exceed that count.
+func (s *StreamParser) search(ids []uint32) (best *object) {
+	n := len(ids)
+	bestLen := max(int(math.Ceil(s.opts.Tau*float64(n)))-1, 0)
+	narrow := n <= 64
+	if narrow {
+		for i, id := range ids {
+			s.masks[id] |= 1 << i // masks[0] collects the unknowns; no object reads it
+		}
 	}
-	t := core.Template{
-		ID:     fmt.Sprintf("L%d", j+1),
-		Tokens: append([]string(nil), s.objs[j].tokens...),
+	for _, o := range s.byLen[n] {
+		if len(o.consts) <= bestLen {
+			continue
+		}
+		var l int
+		if narrow {
+			l = lcsBits(s.masks, o.consts)
+		} else {
+			l = s.lcsLen(ids, o.consts)
+		}
+		if l > bestLen {
+			best, bestLen = o, l
+		}
 	}
-	if err := s.matcher.Insert(t); err != nil {
-		return
+	if narrow {
+		for _, id := range ids {
+			s.masks[id] = 0
+		}
 	}
-	s.fastIdx = append(s.fastIdx, j)
+	return best
+}
+
+// lcsBits is the Hyyrö / Allison–Dix bit-vector LCS length of a line of at
+// most 64 tokens, given as per-ID position masks, against b: bit i of v is
+// cleared when extending the match to line position i lengthens the LCS, so
+// the zero bits count it. Bits at and above the line length stay set.
+func lcsBits(masks []uint64, b []uint32) int {
+	v := ^uint64(0)
+	for _, id := range b {
+		m := masks[id]
+		u := v & m
+		v = (v + u) | (v &^ m)
+	}
+	return bits.OnesCount64(^v)
 }
 
 // lcsLen computes the length of the longest common subsequence of a and b
-// with two reusable DP rows, allocating only when a longer b arrives.
-func (s *StreamParser) lcsLen(a, b []string) int {
+// with two reusable DP rows, allocating only when a longer b arrives. ID 0
+// (unknown) in a matches nothing: b holds constants only.
+func (s *StreamParser) lcsLen(a, b []uint32) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
@@ -205,47 +234,74 @@ func (s *StreamParser) lcsLen(a, b []string) int {
 	return prev[:w][len(b)]
 }
 
-// LCS returns one longest common subsequence of a and b. Deterministic:
-// ties during backtracking prefer consuming from the tail of a. Exported
-// for the fuzz harness, whose invariant is that the result is a
-// subsequence of both inputs with the maximal length.
-func LCS(a, b []string) []string {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	dp := make([][]int, len(a)+1)
-	for i := range dp {
-		dp[i] = make([]int, len(b)+1)
-	}
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			switch {
-			case a[i-1] == b[j-1]:
-				dp[i][j] = dp[i-1][j-1] + 1
-			case dp[i-1][j] >= dp[i][j-1]:
-				dp[i][j] = dp[i-1][j]
-			default:
-				dp[i][j] = dp[i][j-1]
-			}
+// merge wildcards the positions of o that disagree with the line and moves
+// o's path in the accelerator from the old template to the new one. A miss
+// always changes o: a template that covered the line would have been a hit.
+func (s *StreamParser) merge(o *object, ids []uint32) (changed bool) {
+	old := slices.Clone(o.tokens)
+	for i, id := range o.ids {
+		if id != 0 && id != ids[i] {
+			o.ids[i], o.tokens[i] = 0, core.Wildcard
+			changed = true
 		}
 	}
-	out := make([]string, 0, dp[len(a)][len(b)])
-	for i, j := len(a), len(b); i > 0 && j > 0; {
-		switch {
-		case a[i-1] == b[j-1]:
-			out = append(out, a[i-1])
-			i--
-			j--
-		case dp[i-1][j] >= dp[i][j-1]:
-			i--
-		default:
-			j--
+	o.refreshConsts()
+	// The incremental update is only right while o's old and new template
+	// strings belong to o alone; where two objects share one, creation order
+	// decides which the trie routes to — rebuild. (A shadowed object itself
+	// never gets here: its earlier twin wins every tie in search.)
+	shared := slices.ContainsFunc(s.shadow, func(k int) bool { return slices.Equal(s.objs[k].tokens, old) })
+	if shared || !s.matcher.Remove(old) || !s.insertMatcher(o.idx) {
+		s.rebuildMatcher()
+	}
+	return changed
+}
+
+// add appends an object with the given template (retained), interning its
+// constants. A literal "*" in a founding line is a wildcard from the start.
+func (s *StreamParser) add(tokens []string) *object {
+	o := &object{idx: len(s.objs), tokens: tokens, ids: make([]uint32, len(tokens))}
+	for i, t := range tokens {
+		if t == core.Wildcard {
+			continue
 		}
+		id, ok := s.intern[t]
+		if !ok {
+			id = uint32(len(s.masks))
+			s.intern[t] = id
+			s.masks = append(s.masks, 0)
+		}
+		o.ids[i] = id
 	}
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
+	o.refreshConsts()
+	s.objs = append(s.objs, o)
+	s.byLen[len(tokens)] = append(s.byLen[len(tokens)], o)
+	return o
+}
+
+// insertMatcher extends the accelerator with object j's template in
+// O(template length) — new objects are the common way the template set
+// grows, and a full O(objects) rebuild per growth would make learning
+// quadratic on high-cardinality streams. It reports false, and records j
+// as shadowed, when an earlier object already holds that template.
+func (s *StreamParser) insertMatcher(j int) bool {
+	t := core.Template{ID: fmt.Sprintf("L%d", j+1), Tokens: s.objs[j].tokens}
+	if err := s.matcher.Insert(t); err != nil {
+		s.shadow = append(s.shadow, j)
+		return false
 	}
-	return out
+	s.slotObj = append(s.slotObj, j)
+	return true
+}
+
+// rebuildMatcher recompiles the accelerator trie from the current
+// templates in creation order.
+func (s *StreamParser) rebuildMatcher() {
+	s.matcher, _ = match.New(nil) // an empty set has no duplicates to reject
+	s.slotObj, s.shadow = s.slotObj[:0], s.shadow[:0]
+	for j := range s.objs {
+		s.insertMatcher(j)
+	}
 }
 
 // Templates returns the learned templates in object-creation order; index i
@@ -261,42 +317,9 @@ func (s *StreamParser) Templates() []core.Template {
 	return out
 }
 
-// rebuildMatcher recompiles the accelerator trie from the current
-// templates, deduplicating converged template strings (the trie routes
-// them to the earliest object).
-func (s *StreamParser) rebuildMatcher() {
-	seen := make(map[string]bool, len(s.objs))
-	tmpls := make([]core.Template, 0, len(s.objs))
-	s.fastIdx = s.fastIdx[:0]
-	for j, obj := range s.objs {
-		key := strings.Join(obj.tokens, " ")
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		tmpls = append(tmpls, core.Template{
-			ID:     fmt.Sprintf("L%d", j+1),
-			Tokens: append([]string(nil), obj.tokens...),
-		})
-		s.fastIdx = append(s.fastIdx, j)
-	}
-	if len(tmpls) == 0 {
-		s.matcher = nil
-		return
-	}
-	m, err := match.New(tmpls)
-	if err != nil {
-		// Unreachable (duplicates are removed above); degrade to the LCS
-		// path rather than fail the learner.
-		s.matcher = nil
-		return
-	}
-	s.matcher = m
-}
-
 // spellState is the serialised learner. The templates alone determine every
-// future decision (constants and the accelerator are derived), so they are
-// the whole state.
+// future decision (IDs, buckets and the accelerator are derived), so they
+// are the whole state.
 type spellState struct {
 	Tau       float64    `json:"tau"`
 	Templates [][]string `json:"templates"`
@@ -321,16 +344,14 @@ func (s *StreamParser) Restore(data []byte) error {
 	if st.Tau != s.opts.Tau {
 		return fmt.Errorf("spell: snapshot tau %g differs from configured %g", st.Tau, s.opts.Tau)
 	}
-	s.objs = nil
+	ns := NewStream(s.opts)
 	for i, toks := range st.Templates {
 		if len(toks) == 0 {
 			return fmt.Errorf("spell: snapshot template %d is empty", i)
 		}
-		obj := &object{tokens: append([]string(nil), toks...)}
-		obj.refreshConstants()
-		s.objs = append(s.objs, obj)
+		ns.insertMatcher(ns.add(toks).idx)
 	}
-	s.rebuildMatcher()
+	*s = *ns
 	return nil
 }
 
@@ -373,7 +394,10 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 	stage := sp.Child("learn")
 	s := NewStream(p.opts)
 	assign := make([]int, len(msgs))
-	var buf [][]byte
+	var (
+		buf   [][]byte
+		arena []byte // one line's tokens packed back to back; buf slices it
+	)
 	for i := range msgs {
 		if i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -389,9 +413,13 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 			assign[i] = core.OutlierID
 			continue
 		}
-		buf = buf[:0]
+		arena, buf = arena[:0], buf[:0]
 		for _, t := range toks {
-			buf = append(buf, []byte(t))
+			arena = append(arena, t...)
+		}
+		rest := arena
+		for _, t := range toks {
+			buf, rest = append(buf, rest[:len(t):len(t)]), rest[len(t):]
 		}
 		assign[i], _ = s.LearnBytes(buf)
 	}

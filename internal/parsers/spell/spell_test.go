@@ -1,11 +1,17 @@
 package spell
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"logparse/internal/core"
+	"logparse/internal/gen"
+	"logparse/internal/match"
 	"logparse/internal/telemetry"
 )
 
@@ -128,12 +134,29 @@ func isSubsequence(sub, seq []string) bool {
 	return i == len(sub)
 }
 
-func TestLCSLenMatchesLCS(t *testing.T) {
-	s := NewStream(Options{})
-	a := []string{"alpha", "beta", "gamma", "delta", "beta"}
-	b := []string{"beta", "gamma", "beta", "omega"}
-	if got, want := s.lcsLen(a, b), len(LCS(a, b)); got != want {
-		t.Errorf("lcsLen = %d, LCS length = %d", got, want)
+// TestKernelsMatchOracle pins both production LCS-length kernels to the
+// full-table oracle at the 64-token boundary and on its awkward inputs.
+func TestKernelsMatchOracle(t *testing.T) {
+	rep := func(n int, pat ...string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = pat[i%len(pat)]
+		}
+		return out
+	}
+	cases := []struct{ a, b []string }{
+		{[]string{"alpha", "beta", "gamma", "delta", "beta"}, []string{"beta", "gamma", "beta", "omega"}},
+		{[]string{"x"}, []string{"x"}},
+		{[]string{"x"}, []string{"y"}},
+		{[]string{"a", "*", "b"}, []string{"a", "b"}},
+		{rep(63, "a", "b", "c"), rep(40, "c", "a")},
+		{rep(64, "a", "b", "c"), rep(64, "a", "b", "c")},
+		{rep(64, "a", "b"), rep(64, "b", "a", "a")},
+		{rep(65, "a", "b", "c"), rep(65, "b", "c", "a")},
+		{rep(120, "a", "b", "c", "d"), rep(120, "d", "b", "a")},
+	}
+	for _, c := range cases {
+		checkKernels(t, c.a, c.b)
 	}
 }
 
@@ -241,6 +264,331 @@ func TestLearnMatchedPathAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 		t.Errorf("accelerated learn path: %v allocs/op, want 0", allocs)
 	}
+}
+
+// TestParseAllocsIndependentOfLines pins the batch facade's per-line cost:
+// tokens are packed into one reused arena, so a corpus of recurring lines
+// allocates for its few templates and its result, not per token per line.
+func TestParseAllocsIndependentOfLines(t *testing.T) {
+	var lines []string
+	for i := 0; i < 400; i++ {
+		lines = append(lines, sampleLines()...)
+	}
+	in := msgs(lines...)
+	p := New(Options{})
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := p.Parse(in); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 200 {
+		t.Errorf("Parse of %d recurring lines: %v allocs, want ≤ 200 (not per line)", len(in), allocs)
+	}
+}
+
+// TestFoundingMissAllocsIndependentOfObjects pins a trie miss that founds an
+// object — scan of every same-length object, intern, bucket and trie insert —
+// at O(line) allocations with 10k objects already learned.
+func TestFoundingMissAllocsIndependentOfObjects(t *testing.T) {
+	s := NewStream(Options{})
+	var buf [][]byte
+	learn := func(i int) {
+		line := fmt.Sprintf("u%da u%db u%dc u%dd u%de u%df", i, i, i, i, i, i)
+		buf = core.TokenizeBytes([]byte(line), buf)
+		if _, changed := s.LearnBytes(buf); !changed {
+			t.Fatalf("line %d did not found an object", i)
+		}
+	}
+	n := 0
+	for ; n < 10000; n++ {
+		learn(n)
+	}
+	m := s.matcher
+	// Per founding line of 6 tokens: the line string and tokenizer scratch,
+	// 6 token strings, the object and its three slices, 6 trie nodes with a
+	// map each, amortised growth of objs/bucket/intern/masks/slotObj.
+	const bound = 60
+	if allocs := testing.AllocsPerRun(200, func() { learn(n); n++ }); allocs > bound {
+		t.Errorf("founding miss at %d objects: %v allocs/op, want ≤ %d", n, allocs, bound)
+	}
+	if s.matcher != m {
+		t.Error("founding an object rebuilt the accelerator")
+	}
+}
+
+// TestMergeKeepsMatcher pins the incremental accelerator update: a merge
+// with no shared template strings moves one path in the trie and never
+// recompiles it.
+func TestMergeKeepsMatcher(t *testing.T) {
+	s := NewStream(Options{})
+	learn := func(line string) (int, bool) { return s.LearnBytes(core.TokenizeBytes([]byte(line), nil)) }
+	for _, l := range sampleLines() {
+		learn(l)
+	}
+	learn("starting rebalance cycle over 4 volumes")
+	m := s.matcher
+	if idx, changed := learn("starting rebalance cycle over 9 volumes"); idx != 2 || !changed {
+		t.Fatalf("merge line: (%d, %v), want (2, true)", idx, changed)
+	}
+	if idx, changed := learn("session 0x3 expired after 15 ms"); idx != 1 || !changed {
+		t.Fatalf("second merge line: (%d, %v), want (1, true)", idx, changed)
+	}
+	if s.matcher != m {
+		t.Error("shadow-free merge rebuilt the accelerator")
+	}
+	if idx, changed := learn("starting rebalance cycle over 11 volumes"); idx != 2 || changed {
+		t.Errorf("merged template not in the trie: (%d, %v)", idx, changed)
+	}
+	if _, ok := m.MatchIndex(strings.Fields("starting rebalance cycle over 4 volumes")); !ok {
+		t.Error("line covered by the merged template misses the trie")
+	}
+	if got := m.NumTemplates(); got != 3 {
+		t.Errorf("accelerator holds %d live templates, want 3", got)
+	}
+}
+
+// refLearner is the learner this package had before the slow path moved to
+// token IDs, kept as the differential reference: string LCS against every
+// object, full accelerator rebuild per merge.
+type refLearner struct {
+	tau     float64
+	objs    [][]string
+	matcher *match.Matcher
+	fastIdx []int
+}
+
+func refConstants(tmpl []string) (out []string) {
+	for _, t := range tmpl {
+		if t != core.Wildcard {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+func (r *refLearner) LearnBytes(tokens [][]byte) (int, bool) {
+	if r.matcher != nil {
+		if mi, ok := r.matcher.MatchBytes(tokens); ok {
+			return r.fastIdx[mi], false
+		}
+	}
+	toks := make([]string, len(tokens))
+	for i, t := range tokens {
+		toks[i] = string(t)
+	}
+	best, bestLen := -1, 0
+	for j, obj := range r.objs {
+		if len(obj) != len(toks) {
+			continue
+		}
+		if l := len(LCS(toks, refConstants(obj))); l > bestLen {
+			best, bestLen = j, l
+		}
+	}
+	if best >= 0 && float64(bestLen) >= r.tau*float64(len(toks)) {
+		changed := false
+		for i, t := range r.objs[best] {
+			if t != core.Wildcard && t != toks[i] {
+				r.objs[best][i] = core.Wildcard
+				changed = true
+			}
+		}
+		if changed {
+			r.rebuild()
+		}
+		return best, changed
+	}
+	r.objs = append(r.objs, toks)
+	r.rebuild()
+	return len(r.objs) - 1, true
+}
+
+func (r *refLearner) rebuild() {
+	seen := make(map[string]bool)
+	var tmpls []core.Template
+	r.fastIdx = r.fastIdx[:0]
+	for j, obj := range r.objs {
+		if key := strings.Join(obj, " "); !seen[key] {
+			seen[key] = true
+			tmpls = append(tmpls, core.Template{ID: fmt.Sprintf("L%d", j+1), Tokens: append([]string(nil), obj...)})
+			r.fastIdx = append(r.fastIdx, j)
+		}
+	}
+	r.matcher, _ = match.New(tmpls)
+}
+
+func (r *refLearner) Snapshot() []byte {
+	blob, _ := json.Marshal(spellState{Tau: r.tau, Templates: append([][]string{}, r.objs...)})
+	return blob
+}
+
+func (r *refLearner) Restore(blob []byte) {
+	var st spellState
+	_ = json.Unmarshal(blob, &st)
+	r.objs = st.Templates
+	r.rebuild()
+}
+
+// diffLearn feeds lines to both learners and fails on the first line whose
+// (idx, changed) differs, then compares templates and snapshot bytes.
+func diffLearn(t testing.TB, s *StreamParser, ref *refLearner, lines []string) {
+	t.Helper()
+	var buf [][]byte
+	for i, l := range lines {
+		if buf = core.TokenizeBytes([]byte(l), buf); len(buf) == 0 {
+			continue
+		}
+		gi, gc := s.LearnBytes(buf)
+		wi, wc := ref.LearnBytes(buf)
+		if gi != wi || gc != wc {
+			t.Fatalf("line %d %q: got (%d, %v), reference (%d, %v)", i, l, gi, gc, wi, wc)
+		}
+	}
+	got := s.Templates()
+	if len(got) != len(ref.objs) {
+		t.Fatalf("%d templates, reference %d", len(got), len(ref.objs))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i].Tokens, ref.objs[i]) {
+			t.Fatalf("template %d = %q, reference %q", i, got[i].Tokens, ref.objs[i])
+		}
+	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.Snapshot(); !bytes.Equal(blob, want) {
+		t.Fatalf("snapshot differs from the reference's:\n got %s\nwant %s", blob, want)
+	}
+}
+
+// diffLearnRestore is diffLearn with a Snapshot→Restore of both learners
+// (into fresh ones) after the first half of the lines.
+func diffLearnRestore(t testing.TB, tau float64, lines []string) {
+	t.Helper()
+	s, ref := NewStream(Options{Tau: tau}), &refLearner{tau: tau}
+	diffLearn(t, s, ref, lines[:len(lines)/2])
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ref = NewStream(Options{Tau: tau}), &refLearner{tau: tau}
+	if err := s.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	ref.Restore(blob)
+	diffLearn(t, s, ref, lines[len(lines)/2:])
+}
+
+// TestLearnMatchesReferenceOnDatasets replays every generated dataset
+// through the learner and the reference, line by line.
+func TestLearnMatchesReferenceOnDatasets(t *testing.T) {
+	n := 6000
+	if testing.Short() {
+		n = 1500
+	}
+	for _, name := range gen.AllNames() {
+		cat, err := gen.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := cat.Generate(7, n)
+		lines := make([]string, len(msgs))
+		for i := range msgs {
+			lines[i] = msgs[i].Content
+		}
+		t.Run(name, func(t *testing.T) {
+			diffLearn(t, NewStream(Options{}), &refLearner{tau: DefaultTau}, lines)
+			diffLearnRestore(t, DefaultTau, lines)
+		})
+	}
+}
+
+// TestLearnMatchesReferenceHardCases forces the decisions the ID path could
+// get wrong: the acceptance threshold where Tau·n is and is not an integer
+// (0.3·10 rounds above 3 in float64), the 64/65-token kernel boundary,
+// tokens the intern table has never seen, literal "*" tokens, a
+// merge whose old trie path must not survive, and a restored snapshot in
+// which two objects share one template string and the earlier one then
+// generalises (shadow → rebuild).
+func TestLearnMatchesReferenceHardCases(t *testing.T) {
+	words := func(n int, f func(i int) string) string {
+		w := make([]string, n)
+		for i := range w {
+			w[i] = f(i)
+		}
+		return strings.Join(w, " ")
+	}
+	long := func(n, variant int) string {
+		// first half constant, the rest varies with variant — LCS exactly n/2
+		// against another variant, plus i%variant agreements further on.
+		return words(n, func(i int) string {
+			if i < n/2 || i%variant == 0 {
+				return fmt.Sprintf("k%d", i)
+			}
+			return fmt.Sprintf("v%d_%d", variant, i)
+		})
+	}
+	thresholds := []string{
+		"a b c d", "a b x y", "a q r s", "p b c z", // n=4: 0.5·4 = 2
+		"a b c d e", "a b x y z", "a b c y z", "q r s t e", // n=5: 2.5
+		"a b c d e f g h i j", "a b c 1 2 3 4 5 6 7", "a b c d 2 3 4 5 6 7", // n=10: 0.3·10 > 3
+		"j i h g f e d c b a", "b c d e f g h i j a", "* b * d e * g * * *",
+		"a b c", "a b *", "* * *", "a * c", "x", "x", "y",
+	}
+	boundary := []string{
+		long(63, 2), long(63, 3), long(63, 5), long(64, 2), long(64, 3), long(64, 5),
+		long(65, 2), long(65, 3), long(65, 5), long(120, 2), long(120, 7), long(120, 3),
+		words(64, func(i int) string { return "same" }), words(64, func(i int) string { return []string{"same", "other"}[i%2] }),
+		words(65, func(i int) string { return "same" }), words(65, func(i int) string { return []string{"same", "other"}[i%2] }),
+	}
+	// Under Tau 0.5 object 0 generalises away from "a b c …" while object 1
+	// is "a b * …": were the old specific path left in the trie, the last
+	// line would still walk it to object 0, where a rebuilt trie takes the
+	// exact "a" edge to object 1 before it tries object 0's leading wildcard.
+	stale := []string{
+		"a b c d e f g h i j", "a b 1 2 3 4 5 6 7 8", "a b 2 3 4 5 x y z w",
+		"Q b c d e f g h i j", "a b c d e f g h i j",
+	}
+	for _, tau := range []float64{0.3, 0.5, 1.0} {
+		for name, lines := range map[string][]string{"thresholds": thresholds, "boundary": boundary, "stale": stale} {
+			t.Run(fmt.Sprintf("%s/tau=%g", name, tau), func(t *testing.T) {
+				diffLearn(t, NewStream(Options{Tau: tau}), &refLearner{tau: tau}, lines)
+				diffLearnRestore(t, tau, append(append([]string(nil), lines...), lines...))
+			})
+		}
+	}
+
+	t.Run("shadow", func(t *testing.T) {
+		blob, err := json.Marshal(spellState{Tau: DefaultTau, Templates: [][]string{
+			{"job", "*", "done", "in", "*", "ms"}, {"other", "event", "here"}, {"job", "*", "done", "in", "*", "ms"},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ref := NewStream(Options{}), &refLearner{tau: DefaultTau}
+		if err := s.Restore(blob); err != nil {
+			t.Fatal(err)
+		}
+		ref.Restore(blob)
+		if !reflect.DeepEqual(s.shadow, []int{2}) {
+			t.Fatalf("shadow = %v, want [2]", s.shadow)
+		}
+		m := s.matcher
+		diffLearn(t, s, ref, []string{
+			"job 7 done in 3 ms",    // trie → object 0, the earlier twin
+			"job 7 failed in 3 ms",  // object 0 generalises; object 2 must take over the old template
+			"job 8 done in 4 ms",    // exact edge before wildcard → object 2 now
+			"job 8 stalled in 4 ms", // → object 0
+			"job 9 done after 4 ms", // object 2 generalises, incrementally
+			"job 9 done after 1 ms", // → object 2
+		})
+		if len(s.shadow) != 0 {
+			t.Errorf("shadow = %v after the twins diverged, want none", s.shadow)
+		}
+		if s.matcher == m {
+			t.Error("merge of a template shared by two objects did not rebuild the accelerator")
+		}
+	})
 }
 
 func TestTelemetryInstrumentation(t *testing.T) {

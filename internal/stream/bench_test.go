@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"logparse/internal/core"
+	"logparse/internal/gen"
 	"logparse/internal/parsers/drain"
 	"logparse/internal/parsers/spell"
 	"logparse/internal/telemetry"
@@ -231,6 +233,49 @@ func BenchmarkDrainIngest(b *testing.B) {
 // learner on the hot path.
 func BenchmarkSpellIngest(b *testing.B) {
 	benchOnlineIngest(b, 20000, func() OnlineParser { return spell.NewStream(spell.Options{}) })
+}
+
+// BenchmarkSpellLearnFresh drives the bare Spell learner over fresh
+// generated Thunderbird lines — the stream bench/'s learn-spell workload
+// sends. BenchmarkSpellIngest above replays synthLines, whose few shapes the
+// accelerator trie absorbs after a handful of lines, so it measures the
+// engine around a learner that idles; here templates keep arriving and the
+// LCS slow path is what is timed. misses/line is the share of lines that
+// missed the trie (exactly the lines that changed the template set).
+func BenchmarkSpellLearnFresh(b *testing.B) {
+	const n = 100000
+	cat, err := gen.ByName("Thunderbird")
+	if err != nil {
+		b.Fatal(err)
+	}
+	msgs := cat.Generate(1, n)
+	lines := make([][]byte, n)
+	for i := range msgs {
+		lines[i] = []byte(msgs[i].Content)
+	}
+	var buf [][]byte
+	misses, templates := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := spell.NewStream(spell.Options{})
+		misses = 0
+		for _, l := range lines {
+			if buf = core.TokenizeBytes(l, buf); len(buf) == 0 {
+				continue
+			}
+			if _, changed := s.LearnBytes(buf); changed {
+				misses++
+			}
+		}
+		templates = s.NumTemplates()
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(n*b.N)/elapsed, "lines/sec")
+	}
+	b.ReportMetric(float64(misses)/n, "misses/line")
+	b.ReportMetric(float64(templates), "templates")
 }
 
 // BenchmarkStreamIngestTelemetry is BenchmarkStreamIngest's telemetry-on

@@ -547,7 +547,9 @@ func (e *Engine) produce(ctx context.Context, r *ring, startOffset int64, prodEr
 // extraction and tokenisation stay on it.data's bytes in the engine's
 // reusable token buffer, the trie walk compares byte slices in place, and
 // the matcher's build order equals e.templates order so the returned index
-// addresses e.counts directly. Strings are materialised only on the
+// addresses e.counts directly (the engine only ever builds the matcher with
+// match.New and never calls Matcher.Remove, which retires indices; pinned by
+// TestMatcherBuildOrderIsTemplateOrder). Strings are materialised only on the
 // unmatched slow path, where the line outlives the arena in the retrain
 // buffer. The return value reports whether a periodic checkpoint is due —
 // the consumer writes it after the AfterLine hook and the cancellation

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -225,6 +226,35 @@ func TestEngineInitialTemplatesMatcherOnly(t *testing.T) {
 	_, counts := e.Result()
 	if len(counts) != 1 || counts[0] != 3 {
 		t.Fatalf("counts = %v, want [3]", counts)
+	}
+}
+
+// TestMatcherBuildOrderIsTemplateOrder pins what process relies on to index
+// e.counts with a matcher index: after any number of retrains the matcher's
+// live templates are exactly e.templates, in order, with no retired slot —
+// which holds because the engine rebuilds with match.New and never calls
+// Matcher.Remove.
+func TestMatcherBuildOrderIsTemplateOrder(t *testing.T) {
+	cfg := testConfig(t, synthLines(600, 5))
+	cfg.RetrainBatch = 4
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().Retrains < 2 {
+		t.Fatalf("want several retrains, got %+v", e.Stats())
+	}
+	got := e.matcher.Templates()
+	if len(got) != len(e.templates) {
+		t.Fatalf("matcher lists %d live templates, engine holds %d", len(got), len(e.templates))
+	}
+	for i, tm := range e.templates {
+		if idx, ok := e.matcher.MatchIndex(tm.Tokens); !ok || idx != i || !reflect.DeepEqual(got[i], tm) {
+			t.Errorf("template %d %q: matcher index %d (%v), listed as %q", i, tm.Tokens, idx, ok, got[i].Tokens)
+		}
 	}
 }
 

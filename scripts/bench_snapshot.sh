@@ -24,8 +24,8 @@ commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-echo "==> go test -bench 'BenchmarkStream(Ingest|PushBatch)|Benchmark(Drain|Spell)Ingest' ./internal/stream (benchtime $BENCHTIME)"
-go test -run '^$' -bench '^BenchmarkStreamIngest$|^BenchmarkStreamIngestTelemetry$|^BenchmarkStreamIngestEventStore$|^BenchmarkStreamPushBatch$|^BenchmarkStreamPushBatchWAL$|^BenchmarkDrainIngest$|^BenchmarkSpellIngest$' \
+echo "==> go test -bench 'BenchmarkStream(Ingest|PushBatch)|Benchmark(Drain|Spell)Ingest|BenchmarkSpellLearnFresh' ./internal/stream (benchtime $BENCHTIME)"
+go test -run '^$' -bench '^BenchmarkStreamIngest$|^BenchmarkStreamIngestTelemetry$|^BenchmarkStreamIngestEventStore$|^BenchmarkStreamPushBatch$|^BenchmarkStreamPushBatchWAL$|^BenchmarkDrainIngest$|^BenchmarkSpellIngest$|^BenchmarkSpellLearnFresh$' \
 	-benchtime "$BENCHTIME" ./internal/stream | tee "$work/bench.txt"
 
 echo "==> go test -bench BenchmarkServerLoopback ./internal/server (benchtime $BENCHTIME)"

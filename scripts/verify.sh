@@ -76,13 +76,19 @@ go run ./cmd/conformgen -check >/dev/null
 
 # Short fuzz smoke over every native fuzz target: replays the committed
 # corpora plus 5 seconds of fresh coverage-guided inputs each. A failure
-# writes the crasher to internal/conform/testdata/fuzz/<target>/.
+# writes the crasher to the package's testdata/fuzz/<target>/.
 for target in FuzzTokenize FuzzTokenizeBytesEquivalence FuzzReadMessages FuzzHeaderDetect \
 	FuzzParseSmallSLCT FuzzParseSmallIPLoM FuzzParseSmallLKE FuzzParseSmallLogSig \
-	FuzzDrainInsert FuzzSpellLCS; do
+	FuzzDrainInsert; do
 	echo "==> go test -fuzz=$target -fuzztime=5s ./internal/conform"
 	go test ./internal/conform -run '^$' -fuzz "^${target}\$" -fuzztime=5s >/dev/null
 done
+for target in FuzzSpellLCS FuzzSpellLearnEquivalence; do
+	echo "==> go test -fuzz=$target -fuzztime=5s ./internal/parsers/spell"
+	go test ./internal/parsers/spell -run '^$' -fuzz "^${target}\$" -fuzztime=5s >/dev/null
+done
+echo "==> go test -fuzz=FuzzMatchRemove -fuzztime=5s ./internal/match"
+go test ./internal/match -run '^$' -fuzz '^FuzzMatchRemove$' -fuzztime=5s >/dev/null
 echo "==> go test -fuzz=FuzzWALDecode -fuzztime=5s ./internal/stream/wal"
 go test ./internal/stream/wal -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime=5s >/dev/null
 echo "==> go test -fuzz=FuzzBlockDecode -fuzztime=5s ./internal/eventstore"
