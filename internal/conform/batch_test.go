@@ -11,7 +11,7 @@ import (
 
 // The batched ingest path joins the conformance matrix here: pushing a
 // dataset through Engine.PushBatch must be observationally equivalent to
-// pushing it line at a time through Push and to tailing it in file mode
+// pushing it in one-line batches and to tailing it in file mode
 // through Run — same canonical stream digest, same re-applied batch parse
 // digest, same counters. Batching is an admission optimisation; the moment
 // it moves a digest it has changed what the engine computes.
@@ -68,34 +68,29 @@ func TestBatchPushMatchesSingleLineAndFileMode(t *testing.T) {
 			wantStream := fileMode.Digest()
 			wantBatch := batchDigest(t, fileMode, msgs)
 
-			single := serveAndIngest(t, pushCfg(t.TempDir()), func(e *stream.Engine) {
-				for _, line := range lines {
-					if _, err := e.Push([]string{line}); err != nil {
-						t.Fatalf("Push: %v", err)
+			byteLines := make([][]byte, len(lines))
+			for i, l := range lines {
+				byteLines[i] = []byte(l)
+			}
+			// pushIn returns an ingest callback pushing the dataset in
+			// batches of at most size lines.
+			pushIn := func(size int) func(e *stream.Engine) {
+				return func(e *stream.Engine) {
+					for rest := byteLines; len(rest) > 0; {
+						n := min(size, len(rest))
+						if _, err := e.PushBatch(context.Background(), rest[:n]); err != nil {
+							t.Fatalf("PushBatch: %v", err)
+						}
+						rest = rest[n:]
 					}
 				}
-			})
+			}
+			single := serveAndIngest(t, pushCfg(t.TempDir()), pushIn(1))
+			// A ragged batch size so batch boundaries land everywhere
+			// relative to the engine's internal admission batching.
+			batched := serveAndIngest(t, pushCfg(t.TempDir()), pushIn(997))
 
-			batched := serveAndIngest(t, pushCfg(t.TempDir()), func(e *stream.Engine) {
-				// Ragged batch sizes so batch boundaries land everywhere
-				// relative to the engine's internal admission batching.
-				byteLines := make([][]byte, len(lines))
-				for i, l := range lines {
-					byteLines[i] = []byte(l)
-				}
-				for len(byteLines) > 0 {
-					n := 997
-					if n > len(byteLines) {
-						n = len(byteLines)
-					}
-					if _, err := e.PushBatch(context.Background(), byteLines[:n]); err != nil {
-						t.Fatalf("PushBatch: %v", err)
-					}
-					byteLines = byteLines[n:]
-				}
-			})
-
-			for name, e := range map[string]*stream.Engine{"single-line Push": single, "PushBatch": batched} {
+			for name, e := range map[string]*stream.Engine{"one-line batches": single, "ragged batches": batched} {
 				if got := e.Digest(); got != wantStream {
 					t.Errorf("%s stream digest = %s, want file-mode %s", name, got, wantStream)
 				}

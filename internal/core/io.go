@@ -128,7 +128,7 @@ func ReadMessagesOpts(r io.Reader, opts ReadOptions) ([]LogMessage, ReadStats, e
 		if opts.MaxLines > 0 && len(msgs) >= opts.MaxLines {
 			break
 		}
-		raw, oversized, rerr := ReadLine(br, opts.MaxLineBytes)
+		raw, oversized, rerr := ReadLineInto(br, nil, opts.MaxLineBytes)
 		if rerr != nil && !errors.Is(rerr, io.EOF) {
 			return nil, stats, fmt.Errorf("core: read messages: %w", rerr)
 		}
@@ -221,74 +221,64 @@ func fillMessage(msg *LogMessage, line string, opts ReadOptions, lineNo int, sta
 
 // validAnnotationField reports whether a tab-separated prefix field looks
 // like a real annotation: space-free and short.
-func validAnnotationField(f string) bool {
-	return len(f) <= maxAnnotationField && !strings.ContainsAny(f, " ")
+func validAnnotationField[T string | []byte](f T) bool {
+	return len(f) <= maxAnnotationField && indexByte(f, ' ') < 0
 }
 
-// ContentOf extracts the message content of one line under the FormatAuto
-// rule: a line splitting into three tab-separated fields whose first two
-// look like an annotation yields its third field; any other line is pure
-// content. It is the line-at-a-time counterpart of ReadMessagesOpts used by
-// streaming consumers (slct.ParseStream, the ingestion engine) that never
-// materialise a LogMessage.
-func ContentOf(line string) string {
-	parts := strings.SplitN(line, "\t", 3)
-	if len(parts) == 3 && validAnnotationField(parts[0]) && validAnnotationField(parts[1]) {
-		return parts[2]
+// indexByte is strings.IndexByte / bytes.IndexByte over either form of a
+// line. The assertion is decided per instantiation, so both forms keep the
+// standard library's vectorised scan and neither allocates.
+func indexByte[T string | []byte](s T, c byte) int {
+	if b, ok := any(s).([]byte); ok {
+		return bytes.IndexByte(b, c)
 	}
-	return line
+	return strings.IndexByte(string(s), c)
 }
 
-// ContentOfBytes is ContentOf without the string materialisation: the
-// returned content is a subslice of line (no copy, no allocation), decided
-// under exactly the FormatAuto rule. It is the streaming hot path's
-// counterpart; agreement with ContentOf is pinned by
-// FuzzTokenizeBytesEquivalence.
-func ContentOfBytes(line []byte) []byte {
-	t1 := bytes.IndexByte(line, '\t')
+// ContentOf extracts the message content of one line, held as a string or
+// as bytes, under the FormatAuto rule: a line splitting into three
+// tab-separated fields whose first two look like an annotation yields its
+// third field; any other line is pure content. It is the line-at-a-time
+// counterpart of ReadMessagesOpts used by streaming consumers
+// (slct.ParseStream, the ingestion engine) that never materialise a
+// LogMessage. The result is a subslice of line: no copy, no allocation.
+func ContentOf[T string | []byte](line T) T {
+	t1 := indexByte(line, '\t')
 	if t1 < 0 {
 		return line
 	}
 	rest := line[t1+1:]
-	t2 := bytes.IndexByte(rest, '\t')
+	t2 := indexByte(rest, '\t')
 	if t2 < 0 {
 		return line
 	}
-	if validAnnotationFieldBytes(line[:t1]) && validAnnotationFieldBytes(rest[:t2]) {
+	if validAnnotationField(line[:t1]) && validAnnotationField(rest[:t2]) {
 		return rest[t2+1:]
 	}
 	return line
 }
 
-// validAnnotationFieldBytes mirrors validAnnotationField on a byte slice.
-func validAnnotationFieldBytes(f []byte) bool {
-	return len(f) <= maxAnnotationField && bytes.IndexByte(f, ' ') < 0
-}
+// ContentOfBytes is ContentOf instantiated for the streaming hot path's
+// byte lines.
+func ContentOfBytes(line []byte) []byte { return ContentOf(line) }
 
-// ReadLine reads one newline-terminated line of at most max content bytes,
-// accumulating across internal buffer refills. When the line is longer, the
-// first max bytes are returned with oversized=true and the remainder is
-// discarded up to the newline — the reader stays positioned at the next
-// line, unlike bufio.Scanner which aborts the whole stream with ErrTooLong.
-// The returned error is io.EOF exactly at end of input (possibly alongside
-// a final unterminated line). It is shared between ReadMessagesOpts and the
-// streaming ingestion engine, which must tolerate the same line pathologies
-// without materialising the whole input.
+// ReadLineInto reads one newline-terminated line of at most max content
+// bytes, accumulating across internal buffer refills. When the line is
+// longer, the first max bytes are returned with oversized=true and the
+// remainder is discarded up to the newline — the reader stays positioned at
+// the next line, unlike bufio.Scanner which aborts the whole stream with
+// ErrTooLong. The returned error is io.EOF exactly at end of input (possibly
+// alongside a final unterminated line). It is shared between
+// ReadMessagesOpts and the streaming ingestion engine, which must tolerate
+// the same line pathologies without materialising the whole input.
 //
-// The returned slice may alias the reader's internal buffer and is valid
-// only until the next read from br — callers that keep the line must copy
-// it first (every caller in the toolkit materialises or arena-copies the
-// line before reading the next one).
-func ReadLine(br *bufio.Reader, max int) (line []byte, oversized bool, err error) {
-	return ReadLineInto(br, nil, max)
-}
-
-// ReadLineInto is ReadLine with an explicit scratch buffer: the common case
-// — a line that fits the reader's internal buffer — is returned as a direct
-// view into that buffer with zero copies and zero allocations, and only a
-// line spanning buffer refills is accumulated into scratch's backing array
-// (growing it when needed). Same aliasing contract as ReadLine: the result
-// is invalidated by the next read.
+// The common case — a line that fits the reader's internal buffer — is
+// returned as a direct view into that buffer with zero copies and zero
+// allocations; only a line spanning buffer refills is accumulated into
+// scratch's backing array (growing it when needed; nil is fine). Either way
+// the returned slice is valid only until the next read from br — callers
+// that keep the line must copy it first (every caller in the toolkit
+// materialises or arena-copies the line before reading the next one).
 func ReadLineInto(br *bufio.Reader, scratch []byte, max int) (line []byte, oversized bool, err error) {
 	frag, ferr := br.ReadSlice('\n')
 	if !errors.Is(ferr, bufio.ErrBufferFull) {

@@ -231,87 +231,46 @@ func (m *Matcher) Templates() []core.Template {
 // "a *" maps to "a b"), matching the intuition that constants carry the
 // event identity.
 func (m *Matcher) Match(tokens []string) (core.Template, error) {
-	root := m.root[len(tokens)]
-	if root == nil {
-		return core.Template{}, fmt.Errorf("%w: no template of length %d", ErrNoMatch, len(tokens))
+	idx, ok := lookup(m, tokens)
+	if !ok {
+		return core.Template{}, ErrNoMatch
 	}
-	if idx := matchFrom(root, tokens); idx >= 0 {
-		return m.templates[idx], nil
-	}
-	return core.Template{}, ErrNoMatch
-}
-
-// matchFrom walks the trie with backtracking (exact edge first, then
-// wildcard). Nodes without a wildcard edge need no backtrack frame, so the
-// walk advances iteratively there and only recurses where a choice point
-// exists. The trie is deduplicated, so backtracking touches each node at
-// most once per position in the worst case.
-func matchFrom(n *node, tokens []string) int {
-	for len(tokens) > 0 {
-		var child *node
-		if n.soleChild != nil {
-			if tokens[0] == n.soleKey {
-				child = n.soleChild
-			}
-		} else if c, ok := n.children[tokens[0]]; ok {
-			child = c
-		}
-		if n.wildcard == nil {
-			if child == nil {
-				return -1
-			}
-			n = child
-			tokens = tokens[1:]
-			continue
-		}
-		if child != nil {
-			if idx := matchFrom(child, tokens[1:]); idx >= 0 {
-				return idx
-			}
-		}
-		n = n.wildcard
-		tokens = tokens[1:]
-	}
-	return n.template
+	return m.templates[idx], nil
 }
 
 // MatchIndex is Match returning the template's build-order index instead of
 // the template itself, for callers that keep per-template state in a slice
 // parallel to Templates() and must not allocate on the hot path.
-func (m *Matcher) MatchIndex(tokens []string) (int, bool) {
+func (m *Matcher) MatchIndex(tokens []string) (int, bool) { return lookup(m, tokens) }
+
+// MatchBytes is MatchIndex over byte-slice tokens (core.TokenizeBytes
+// output) without materialising strings — the streaming hot path, pinned
+// allocation-free by TestMatchBytesZeroAllocs. ok=false means no template
+// covers the sequence (the caller's slow path may then materialise strings
+// for the retrain buffer).
+func (m *Matcher) MatchBytes(tokens [][]byte) (int, bool) { return lookup(m, tokens) }
+
+// lookup finds the build-order index of the template covering tokens:
+// templates only match lines of their own length, so it picks the length's
+// trie and walks it.
+func lookup[T ~string | ~[]byte](m *Matcher, tokens []T) (int, bool) {
 	root := m.root[len(tokens)]
 	if root == nil {
 		return -1, false
 	}
-	if idx := matchFrom(root, tokens); idx >= 0 {
-		return idx, true
-	}
-	return -1, false
+	idx := matchFrom(root, tokens)
+	return idx, idx >= 0
 }
 
-// MatchBytes walks the trie over byte-slice tokens (core.TokenizeBytes
-// output) without materialising strings: the map lookup
-// children[string(tok)] compiles to a zero-allocation key conversion. The
-// walk, backtracking, and exact-over-wildcard tie-break are identical to
-// Match — a message matching both "a b" and "a *" maps to "a b" on both
-// paths. Returns the template's build-order index, or ok=false when no
-// template covers the sequence (the caller's slow path may then materialise
-// strings for the retrain buffer).
-func (m *Matcher) MatchBytes(tokens [][]byte) (int, bool) {
-	root := m.root[len(tokens)]
-	if root == nil {
-		return -1, false
-	}
-	if idx := matchBytesFrom(root, tokens); idx >= 0 {
-		return idx, true
-	}
-	return -1, false
-}
-
-// matchBytesFrom mirrors matchFrom over byte-slice tokens. Both the
-// soleKey comparison and the map lookup convert the token in place — the
-// compiler elides the []byte→string allocation for both forms.
-func matchBytesFrom(n *node, tokens [][]byte) int {
+// matchFrom is the one trie walk, over string or byte-slice tokens alike.
+// It backtracks (exact edge first, then wildcard). Nodes without a wildcard
+// edge need no backtrack frame, so the walk advances iteratively there and
+// only recurses where a choice point exists. The trie is deduplicated, so
+// backtracking touches each node at most once per position in the worst
+// case. On byte tokens both the soleKey comparison and the map lookup
+// convert the token in place — the compiler elides the []byte→string
+// allocation for both forms.
+func matchFrom[T ~string | ~[]byte](n *node, tokens []T) int {
 	for len(tokens) > 0 {
 		var child *node
 		if n.soleChild != nil {
@@ -330,7 +289,7 @@ func matchBytesFrom(n *node, tokens [][]byte) int {
 			continue
 		}
 		if child != nil {
-			if idx := matchBytesFrom(child, tokens[1:]); idx >= 0 {
+			if idx := matchFrom(child, tokens[1:]); idx >= 0 {
 				return idx
 			}
 		}

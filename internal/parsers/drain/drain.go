@@ -106,19 +106,10 @@ func (s *StreamParser) Name() string { return "Drain" }
 // NumTemplates reports the number of groups learned so far.
 func (s *StreamParser) NumTemplates() int { return len(s.tmpls) }
 
-// hasDigitsBytes reports whether the token contains an ASCII digit — the
+// hasDigits reports whether the token contains an ASCII digit — the
 // paper's heuristic for "probably a variable", routed through the wildcard
 // edge so parameters do not explode the tree fan-out.
-func hasDigitsBytes(tok []byte) bool {
-	for _, c := range tok {
-		if c >= '0' && c <= '9' {
-			return true
-		}
-	}
-	return false
-}
-
-func hasDigits(tok string) bool {
+func hasDigits[T ~string | ~[]byte](tok T) bool {
 	for i := 0; i < len(tok); i++ {
 		if c := tok[i]; c >= '0' && c <= '9' {
 			return true
@@ -148,7 +139,7 @@ func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 	for i := 0; i < levels; i++ {
 		tok := tokens[i]
 		key := core.Wildcard
-		if !hasDigitsBytes(tok) {
+		if !hasDigits(tok) {
 			if child, ok := cur.children[string(tok)]; ok {
 				cur = child
 				continue

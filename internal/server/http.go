@@ -67,14 +67,29 @@ type errorResponse struct {
 	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
 }
 
+// requestTenant extracts a request's tenant id — ?tenant= first, then the
+// X-Tenant header — and validates its shape. On failure it has already
+// written the 400 and reports ok=false.
+func requestTenant(w http.ResponseWriter, r *http.Request) (id string, ok bool) {
+	id = r.URL.Query().Get("tenant")
+	if id == "" {
+		id = r.Header.Get("X-Tenant")
+	}
+	if id == "" {
+		writeErr(w, http.StatusBadRequest, 0, "missing tenant (query ?tenant= or X-Tenant header)")
+		return "", false
+	}
+	if !tenantIDRe.MatchString(id) {
+		writeErr(w, http.StatusBadRequest, 0, (&TenantIDError{ID: id}).Error())
+		return "", false
+	}
+	return id, true
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.tm.requests.Inc()
-	tenantID := r.URL.Query().Get("tenant")
-	if tenantID == "" {
-		tenantID = r.Header.Get("X-Tenant")
-	}
-	if tenantID == "" {
-		writeErr(w, http.StatusBadRequest, 0, "missing tenant (query ?tenant= or X-Tenant header)")
+	tenantID, ok := requestTenant(w, r)
+	if !ok {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -117,7 +132,6 @@ func splitBatchLines(body []byte) [][]byte {
 // backpressure signal.
 func writeIngestErr(w http.ResponseWriter, err error) {
 	var qe *QuotaError
-	var tie *TenantIDError
 	var de *stream.DurableError
 	switch {
 	case errors.As(err, &de):
@@ -133,8 +147,6 @@ func writeIngestErr(w http.ResponseWriter, err error) {
 			return
 		}
 		writeErr(w, http.StatusTooManyRequests, retrySeconds(qe.RetryAfter), qe.Error())
-	case errors.As(err, &tie):
-		writeErr(w, http.StatusBadRequest, 0, tie.Error())
 	case errors.Is(err, ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, 1, err.Error())
 	case errors.Is(err, ErrTooManyTenants):

@@ -59,16 +59,8 @@ type queryResponse struct {
 // Each request opens a fresh reader, so finalized blocks — including
 // those of live, actively writing tenants — are immediately visible.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	tenantID := r.URL.Query().Get("tenant")
-	if tenantID == "" {
-		tenantID = r.Header.Get("X-Tenant")
-	}
-	if tenantID == "" {
-		writeErr(w, http.StatusBadRequest, 0, "missing tenant (query ?tenant= or X-Tenant header)")
-		return
-	}
-	if !tenantIDRe.MatchString(tenantID) {
-		writeErr(w, http.StatusBadRequest, 0, (&TenantIDError{ID: tenantID}).Error())
+	tenantID, ok := requestTenant(w, r)
+	if !ok {
 		return
 	}
 	dir := s.eventsDir(tenantID)

@@ -176,7 +176,7 @@ func (e *QuotaError) Error() string {
 var tenantIDRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // Server is the sharded multi-tenant ingestion service. Build one with
-// New, expose Handler over HTTP (or call Ingest directly), and end it with
+// New, expose Handler over HTTP (or call IngestBatch directly), and end it with
 // Shutdown (graceful: drain + checkpoint everything) or Kill (the crash
 // model: nothing after the last checkpoints survives).
 type Server struct {
@@ -253,33 +253,18 @@ func (s *Server) shardFor(id string) *shard {
 	return s.shards[int(h.Sum32()%uint32(len(s.shards)))]
 }
 
-// Ingest pushes one batch of lines for a tenant, creating its engine on
-// first contact. The returned PushResult accounts for every line:
-// admitted, replay-skipped, or shed. Errors are the typed ingest failures
-// above, a stream.ErrNotServing (engine restarting after a panic — retry),
-// or a tenant's terminal serve error.
-func (s *Server) Ingest(tenantID string, lines []string) (stream.PushResult, error) {
-	return s.ingest(tenantID, countNonEmpty(lines), func(t *tenant) (stream.PushResult, error) {
-		return t.push(lines)
-	})
-}
-
-// IngestBatch is Ingest over raw line bytes — the zero-copy path behind the
-// newline-delimited HTTP batch body. Draining, quota, and accounting are
-// identical to Ingest; the lines reach the tenant's engine via
-// stream.Engine.PushBatch, which copies them into pooled arenas at
+// IngestBatch pushes one batch of raw line bytes for a tenant — the path
+// behind the newline-delimited HTTP batch body — creating the tenant's
+// engine on first contact. The flow is: draining check, tenant resolution,
+// quota charge for the lines that advance the numbering, then
+// stream.Engine.PushBatch (which copies the lines into pooled arenas at
 // admission, so the caller may reuse the backing buffer once IngestBatch
-// returns. ctx bounds admission entry only (see PushBatch).
+// returns) and the fleet-level accounting of its result. The returned
+// PushResult accounts for every line: admitted, replay-skipped, or shed.
+// Errors are the typed ingest failures above, a stream.ErrNotServing
+// (engine restarting after a panic — retry), or a tenant's terminal serve
+// error. ctx bounds admission entry only (see PushBatch).
 func (s *Server) IngestBatch(ctx context.Context, tenantID string, lines [][]byte) (stream.PushResult, error) {
-	return s.ingest(tenantID, countNonEmptyBytes(lines), func(t *tenant) (stream.PushResult, error) {
-		return t.pushBatch(ctx, lines)
-	})
-}
-
-// ingest is the shared admission flow: draining check, tenant resolution,
-// quota charge for the n numbering-advancing lines, then the push and the
-// fleet-level accounting of its result.
-func (s *Server) ingest(tenantID string, n int, push func(*tenant) (stream.PushResult, error)) (stream.PushResult, error) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
@@ -290,6 +275,7 @@ func (s *Server) ingest(tenantID string, n int, push func(*tenant) (stream.PushR
 	if err != nil {
 		return stream.PushResult{}, err
 	}
+	n := countNonEmpty(lines)
 	if ok, retry, permanent := t.quota.take(n); !ok {
 		t.mu.Lock()
 		t.quotaRejected += int64(n)
@@ -298,7 +284,7 @@ func (s *Server) ingest(tenantID string, n int, push func(*tenant) (stream.PushR
 		s.tm.quotaRejected.Add(uint64(n))
 		return stream.PushResult{}, &QuotaError{RetryAfter: retry, Rejected: n, Permanent: permanent}
 	}
-	res, err := push(t)
+	res, err := t.pushBatch(ctx, lines)
 	s.accepted.Add(int64(res.Accepted))
 	s.skipped.Add(int64(res.Skipped))
 	s.shed.Add(int64(res.Shed))
@@ -310,18 +296,7 @@ func (s *Server) ingest(tenantID string, n int, push func(*tenant) (stream.PushR
 
 // countNonEmpty counts the lines that will advance the tenant's stream
 // numbering — the quota charges for real lines, not blank separators.
-func countNonEmpty(lines []string) int {
-	n := 0
-	for _, l := range lines {
-		if len(l) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// countNonEmptyBytes is countNonEmpty for the byte-batch path.
-func countNonEmptyBytes(lines [][]byte) int {
+func countNonEmpty(lines [][]byte) int {
 	n := 0
 	for _, l := range lines {
 		if len(l) > 0 {

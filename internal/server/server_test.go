@@ -96,6 +96,16 @@ func testConfig(root string) Config {
 	}
 }
 
+// ingest submits string lines through IngestBatch, the server's one ingest
+// entry point.
+func ingest(s *Server, tenant string, lines []string) (stream.PushResult, error) {
+	batch := make([][]byte, len(lines))
+	for i, l := range lines {
+		batch[i] = []byte(l)
+	}
+	return s.IngestBatch(context.Background(), tenant, batch)
+}
+
 // ingestAll pushes a tenant's lines in batches, failing the test on any
 // error.
 func ingestAll(tb testing.TB, s *Server, tenant string, lines []string, batch int) stream.PushResult {
@@ -106,7 +116,7 @@ func ingestAll(tb testing.TB, s *Server, tenant string, lines []string, batch in
 		if end > len(lines) {
 			end = len(lines)
 		}
-		res, err := s.Ingest(tenant, lines[i:end])
+		res, err := ingest(s, tenant, lines[i:end])
 		if err != nil {
 			tb.Fatalf("ingest %s batch at %d: %v", tenant, i, err)
 		}
@@ -244,7 +254,7 @@ func TestWholeFleetKillAndRecover(t *testing.T) {
 		go func(id string, lines []string) {
 			defer wg.Done()
 			for i := 0; i < len(lines); i += 100 {
-				if _, err := s.Ingest(id, lines[i:i+100]); err != nil {
+				if _, err := ingest(s, id, lines[i:i+100]); err != nil {
 					return // the fleet died under us, as intended
 				}
 			}
@@ -337,11 +347,16 @@ func TestPanicIsolationRestartsOnlyThatTenant(t *testing.T) {
 	}
 
 	ingestAll(t, s, "calm", calm, 250)
-	// First pass: every batch is admitted, then the consumer panics at
-	// line 600 and takes the un-checkpointed tail of the ring with it.
+	// First pass: batches are admitted until the consumer panics at line
+	// 600 and takes the un-checkpointed tail of the ring with it. Stop at
+	// the first refusal — a later batch reaching the rebuilt incarnation
+	// would be numbered as the start of the stream.
 	for i := 0; i < len(boom); i += 250 {
-		if _, err := s.Ingest("boom", boom[i:i+250]); err != nil && !errors.Is(err, stream.ErrNotServing) {
-			t.Fatalf("boom ingest: %v", err)
+		if _, err := ingest(s, "boom", boom[i:i+250]); err != nil {
+			if !errors.Is(err, stream.ErrNotServing) {
+				t.Fatalf("boom ingest: %v", err)
+			}
+			break
 		}
 	}
 	// Wait for the supervisor to absorb the panic and restart the engine.
@@ -428,13 +443,13 @@ func TestNoisyTenantFairness(t *testing.T) {
 
 	// The flooder burns its burst, then hammers; every batch past the
 	// bucket must come back as a whole-batch quota rejection.
-	if _, err := s.Ingest("flooder", flood[:500]); err != nil {
+	if _, err := ingest(s, "flooder", flood[:500]); err != nil {
 		t.Fatalf("flooder burst ingest: %v", err)
 	}
 	rejected := 0
 	var lastQE *QuotaError
 	for i := 500; i+250 <= len(flood); i += 250 {
-		_, err := s.Ingest("flooder", flood[i:i+250])
+		_, err := ingest(s, "flooder", flood[i:i+250])
 		var qe *QuotaError
 		if errors.As(err, &qe) {
 			rejected++
@@ -457,7 +472,7 @@ func TestNoisyTenantFairness(t *testing.T) {
 	for wave := 0; wave < 2; wave++ {
 		for _, id := range victims {
 			from := wave * 200
-			if _, err := s.Ingest(id, victimLines[id][from:from+200]); err != nil {
+			if _, err := ingest(s, id, victimLines[id][from:from+200]); err != nil {
 				t.Fatalf("victim %s wave %d: %v", id, wave, err)
 			}
 			// Drain between waves so a slow consumer can never make the
@@ -491,7 +506,7 @@ func TestNoisyTenantFairness(t *testing.T) {
 
 	// After enough refill time the flooder is welcome again.
 	clk.Advance(10 * time.Second)
-	if _, err := s.Ingest("flooder", flood[500:600]); err != nil {
+	if _, err := ingest(s, "flooder", flood[500:600]); err != nil {
 		t.Fatalf("flooder after refill: %v", err)
 	}
 	s.Kill()
@@ -523,7 +538,7 @@ func TestGracefulShutdownDrainsAndCheckpoints(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown = %v", err)
 	}
-	if _, err := s.Ingest("alpha", []string{"late line"}); !errors.Is(err, ErrDraining) {
+	if _, err := ingest(s, "alpha", []string{"late line"}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("ingest after Shutdown = %v, want ErrDraining", err)
 	}
 	drained := make(map[string]TenantStats)
@@ -633,17 +648,17 @@ func TestTenantValidation(t *testing.T) {
 	defer s.Kill()
 	for _, bad := range []string{"", "../evil", ".hidden", "a/b", "white space", strings.Repeat("x", 65)} {
 		var tie *TenantIDError
-		if _, err := s.Ingest(bad, []string{"x 1"}); !errors.As(err, &tie) {
+		if _, err := ingest(s, bad, []string{"x 1"}); !errors.As(err, &tie) {
 			t.Fatalf("Ingest(%q) = %v, want TenantIDError", bad, err)
 		}
 	}
-	if _, err := s.Ingest("t-1", []string{"x 1"}); err != nil {
+	if _, err := ingest(s, "t-1", []string{"x 1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest("t-2", []string{"x 1"}); err != nil {
+	if _, err := ingest(s, "t-2", []string{"x 1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest("t-3", []string{"x 1"}); !errors.Is(err, ErrTooManyTenants) {
+	if _, err := ingest(s, "t-3", []string{"x 1"}); !errors.Is(err, ErrTooManyTenants) {
 		t.Fatalf("tenant over cap = %v, want ErrTooManyTenants", err)
 	}
 	if _, err := s.TenantStats("never-seen"); !errors.Is(err, ErrUnknownTenant) {
@@ -682,7 +697,7 @@ func TestOnlineModeFleet(t *testing.T) {
 	ingestAll(t, s, "beta", lines, 300)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := s.Ingest("badfactory", []string{"x"}); err == nil {
+	if _, err := ingest(s, "badfactory", []string{"x"}); err == nil {
 		t.Error("failing NewOnline factory did not fail ingest")
 	}
 	if err := s.Shutdown(ctx); err != nil {

@@ -156,18 +156,6 @@ func (t *tenant) serveOnce(ctx context.Context, eng *stream.Engine) (pv any, err
 	return nil, eng.Serve(ctx)
 }
 
-// push forwards a batch to the tenant's current engine incarnation.
-func (t *tenant) push(lines []string) (stream.PushResult, error) {
-	t.mu.Lock()
-	eng := t.eng
-	terr := t.err
-	t.mu.Unlock()
-	if terr != nil {
-		return stream.PushResult{}, terr
-	}
-	return eng.Push(lines)
-}
-
 // pushBatch forwards a byte batch to the tenant's current engine
 // incarnation.
 func (t *tenant) pushBatch(ctx context.Context, lines [][]byte) (stream.PushResult, error) {

@@ -51,7 +51,7 @@ func TestWALServerKillRecoversAckedWithoutReplay(t *testing.T) {
 		go func(id string, lines []string) {
 			defer wg.Done()
 			for i := 0; i < len(lines); i += 100 {
-				if _, err := s.Ingest(id, lines[i:i+100]); err != nil {
+				if _, err := ingest(s, id, lines[i:i+100]); err != nil {
 					return // the fleet died under us, as intended
 				}
 				ackedMu.Lock()
@@ -162,10 +162,14 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 			return
 		}
 		sc.WALSeam.Hook = func(point string) error {
-			// Fire exactly once, between the 5th batch's WAL appends and
-			// its ring admission; the rebuilt incarnation (same closure,
-			// same counter) stays healthy.
-			if point == "push" && pushes.Add(1) == 5 && fired.CompareAndSwap(false, true) {
+			// Fire exactly once, at the victim's second admission flush:
+			// lines 1–64 are in the ring, 65–100 in the WAL but not yet
+			// admitted. It must land inside the first client batch —
+			// the retry loop below resends only the failed batch, which
+			// is a replay from the start of the stream only there. The
+			// rebuilt incarnation (same closure, same counter) stays
+			// healthy.
+			if point == "push" && pushes.Add(1) == 2 && fired.CompareAndSwap(false, true) {
 				return errors.New("wal_test: injected wal failure")
 			}
 			return nil
@@ -181,7 +185,7 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 		for i := 0; i < len(lines); i += 100 {
 			batch := lines[i : i+100]
 			for attempt := 0; ; attempt++ {
-				_, err := s.Ingest(id, batch)
+				_, err := ingest(s, id, batch)
 				if err == nil {
 					break
 				}
@@ -253,7 +257,7 @@ func TestWALFailureCapGoesTerminal(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	var st TenantStats
 	for {
-		_, lastErr := s.Ingest("doomed", lines)
+		_, lastErr := ingest(s, "doomed", lines)
 		var serr error
 		if st, serr = s.TenantStats("doomed"); serr == nil && st.Error != "" {
 			break // the tenant went terminal

@@ -40,8 +40,7 @@ func (a *arena) release() {
 
 // lineWriter copies admitted lines into pooled arenas, handing each caller
 // a stable subslice plus the arena that owns it. Not safe for concurrent
-// use — each producer (the file tailer, the push path under pushMu) owns
-// its own writer.
+// use — each admitter owns its own writer.
 type lineWriter struct {
 	cur *arena
 }
@@ -63,19 +62,6 @@ func (w *lineWriter) grab(n int) *arena {
 func (w *lineWriter) add(line []byte) ([]byte, *arena) {
 	if len(line) > arenaSize/2 {
 		return append([]byte(nil), line...), nil
-	}
-	a := w.grab(len(line))
-	start := len(a.buf)
-	a.buf = append(a.buf, line...)
-	a.refs.Add(1)
-	return a.buf[start:len(a.buf):len(a.buf)], a
-}
-
-// addString is add for callers holding the line as a string (the legacy
-// Push path); the copy into the arena is the only one made.
-func (w *lineWriter) addString(line string) ([]byte, *arena) {
-	if len(line) > arenaSize/2 {
-		return []byte(line), nil
 	}
 	a := w.grab(len(line))
 	start := len(a.buf)

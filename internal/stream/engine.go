@@ -81,14 +81,14 @@ type Engine struct {
 	eventsAppended int64 // events appended this process
 	eventsErr      error // the store failure that ended the incarnation
 
-	// Push-mode admission state (Serve/Push). pushMu is separate from mu
-	// because pushWait can block while the consumer needs mu to process.
-	pushMu    sync.Mutex
-	pushRing  *ring
-	pushSeq   int64 // lines submitted to this incarnation, in push order
-	pushSkip  int64 // lines at or below this offset are replay duplicates
-	pushLW    lineWriter
-	pushItems []item // PushBatch's reusable admission batch
+	// Push-mode admission state (Serve/PushBatch). pushMu is separate from
+	// mu because a flush can block on a full ring while the consumer needs
+	// mu to process. push.ring is the serving incarnation's ring, nil while
+	// no Serve loop is admitting.
+	pushMu   sync.Mutex
+	push     admitter
+	pushSeq  int64 // lines submitted to this incarnation, in push order
+	pushSkip int64 // lines at or below this offset are replay duplicates
 }
 
 // New builds an engine, restoring the newest trustworthy checkpoint from
@@ -98,7 +98,7 @@ type Engine struct {
 // surfaced through RecoveryError, Stats and telemetry — in a shared
 // multi-tenant service one tenant's rotted checkpoints must degrade that
 // tenant, not crash the fleet. Config.Open may be nil for push-mode-only
-// engines (Serve/Push); Run requires it.
+// engines (Serve/PushBatch); Run requires it.
 func New(cfg Config) (*Engine, error) {
 	if cfg.RingCapacity <= 0 {
 		cfg.RingCapacity = 1024
@@ -146,6 +146,7 @@ func New(cfg Config) (*Engine, error) {
 		online: cfg.Online,
 		tm:     newEngineTelemetry(cfg.Telemetry),
 	}
+	e.push.e = e
 	if cfg.Telemetry != nil {
 		// Count checkpoint bytes closest to the file, under any
 		// fault-injection wrapper the config composed on top.
@@ -392,13 +393,6 @@ func (e *Engine) Run(ctx context.Context) error {
 	return srcErr
 }
 
-// ingestBatch is the size lines are grouped into on their way through the
-// ring: producers flush admission per batch and the consumer drains per
-// batch, so ring lock and counter traffic is paid once per batch instead
-// of once per line. Batching never reorders lines or changes what is
-// admitted — it only amortises overhead.
-const ingestBatch = 64
-
 // consume drains the ring until it closes cleanly (nil — the source ended
 // or Stop was called and every admitted line has been processed) or ctx
 // ends (ctx.Err(), the crash path).
@@ -446,8 +440,7 @@ func (e *Engine) consume(ctx context.Context, r *ring) error {
 // lines (already durably processed). Line numbering excludes empty lines
 // and is therefore identical across replays. Lines are read as views into
 // the bufio buffer (core.ReadLineInto), copied once into pooled arenas,
-// and admitted ingestBatch at a time; per-line counter traffic is batched
-// alongside.
+// and admitted ingestBatch at a time.
 func (e *Engine) produce(ctx context.Context, r *ring, startOffset int64, prodErr chan<- error) {
 	defer r.close()
 	rc, err := e.cfg.Open()
@@ -457,59 +450,9 @@ func (e *Engine) produce(ctx context.Context, r *ring, startOffset int64, prodEr
 	}
 	defer rc.Close()
 	br := bufio.NewReaderSize(rc, 64*1024)
-	var lw lineWriter
-	defer lw.close()
-	var lineNo, oversizedN int64
-	batch := make([]item, 0, ingestBatch)
-
-	// flush admits the pending batch and settles the batched counters,
-	// reporting false when the ring stopped (Stop or abort) and the
-	// producer should exit.
-	flush := func() bool {
-		if oversizedN > 0 {
-			e.mu.Lock()
-			e.ctrs.Oversized += oversizedN
-			e.mu.Unlock()
-			e.tm.oversized.Add(uint64(oversizedN))
-			oversizedN = 0
-		}
-		if len(batch) == 0 {
-			return true
-		}
-		var shed int
-		ok := true
-		if e.cfg.Policy == LoadShed {
-			inserted, stopped := r.pushAllTry(batch)
-			for i := inserted; i < len(batch); i++ {
-				batch[i].release()
-			}
-			if stopped {
-				ok = false // Stop or abort: no further input, nothing shed
-			} else {
-				shed = len(batch) - inserted
-			}
-		} else {
-			inserted, pok := r.pushAllWait(batch)
-			if !pok {
-				for i := inserted; i < len(batch); i++ {
-					batch[i].release()
-				}
-				ok = false
-			}
-		}
-		if shed > 0 {
-			e.mu.Lock()
-			e.ctrs.Shed += int64(shed)
-			e.mu.Unlock()
-			e.tm.shed.Add(uint64(shed))
-		}
-		for i := range batch {
-			batch[i] = item{}
-		}
-		batch = batch[:0]
-		return ok
-	}
-
+	adm := admitter{e: e, ring: r}
+	defer adm.close()
+	var lineNo int64
 	for {
 		if ctx.Err() != nil {
 			return
@@ -517,25 +460,23 @@ func (e *Engine) produce(ctx context.Context, r *ring, startOffset int64, prodEr
 		raw, oversized, rerr := core.ReadLineInto(br, nil, e.cfg.MaxLineBytes)
 		done := errors.Is(rerr, io.EOF)
 		if rerr != nil && !done {
-			flush()
+			adm.flush(e.cfg.Policy)
 			prodErr <- fmt.Errorf("stream: read source: %w", rerr)
 			return
 		}
 		if len(raw) > 0 || oversized {
 			lineNo++
 			if lineNo > startOffset {
-				if oversized {
-					oversizedN++
-				}
-				data, src := lw.add(raw)
-				batch = append(batch, item{lineNo: lineNo, data: data, src: src})
-				if len(batch) == ingestBatch && !flush() {
-					return
+				if adm.add(lineNo, raw, oversized) {
+					// A stopped ring (Stop or abort) ends the producer.
+					if _, _, ok := adm.flush(e.cfg.Policy); !ok {
+						return
+					}
 				}
 			}
 		}
 		if done {
-			flush()
+			adm.flush(e.cfg.Policy)
 			return
 		}
 	}
@@ -562,6 +503,10 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 	e.sinceCkpt++
 	e.offset = it.lineNo
 	e.tm.processed.Inc()
+	if it.oversized {
+		e.ctrs.Oversized++
+		e.tm.oversized.Inc()
+	}
 	ckptDue = e.cfg.CheckpointEvery > 0 && e.sinceCkpt >= e.cfg.CheckpointEvery
 
 	content := core.ContentOfBytes(it.data)

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// ErrNotServing is returned by Push when the engine has no active Serve
+// ErrNotServing is returned by PushBatch when the engine has no active Serve
 // loop: it never started, it already drained after Stop, or its current
 // incarnation crashed. The caller should back off briefly and retry (a
 // supervisor may be rebuilding the engine from its checkpoint).
@@ -68,7 +68,7 @@ type PushResult struct {
 	Shed int `json:"shed"`
 }
 
-// Serve runs the engine in push mode: lines arrive via Push instead of
+// Serve runs the engine in push mode: lines arrive via PushBatch instead of
 // being pulled from Config.Open, and the stream ends when Stop is called
 // (drain every admitted line, write the final checkpoint, return nil) or
 // when ctx ends (the crash model: no checkpoint, everything after the last
@@ -98,7 +98,8 @@ func (e *Engine) Serve(ctx context.Context) error {
 		// re-admitted first (the consumer below drains it concurrently),
 		// and only then do new pushes get in — so recovered lines keep
 		// their original positions ahead of new traffic. Until
-		// publication, Push returns ErrNotServing and WaitServing waits.
+		// publication, PushBatch returns ErrNotServing and WaitServing
+		// waits.
 		replayWG.Add(1)
 		go func() {
 			defer replayWG.Done()
@@ -106,25 +107,25 @@ func (e *Engine) Serve(ctx context.Context) error {
 		}()
 	} else {
 		e.pushMu.Lock()
-		e.pushRing = r
+		e.push.ring = r
 		e.pushSeq = 0
 		e.pushSkip = start
 		e.pushMu.Unlock()
 	}
 
 	defer func() {
-		// Abort BEFORE taking pushMu: a pusher blocked mid-batch in
-		// pushWait is holding pushMu, and after a panic unwound the
+		// Abort BEFORE taking pushMu: a pusher blocked mid-batch in a
+		// flush is holding pushMu, and after a panic unwound the
 		// consumer nobody is left to free a ring slot — the abort is what
 		// wakes it to release the lock. (Locking first deadlocks the
 		// unwind against the blocked pusher.) The abort also stops a
 		// replay still in flight; waiting for its goroutine before
-		// clearing pushRing keeps a late publication from leaking a dead
+		// clearing push.ring keeps a late publication from leaking a dead
 		// incarnation's ring.
 		r.abort()
 		replayWG.Wait()
 		e.pushMu.Lock()
-		e.pushRing = nil
+		e.push.ring = nil
 		e.pushMu.Unlock()
 		e.mu.Lock()
 		e.running = false
@@ -163,28 +164,37 @@ func (e *Engine) Serve(ctx context.Context) error {
 // replayWAL re-admits the WAL tail beyond the restored checkpoint into
 // the incarnation's ring, then publishes the ring for new pushes. Runs as
 // Serve's recovery goroutine; the consumer drains concurrently, so a tail
-// larger than the ring still replays under bounded memory.
+// larger than the ring still replays under bounded memory. Recovered lines
+// were acknowledged once and are never shed: admission is Backpressure
+// whatever the configured policy.
 func (e *Engine) replayWAL(r *ring, start int64) {
-	var lw lineWriter
-	defer lw.close()
+	adm := admitter{e: e, ring: r}
+	defer adm.close()
 	top := start
 	if last := int64(e.wal.LastSeq()); last > top {
 		top = last
 	}
 	var admitted int64
+	flush := func() error {
+		inserted, _, ok := adm.flush(Backpressure)
+		admitted += int64(inserted)
+		if !ok {
+			return errReplayStopped
+		}
+		return nil
+	}
 	_, err := e.wal.Replay(func(seq uint64, payload []byte) error {
 		if int64(seq) <= start {
 			return nil // the checkpoint already covers it
 		}
-		data, src := lw.add(payload)
-		it := item{lineNo: int64(seq), data: data, src: src}
-		if !r.pushWait(it) {
-			it.release()
-			return errReplayStopped
+		if adm.add(int64(seq), payload, false) {
+			return flush()
 		}
-		admitted++
 		return nil
 	})
+	if err == nil {
+		err = flush()
+	}
 	if err != nil {
 		if !errors.Is(err, errReplayStopped) {
 			// The WAL itself failed mid-replay: end the incarnation the
@@ -204,7 +214,7 @@ func (e *Engine) replayWAL(r *ring, start int64) {
 	e.mu.Unlock()
 	e.pushMu.Lock()
 	if !r.stopped() {
-		e.pushRing = r
+		e.push.ring = r
 		e.pushSeq = 0
 		// Everything the WAL has seen is known to this incarnation:
 		// processed (≤ start) or just re-admitted. Clients replaying
@@ -218,12 +228,12 @@ func (e *Engine) replayWAL(r *ring, start int64) {
 func (e *Engine) Serving() bool {
 	e.pushMu.Lock()
 	defer e.pushMu.Unlock()
-	return e.pushRing != nil
+	return e.push.ring != nil
 }
 
 // WaitServing blocks until the engine is admitting pushes or ctx ends —
 // the startup handshake between whoever launched Serve in a goroutine and
-// the first Push (which would otherwise race the loop's registration and
+// the first PushBatch (which would otherwise race the loop's registration and
 // get a spurious ErrNotServing). With a WAL, admission opens only after
 // the recovery replay finishes. When the Serve call returns without ever
 // (or no longer) admitting — a WAL that fails during replay, a crash
@@ -247,125 +257,26 @@ func (e *Engine) WaitServing(ctx context.Context) error {
 	return nil
 }
 
-// Push submits a batch of lines to a serving engine. Batches are atomic in
-// order: Push holds the admission lock for the whole batch, so concurrent
-// pushers interleave at batch granularity, never mid-batch. Empty lines do
-// not advance the line numbering (matching the file producer), so replayed
-// streams number identically.
-//
-// Under Backpressure a full ring blocks Push until the consumer frees a
-// slot; under LoadShed the line is counted in PushResult.Shed and dropped.
-// ErrNotServing means the serve loop ended mid-batch — the caller should
-// retry the whole batch against the next incarnation (already-processed
-// lines will be skipped).
-func (e *Engine) Push(lines []string) (PushResult, error) {
-	e.pushMu.Lock()
-	defer e.pushMu.Unlock()
-	var res PushResult
-	r := e.pushRing
-	if r == nil {
-		return res, ErrNotServing
-	}
-	w := e.wal
-	for _, line := range lines {
-		if len(line) == 0 {
-			continue
-		}
-		e.pushSeq++
-		if e.pushSeq <= e.pushSkip {
-			res.Skipped++
-			continue
-		}
-		if len(line) > e.cfg.MaxLineBytes {
-			line = line[:e.cfg.MaxLineBytes]
-			e.mu.Lock()
-			e.ctrs.Oversized++
-			e.mu.Unlock()
-			e.tm.oversized.Inc()
-		}
-		data, src := e.pushLW.addString(line)
-		if w != nil {
-			if err := w.Append(uint64(e.pushSeq), data); err != nil {
-				src.release()
-				return res, e.walAbort(r, err)
-			}
-			if err := e.cfg.WALSeam.Fire("push"); err != nil {
-				src.release()
-				return res, e.walAbort(r, err)
-			}
-		}
-		it := item{lineNo: e.pushSeq, data: data, src: src}
-		if e.cfg.Policy == LoadShed {
-			if r.pushTry(it) {
-				res.Accepted++
-				continue
-			}
-			it.release()
-			if r.stopped() {
-				return res, ErrNotServing
-			}
-			res.Shed++
-			e.mu.Lock()
-			e.ctrs.Shed++
-			e.mu.Unlock()
-			e.tm.shed.Inc()
-		} else {
-			if !r.pushWait(it) {
-				it.release()
-				return res, ErrNotServing
-			}
-			res.Accepted++
-		}
-	}
-	if w != nil {
-		// The acknowledgment barrier: one fsync covers the whole batch.
-		if err := w.Commit(); err != nil {
-			return res, e.walAbort(r, err)
-		}
-	}
-	return res, nil
-}
-
-// walAbort ends the serve incarnation after a write-ahead-log failure:
-// pending admission items are released, the failure is recorded, the ring
-// aborts (the Serve loop drains out and surfaces a *DurableError for its
-// supervisor), and the pusher gets the typed error — its batch was NOT
-// acknowledged and must be replayed whole against the next incarnation.
-// Called with pushMu held.
-func (e *Engine) walAbort(r *ring, err error) error {
-	for i := range e.pushItems {
-		e.pushItems[i].release()
-		e.pushItems[i] = item{}
-	}
-	e.pushItems = e.pushItems[:0]
-	e.mu.Lock()
-	if e.walErr == nil {
-		e.walErr = err
-	}
-	e.mu.Unlock()
-	e.tm.walFailures.Inc()
-	r.abort()
-	return &DurableError{Layer: LayerWAL, Err: err}
-}
-
-// PushBatch submits a batch of raw line bytes to a serving engine — the
-// allocation-disciplined sibling of Push for callers that already hold
-// bytes (the HTTP batch endpoint, file shippers). Semantics are identical
-// to Push: batches are atomic in order under the admission lock, empty
-// lines do not advance the numbering, lines at or below the restored
-// offset are skipped as replay duplicates, over-long lines are truncated
-// at MaxLineBytes, and a full ring blocks (Backpressure) or sheds
-// (LoadShed). Each admitted line is copied into a pooled arena at
-// admission, so the caller may reuse or free the backing of lines the
-// moment PushBatch returns; per-line the engine allocates nothing.
+// PushBatch submits a batch of raw line bytes to a serving engine. Batches
+// are atomic in order: PushBatch holds the admission lock for the whole
+// batch, so concurrent pushers interleave at batch granularity, never
+// mid-batch. Empty lines do not advance the line numbering (matching the
+// file producer), so replayed streams number identically; lines at or below
+// the restored offset are skipped as replay duplicates; over-long lines are
+// truncated at MaxLineBytes. Under Backpressure a full ring blocks
+// PushBatch until the consumer frees a slot; under LoadShed the lines that
+// do not fit are counted in PushResult.Shed and dropped. Each admitted line
+// is copied into a pooled arena at admission, so the caller may reuse or
+// free the backing of lines the moment PushBatch returns; per-line the
+// engine allocates nothing.
 //
 // ctx is consulted once at entry, never mid-batch: a batch that started
 // admission runs to completion (or to ErrNotServing), because a partial,
 // externally-aborted batch would leave the client unable to tell which
 // lines hold sequence numbers — replaying the whole batch would then
-// double-process the tail. ErrNotServing keeps Push's contract: retry the
-// whole batch against the next incarnation and the processed prefix is
-// skipped.
+// double-process the tail. ErrNotServing means the serve loop ended
+// mid-batch: retry the whole batch against the next incarnation and the
+// processed prefix is skipped.
 //
 // With a WAL (Config.WALDir), a nil return additionally means the whole
 // batch is durable: every line was appended to the log before admission
@@ -379,72 +290,28 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 	e.pushMu.Lock()
 	defer e.pushMu.Unlock()
 	var res PushResult
-	r := e.pushRing
-	if r == nil {
+	if e.push.ring == nil {
 		return res, ErrNotServing
 	}
 	w := e.wal
-	var oversizedN int64
-	var walFail error // set by flush when the "push" crash hook fires
-	if e.pushItems == nil {
-		e.pushItems = make([]item, 0, ingestBatch)
-	}
 
-	// flush mirrors the file producer's batched admission; it reports
-	// false when the ring stopped and the push must fail with
-	// ErrNotServing (or, when walFail is set, that typed failure).
-	flush := func() bool {
-		if w != nil && len(e.pushItems) > 0 {
+	// flush admits the pending lines; a non-nil error fails the push.
+	flush := func() error {
+		if w != nil && len(e.push.batch) > 0 {
 			// The enumerated crash point between WAL append and ring
 			// push: the batch's lines are in the WAL (possibly auto-
 			// flushed to disk) but not yet admitted.
 			if err := e.cfg.WALSeam.Fire("push"); err != nil {
-				walFail = e.walAbort(r, err)
-				return false
+				return e.walAbort(err)
 			}
 		}
-		if oversizedN > 0 {
-			e.mu.Lock()
-			e.ctrs.Oversized += oversizedN
-			e.mu.Unlock()
-			e.tm.oversized.Add(uint64(oversizedN))
-			oversizedN = 0
+		inserted, shed, ok := e.push.flush(e.cfg.Policy)
+		res.Accepted += inserted
+		res.Shed += shed
+		if !ok {
+			return ErrNotServing
 		}
-		batch := e.pushItems
-		if len(batch) == 0 {
-			return true
-		}
-		ok := true
-		if e.cfg.Policy == LoadShed {
-			inserted, stopped := r.pushAllTry(batch)
-			res.Accepted += inserted
-			for i := inserted; i < len(batch); i++ {
-				batch[i].release()
-			}
-			if stopped {
-				ok = false
-			} else if shed := len(batch) - inserted; shed > 0 {
-				res.Shed += shed
-				e.mu.Lock()
-				e.ctrs.Shed += int64(shed)
-				e.mu.Unlock()
-				e.tm.shed.Add(uint64(shed))
-			}
-		} else {
-			inserted, pok := r.pushAllWait(batch)
-			res.Accepted += inserted
-			if !pok {
-				for i := inserted; i < len(batch); i++ {
-					batch[i].release()
-				}
-				ok = false
-			}
-		}
-		for i := range batch {
-			batch[i] = item{}
-		}
-		e.pushItems = batch[:0]
-		return ok
+		return nil
 	}
 
 	for _, line := range lines {
@@ -456,33 +323,26 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 			res.Skipped++
 			continue
 		}
-		if len(line) > e.cfg.MaxLineBytes {
+		oversized := len(line) > e.cfg.MaxLineBytes
+		if oversized {
 			line = line[:e.cfg.MaxLineBytes]
-			oversizedN++
 		}
-		data, src := e.pushLW.add(line)
 		if w != nil {
 			// Append-before-admit: the line reaches the WAL buffer before
 			// it can reach the ring, so no admitted line is ever absent
 			// from the log. Durability waits for the Commit below.
-			if err := w.Append(uint64(e.pushSeq), data); err != nil {
-				src.release()
-				return res, e.walAbort(r, err)
+			if err := w.Append(uint64(e.pushSeq), line); err != nil {
+				return res, e.walAbort(err)
 			}
 		}
-		e.pushItems = append(e.pushItems, item{lineNo: e.pushSeq, data: data, src: src})
-		if len(e.pushItems) == ingestBatch && !flush() {
-			if walFail != nil {
-				return res, walFail
+		if e.push.add(e.pushSeq, line, oversized) {
+			if err := flush(); err != nil {
+				return res, err
 			}
-			return res, ErrNotServing
 		}
 	}
-	if !flush() {
-		if walFail != nil {
-			return res, walFail
-		}
-		return res, ErrNotServing
+	if err := flush(); err != nil {
+		return res, err
 	}
 	if w != nil {
 		// The acknowledgment barrier — group commit: one flush + fsync
@@ -490,14 +350,32 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 		// acknowledges the batch; on failure the incarnation ends and the
 		// client replays the batch whole.
 		if err := w.Commit(); err != nil {
-			return res, e.walAbort(r, err)
+			return res, e.walAbort(err)
 		}
 	}
 	return res, nil
 }
 
+// walAbort ends the serve incarnation after a write-ahead-log failure:
+// pending admission items are released, the failure is recorded, the ring
+// aborts (the Serve loop drains out and surfaces a *DurableError for its
+// supervisor), and the pusher gets the typed error — its batch was NOT
+// acknowledged and must be replayed whole against the next incarnation.
+// Called with pushMu held.
+func (e *Engine) walAbort(err error) error {
+	e.push.clear(0)
+	e.mu.Lock()
+	if e.walErr == nil {
+		e.walErr = err
+	}
+	e.mu.Unlock()
+	e.tm.walFailures.Inc()
+	e.push.ring.abort()
+	return &DurableError{Layer: LayerWAL, Err: err}
+}
+
 // Stop requests a graceful stop of the active Run or Serve: no further
-// input is admitted (the file producer exits at its next push, Push
+// input is admitted (the file producer exits at its next flush, PushBatch
 // returns ErrNotServing), every already-admitted line is drained and
 // processed, and the loop returns through its clean path — final
 // checkpoint included. This ordering is the SIGINT guarantee: admission

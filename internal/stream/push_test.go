@@ -13,7 +13,7 @@ import (
 )
 
 // pushCfg is the base config for push-mode tests: no Open (lines arrive via
-// Push), deterministic toy retrainer.
+// PushBatch), deterministic toy retrainer.
 func pushCfg(dir string) Config {
 	return Config{
 		CheckpointDir: dir,
@@ -32,6 +32,15 @@ func serveAsync(ctx context.Context, eng *Engine) <-chan error {
 	return errCh
 }
 
+// byteLines converts string lines to the [][]byte form PushBatch takes.
+func byteLines(lines []string) [][]byte {
+	out := make([][]byte, len(lines))
+	for i, l := range lines {
+		out[i] = []byte(l)
+	}
+	return out
+}
+
 // pushAll pushes lines in fixed-size batches, summing the results.
 func pushAll(t *testing.T, eng *Engine, lines []string, batch int) PushResult {
 	t.Helper()
@@ -41,9 +50,9 @@ func pushAll(t *testing.T, eng *Engine, lines []string, batch int) PushResult {
 		if end > len(lines) {
 			end = len(lines)
 		}
-		res, err := eng.Push(lines[i:end])
+		res, err := eng.PushBatch(context.Background(), byteLines(lines[i:end]))
 		if err != nil {
-			t.Fatalf("Push batch at %d: %v", i, err)
+			t.Fatalf("PushBatch at %d: %v", i, err)
 		}
 		total.Accepted += res.Accepted
 		total.Skipped += res.Skipped
@@ -53,7 +62,7 @@ func pushAll(t *testing.T, eng *Engine, lines []string, batch int) PushResult {
 }
 
 // TestPushServeMatchesFileRun proves the push-mode determinism contract:
-// the same lines delivered via Push converge to the digest of a file-based
+// the same lines delivered via PushBatch converge to the digest of a file-based
 // Run over the same stream.
 func TestPushServeMatchesFileRun(t *testing.T) {
 	lines := synthLines(3000, 7)
@@ -179,18 +188,18 @@ func TestPushWhenNotServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Push([]string{"x 1"}); !errors.Is(err, ErrNotServing) {
+	if _, err := eng.PushBatch(context.Background(), byteLines([]string{"x 1"})); !errors.Is(err, ErrNotServing) {
 		t.Fatalf("Push before Serve = %v, want ErrNotServing", err)
 	}
 	errCh := serveAsync(context.Background(), eng)
-	if _, err := eng.Push([]string{"x 1"}); err != nil {
+	if _, err := eng.PushBatch(context.Background(), byteLines([]string{"x 1"})); err != nil {
 		t.Fatalf("Push while serving: %v", err)
 	}
 	eng.Stop()
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Push([]string{"x 2"}); !errors.Is(err, ErrNotServing) {
+	if _, err := eng.PushBatch(context.Background(), byteLines([]string{"x 2"})); !errors.Is(err, ErrNotServing) {
 		t.Fatalf("Push after Stop = %v, want ErrNotServing", err)
 	}
 }

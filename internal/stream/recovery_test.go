@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"logparse/internal/faultinject"
@@ -84,6 +85,43 @@ func TestKillAndRecoverConvergesToUninterruptedRun(t *testing.T) {
 	}
 	if gotStats.Offset != int64(len(lines)) {
 		t.Fatalf("final offset = %d, want %d", gotStats.Offset, len(lines))
+	}
+}
+
+// TestKillAndRecoverCountsOversizedOnce pins that Oversized, like every
+// cumulative counter, describes exactly the lines at or below the
+// checkpointed offset: over-long lines still in flight in the ring when a
+// checkpoint is taken are not in it, so the resumed tailer re-reading them
+// counts each once.
+func TestKillAndRecoverCountsOversizedOnce(t *testing.T) {
+	lines := synthLines(200, 22)
+	for i := 4; i < len(lines); i += 5 {
+		lines[i] += " " + strings.Repeat("x", 100)
+	}
+	base := func(dir string) Config {
+		return Config{
+			Open:            memOpen(lines),
+			CheckpointDir:   dir,
+			MaxLineBytes:    80, // above every synthetic line, below the padded ones
+			CheckpointEvery: 10,
+			RetrainBatch:    24,
+			Retrainer:       &groupMiner{},
+		}
+	}
+	wantDigest, wantStats := runToEnd(t, base(t.TempDir()))
+	if wantStats.Oversized != 40 {
+		t.Fatalf("uninterrupted run counted %d oversized lines, want 40", wantStats.Oversized)
+	}
+
+	dir := t.TempDir()
+	killAt(t, base(dir), 57)
+	gotDigest, gotStats := runToEnd(t, base(dir))
+	if gotStats.Oversized != wantStats.Oversized || gotStats.Processed != wantStats.Processed {
+		t.Fatalf("after kill and resume Oversized/Processed = %d/%d, want uninterrupted %d/%d",
+			gotStats.Oversized, gotStats.Processed, wantStats.Oversized, wantStats.Processed)
+	}
+	if gotDigest != wantDigest {
+		t.Fatalf("digest = %s, want %s", gotDigest, wantDigest)
 	}
 }
 

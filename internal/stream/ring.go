@@ -6,19 +6,23 @@ import "sync"
 // (empty lines excluded) and its raw content. data points into the pooled
 // arena src holds a reference on (or into a dedicated allocation when src
 // is nil); whoever consumes the item calls release when done with data.
+// oversized marks a line truncated at MaxLineBytes; it is counted when the
+// line is processed, so the counter moves with the checkpointed offset.
 type item struct {
-	lineNo int64
-	data   []byte
-	src    *arena
+	lineNo    int64
+	data      []byte
+	src       *arena
+	oversized bool
 }
 
 // release returns the item's share of its arena to the pool.
 func (it item) release() { it.src.release() }
 
-// ring is the fixed-capacity admission queue between the source-tailing
-// producer and the matching consumer. Its capacity is the engine's memory
-// bound on in-flight lines: pushWait blocks the producer (Backpressure) and
-// pushTry refuses the line (LoadShed); neither ever grows the buffer.
+// ring is the fixed-capacity admission queue between a producer (the file
+// tailer, PushBatch, WAL replay — all through admitter.flush) and the
+// matching consumer. Its capacity is the engine's memory bound on in-flight
+// lines: pushAllWait blocks the producer (Backpressure) and pushAllTry
+// refuses what does not fit (LoadShed); neither ever grows the buffer.
 //
 // close marks the clean end of the source (the consumer drains what is
 // buffered); abort is the hard stop (pending items are abandoned, blocked
@@ -43,39 +47,9 @@ func newRing(capacity int) *ring {
 	return r
 }
 
-// pushWait inserts it, blocking while the ring is full. It reports false
-// when the ring was aborted (or closed) instead.
-func (r *ring) pushWait(it item) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.count == len(r.buf) && !r.aborted && !r.closed {
-		r.notFull.Wait()
-	}
-	if r.aborted || r.closed {
-		return false
-	}
-	r.insertLocked(it)
-	r.notEmpty.Signal()
-	return true
-}
-
-// pushTry inserts it only when a slot is free; false means the line is
-// shed.
-func (r *ring) pushTry(it item) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.aborted || r.closed || r.count == len(r.buf) {
-		return false
-	}
-	r.insertLocked(it)
-	r.notEmpty.Signal()
-	return true
-}
-
-// insertLocked places the item; the caller signals notEmpty (once per
-// insert for the single-item pushers, once per batch for the batch pushers
+// insertLocked places the item; the caller signals notEmpty once per batch
 // — per-item signalling is a futex syscall each time the consumer sleeps,
-// and amortising it is a measurable share of the batch path's win).
+// and amortising it is a measurable share of the batch path's win.
 func (r *ring) insertLocked(it item) {
 	r.buf[(r.head+r.count)%len(r.buf)] = it
 	r.count++
@@ -137,26 +111,6 @@ func (r *ring) pushAllTry(items []item) (inserted int, stopped bool) {
 		r.notEmpty.Signal()
 	}
 	return inserted, false
-}
-
-// pop removes the oldest item, blocking while the ring is empty and still
-// open. ok=false means no more items will ever come: the ring was aborted,
-// or closed and fully drained.
-func (r *ring) pop() (it item, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.count == 0 && !r.closed && !r.aborted {
-		r.notEmpty.Wait()
-	}
-	if r.aborted || r.count == 0 {
-		return item{}, false
-	}
-	it = r.buf[r.head]
-	r.buf[r.head] = item{} // release the line for GC
-	r.head = (r.head + 1) % len(r.buf)
-	r.count--
-	r.notFull.Signal()
-	return it, true
 }
 
 // popBatch removes up to len(dst) oldest items into dst, blocking while the

@@ -99,7 +99,7 @@ type Config struct {
 	// The engine re-opens on start and skips to the checkpointed offset,
 	// so the source must replay the same lines in the same order (a file,
 	// an object-store segment, a replayable queue). Required for Run; may
-	// be nil for push-mode engines driven through Serve/Push, where the
+	// be nil for push-mode engines driven through Serve/PushBatch, where the
 	// same replay duty falls on the pushing client.
 	Open func() (io.ReadCloser, error)
 	// CheckpointDir is the directory holding the checkpoint generations.
@@ -164,7 +164,7 @@ type Config struct {
 	// free.
 	Telemetry *telemetry.Handle
 	// WALDir, when non-empty, enables the push-mode write-ahead log:
-	// every line Push/PushBatch admits is appended to the WAL before the
+	// every line PushBatch admits is appended to the WAL before the
 	// batch is acknowledged (one fsync per batch — group commit), Serve
 	// replays the WAL tail beyond the checkpoint before admitting new
 	// pushes, and each successful checkpoint truncates the segments it

@@ -1,5 +1,5 @@
 // Package wal is the per-tenant write-ahead log behind the stream engine's
-// push-mode acknowledgment contract: every line a Push/PushBatch admits is
+// push-mode acknowledgment contract: every line PushBatch admits is
 // appended here before the batch is acknowledged, so an acknowledged write
 // survives kill -9 even when it has not reached a checkpoint yet. The log
 // is a sequence of append-only segment files with a versioned header and a

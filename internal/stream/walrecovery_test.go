@@ -176,11 +176,7 @@ func walBatches(lines []string, size int) [][][]byte {
 		if end > len(lines) {
 			end = len(lines)
 		}
-		b := make([][]byte, 0, end-i)
-		for _, l := range lines[i:end] {
-			b = append(b, []byte(l))
-		}
-		out = append(out, b)
+		out = append(out, byteLines(lines[i:end]))
 	}
 	return out
 }
