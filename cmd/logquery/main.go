@@ -246,9 +246,13 @@ func loadTemplateNames(ckptDir string) (map[int32]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", ckptDir, err)
 	}
-	names := make(map[int32]string, len(st.Templates))
-	for i, t := range st.Templates {
-		names[int32(i)] = strings.Join(t.Tokens, " ")
+	rendered, err := st.TemplateNames()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint %s: %w", ckptDir, err)
+	}
+	names := make(map[int32]string, len(rendered))
+	for i, name := range rendered {
+		names[int32(i)] = name
 	}
 	return names, nil
 }

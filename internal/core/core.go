@@ -295,6 +295,23 @@ func TokenizeBytes(line []byte, buf [][]byte) [][]byte {
 	return tokens
 }
 
+// PackTokens is the bridge from string tokens to the [][]byte the online
+// learners consume: it copies toks back to back into arena[:0] and appends
+// one capacity-capped subslice per token to buf[:0]. Pass the previous
+// return values back in to amortise both to zero allocations per call; the
+// result is valid until the next call that reuses them.
+func PackTokens(toks []string, arena []byte, buf [][]byte) ([]byte, [][]byte) {
+	arena, buf = arena[:0], buf[:0]
+	for _, t := range toks {
+		arena = append(arena, t...)
+	}
+	rest := arena
+	for _, t := range toks {
+		buf, rest = append(buf, rest[:len(t):len(t)]), rest[len(t):]
+	}
+	return arena, buf
+}
+
 // Retokenize fills in msg.Tokens for every message that does not have them
 // yet, returning the same slice for convenience.
 func Retokenize(msgs []LogMessage) []LogMessage {

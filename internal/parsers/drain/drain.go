@@ -19,9 +19,13 @@
 package drain
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"slices"
 	"time"
 
 	"logparse/internal/core"
@@ -74,20 +78,72 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// smallLeaf is the group count up to which a leaf is scanned whole. A
+// converged stream keeps every leaf below it (HDFS: 46 templates, no leaf
+// over 8) and pays no hashing; a leaf that outgrows it — Thunderbird's
+// 14-token firewall event founds ≈15 k groups in one leaf — switches to the
+// posting index, so a line costs O(line), not O(groups in the leaf).
+const smallLeaf = 8
+
 // node is one internal level of the fixed-depth tree. Leaves (nodes at the
-// last routed level) hold group indices instead of children.
+// last routed level) hold group indices instead of children, and an index
+// over them once they outgrow smallLeaf.
 type node struct {
 	children map[string]*node
 	groups   []int
+	index    *leafIndex
+}
+
+// leafIndex maps hash(position, constant token) to the chain of groups
+// founded (or restored) with that token there. Nothing is ever removed: an
+// entry left stale by wildcarding, like a hash collision, only nominates a
+// candidate the exact comparison rejects. Chained int32 entries instead of a
+// slice per key keep it at ≈0.45 KB per 14-token group.
+type leafIndex struct {
+	lists   map[uint64]posting
+	entries []entry
+}
+
+// posting is one key's chain: head is 1-based into entries, 0 ends a chain.
+type posting struct{ head, count int32 }
+
+type entry struct{ next, group int32 }
+
+var hashSeed = maphash.MakeSeed()
+
+func posKey(i int, h uint64) uint64 { return h ^ uint64(i+1)*0x9E3779B97F4A7C15 }
+
+// add indexes group gi under every constant of its template.
+func (x *leafIndex) add(gi int, tmpl []string) {
+	for i, tok := range tmpl {
+		if tok == core.Wildcard {
+			continue
+		}
+		k := posKey(i, maphash.String(hashSeed, tok))
+		p := x.lists[k]
+		x.entries = append(x.entries, entry{next: p.head, group: int32(gi)})
+		x.lists[k] = posting{head: int32(len(x.entries)), count: p.count + 1}
+	}
 }
 
 // StreamParser is the online Drain learner. It is not safe for concurrent
 // use; the stream engine serialises access under its own lock.
 type StreamParser struct {
-	opts   Options
-	levels int           // token levels used for routing (Depth - 2)
-	roots  map[int]*node // first level: token count
-	tmpls  [][]string    // group templates in creation order
+	opts    Options
+	levels  int           // token levels used for routing (Depth - 2)
+	roots   map[int]*node // first level: token count
+	tmpls   [][]string    // group templates in creation order
+	maxLeaf int           // groups in the fullest leaf
+
+	// Scratch of the indexed lookup: the line's posting lists, the
+	// candidates they nominate, and the per-group epoch stamp that
+	// de-duplicates them.
+	lists []posting
+	cands []int
+	stamp []uint32
+	epoch uint32
+
+	verified uint64 // exact template comparisons made, the work counter tests pin
 }
 
 // NewStream returns an empty online learner.
@@ -106,38 +162,30 @@ func (s *StreamParser) Name() string { return "Drain" }
 // NumTemplates reports the number of groups learned so far.
 func (s *StreamParser) NumTemplates() int { return len(s.tmpls) }
 
+// LargestLeaf reports the group count of the fullest leaf — the length of
+// the scan a line would pay without the leaf index.
+func (s *StreamParser) LargestLeaf() int { return s.maxLeaf }
+
 // hasDigits reports whether the token contains an ASCII digit — the
 // paper's heuristic for "probably a variable", routed through the wildcard
 // edge so parameters do not explode the tree fan-out.
-func hasDigits[T ~string | ~[]byte](tok T) bool {
-	for i := 0; i < len(tok); i++ {
-		if c := tok[i]; c >= '0' && c <= '9' {
+func hasDigits(tok []byte) bool {
+	for _, c := range tok {
+		if c >= '0' && c <= '9' {
 			return true
 		}
 	}
 	return false
 }
 
-// LearnBytes consumes one tokenised line: it descends the tree, matches the
-// line against the leaf's groups, and either updates the best group's
-// template (wildcarding disagreeing positions) or creates a new group. It
-// returns the group index (stable: the creation order never changes) and
-// whether the template set changed (a new group, or a template losing
-// constants). Tokens must be non-empty; the tokens' backing storage is not
-// retained.
-func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
-	root := s.roots[len(tokens)]
-	if root == nil {
-		root = &node{}
-		s.roots[len(tokens)] = root
+// descend routes a line to its leaf, creating the edges it lacks.
+func (s *StreamParser) descend(tokens [][]byte) *node {
+	cur := s.roots[len(tokens)]
+	if cur == nil {
+		cur = &node{}
+		s.roots[len(tokens)] = cur
 	}
-	levels := s.levels
-	if levels > len(tokens) {
-		levels = len(tokens)
-	}
-	cur := root
-	for i := 0; i < levels; i++ {
-		tok := tokens[i]
+	for _, tok := range tokens[:min(s.levels, len(tokens))] {
 		key := core.Wildcard
 		if !hasDigits(tok) {
 			if child, ok := cur.children[string(tok)]; ok {
@@ -158,22 +206,76 @@ func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 		}
 		cur = child
 	}
+	return cur
+}
 
-	// Leaf: best group by similarity, earliest group on ties.
-	best, bestSame := -1, -1
-	for _, gi := range cur.groups {
-		tmpl := s.tmpls[gi]
+// candidates returns the groups of an indexed leaf that can still reach need
+// agreeing positions with the line. A group that agrees at a position sits
+// in that position's posting list, so one that agrees at need positions sits
+// in at least one of any n-need+1 of the line's n lists: the need-1 longest
+// are skipped and the rest merged, each group once.
+func (s *StreamParser) candidates(x *leafIndex, tokens [][]byte, need int) []int {
+	lists := s.lists[:0]
+	for i, tok := range tokens {
+		if p, ok := x.lists[posKey(i, maphash.Bytes(hashSeed, tok))]; ok {
+			lists = append(lists, p)
+		}
+	}
+	slices.SortFunc(lists, func(a, b posting) int { return cmp.Compare(b.count, a.count) })
+	if s.epoch++; s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	cands := s.cands[:0]
+	for _, p := range lists[min(need-1, len(lists)):] {
+		for at := p.head; at != 0; at = x.entries[at-1].next {
+			if g := x.entries[at-1].group; s.stamp[g] != s.epoch {
+				s.stamp[g] = s.epoch
+				cands = append(cands, int(g))
+			}
+		}
+	}
+	s.lists, s.cands = lists, cands
+	return cands
+}
+
+// LearnBytes consumes one tokenised line: it descends the tree, matches the
+// line against the leaf's groups, and either updates the best group's
+// template (wildcarding disagreeing positions) or creates a new group. It
+// returns the group index (stable: the creation order never changes) and
+// whether the template set changed (a new group, or a template losing
+// constants). Tokens must be non-empty; the tokens' backing storage is not
+// retained.
+func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
+	leaf := s.descend(tokens)
+
+	// need is the smallest count of agreeing positions the threshold accepts
+	// (beyond the line length when it accepts none).
+	need := len(tokens) + 1
+	if t := s.opts.SimThreshold * float64(len(tokens)); t <= float64(len(tokens)) {
+		need = int(math.Ceil(t))
+	}
+	cands := leaf.groups
+	if leaf.index != nil {
+		cands = s.candidates(leaf.index, tokens, need)
+	}
+
+	// Best group by similarity, earliest group on ties. The running best
+	// starts just under need: a group that cannot be accepted never matters.
+	best, bestSame := -1, need-1
+	s.verified += uint64(len(cands))
+	for _, gi := range cands {
 		same := 0
-		for i, tok := range tmpl {
+		for i, tok := range s.tmpls[gi] {
 			if tok != core.Wildcard && tok == string(tokens[i]) {
 				same++
 			}
 		}
-		if same > bestSame {
+		if same > bestSame || (same == bestSame && gi < best) {
 			best, bestSame = gi, same
 		}
 	}
-	if best >= 0 && float64(bestSame) >= s.opts.SimThreshold*float64(len(tokens)) {
+	if best >= 0 {
 		tmpl := s.tmpls[best]
 		for i, tok := range tmpl {
 			if tok != core.Wildcard && tok != string(tokens[i]) {
@@ -188,10 +290,28 @@ func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 	for i, tok := range tokens {
 		tmpl[i] = string(tok)
 	}
-	idx = len(s.tmpls)
+	return s.found(leaf, tmpl), true
+}
+
+// found appends a group to a leaf, indexing the leaf from its groups'
+// current templates the moment it outgrows smallLeaf — the same entries a
+// Restore of this state would make.
+func (s *StreamParser) found(leaf *node, tmpl []string) int {
+	idx := len(s.tmpls)
 	s.tmpls = append(s.tmpls, tmpl)
-	cur.groups = append(cur.groups, idx)
-	return idx, true
+	s.stamp = append(s.stamp, 0)
+	leaf.groups = append(leaf.groups, idx)
+	s.maxLeaf = max(s.maxLeaf, len(leaf.groups))
+	switch {
+	case leaf.index != nil:
+		leaf.index.add(idx, tmpl)
+	case len(leaf.groups) > smallLeaf:
+		leaf.index = &leafIndex{lists: make(map[uint64]posting)}
+		for _, gi := range leaf.groups {
+			leaf.index.add(gi, s.tmpls[gi])
+		}
+	}
+	return idx
 }
 
 // Templates returns the learned templates in group-creation order; index i
@@ -207,9 +327,9 @@ func (s *StreamParser) Templates() []core.Template {
 	return out
 }
 
-// drainState is the serialised learner. The tree is not stored: replaying
-// the templates in creation order through insertTemplate reconstructs it
-// exactly (see the invariant note on insertTemplate).
+// drainState is the serialised learner. Neither the tree nor the leaf
+// indexes are stored: Restore's replay of the templates in creation order
+// reconstructs them (see the invariant note there).
 type drainState struct {
 	Depth        int        `json:"depth"`
 	SimThreshold float64    `json:"sim_threshold"`
@@ -239,61 +359,28 @@ func (s *StreamParser) Restore(data []byte) error {
 		return fmt.Errorf("drain: snapshot parameters (depth=%d st=%g max=%d) differ from configuration (depth=%d st=%g max=%d)",
 			st.Depth, st.SimThreshold, st.MaxChildren, s.opts.Depth, s.opts.SimThreshold, s.opts.MaxChildren)
 	}
-	s.roots = make(map[int]*node)
-	s.tmpls = nil
+	ns := NewStream(s.opts)
+	var (
+		arena []byte
+		buf   [][]byte
+	)
 	for i, toks := range st.Templates {
 		if len(toks) == 0 {
 			return fmt.Errorf("drain: snapshot template %d is empty", i)
 		}
-		s.insertTemplate(toks)
+		// Replay the group creation. Edges are only ever created by group
+		// creations, so re-inserting the final templates in creation order
+		// recreates the tree exactly: at every routed position the template
+		// either kept the token all members shared (which routed through the
+		// same literal or, when digit-bearing or created at a full node,
+		// wildcard edge) or became the wildcard (which means the members
+		// reached the leaf through the wildcard edge). Child counts evolve
+		// identically because the replay is chronological.
+		arena, buf = core.PackTokens(toks, arena, buf)
+		ns.found(ns.descend(buf), toks)
 	}
+	*s = *ns
 	return nil
-}
-
-// insertTemplate replays one group creation. Edges are only ever created by
-// group creations, so re-inserting the final templates in creation order
-// recreates the tree exactly: at every routed position the template either
-// kept the token all members shared (which routed through the same literal
-// or, when digit-bearing or created at a full node, wildcard edge) or
-// became the wildcard (which means the members reached the leaf through
-// the wildcard edge). Child counts evolve identically because the replay
-// is chronological.
-func (s *StreamParser) insertTemplate(toks []string) {
-	root := s.roots[len(toks)]
-	if root == nil {
-		root = &node{}
-		s.roots[len(toks)] = root
-	}
-	levels := s.levels
-	if levels > len(toks) {
-		levels = len(toks)
-	}
-	cur := root
-	for i := 0; i < levels; i++ {
-		tok := toks[i]
-		key := core.Wildcard
-		if !hasDigits(tok) {
-			if child, ok := cur.children[tok]; ok {
-				cur = child
-				continue
-			}
-			if len(cur.children) < s.opts.MaxChildren {
-				key = tok
-			}
-		}
-		child, ok := cur.children[key]
-		if !ok {
-			child = &node{}
-			if cur.children == nil {
-				cur.children = make(map[string]*node)
-			}
-			cur.children[key] = child
-		}
-		cur = child
-	}
-	idx := len(s.tmpls)
-	s.tmpls = append(s.tmpls, append([]string(nil), toks...))
-	cur.groups = append(cur.groups, idx)
 }
 
 // Parser is the batch façade over the online learner.
@@ -335,7 +422,10 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 	stage := sp.Child("learn")
 	s := NewStream(p.opts)
 	assign := make([]int, len(msgs))
-	var buf [][]byte
+	var (
+		buf   [][]byte
+		arena []byte // one line's tokens packed back to back; buf slices it
+	)
 	for i := range msgs {
 		if i%cancelCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -351,10 +441,7 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 			assign[i] = core.OutlierID
 			continue
 		}
-		buf = buf[:0]
-		for _, t := range toks {
-			buf = append(buf, []byte(t))
-		}
+		arena, buf = core.PackTokens(toks, arena, buf)
 		assign[i], _ = s.LearnBytes(buf)
 	}
 	stage.End()

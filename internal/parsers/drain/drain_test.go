@@ -1,12 +1,18 @@
 package drain
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"logparse/internal/core"
+	"logparse/internal/gen"
 	"logparse/internal/telemetry"
 )
 
@@ -274,5 +280,324 @@ func TestTemplatesAreCopies(t *testing.T) {
 	tm[0].Tokens[0] = "mutated"
 	if got := s.Templates()[0].String(); strings.Contains(got, "mutated") {
 		t.Error("Templates() exposes internal state")
+	}
+}
+
+// refLearner is the learner this package shipped before leaves were indexed
+// — the same descent, then a linear scan of every group in the leaf — kept
+// as the specification LearnBytes is differentially tested against.
+type refLearner struct {
+	opts  Options
+	roots map[int]*node
+	tmpls [][]string
+}
+
+func newRef(opts Options) *refLearner {
+	return &refLearner{opts: opts.withDefaults(), roots: map[int]*node{}}
+}
+
+func (r *refLearner) descend(toks []string) *node {
+	cur := r.roots[len(toks)]
+	if cur == nil {
+		cur = &node{}
+		r.roots[len(toks)] = cur
+	}
+	for _, tok := range toks[:min(r.opts.Depth-2, len(toks))] {
+		key := core.Wildcard
+		if !strings.ContainsAny(tok, "0123456789") {
+			if child, ok := cur.children[tok]; ok {
+				cur = child
+				continue
+			}
+			if len(cur.children) < r.opts.MaxChildren {
+				key = tok
+			}
+		}
+		child, ok := cur.children[key]
+		if !ok {
+			child = &node{}
+			if cur.children == nil {
+				cur.children = map[string]*node{}
+			}
+			cur.children[key] = child
+		}
+		cur = child
+	}
+	return cur
+}
+
+func (r *refLearner) found(toks []string) int {
+	leaf := r.descend(toks)
+	r.tmpls = append(r.tmpls, toks)
+	leaf.groups = append(leaf.groups, len(r.tmpls)-1)
+	return len(r.tmpls) - 1
+}
+
+func (r *refLearner) LearnBytes(tokens [][]byte) (idx int, changed bool) {
+	toks := make([]string, len(tokens))
+	for i, tok := range tokens {
+		toks[i] = string(tok)
+	}
+	best, bestSame := -1, -1
+	for _, gi := range r.descend(toks).groups {
+		same := 0
+		for i, tok := range r.tmpls[gi] {
+			if tok != core.Wildcard && tok == toks[i] {
+				same++
+			}
+		}
+		if same > bestSame {
+			best, bestSame = gi, same
+		}
+	}
+	if best >= 0 && float64(bestSame) >= r.opts.SimThreshold*float64(len(toks)) {
+		for i, tok := range r.tmpls[best] {
+			if tok != core.Wildcard && tok != toks[i] {
+				r.tmpls[best][i] = core.Wildcard
+				changed = true
+			}
+		}
+		return best, changed
+	}
+	return r.found(toks), true
+}
+
+func (r *refLearner) Snapshot() []byte {
+	blob, _ := json.Marshal(drainState{r.opts.Depth, r.opts.SimThreshold, r.opts.MaxChildren, r.tmpls})
+	return blob
+}
+
+// restoredRef is the reference after Restore: the chronological replay of
+// the snapshot's templates.
+func restoredRef(opts Options, blob []byte) *refLearner {
+	var st drainState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		panic(err)
+	}
+	r := newRef(opts)
+	for _, toks := range st.Templates {
+		r.found(toks)
+	}
+	return r
+}
+
+// diffLearn feeds lines[:cut] to the learner and the reference, takes both
+// through Snapshot→Restore into fresh learners, and continues with the rest:
+// every (idx, changed), the final templates and the snapshot bytes must
+// agree. It returns the restored learner.
+func diffLearn(t testing.TB, opts Options, lines [][][]byte, cut int) *StreamParser {
+	t.Helper()
+	s, ref := NewStream(opts), newRef(opts)
+	for i, toks := range lines {
+		if i == cut {
+			blob, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.Snapshot(); !bytes.Equal(blob, want) {
+				t.Fatalf("snapshot at line %d differs from the reference's:\n got %s\nwant %s", i, blob, want)
+			}
+			s, ref = NewStream(opts), restoredRef(opts, blob)
+			if err := s.Restore(blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gi, gc := s.LearnBytes(toks)
+		wi, wc := ref.LearnBytes(toks)
+		if gi != wi || gc != wc {
+			t.Fatalf("line %d %q: got (%d, %v), reference (%d, %v)", i, toks, gi, gc, wi, wc)
+		}
+	}
+	got := s.Templates()
+	if len(got) != len(ref.tmpls) {
+		t.Fatalf("%d templates, reference %d", len(got), len(ref.tmpls))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i].Tokens, ref.tmpls[i]) {
+			t.Fatalf("template %d = %q, reference %q", i, got[i].Tokens, ref.tmpls[i])
+		}
+	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.Snapshot(); !bytes.Equal(blob, want) {
+		t.Fatalf("final snapshot differs from the reference's:\n got %s\nwant %s", blob, want)
+	}
+	return s
+}
+
+// fuzzAlphabet is the token alphabet of FuzzDrainLearnEquivalence: one byte
+// of input is one token, so the fuzzer reaches ties, merges and full leaves
+// in a few dozen bytes. Digits route through the wildcard edge (they are how
+// many groups come to share one leaf), "*" is the literal wildcard.
+const fuzzAlphabet = "abcdefghij0123*"
+
+// fuzzLines decodes fuzz input: newline ends a line, every other byte is one
+// token of fuzzAlphabet (itself when it is a member).
+func fuzzLines(data string) [][][]byte {
+	var lines [][][]byte
+	for _, l := range strings.Split(data, "\n") {
+		var toks [][]byte
+		for i := 0; i < len(l) && i < 24; i++ {
+			c := l[i]
+			if strings.IndexByte(fuzzAlphabet, c) < 0 {
+				c = fuzzAlphabet[int(c)%len(fuzzAlphabet)]
+			}
+			toks = append(toks, []byte{c})
+		}
+		if len(toks) > 0 && len(lines) < 96 {
+			lines = append(lines, toks)
+		}
+	}
+	return lines
+}
+
+// fuzzOptions decodes the option selector: SimThreshold, then a MaxChildren
+// small enough to overflow, then a depth whose routed levels exceed short
+// lines.
+func fuzzOptions(sel byte) Options {
+	return Options{
+		SimThreshold: []float64{0.4, 0.5, 1.0}[int(sel)%3],
+		MaxChildren:  []int{0, 2}[int(sel)/3%2],
+		Depth:        []int{0, 6}[int(sel)/6%2],
+	}
+}
+
+// FuzzDrainLearnEquivalence holds LearnBytes to the reference learner,
+// through a Snapshot→Restore at line cut.
+func FuzzDrainLearnEquivalence(f *testing.F) {
+	// Ten 6-token lines found ten groups in one leaf (digit heads route
+	// through the wildcard edges; no two agree at 3 of 6, st=0.5) — the cuts
+	// restore it at 7, 8, 9 and 10 groups — then two lines merge into groups
+	// 2 and 7, and exact repeats must find their groups through the index.
+	flood := "00aaaa\n11bbbb\n22cccc\n33dddd\n00eeee\n11ffff\n22gggg\n33hhhh\n00iiii\n11jjjj\n22abcd\n33efgh\n"
+	for cut := byte(7); cut <= 10; cut++ {
+		f.Add(flood+"00aaaa\n33efgh\n11jjjj\n22gggg", byte(1), cut)
+	}
+	// Exactly the smallest accepted count, and nothing else to go by:
+	// "00a012" agrees with group 0 at 3 of 6 (st=0.5) and its other tokens
+	// are new to the leaf, so only the 3 agreeing posting lists exist and
+	// skipping more than 2 of them would lose the group.
+	f.Add(flood+"00a012\n00a012", byte(1), byte(11))
+	// A tie between an early and a late group of an indexed leaf: "03abcf"
+	// agrees with group 0 (0 a b c) and with group 9 (3 a b f) at 4 of 6.
+	f.Add("01abcd\n11bbbb\n22cccc\n33dddd\n00eeee\n11ffff\n22gggg\n33hhhh\n00iiii\n23abef\n03abcf\n23abcf", byte(1), byte(3))
+	// Stale entry: group 0 loses its "c" at position 4 to the merge with
+	// "01abgd"; "31hhcj" then still finds group 0 under (4, c) and must not
+	// count it — it joins group 7 on 3 of 6 instead (st=0.4, 0.4·6 =
+	// 2.4000000000000004).
+	f.Add("01abcd\n11bbbb\n22cccc\n33dddd\n00eeee\n11ffff\n22gggg\n33hhhh\n00iiii\n11jjjj\n01abgd\n31hhcj\n01abcd", byte(0), byte(11))
+	// SimThreshold·n an integer (0.4·5 = 2, 0.5·4 = 2, 1.0·n) and not
+	// (0.4·7 = 2.8000000000000003, 0.5·5 = 2.5): a line exactly at the
+	// smallest accepted count and one just under it, per length.
+	f.Add("01abc\n01fgh\n21dde\n01abcde\n01fghij\n01aiiii\n21jjjjj", byte(0), byte(2))
+	f.Add("01ab\n01ac\n01cd\n01abc\n01ade\n01dbc\n23ddc", byte(1), byte(4))
+	f.Add("abc\nabc\nabd\nab*\n0bc\n1bc\n0bc", byte(2), byte(3))
+	// A literal "*" in a line never counts as agreement, indexed or not.
+	f.Add("a*c\na*c\n**\n**\n0*1*\n2*3*\n*\n*", byte(2), byte(4))
+	f.Add(flood+"00a*aa\n0*aaaa\n*0aaaa", byte(0), byte(12))
+	// Lines shorter than the routed levels (Depth 6 routes on four tokens).
+	f.Add("a\nab\nabc\nabcd\nabcde\na\nab\nabd\n0\n1", byte(6), byte(5))
+	// MaxChildren 2: the third and fourth head token overflow into the
+	// wildcard edge and share its leaf.
+	f.Add("abcde\nbbcde\ncbcde\ndbcde\nabcdf\ncbcdf\nebcde\ncccde\ndddde", byte(3), byte(4))
+	f.Fuzz(func(t *testing.T, data string, sel, cut byte) {
+		diffLearn(t, fuzzOptions(sel), fuzzLines(data), int(cut))
+	})
+}
+
+// TestLearnMatchesReferenceOnDatasets replays every generated dataset
+// through the learner and the reference, line by line. Thunderbird runs long
+// enough for its firewall event to found thousands of groups in one leaf.
+func TestLearnMatchesReferenceOnDatasets(t *testing.T) {
+	for _, name := range gen.AllNames() {
+		n := 6000
+		if name == "Thunderbird" {
+			n = 100000
+			if testing.Short() {
+				n = 20000
+			}
+		}
+		t.Run(name, func(t *testing.T) {
+			cat, err := gen.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs := cat.Generate(7, n)
+			lines := make([][][]byte, 0, n)
+			for i := range msgs {
+				if toks := core.TokenizeBytes([]byte(msgs[i].Content), nil); len(toks) > 0 {
+					lines = append(lines, toks)
+				}
+			}
+			s := diffLearn(t, Options{}, lines, len(lines)/2)
+			if name == "Thunderbird" && s.LargestLeaf() <= 20*smallLeaf {
+				t.Errorf("largest leaf holds %d groups: the indexed path was not exercised", s.LargestLeaf())
+			}
+		})
+	}
+}
+
+// nearDuplicates is the hostile stream for a similarity-threshold learner:
+// 14-token lines that share 3 constants (3/14 < 0.4) and differ everywhere
+// else, so every line founds a group in the same leaf.
+func nearDuplicates(n int) [][][]byte {
+	rng := rand.New(rand.NewSource(1))
+	lines := make([][][]byte, n)
+	for i := range lines {
+		toks := [][]byte{[]byte("IN=eth0"), []byte("OUT="), []byte("PROTO=UDP")}
+		for len(toks) < 14 {
+			toks = append(toks, []byte(fmt.Sprintf("F%d=%x", len(toks), rng.Int63())))
+		}
+		lines[i] = toks
+	}
+	return lines
+}
+
+// TestNearDuplicateFloodIsLinear pins the work counter: the linear scan
+// compares line i against i groups (≈ lines²/2 = 2·10⁸ comparisons here);
+// the index nominates only groups sharing a token outside the three longest
+// posting lists.
+func TestNearDuplicateFloodIsLinear(t *testing.T) {
+	lines := nearDuplicates(20000)
+	s := NewStream(Options{})
+	for _, toks := range lines {
+		s.LearnBytes(toks)
+	}
+	for _, toks := range lines[:1000] { // and matching stays cheap in the full leaf
+		if _, changed := s.LearnBytes(toks); changed {
+			t.Fatal("a repeated line changed the template set")
+		}
+	}
+	if s.NumTemplates() != len(lines) || s.LargestLeaf() != len(lines) {
+		t.Fatalf("%d templates, largest leaf %d, want %d in one leaf", s.NumTemplates(), s.LargestLeaf(), len(lines))
+	}
+	if limit := uint64(len(lines)); s.verified > limit {
+		t.Errorf("%d template comparisons over %d lines, want at most %d", s.verified, len(lines)+1000, limit)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.LearnBytes(lines[len(lines)/2]) }); allocs != 0 {
+		t.Errorf("matched path through the index: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFoundingAllocatesPerLine pins the cost of founding a group in a leaf
+// that already holds 10 k: the template and its index entries (amortised),
+// never a copy of anything sized by the leaf.
+func TestFoundingAllocatesPerLine(t *testing.T) {
+	lines := nearDuplicates(12000)
+	s := NewStream(Options{})
+	for _, toks := range lines[:10000] {
+		s.LearnBytes(toks)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, toks := range lines[10000:] {
+		s.LearnBytes(toks)
+	}
+	runtime.ReadMemStats(&after)
+	perLine := (after.TotalAlloc - before.TotalAlloc) / 2000
+	if perLine > 4096 { // one copy of a 10 k-entry []int per founding would be 80 KB
+		t.Errorf("founding a group at 10 k groups allocates %d B/line", perLine)
 	}
 }

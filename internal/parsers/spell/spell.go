@@ -413,14 +413,7 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 			assign[i] = core.OutlierID
 			continue
 		}
-		arena, buf = arena[:0], buf[:0]
-		for _, t := range toks {
-			arena = append(arena, t...)
-		}
-		rest := arena
-		for _, t := range toks {
-			buf, rest = append(buf, rest[:len(t):len(t)]), rest[len(t):]
-		}
+		arena, buf = core.PackTokens(toks, arena, buf)
 		assign[i], _ = s.LearnBytes(buf)
 	}
 	stage.End()

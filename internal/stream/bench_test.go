@@ -244,15 +244,7 @@ func BenchmarkSpellIngest(b *testing.B) {
 // missed the trie (exactly the lines that changed the template set).
 func BenchmarkSpellLearnFresh(b *testing.B) {
 	const n = 100000
-	cat, err := gen.ByName("Thunderbird")
-	if err != nil {
-		b.Fatal(err)
-	}
-	msgs := cat.Generate(1, n)
-	lines := make([][]byte, n)
-	for i := range msgs {
-		lines[i] = []byte(msgs[i].Content)
-	}
+	lines := freshThunderbird(b, n)
 	var buf [][]byte
 	misses, templates := 0, 0
 	b.ReportAllocs()
@@ -276,6 +268,49 @@ func BenchmarkSpellLearnFresh(b *testing.B) {
 	}
 	b.ReportMetric(float64(misses)/n, "misses/line")
 	b.ReportMetric(float64(templates), "templates")
+}
+
+// freshThunderbird generates the stream bench/'s learner workloads send.
+func freshThunderbird(b *testing.B, n int) [][]byte {
+	cat, err := gen.ByName("Thunderbird")
+	if err != nil {
+		b.Fatal(err)
+	}
+	msgs := cat.Generate(1, n)
+	lines := make([][]byte, n)
+	for i := range msgs {
+		lines[i] = []byte(msgs[i].Content)
+	}
+	return lines
+}
+
+// BenchmarkDrainLearnFresh is BenchmarkSpellLearnFresh for Drain.
+// BenchmarkDrainIngest replays a converged corpus and never builds a leaf
+// worth indexing; on this stream one leaf (the 14-token firewall event,
+// 3 shared constants of 14) takes a new group from ≈2.5 % of the lines, and
+// largest-leaf is the scan a line reaching it would pay without the index.
+func BenchmarkDrainLearnFresh(b *testing.B) {
+	const n = 100000
+	lines := freshThunderbird(b, n)
+	var buf [][]byte
+	templates, leaf := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := drain.NewStream(drain.Options{})
+		for _, l := range lines {
+			if buf = core.TokenizeBytes(l, buf); len(buf) > 0 {
+				s.LearnBytes(buf)
+			}
+		}
+		templates, leaf = s.NumTemplates(), s.LargestLeaf()
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(n*b.N)/elapsed, "lines/sec")
+	}
+	b.ReportMetric(float64(templates), "templates")
+	b.ReportMetric(float64(leaf), "largest-leaf")
 }
 
 // BenchmarkStreamIngestTelemetry is BenchmarkStreamIngest's telemetry-on

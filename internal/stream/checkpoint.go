@@ -39,10 +39,14 @@ const (
 	tmpName         = "checkpoint.ckpt.tmp"
 )
 
-// SavedTemplate is one template with its cumulative event count.
+// SavedTemplate is one template with its cumulative event count. In
+// online-parser mode the learner's snapshot (State.Online.Data) is the one
+// authoritative copy of the templates, so entries carry only Count, in group
+// order; checkpoints written before that also filled ID and Tokens, and
+// restore still cross-checks them when present.
 type SavedTemplate struct {
-	ID     string   `json:"id"`
-	Tokens []string `json:"tokens"`
+	ID     string   `json:"id,omitempty"`
+	Tokens []string `json:"tokens,omitempty"`
 	Count  int64    `json:"count"`
 }
 
@@ -74,7 +78,8 @@ type State struct {
 	// Offset is the source line number (1-based, empty lines excluded) of
 	// the last processed line; resume skips this many lines.
 	Offset int64 `json:"offset"`
-	// Templates is the template set with per-template event counts.
+	// Templates is the template set with per-template event counts (in
+	// online-parser mode the counts alone; see SavedTemplate).
 	Templates []SavedTemplate `json:"templates"`
 	// Unmatched is the buffered unmatched-line backlog.
 	Unmatched []string `json:"unmatched"`
@@ -87,6 +92,32 @@ type State struct {
 	// Online is the serialised online learner when the checkpoint was taken
 	// in online-parser mode, nil in retrain mode.
 	Online *OnlineState `json:"online,omitempty"`
+}
+
+// TemplateNames renders the checkpoint's templates in index order — the
+// index the event store records — without constructing the learner: an
+// online-mode checkpoint keeps them only inside the learner's snapshot, a
+// JSON object whose "templates" member lists each group's tokens in
+// creation order (the OnlineParser.Snapshot contract).
+func (st *State) TemplateNames() ([]string, error) {
+	tokens := make([][]string, len(st.Templates))
+	for i, t := range st.Templates {
+		tokens[i] = t.Tokens
+	}
+	if st.Online != nil {
+		var learner struct {
+			Templates [][]string `json:"templates"`
+		}
+		if err := json.Unmarshal(st.Online.Data, &learner); err != nil || len(learner.Templates) != len(tokens) {
+			return nil, fmt.Errorf("stream: %s snapshot does not list the checkpoint's %d templates (%v)", st.Online.Parser, len(tokens), err)
+		}
+		tokens = learner.Templates
+	}
+	names := make([]string, len(tokens))
+	for i, toks := range tokens {
+		names[i] = strings.Join(toks, " ")
+	}
+	return names, nil
 }
 
 // CorruptError reports a checkpoint file that exists but cannot be trusted.

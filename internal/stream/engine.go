@@ -262,10 +262,11 @@ func (e *Engine) restore(st *State) error {
 }
 
 // restoreOnline rebuilds online-parser-mode state: the learner restores its
-// own serialised snapshot, and the checkpoint's template list (which carries
-// the per-group counts) must agree with what the restored learner renders —
-// group order and rendered strings both — or the counts would be attributed
-// to the wrong groups.
+// own serialised snapshot, and the checkpoint's per-group count list must be
+// exactly as long as the restored learner's template list. A checkpoint that
+// also carries the rendered templates (every one written before the
+// snapshot became the only copy) must agree with the learner string by
+// string too — or the counts would be attributed to the wrong groups.
 func (e *Engine) restoreOnline(st *State) error {
 	if st.Online == nil {
 		return fmt.Errorf("stream: checkpoint was written in retrain mode; it cannot resume under an online parser")
@@ -282,7 +283,7 @@ func (e *Engine) restoreOnline(st *State) error {
 	}
 	counts := make([]int64, len(st.Templates))
 	for i, t := range st.Templates {
-		if tmpls[i].String() != strings.Join(t.Tokens, " ") {
+		if t.Tokens != nil && tmpls[i].String() != strings.Join(t.Tokens, " ") {
 			return fmt.Errorf("stream: restored online template %d (%q) diverges from checkpoint (%q)",
 				i, tmpls[i].String(), strings.Join(t.Tokens, " "))
 		}
@@ -522,9 +523,9 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 		// spot — there is no unmatched buffer and no retrain cycle. The
 		// steady-state path (no template change) is allocation-free, pinned
 		// by TestOnlineMatchedPathAllocs; counts grow only when a new group
-		// is created, and template rendering is deferred to sync points
-		// (checkpoint, Result, Stats) so the hot path never materialises
-		// strings.
+		// is created, and template rendering is deferred to Result/Digest
+		// (a checkpoint writes the learner's snapshot, Stats the count) so
+		// the hot path never materialises strings.
 		idx, changed := e.online.LearnBytes(tokens)
 		if changed {
 			e.onlineDirty = true
@@ -684,34 +685,32 @@ func (e *Engine) checkpointLocked() error {
 		e.tm.ckptErrors.Inc()
 		return err
 	}
-	e.syncOnlineLocked()
-	var onlineState *OnlineState
+	st := &State{
+		Offset:          e.offset,
+		Templates:       make([]SavedTemplate, len(e.counts)),
+		Unmatched:       append([]string(nil), e.unmatched...),
+		Counters:        e.ctrs,
+		BreakerFailures: e.breaker.consecutive,
+		BreakerOpen:     e.breaker.isOpen(),
+	}
+	for i, n := range e.counts {
+		st.Templates[i].Count = n
+	}
 	if e.online != nil {
-		// A learner that cannot serialise refuses the checkpoint the same
-		// way a failed event store does: persisting a State without the
-		// learner would strand the template counts.
+		// The learner's snapshot is the only copy of the templates a
+		// checkpoint carries. A learner that cannot serialise refuses the
+		// checkpoint the same way a failed event store does: persisting a
+		// State without the learner would strand the template counts.
 		blob, err := e.online.Snapshot()
 		if err != nil {
 			e.ckptErrors++
 			e.tm.ckptErrors.Inc()
 			return fmt.Errorf("stream: snapshot online parser: %w", err)
 		}
-		onlineState = &OnlineState{Parser: e.online.Name(), Data: blob}
-	}
-	st := &State{
-		Online:          onlineState,
-		Offset:          e.offset,
-		Templates:       make([]SavedTemplate, len(e.templates)),
-		Unmatched:       append([]string(nil), e.unmatched...),
-		Counters:        e.ctrs,
-		BreakerFailures: e.breaker.consecutive,
-		BreakerOpen:     e.breaker.isOpen(),
-	}
-	for i, t := range e.templates {
-		st.Templates[i] = SavedTemplate{
-			ID:     t.ID,
-			Tokens: append([]string(nil), t.Tokens...),
-			Count:  e.counts[i],
+		st.Online = &OnlineState{Parser: e.online.Name(), Data: blob}
+	} else {
+		for i, t := range e.templates {
+			st.Templates[i].ID, st.Templates[i].Tokens = t.ID, t.Tokens
 		}
 	}
 	start := e.now()
@@ -772,7 +771,6 @@ func (e *Engine) RecoveryError() error {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.syncOnlineLocked()
 	s := Stats{
 		Processed:         e.ctrs.Processed,
 		Matched:           e.ctrs.Matched,
@@ -788,7 +786,7 @@ func (e *Engine) Stats() Stats {
 		CheckpointErrors:  e.ckptErrors,
 		CheckpointAge:     -1,
 		Offset:            e.offset,
-		Templates:         len(e.templates),
+		Templates:         len(e.counts),
 		Breaker:           e.breaker.stateName(),
 		RecoveredFrom:     e.recoveredFrom,
 	}

@@ -18,7 +18,10 @@ type OnlineParser interface {
 	// Templates returns the learned templates in group-creation order, so
 	// Templates()[i] renders the group LearnBytes called i.
 	Templates() []core.Template
-	// Snapshot serialises the learner's full state for a checkpoint.
+	// Snapshot serialises the learner's full state for a checkpoint: a JSON
+	// object whose "templates" member lists each group's tokens in creation
+	// order (State.TemplateNames reads it), plus whatever else the learner
+	// needs. It is the only copy of the templates an online checkpoint holds.
 	Snapshot() ([]byte, error)
 	// Restore replaces the learner's state with a snapshot taken by the same
 	// algorithm under the same parameters.

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
 	"logparse/internal/core"
+	"logparse/internal/gen"
 	"logparse/internal/parsers/drain"
 	"logparse/internal/parsers/spell"
 )
@@ -275,4 +277,154 @@ func TestOnlineDigestMatchesBatchParse(t *testing.T) {
 	if got, want := Digest(tmpls, counts), Digest(res.Templates, batchCounts); got != want {
 		t.Fatalf("engine digest %s != batch parse digest %s", got, want)
 	}
+}
+
+// asV1 rewrites dir's newest checkpoint in the shape written before the
+// learner's snapshot became the only copy of the templates: every
+// State.Templates entry also carries the group's id and rendered tokens. It
+// returns the new-format and the v1 file sizes.
+func asV1(t *testing.T, dir string, mk func() OnlineParser, edit func(*State)) (newSize, v1Size int64) {
+	t.Helper()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(store.path(currentName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	newSize = size()
+	learner := mk()
+	if err := learner.Restore(st.Online.Data); err != nil {
+		t.Fatal(err)
+	}
+	for i, tm := range learner.Templates() {
+		if st.Templates[i].Tokens != nil {
+			t.Fatalf("template %d of an online checkpoint carries tokens outside the snapshot", i)
+		}
+		st.Templates[i].ID, st.Templates[i].Tokens = tm.ID, tm.Tokens
+	}
+	if edit != nil {
+		edit(st)
+	}
+	if err := store.Save(st); err != nil {
+		t.Fatal(err)
+	}
+	return newSize, size()
+}
+
+// TestOnlineCheckpointV1Compatibility: a checkpoint carrying the templates
+// twice still loads, is still cross-checked string by string, resumes to the
+// uninterrupted digest — and is what the single-copy format is measured
+// against: under 60 % of its size for the same engine state.
+func TestOnlineCheckpointV1Compatibility(t *testing.T) {
+	for name, mk := range onlineFactories() {
+		t.Run(name, func(t *testing.T) {
+			// Fresh Thunderbird lines: hundreds of templates, so the payload
+			// is the templates and not the fixed header and counters.
+			cat, err := gen.ByName("Thunderbird")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			for _, m := range cat.Generate(31, 4000) {
+				lines = append(lines, m.Content)
+			}
+			want := runOnline(t, t.TempDir(), lines, mk(), 0, 500).Digest()
+
+			dir := t.TempDir()
+			runOnline(t, dir, lines, mk(), 1903, 500)
+			newSize, v1Size := asV1(t, dir, mk, nil)
+			if float64(newSize) >= 0.6*float64(v1Size) {
+				t.Errorf("online checkpoint is %d B, %d B with the templates twice: want under 60 %%", newSize, v1Size)
+			}
+			if got := runOnline(t, dir, lines, mk(), 0, 500).Digest(); got != want {
+				t.Fatalf("resume from a v1 checkpoint diverged:\n  uninterrupted %s\n  recovered     %s", want, got)
+			}
+
+			runOnline(t, dir, lines, mk(), 0, 500) // closing checkpoint, new format
+			asV1(t, dir, mk, func(st *State) { st.Templates[1].Tokens = []string{"not", "the", "learner's"} })
+			if _, err := New(Config{CheckpointDir: dir, Online: mk()}); err == nil || !strings.Contains(err.Error(), "diverges from checkpoint") {
+				t.Errorf("v1 checkpoint disagreeing with its learner: err = %v", err)
+			}
+		})
+	}
+}
+
+// TestOnlineCheckpointCountListLength: with the tokens gone the count list's
+// length is the one cross-check left between State.Templates and the
+// learner, so it must refuse both directions.
+func TestOnlineCheckpointCountListLength(t *testing.T) {
+	for name, mk := range onlineFactories() {
+		for _, delta := range []int{-1, +1} {
+			dir := t.TempDir()
+			runOnline(t, dir, synthLines(1000, 5), mk(), 0, 500)
+			store, _ := NewStore(dir)
+			st, _, err := store.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Templates = append(st.Templates, SavedTemplate{})[:len(st.Templates)+delta]
+			if err := store.Save(st); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(Config{CheckpointDir: dir, Online: mk()}); err == nil || !strings.Contains(err.Error(), "checkpoint lists") {
+				t.Errorf("%s, count list %+d: err = %v", name, delta, err)
+			}
+		}
+	}
+}
+
+// TestStateTemplateNames: the names a checkpoint yields are the engine's
+// rendered templates, whichever mode and format wrote it.
+func TestStateTemplateNames(t *testing.T) {
+	lines := synthLines(1000, 5)
+	check := func(t *testing.T, e *Engine, dir string) {
+		t.Helper()
+		store, _ := NewStore(dir)
+		st, _, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := st.TemplateNames()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpls, _ := e.Result()
+		if len(names) != len(tmpls) || len(names) == 0 {
+			t.Fatalf("%d names, %d templates", len(names), len(tmpls))
+		}
+		for i := range names {
+			if names[i] != tmpls[i].String() {
+				t.Fatalf("name %d = %q, engine renders %q", i, names[i], tmpls[i].String())
+			}
+		}
+	}
+	for name, mk := range onlineFactories() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := runOnline(t, dir, lines, mk(), 0, 500)
+			check(t, e, dir)
+			asV1(t, dir, mk, nil)
+			check(t, e, dir)
+		})
+	}
+	t.Run("retrain", func(t *testing.T) {
+		dir := t.TempDir()
+		e, err := New(Config{Open: memOpen(lines), CheckpointDir: dir, Retrainer: &groupMiner{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		check(t, e, dir)
+	})
 }

@@ -87,6 +87,8 @@ for target in FuzzSpellLCS FuzzSpellLearnEquivalence; do
 	echo "==> go test -fuzz=$target -fuzztime=5s ./internal/parsers/spell"
 	go test ./internal/parsers/spell -run '^$' -fuzz "^${target}\$" -fuzztime=5s >/dev/null
 done
+echo "==> go test -fuzz=FuzzDrainLearnEquivalence -fuzztime=5s ./internal/parsers/drain"
+go test ./internal/parsers/drain -run '^$' -fuzz '^FuzzDrainLearnEquivalence$' -fuzztime=5s >/dev/null
 echo "==> go test -fuzz=FuzzMatchRemove -fuzztime=5s ./internal/match"
 go test ./internal/match -run '^$' -fuzz '^FuzzMatchRemove$' -fuzztime=5s >/dev/null
 echo "==> go test -fuzz=FuzzWALDecode -fuzztime=5s ./internal/stream/wal"
