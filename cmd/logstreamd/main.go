@@ -24,9 +24,9 @@
 // Fault injection: -eof-after-lines truncates the source mid-stream (clean
 // EOF; the engine checkpoints and a later run completes the job) and
 // -torn-checkpoint-at N tears the Nth checkpoint save after
-// -torn-checkpoint-limit bytes, modelling data lost between write and fsync
-// — a resumed run detects the damage and falls back to the previous
-// checkpoint generation.
+// -torn-checkpoint-limit bytes, modelling a write cut short mid-save — the
+// save fails, and a resumed run detects the torn delta tail and recovers
+// from the save before it.
 //
 // Network mode: -listen promotes the daemon to the sharded multi-tenant
 // ingestion server. Tenants POST newline-delimited lines and each gets its
@@ -61,6 +61,7 @@ import (
 
 	"logparse"
 	"logparse/internal/faultinject"
+	"logparse/internal/seglog"
 	"logparse/internal/server"
 	"logparse/internal/stream"
 )
@@ -209,13 +210,23 @@ func run() (int, error) {
 		EventStoreBlockBytes: *eventsBlock,
 	}
 	if *tornAt > 0 {
+		// The Nth save's writes stop after -torn-checkpoint-limit bytes,
+		// whichever file it is writing: the save fails and leaves a torn
+		// delta tail (or a torn, unpublished base) behind.
 		saves := 0
-		cfg.CheckpointWrap = func(w io.Writer) io.Writer {
-			saves++
-			if saves == *tornAt {
-				return faultinject.NewTornWriter(w, *tornLimit)
-			}
-			return w
+		cfg.CheckpointSeam = seglog.Seam{
+			Hook: func(point string) error {
+				if point == "save" {
+					saves++
+				}
+				return nil
+			},
+			Wrap: func(f *os.File) seglog.File {
+				c := faultinject.NewWALCrashFile(f)
+				c.TearAfter = *tornLimit
+				c.Armed = func() bool { return saves == *tornAt }
+				return c
+			},
 		}
 	}
 
@@ -235,9 +246,9 @@ func run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	if from := eng.Stats().RecoveredFrom; from != "" {
-		fmt.Fprintf(os.Stderr, "logstreamd: restored %s checkpoint generation (offset %d)\n",
-			from, eng.Stats().Offset)
+	if st := eng.Stats(); st.RecoveredFrom != "" {
+		fmt.Fprintf(os.Stderr, "logstreamd: restored %s checkpoint base + %d deltas (generation %d, offset %d)\n",
+			st.RecoveredFrom, st.DeltasSinceBase, st.CheckpointGen, st.Offset)
 	}
 
 	// SIGINT/SIGTERM request a graceful stop: the producer stops pulling,
@@ -394,8 +405,8 @@ func runServer(o serverOpts) (int, error) {
 			WALSync:         sync,
 			WALSegmentBytes: o.walSegBytes,
 		},
-		NewRetrainer: newRetrainerFactory(o),
-		NewOnline:    newOnlineFactory(o),
+		NewRetrainer:   newRetrainerFactory(o),
+		NewOnline:      newOnlineFactory(o),
 		QuotaRate:      o.quotaRate,
 		QuotaBurst:     o.quotaBurst,
 		MaxBodyBytes:   o.maxBody,
@@ -515,8 +526,8 @@ func printStats(w io.Writer, s stream.Stats) {
 		s.LinesIn, s.Processed, s.Matched, s.Unparsed, s.Empty, s.Shed, s.Oversized)
 	fmt.Fprintf(w, "templates=%d retrains=%d retrain-failures=%d breaker=%s unmatched-buffered=%d unmatched-dropped=%d\n",
 		s.Templates, s.Retrains, s.RetrainFailures, s.Breaker, s.UnmatchedBuffered, s.UnmatchedDropped)
-	fmt.Fprintf(w, "offset=%d checkpoints=%d checkpoint-errors=%d ring-high-water=%d recovered-from=%q\n",
-		s.Offset, s.Checkpoints, s.CheckpointErrors, s.RingHighWater, s.RecoveredFrom)
+	fmt.Fprintf(w, "offset=%d checkpoints=%d checkpoint-errors=%d checkpoint-gen=%d deltas-since-base=%d ring-high-water=%d recovered-from=%q\n",
+		s.Offset, s.Checkpoints, s.CheckpointErrors, s.CheckpointGen, s.DeltasSinceBase, s.RingHighWater, s.RecoveredFrom)
 	if s.EventStoreEnabled {
 		fmt.Fprintf(w, "events=%d event-segments=%d event-blocks=%d event-torn-tails=%d event-error=%q\n",
 			s.EventsAppended, s.EventStoreSegments, s.EventStoreBlocks, s.EventStoreTornTails, s.EventStoreError)

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -231,4 +232,33 @@ func (stubParser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
 }
 func (s stubParser) ParseCtx(_ context.Context, msgs []core.LogMessage) (*core.ParseResult, error) {
 	return s.Parse(msgs)
+}
+
+func TestReaderEOFAfterLines(t *testing.T) {
+	const input = "one\ntwo\nthree\nfour\n"
+	r := NewReader(strings.NewReader(input), Faults{EOFAfterLines: 2})
+	data, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("ReadAll: %v (EOFAfterLines must end the stream cleanly)", err)
+	}
+	if got := string(data); got != "one\ntwo\n" {
+		t.Fatalf("served %q, want first two lines", got)
+	}
+	// Deterministic: a second identical reader serves the same bytes.
+	r2 := NewReader(strings.NewReader(input), Faults{EOFAfterLines: 2})
+	data2, err := io.ReadAll(r2)
+	if err != nil || !bytes.Equal(data, data2) {
+		t.Fatalf("EOFAfterLines not deterministic: %q vs %q (err=%v)", data, data2, err)
+	}
+}
+
+func TestReaderEOFAfterLinesBeyondInput(t *testing.T) {
+	r := NewReader(strings.NewReader("a\nb\n"), Faults{EOFAfterLines: 10})
+	data, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "a\nb\n" {
+		t.Fatalf("served %q, want whole input when the limit exceeds it", data)
+	}
 }

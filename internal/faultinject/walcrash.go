@@ -38,6 +38,10 @@ type WALCrashFile struct {
 	TearAfter int64
 	// SyncErrAt fails the Nth Sync call, 1-based (0 disables).
 	SyncErrAt int
+	// Armed, when non-nil, gates both faults: while it reports false the
+	// file is transparent and neither bytes nor syncs are counted — how a
+	// test tears the Nth save of a log whose segment outlives many saves.
+	Armed func() bool
 
 	written int64
 	syncs   int
@@ -54,6 +58,9 @@ func NewWALCrashFile(f Syncer) *WALCrashFile {
 func (c *WALCrashFile) Write(p []byte) (int, error) {
 	if c.failed {
 		return 0, ErrInjectedCrash
+	}
+	if c.Armed != nil && !c.Armed() {
+		return c.f.Write(p)
 	}
 	if c.TearAfter >= 0 {
 		if room := c.TearAfter - c.written; room < int64(len(p)) {
@@ -75,6 +82,9 @@ func (c *WALCrashFile) Write(p []byte) (int, error) {
 func (c *WALCrashFile) Sync() error {
 	if c.failed {
 		return ErrInjectedCrash
+	}
+	if c.Armed != nil && !c.Armed() {
+		return c.f.Sync()
 	}
 	c.syncs++
 	if c.SyncErrAt > 0 && c.syncs == c.SyncErrAt {

@@ -327,6 +327,10 @@ func (s *StreamParser) Templates() []core.Template {
 	return out
 }
 
+// TemplateTokens returns group i's current template as a view into the
+// learner: valid until the next LearnBytes or Restore, not to be modified.
+func (s *StreamParser) TemplateTokens(i int) []string { return s.tmpls[i] }
+
 // drainState is the serialised learner. Neither the tree nor the leaf
 // indexes are stored: Restore's replay of the templates in creation order
 // reconstructs them (see the invariant note there).

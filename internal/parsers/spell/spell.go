@@ -317,6 +317,10 @@ func (s *StreamParser) Templates() []core.Template {
 	return out
 }
 
+// TemplateTokens returns object i's current template as a view into the
+// learner: valid until the next LearnBytes or Restore, not to be modified.
+func (s *StreamParser) TemplateTokens(i int) []string { return s.objs[i].tokens }
+
 // spellState is the serialised learner. The templates alone determine every
 // future decision (IDs, buckets and the accelerator are derived), so they
 // are the whole state.

@@ -14,7 +14,9 @@ type Options struct {
 	Dir string
 	// SegmentBytes is the size at which Full reports the active segment
 	// ready to rotate, and below which Ensure reopens the newest segment
-	// for append instead of starting another.
+	// for append instead of starting another. Zero means a segment never
+	// has room: every Ensure starts a fresh file and rotation is the
+	// owner's decision alone (the checkpoint delta log).
 	SegmentBytes int64
 	// Seam is the fault-injection seam; the zero value is production.
 	Seam Seam

@@ -2,7 +2,8 @@ package stream
 
 import (
 	"context"
-	"io"
+	"fmt"
+	"math"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -11,19 +12,20 @@ import (
 	"logparse/internal/gen"
 	"logparse/internal/parsers/drain"
 	"logparse/internal/parsers/spell"
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
 
-// benchCountingWriter tallies checkpoint bytes written during a benchmark
-// run through the Config.CheckpointWrap seam.
-type benchCountingWriter struct {
-	w     io.Writer
+// benchCountingFile tallies checkpoint bytes written during a benchmark
+// run through the Config.CheckpointSeam seam.
+type benchCountingFile struct {
+	*os.File
 	total *atomic.Int64
 }
 
-func (cw *benchCountingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.total.Add(int64(n))
+func (cf benchCountingFile) Write(p []byte) (int, error) {
+	n, err := cf.File.Write(p)
+	cf.total.Add(int64(n))
 	return n, err
 }
 
@@ -47,9 +49,9 @@ func benchIngest(b *testing.B, n, checkpointEvery int) {
 			CheckpointEvery: checkpointEvery,
 			RetrainBatch:    64,
 			Retrainer:       &groupMiner{},
-			CheckpointWrap: func(w io.Writer) io.Writer {
-				return &benchCountingWriter{w: w, total: &ckptBytes}
-			},
+			CheckpointSeam: seglog.Seam{Wrap: func(f *os.File) seglog.File {
+				return benchCountingFile{File: f, total: &ckptBytes}
+			}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -343,5 +345,73 @@ func BenchmarkStreamIngestTelemetry(b *testing.B) {
 	b.StopTimer()
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
 		b.ReportMetric(float64(n*b.N)/elapsed, "lines/sec")
+	}
+}
+
+// BenchmarkCheckpointSave is the RQ2 shape — cost over size — for
+// persistence: an online Drain engine fed fresh Thunderbird lines until it
+// holds 1 k, 4 k and 16 k templates, then one save per 5,000-line interval,
+// as a delta alone and as a delta plus a base. ns/save and B/save stay flat
+// for the delta (it carries what the interval changed) and grow linearly for
+// the base (it carries everything). Learning happens off the clock.
+func BenchmarkCheckpointSave(b *testing.B) {
+	const interval = 5000
+	cat, err := gen.ByName("Thunderbird")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, target := range []int{1000, 4000, 16000} {
+		for _, kind := range []string{"delta", "base"} {
+			b.Run(fmt.Sprintf("templates=%d/%s", target, kind), func(b *testing.B) {
+				var written atomic.Int64
+				e, err := New(Config{
+					CheckpointDir: b.TempDir(), CheckpointEvery: -1, Online: drain.NewStream(drain.Options{}),
+					CheckpointSeam: seglog.Seam{Wrap: func(f *os.File) seglog.File {
+						return benchCountingFile{File: f, total: &written}
+					}},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Fresh lines from successive seeds, 50 k at a time.
+				var chunk []core.LogMessage
+				seed := int64(0)
+				learn := func(n int) {
+					for ; n > 0; n-- {
+						if len(chunk) == 0 {
+							seed++
+							chunk = cat.Generate(seed, 50000)
+						}
+						e.process(context.Background(), item{lineNo: e.offset + 1, data: []byte(chunk[0].Content)})
+						chunk = chunk[1:]
+					}
+				}
+				for len(e.counts) < target {
+					learn(interval)
+				}
+				if err := e.Checkpoint(); err != nil { // the first save is always a base
+					b.Fatal(err)
+				}
+				written.Store(0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					learn(interval)
+					e.store.basePayload = math.MaxInt64
+					if kind == "base" {
+						rebaseNext(e)
+					}
+					b.StartTimer()
+					if err := e.Checkpoint(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(0, "ns/op") // one op is one save
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/save")
+				b.ReportMetric(float64(written.Load())/float64(b.N), "B/save")
+				b.ReportMetric(float64(len(e.counts)), "templates")
+			})
+		}
 	}
 }

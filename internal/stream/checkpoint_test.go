@@ -1,15 +1,40 @@
 package stream
 
 import (
+	"encoding/json"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"logparse/internal/faultinject"
+	"logparse/internal/seglog"
 )
+
+// tearSave returns a checkpoint seam that cuts the nth save's writes short
+// after limit bytes, whichever file that save is writing, and the number of
+// saves begun so far.
+func tearSave(n int, limit int64) (seglog.Seam, *int) {
+	saves := new(int)
+	return seglog.Seam{
+		Hook: func(point string) error {
+			if point == "save" {
+				*saves++
+			}
+			return nil
+		},
+		Wrap: func(f *os.File) seglog.File {
+			c := faultinject.NewWALCrashFile(f)
+			c.TearAfter = limit
+			c.Armed = func() bool { return *saves == n }
+			return c
+		},
+	}, saves
+}
+
+// rebaseNext makes e's next save write a base whatever the byte counts say.
+func rebaseNext(e *Engine) { e.store.basePayload = 0 }
 
 func testState(offset int64) *State {
 	return &State{
@@ -138,33 +163,70 @@ func TestCheckpointTruncatedFileIsCorrupt(t *testing.T) {
 	}
 }
 
+// testDelta is a delta that follows testState(prev): the first template's
+// count and the offset move.
+func testDelta(offset int64) *delta {
+	return &delta{
+		Offset: offset, Counters: Counters{Processed: offset, Matched: offset - 2},
+		Unmatched: []string{"weird line one"}, NumTemplates: 2,
+		Counts: [][2]int64{{0, offset * 2}},
+	}
+}
+
+// TestCheckpointTornWriteDetectedAtLoad: a write cut short mid-save — the
+// tail of a delta record, or of a base — costs that save and nothing else.
+// The torn save reports its failure, Load names the torn tail it stopped at,
+// and the next save repairs the log and extends the chain.
 func TestCheckpointTornWriteDetectedAtLoad(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := NewStore(dir)
-	s.Save(testState(10)) // healthy previous-to-be
+	seam, saves := tearSave(2, 40)
+	s.seam = seam
+	if err := s.Save(testState(10)); err != nil { // the healthy base
+		t.Fatal(err)
+	}
+	if _, err := s.saveDelta(testDelta(20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.saveDelta(testDelta(30)); !errors.Is(err, faultinject.ErrInjectedCrash) {
+		t.Fatalf("torn delta append = %v, want the injected crash", err)
+	}
+	if *saves != 2 {
+		t.Fatalf("seam counted %d delta saves, want 2", *saves)
+	}
 
-	// The torn write silently loses the payload tail (crash between write
-	// and fsync) while every Write reports success, so Save completes and
-	// publishes the damaged file as current.
-	var tw *faultinject.TornWriter
-	s.wrap = func(w io.Writer) io.Writer {
-		tw = faultinject.NewTornWriter(w, 40)
-		return tw
+	load := func() (*State, LoadInfo) {
+		t.Helper()
+		r, _ := NewStore(dir)
+		st, info, err := r.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, info
 	}
-	if err := s.Save(testState(20)); err != nil {
-		t.Fatalf("torn save should report success, got %v", err)
+	st, info := load()
+	var torn *seglog.TornTailError
+	if info.Source != "current" || info.Deltas != 1 || st.Offset != 20 || st.Templates[0].Count != 40 || !errors.As(info.ChainEnd, &torn) {
+		t.Fatalf("Load = source %q + %d deltas at offset %d (chain end %v), want current + 1 at 20, stopped by a torn tail",
+			info.Source, info.Deltas, st.Offset, info.ChainEnd)
 	}
-	if !tw.Torn() {
-		t.Fatal("writer did not tear; limit too high for this state")
-	}
-	s.wrap = nil
 
-	st, info, err := s.Load()
-	if err != nil {
-		t.Fatalf("Load should fall back past the torn current, got %v", err)
+	// A base torn before it is published never replaces the current one.
+	s.seam.Wrap = func(f *os.File) seglog.File {
+		c := faultinject.NewWALCrashFile(f)
+		c.TearAfter = 40
+		return c
 	}
-	if info.Source != "previous" || st.Offset != 10 {
-		t.Fatalf("Load = source %q offset %d, want previous/10", info.Source, st.Offset)
+	if err := s.Save(testState(40)); !errors.Is(err, faultinject.ErrInjectedCrash) {
+		t.Fatalf("torn base write = %v, want the injected crash", err)
+	}
+	s, _ = NewStore(dir) // a restart: the first save repairs the log
+	if _, err := s.saveDelta(testDelta(50)); err != nil {
+		t.Fatal(err)
+	}
+	if st, info = load(); info.Source != "current" || info.Deltas != 2 || st.Offset != 50 || info.ChainEnd != nil {
+		t.Fatalf("after the repair Load = source %q + %d deltas at offset %d (chain end %v), want current + 2 at 50",
+			info.Source, info.Deltas, st.Offset, info.ChainEnd)
 	}
 }
 
@@ -180,5 +242,22 @@ func TestCheckpointRejectsDuplicateTemplates(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "duplicate template") {
 		t.Fatalf("Load = %v, want duplicate-template CorruptError", err)
+	}
+}
+
+// TestEncodeBaseIsPlainStateJSON: splicing the learner's snapshot into a
+// base yields exactly the bytes json.Marshal of the State would.
+func TestEncodeBaseIsPlainStateJSON(t *testing.T) {
+	for _, online := range []*OnlineState{nil, {Parser: `Dr"ain`, Data: []byte(`{"depth":4,"templates":[["a","*"]]}`)}} {
+		st := testState(9)
+		st.Online = online
+		got, err := encodeBase(st, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Gen = 3
+		if want, _ := json.Marshal(st); string(got) != string(want) {
+			t.Fatalf("encodeBase = %s\njson.Marshal = %s", got, want)
+		}
 	}
 }

@@ -52,6 +52,14 @@ type Engine struct {
 	online      OnlineParser
 	onlineDirty bool
 
+	// savedTmpls and savedCounts mark the template indices founded or
+	// generalised, and the counts moved, since the last durable save — what
+	// the next checkpoint delta carries. They are cleared only once that
+	// delta is on disk, so a failed save loses nothing. delta is its
+	// reusable record.
+	savedTmpls, savedCounts dirtySet
+	delta                   delta
+
 	sinceCkpt     int
 	checkpoints   int64
 	ckptErrors    int64
@@ -136,7 +144,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.wrap = cfg.CheckpointWrap
+	store.seam = cfg.CheckpointSeam
 
 	e := &Engine{
 		cfg:    cfg,
@@ -147,19 +155,7 @@ func New(cfg Config) (*Engine, error) {
 		tm:     newEngineTelemetry(cfg.Telemetry),
 	}
 	e.push.e = e
-	if cfg.Telemetry != nil {
-		// Count checkpoint bytes closest to the file, under any
-		// fault-injection wrapper the config composed on top.
-		userWrap := cfg.CheckpointWrap
-		ctr := e.tm.ckptBytes
-		store.wrap = func(w io.Writer) io.Writer {
-			var wrapped io.Writer = &countingWriter{w: w, ctr: ctr}
-			if userWrap != nil {
-				wrapped = userWrap(wrapped)
-			}
-			return wrapped
-		}
-	}
+	store.bytes, store.bases, store.deltas = e.tm.ckptBytes, e.tm.ckptBases, e.tm.ckptDeltas
 	// The checkpoint dirsync fix (see Store.syncDir): surface directory-
 	// fsync failures instead of swallowing them.
 	store.dirsyncErrs = e.tm.dirsyncErrors
@@ -205,6 +201,9 @@ func New(cfg Config) (*Engine, error) {
 	} else {
 		if err := e.adoptTemplates(cfg.InitialTemplates); err != nil {
 			return nil, err
+		}
+		for i := range e.templates {
+			e.savedTmpls.add(i) // no checkpoint holds the seed set yet
 		}
 		e.breaker = newBreaker(cfg.Breaker, 0, false, e.now())
 	}
@@ -529,12 +528,14 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 		idx, changed := e.online.LearnBytes(tokens)
 		if changed {
 			e.onlineDirty = true
+			e.savedTmpls.add(idx)
 			if idx >= len(e.counts) {
 				e.counts = append(e.counts, 0)
 				e.tm.templates.Set(int64(len(e.counts)))
 			}
 		}
 		e.counts[idx]++
+		e.savedCounts.add(idx)
 		e.ctrs.Matched++
 		e.tm.matched.Inc()
 		e.recordEventLocked(it.lineNo, int32(idx), eventstore.KindMatched)
@@ -543,6 +544,7 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 	if e.matcher != nil {
 		if idx, ok := e.matcher.MatchBytes(tokens); ok {
 			e.counts[idx]++
+			e.savedCounts.add(idx)
 			e.ctrs.Matched++
 			e.tm.matched.Inc()
 			e.recordEventLocked(it.lineNo, int32(idx), eventstore.KindMatched)
@@ -616,6 +618,7 @@ func (e *Engine) mergeTemplatesLocked(tmpls []core.Template) error {
 			continue
 		}
 		e.index[key] = len(e.templates)
+		e.savedTmpls.add(len(e.templates))
 		e.templates = append(e.templates, core.Template{
 			ID:     fmt.Sprintf("S%d", len(e.templates)+1),
 			Tokens: append([]string(nil), t.Tokens...),
@@ -644,6 +647,7 @@ func (e *Engine) reapplyUnmatchedLocked() {
 		if t, err := e.matcher.Match(core.Tokenize(line)); err == nil {
 			idx := e.index[t.String()]
 			e.counts[idx]++
+			e.savedCounts.add(idx)
 			e.ctrs.Matched++
 			e.tm.matched.Inc()
 			// The buffered line's own number is gone; the current offset
@@ -680,42 +684,12 @@ func (e *Engine) checkpointLocked() error {
 	// block ever spans a checkpoint boundary — what lets AlignTo drop
 	// whole blocks on restart). A failed store refuses the checkpoint
 	// entirely: saving one would make the event gap permanent.
-	if err := e.finalizeEventsLocked(); err != nil {
-		e.ckptErrors++
-		e.tm.ckptErrors.Inc()
-		return err
+	err := e.finalizeEventsLocked()
+	if err == nil {
+		start := e.now()
+		err = e.saveLocked()
+		e.tm.ckptSec.Observe(e.now().Sub(start).Seconds())
 	}
-	st := &State{
-		Offset:          e.offset,
-		Templates:       make([]SavedTemplate, len(e.counts)),
-		Unmatched:       append([]string(nil), e.unmatched...),
-		Counters:        e.ctrs,
-		BreakerFailures: e.breaker.consecutive,
-		BreakerOpen:     e.breaker.isOpen(),
-	}
-	for i, n := range e.counts {
-		st.Templates[i].Count = n
-	}
-	if e.online != nil {
-		// The learner's snapshot is the only copy of the templates a
-		// checkpoint carries. A learner that cannot serialise refuses the
-		// checkpoint the same way a failed event store does: persisting a
-		// State without the learner would strand the template counts.
-		blob, err := e.online.Snapshot()
-		if err != nil {
-			e.ckptErrors++
-			e.tm.ckptErrors.Inc()
-			return fmt.Errorf("stream: snapshot online parser: %w", err)
-		}
-		st.Online = &OnlineState{Parser: e.online.Name(), Data: blob}
-	} else {
-		for i, t := range e.templates {
-			st.Templates[i].ID, st.Templates[i].Tokens = t.ID, t.Tokens
-		}
-	}
-	start := e.now()
-	err := e.store.Save(st)
-	e.tm.ckptSec.Observe(e.now().Sub(start).Seconds())
 	if err != nil {
 		e.ckptErrors++
 		e.tm.ckptErrors.Inc()
@@ -736,6 +710,90 @@ func (e *Engine) checkpointLocked() error {
 		}
 	}
 	return nil
+}
+
+// saveLocked is one checkpoint: a delta of what changed since the last
+// durable save, always, and the whole state as a base when the store says one
+// is due. The unmatched buffer and the templates' tokens are handed over as
+// views — the store marshals them before it returns, under e.mu.
+func (e *Engine) saveLocked() error {
+	d := &e.delta
+	d.Offset, d.Counters, d.Unmatched, d.NumTemplates = e.offset, e.ctrs, e.unmatched, len(e.counts)
+	d.BreakerFailures, d.BreakerOpen = e.breaker.consecutive, e.breaker.isOpen()
+	d.Templates, d.Counts = d.Templates[:0], d.Counts[:0]
+	for _, i := range e.savedTmpls.list {
+		if e.online != nil {
+			d.Templates = append(d.Templates, templateDelta{Index: i, Tokens: e.online.TemplateTokens(i)})
+		} else {
+			d.Templates = append(d.Templates, templateDelta{Index: i, ID: e.templates[i].ID, Tokens: e.templates[i].Tokens})
+		}
+	}
+	for _, i := range e.savedCounts.list {
+		d.Counts = append(d.Counts, [2]int64{int64(i), e.counts[i]})
+	}
+	baseDue, err := e.store.saveDelta(d)
+	if err != nil {
+		return err
+	}
+	e.savedTmpls.clear()
+	e.savedCounts.clear()
+	if !baseDue {
+		return nil
+	}
+
+	// A base that fails from here on — the learner cannot serialise, the
+	// disk refuses — is a failed checkpoint, but the delta above stays
+	// saved and the store keeps the base due.
+	st := &State{
+		Offset:          e.offset,
+		Templates:       make([]SavedTemplate, len(e.counts)),
+		Unmatched:       e.unmatched,
+		Counters:        e.ctrs,
+		BreakerFailures: d.BreakerFailures,
+		BreakerOpen:     d.BreakerOpen,
+	}
+	for i, n := range e.counts {
+		st.Templates[i].Count = n
+	}
+	if e.online != nil {
+		// The learner's snapshot is the only copy of the templates a base
+		// carries.
+		blob, err := e.online.Snapshot()
+		if err != nil {
+			return fmt.Errorf("stream: snapshot online parser: %w", err)
+		}
+		st.Online = &OnlineState{Parser: e.online.Name(), Data: blob}
+	} else {
+		for i, t := range e.templates {
+			st.Templates[i].ID, st.Templates[i].Tokens = t.ID, t.Tokens
+		}
+	}
+	return e.store.saveBase(st, e.store.gen)
+}
+
+// dirtySet is a set of template indices: a mark per index plus the list of
+// marked ones, so marking is O(1), a save walks only what changed, and the
+// steady state allocates nothing.
+type dirtySet struct {
+	mark []bool
+	list []int
+}
+
+func (d *dirtySet) add(i int) {
+	for len(d.mark) <= i {
+		d.mark = append(d.mark, false)
+	}
+	if !d.mark[i] {
+		d.mark[i] = true
+		d.list = append(d.list, i)
+	}
+}
+
+func (d *dirtySet) clear() {
+	for _, i := range d.list {
+		d.mark[i] = false
+	}
+	d.list = d.list[:0]
 }
 
 // Result returns the current template set and the parallel per-template
@@ -784,6 +842,8 @@ func (e *Engine) Stats() Stats {
 		RetrainFailures:   e.ctrs.RetrainFailures,
 		Checkpoints:       e.checkpoints,
 		CheckpointErrors:  e.ckptErrors,
+		CheckpointGen:     e.store.gen,
+		DeltasSinceBase:   e.store.sinceBase,
 		CheckpointAge:     -1,
 		Offset:            e.offset,
 		Templates:         len(e.counts),

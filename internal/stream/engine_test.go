@@ -377,7 +377,8 @@ func TestEngineRestoresFromPreviousWhenCurrentIsTorn(t *testing.T) {
 	if err := e.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Checkpoint(); err != nil { // second generation → prev exists
+	rebaseNext(e)
+	if err := e.Checkpoint(); err != nil { // second base → prev exists
 		t.Fatal(err)
 	}
 
@@ -404,32 +405,47 @@ func TestEngineRestoresFromPreviousWhenCurrentIsTorn(t *testing.T) {
 	}
 }
 
+// TestEngineTornCheckpointWriterProducesFallback: a checkpoint whose write is
+// cut short fails loudly, recovery falls back to the save before it, and the
+// engine's next checkpoint repairs the log and lands.
 func TestEngineTornCheckpointWriterProducesFallback(t *testing.T) {
 	lines := synthLines(200, 7)
 	cfg := testConfig(t, lines)
 	cfg.CheckpointEvery = -1 // only explicit checkpoints
+	cfg.CheckpointSeam, _ = tearSave(2, 60)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil { // final checkpoint = healthy gen 1
+	if err := e.Run(context.Background()); err != nil { // final checkpoint = healthy save 1
 		t.Fatal(err)
 	}
+	if err := e.Checkpoint(); !errors.Is(err, faultinject.ErrInjectedCrash) {
+		t.Fatalf("torn checkpoint = %v, want the injected crash", err)
+	}
+	if s := e.Stats(); s.Checkpoints != 1 || s.CheckpointErrors != 1 || s.CheckpointGen != 1 {
+		t.Fatalf("after the torn save: %d checkpoints, %d errors, generation %d; want 1, 1, 1", s.Checkpoints, s.CheckpointErrors, s.CheckpointGen)
+	}
 
-	// Gen 2 is written through a torn writer: Save reports success but the
-	// payload tail never reached the disk.
-	e.cfg.CheckpointWrap = func(w io.Writer) io.Writer { return faultinject.NewTornWriter(w, 60) }
-	e.store.wrap = e.cfg.CheckpointWrap
+	reopen := func() Stats {
+		t.Helper()
+		e2, err := New(Config{Open: cfg.Open, CheckpointDir: cfg.CheckpointDir, Retrainer: &groupMiner{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e2.Digest(), e.Digest(); got != want {
+			t.Fatalf("recovered digest %s, want the engine's %s", got, want)
+		}
+		return e2.Stats()
+	}
+	if s := reopen(); s.RecoveredFrom != "current" || s.CheckpointGen != 1 || s.DeltasSinceBase != 0 || s.Offset != int64(len(lines)) {
+		t.Fatalf("recovered %q generation %d + %d deltas at offset %d, want the first save", s.RecoveredFrom, s.CheckpointGen, s.DeltasSinceBase, s.Offset)
+	}
 	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("torn checkpoint should report success (that is the hazard): %v", err)
+		t.Fatalf("checkpoint after the torn one: %v", err)
 	}
-
-	e2, err := New(Config{Open: cfg.Open, CheckpointDir: cfg.CheckpointDir, Retrainer: &groupMiner{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e2.Stats().RecoveredFrom; got != "previous" {
-		t.Fatalf("RecoveredFrom = %q, want previous", got)
+	if s := reopen(); s.CheckpointGen != 2 || s.DeltasSinceBase != 1 {
+		t.Fatalf("recovered generation %d + %d deltas, want 2 and 1", s.CheckpointGen, s.DeltasSinceBase)
 	}
 }
 

@@ -18,6 +18,10 @@ type OnlineParser interface {
 	// Templates returns the learned templates in group-creation order, so
 	// Templates()[i] renders the group LearnBytes called i.
 	Templates() []core.Template
+	// TemplateTokens returns group i's current tokens as a read-only view,
+	// valid until the next LearnBytes or Restore — what a checkpoint delta
+	// records for a group founded or generalised since the last save.
+	TemplateTokens(i int) []string
 	// Snapshot serialises the learner's full state for a checkpoint: a JSON
 	// object whose "templates" member lists each group's tokens in creation
 	// order (State.TemplateNames reads it), plus whatever else the learner

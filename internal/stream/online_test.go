@@ -282,7 +282,7 @@ func TestOnlineDigestMatchesBatchParse(t *testing.T) {
 // asV1 rewrites dir's newest checkpoint in the shape written before the
 // learner's snapshot became the only copy of the templates: every
 // State.Templates entry also carries the group's id and rendered tokens. It
-// returns the new-format and the v1 file sizes.
+// returns the sizes of that state's base in the new format and in v1.
 func asV1(t *testing.T, dir string, mk func() OnlineParser, edit func(*State)) (newSize, v1Size int64) {
 	t.Helper()
 	store, err := NewStore(dir)
@@ -299,6 +299,9 @@ func asV1(t *testing.T, dir string, mk func() OnlineParser, edit func(*State)) (
 			t.Fatal(err)
 		}
 		return fi.Size()
+	}
+	if err := store.Save(st); err != nil { // the chain compacted: one base holding the newest state
+		t.Fatal(err)
 	}
 	newSize = size()
 	learner := mk()

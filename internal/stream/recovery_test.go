@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -154,10 +156,12 @@ func TestKillImmediatelyAfterStartConverges(t *testing.T) {
 }
 
 // TestKillDuringCheckpointFallsBackToPreviousAndConverges models the
-// nastiest crash: the engine dies mid-checkpoint with the write torn (the
-// tail lost between write and fsync, rename already published). The resumed
-// engine must detect the damage, fall back to the previous generation, and
-// still converge to the uninterrupted outcome.
+// nastiest crashes: the engine dies mid-checkpoint with the write torn. A
+// torn delta tail costs that one save. A torn base — the tail lost between
+// write and fsync, the rename already published — costs nothing: the chain
+// is complete without it, so recovery takes the previous base plus every
+// delta and resumes at the torn save's own offset. Both converge to the
+// uninterrupted outcome.
 func TestKillDuringCheckpointFallsBackToPreviousAndConverges(t *testing.T) {
 	lines := synthLines(700, 22)
 	base := func(dir string) Config {
@@ -171,49 +175,70 @@ func TestKillDuringCheckpointFallsBackToPreviousAndConverges(t *testing.T) {
 	}
 	wantDigest, wantStats := runToEnd(t, base(t.TempDir()))
 
-	dir := t.TempDir()
-	cfg := base(dir)
-	saves := 0
-	cfg.CheckpointWrap = func(w io.Writer) io.Writer {
-		saves++
-		if saves == 3 {
-			return faultinject.NewTornWriter(w, 50) // gen 3 is torn
-		}
-		return w
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg.AfterLine = func(lineNo int64) {
-		if saves >= 3 { // die right after the torn save published
-			cancel()
-		}
-	}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("torn-checkpoint run returned %v, want context.Canceled", err)
-	}
+	for _, leg := range []struct {
+		name       string
+		tornBase   bool
+		wantFrom   string
+		wantOffset int64
+		wantDeltas int
+	}{
+		{"torn delta tail", false, "current", 2 * 41, 1},
+		{"torn published base", true, "previous", 3 * 41, 2},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := base(dir)
+			var e *Engine
+			seam, saves := tearSave(3, 50)
+			if leg.tornBase {
+				seam.Wrap = nil
+				count := seam.Hook
+				seam.Hook = func(point string) error {
+					if count(point); *saves == 3 {
+						rebaseNext(e) // save 3 compacts the chain into a new base
+					}
+					return nil
+				}
+			}
+			cfg.CheckpointSeam = seam
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg.AfterLine = func(lineNo int64) {
+				if *saves >= 3 { // die right after the third save
+					cancel()
+				}
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("torn-checkpoint run returned %v, want context.Canceled", err)
+			}
+			if leg.tornBase {
+				if err := os.Truncate(filepath.Join(dir, currentName), 50); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	resumed, err := New(base(dir))
-	if err != nil {
-		t.Fatalf("resume after torn checkpoint: %v", err)
-	}
-	if got := resumed.Stats().RecoveredFrom; got != "previous" {
-		t.Fatalf("RecoveredFrom = %q, want previous", got)
-	}
-	if got := resumed.Stats().Offset; got != 2*41 {
-		t.Fatalf("restored offset = %d, want the second generation's %d", got, 2*41)
-	}
-	if err := resumed.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if gotDigest := resumed.Digest(); gotDigest != wantDigest {
-		t.Fatalf("digest after torn-checkpoint recovery = %s, want %s", gotDigest, wantDigest)
-	}
-	if got := resumed.Stats(); got.Processed != wantStats.Processed || got.Matched != wantStats.Matched {
-		t.Fatalf("counters diverged: %+v vs %+v", got, wantStats)
+			resumed, err := New(base(dir))
+			if err != nil {
+				t.Fatalf("resume after torn checkpoint: %v", err)
+			}
+			if s := resumed.Stats(); s.RecoveredFrom != leg.wantFrom || s.Offset != leg.wantOffset || s.DeltasSinceBase != leg.wantDeltas {
+				t.Fatalf("recovered %q + %d deltas at offset %d, want %q + %d at %d",
+					s.RecoveredFrom, s.DeltasSinceBase, s.Offset, leg.wantFrom, leg.wantDeltas, leg.wantOffset)
+			}
+			if err := resumed.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if gotDigest := resumed.Digest(); gotDigest != wantDigest {
+				t.Fatalf("digest after torn-checkpoint recovery = %s, want %s", gotDigest, wantDigest)
+			}
+			if got := resumed.Stats(); got.Processed != wantStats.Processed || got.Matched != wantStats.Matched {
+				t.Fatalf("counters diverged: %+v vs %+v", got, wantStats)
+			}
+		})
 	}
 }
 

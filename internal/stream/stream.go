@@ -14,10 +14,12 @@
 // the three robustness properties a long-running service needs:
 //
 //   - crash safety: the matcher's template set, per-template event counts,
-//     the unmatched buffer and the stream offset are checkpointed
-//     atomically (temp file + rename) with a SHA-256 integrity header and
-//     a retained previous generation; a torn or corrupted checkpoint is
-//     detected at load time and the engine falls back to the previous one.
+//     the unmatched buffer and the stream offset are checkpointed as a
+//     delta chain — every save appends one CRC-checked record of what
+//     changed, and a base (temp file + rename, SHA-256 integrity header,
+//     previous base retained) compacts the chain now and then; a torn or
+//     corrupted base or record is detected at load time and recovery is
+//     the newest loadable base plus every later delta.
 //     Replay from a checkpoint is deterministic under the Backpressure
 //     policy, so a killed-and-resumed run converges to the same template
 //     set and event counts as an uninterrupted run;
@@ -153,10 +155,13 @@ type Config struct {
 	// Now is the engine clock (checkpoint age, breaker cooldowns).
 	// Defaults to time.Now; tests inject a fake.
 	Now func() time.Time
-	// CheckpointWrap, when non-nil, wraps the checkpoint file writer —
-	// the fault-injection seam for torn-write testing
-	// (faultinject.NewTornWriter).
-	CheckpointWrap func(io.Writer) io.Writer
+	// CheckpointSeam is the checkpoint store's fault-injection seam, the
+	// same shape as WALSeam: Wrap wraps every file a save writes — the
+	// delta log's segments and a base's temp file — and Hook fires at
+	// "save" (a save begins), "base" (its delta is durable, the base not
+	// yet started), "rotate" (the base is published, superseded delta
+	// segments not yet dropped), "truncate" and "dirsync".
+	CheckpointSeam seglog.Seam
 	// Telemetry, when non-nil, publishes the engine's health to a metrics
 	// registry: stream.* counters mirroring Stats, ring-depth/buffer/breaker
 	// gauges, and retrain/checkpoint duration histograms (see DESIGN.md §9
@@ -245,6 +250,11 @@ type Stats struct {
 	// process attempted.
 	Checkpoints      int64
 	CheckpointErrors int64
+	// CheckpointGen is the generation of the newest save — restored or
+	// written, so it keeps rising across restarts — and DeltasSinceBase the
+	// number of delta records recovery would apply on top of the base.
+	CheckpointGen   uint64
+	DeltasSinceBase int
 	// CheckpointAge is the time since the last successful save in this
 	// process; −1 when none has happened yet.
 	CheckpointAge time.Duration
@@ -262,9 +272,10 @@ type Stats struct {
 	// how far the producer runs ahead.
 	RingDepth     int
 	RingHighWater int
-	// RecoveredFrom reports which checkpoint generation the engine
-	// restored at startup: "" (fresh start), "current", "previous", or
-	// "reset" (every generation was corrupt; the engine started empty).
+	// RecoveredFrom reports which checkpoint base the engine restored at
+	// startup, before applying the delta chain: "" (fresh start),
+	// "current", "previous", or "reset" (every base was corrupt; the engine
+	// started empty).
 	RecoveredFrom string
 	// RecoveryError is the rendered *AllCorruptError of a corrupt-reset
 	// start, empty after a healthy one.

@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"io"
-
-	"logparse/internal/telemetry"
-)
+import "logparse/internal/telemetry"
 
 // engineTelemetry holds the engine's pre-resolved metric instruments so the
 // hot path never does a registry lookup. Every field is nil when
@@ -28,6 +24,8 @@ type engineTelemetry struct {
 	checkpoints      *telemetry.Counter
 	ckptErrors       *telemetry.Counter
 	ckptBytes        *telemetry.Counter
+	ckptBases        *telemetry.Counter
+	ckptDeltas       *telemetry.Counter
 	corruptResets    *telemetry.Counter
 	dirsyncErrors    *telemetry.Counter
 	transitions      *telemetry.Counter
@@ -60,6 +58,8 @@ func newEngineTelemetry(h *telemetry.Handle) engineTelemetry {
 		checkpoints:      h.Counter("stream.checkpoints"),
 		ckptErrors:       h.Counter("stream.checkpoint.errors"),
 		ckptBytes:        h.Counter("stream.checkpoint.bytes"),
+		ckptBases:        h.Counter("stream.checkpoint.bases"),
+		ckptDeltas:       h.Counter("stream.checkpoint.deltas"),
 		corruptResets:    h.Counter("stream.checkpoint.corrupt_resets"),
 		dirsyncErrors:    h.Counter("stream.checkpoint.dirsync_errors"),
 		transitions:      h.Counter("stream.breaker.transitions"),
@@ -89,21 +89,4 @@ func (e *Engine) noteBreakerLocked(prev int) {
 		e.tm.transitions.Inc()
 	}
 	e.tm.breakerState.Set(int64(cur))
-}
-
-// countingWriter counts bytes reaching the underlying checkpoint writer into
-// a telemetry counter. It sits innermost in the CheckpointWrap composition —
-// closest to the file — so it observes the bytes durably attempted even when
-// a fault-injection wrapper sits on top.
-type countingWriter struct {
-	w   io.Writer
-	ctr *telemetry.Counter
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if n > 0 {
-		cw.ctr.Add(uint64(n))
-	}
-	return n, err
 }

@@ -3,10 +3,14 @@ package stream
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"logparse/internal/faultinject"
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
 
@@ -14,8 +18,8 @@ import (
 // handle and checks three things: the stream.* counters agree with the
 // engine's own Stats (the two accounting paths cannot drift), the canonical
 // digest is identical to a telemetry-off run over the same source
-// (instrumentation is a behavioral no-op), and checkpoint bytes were
-// actually counted by the wrap-composed counting writer.
+// (instrumentation is a behavioral no-op), and every checkpoint is one
+// duration observation and one delta, however many files it wrote.
 func TestEngineTelemetryMirrorsStats(t *testing.T) {
 	lines := synthLines(800, 7)
 
@@ -79,8 +83,21 @@ func TestEngineTelemetryMirrorsStats(t *testing.T) {
 	if got := snap.Gauges["stream.breaker.state"]; got != 0 {
 		t.Errorf("stream.breaker.state gauge = %d, want 0 (closed)", got)
 	}
-	if got := snap.Counters["stream.checkpoint.bytes"]; got == 0 {
-		t.Error("stream.checkpoint.bytes = 0, want > 0 (counting writer not composed)")
+	if got := snap.Counters["stream.checkpoint.deltas"]; got != uint64(s.Checkpoints) {
+		t.Errorf("stream.checkpoint.deltas = %d, want one per checkpoint (%d)", got, s.Checkpoints)
+	}
+	if got := snap.Counters["stream.checkpoint.bases"]; got == 0 || got >= uint64(s.Checkpoints) {
+		t.Errorf("stream.checkpoint.bases = %d, want at least the first save's and fewer than the %d checkpoints", got, s.Checkpoints)
+	}
+	onDisk := int64(0)
+	files, _ := filepath.Glob(filepath.Join(cfg.CheckpointDir, currentName+"*"))
+	for _, f := range files {
+		if fi, err := os.Stat(f); err == nil {
+			onDisk += fi.Size()
+		}
+	}
+	if got := int64(snap.Counters["stream.checkpoint.bytes"]); got < onDisk || onDisk == 0 {
+		t.Errorf("stream.checkpoint.bytes = %d, want at least the %d bytes on disk (bases and deltas)", got, onDisk)
 	}
 	if got := snap.Histograms["stream.retrain.seconds"].Count; got != uint64(s.Retrains+s.RetrainFailures) {
 		t.Errorf("stream.retrain.seconds count = %d, want %d", got, s.Retrains+s.RetrainFailures)
@@ -160,6 +177,13 @@ func TestEngineTelemetryCheckpointErrors(t *testing.T) {
 	cfg := testConfig(t, synthLines(100, 5))
 	cfg.Telemetry = tel
 	cfg.CheckpointEvery = -1 // only explicit checkpoints
+	diskFull := false
+	cfg.CheckpointSeam.Wrap = func(f *os.File) seglog.File {
+		c := faultinject.NewWALCrashFile(f)
+		c.TearAfter = 0
+		c.Armed = func() bool { return diskFull }
+		return c
+	}
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,12 +191,9 @@ func TestEngineTelemetryCheckpointErrors(t *testing.T) {
 	if err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the store directory so the next save fails.
-	eng.store.dir = t.TempDir() + "/missing/nested"
-	if err := eng.Checkpoint(); err == nil {
-		t.Fatal("expected checkpoint failure")
-	} else if errors.Is(err, context.Canceled) {
-		t.Fatalf("unexpected error kind: %v", err)
+	diskFull = true // the next save's first byte is refused
+	if err := eng.Checkpoint(); !errors.Is(err, faultinject.ErrInjectedCrash) {
+		t.Fatalf("checkpoint on a refusing disk = %v, want the injected failure", err)
 	}
 	snap := tel.Snapshot()
 	if got := snap.Counters["stream.checkpoint.errors"]; got != 1 {

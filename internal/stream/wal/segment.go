@@ -36,8 +36,16 @@ import (
 // vs corruption taxonomy and crash repair are internal/seglog's; this file
 // holds only the record codec it verifies frames with.
 
-// spec is the WAL's segment-log identity: strictly increasing seqs ≥ 1.
-var spec = seglog.Spec{Name: "wal", Prefix: "wal", Magic: segMagic, Strict: true}
+// spec is the WAL's segment-log identity.
+var spec = Format("wal", "wal")
+
+// Format returns the WAL's on-disk format — its magic line, strictly
+// increasing seqs ≥ 1, VerifyRecord's records — under another error-message
+// name and file prefix, for a log that shares the codec (the stream
+// package's checkpoint delta log).
+func Format(name, prefix string) seglog.Spec {
+	return seglog.Spec{Name: name, Prefix: prefix, Magic: segMagic, Strict: true}
+}
 
 const (
 	segMagic = "logwal-segment v1\n"
@@ -94,11 +102,11 @@ func AppendRecord(buf []byte, seq uint64, payload []byte) []byte {
 	return append(append(buf, hdr[:]...), payload...)
 }
 
-// verifyRecord is the codec's verify-one-frame function for seglog: it
+// VerifyRecord is the codec's verify-one-frame function for seglog: it
 // checks the record at the start of data and returns its extent and
 // payload, a torn-tail error when data ends mid-record, or a corruption
 // error when the bytes present fail verification.
-func verifyRecord(data []byte) (seglog.Frame, []byte, error) {
+func VerifyRecord(data []byte) (seglog.Frame, []byte, error) {
 	if len(data) < recHeaderSize {
 		return seglog.Frame{}, nil, &seglog.TornTailError{}
 	}
@@ -129,6 +137,6 @@ func DecodeSegment(data []byte, fn func(seq uint64, payload []byte) error) (Segm
 	if fn != nil {
 		each = func(_ int64, fr seglog.Frame, payload []byte) error { return fn(fr.MinSeq, payload) }
 	}
-	info, err := seglog.Walk(&spec, data, verifyRecord, each)
+	info, err := seglog.Walk(&spec, data, VerifyRecord, each)
 	return SegmentInfo{FirstSeq: info.FirstSeq, LastSeq: info.LastSeq, Records: info.Frames, Good: info.Good}, err
 }

@@ -141,7 +141,7 @@ func Open(opts Options) (*WAL, OpenInfo, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam}, verifyRecord, nil)
+	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam}, VerifyRecord, nil)
 	info := OpenInfo{
 		Segments: li.Segments, Records: li.Units, LastSeq: li.LastSeq,
 		TornTails: li.TornTails, TornBytes: li.TornBytes, CorruptDropped: li.CorruptDropped,
@@ -254,7 +254,7 @@ func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) (int64, error) {
 		}
 	}
 	var n int64
-	_, err := seglog.Scan(&spec, w.opts.Dir, verifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
+	_, err := seglog.Scan(&spec, w.opts.Dir, VerifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
 		if err := fn(fr.MinSeq, payload); err != nil {
 			return err
 		}

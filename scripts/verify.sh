@@ -93,6 +93,10 @@ echo "==> go test -fuzz=FuzzMatchRemove -fuzztime=5s ./internal/match"
 go test ./internal/match -run '^$' -fuzz '^FuzzMatchRemove$' -fuzztime=5s >/dev/null
 echo "==> go test -fuzz=FuzzWALDecode -fuzztime=5s ./internal/stream/wal"
 go test ./internal/stream/wal -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime=5s >/dev/null
+echo "==> go test -fuzz=FuzzCheckpointDelta -fuzztime=5s ./internal/stream"
+go test ./internal/stream -run '^$' -fuzz '^FuzzCheckpointDelta$' -fuzztime=5s >/dev/null
+echo "==> go test -run TestCheckpointChainModel ./internal/stream (seeded op-sequence model)"
+go test ./internal/stream -count=1 -run '^TestCheckpointChainModel$' >/dev/null
 echo "==> go test -fuzz=FuzzBlockDecode -fuzztime=5s ./internal/eventstore"
 go test ./internal/eventstore -run '^$' -fuzz '^FuzzBlockDecode$' -fuzztime=5s >/dev/null
 echo "==> go test -fuzz=FuzzSeglogOpen -fuzztime=5s ./internal/seglog"
