@@ -139,7 +139,11 @@ type Event struct {
 	// decreasing across a store; KindLateMatched events reuse the current
 	// offset).
 	Seq int64
-	// Time is the decision's wall-clock time in unix nanoseconds.
+	// Time is the instant the engine's consumer dequeued the batch (at most
+	// 64 lines) the line arrived in, in unix nanoseconds — when the service
+	// handled the line, never the log line's own timestamp. Events of one
+	// batch share it, so ties are the common case: order is Seq, and times
+	// do not decrease with Seq unless the wall clock steps back.
 	Time int64
 	// Template is the engine's template index, −1 for unmatched.
 	Template int32
@@ -403,26 +407,36 @@ func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err
 	return meta, data[blockHeaderSize:ftrStart], nil
 }
 
-// inflateBlock decompresses a block body into dst (reused when large
-// enough) and verifies the advertised raw length.
-func inflateBlock(body []byte, rawLen uint32, dst []byte) ([]byte, error) {
-	if cap(dst) < int(rawLen) {
-		dst = make([]byte, rawLen)
+// inflater decompresses block bodies, reusing one flate reader (≈ 40 KB of
+// state) and one output buffer, raw, from block to block.
+type inflater struct {
+	fr  io.ReadCloser
+	raw []byte
+}
+
+// inflate decompresses a block body into z.raw — valid until the next call —
+// and verifies the advertised raw length.
+func (z *inflater) inflate(body []byte, rawLen uint32) error {
+	if cap(z.raw) < int(rawLen) {
+		z.raw = make([]byte, rawLen)
 	}
-	dst = dst[:rawLen]
-	fr := flate.NewReader(bytes.NewReader(body))
-	n, err := io.ReadFull(fr, dst)
+	z.raw = z.raw[:rawLen]
+	if z.fr == nil {
+		z.fr = flate.NewReader(bytes.NewReader(body))
+	} else if err := z.fr.(flate.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
+		return err
+	}
+	n, err := io.ReadFull(z.fr, z.raw)
 	if err != nil {
-		return nil, &seglog.CorruptError{Reason: fmt.Sprintf("block body inflate: %v (%d/%d bytes)", err, n, rawLen)}
+		return &seglog.CorruptError{Reason: fmt.Sprintf("block body inflate: %v (%d/%d bytes)", err, n, rawLen)}
 	}
 	// The body must end exactly at rawLen: trailing compressed data means
 	// the header lied.
 	var one [1]byte
-	if m, _ := fr.Read(one[:]); m != 0 {
-		return nil, &seglog.CorruptError{Reason: "block body longer than advertised"}
+	if m, _ := z.fr.Read(one[:]); m != 0 {
+		return &seglog.CorruptError{Reason: "block body longer than advertised"}
 	}
-	fr.Close()
-	return dst, nil
+	return nil
 }
 
 // blockView is what verifying one block yields: its footer metadata, the
@@ -475,13 +489,12 @@ func scanSegmentMeta(data []byte, wantIndex bool, each func(off int64, fr seglog
 // error, which stops the walk. Path fields of returned errors are empty.
 // Exported for the fuzz target and tests.
 func DecodeSegment(data []byte, fn func(Event) error) (SegmentInfo, error) {
-	var inflated []byte
+	var z inflater
 	return scanSegmentMeta(data, false, func(_ int64, _ seglog.Frame, v blockView) error {
-		var err error
-		if inflated, err = inflateBlock(v.body, v.meta.rawLen, inflated); err != nil {
+		if err := z.inflate(v.body, v.meta.rawLen); err != nil {
 			return err
 		}
-		return decodeEvents(inflated, v.meta, fn)
+		return decodeEvents(z.raw, v.meta, fn)
 	})
 }
 

@@ -19,8 +19,9 @@ type Query struct {
 	// indices (matched and late-matched kinds). Empty means every
 	// template.
 	TemplateIDs []int32
-	// From and To bound the event time, inclusive; zero values mean
-	// unbounded.
+	// From and To bound the event time, half-open [From, To): events of one
+	// consumer batch share an instant, so adjacent windows [a, b) and [b, c)
+	// must tile without counting a batch twice. Zero values mean unbounded.
 	From, To time.Time
 	// IncludeUnmatched additionally selects unmatched events (Template
 	// −1). Ignored when TemplateIDs is non-empty — unmatched events have
@@ -46,7 +47,7 @@ func (q Query) timeBounds() (from, to int64) {
 
 // matches reports whether one decoded event satisfies the query.
 func (q Query) matches(ev Event, from, to int64) bool {
-	if ev.Time < from || ev.Time > to {
+	if ev.Time < from || ev.Time >= to {
 		return false
 	}
 	if len(q.TemplateIDs) > 0 {
@@ -116,6 +117,9 @@ type readBlock struct {
 }
 
 type readerTelemetry struct {
+	opens      *telemetry.Counter
+	refreshes  *telemetry.Counter
+	refreshB   *telemetry.Counter
 	queries    *telemetry.Counter
 	blocksRead *telemetry.Counter
 	skipped    *telemetry.Counter
@@ -125,6 +129,9 @@ type readerTelemetry struct {
 
 func newReaderTelemetry(h *telemetry.Handle) readerTelemetry {
 	return readerTelemetry{
+		opens:      h.Counter("eventstore.reader.opens"),
+		refreshes:  h.Counter("eventstore.reader.refreshes"),
+		refreshB:   h.Counter("eventstore.reader.refresh_bytes"),
 		queries:    h.Counter("eventstore.queries"),
 		blocksRead: h.Counter("eventstore.blocks.read"),
 		skipped:    h.Counter("eventstore.blocks.skipped"),
@@ -133,11 +140,15 @@ func newReaderTelemetry(h *telemetry.Handle) readerTelemetry {
 	}
 }
 
-// Reader answers queries over one store directory, read-only. It snapshots
-// block metadata at open time; blocks finalized later are not visible
-// (open a fresh Reader to see them). Safe for concurrent use.
+// Reader answers queries over one store directory, read-only. It is an
+// immutable snapshot of the block metadata verified so far — safe for
+// concurrent use; blocks finalized later become visible through Refresh,
+// which returns the next snapshot and leaves this one to the queries
+// already running on it.
 type Reader struct {
-	paths  []string
+	dir    string
+	scan   seglog.ScanInfo // the verified prefix: segment paths and Refresh's resume point
+	info   ReadInfo
 	blocks []readBlock
 	tm     readerTelemetry
 	now    func() time.Time
@@ -148,24 +159,49 @@ type Reader struct {
 // the last verified block (recorded in ReadInfo) and the surviving prefix
 // is served — repair belongs to the writer's Open.
 func OpenReader(dir string, opts ReaderOptions) (*Reader, ReadInfo, error) {
-	r := &Reader{tm: newReaderTelemetry(opts.Telemetry), now: time.Now}
-	si, err := seglog.Scan(&spec, dir, verifyBlock(true), func(seg int, off int64, _ seglog.Frame, v blockView) error {
+	r := &Reader{dir: dir, tm: newReaderTelemetry(opts.Telemetry), now: time.Now}
+	r.tm.opens.Inc()
+	return r.extend(nil)
+}
+
+// Refresh returns a Reader that also covers what was written since r was
+// opened or last refreshed — r itself when that is nothing. Between a
+// writer's Opens a store only grows, so only the bytes past r's last
+// verified block and any newer segments are read (a tail torn under a live
+// writer is read again next time); the block metadata before them is
+// shared, not re-verified. A store that Open's repair or AlignTo cut back
+// is not an extension of r: Refresh then fails with an error wrapping
+// seglog.ErrNotExtension and the caller opens a fresh Reader.
+func (r *Reader) Refresh() (*Reader, ReadInfo, error) {
+	r.tm.refreshes.Inc()
+	return r.extend(r.tm.refreshB)
+}
+
+// extend scans what lies beyond r.scan into the next snapshot, counting the
+// bytes it read into read.
+func (r *Reader) extend(read *telemetry.Counter) (*Reader, ReadInfo, error) {
+	n := &Reader{dir: r.dir, tm: r.tm, now: r.now, blocks: r.blocks[:len(r.blocks):len(r.blocks)]}
+	si, err := seglog.Scan(&spec, r.dir, r.scan, verifyBlock(true), func(seg int, off int64, _ seglog.Frame, v blockView) error {
 		v.meta.off = off
-		r.blocks = append(r.blocks, readBlock{seg: seg, meta: v.meta, index: v.index})
+		n.blocks = append(n.blocks, readBlock{seg: seg, meta: v.meta, index: v.index})
 		return nil
 	})
-	r.paths = si.Paths
-	info := ReadInfo{Segments: len(si.Paths), Blocks: si.Frames, Events: si.Units, LastSeq: int64(si.LastSeq)}
+	read.Add(uint64(si.Read))
+	n.scan = si
+	n.info = ReadInfo{Segments: len(si.Paths), Blocks: si.Frames, Events: si.Units, LastSeq: int64(si.LastSeq)}
 	switch e := err.(type) {
 	case nil:
 	case *seglog.TornTailError:
-		info.TornTail = true
+		n.info.TornTail = true
 	case *seglog.CorruptError:
-		info.Damaged = e.Error()
+		n.info.Damaged = e.Error()
 	default:
-		return nil, info, err
+		return nil, n.info, err
 	}
-	return r, info, nil
+	if si.Read == 0 && n.info == r.info {
+		return r, r.info, nil // nothing new: r stays the newest snapshot
+	}
+	return n, n.info, nil
 }
 
 // blockCursor reads and decodes blocks for one query, reusing the open
@@ -176,7 +212,7 @@ type blockCursor struct {
 	f        *os.File
 	seg      int
 	blockBuf []byte
-	rawBuf   []byte
+	z        inflater
 }
 
 func (c *blockCursor) close() {
@@ -188,7 +224,7 @@ func (c *blockCursor) close() {
 // events reads block rb from its segment, re-verifies and inflates it,
 // and feeds its events to fn.
 func (c *blockCursor) events(rb readBlock, fn func(Event) error) error {
-	path := c.r.paths[rb.seg]
+	path := c.r.scan.Paths[rb.seg]
 	if c.f == nil || c.seg != rb.seg {
 		c.close()
 		var err error
@@ -206,7 +242,7 @@ func (c *blockCursor) events(rb readBlock, fn func(Event) error) error {
 	}
 	meta, body, err := scanBlock(c.blockBuf, nil)
 	if err == nil {
-		c.rawBuf, err = inflateBlock(body, meta.rawLen, c.rawBuf)
+		err = c.z.inflate(body, meta.rawLen)
 	}
 	if err != nil {
 		return spec.At(err, path, rb.meta.off)
@@ -215,7 +251,7 @@ func (c *blockCursor) events(rb readBlock, fn func(Event) error) error {
 	c.st.BytesDecompressed += int64(meta.rawLen)
 	c.r.tm.blocksRead.Inc()
 	c.r.tm.bytesInfl.Add(uint64(meta.rawLen))
-	return spec.At(decodeEvents(c.rawBuf, meta, fn), path, rb.meta.off)
+	return spec.At(decodeEvents(c.z.raw, meta, fn), path, rb.meta.off)
 }
 
 // Scan streams every selected event, in store order, to fn. Blocks that
@@ -269,7 +305,7 @@ var errLimitReached = fmt.Errorf("eventstore: limit reached")
 // skip reports whether a block cannot hold any selected event, on
 // metadata alone.
 func (r *Reader) skip(rb readBlock, q Query, from, to int64) bool {
-	if rb.meta.maxTime < from || rb.meta.minTime > to {
+	if rb.meta.maxTime < from || rb.meta.minTime >= to {
 		return true
 	}
 	if len(q.TemplateIDs) > 0 {
@@ -290,7 +326,7 @@ func (r *Reader) skip(rb readBlock, q Query, from, to int64) bool {
 // query's range — when it is, the footer index answers counting queries
 // exactly, with no decompression.
 func covered(m blockMeta, from, to int64) bool {
-	return from <= m.minTime && m.maxTime <= to
+	return from <= m.minTime && m.maxTime < to
 }
 
 // indexCount looks one template up in a block's inverted index.

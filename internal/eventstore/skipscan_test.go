@@ -1,6 +1,7 @@
 package eventstore
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -74,8 +75,8 @@ func TestSkipScanSelectiveQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
-	if got != 201 { // inclusive bounds: lines 2900..3100
-		t.Fatalf("selected %d events, want 201", got)
+	if got != 200 { // half-open [from, to): lines 2900..3099
+		t.Fatalf("selected %d events, want 200", got)
 	}
 	if st.Blocks != blocks {
 		t.Fatalf("stats blocks %d != corpus %d", st.Blocks, blocks)
@@ -161,8 +162,8 @@ func TestSkipScanCountUsesIndexOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bounded Count: %v", err)
 	}
-	if n != 201 {
-		t.Fatalf("bounded Count = %d, want 201", n)
+	if n != 200 { // half-open, like the Scan above
+		t.Fatalf("bounded Count = %d, want 200", n)
 	}
 	if st3.Decompressed+st3.IndexOnly+st3.Skipped != st3.Blocks {
 		t.Fatalf("block accounting does not add up: %+v", st3)
@@ -186,5 +187,73 @@ func TestScanLimit(t *testing.T) {
 	}
 	if got != 10 || st.Selected != 10 {
 		t.Fatalf("limit ignored: yielded %d, selected %d", got, st.Selected)
+	}
+}
+
+// TestQueryWindowsTile pins the half-open time bounds where they matter:
+// the engine stamps every event of a consumer batch with one instant, so a
+// window boundary usually falls on a tie shared by a whole batch, and two
+// adjacent windows must not both claim it. Over a store where 64+ events
+// share each boundary instant, [a,b) + [b,c) == [a,c) for count, top and
+// list — with the boundaries both inside blocks and on block edges.
+func TestQueryWindowsTile(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(Options{Dir: dir, BlockBytes: 1024})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	const n, batch = 6400, 64
+	for i := 0; i < n; i++ {
+		ev := Event{Seq: int64(i + 1), Time: int64(i/batch) * int64(time.Millisecond), Template: int32(i % 5), Kind: KindMatched}
+		if i%7 == 0 {
+			ev.Template, ev.Kind = -1, KindUnmatched
+		}
+		if err := s.Append(ev); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if i%1000 == 999 { // blocks that end mid-batch and on a batch edge
+			if err := s.Finalize(); err != nil {
+				t.Fatalf("Finalize: %v", err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r, _, err := OpenReader(dir, ReaderOptions{})
+	if err != nil {
+		t.Fatalf("OpenReader: %v", err)
+	}
+	at := func(ms int) time.Time { return time.Unix(0, int64(ms)*int64(time.Millisecond)) }
+	list := func(q Query) (seqs []int64) {
+		if _, err := r.Scan(q, func(ev Event) error { seqs = append(seqs, ev.Seq); return nil }); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		return seqs
+	}
+	for _, w := range [][3]int{{10, 40, 90}, {0, 1, 2}, {15, 16, 100}, {30, 31, 32}, {0, 50, 1000}} {
+		for _, base := range []Query{{}, {IncludeUnmatched: true}, {TemplateIDs: []int32{1, 3}}} {
+			ab, bc, ac := base, base, base
+			ab.From, ab.To = at(w[0]), at(w[1])
+			bc.From, bc.To = at(w[1]), at(w[2])
+			ac.From, ac.To = at(w[0]), at(w[2])
+			cAB, _, _ := r.Count(ab)
+			cBC, _, _ := r.Count(bc)
+			cAC, _, _ := r.Count(ac)
+			if cAB+cBC != cAC || cAB == 0 || cBC == 0 {
+				t.Fatalf("window %v %+v: count %d + %d != %d", w, base, cAB, cBC, cAC)
+			}
+			tAB, _, _ := r.TemplateCounts(ab)
+			tBC, _, _ := r.TemplateCounts(bc)
+			tAC, _, _ := r.TemplateCounts(ac)
+			for id, c := range tAC {
+				if tAB[id]+tBC[id] != c {
+					t.Fatalf("window %v %+v: template %d: %d + %d != %d", w, base, id, tAB[id], tBC[id], c)
+				}
+			}
+			if got, want := append(list(ab), list(bc)...), list(ac); !slices.Equal(got, want) || int64(len(want)) != cAC {
+				t.Fatalf("window %v %+v: lists do not tile: %d + %d events vs %d (count %d)", w, base, len(list(ab)), len(list(bc)), len(want), cAC)
+			}
+		}
 	}
 }

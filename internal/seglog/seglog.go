@@ -24,10 +24,12 @@ package seglog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -175,38 +177,49 @@ type Info struct {
 // panics on malformed input; returned classification errors carry the
 // absolute offset and an empty Path.
 func Walk[T any](s *Spec, data []byte, verify func([]byte) (Frame, T, error), each func(off int64, fr Frame, aux T) error) (Info, error) {
-	var info Info
-	hs := s.HeaderSize()
-	if len(data) < hs {
-		n := min(len(data), len(s.Magic))
-		if string(data[:n]) == s.Magic[:n] {
-			// A prefix of a valid header: the crash hit before the header
-			// finished. Nothing here is usable, but nothing is damaged.
-			return info, &TornTailError{Log: s.Name}
+	return walkFrom(s, Info{}, data, verify, each)
+}
+
+// walkFrom is Walk continued: info is what an earlier walk of the same file
+// returned and data the bytes past info.Good — the whole image, header
+// included, when info.Good is 0. Offsets stay absolute and the sequence
+// discipline carries across the resume.
+func walkFrom[T any](s *Spec, info Info, data []byte, verify func([]byte) (Frame, T, error), each func(off int64, fr Frame, aux T) error) (Info, error) {
+	base := info.Good
+	if base == 0 {
+		info = Info{}
+		hs := s.HeaderSize()
+		if len(data) < hs {
+			n := min(len(data), len(s.Magic))
+			if string(data[:n]) == s.Magic[:n] {
+				// A prefix of a valid header: the crash hit before the header
+				// finished. Nothing here is usable, but nothing is damaged.
+				return info, &TornTailError{Log: s.Name}
+			}
+			return info, &CorruptError{Log: s.Name, Reason: "bad magic header"}
 		}
-		return info, &CorruptError{Log: s.Name, Reason: "bad magic header"}
+		if string(data[:len(s.Magic)]) != s.Magic {
+			return info, &CorruptError{Log: s.Name, Reason: "bad magic header"}
+		}
+		info.FirstSeq = binary.LittleEndian.Uint64(data[len(s.Magic):hs])
+		if s.Strict && info.FirstSeq == 0 {
+			return info, &CorruptError{Log: s.Name, Reason: "zero first sequence"}
+		}
+		if !s.Strict && int64(info.FirstSeq) < 0 {
+			return info, &CorruptError{Log: s.Name, Reason: "negative first sequence"}
+		}
+		info.Good = int64(hs)
 	}
-	if string(data[:len(s.Magic)]) != s.Magic {
-		return info, &CorruptError{Log: s.Name, Reason: "bad magic header"}
-	}
-	info.FirstSeq = binary.LittleEndian.Uint64(data[len(s.Magic):hs])
-	if s.Strict && info.FirstSeq == 0 {
-		return info, &CorruptError{Log: s.Name, Reason: "zero first sequence"}
-	}
-	if !s.Strict && int64(info.FirstSeq) < 0 {
-		return info, &CorruptError{Log: s.Name, Reason: "negative first sequence"}
-	}
-	info.Good = int64(hs)
-	for off := hs; off < len(data); off = int(info.Good) {
-		fr, aux, err := verify(data[off:])
+	for off := info.Good; off-base < int64(len(data)); off = info.Good {
+		fr, aux, err := verify(data[off-base:])
 		if err == nil {
 			err = s.checkOrder(info, fr)
 		}
 		if err == nil && each != nil {
-			err = each(int64(off), fr, aux)
+			err = each(off, fr, aux)
 		}
 		if err != nil {
-			return info, s.At(err, "", int64(off))
+			return info, s.At(err, "", off)
 		}
 		info.LastSeq = fr.MaxSeq
 		info.Frames++
@@ -246,7 +259,8 @@ func (s *Spec) overlaps(first, prevLast uint64) bool {
 	return first < prevLast
 }
 
-// ScanInfo reports what a read-only Scan covered.
+// ScanInfo reports what a read-only Scan covered — and is the point a later
+// Scan of the same directory resumes from.
 type ScanInfo struct {
 	// Paths lists the files read, the damaged one (if any) last.
 	Paths []string
@@ -255,7 +269,18 @@ type ScanInfo struct {
 	Frames  int
 	Units   int64
 	LastSeq uint64
+	// Tail is the walk of the last file in Paths: Tail.Good is where its
+	// verified prefix ends and a resumed Scan starts reading.
+	Tail Info
+	// Read counts the bytes this Scan read from disk.
+	Read int64
 }
+
+// ErrNotExtension is returned by a resumed Scan when the directory no
+// longer extends what the resume point covered — a listed file is gone,
+// renamed or shorter than its verified prefix. A writer's Open or CutTail
+// ran in between; the caller starts over with a cold Scan.
+var ErrNotExtension = errors.New("seglog: segments do not extend the resume point")
 
 // Scan is the read-only walk over a directory: every segment in sequence
 // order, each verified frame handed to fn with its file's index in
@@ -264,31 +289,69 @@ type ScanInfo struct {
 // and returns that classification error (Path filled) with the counts of
 // the verified prefix; nothing after damage is trustworthy. fn's own error
 // stops the scan the same way.
-func Scan[T any](s *Spec, dir string, verify func([]byte) (Frame, T, error), fn func(seg int, off int64, fr Frame, aux T) error) (ScanInfo, error) {
-	var info ScanInfo
+//
+// from is the zero value for a cold scan, or an earlier Scan's result to
+// resume it: a log only grows between a writer's Opens, so only the bytes
+// past from.Tail.Good of the last known file and any newer files are read,
+// fn sees only their frames, and the returned counts cover both scans. A
+// tail that was torn under a live writer is simply read again.
+func Scan[T any](s *Spec, dir string, from ScanInfo, verify func([]byte) (Frame, T, error), fn func(seg int, off int64, fr Frame, aux T) error) (ScanInfo, error) {
+	info := from
+	info.Read = 0
 	names, err := s.list(dir)
 	if err != nil {
 		return info, err
 	}
-	for i, path := range names {
-		data, err := os.ReadFile(path)
+	known := len(from.Paths)
+	if len(names) < known || !slices.Equal(names[:known], from.Paths) {
+		return info, ErrNotExtension
+	}
+	for i := max(known-1, 0); i < len(names); i++ {
+		path := names[i]
+		info.Paths = names[:i+1]
+		var tail Info
+		if i < known {
+			tail = from.Tail
+		}
+		data, err := readFrom(path, tail.Good)
 		if err != nil {
 			return info, fmt.Errorf("%s: read segment: %w", s.Name, err)
 		}
-		info.Paths = append(info.Paths, path)
-		si, err := Walk(s, data, verify, func(off int64, fr Frame, aux T) error {
+		info.Read += int64(len(data))
+		si, err := walkFrom(s, tail, data, verify, func(off int64, fr Frame, aux T) error {
 			return fn(i, off, fr, aux)
 		})
-		info.Frames += si.Frames
-		info.Units += si.Units
+		info.Frames += si.Frames - tail.Frames
+		info.Units += si.Units - tail.Units
 		if si.Frames > 0 {
 			info.LastSeq = si.LastSeq
 		}
+		info.Tail = si
 		if err != nil {
 			return info, s.At(err, path, 0)
 		}
 	}
 	return info, nil
+}
+
+// readFrom returns path's bytes from off to its end, or ErrNotExtension
+// when the file ends before off.
+func readFrom(path string, off int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil && size < off {
+		err = ErrNotExtension
+	}
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, size-off)
+	_, err = f.ReadAt(data, off)
+	return data, err
 }
 
 // SyncDir fsyncs a directory, making the creations, renames and deletions

@@ -2,6 +2,7 @@ package seglog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -316,4 +317,87 @@ func FuzzSeglogOpen(f *testing.F) {
 			t.Fatalf("second Open = %+v, want the repaired state %+v", again, info)
 		}
 	})
+}
+
+// TestScanResume grows a strict log byte by byte and file by file and holds a
+// resumed Scan equal to a cold one at every step: same ScanInfo (but for the
+// bytes read), same error class, every frame seen exactly once — with the
+// sequence discipline applied across the resume, and a cut-back directory
+// refused.
+func TestScanResume(t *testing.T) {
+	dir := t.TempDir()
+	scan := func(from ScanInfo) (ScanInfo, []string, error) {
+		var seen []string
+		info, err := Scan(&testSpec, dir, from, verifyTestFrame, func(seg int, off int64, fr Frame, payload string) error {
+			seen = append(seen, fmt.Sprintf("%d@%d:%s", seg, off, payload))
+			return nil
+		})
+		return info, seen, err
+	}
+	var kept ScanInfo
+	var keptSeen []string
+	step := func(what string) {
+		t.Helper()
+		before := kept
+		var fresh []string
+		var err error
+		kept, fresh, err = scan(kept)
+		keptSeen = append(keptSeen, fresh...)
+		cold, coldSeen, coldErr := scan(ScanInfo{})
+		if reflect.TypeOf(err) != reflect.TypeOf(coldErr) || fmt.Sprint(err) != fmt.Sprint(coldErr) {
+			t.Fatalf("%s: resumed scan ended with %v, cold with %v", what, err, coldErr)
+		}
+		if kept.Read > cold.Read-before.Tail.Good && len(before.Paths) > 0 {
+			t.Fatalf("%s: resumed scan read %d bytes of %d with %d already verified in its last file", what, kept.Read, cold.Read, before.Tail.Good)
+		}
+		kept.Read, cold.Read = 0, 0
+		if !reflect.DeepEqual(kept, cold) || !reflect.DeepEqual(keptSeen, coldSeen) {
+			t.Fatalf("%s: resumed scan %+v saw %v; cold %+v saw %v", what, kept, keptSeen, cold, coldSeen)
+		}
+	}
+	write := func(first uint64, img []byte) {
+		t.Helper()
+		if err := os.WriteFile(testPath(dir, first), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := testImage(1, 5), testImage(6, 9)
+	hs := testSpec.HeaderSize()
+	step("empty directory")
+	write(1, a[:hs-3])
+	step("torn header")
+	write(1, a[:hs])
+	step("header only")
+	write(1, a[:hs+20])
+	step("torn first frame")
+	write(1, a[:len(a)-7])
+	step("four frames and a torn fifth")
+	write(1, a)
+	step("first file complete")
+	step("idle")
+	if kept.Read != 0 {
+		t.Fatalf("an idle resume read %d bytes", kept.Read)
+	}
+	write(6, b[:hs+5])
+	step("second file, torn")
+	write(6, b)
+	step("second file complete")
+
+	// Sequence order is checked against the frame before the resume point.
+	write(6, append(append([]byte(nil), b...), testFrame(9, "again")...))
+	step("non-increasing sequence after the resume")
+	if _, _, err := scan(kept); reflect.TypeOf(err) != reflect.TypeOf(&CorruptError{}) {
+		t.Fatalf("a repeated sequence number past the resume point gave %v, want *CorruptError", err)
+	}
+
+	// What a writer's repair does: the file shrinks below the verified prefix,
+	// or goes away. Neither is an extension.
+	write(6, b[:hs+5])
+	if _, _, err := scan(kept); !errors.Is(err, ErrNotExtension) {
+		t.Fatalf("resume over a truncated file: %v, want ErrNotExtension", err)
+	}
+	os.Remove(testPath(dir, 6))
+	if _, _, err := scan(kept); !errors.Is(err, ErrNotExtension) {
+		t.Fatalf("resume over a removed file: %v, want ErrNotExtension", err)
+	}
 }

@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"logparse/internal/stream"
@@ -67,11 +68,12 @@ type errorResponse struct {
 	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
 }
 
-// requestTenant extracts a request's tenant id — ?tenant= first, then the
-// X-Tenant header — and validates its shape. On failure it has already
-// written the 400 and reports ok=false.
-func requestTenant(w http.ResponseWriter, r *http.Request) (id string, ok bool) {
-	id = r.URL.Query().Get("tenant")
+// requestTenant extracts a request's tenant id — ?tenant= first (params is
+// the request's query string, parsed once), then the X-Tenant header — and
+// validates its shape. On failure it has already written the 400 and
+// reports ok=false.
+func requestTenant(w http.ResponseWriter, r *http.Request, params url.Values) (id string, ok bool) {
+	id = params.Get("tenant")
 	if id == "" {
 		id = r.Header.Get("X-Tenant")
 	}
@@ -86,13 +88,44 @@ func requestTenant(w http.ResponseWriter, r *http.Request) (id string, ok bool) 
 	return id, true
 }
 
+// ingestBuf is one POST's working memory: the body and the line views into
+// it. Pooled, so a steady-state request allocates neither, whatever its
+// size.
+type ingestBuf struct {
+	body  bytes.Buffer
+	lines [][]byte
+}
+
+var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+
+// errDeclaredTooLarge refuses a Content-Length over Config.MaxBodyBytes the
+// way the read would have, before a byte is read.
+var errDeclaredTooLarge = &http.MaxBytesError{}
+
+// handleIngest reads the whole body, once, into a pooled buffer, splits it
+// in place and pushes the lines. The body is complete before anything is
+// admitted, so a request that fails half-way admits nothing. The buffer
+// goes back to the pool only here, on the handler's own goroutine and after
+// IngestBatch has returned — PushBatch has copied every admitted line into
+// the WAL buffer and an arena by then — which also holds when
+// http.TimeoutHandler has given up on this handler and answered for it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.tm.requests.Inc()
-	tenantID, ok := requestTenant(w, r)
+	tenantID, ok := requestTenant(w, r, r.URL.Query())
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	b := ingestBufs.Get().(*ingestBuf)
+	defer ingestBufs.Put(b)
+	var err error = errDeclaredTooLarge
+	if r.ContentLength <= s.cfg.MaxBodyBytes {
+		// Sized from Content-Length so the body lands without regrowing
+		// (ReadFrom wants bytes.MinRead spare to see EOF); a chunked body
+		// (-1) grows geometrically instead.
+		b.body.Reset()
+		b.body.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead)
+		_, err = b.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -103,7 +136,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, 0, "reading body: "+err.Error())
 		return
 	}
-	res, err := s.IngestBatch(r.Context(), tenantID, splitBatchLines(body))
+	b.lines = appendBatchLines(b.lines[:0], b.body.Bytes())
+	res, err := s.IngestBatch(r.Context(), tenantID, b.lines)
 	if err != nil {
 		writeIngestErr(w, err)
 		return
@@ -111,21 +145,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ingestResponse{Tenant: tenantID, PushResult: res})
 }
 
-// splitBatchLines splits a newline-delimited batch body into per-line
-// subslices without materialising strings. Segment-for-segment it matches
-// strings.Split(body, "\n") — empty segments included, carriage returns
-// preserved — so the wire format (and every digest downstream of it) is
-// unchanged from the string path it replaces.
-func splitBatchLines(body []byte) [][]byte {
-	lines := make([][]byte, 0, bytes.Count(body, []byte{'\n'})+1)
-	for {
-		i := bytes.IndexByte(body, '\n')
-		if i < 0 {
-			return append(lines, body)
-		}
-		lines = append(lines, body[:i])
-		body = body[i+1:]
+// appendBatchLines splits a newline-delimited batch body into per-line
+// views appended to lines. Segment for segment it is strings.Split(body,
+// "\n") — empty segments included, carriage returns preserved — so the
+// wire format, and every digest downstream of it, is what it always was.
+func appendBatchLines(lines [][]byte, body []byte) [][]byte {
+	for more := true; more; {
+		var line []byte
+		line, body, more = bytes.Cut(body, []byte{'\n'})
+		lines = append(lines, line)
 	}
+	return lines
 }
 
 // writeIngestErr maps a typed ingest failure to its status code and

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"net/http"
 	"os"
 	"sort"
@@ -55,11 +56,15 @@ type queryResponse struct {
 //	&from=&to=       RFC3339 time bounds (half-open [from, to))
 //	&unmatched=true  include unmatched lines (template -1)
 //
-// 404 when the store is disabled or the tenant has no recorded events.
-// Each request opens a fresh reader, so finalized blocks — including
-// those of live, actively writing tenants — are immediately visible.
+// 404 when the store is disabled or the tenant has no recorded events. A
+// live tenant is read through its kept reader (tenant.reader), refreshed
+// per request, so finalized blocks — including those of an actively
+// writing tenant — are immediately visible and a query pays for the blocks
+// it reads, not for rediscovering the store. A tenant that exists only on
+// disk gets a cold scan.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	tenantID, ok := requestTenant(w, r)
+	params := r.URL.Query()
+	tenantID, ok := requestTenant(w, r, params)
 	if !ok {
 		return
 	}
@@ -73,8 +78,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	q := eventstore.Query{IncludeUnmatched: r.URL.Query().Get("unmatched") == "true"}
-	if tmpl := r.URL.Query().Get("template"); tmpl != "" {
+	q := eventstore.Query{IncludeUnmatched: params.Get("unmatched") == "true"}
+	if tmpl := params.Get("template"); tmpl != "" {
 		for _, part := range strings.Split(tmpl, ",") {
 			id, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
 			if err != nil {
@@ -88,7 +93,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		name string
 		dst  *time.Time
 	}{{"from", &q.From}, {"to", &q.To}} {
-		if v := r.URL.Query().Get(bound.name); v != "" {
+		if v := params.Get(bound.name); v != "" {
 			ts, err := time.Parse(time.RFC3339Nano, v)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, 0, "bad "+bound.name+" (want RFC3339): "+err.Error())
@@ -97,54 +102,61 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			*bound.dst = ts
 		}
 	}
+	mode := cmp.Or(params.Get("mode"), "count")
+	n, nName := 0, "" // top's row count or list's limit, and its parameter
+	switch mode {
+	case "count":
+	case "top":
+		n, nName = 10, "n"
+	case "list":
+		n, nName = 100, "limit"
+	default:
+		writeErr(w, http.StatusBadRequest, 0, "bad mode "+strconv.Quote(mode)+" (want count, top or list)")
+		return
+	}
+	if v := params.Get(nName); v != "" {
+		var err error
+		if n, err = strconv.Atoi(v); err != nil || n <= 0 {
+			writeErr(w, http.StatusBadRequest, 0, "bad "+nName)
+			return
+		}
+	}
 
-	rd, info, err := eventstore.OpenReader(dir, eventstore.ReaderOptions{Telemetry: s.cfg.Telemetry})
+	resp, err := s.runQuery(tenantID, dir, mode, n, q, false)
+	if err != nil {
+		// A block the kept reader indexed no longer verifies: the store
+		// changed under it. Drop the reader and answer once from a cold scan.
+		resp, err = s.runQuery(tenantID, dir, mode, n, q, true)
+	}
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, 0, err.Error())
 		return
 	}
-	resp := queryResponse{Tenant: tenantID, TornTail: info.TornTail, Damaged: info.Damaged}
-	var st eventstore.QueryStats
+	writeJSON(w, http.StatusOK, resp)
+}
 
-	switch mode := r.URL.Query().Get("mode"); mode {
-	case "", "count":
-		resp.Mode = "count"
-		n, qs, err := rd.Count(q)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, 0, err.Error())
-			return
-		}
-		resp.Count, st = &n, qs
+// runQuery answers one parsed query; n is top's row count or list's limit.
+// cold bypasses (and replaces) the tenant's kept reader.
+func (s *Server) runQuery(tenantID, dir, mode string, n int, q eventstore.Query, cold bool) (queryResponse, error) {
+	rd, info, err := s.reader(tenantID, dir, cold)
+	if err != nil {
+		return queryResponse{}, err
+	}
+	resp := queryResponse{Tenant: tenantID, Mode: mode, TornTail: info.TornTail, Damaged: info.Damaged}
+
+	switch mode {
+	case "count":
+		var c int64
+		c, resp.Stats, err = rd.Count(q)
+		resp.Count = &c
 	case "top":
-		resp.Mode = "top"
-		n := 10
-		if v := r.URL.Query().Get("n"); v != "" {
-			if n, err = strconv.Atoi(v); err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, 0, "bad n")
-				return
-			}
-		}
-		counts, qs, err := rd.TemplateCounts(q)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, 0, err.Error())
-			return
-		}
-		resp.Templates, st = topTemplates(counts, n), qs
+		var counts map[int32]int64
+		counts, resp.Stats, err = rd.TemplateCounts(q)
+		resp.Templates = topTemplates(counts, n)
 	case "list":
-		resp.Mode = "list"
-		limit := 100
-		if v := r.URL.Query().Get("limit"); v != "" {
-			if limit, err = strconv.Atoi(v); err != nil || limit <= 0 {
-				writeErr(w, http.StatusBadRequest, 0, "bad limit")
-				return
-			}
-		}
-		if limit > 10000 {
-			limit = 10000
-		}
-		q.Limit = limit
-		resp.Events = make([]queryEvent, 0, min(limit, 64))
-		st, err = rd.Scan(q, func(ev eventstore.Event) error {
+		q.Limit = min(n, 10000)
+		resp.Events = make([]queryEvent, 0, min(q.Limit, 64))
+		resp.Stats, err = rd.Scan(q, func(ev eventstore.Event) error {
 			resp.Events = append(resp.Events, queryEvent{
 				Seq:      ev.Seq,
 				Time:     time.Unix(0, ev.Time).UTC().Format(time.RFC3339Nano),
@@ -154,17 +166,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			})
 			return nil
 		})
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, 0, err.Error())
-			return
-		}
-	default:
-		writeErr(w, http.StatusBadRequest, 0, "bad mode "+strconv.Quote(mode)+" (want count, top or list)")
-		return
 	}
-
-	resp.Stats = st
-	writeJSON(w, http.StatusOK, resp)
+	return resp, err
 }
 
 // topTemplates sorts a template→count map descending (ties by ascending

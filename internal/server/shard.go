@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"logparse/internal/eventstore"
 	"logparse/internal/stream"
 )
 
@@ -56,6 +57,47 @@ type tenant struct {
 	stopping      bool
 
 	done chan struct{} // closed when the supervisor exits
+
+	// rd is the event-store reader kept between queries, extended by each
+	// (eventstore.Reader.Refresh) instead of re-scanning the store. A store
+	// only grows while one engine incarnation writes it — what cuts it back,
+	// Open's repair and AlignTo, runs inside stream.New — so rd belongs to
+	// the incarnation rdEng and dies with it. rdMu serialises refreshes, not
+	// queries: those run on the immutable snapshot they were handed.
+	rdMu  sync.Mutex
+	rd    *eventstore.Reader
+	rdEng *stream.Engine
+}
+
+// reader returns a snapshot of a tenant's event store that covers every
+// block finalized so far: the live tenant's kept reader, refreshed, or — for
+// a tenant that exists only on disk, with no incarnation to key one to — a
+// cold scan. cold forces a fresh scan after a query found the kept reader
+// stale. A query that races a restart may still be answered from the
+// outgoing incarnation's view; whatever it leaves in rd is keyed to that
+// incarnation and never used again.
+func (s *Server) reader(id, dir string, cold bool) (rd *eventstore.Reader, info eventstore.ReadInfo, err error) {
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	t := sh.tenants[id]
+	sh.mu.Unlock()
+	opts := eventstore.ReaderOptions{Telemetry: s.cfg.Telemetry}
+	if t == nil {
+		return eventstore.OpenReader(dir, opts)
+	}
+	t.mu.Lock()
+	eng := t.eng
+	t.mu.Unlock()
+	t.rdMu.Lock()
+	defer t.rdMu.Unlock()
+	if t.rd != nil && t.rdEng == eng && !cold {
+		rd, info, err = t.rd.Refresh() // nil when the store was cut back
+	}
+	if rd == nil {
+		rd, info, err = eventstore.OpenReader(dir, opts)
+	}
+	t.rd, t.rdEng = rd, eng
+	return rd, info, err
 }
 
 // maxDurableRestarts caps how many failures of one durable layer (the

@@ -563,7 +563,7 @@ func (s *Store) Load() (*State, LoadInfo, error) {
 	// become a previous that recovery skips.
 	s.baseGen = st.Gen
 	c := chain{st: st}
-	_, info.ChainEnd = seglog.Scan(&deltaSpec, s.dir, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
+	_, info.ChainEnd = seglog.Scan(&deltaSpec, s.dir, seglog.ScanInfo{}, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
 		if fr.MinSeq <= st.Gen {
 			return nil // compacted into the base
 		}

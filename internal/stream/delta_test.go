@@ -331,7 +331,7 @@ func checkRecovery(t *testing.T, m chainMode, dir, from string, offset int64, de
 		t.Fatalf("Load changed the directory:\n%s\nwas\n%s", after, before)
 	}
 	var onDisk uint64 // the newest generation any file still names
-	seglog.Scan(&deltaSpec, dir, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, _ []byte) error {
+	seglog.Scan(&deltaSpec, dir, seglog.ScanInfo{}, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, _ []byte) error {
 		onDisk = max(onDisk, fr.MinSeq)
 		return nil
 	})
@@ -409,7 +409,7 @@ func TestDeltaBytesAboveBaseStayWithinOneRecordOfIt(t *testing.T) {
 				fi, _ := os.Stat(filepath.Join(cfg.CheckpointDir, currentName))
 				payload := fi.Size() - int64(len(checkpointMagic)+len("\nsha256 \n")+64)
 				var above, largest int64
-				seglog.Scan(&deltaSpec, cfg.CheckpointDir, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, _ []byte) error {
+				seglog.Scan(&deltaSpec, cfg.CheckpointDir, seglog.ScanInfo{}, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, _ []byte) error {
 					if fr.MinSeq > base.Gen {
 						above += int64(fr.Size)
 						largest = max(largest, int64(fr.Size))
@@ -619,7 +619,7 @@ func runModel(t *testing.T, m chainMode, script string, pinned bool) {
 				// generation, or the record living in an older segment
 				// (sealed by a base since), keeps the save.
 				var newest uint64
-				seglog.Scan(&deltaSpec, dir, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, _ []byte) error {
+				seglog.Scan(&deltaSpec, dir, seglog.ScanInfo{}, wal.VerifyRecord, func(_ int, _ int64, fr seglog.Frame, _ []byte) error {
 					newest = fr.MinSeq
 					return nil
 				})

@@ -36,6 +36,10 @@ type Engine struct {
 	now   func() time.Time
 	tm    engineTelemetry
 
+	// eventTime stamps every event of the batch being consumed. Only the
+	// consumer goroutine touches it.
+	eventTime int64
+
 	mu        sync.Mutex // guards everything below
 	matcher   *match.Matcher
 	templates []core.Template
@@ -409,6 +413,11 @@ func (e *Engine) consume(ctx context.Context, r *ring) error {
 		if e.tm.ringDepth != nil {
 			d, _ := r.stats()
 			e.tm.ringDepth.Set(int64(d))
+		}
+		if e.events != nil {
+			// One clock read per popped batch, not per line: an event's time
+			// is the instant its batch was dequeued (eventstore.Event.Time).
+			e.eventTime = e.now().UnixNano()
 		}
 		for i := 0; i < n; i++ {
 			it := batch[i]

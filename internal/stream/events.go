@@ -27,7 +27,7 @@ func (e *Engine) recordEventLocked(seq int64, tmpl int32, kind eventstore.Kind) 
 	}
 	err := e.events.Append(eventstore.Event{
 		Seq:      seq,
-		Time:     e.now().UnixNano(),
+		Time:     e.eventTime,
 		Template: tmpl,
 		Kind:     kind,
 	})

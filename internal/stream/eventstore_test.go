@@ -3,8 +3,11 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"sync"
 	"testing"
+	"time"
 
 	"logparse/internal/eventstore"
 	"logparse/internal/faultinject"
@@ -291,5 +294,85 @@ func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 	}
 	if st := eng.Stats(); st.EventsAppended == 0 {
 		t.Fatalf("no events recorded: %+v", st)
+	}
+}
+
+// TestEventTimeIsPerBatch pins Event.Time's definition: the consumer reads
+// the clock once per popped ring batch and every event of the batch carries
+// that instant. The first line's AfterLine hook holds the consumer until the
+// whole push is in the ring, so every later pop is a full ingestBatch.
+func TestEventTimeIsPerBatch(t *testing.T) {
+	const n = 10 * ingestBatch
+	cfg := testConfig(t, nil)
+	cfg.Open = nil
+	cfg.RingCapacity = 2 * n
+	cfg.CheckpointEvery = -1
+	cfg.InitialTemplates = allocTemplates()
+	cfg.EventStoreDir = t.TempDir()
+	var ticks int64 // a clock that moves on every read
+	var mu sync.Mutex
+	cfg.Now = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		ticks++
+		return time.Unix(0, ticks*int64(time.Millisecond))
+	}
+	pushed := make(chan struct{})
+	cfg.AfterLine = func(lineNo int64) {
+		if lineNo == 1 {
+			<-pushed
+		}
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	done := make(chan error, 1)
+	go func() { done <- e.Serve(ctx) }()
+	if err := e.WaitServing(ctx); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]byte, n)
+	for i := range batch {
+		batch[i] = []byte(fmt.Sprintf("connection from 10.0.0.%d port %d", i%50, 1000+i))
+	}
+	if _, err := e.PushBatch(ctx, batch); err != nil {
+		t.Fatalf("PushBatch: %v", err)
+	}
+	close(pushed)
+	e.Stop()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+
+	r, _, err := eventstore.OpenReader(cfg.EventStoreDir, eventstore.ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events, stamps, run, longest int
+	var prev eventstore.Event
+	if _, err := r.Scan(eventstore.Query{}, func(ev eventstore.Event) error {
+		if ev.Time < prev.Time || ev.Seq != prev.Seq+1 {
+			t.Fatalf("event %+v after %+v: seq must step by one, time must not decrease", ev, prev)
+		}
+		if ev.Time != prev.Time {
+			stamps++
+			run = 0
+		}
+		run++
+		longest = max(longest, run)
+		events++
+		prev = ev
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if events != n || longest != ingestBatch {
+		t.Fatalf("%d events, longest run of one stamp %d; want %d and exactly ingestBatch = %d", events, longest, n, ingestBatch)
+	}
+	// The held first pop, then full batches; a split one costs one more.
+	if maxStamps := 2 + n/ingestBatch; stamps > maxStamps {
+		t.Fatalf("%d distinct stamps over %d events, want at most %d (one clock read per batch)", stamps, n, maxStamps)
 	}
 }

@@ -254,7 +254,7 @@ func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) (int64, error) {
 		}
 	}
 	var n int64
-	_, err := seglog.Scan(&spec, w.opts.Dir, VerifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
+	_, err := seglog.Scan(&spec, w.opts.Dir, seglog.ScanInfo{}, VerifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
 		if err := fn(fr.MinSeq, payload); err != nil {
 			return err
 		}

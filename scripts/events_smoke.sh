@@ -10,7 +10,11 @@
 #      engine's matched counter exactly (the store is a faithful history,
 #      crash and realign included);
 #   3. the store's top template count survives a template-restricted,
-#      skip-scanning query.
+#      skip-scanning query;
+#   4. over the wire (-listen -wal -events), GET /v1/query — the server's
+#      kept reader — counts what a cold logquery reads off the tenant's
+#      directory, before a kill -9 and after the restart has realigned and
+#      refilled the store, where it also equals the engine's matched total.
 #
 #   scripts/events_smoke.sh [LINES] [KILL]    defaults 6000 / 2500
 #
@@ -23,10 +27,15 @@ LINES="${1:-6000}"
 KILL="${2:-2500}"
 
 work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
+server_pid=""
+cleanup() {
+	[ -n "$server_pid" ] && kill -9 "$server_pid" 2>/dev/null || true
+	rm -rf "$work"
+}
+trap cleanup EXIT
 
-echo "==> building logstreamd + logquery"
-go build -o "$work/" ./cmd/logstreamd ./cmd/logquery
+echo "==> building logstreamd + logquery + loggen"
+go build -o "$work/" ./cmd/logstreamd ./cmd/logquery ./cmd/loggen
 
 run() { # run CKPT EVENTS EXTRA... -> digest on stdout, stats in $work/stats
 	ck="$1"; ev="$2"; shift 2
@@ -87,5 +96,64 @@ if [ "$sel" != "$top_count" ]; then
 	echo "events_smoke: FAIL: template $top_id counts $sel selected vs $top_count in top listing" >&2
 	exit 1
 fi
+
+echo "==> wire leg: /v1/query against a cold logquery, before and after kill -9"
+"$work/loggen" -dataset HDFS -lines "$LINES" -seed 7 | cut -f3 >"$work/all.log"
+head -n "$KILL" "$work/all.log" >"$work/part.log"
+
+start_server() {
+	rm -f "$work/addr"
+	"$work/logstreamd" -listen 127.0.0.1:0 -listen-addr-file "$work/addr" \
+		-checkpoint-dir "$work/wck" -wal -events "$work/wev" -events-block-bytes 8192 \
+		-checkpoint-every 500 >/dev/null 2>"$work/server.err" &
+	server_pid=$!
+	for _ in $(seq 1 100); do
+		[ -s "$work/addr" ] && break
+		sleep 0.05
+	done
+	[ -s "$work/addr" ] || { echo "events_smoke: FAIL: server never bound" >&2; cat "$work/server.err" >&2; exit 1; }
+	addr="$(head -n1 "$work/addr")"
+}
+stat_of() { # stat_of FIELD
+	curl -s "http://$addr/v1/tenants/t/stats" | grep -o "\"$1\":[0-9]*" | head -n1 | cut -d: -f2
+}
+post_and_drain() { # post_and_drain FILE LINES
+	curl -s -o /dev/null --data-binary @"$1" "http://$addr/v1/ingest?tenant=t"
+	for _ in $(seq 1 200); do
+		[ "$(stat_of Offset)" = "$2" ] && return 0
+		sleep 0.05
+	done
+	echo "events_smoke: FAIL: tenant stuck at offset $(stat_of Offset), want $2" >&2
+	exit 1
+}
+http_count() {
+	curl -s "http://$addr/v1/query?tenant=t&mode=count" | grep -o '"count":[0-9]*' | cut -d: -f2
+}
+http_equals_cold() { # http_equals_cold WHEN
+	http="$(http_count)"
+	cold="$("$work/logquery" -root "$work/wev" -tenant t -stats=false)"
+	if [ -z "$http" ] || [ "$http" = 0 ] || [ "$http" != "$cold" ]; then
+		echo "events_smoke: FAIL: $1: /v1/query counts $http events, logquery reads $cold" >&2
+		exit 1
+	fi
+}
+
+start_server
+post_and_drain "$work/part.log" "$KILL"
+http_equals_cold "before the kill"
+kill -9 "$server_pid" && wait "$server_pid" 2>/dev/null || true
+start_server
+post_and_drain "$work/all.log" "$LINES"
+http_equals_cold "after the restart"
+kill -TERM "$server_pid" && wait "$server_pid"
+start_server
+wire_matched="$(stat_of Matched)"
+http_equals_cold "after the drain"
+if [ "$(http_count)" != "$wire_matched" ]; then
+	echo "events_smoke: FAIL: drained store counts $(http_count) events, engine matched $wire_matched" >&2
+	exit 1
+fi
+kill -9 "$server_pid" 2>/dev/null || true
+server_pid=""
 
 echo "events_smoke: OK (digest $got, $count events, top template $top_id x$top_count)"

@@ -5,6 +5,9 @@
 # to equal an uninterrupted run's. A final leg exercises the graceful path:
 # SIGTERM must drain, checkpoint every tenant, exit 0 — and a restarted
 # server must materialize both tenants from disk at their final offsets.
+# Each tenant is queried over GET /v1/query before and after the kill: the
+# server's kept reader must answer what a cold logquery reads off the same
+# directory, on both sides of a restart that realigns the event store.
 #
 #   scripts/server_smoke.sh [LINES_A] [LINES_B]    defaults 1500 / 1200
 #
@@ -25,8 +28,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "==> building logstreamd"
-go build -o "$work/logstreamd" ./cmd/logstreamd
+echo "==> building logstreamd + logquery"
+go build -o "$work/" ./cmd/logstreamd ./cmd/logquery
 
 # Two deterministic, distinct tenant streams.
 awk -v n="$LINES_A" 'BEGIN { for (i = 1; i <= n; i++)
@@ -40,6 +43,7 @@ start_server() {
 	rm -f "$work/addr"
 	"$work/logstreamd" -listen 127.0.0.1:0 -listen-addr-file "$work/addr" \
 		-checkpoint-dir "$1" -shards 2 -checkpoint-every 200 -retrain-batch 64 \
+		-events "$1.ev" -events-block-bytes 1024 \
 		>"$work/server.out" 2>"$work/server.err" &
 	server_pid=$!
 	for _ in $(seq 1 100); do
@@ -66,6 +70,17 @@ offset_of() { # offset_of TENANT
 
 digest_of() { # digest_of TENANT
 	curl -s "http://$addr/v1/tenants/$1/stats" | grep -o '"digest":"[^"]*"' | cut -d'"' -f4
+}
+
+# query_matches_cold ROOT TENANT: with the tenant idle, the count over HTTP
+# (the kept, refreshed reader) equals logquery's cold scan of its directory.
+query_matches_cold() {
+	http="$(curl -s "http://$addr/v1/query?tenant=$2&mode=count&unmatched=true" | grep -o '"count":[0-9]*' | cut -d: -f2)"
+	cold="$("$work/logquery" -root "$1.ev" -tenant "$2" -unmatched -stats=false)"
+	if [ -z "$http" ] || [ "$http" != "$cold" ]; then
+		echo "server_smoke: FAIL: tenant $2 counts $http events over HTTP, logquery reads $cold" >&2
+		exit 1
+	fi
 }
 
 wait_offset() { # wait_offset TENANT N
@@ -99,6 +114,8 @@ post b "$work/b.part"
 # in flight — everything after each tenant's last checkpoint must be
 # recovered by replay, not by luck.
 sleep 0.4
+query_matches_cold "$work/live" a
+query_matches_cold "$work/live" b
 kill -9 "$server_pid" && wait "$server_pid" 2>/dev/null || true
 server_pid=""
 
@@ -108,6 +125,8 @@ post a "$work/a.log"
 post b "$work/b.log"
 wait_offset a "$LINES_A"
 wait_offset b "$LINES_B"
+query_matches_cold "$work/live" a
+query_matches_cold "$work/live" b
 got_a="$(digest_of a)"
 got_b="$(digest_of b)"
 if [ "$got_a" != "$want_a" ] || [ "$got_b" != "$want_b" ]; then
@@ -145,6 +164,8 @@ if [ "$(digest_of a)" != "$want_a" ] || [ "$(digest_of b)" != "$want_b" ]; then
 	echo "server_smoke: FAIL: digests changed across a graceful restart" >&2
 	exit 1
 fi
+query_matches_cold "$work/live" a
+query_matches_cold "$work/live" b
 kill -9 "$server_pid" 2>/dev/null || true
 server_pid=""
 

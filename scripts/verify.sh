@@ -8,7 +8,8 @@
 #                              invariant tests + live /debug/vars endpoint
 #                              smoke + golden-digest check + crash-recovery
 #                              smoke + multi-tenant server smoke +
-#                              WAL and event-store crash smokes + a 5s
+#                              WAL and event-store crash smokes + the
+#                              server-profile recipe on 20 k lines + a 5s
 #                              fuzz smoke pass per fuzz target
 #   scripts/verify.sh -short   fast: build + vet + `go test -short -race` +
 #                              reduced crash-recovery and server smokes
@@ -70,6 +71,11 @@ sh scripts/wal_crash_smoke.sh
 
 echo "==> event-store crash smoke (scripts/events_smoke.sh)"
 sh scripts/events_smoke.sh
+
+echo "==> server profile recipe smoke (scripts/profile_server.sh HDFS 20000)"
+prof="$(mktemp)"
+PROFILE_OUT="$prof" sh scripts/profile_server.sh HDFS 20000 >/dev/null
+rm -f "$prof"
 
 echo "==> golden-digest check (cmd/conformgen -check)"
 go run ./cmd/conformgen -check >/dev/null
