@@ -19,16 +19,15 @@
 package drain
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
 	"math"
-	"slices"
 	"time"
 
 	"logparse/internal/core"
+	"logparse/internal/parsers/posting"
 	"logparse/internal/telemetry"
 )
 
@@ -83,46 +82,28 @@ func (o Options) withDefaults() Options {
 // over 8) and pays no hashing; a leaf that outgrows it — Thunderbird's
 // 14-token firewall event founds ≈15 k groups in one leaf — switches to the
 // posting index, so a line costs O(line), not O(groups in the leaf).
-const smallLeaf = 8
+const smallLeaf = posting.Small
 
 // node is one internal level of the fixed-depth tree. Leaves (nodes at the
-// last routed level) hold group indices instead of children, and an index
-// over them once they outgrow smallLeaf.
+// last routed level) hold group indices instead of children, and once they
+// outgrow smallLeaf an index from hash(position, constant token) to the
+// groups founded (or restored) with that token there.
 type node struct {
 	children map[string]*node
 	groups   []int
-	index    *leafIndex
+	index    *posting.Index
 }
-
-// leafIndex maps hash(position, constant token) to the chain of groups
-// founded (or restored) with that token there. Nothing is ever removed: an
-// entry left stale by wildcarding, like a hash collision, only nominates a
-// candidate the exact comparison rejects. Chained int32 entries instead of a
-// slice per key keep it at ≈0.45 KB per 14-token group.
-type leafIndex struct {
-	lists   map[uint64]posting
-	entries []entry
-}
-
-// posting is one key's chain: head is 1-based into entries, 0 ends a chain.
-type posting struct{ head, count int32 }
-
-type entry struct{ next, group int32 }
 
 var hashSeed = maphash.MakeSeed()
 
 func posKey(i int, h uint64) uint64 { return h ^ uint64(i+1)*0x9E3779B97F4A7C15 }
 
-// add indexes group gi under every constant of its template.
-func (x *leafIndex) add(gi int, tmpl []string) {
+// indexGroup indexes group gi under every constant of its template.
+func indexGroup(x *posting.Index, gi int, tmpl []string) {
 	for i, tok := range tmpl {
-		if tok == core.Wildcard {
-			continue
+		if tok != core.Wildcard {
+			x.Add(posKey(i, maphash.String(hashSeed, tok)), gi)
 		}
-		k := posKey(i, maphash.String(hashSeed, tok))
-		p := x.lists[k]
-		x.entries = append(x.entries, entry{next: p.head, group: int32(gi)})
-		x.lists[k] = posting{head: int32(len(x.entries)), count: p.count + 1}
 	}
 }
 
@@ -135,13 +116,7 @@ type StreamParser struct {
 	tmpls   [][]string    // group templates in creation order
 	maxLeaf int           // groups in the fullest leaf
 
-	// Scratch of the indexed lookup: the line's posting lists, the
-	// candidates they nominate, and the per-group epoch stamp that
-	// de-duplicates them.
-	lists []posting
-	cands []int
-	stamp []uint32
-	epoch uint32
+	finder posting.Finder // scratch of the indexed lookup
 
 	verified uint64 // exact template comparisons made, the work counter tests pin
 }
@@ -209,36 +184,6 @@ func (s *StreamParser) descend(tokens [][]byte) *node {
 	return cur
 }
 
-// candidates returns the groups of an indexed leaf that can still reach need
-// agreeing positions with the line. A group that agrees at a position sits
-// in that position's posting list, so one that agrees at need positions sits
-// in at least one of any n-need+1 of the line's n lists: the need-1 longest
-// are skipped and the rest merged, each group once.
-func (s *StreamParser) candidates(x *leafIndex, tokens [][]byte, need int) []int {
-	lists := s.lists[:0]
-	for i, tok := range tokens {
-		if p, ok := x.lists[posKey(i, maphash.Bytes(hashSeed, tok))]; ok {
-			lists = append(lists, p)
-		}
-	}
-	slices.SortFunc(lists, func(a, b posting) int { return cmp.Compare(b.count, a.count) })
-	if s.epoch++; s.epoch == 0 {
-		clear(s.stamp)
-		s.epoch = 1
-	}
-	cands := s.cands[:0]
-	for _, p := range lists[min(need-1, len(lists)):] {
-		for at := p.head; at != 0; at = x.entries[at-1].next {
-			if g := x.entries[at-1].group; s.stamp[g] != s.epoch {
-				s.stamp[g] = s.epoch
-				cands = append(cands, int(g))
-			}
-		}
-	}
-	s.lists, s.cands = lists, cands
-	return cands
-}
-
 // LearnBytes consumes one tokenised line: it descends the tree, matches the
 // line against the leaf's groups, and either updates the best group's
 // template (wildcarding disagreeing positions) or creates a new group. It
@@ -257,7 +202,10 @@ func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 	}
 	cands := leaf.groups
 	if leaf.index != nil {
-		cands = s.candidates(leaf.index, tokens, need)
+		for i, tok := range tokens {
+			s.finder.Probe(leaf.index, posKey(i, maphash.Bytes(hashSeed, tok)))
+		}
+		cands = s.finder.Candidates(leaf.index, need, len(s.tmpls))
 	}
 
 	// Best group by similarity, earliest group on ties. The running best
@@ -299,16 +247,15 @@ func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 func (s *StreamParser) found(leaf *node, tmpl []string) int {
 	idx := len(s.tmpls)
 	s.tmpls = append(s.tmpls, tmpl)
-	s.stamp = append(s.stamp, 0)
 	leaf.groups = append(leaf.groups, idx)
 	s.maxLeaf = max(s.maxLeaf, len(leaf.groups))
 	switch {
 	case leaf.index != nil:
-		leaf.index.add(idx, tmpl)
+		indexGroup(leaf.index, idx, tmpl)
 	case len(leaf.groups) > smallLeaf:
-		leaf.index = &leafIndex{lists: make(map[uint64]posting)}
+		leaf.index = posting.NewIndex()
 		for _, gi := range leaf.groups {
-			leaf.index.add(gi, s.tmpls[gi])
+			indexGroup(leaf.index, gi, s.tmpls[gi])
 		}
 	}
 	return idx

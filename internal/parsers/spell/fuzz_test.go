@@ -99,12 +99,22 @@ func FuzzSpellLCS(f *testing.F) {
 
 // FuzzSpellLearnEquivalence replays arbitrary line batches through the
 // learner and the reference learner (spell_test.go) under one of three Tau
-// values, with a Snapshot→Restore half way: every (idx, changed), the final
-// templates and the snapshot bytes must agree.
+// values, with a Snapshot→Restore half way that the live learner also runs
+// past: every (idx, changed), the final templates and the snapshot bytes
+// must agree.
 func FuzzSpellLearnEquivalence(f *testing.F) {
 	f.Add("a b c d\na b x y\na q r s\np b c z\na b c d", byte(1))
 	f.Add("a b c d e f g h i j\na b c 1 2 3 4 5 6 7\na b c d 2 3 4 5 6 7", byte(0))
 	f.Add("a * c\na b c\n* * *\na b *\nx\ny", byte(2))
+	// None of the seeds above or under testdata founds nine objects of one
+	// length; these do, in their first half, so the Restore lands in an
+	// indexed bucket and the second half's misses go through the index.
+	indexed := indexedCases()
+	for _, n := range []int{6, 65} {
+		for tauSel := byte(0); tauSel < 3; tauSel++ {
+			f.Add(strings.Join(indexed[n], "\n"), tauSel)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data string, tauSel byte) {
 		tau := []float64{0.3, 0.5, 1.0}[int(tauSel)%3]
 		lines := strings.Split(data, "\n")

@@ -12,9 +12,9 @@
 // existing template short-circuits to that object without running any LCS —
 // allocation-free, which is what keeps the stream engine's matched hot path
 // at zero allocations per line. Only lines that change the template set
-// reach the LCS scan, which runs on interned token IDs: a bit-vector LCS
-// length per same-length object, and an O(template) trie update per merge
-// (DESIGN.md, "Spell slow path").
+// reach the LCS search, which runs on interned token IDs: a bit-vector LCS
+// length per same-length object the bucket's candidate index nominates, and
+// an O(template) trie update per merge (DESIGN.md, "Spell slow path").
 //
 // Spell is naturally online: LearnBytes consumes one tokenised line with no
 // retrain cycle, and the batch Parse/ParseCtx surface replays the corpus
@@ -33,6 +33,7 @@ import (
 
 	"logparse/internal/core"
 	"logparse/internal/match"
+	"logparse/internal/parsers/posting"
 	"logparse/internal/telemetry"
 )
 
@@ -75,12 +76,26 @@ func (o *object) refreshConsts() {
 	}
 }
 
+// bucket holds the objects of one token count, by index in creation order,
+// and once it outgrows posting.Small an index from constant ID to the objects
+// founded (or restored) with that constant.
+type bucket struct {
+	objs  []int
+	index *posting.Index
+}
+
+func indexObject(x *posting.Index, o *object) {
+	for _, id := range o.consts {
+		x.Add(uint64(id), o.idx)
+	}
+}
+
 // StreamParser is the online Spell learner. It is not safe for concurrent
 // use; the stream engine serialises access under its own lock.
 type StreamParser struct {
 	opts  Options
 	objs  []*object
-	byLen map[int][]*object // objects by token count, in creation order
+	byLen map[int]*bucket
 
 	// intern maps a token to its ID (≥ 1; 0 means wildcard or unknown). Only
 	// founding an object inserts, so it holds tokens that are or once were a
@@ -98,17 +113,20 @@ type StreamParser struct {
 	slotObj []int
 	shadow  []int
 
-	// Reusable slow-path scratch: the line as IDs, and the DP rows for
-	// lines of more than 64 tokens.
+	// Reusable slow-path scratch: the line as IDs, the indexed lookup's, and
+	// the DP rows for lines of more than 64 tokens.
 	lineIDs    []uint32
+	finder     posting.Finder
 	prev, curr []int
+
+	verified uint64 // LCS kernel runs, the work counter tests pin
 }
 
 // NewStream returns an empty online learner.
 func NewStream(opts Options) *StreamParser {
 	s := &StreamParser{
 		opts:   opts.withDefaults(),
-		byLen:  make(map[int][]*object),
+		byLen:  make(map[int]*bucket),
 		intern: make(map[string]uint32),
 		masks:  make([]uint64, 1),
 	}
@@ -152,29 +170,49 @@ func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 
 // search returns the same-length object with the longest LCS against the
 // line, the earliest on ties, provided float64(LCS) ≥ Tau·n; nil otherwise.
-// Starting the running best one below ⌈Tau·n⌉ makes the acceptance test
-// part of "strictly longer", and skipping an object with no more constants
-// than the running best is exact: its LCS cannot exceed that count.
+// An LCS pairs line positions with equal constants of the object, so an
+// object reaching need = ⌈Tau·n⌉ sits in the posting lists of at least need
+// of the line's positions: an indexed bucket runs the kernel on those
+// candidates only. Starting the running best one below need makes the
+// acceptance test part of "longer", and skipping an object whose constant
+// count cannot beat (or, for an earlier object, tie) the running best is
+// exact: its LCS cannot exceed that count.
 func (s *StreamParser) search(ids []uint32) (best *object) {
 	n := len(ids)
-	bestLen := max(int(math.Ceil(s.opts.Tau*float64(n)))-1, 0)
+	b := s.byLen[n]
+	if b == nil {
+		return nil
+	}
+	need := int(math.Ceil(s.opts.Tau * float64(n))) // ≥ 1: Tau > 0 and the bucket's objects have n ≥ 1 tokens
+	cands := b.objs
+	if b.index != nil {
+		for _, id := range ids {
+			if id != 0 {
+				s.finder.Probe(b.index, uint64(id))
+			}
+		}
+		cands = s.finder.Candidates(b.index, need, len(s.objs))
+	}
 	narrow := n <= 64
 	if narrow {
 		for i, id := range ids {
 			s.masks[id] |= 1 << i // masks[0] collects the unknowns; no object reads it
 		}
 	}
-	for _, o := range s.byLen[n] {
-		if len(o.consts) <= bestLen {
+	bestLen := need - 1
+	for _, j := range cands {
+		o := s.objs[j]
+		if c := len(o.consts); c < bestLen || c == bestLen && (best == nil || o.idx > best.idx) {
 			continue
 		}
+		s.verified++
 		var l int
 		if narrow {
 			l = lcsBits(s.masks, o.consts)
 		} else {
 			l = s.lcsLen(ids, o.consts)
 		}
-		if l > bestLen {
+		if l > bestLen || l == bestLen && best != nil && o.idx < best.idx {
 			best, bestLen = o, l
 		}
 	}
@@ -258,7 +296,10 @@ func (s *StreamParser) merge(o *object, ids []uint32) (changed bool) {
 }
 
 // add appends an object with the given template (retained), interning its
-// constants. A literal "*" in a founding line is a wildcard from the start.
+// constants, and indexes its bucket from the objects' current constants the
+// moment it outgrows posting.Small — the same entries a Restore of this
+// state would make. A literal "*" in a founding line is a wildcard from the
+// start.
 func (s *StreamParser) add(tokens []string) *object {
 	o := &object{idx: len(s.objs), tokens: tokens, ids: make([]uint32, len(tokens))}
 	for i, t := range tokens {
@@ -275,7 +316,21 @@ func (s *StreamParser) add(tokens []string) *object {
 	}
 	o.refreshConsts()
 	s.objs = append(s.objs, o)
-	s.byLen[len(tokens)] = append(s.byLen[len(tokens)], o)
+	b := s.byLen[len(tokens)]
+	if b == nil {
+		b = &bucket{}
+		s.byLen[len(tokens)] = b
+	}
+	b.objs = append(b.objs, o.idx)
+	switch {
+	case b.index != nil:
+		indexObject(b.index, o)
+	case len(b.objs) > posting.Small:
+		b.index = posting.NewIndex()
+		for _, j := range b.objs {
+			indexObject(b.index, s.objs[j])
+		}
+	}
 	return o
 }
 

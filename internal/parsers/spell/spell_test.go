@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -315,6 +316,54 @@ func TestFoundingMissAllocsIndependentOfObjects(t *testing.T) {
 	}
 }
 
+// nearDuplicates is the hostile stream for a similarity-threshold learner
+// (Drain's test of the same name uses it too): 14-token lines that share 3
+// constants (3/14 < Tau) and differ everywhere else, so every line founds an
+// object in the same bucket.
+func nearDuplicates(n int) [][][]byte {
+	rng := rand.New(rand.NewSource(1))
+	lines := make([][][]byte, n)
+	for i := range lines {
+		toks := [][]byte{[]byte("IN=eth0"), []byte("OUT="), []byte("PROTO=UDP")}
+		for len(toks) < 14 {
+			toks = append(toks, []byte(fmt.Sprintf("F%d=%x", len(toks), rng.Int63())))
+		}
+		lines[i] = toks
+	}
+	return lines
+}
+
+// TestNearDuplicateFloodIsLinear pins the work counter: the bucket scan runs
+// the LCS kernel on line i against i objects (≈ lines²/2 = 2·10⁸ runs here);
+// the index finds three posting lists per line where ⌈Tau·14⌉ = 7 are needed
+// and nominates nobody. Replayed lines are trie hits: no kernel, no
+// allocation.
+func TestNearDuplicateFloodIsLinear(t *testing.T) {
+	lines := nearDuplicates(20000)
+	s := NewStream(Options{})
+	for _, toks := range lines {
+		s.LearnBytes(toks)
+	}
+	founding := s.verified
+	for _, toks := range lines[:1000] {
+		if _, changed := s.LearnBytes(toks); changed {
+			t.Fatal("a repeated line changed the template set")
+		}
+	}
+	if b := s.byLen[14]; s.NumTemplates() != len(lines) || len(b.objs) != len(lines) {
+		t.Fatalf("%d templates, %d in the 14-token bucket, want %d in one bucket", s.NumTemplates(), len(b.objs), len(lines))
+	}
+	if s.verified != founding {
+		t.Errorf("replaying 1000 lines ran the LCS kernel %d times", s.verified-founding)
+	}
+	if limit := uint64(len(lines)); s.verified > limit {
+		t.Errorf("%d LCS kernel runs over %d lines, want at most %d", s.verified, len(lines), limit)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.LearnBytes(lines[len(lines)/2]) }); allocs != 0 {
+		t.Errorf("hit path beside a %d-object bucket: %v allocs/op, want 0", len(lines), allocs)
+	}
+}
+
 // TestMergeKeepsMatcher pins the incremental accelerator update: a merge
 // with no shared template strings moves one path in the trie and never
 // recompiles it.
@@ -462,21 +511,90 @@ func diffLearn(t testing.TB, s *StreamParser, ref *refLearner, lines []string) {
 }
 
 // diffLearnRestore is diffLearn with a Snapshot→Restore of both learners
-// (into fresh ones) after the first half of the lines.
+// (into fresh ones) after the first half of the lines. The live learner
+// continues beside the restored one: its candidate indexes carry the entries
+// merges left stale, the restored one's are fresh, and both must keep
+// deciding as the reference does.
 func diffLearnRestore(t testing.TB, tau float64, lines []string) {
 	t.Helper()
-	s, ref := NewStream(Options{Tau: tau}), &refLearner{tau: tau}
-	diffLearn(t, s, ref, lines[:len(lines)/2])
-	blob, err := s.Snapshot()
+	live, liveRef := NewStream(Options{Tau: tau}), &refLearner{tau: tau}
+	diffLearn(t, live, liveRef, lines[:len(lines)/2])
+	blob, err := live.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ref = NewStream(Options{Tau: tau}), &refLearner{tau: tau}
+	s, ref := NewStream(Options{Tau: tau}), &refLearner{tau: tau}
 	if err := s.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
 	ref.Restore(blob)
 	diffLearn(t, s, ref, lines[len(lines)/2:])
+	diffLearn(t, live, liveRef, lines[len(lines)/2:])
+}
+
+// indexedCases are streams that push one length bucket past posting.Small in
+// their first half — nine objects of unique tokens, then the objects the
+// second half aims at — and probe the candidate index where it could be
+// wrong. Lines stay under FuzzSpellLearnEquivalence's caps, so they seed it
+// too; the bucket's token count is the map key.
+func indexedCases() map[int][]string {
+	filler := func(n int) (lines []string) {
+		for k := 0; k < 9; k++ {
+			w := make([]string, n)
+			for i := range w {
+				w[i] = fmt.Sprintf("%c%d", 'A'+k, i)
+			}
+			lines = append(lines, strings.Join(w, " "))
+		}
+		return lines
+	}
+	// splice is object a's line up to position cut and object b's from there:
+	// LCS cut against a, n-cut against b.
+	splice := func(lines []string, a, b, cut int) string {
+		wa, wb := strings.Fields(lines[a]), strings.Fields(lines[b])
+		return strings.Join(append(append([]string(nil), wa[:cut]...), wb[cut:]...), " ")
+	}
+	six := append(filler(6),
+		"s1 s2 s3 s4 s5 s6",
+		"s1 s2 s3 s4 s5 t6", // object 9 loses s6: its posting goes stale
+		"g h i a b c",       // object 10
+		"i h g d e f",       // object 11 shares g, h, i with it, in an order worth LCS 1
+		"m1 m2 m3 m4 m5 m6",
+		"m1 m2 m3 n4 n5 n6", // object 12 keeps three constants
+		"m3 m2 m1 o4 o5 o6", // object 13
+		// — restored here —
+		"s1 s2 q3 q4 q5 s6", // 3 = need lists name object 9, one of them stale: LCS 2, founds
+		"s1 s2 s3 y4 y5 s6",
+		"h g i a d z", // LCS 3 against objects 10 and 11, and the chains name 11 first
+		"h g i d e z",
+		"zz1 zz2 zz3 zz4 zz5 zz6", // no known token, no list
+		"r r r p q r",
+		"r r p r r r", // repeated tokens on both sides
+		"r q r q r q", // one list probed three times, another stale
+		"s1 s2 s3 q3 q4 q5",
+		"A0 A1 A2 x3 x4 x5",
+		"A0 B1 C2 D3 E4 F5", // six candidates, none reaches need
+		"* g h i a b",
+		"q3 q4 q5 s1 s2 s6",
+		"B0 B1 x2 x3 B4 x5",
+		"C0 x1 C2 x3 x4 x5",
+		// LCS 3 against object 13, nominated first, and against all three
+		// constants of object 12: the prune must let the earlier object tie.
+		"x m1 m2 m3 o5 o6",
+	)
+	long := filler(65) // the DP kernel: ⌈0.5·65⌉ = 33
+	long = append(long,
+		splice(long, 0, 1, 33), splice(long, 2, 3, 32), splice(long, 4, 4, 65), splice(long, 5, 6, 40),
+		splice(long, 0, 7, 20), splice(long, 8, 0, 33), splice(long, 1, 3, 33), splice(long, 3, 1, 30),
+		splice(long, 7, 8, 64),
+	)
+	wide := filler(120) // over the fuzz body's line cap
+	wide = append(wide,
+		splice(wide, 1, 0, 60), splice(wide, 3, 2, 60), splice(wide, 4, 5, 59), splice(wide, 6, 7, 61),
+		splice(wide, 8, 8, 120), splice(wide, 0, 1, 60), splice(wide, 2, 5, 30), splice(wide, 7, 3, 90),
+		splice(wide, 5, 4, 60),
+	)
+	return map[int][]string{6: six, 65: long, 120: wide}
 }
 
 // TestLearnMatchesReferenceOnDatasets replays every generated dataset
@@ -507,9 +625,11 @@ func TestLearnMatchesReferenceOnDatasets(t *testing.T) {
 // get wrong: the acceptance threshold where Tau·n is and is not an integer
 // (0.3·10 rounds above 3 in float64), the 64/65-token kernel boundary,
 // tokens the intern table has never seen, literal "*" tokens, a
-// merge whose old trie path must not survive, and a restored snapshot in
+// merge whose old trie path must not survive, a restored snapshot in
 // which two objects share one template string and the earlier one then
-// generalises (shadow → rebuild).
+// generalises (shadow → rebuild), and buckets past posting.Small, where the
+// candidate index decides which objects the kernel sees (indexedCases; the
+// 120-token one ties two objects at exactly ⌈Tau·n⌉ = 60).
 func TestLearnMatchesReferenceHardCases(t *testing.T) {
 	words := func(n int, f func(i int) string) string {
 		w := make([]string, n)
@@ -554,6 +674,19 @@ func TestLearnMatchesReferenceHardCases(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/tau=%g", name, tau), func(t *testing.T) {
 				diffLearn(t, NewStream(Options{Tau: tau}), &refLearner{tau: tau}, lines)
 				diffLearnRestore(t, tau, append(append([]string(nil), lines...), lines...))
+			})
+		}
+	}
+
+	for n, lines := range indexedCases() {
+		for _, tau := range []float64{0.3, 0.5, 1.0} {
+			t.Run(fmt.Sprintf("indexed/n=%d/tau=%g", n, tau), func(t *testing.T) {
+				s := NewStream(Options{Tau: tau})
+				diffLearn(t, s, &refLearner{tau: tau}, lines[:len(lines)/2])
+				if b := s.byLen[n]; b == nil || b.index == nil {
+					t.Fatalf("the %d-token bucket is not indexed at the restore point", n)
+				}
+				diffLearnRestore(t, tau, lines)
 			})
 		}
 	}

@@ -237,82 +237,74 @@ func BenchmarkSpellIngest(b *testing.B) {
 	benchOnlineIngest(b, 20000, func() OnlineParser { return spell.NewStream(spell.Options{}) })
 }
 
-// BenchmarkSpellLearnFresh drives the bare Spell learner over fresh
-// generated Thunderbird lines — the stream bench/'s learn-spell workload
-// sends. BenchmarkSpellIngest above replays synthLines, whose few shapes the
-// accelerator trie absorbs after a handful of lines, so it measures the
-// engine around a learner that idles; here templates keep arriving and the
-// LCS slow path is what is timed. misses/line is the share of lines that
-// missed the trie (exactly the lines that changed the template set).
-func BenchmarkSpellLearnFresh(b *testing.B) {
-	const n = 100000
-	lines := freshThunderbird(b, n)
-	var buf [][]byte
-	misses, templates := 0, 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := spell.NewStream(spell.Options{})
-		misses = 0
-		for _, l := range lines {
-			if buf = core.TokenizeBytes(l, buf); len(buf) == 0 {
-				continue
-			}
-			if _, changed := s.LearnBytes(buf); changed {
-				misses++
-			}
-		}
-		templates = s.NumTemplates()
-	}
-	b.StopTimer()
-	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-		b.ReportMetric(float64(n*b.N)/elapsed, "lines/sec")
-	}
-	b.ReportMetric(float64(misses)/n, "misses/line")
-	b.ReportMetric(float64(templates), "templates")
-}
+// learnFreshSizes are the stream lengths of the LearnFresh benchmarks: the
+// paper's RQ2 reads efficiency off a curve over input size, and a learner
+// whose miss path scans its state shows as ns/line rising along it.
+var learnFreshSizes = []int{100000, 300000, 900000}
 
-// freshThunderbird generates the stream bench/'s learner workloads send.
-func freshThunderbird(b *testing.B, n int) [][]byte {
+// benchLearnFresh drives a bare learner over the first n fresh generated
+// Thunderbird lines — the stream bench/'s learner workloads send — for each
+// size, reporting ns/line and whatever report adds about the last learner.
+func benchLearnFresh[L OnlineParser](b *testing.B, mk func() L, report func(b *testing.B, s L, misses, n int)) {
 	cat, err := gen.ByName("Thunderbird")
 	if err != nil {
 		b.Fatal(err)
 	}
-	msgs := cat.Generate(1, n)
-	lines := make([][]byte, n)
+	msgs := cat.Generate(1, learnFreshSizes[len(learnFreshSizes)-1])
+	lines := make([][]byte, len(msgs))
 	for i := range msgs {
 		lines[i] = []byte(msgs[i].Content)
 	}
-	return lines
+	for _, n := range learnFreshSizes {
+		b.Run(fmt.Sprintf("lines=%d", n), func(b *testing.B) {
+			var (
+				buf    [][]byte
+				s      L
+				misses int
+			)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, misses = mk(), 0
+				for _, l := range lines[:n] {
+					if buf = core.TokenizeBytes(l, buf); len(buf) == 0 {
+						continue
+					}
+					if _, changed := s.LearnBytes(buf); changed {
+						misses++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/line")
+			report(b, s, misses, n)
+		})
+	}
 }
 
-// BenchmarkDrainLearnFresh is BenchmarkSpellLearnFresh for Drain.
-// BenchmarkDrainIngest replays a converged corpus and never builds a leaf
-// worth indexing; on this stream one leaf (the 14-token firewall event,
-// 3 shared constants of 14) takes a new group from ≈2.5 % of the lines, and
-// largest-leaf is the scan a line reaching it would pay without the index.
+// BenchmarkSpellLearnFresh: BenchmarkSpellIngest above replays synthLines,
+// whose few shapes the accelerator trie absorbs after a handful of lines, so
+// it measures the engine around a learner that idles; here templates keep
+// arriving and the slow path is what is timed. misses/line is the share of
+// lines that missed the trie (exactly the lines that changed the template
+// set).
+func BenchmarkSpellLearnFresh(b *testing.B) {
+	benchLearnFresh(b, func() *spell.StreamParser { return spell.NewStream(spell.Options{}) },
+		func(b *testing.B, s *spell.StreamParser, misses, n int) {
+			b.ReportMetric(float64(misses)/float64(n), "misses/line")
+			b.ReportMetric(float64(s.NumTemplates()), "templates")
+		})
+}
+
+// BenchmarkDrainLearnFresh: BenchmarkDrainIngest replays a converged corpus
+// and never builds a leaf worth indexing; on this stream one leaf (the
+// 14-token firewall event, 3 shared constants of 14) takes a new group from
+// ≈2.5 % of the lines, and largest-leaf is the scan a line reaching it would
+// pay without the index.
 func BenchmarkDrainLearnFresh(b *testing.B) {
-	const n = 100000
-	lines := freshThunderbird(b, n)
-	var buf [][]byte
-	templates, leaf := 0, 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := drain.NewStream(drain.Options{})
-		for _, l := range lines {
-			if buf = core.TokenizeBytes(l, buf); len(buf) > 0 {
-				s.LearnBytes(buf)
-			}
-		}
-		templates, leaf = s.NumTemplates(), s.LargestLeaf()
-	}
-	b.StopTimer()
-	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-		b.ReportMetric(float64(n*b.N)/elapsed, "lines/sec")
-	}
-	b.ReportMetric(float64(templates), "templates")
-	b.ReportMetric(float64(leaf), "largest-leaf")
+	benchLearnFresh(b, func() *drain.StreamParser { return drain.NewStream(drain.Options{}) },
+		func(b *testing.B, s *drain.StreamParser, _, _ int) {
+			b.ReportMetric(float64(s.NumTemplates()), "templates")
+			b.ReportMetric(float64(s.LargestLeaf()), "largest-leaf")
+		})
 }
 
 // BenchmarkStreamIngestTelemetry is BenchmarkStreamIngest's telemetry-on

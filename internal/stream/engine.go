@@ -399,15 +399,26 @@ func (e *Engine) Run(ctx context.Context) error {
 
 // consume drains the ring until it closes cleanly (nil — the source ended
 // or Stop was called and every admitted line has been processed) or ctx
-// ends (ctx.Err(), the crash path).
+// ends (ctx.Err(), the crash path). Cancellation is looked for once per
+// popped batch — ctx.Err is a mutex round trip, and a cancelled ring stops
+// handing out batches anyway — and after every line only behind an AfterLine
+// hook, which is what hard-stops an engine between two particular lines.
 func (e *Engine) consume(ctx context.Context, r *ring) error {
 	var batch [ingestBatch]item
+	abandon := func(rest []item) error {
+		// Like the ring abandons its buffer.
+		for j := range rest {
+			rest[j].release()
+			rest[j] = item{}
+		}
+		return ctx.Err()
+	}
 	for {
 		n, ok := r.popBatch(batch[:])
+		if ctx.Err() != nil {
+			return abandon(batch[:n])
+		}
 		if !ok {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			return nil // clean drain
 		}
 		if e.tm.ringDepth != nil {
@@ -426,15 +437,9 @@ func (e *Engine) consume(ctx context.Context, r *ring) error {
 			it.release()
 			if e.cfg.AfterLine != nil {
 				e.cfg.AfterLine(it.lineNo)
-			}
-			if err := ctx.Err(); err != nil {
-				// The hook may hard-stop the engine mid-interval: abandon
-				// the rest of the batch like the ring abandons its buffer.
-				for j := i + 1; j < n; j++ {
-					batch[j].release()
-					batch[j] = item{}
+				if ctx.Err() != nil {
+					return abandon(batch[i+1 : n])
 				}
-				return err
 			}
 			if due {
 				e.mu.Lock()

@@ -90,6 +90,72 @@ func TestKillAndRecoverConvergesToUninterruptedRun(t *testing.T) {
 	}
 }
 
+// cancelAtEOF is a source that cancels the run's context as it reports the
+// end of its lines.
+type cancelAtEOF struct {
+	io.Reader
+	cancel context.CancelFunc
+}
+
+func (c cancelAtEOF) Read(p []byte) (int, error) {
+	n, err := c.Reader.Read(p)
+	if err == io.EOF {
+		c.cancel()
+	}
+	return n, err
+}
+
+// TestCancelWithoutHookWritesNoCheckpoint pins the crash model on the path
+// production runs, where no AfterLine hook is set and the consumer looks for
+// cancellation once per popped batch: a context cancelled before the ring
+// closes ends Run with the context's error and without the closing
+// checkpoint, however much of the ring the consumer still drained, and the
+// next incarnation starts over from the last periodic checkpoint — here none.
+func TestCancelWithoutHookWritesNoCheckpoint(t *testing.T) {
+	lines := synthLines(300, 23)
+	cfg := Config{
+		Open:            memOpen(lines),
+		CheckpointDir:   t.TempDir(),
+		CheckpointEvery: 1 << 30,
+		RetrainBatch:    24,
+		Retrainer:       &groupMiner{},
+	}
+	wantDigest, _ := runToEnd(t, cfg)
+
+	cfg.CheckpointDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killed := cfg
+	killed.Open = func() (io.ReadCloser, error) {
+		rc, err := cfg.Open()
+		return io.NopCloser(cancelAtEOF{rc, cancel}), err
+	}
+	e, err := New(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if st := e.Stats(); st.Checkpoints != 0 {
+		t.Fatalf("cancelled run wrote %d checkpoints at offset %d", st.Checkpoints, st.Offset)
+	}
+
+	e, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().Offset; got != 0 {
+		t.Fatalf("resumed at offset %d, want 0: the cancelled run left a checkpoint", got)
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Digest(); got != wantDigest {
+		t.Fatalf("digest after the cancelled run = %s, want %s", got, wantDigest)
+	}
+}
+
 // TestKillAndRecoverCountsOversizedOnce pins that Oversized, like every
 // cumulative counter, describes exactly the lines at or below the
 // checkpointed offset: over-long lines still in flight in the ring when a

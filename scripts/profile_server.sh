@@ -19,8 +19,9 @@
 #
 # The profile is left in $PROFILE_OUT (default /tmp/logstreamd.pprof) for
 # `go tool pprof`. Data lives on /dev/shm when writable, like the
-# benchmark's. Run from the repository root (scripts/verify.sh runs a
-# 20 k-line smoke). Exits non-zero on a failed request or an empty profile.
+# benchmark's. Run from the repository root (scripts/verify.sh runs 20 k-line
+# smokes of the plain and the -online leg). Exits non-zero on a failed request
+# or an empty profile.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -9,8 +9,9 @@
 #                              smoke + golden-digest check + crash-recovery
 #                              smoke + multi-tenant server smoke +
 #                              WAL and event-store crash smokes + the
-#                              server-profile recipe on 20 k lines + a 5s
-#                              fuzz smoke pass per fuzz target
+#                              server-profile recipe on 20 k lines (matcher
+#                              and learner legs) + a 5s fuzz smoke pass per
+#                              fuzz target
 #   scripts/verify.sh -short   fast: build + vet + `go test -short -race` +
 #                              reduced crash-recovery and server smokes
 #                              (skips the long-running suites and the fuzz
@@ -72,9 +73,10 @@ sh scripts/wal_crash_smoke.sh
 echo "==> event-store crash smoke (scripts/events_smoke.sh)"
 sh scripts/events_smoke.sh
 
-echo "==> server profile recipe smoke (scripts/profile_server.sh HDFS 20000)"
+echo "==> server profile recipe smoke (scripts/profile_server.sh HDFS 20000, -online Spell Thunderbird 20000)"
 prof="$(mktemp)"
 PROFILE_OUT="$prof" sh scripts/profile_server.sh HDFS 20000 >/dev/null
+PROFILE_OUT="$prof" sh scripts/profile_server.sh -online Spell Thunderbird 20000 >/dev/null
 rm -f "$prof"
 
 echo "==> golden-digest check (cmd/conformgen -check)"
