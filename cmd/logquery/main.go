@@ -1,9 +1,10 @@
 // Command logquery answers questions about a parsed-event store without
 // touching the engine that wrote it: which templates fired, how often,
-// and when. It reads the block footers' time ranges, bloom filters and
+// and when. It reads the block footers' time ranges and exact
 // per-template indexes to skip — or answer entirely without decompressing
 // — every block the query cannot select from, so a narrow query over a
-// large store reads almost none of it.
+// large store reads almost none of it; in the blocks a list does read, the
+// decoder walks the template column and decodes only the events it keeps.
 //
 // Count one template's events inside a time window:
 //

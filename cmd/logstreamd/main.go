@@ -98,7 +98,7 @@ func run() (int, error) {
 		online       = flag.String("online", "", "online-parser mode: learn per line with this algorithm (Drain or Spell) instead of the match/retrain cycle; exclusive with -retrainer")
 
 		eventsDir   = flag.String("events", "", "record per-line parse decisions into this event-store directory (file mode) or root (-listen mode: tenant T under <root>/tenants/T); query with logquery or GET /v1/query")
-		eventsBlock = flag.Int("events-block-bytes", 0, "event-store target block size in bytes (0 = default 256 KiB); smaller blocks skip more precisely, larger compress better")
+		eventsBlock = flag.Int("events-block-bytes", 0, "event-store target block size in raw bytes, one to two per event (0 = default 64 KiB); smaller blocks skip more precisely, larger compress better")
 
 		killAfter = flag.Int64("kill-after-lines", 0, "simulate a crash (exit 3, no checkpoint) after processing this source line")
 		eofAfter  = flag.Int("eof-after-lines", 0, "inject a premature clean EOF after this many source lines")

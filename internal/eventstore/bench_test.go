@@ -1,6 +1,7 @@
 package eventstore
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -35,6 +36,63 @@ func BenchmarkEventStoreQuery(b *testing.B) {
 	}
 	b.ReportMetric(float64(last.Skipped)/float64(blocks)*100, "skip-%")
 	b.ReportMetric(float64(last.Decompressed), "blocks-inflated/op")
+}
+
+// BenchmarkEventStoreList measures what a block costs a list query on a
+// service-shaped store: 400 blocks of 5,000 events (the engine's checkpoint
+// interval), 64 events per instant (its consumer batch), Zipf-distributed
+// templates, and one rare template — every 20,000th event — that
+// `mode=list&limit=100` must find: a quarter of the blocks hold one such
+// event each, and each of those is read, verified, inflated and decoded
+// for it.
+func BenchmarkEventStoreList(b *testing.B) {
+	const blocks, perBlock, batch, rare = 400, 5000, 64, 60
+	dir := b.TempDir()
+	s, _, err := Open(Options{Dir: dir})
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 2, 47)
+	for i := 0; i < blocks*perBlock; i++ {
+		ev := Event{
+			Seq:      int64(i + 1),
+			Time:     int64(time.Hour) + int64(i/batch)*int64(50*time.Microsecond),
+			Template: int32(zipf.Uint64()),
+			Kind:     KindMatched,
+		}
+		if i%20000 == 9999 {
+			ev.Template = rare
+		}
+		if err := s.Append(ev); err != nil {
+			b.Fatalf("Append: %v", err)
+		}
+		if i%perBlock == perBlock-1 {
+			if err := s.Finalize(); err != nil {
+				b.Fatalf("Finalize: %v", err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatalf("Close: %v", err)
+	}
+	r, info, err := OpenReader(dir, ReaderOptions{})
+	if err != nil || info.Blocks != blocks {
+		b.Fatalf("OpenReader: %+v, %v", info, err)
+	}
+	q := Query{TemplateIDs: []int32{rare}, Limit: 100}
+	b.ResetTimer()
+	var st QueryStats
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if st, err = r.Scan(q, func(Event) error { n++; return nil }); err != nil || n != 100 {
+			b.Fatalf("Scan: %d events, %v", n, err)
+		}
+	}
+	if st.Decompressed != blocks/4 {
+		b.Fatalf("stats: %+v", st)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*st.Decompressed), "us/block")
+	b.ReportMetric(float64(st.BytesDecompressed)/float64(st.Decompressed), "rawB/block")
 }
 
 // BenchmarkEventStoreAppend measures the writer's ingest-side cost per

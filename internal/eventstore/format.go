@@ -4,8 +4,8 @@
 // it: every matched/unmatched decision is appended as an Event into an
 // append-only sequence of segment files made of fixed-size compressed
 // blocks, each finalized with a footer carrying min/max timestamp, min/max
-// sequence, a template-ID bloom filter, a per-block template→count
-// inverted index, and a SHA-256 checksum. A Reader answers
+// sequence, a per-block template→count inverted index, and a SHA-256
+// checksum. A Reader answers
 // template/time-range queries by consulting block metadata first, so a
 // selective query skips (and never decompresses) the blocks that cannot
 // match.
@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"logparse/internal/seglog"
 )
@@ -39,11 +40,12 @@ import (
 //
 // Block layout:
 //
-//	magic   "EVB1" (4 bytes)
+//	magic   "EVB2" (4 bytes) — "EVB1" in stores written before the
+//	                           columnar body; see below
 //	bodyLen (4 bytes, little-endian) — compressed body byte count
 //	rawLen  (4 bytes, little-endian) — uncompressed body byte count
 //	ftrLen  (4 bytes, little-endian) — footer byte count
-//	body    (bodyLen bytes)          — flate-compressed event records
+//	body    (bodyLen bytes)          — one flate stream over the raw body
 //	footer  (ftrLen bytes)           — see below
 //	sum     (32 bytes)               — SHA-256 over header+body+footer
 //
@@ -53,21 +55,38 @@ import (
 //	minTime, maxTime (8+8 bytes, little-endian, unix nanoseconds)
 //	count            (4 bytes) — events in the block
 //	matched          (4 bytes) — events with Template ≥ 0
-//	bloom            (32 bytes, 256 bits, k=3, over template IDs)
 //	indexN           (4 bytes) — inverted-index entry count
 //	entries          indexN × (uvarint templateID, uvarint count),
 //	                 templateID strictly ascending
 //
-// Event record layout inside the body (delta-coded, running values start
-// at zero at each block's beginning):
+// Raw body, "EVB2" — columnar, because a reader wants one field (which
+// template) of every event and the other four of almost none:
 //
-//	uvarint seqDelta  — Seq minus the previous event's Seq (≥ 0: seqs are
-//	                    non-decreasing; late re-matches reuse the current
-//	                    offset)
-//	varint  timeDelta — Time minus the previous event's Time (zigzag)
-//	uvarint tmpl+1    — 0 encodes the unmatched sentinel Template == −1
-//	kind    (1 byte)
-//	uvarint rawOff    — optional raw-line byte offset, 0 when unused
+//	seq column    runs of (uvarint runLen, varint seqDelta) — Seq minus
+//	              the previous event's Seq, the first against zero (≥ 0:
+//	              seqs are non-decreasing; late re-matches reuse the
+//	              current offset)
+//	time column   runs of (uvarint runLen, varint timeDelta), likewise
+//	              (any sign; int64 arithmetic wraps, on both sides)
+//	kind column   runs of (uvarint runLen, varint kind)
+//	offset column runs of (uvarint runLen, varint rawOff) — optional
+//	              raw-line byte offset, 0 when unused
+//	template column  count × uvarint tmpl+1 — 0 encodes the unmatched
+//	                 sentinel Template == −1
+//
+// Each run column's lengths sum to the footer's count, which is also what
+// delimits it; the template column ends the body.
+//
+// "EVB1" blocks — the only layout before this one, still read, never
+// written — differ in two places: the footer carries a 256-bit template
+// bloom filter between matched and indexN (skipped: the inverted index
+// beside it is exact), and the raw body is count interleaved records
+//
+//	uvarint seqDelta, varint timeDelta, uvarint tmpl+1, kind (1 byte),
+//	uvarint rawOff
+//
+// A segment may hold blocks of both layouts; everything that stays in the
+// footer (Open, AlignTo, Refresh, count and top queries) cannot tell.
 //
 // The segment header, file naming, torn-tail vs corruption taxonomy and
 // crash repair are internal/seglog's; this file holds the block codec it
@@ -81,16 +100,25 @@ const (
 	segMagic = "logevents-segment v1\n"
 	// segHeaderSize is the magic line plus the 8-byte firstSeq.
 	segHeaderSize = len(segMagic) + 8
-	blockMagic    = "EVB1"
+	blockMagic    = "EVB2"
+	blockMagicV1  = "EVB1"
 	// blockHeaderSize is magic(4) + bodyLen(4) + rawLen(4) + ftrLen(4).
 	blockHeaderSize = 16
 	checksumSize    = sha256.Size
 	// footerFixedSize is everything before the variable inverted index:
 	// minSeq(8)+maxSeq(8)+minTime(8)+maxTime(8)+count(4)+matched(4)+
-	// bloom(32)+indexN(4).
-	footerFixedSize = 76
-	// bloomBytes is the per-block template bloom filter width (256 bits).
-	bloomBytes = 32
+	// indexN(4); a v1 footer has footerV1Skipped more bytes before indexN.
+	footerFixedSize = 44
+	footerV1Skipped = 32
+)
+
+// The run columns of a v2 body, in body order.
+const (
+	colSeq = iota
+	colTime
+	colKind
+	colOff
+	numCols
 )
 
 // MaxBlockBytes bounds one block's raw (uncompressed) body — a
@@ -154,6 +182,14 @@ type Event struct {
 	RawOff int64
 }
 
+// check refuses, at the writer, what the decoder refuses at every later read.
+func (ev Event) check() error {
+	if ev.Template < -1 || ev.Kind >= kindLimit || ev.RawOff < 0 {
+		return fmt.Errorf("eventstore: append of an event no reader accepts: %+v", ev)
+	}
+	return nil
+}
+
 // SegmentInfo summarizes the valid prefix of one decoded segment image.
 type SegmentInfo struct {
 	// FirstSeq is the header's first sequence number.
@@ -183,8 +219,8 @@ type blockMeta struct {
 	minSeq, maxSeq   int64
 	minTime, maxTime int64
 	count, matched   uint32
-	bloom            [bloomBytes]byte
 	rawLen           uint32
+	v1               bool // the body is v1's rows, not columns
 }
 
 // IndexEntry is one inverted-index row: how many events of one template a
@@ -194,52 +230,144 @@ type IndexEntry struct {
 	Count    int64
 }
 
-// splitmix64 is the bloom filter's mixer (the SplitMix64 finalizer).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// bloomAdd sets template id's k=3 bits.
-func bloomAdd(b *[bloomBytes]byte, id int32) {
-	h := splitmix64(uint64(uint32(id)))
-	for i := 0; i < 3; i++ {
-		bit := uint(h) & 255
-		b[bit>>3] |= 1 << (bit & 7)
-		h >>= 16
-	}
-}
-
-// bloomMaybe reports whether template id may be present (no false
-// negatives).
-func bloomMaybe(b *[bloomBytes]byte, id int32) bool {
-	h := splitmix64(uint64(uint32(id)))
-	for i := 0; i < 3; i++ {
-		bit := uint(h) & 255
-		if b[bit>>3]&(1<<(bit&7)) == 0 {
-			return false
-		}
-		h >>= 16
-	}
-	return true
-}
-
-// appendEventRecord delta-encodes one event against prev.
-func appendEventRecord(buf []byte, prev, ev Event) []byte {
-	buf = binary.AppendUvarint(buf, uint64(ev.Seq-prev.Seq))
-	buf = binary.AppendVarint(buf, ev.Time-prev.Time)
-	buf = binary.AppendUvarint(buf, uint64(ev.Template+1))
-	buf = append(buf, byte(ev.Kind))
-	return binary.AppendUvarint(buf, uint64(ev.RawOff))
-}
-
 // decodeEvents walks a raw (decompressed) block body, calling fn for each
-// event. meta supplies the footer's claims, which the walk verifies:
-// count, seq bounds and monotonicity. Returns a *CorruptError (with empty
-// Path/Offset for the caller to fill) on any structural violation.
-func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
+// event whose template is one of ids — for every event when ids is empty.
+// meta supplies the footer's claims, which the walk verifies: count, seq
+// bounds and monotonicity. Returns a *CorruptError (with empty Path/Offset
+// for the caller to fill) on any structural violation, or fn's error, which
+// stops the walk where it is.
+func decodeEvents(raw []byte, meta blockMeta, ids []int32, fn func(Event) error) error {
+	if meta.v1 {
+		return decodeRows(raw, meta, ids, fn)
+	}
+	cols, tmpl, err := splitColumns(raw, meta)
+	if err != nil {
+		return err
+	}
+	// The filter runs here, on the template column: only a hit pays for
+	// seeking the four run cursors to its position.
+	for p := uint32(0); p < meta.count; p++ {
+		// A one-byte code is the common case; sending it through
+		// binary.Uvarint too costs the walk ≈ 8 % per block.
+		code, k := uint64(0), 1
+		if len(tmpl) > 0 && tmpl[0] < 0x80 {
+			code = uint64(tmpl[0])
+		} else if code, k = binary.Uvarint(tmpl); k == 0 {
+			return &seglog.CorruptError{Reason: fmt.Sprintf("footer claims %d events, body holds %d", meta.count, p)}
+		} else if k < 0 || code > 1<<31 {
+			return &seglog.CorruptError{Reason: "bad event template"}
+		}
+		tmpl = tmpl[k:]
+		ev := Event{Template: int32(code) - 1}
+		if fn == nil || !wanted(ids, ev.Template) {
+			continue
+		}
+		for c := range cols {
+			cols[c].seek(p)
+		}
+		ev.Seq, ev.Time = cols[colSeq].sum(p), cols[colTime].sum(p)
+		ev.Kind, ev.RawOff = Kind(cols[colKind].v), cols[colOff].v
+		if err := fn(ev); err != nil {
+			return err
+		}
+	}
+	if len(tmpl) != 0 {
+		return &seglog.CorruptError{Reason: "more events than the footer claims"}
+	}
+	return nil
+}
+
+// wanted is decodeEvents' template filter. (slices.Contains costs the column
+// walk a call per event: its generic body is not inlined.)
+func wanted(ids []int32, tmpl int32) bool {
+	for _, id := range ids {
+		if id == tmpl {
+			return true
+		}
+	}
+	return len(ids) == 0
+}
+
+// runCursor walks one run column of a v2 body that splitColumns has
+// validated, forwards only.
+type runCursor struct {
+	col  []byte // the runs not yet read
+	end  uint32 // events the runs read so far cover
+	n    uint32 // the current run's length
+	v    int64  // and its value
+	base int64  // a delta column's running value before the current run
+}
+
+// readRun parses one (uvarint length, varint value) run off col.
+func readRun(col []byte) (n uint64, v int64, rest []byte, ok bool) {
+	n, k := binary.Uvarint(col)
+	if k <= 0 {
+		return 0, 0, nil, false
+	}
+	v, j := binary.Varint(col[k:])
+	if j <= 0 {
+		return 0, 0, nil, false
+	}
+	return n, v, col[k+j:], true
+}
+
+// seek moves to the run holding event p.
+func (c *runCursor) seek(p uint32) {
+	for p >= c.end && len(c.col) > 0 {
+		c.base += int64(c.n) * c.v
+		n, v, rest, _ := readRun(c.col)
+		c.col, c.n, c.v = rest, uint32(n), v
+		c.end += c.n
+	}
+}
+
+// sum is a delta column's running value at event p of the current run.
+func (c *runCursor) sum(p uint32) int64 {
+	return c.base + int64(p-(c.end-c.n)+1)*c.v
+}
+
+// splitColumns validates the four run columns of a v2 body once — every
+// column's run lengths sum to the footer's count; seq deltas are ≥ 0, start
+// at minSeq and add up to maxSeq, which bounds every seq in between; kinds
+// are known; offsets ≥ 0 — and returns a cursor at the start of each plus
+// the template column behind them. No check multiplies before it has
+// divided, so a crafted run cannot wrap one.
+func splitColumns(raw []byte, meta blockMeta) (cols [numCols]runCursor, tmpl []byte, err error) {
+	for c := range cols {
+		start, seq := raw, int64(0)
+		for covered := uint32(0); covered < meta.count; {
+			n, v, rest, ok := readRun(raw)
+			if !ok || n == 0 || n > uint64(meta.count-covered) {
+				return cols, nil, &seglog.CorruptError{Reason: "bad event run"}
+			}
+			switch {
+			case c == colSeq && v < 0:
+				return cols, nil, &seglog.CorruptError{Reason: "bad event seq delta"}
+			case c == colSeq && covered == 0 && v != meta.minSeq:
+				return cols, nil, &seglog.CorruptError{Reason: "first event seq disagrees with footer"}
+			case c == colSeq && v > 0 && n > uint64(meta.maxSeq-seq)/uint64(v):
+				return cols, nil, &seglog.CorruptError{Reason: "event seq above the footer maximum"}
+			case c == colKind && (v < 0 || v >= int64(kindLimit)):
+				return cols, nil, &seglog.CorruptError{Reason: fmt.Sprintf("unknown event kind %d", v)}
+			case c == colOff && v < 0:
+				return cols, nil, &seglog.CorruptError{Reason: "bad event raw offset"}
+			}
+			if c == colSeq {
+				seq += int64(n) * v // ≤ maxSeq, just checked
+			}
+			covered += uint32(n)
+			raw = rest
+		}
+		if c == colSeq && seq != meta.maxSeq {
+			return cols, nil, &seglog.CorruptError{Reason: "last event seq disagrees with footer"}
+		}
+		cols[c].col = start[:len(start)-len(raw)]
+	}
+	return cols, raw, nil
+}
+
+// decodeRows is decodeEvents for a v1 body: count interleaved records.
+func decodeRows(raw []byte, meta blockMeta, ids []int32, fn func(Event) error) error {
 	var prev Event
 	var n uint32
 	for len(raw) > 0 {
@@ -278,10 +406,8 @@ func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
 			Kind:     kind,
 			RawOff:   int64(rawOff),
 		}
-		if n == 0 {
-			if ev.Seq != meta.minSeq {
-				return &seglog.CorruptError{Reason: "first event seq disagrees with footer"}
-			}
+		if n == 0 && ev.Seq != meta.minSeq {
+			return &seglog.CorruptError{Reason: "first event seq disagrees with footer"}
 		}
 		n++
 		if n > meta.count {
@@ -291,7 +417,7 @@ func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
 			return &seglog.CorruptError{Reason: "event seq above the footer maximum"}
 		}
 		prev = ev
-		if fn != nil {
+		if fn != nil && wanted(ids, ev.Template) {
 			if err := fn(ev); err != nil {
 				return err
 			}
@@ -306,11 +432,15 @@ func decodeEvents(raw []byte, meta blockMeta, fn func(Event) error) error {
 	return nil
 }
 
-// decodeFooter parses a block footer. idx, when non-nil, receives the
-// inverted index (appended).
-func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
-	var m blockMeta
-	if len(ftr) < footerFixedSize {
+// decodeFooter parses a block footer, v1's or v2's. idx, when non-nil,
+// receives the inverted index (appended).
+func decodeFooter(ftr []byte, v1 bool, idx *[]IndexEntry) (blockMeta, error) {
+	m := blockMeta{v1: v1}
+	fixed := footerFixedSize
+	if v1 {
+		fixed += footerV1Skipped
+	}
+	if len(ftr) < fixed {
 		return m, &seglog.CorruptError{Reason: "short block footer"}
 	}
 	m.minSeq = int64(binary.LittleEndian.Uint64(ftr[0:8]))
@@ -319,8 +449,7 @@ func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
 	m.maxTime = int64(binary.LittleEndian.Uint64(ftr[24:32]))
 	m.count = binary.LittleEndian.Uint32(ftr[32:36])
 	m.matched = binary.LittleEndian.Uint32(ftr[36:40])
-	copy(m.bloom[:], ftr[40:40+bloomBytes])
-	indexN := binary.LittleEndian.Uint32(ftr[72:76])
+	indexN := binary.LittleEndian.Uint32(ftr[fixed-4 : fixed])
 	if m.count == 0 {
 		return m, &seglog.CorruptError{Reason: "empty block"}
 	}
@@ -330,7 +459,7 @@ func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
 	if m.matched > m.count {
 		return m, &seglog.CorruptError{Reason: "footer matched above count"}
 	}
-	rest := ftr[footerFixedSize:]
+	rest := ftr[fixed:]
 	prevID := int64(-1)
 	var total int64
 	for i := uint32(0); i < indexN; i++ {
@@ -367,17 +496,15 @@ func decodeFooter(ftr []byte, idx *[]IndexEntry) (blockMeta, error) {
 // index when non-nil. Errors carry no Path and an offset relative to the
 // block; whoever knows the block's position places them (seglog.Spec.At).
 func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err error) {
-	if len(data) < blockHeaderSize {
-		// Distinguish a header cut short mid-write from trailing garbage:
-		// a prefix of the magic is torn, anything else is corruption.
-		n := min(len(data), len(blockMagic))
-		if string(data[:n]) != blockMagic[:n] {
-			return meta, nil, &seglog.CorruptError{Reason: "bad block magic"}
-		}
-		return meta, nil, &seglog.TornTailError{}
-	}
-	if string(data[:4]) != blockMagic {
+	// Distinguish a header cut short mid-write from trailing garbage: a
+	// prefix of either magic is torn, anything else is corruption.
+	n := min(len(data), len(blockMagic))
+	v1 := string(data[:n]) != blockMagic[:n]
+	if v1 && string(data[:n]) != blockMagicV1[:n] {
 		return meta, nil, &seglog.CorruptError{Reason: "bad block magic"}
+	}
+	if len(data) < blockHeaderSize {
+		return meta, nil, &seglog.TornTailError{}
 	}
 	bodyLen := binary.LittleEndian.Uint32(data[4:8])
 	rawLen := binary.LittleEndian.Uint32(data[8:12])
@@ -398,7 +525,7 @@ func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err
 	if !bytes.Equal(sum[:], data[sumStart:total]) {
 		return meta, nil, &seglog.CorruptError{Reason: "block checksum mismatch"}
 	}
-	meta, err = decodeFooter(data[ftrStart:sumStart], idx)
+	meta, err = decodeFooter(data[ftrStart:sumStart], v1, idx)
 	if err != nil {
 		return meta, nil, err
 	}
@@ -494,20 +621,43 @@ func DecodeSegment(data []byte, fn func(Event) error) (SegmentInfo, error) {
 		if err := z.inflate(v.body, v.meta.rawLen); err != nil {
 			return err
 		}
-		return decodeEvents(z.raw, v.meta, fn)
+		return decodeEvents(z.raw, v.meta, nil, fn)
 	})
+}
+
+// runColumn run-length encodes one column of the block being built.
+type runColumn struct {
+	buf []byte // the closed runs
+	n   uint32 // the open run's length, 0 before the first value
+	v   int64  // and its value
+}
+
+func (c *runColumn) add(v int64) {
+	if c.n > 0 && v == c.v {
+		c.n++
+		return
+	}
+	c.flush()
+	c.n, c.v = 1, v
+}
+
+func (c *runColumn) flush() {
+	if c.n > 0 {
+		c.buf = binary.AppendVarint(binary.AppendUvarint(c.buf, uint64(c.n)), c.v)
+		c.n = 0
+	}
 }
 
 // blockBuilder accumulates one block's events and seals them into the
 // encoded block image. All buffers are reused across blocks.
 type blockBuilder struct {
-	raw              []byte // delta-encoded event records
+	cols             [numCols]runColumn
+	tmpl             []byte // the template column
 	prev             Event  // running delta base
 	count            uint32
 	match            uint32
 	minSeq, maxSeq   int64
 	minTime, maxTime int64
-	bloom            [bloomBytes]byte
 	counts           map[int32]int64 // per-template matched+late counts
 
 	fw     *flate.Writer
@@ -516,12 +666,12 @@ type blockBuilder struct {
 }
 
 func (b *blockBuilder) reset() {
-	b.raw = b.raw[:0]
+	for c := range b.cols {
+		b.cols[c] = runColumn{buf: b.cols[c].buf[:0]}
+	}
+	b.tmpl = b.tmpl[:0]
 	b.prev = Event{}
-	b.count, b.match = 0, 0
-	b.minSeq, b.maxSeq = 0, 0
-	b.minTime, b.maxTime = 0, 0
-	b.bloom = [bloomBytes]byte{}
+	b.count, b.match = 0, 0 // add starts the seq and time bounds over
 	if b.counts == nil {
 		b.counts = make(map[int32]int64)
 	} else {
@@ -529,26 +679,31 @@ func (b *blockBuilder) reset() {
 	}
 }
 
-// add appends one event. The caller has validated seq ordering.
+// rawLen is the body's size so far; seal adds at most the four open runs.
+func (b *blockBuilder) rawLen() int {
+	n := len(b.tmpl)
+	for c := range b.cols {
+		n += len(b.cols[c].buf)
+	}
+	return n
+}
+
+// add appends one event. The caller has validated it (Event.check) and its
+// seq ordering.
 func (b *blockBuilder) add(ev Event) {
 	if b.count == 0 {
-		b.minSeq, b.maxSeq = ev.Seq, ev.Seq
-		b.minTime, b.maxTime = ev.Time, ev.Time
-	} else {
-		if ev.Time < b.minTime {
-			b.minTime = ev.Time
-		}
-		if ev.Time > b.maxTime {
-			b.maxTime = ev.Time
-		}
-		b.maxSeq = ev.Seq
+		b.minSeq, b.minTime, b.maxTime = ev.Seq, ev.Time, ev.Time
 	}
-	b.raw = appendEventRecord(b.raw, b.prev, ev)
+	b.maxSeq, b.minTime, b.maxTime = ev.Seq, min(b.minTime, ev.Time), max(b.maxTime, ev.Time)
+	b.cols[colSeq].add(ev.Seq - b.prev.Seq)
+	b.cols[colTime].add(ev.Time - b.prev.Time)
+	b.cols[colKind].add(int64(ev.Kind))
+	b.cols[colOff].add(ev.RawOff)
+	b.tmpl = binary.AppendUvarint(b.tmpl, uint64(uint32(ev.Template)+1)) // −1 → 0, MaxInt32 → 1<<31
 	b.prev = ev
 	b.count++
 	if ev.Template >= 0 {
 		b.match++
-		bloomAdd(&b.bloom, ev.Template)
 		b.counts[ev.Template]++
 	}
 }
@@ -567,7 +722,13 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta, error) {
 	} else {
 		b.fw.Reset(&b.cmp)
 	}
-	if _, err := b.fw.Write(b.raw); err != nil {
+	for c := range b.cols {
+		b.cols[c].flush()
+		if _, err := b.fw.Write(b.cols[c].buf); err != nil {
+			return dst, blockMeta{}, err
+		}
+	}
+	if _, err := b.fw.Write(b.tmpl); err != nil {
 		return dst, blockMeta{}, err
 	}
 	if err := b.fw.Close(); err != nil {
@@ -578,13 +739,12 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta, error) {
 	start := len(dst)
 	dst = append(dst, blockMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.raw)))
-	ftrLen := footerFixedSize
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.rawLen()))
 	b.idxIDs = b.idxIDs[:0]
 	for id := range b.counts {
 		b.idxIDs = append(b.idxIDs, id)
 	}
-	sortInt32s(b.idxIDs)
+	slices.Sort(b.idxIDs)
 	// Footer length is not known until the varints are written; reserve
 	// the slot and patch it after.
 	ftrLenAt := len(dst)
@@ -598,14 +758,12 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(b.maxTime))
 	dst = binary.LittleEndian.AppendUint32(dst, b.count)
 	dst = binary.LittleEndian.AppendUint32(dst, b.match)
-	dst = append(dst, b.bloom[:]...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.idxIDs)))
 	for _, id := range b.idxIDs {
 		dst = binary.AppendUvarint(dst, uint64(id))
 		dst = binary.AppendUvarint(dst, uint64(b.counts[id]))
 	}
-	ftrLen = len(dst) - ftrStart
-	binary.LittleEndian.PutUint32(dst[ftrLenAt:], uint32(ftrLen))
+	binary.LittleEndian.PutUint32(dst[ftrLenAt:], uint32(len(dst)-ftrStart))
 
 	sum := sha256.Sum256(dst[start:])
 	dst = append(dst, sum[:]...)
@@ -618,34 +776,26 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta, error) {
 		maxTime: b.maxTime,
 		count:   b.count,
 		matched: b.match,
-		bloom:   b.bloom,
-		rawLen:  uint32(len(b.raw)),
+		rawLen:  uint32(b.rawLen()),
 	}
 	return dst, meta, nil
 }
 
-// sortInt32s is a small insertion sort — per-block distinct-template
-// counts are tiny, and avoiding sort.Slice keeps seal allocation-free.
-func sortInt32s(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // AppendBlock encodes events as one complete block image appended to dst —
 // the test and fuzz-seed constructor for hand-built segments. Events must
-// be non-empty with non-decreasing seqs.
+// be non-empty and each one Append would take, seqs ≥ 0 and non-decreasing.
 func AppendBlock(dst []byte, events []Event) ([]byte, error) {
 	if len(events) == 0 {
 		return dst, fmt.Errorf("eventstore: AppendBlock needs at least one event")
 	}
 	var b blockBuilder
 	b.reset()
-	for i, ev := range events {
-		if i > 0 && ev.Seq < events[i-1].Seq {
+	for _, ev := range events {
+		if ev.Seq < b.prev.Seq {
 			return dst, fmt.Errorf("eventstore: AppendBlock events out of order")
+		}
+		if err := ev.check(); err != nil {
+			return dst, err
 		}
 		b.add(ev)
 	}

@@ -1,26 +1,34 @@
 package eventstore
 
 import (
+	"bytes"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"logparse/internal/seglog"
 )
 
-// fuzzSeedSegment builds a clean two-block segment image for the seed
-// corpus.
-func fuzzSeedSegment() []byte {
-	data := SegmentHeader(1)
-	blk1 := []Event{
+// fuzzSeedBlocks is the seed corpus's clean two-block segment, as events.
+func fuzzSeedBlocks() (blk1, blk2 []Event) {
+	blk1 = []Event{
 		{Seq: 1, Time: int64(time.Second), Template: 0, Kind: KindMatched},
 		{Seq: 2, Time: 2 * int64(time.Second), Template: -1, Kind: KindUnmatched},
 		{Seq: 3, Time: 3 * int64(time.Second), Template: 4, Kind: KindMatched, RawOff: 128},
 	}
-	blk2 := []Event{
+	blk2 = []Event{
 		{Seq: 3, Time: 3 * int64(time.Second), Template: 2, Kind: KindLateMatched},
 		{Seq: 9, Time: 9 * int64(time.Second), Template: 0, Kind: KindMatched},
 	}
-	data, _ = AppendBlock(data, blk1)
+	return blk1, blk2
+}
+
+// fuzzSeedSegment builds that segment's image in the layout the writer
+// emits.
+func fuzzSeedSegment() []byte {
+	blk1, blk2 := fuzzSeedBlocks()
+	data, _ := AppendBlock(SegmentHeader(1), blk1)
 	data, _ = AppendBlock(data, blk2)
 	return data
 }
@@ -30,9 +38,14 @@ func fuzzSeedSegment() []byte {
 // never panic, never over-claim a valid prefix — and the repaired prefix
 // must redecode cleanly to the same state. scanSegmentMeta (the
 // metadata-only walk Open and the Reader use) must agree with the full
-// decompressing walk on every input.
+// decompressing walk on every input. The committed testdata seeds are v1
+// images (the read-only path); the ones added here are v2, plus a v1 block
+// followed by a v2 block.
 func FuzzBlockDecode(f *testing.F) {
 	clean := fuzzSeedSegment()
+	blk1, blk2 := fuzzSeedBlocks()
+	mixed, _ := AppendBlock(appendBlockV1(SegmentHeader(1), blk1), blk2)
+	f.Add(mixed)
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
 	f.Add(SegmentHeader(0))
@@ -86,6 +99,101 @@ func FuzzBlockDecode(f *testing.F) {
 			}
 			if rinfo.Blocks != info.Blocks || rinfo.Events != info.Events || rinfo.Good != info.Good {
 				t.Fatalf("repaired prefix diverged: %+v vs %+v", rinfo, info)
+			}
+		}
+	})
+}
+
+// fuzzEvents derives a valid event sequence from fuzz bytes, four per
+// event, reaching what a columnar codec can get wrong: runs that break on
+// any column at any position (seq repeating under late matches, kind
+// flipping), time stepping backwards and to the int64 extremes, templates
+// −1, one-byte, two-byte and maximal, non-zero offsets.
+func fuzzEvents(data []byte) (evs []Event) {
+	var ev Event
+	for ; len(data) >= 4; data = data[4:] {
+		b := data[:4]
+		ev.Seq += int64(b[0]&3) * int64(b[0]&3) // +0 (a late run), +1, +4, +9
+		switch step := int64(int8(b[1])); {
+		case b[1] == 0x80:
+			ev.Time = math.MinInt64
+		case b[1] == 0x7f:
+			ev.Time = math.MaxInt64
+		case b[0]&4 != 0:
+			ev.Time += step * int64(time.Millisecond)
+		default:
+			ev.Time += step / 32 // 0 three times in four: a batch
+		}
+		ev.Kind = Kind(b[0] >> 3 % uint8(kindLimit))
+		switch {
+		case b[2] < 0x40:
+			ev.Template = int32(b[2]&7) - 1
+		case b[2] < 0xf0:
+			ev.Template = int32(b[2])
+		default:
+			ev.Template = math.MaxInt32 - int32(b[2]&15)
+		}
+		ev.RawOff = int64(b[3]>>6) * int64(b[3]) << (b[3] & 31)
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// FuzzBlockRoundtrip holds the columnar codec to its contract on event
+// sequences derived from the fuzz bytes: AppendBlock → DecodeSegment is the
+// identity, whatever the block sizes (the first byte picks them, one-event
+// blocks included, at most 32 blocks and a tail); decoding with a template set equals decoding without
+// and filtering; and the v1 reference encoder's image of the same blocks
+// decodes to the same events.
+func FuzzBlockRoundtrip(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 1, 0, 1, 0, 1, 0, 1, 0})                                                // one-event blocks
+	f.Add([]byte{40, 1, 0, 3, 0, 0, 0, 3, 0, 8, 0, 3, 0, 16, 0, 0x41, 0, 5, 9, 0x91, 0xc1}) // a late run, kinds flipping
+	f.Add([]byte{7, 5, 0x80, 0xff, 0xff, 5, 0x7f, 0xf0, 0x7f, 1, 0x80, 0, 0})               // time extremes, maximal templates
+	f.Add(append([]byte{200}, bytes.Repeat([]byte{1, 0, 2, 0}, 130)...))                    // long runs on every column
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		evs := fuzzEvents(data[1:])
+		per := max(1+int(data[0]), len(evs)/32) // a flate writer per block: keep an exec cheap
+		v2, v1 := SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq)
+		for at := 0; at < len(evs); at += per {
+			blk := evs[at:min(at+per, len(evs))]
+			var err error
+			if v2, err = AppendBlock(v2, blk); err != nil {
+				t.Fatalf("AppendBlock: %v", err)
+			}
+			v1 = appendBlockV1(v1, blk)
+		}
+		ids := []int32{evs[len(evs)/2].Template, 3}
+		var want []Event
+		for _, ev := range evs {
+			if slices.Contains(ids, ev.Template) {
+				want = append(want, ev)
+			}
+		}
+		for i, img := range [][]byte{v1, v2} {
+			name := []string{"v1", "v2"}[i]
+			var got, filtered []Event
+			var z inflater
+			info, err := scanSegmentMeta(img, false, func(_ int64, _ seglog.Frame, v blockView) error {
+				if err := z.inflate(v.body, v.meta.rawLen); err != nil {
+					return err
+				}
+				if err := decodeEvents(z.raw, v.meta, nil, func(ev Event) error { got = append(got, ev); return nil }); err != nil {
+					return err
+				}
+				return decodeEvents(z.raw, v.meta, ids, func(ev Event) error { filtered = append(filtered, ev); return nil })
+			})
+			if err != nil || info.Events != int64(len(evs)) || info.Good != int64(len(img)) {
+				t.Fatalf("%s: %+v, %v", name, info, err)
+			}
+			if !slices.Equal(got, evs) {
+				t.Fatalf("%s: decoded\n%v\nwant\n%v", name, got, evs)
+			}
+			if !slices.Equal(filtered, want) {
+				t.Fatalf("%s: decoded with template set %v\n%v\nwant\n%v", name, ids, filtered, want)
 			}
 		}
 	})

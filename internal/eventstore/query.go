@@ -45,21 +45,14 @@ func (q Query) timeBounds() (from, to int64) {
 	return from, to
 }
 
-// matches reports whether one decoded event satisfies the query.
+// matches reports whether one event the block decoder passed — so already
+// one of TemplateIDs, when there are any — satisfies the rest of the query.
 func (q Query) matches(ev Event, from, to int64) bool {
 	if ev.Time < from || ev.Time >= to {
 		return false
 	}
 	if len(q.TemplateIDs) > 0 {
-		if ev.Template < 0 {
-			return false
-		}
-		for _, id := range q.TemplateIDs {
-			if id == ev.Template {
-				return true
-			}
-		}
-		return false
+		return ev.Template >= 0
 	}
 	if ev.Template < 0 {
 		return q.IncludeUnmatched
@@ -71,8 +64,8 @@ func (q Query) matches(ev Event, from, to int64) bool {
 // accounting the effectiveness tests assert on.
 type QueryStats struct {
 	// Blocks is the store's finalized block count; Skipped of them were
-	// eliminated on metadata alone (time range, bloom filter, footer
-	// index) without touching their bytes.
+	// eliminated on metadata alone (time range, footer index) without
+	// touching their bytes.
 	Blocks  int `json:"blocks"`
 	Skipped int `json:"skipped"`
 	// IndexOnly counts blocks answered exactly from the footer's
@@ -82,7 +75,9 @@ type QueryStats struct {
 	// BytesDecompressed is their total raw size.
 	Decompressed      int   `json:"decompressed"`
 	BytesDecompressed int64 `json:"bytes_decompressed"`
-	// Events counts events decoded; Selected of them satisfied the query.
+	// Events counts the events of the Decompressed blocks — all of each,
+	// also of the block a Limit stopped in — so it stays comparable with
+	// BytesDecompressed; Selected counts the events that satisfied the query.
 	Events   int64 `json:"events_scanned"`
 	Selected int64 `json:"selected"`
 }
@@ -222,8 +217,8 @@ func (c *blockCursor) close() {
 }
 
 // events reads block rb from its segment, re-verifies and inflates it,
-// and feeds its events to fn.
-func (c *blockCursor) events(rb readBlock, fn func(Event) error) error {
+// and feeds fn its events of templates ids — every event when ids is empty.
+func (c *blockCursor) events(rb readBlock, ids []int32, fn func(Event) error) error {
 	path := c.r.scan.Paths[rb.seg]
 	if c.f == nil || c.seg != rb.seg {
 		c.close()
@@ -249,13 +244,14 @@ func (c *blockCursor) events(rb readBlock, fn func(Event) error) error {
 	}
 	c.st.Decompressed++
 	c.st.BytesDecompressed += int64(meta.rawLen)
+	c.st.Events += int64(meta.count)
 	c.r.tm.blocksRead.Inc()
 	c.r.tm.bytesInfl.Add(uint64(meta.rawLen))
-	return spec.At(decodeEvents(c.z.raw, meta, fn), path, rb.meta.off)
+	return spec.At(decodeEvents(c.z.raw, meta, ids, fn), path, rb.meta.off)
 }
 
 // Scan streams every selected event, in store order, to fn. Blocks that
-// cannot hold a selected event — time range disjoint, bloom filter
+// cannot hold a selected event — time range disjoint, footer index
 // missing every requested template — are skipped without being read or
 // decompressed. fn's error stops the scan and is returned.
 func (r *Reader) Scan(q Query, fn func(Event) error) (QueryStats, error) {
@@ -274,8 +270,7 @@ func (r *Reader) Scan(q Query, fn func(Event) error) (QueryStats, error) {
 			r.tm.skipped.Inc()
 			continue
 		}
-		err := cur.events(rb, func(ev Event) error {
-			st.Events++
+		err := cur.events(rb, q.TemplateIDs, func(ev Event) error {
 			if !q.matches(ev, from, to) {
 				return nil
 			}
@@ -310,7 +305,7 @@ func (r *Reader) skip(rb readBlock, q Query, from, to int64) bool {
 	}
 	if len(q.TemplateIDs) > 0 {
 		for _, id := range q.TemplateIDs {
-			if bloomMaybe(&rb.meta.bloom, id) && indexCount(rb.index, id) > 0 {
+			if indexCount(rb.index, id) > 0 {
 				return false
 			}
 		}
@@ -350,7 +345,7 @@ func indexCount(index []IndexEntry, id int32) int64 {
 // the time range are answered from the footer index alone; only blocks
 // the range cuts through are decompressed.
 func (r *Reader) Count(q Query) (int64, QueryStats, error) {
-	counts, st, err := r.templateCounts(q)
+	counts, st, err := r.TemplateCounts(q)
 	if err != nil {
 		return 0, st, err
 	}
@@ -367,10 +362,6 @@ func (r *Reader) Count(q Query) (int64, QueryStats, error) {
 // unbounded query equals the engine's per-template counts exactly.
 // Unmatched events (when included) count under key −1.
 func (r *Reader) TemplateCounts(q Query) (map[int32]int64, QueryStats, error) {
-	return r.templateCounts(q)
-}
-
-func (r *Reader) templateCounts(q Query) (map[int32]int64, QueryStats, error) {
 	start := r.now()
 	defer func() { r.tm.querySec.Observe(r.now().Sub(start).Seconds()) }()
 	r.tm.queries.Inc()
@@ -410,8 +401,7 @@ func (r *Reader) templateCounts(q Query) (map[int32]int64, QueryStats, error) {
 			}
 			continue
 		}
-		err := cur.events(rb, func(ev Event) error {
-			st.Events++
+		err := cur.events(rb, q.TemplateIDs, func(ev Event) error {
 			if !q.matches(ev, from, to) {
 				return nil
 			}

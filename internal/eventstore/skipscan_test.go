@@ -15,7 +15,7 @@ import (
 // template T in window W" has a small answer.
 func buildSkipCorpus(t testing.TB, dir string) (blocks int) {
 	t.Helper()
-	s, _, err := Open(Options{Dir: dir, BlockBytes: 512, SegmentBytes: 32 << 10})
+	s, _, err := Open(Options{Dir: dir, BlockBytes: 64, SegmentBytes: 32 << 10})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestSkipScanCountUsesIndexOnly(t *testing.T) {
 	}
 
 	// An unbounded count never touches block bodies: every block is either
-	// skipped (bloom+index) or answered from its footer index.
+	// skipped (footer index) or answered from its footer index.
 	n, st, err := r.Count(Query{TemplateIDs: []int32{7}})
 	if err != nil {
 		t.Fatalf("Count: %v", err)
@@ -187,6 +187,67 @@ func TestScanLimit(t *testing.T) {
 	}
 	if got != 10 || st.Selected != 10 {
 		t.Fatalf("limit ignored: yielded %d, selected %d", got, st.Selected)
+	}
+}
+
+// TestQueryStatsEventsScanned pins events_scanned: the events of the blocks
+// a query decoded — every event of each, whatever the decoder's template
+// filter let through and wherever a limit stopped — and none for a block
+// answered from its footer. Blocks here are a Finalize each, 1,000 events.
+func TestQueryStatsEventsScanned(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 8000; i++ {
+		ev := Event{Seq: int64(i + 1), Time: int64(i/64) * int64(time.Millisecond), Template: int32(i % 4), Kind: KindMatched}
+		if i%2000 == 999 { // the rare template: once in blocks 0, 2, 4, 6
+			ev.Template = 9
+		}
+		if err := s.Append(ev); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if i%1000 == 999 {
+			if err := s.Finalize(); err != nil {
+				t.Fatalf("Finalize: %v", err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r, _, err := OpenReader(dir, ReaderOptions{})
+	if err != nil {
+		t.Fatalf("OpenReader: %v", err)
+	}
+	list := func(q Query) QueryStats {
+		st, err := r.Scan(q, func(Event) error { return nil })
+		if err != nil {
+			t.Fatalf("Scan(%+v): %v", q, err)
+		}
+		return st
+	}
+	// A limited list stops in the third block that holds the template.
+	if st := list(Query{TemplateIDs: []int32{9}, Limit: 3}); st.Decompressed != 3 || st.Skipped != 2 || st.Events != 3000 || st.Selected != 3 {
+		t.Fatalf("limited list: %+v", st)
+	}
+	// An unlimited one reads all four, and skips the four without it.
+	if st := list(Query{TemplateIDs: []int32{9}}); st.Decompressed != 4 || st.Skipped != 4 || st.Events != 4000 || st.Selected != 4 {
+		t.Fatalf("unlimited list: %+v", st)
+	}
+	// A count whose window cuts blocks 2 and 5 decodes those two and takes
+	// blocks 3 and 4 from their footers: 2,000 events scanned, not 4,000.
+	at := func(i int) time.Time { return time.Unix(0, int64(i/64)*int64(time.Millisecond)) }
+	n, st, err := r.Count(Query{TemplateIDs: []int32{1}, From: at(2560), To: at(5120)})
+	if err != nil || n != 640 {
+		t.Fatalf("boundary count = %d, %v", n, err)
+	}
+	if st.Decompressed != 2 || st.IndexOnly != 2 || st.Skipped != 4 || st.Events != 2000 || st.Selected != 640 {
+		t.Fatalf("boundary count: %+v", st)
+	}
+	if st.BytesDecompressed <= 0 || st.BytesDecompressed > 2*st.Events {
+		t.Fatalf("boundary count: %d raw bytes for %d events", st.BytesDecompressed, st.Events)
 	}
 }
 

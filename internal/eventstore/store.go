@@ -16,7 +16,8 @@ type Options struct {
 	Dir string
 	// BlockBytes is the raw (uncompressed) body size at which an
 	// accumulating block is automatically sealed and written (default
-	// 256 KiB). Auto-sealed blocks reach the OS without an fsync; only
+	// 64 KiB — an event is one to two raw bytes, so ≈ 30–60 k events).
+	// Auto-sealed blocks reach the OS without an fsync; only
 	// Finalize — the checkpoint-coordination point — syncs, which is safe
 	// because a block lost with the page cache sits wholly above the last
 	// checkpoint and replay re-emits it.
@@ -73,6 +74,9 @@ type AlignInfo struct {
 	// are lost to queries until re-ingested.
 	Spanning int
 }
+
+// defaultBlockBytes is Options.BlockBytes when unset.
+const defaultBlockBytes = 64 << 10
 
 // ErrClosed is returned by operations on a closed Store.
 var ErrClosed = seglog.ErrClosed
@@ -140,7 +144,7 @@ func Open(opts Options) (*Store, OpenInfo, error) {
 		return nil, OpenInfo{}, errors.New("eventstore: Options.Dir is required")
 	}
 	if opts.BlockBytes <= 0 {
-		opts.BlockBytes = 256 << 10
+		opts.BlockBytes = defaultBlockBytes
 	}
 	if opts.BlockBytes > MaxBlockBytes {
 		opts.BlockBytes = MaxBlockBytes
@@ -189,12 +193,12 @@ func (s *Store) Append(ev Event) error {
 	if ev.Seq < floor {
 		return s.log.Fail(fmt.Errorf("eventstore: append seq %d below %d", ev.Seq, floor))
 	}
-	if ev.Template < -1 {
-		return s.log.Fail(fmt.Errorf("eventstore: append template %d below -1", ev.Template))
+	if err := ev.check(); err != nil {
+		return s.log.Fail(err)
 	}
 	s.bb.add(ev)
 	s.tm.appends.Inc()
-	if len(s.bb.raw) >= s.opts.BlockBytes {
+	if s.bb.rawLen() >= s.opts.BlockBytes {
 		return s.sealLocked()
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 
 // smallOpts forces many blocks and several segments out of modest corpora.
 func smallOpts(dir string) Options {
-	return Options{Dir: dir, BlockBytes: 256, SegmentBytes: 4 << 10}
+	return Options{Dir: dir, BlockBytes: 64, SegmentBytes: 1 << 10}
 }
 
 // synthEvent builds the i-th event of the deterministic test corpus:
@@ -77,10 +77,10 @@ func TestStoreRoundtrip(t *testing.T) {
 		t.Fatalf("stats after finalize: %+v", st)
 	}
 	if st.Segments < 2 {
-		t.Fatalf("want multiple segments from %d events at 4KiB rotation, got %d", n, st.Segments)
+		t.Fatalf("want multiple segments from %d events at 1KiB rotation, got %d", n, st.Segments)
 	}
 	if st.Blocks < 10 {
-		t.Fatalf("want many blocks at 256B block size, got %d", st.Blocks)
+		t.Fatalf("want many blocks at 64B block size, got %d", st.Blocks)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -302,6 +302,44 @@ func TestStoreRejectsBadTemplate(t *testing.T) {
 	defer s.Close()
 	if err := s.Append(Event{Seq: 1, Template: -2}); err == nil {
 		t.Fatal("Append with template -2 succeeded")
+	}
+}
+
+// TestStoreRejectsWhatTheDecoderRefuses: an event no read would accept must
+// not reach a checksummed block — Append latches on it like on a bad
+// template, and nothing of it is written.
+func TestStoreRejectsWhatTheDecoderRefuses(t *testing.T) {
+	for name, bad := range map[string]Event{
+		"kind at kindLimit": {Seq: 2, Template: 0, Kind: kindLimit},
+		"kind 255":          {Seq: 2, Template: 0, Kind: 255},
+		"negative RawOff":   {Seq: 2, Template: 0, RawOff: -1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if err := s.Append(Event{Seq: 1, Template: 0, RawOff: 7}); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			if err := s.Append(bad); err == nil {
+				t.Fatalf("Append(%+v) succeeded", bad)
+			}
+			if err := s.Append(Event{Seq: 3}); err == nil || s.Err() == nil {
+				t.Fatalf("the failure did not latch: Append = %v, Err = %v", err, s.Err())
+			}
+			if err := s.Finalize(); err == nil {
+				t.Fatal("Finalize after the latched failure succeeded")
+			}
+			s.Close()
+			if got := readAll(t, dir); len(got) != 0 {
+				t.Fatalf("a failed store wrote %d events", len(got))
+			}
+			if _, err := AppendBlock(nil, []Event{bad}); err == nil {
+				t.Fatalf("AppendBlock(%+v) succeeded", bad)
+			}
+		})
 	}
 }
 

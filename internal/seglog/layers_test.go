@@ -69,7 +69,7 @@ var layers = []layer{
 	{
 		name: "eventstore", glob: "evt-*.seg",
 		write: func(t *testing.T, dir string, n int, seam seglog.Seam) {
-			s, _, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 64, SegmentBytes: 512, Seam: seam})
+			s, _, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 16, SegmentBytes: 256, Seam: seam})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,14 +83,14 @@ var layers = []layer{
 			}
 		},
 		open: func(t *testing.T, dir string, seam seglog.Seam) (int, int, int64, func() error) {
-			s, info, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 64, SegmentBytes: 512, Seam: seam})
+			s, info, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 16, SegmentBytes: 256, Seam: seam})
 			if err != nil {
 				t.Fatalf("eventstore.Open: %v", err)
 			}
 			return info.TornTails, info.CorruptDropped, info.LastSeq, s.Close
 		},
 		commitOne: func(dir string, seam seglog.Seam, seq int) error {
-			s, _, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 64, SegmentBytes: 512, Seam: seam})
+			s, _, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 16, SegmentBytes: 256, Seam: seam})
 			if err != nil {
 				return err
 			}

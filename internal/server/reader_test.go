@@ -85,7 +85,7 @@ func requireQueriesEqualCold(t *testing.T, s *Server, ts *httptest.Server, tenan
 // reader — as it did before the failure.
 func TestQueryReaderAcrossForcedRestart(t *testing.T) {
 	cfg := eventsConfig(t)
-	cfg.EventBlockBytes = 256 // several auto-sealed blocks per checkpoint interval
+	cfg.EventBlockBytes = 64 // several auto-sealed blocks per checkpoint interval
 	cfg.Telemetry = telemetry.New()
 	var blocks atomic.Int64
 	cfg.ConfigureEngine = func(_ string, _ int, sc *stream.Config) {

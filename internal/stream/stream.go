@@ -208,8 +208,8 @@ type Config struct {
 	// §13 "Event store format & query semantics".
 	EventStoreDir string
 	// EventStoreBlockBytes is the raw block size at which the store seals
-	// a block (default 256 KiB); EventStoreSegmentBytes is its segment
-	// rotation threshold (default 64 MiB).
+	// a block (default 64 KiB, ≈ 30–60 k events); EventStoreSegmentBytes is
+	// its segment rotation threshold (default 64 MiB).
 	EventStoreBlockBytes   int
 	EventStoreSegmentBytes int64
 	// EventStoreSeam is the event store's fault-injection seam, the same

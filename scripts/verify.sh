@@ -107,6 +107,10 @@ echo "==> go test -run TestCheckpointChainModel ./internal/stream (seeded op-seq
 go test ./internal/stream -count=1 -run '^TestCheckpointChainModel$' >/dev/null
 echo "==> go test -fuzz=FuzzBlockDecode -fuzztime=5s ./internal/eventstore"
 go test ./internal/eventstore -run '^$' -fuzz '^FuzzBlockDecode$' -fuzztime=5s >/dev/null
+echo "==> go test -fuzz=FuzzBlockRoundtrip -fuzztime=5s ./internal/eventstore"
+go test ./internal/eventstore -run '^$' -fuzz '^FuzzBlockRoundtrip$' -fuzztime=5s >/dev/null
+echo "==> go test -bench EventStoreList -benchtime 1x ./internal/eventstore (service-shaped corpus smoke)"
+go test ./internal/eventstore -run '^$' -bench EventStoreList -benchtime 1x >/dev/null
 echo "==> go test -fuzz=FuzzSeglogOpen -fuzztime=5s ./internal/seglog"
 go test ./internal/seglog -run '^$' -fuzz '^FuzzSeglogOpen$' -fuzztime=5s >/dev/null
 
