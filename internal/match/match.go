@@ -17,21 +17,77 @@ import (
 var ErrNoMatch = errors.New("match: no template matches")
 
 // node is one trie level: exact-token edges plus an optional wildcard edge.
+// The exact edges take the smallest form that holds them, so a template
+// costs what it holds: a leaf has neither field set, exactly one exact child
+// lives in soleKey/soleChild alone, and children exists iff there are two or
+// more. step and unlink are the only writers and keep that shape.
 type node struct {
 	children map[string]*node
 	wildcard *node
-	// soleKey/soleChild cache the exact edge of nodes that have exactly one
-	// child — the overwhelmingly common shape once a walk is a few tokens
-	// deep. A direct string comparison there skips the map hash entirely,
-	// and on the byte path string(tok) == soleKey compiles without
-	// allocating. soleChild == nil means "consult the map".
+	// soleKey/soleChild are the exact edge of a node with exactly one child —
+	// the overwhelmingly common shape once a walk is a few tokens deep. A
+	// direct string comparison there skips the map hash entirely, and on the
+	// byte path string(tok) == soleKey compiles without allocating.
+	// soleChild == nil means "consult the map" (nil on a leaf: reads empty).
 	soleKey   string
 	soleChild *node
 	// template is ≥0 when a template terminates at this node.
 	template int
 }
 
-func newNode() *node { return &node{children: make(map[string]*node), template: -1} }
+func newNode() *node { return &node{template: -1} }
+
+// step follows the edge tok out of n — the one trie walk step New, Insert
+// and Remove share. With grow a missing edge is created: a first exact child
+// becomes the sole edge, a second promotes the sole edge into a fresh
+// two-entry map, later ones join the map. Without grow a missing edge is nil.
+func (n *node) step(tok string, grow bool) *node {
+	if tok == core.Wildcard {
+		if n.wildcard == nil && grow {
+			n.wildcard = newNode()
+		}
+		return n.wildcard
+	}
+	if n.soleChild != nil && tok == n.soleKey {
+		return n.soleChild
+	}
+	child := n.children[tok]
+	if child != nil || !grow {
+		return child
+	}
+	child = newNode()
+	switch {
+	case n.children != nil:
+		n.children[tok] = child
+	case n.soleChild == nil:
+		n.soleKey, n.soleChild = tok, child
+	default: // promote
+		n.children = make(map[string]*node, 2)
+		n.children[n.soleKey], n.children[tok] = n.soleChild, child
+		n.soleKey, n.soleChild = "", nil
+	}
+	return child
+}
+
+// unlink drops the exact edge tok, which must exist. A fan-out falling to
+// one demotes the map back to the sole edge.
+func (n *node) unlink(tok string) {
+	if n.soleChild != nil {
+		n.soleKey, n.soleChild = "", nil
+		return
+	}
+	delete(n.children, tok)
+	if len(n.children) == 1 {
+		for k, c := range n.children {
+			n.soleKey, n.soleChild = k, c
+		}
+		n.children = nil
+	}
+}
+
+func (n *node) empty() bool {
+	return n.template < 0 && n.wildcard == nil && n.soleChild == nil && n.children == nil
+}
 
 // Matcher matches token sequences against a template set.
 type Matcher struct {
@@ -49,99 +105,47 @@ func New(templates []core.Template) (*Matcher, error) {
 		root:      make(map[int]*node),
 		templates: append([]core.Template(nil), templates...),
 	}
-	for idx, t := range templates {
-		l := len(t.Tokens)
-		if m.root[l] == nil {
-			m.root[l] = newNode()
+	for slot, t := range templates {
+		if err := m.terminate(t, slot); err != nil {
+			return nil, err
 		}
-		n := m.root[l]
-		for _, tok := range t.Tokens {
-			if tok == core.Wildcard {
-				if n.wildcard == nil {
-					n.wildcard = newNode()
-				}
-				n = n.wildcard
-				continue
-			}
-			child, ok := n.children[tok]
-			if !ok {
-				child = newNode()
-				n.children[tok] = child
-			}
-			n = child
-		}
-		if n.template >= 0 {
-			return nil, fmt.Errorf("match: templates %s and %s are identical",
-				templates[n.template].ID, t.ID)
-		}
-		n.template = idx
-	}
-	for _, root := range m.root {
-		freeze(root)
 	}
 	return m, nil
 }
 
-// freeze caches the sole exact edge of every single-child node. The trie
-// changes only through New, Insert and Remove, and the latter two maintain
-// the cache along the path they touch, so the cache never goes stale.
-func freeze(n *node) {
-	if len(n.children) == 1 {
-		for k, c := range n.children {
-			n.soleKey, n.soleChild = k, c
-		}
+// terminate threads t's path into the trie of its length and ends slot
+// there. A duplicate finds its whole path in place, so the trie is unchanged
+// when an error is returned.
+func (m *Matcher) terminate(t core.Template, slot int) error {
+	n := m.root[len(t.Tokens)]
+	if n == nil {
+		n = newNode()
+		m.root[len(t.Tokens)] = n
 	}
-	for _, c := range n.children {
-		freeze(c)
-	}
-	if n.wildcard != nil {
-		freeze(n.wildcard)
-	}
-}
-
-// Insert adds one template to the matcher in O(template length),
-// maintaining the single-child fast-path cache along the extended path —
-// the incremental twin of New for online learners that grow their template
-// set one group at a time and cannot afford an O(n) rebuild per growth.
-// Duplicate token sequences are rejected like in New; the matcher is
-// unchanged when an error is returned. Not safe for concurrent use with
-// matching.
-func (m *Matcher) Insert(t core.Template) error {
-	if len(t.Tokens) == 0 {
-		return fmt.Errorf("match: template %s has no tokens", t.ID)
-	}
-	root := m.root[len(t.Tokens)]
-	if root == nil {
-		root = newNode()
-		m.root[len(t.Tokens)] = root
-	}
-	n := root
 	for _, tok := range t.Tokens {
-		if tok == core.Wildcard {
-			if n.wildcard == nil {
-				n.wildcard = newNode()
-			}
-			n = n.wildcard
-			continue
-		}
-		child, ok := n.children[tok]
-		if !ok {
-			child = newNode()
-			n.children[tok] = child
-			switch len(n.children) {
-			case 1:
-				n.soleKey, n.soleChild = tok, child
-			case 2:
-				n.soleKey, n.soleChild = "", nil
-			}
-		}
-		n = child
+		n = n.step(tok, true)
 	}
 	if n.template >= 0 {
 		return fmt.Errorf("match: templates %s and %s are identical",
 			m.templates[n.template].ID, t.ID)
 	}
-	n.template = len(m.templates)
+	n.template = slot
+	return nil
+}
+
+// Insert adds one template to the matcher in O(template length) — the
+// incremental twin of New, through the same walk, for online learners that
+// grow their template set one group at a time and cannot afford an O(n)
+// rebuild per growth. Duplicate token sequences are rejected like in New;
+// the matcher is unchanged when an error is returned. Not safe for
+// concurrent use with matching.
+func (m *Matcher) Insert(t core.Template) error {
+	if len(t.Tokens) == 0 {
+		return fmt.Errorf("match: template %s has no tokens", t.ID)
+	}
+	if err := m.terminate(t, len(m.templates)); err != nil {
+		return err
+	}
 	m.templates = append(m.templates, core.Template{
 		ID:     t.ID,
 		Tokens: append([]string(nil), t.Tokens...),
@@ -153,8 +157,8 @@ func (m *Matcher) Insert(t core.Template) error {
 // length) and reports whether it was present; an absent template changes
 // nothing. The trie is left exactly as New would build it from the remaining
 // set: the terminal is cleared, nodes that no longer lead to any template
-// are pruned, and a node whose fan-out drops to one gets its single-child
-// cache back. The template's slot is retired, not reused: indices returned
+// are pruned, and a node whose fan-out drops to one holds that child as its
+// sole edge again. The template's slot is retired, not reused: indices returned
 // for the other templates stay valid, so after a removal they no longer
 // address Templates(), which lists only the live templates. The stream
 // engine keeps per-template state in a slice parallel to build order and
@@ -171,8 +175,6 @@ func (m *Matcher) Remove(tokens []string) bool {
 	return true
 }
 
-func (n *node) empty() bool { return n.template < 0 && n.wildcard == nil && len(n.children) == 0 }
-
 func (m *Matcher) remove(n *node, tokens []string) bool {
 	if len(tokens) == 0 {
 		if n.template < 0 {
@@ -184,10 +186,7 @@ func (m *Matcher) remove(n *node, tokens []string) bool {
 		return true
 	}
 	tok := tokens[0]
-	child := n.wildcard
-	if tok != core.Wildcard {
-		child = n.children[tok]
-	}
+	child := n.step(tok, false)
 	if child == nil || !m.remove(child, tokens[1:]) {
 		return false
 	}
@@ -196,13 +195,7 @@ func (m *Matcher) remove(n *node, tokens []string) bool {
 	case tok == core.Wildcard:
 		n.wildcard = nil
 	default:
-		delete(n.children, tok)
-		n.soleKey, n.soleChild = "", nil
-		if len(n.children) == 1 {
-			for k, c := range n.children {
-				n.soleKey, n.soleChild = k, c
-			}
-		}
+		n.unlink(tok)
 	}
 	return true
 }

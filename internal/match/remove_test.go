@@ -32,9 +32,9 @@ var removeProbes = func() (out [][]string) {
 
 // runRemoveOps decodes data as Insert/Remove operations (two bytes each:
 // op and length, then four 2-bit tokens) and after every one holds the
-// matcher to New(live set): same trie shape including the single-child
-// cache, same live templates, same answer from Match, MatchIndex and
-// MatchBytes on every probe.
+// matcher to New(live set): the shape invariant on every node, node for
+// node the same trie, same live templates, same answer from Match,
+// MatchIndex and MatchBytes on every probe.
 func runRemoveOps(t testing.TB, data []byte) {
 	t.Helper()
 	m, err := New(nil)
@@ -106,8 +106,26 @@ func runRemoveOps(t testing.TB, data []byte) {
 	}
 }
 
-// sameTrie compares two tries edge by edge, including the single-child
-// cache; terminal slots differ legitimately and are compared by presence.
+// exactEdges lists a node's exact edges whichever form holds them, after
+// holding the node to the shape invariant: a children map iff two or more
+// exact children, soleKey/soleChild iff exactly one, neither on a leaf.
+func exactEdges(t testing.TB, where string, n *node) map[string]*node {
+	t.Helper()
+	switch {
+	case n.children != nil && (len(n.children) < 2 || n.soleChild != nil || n.soleKey != ""):
+		t.Fatalf("%s: children map with %d entries beside sole edge %q/%v, want a map iff fan-out ≥ 2 and no sole edge then",
+			where, len(n.children), n.soleKey, n.soleChild != nil)
+	case n.soleChild == nil && n.soleKey != "":
+		t.Fatalf("%s: soleKey %q without a soleChild", where, n.soleKey)
+	case n.soleChild != nil:
+		return map[string]*node{n.soleKey: n.soleChild}
+	}
+	return n.children
+}
+
+// sameTrie compares two tries node for node — same edges in the same form
+// (sole edge or map) — and checks the shape invariant on both; terminal slots
+// differ legitimately and are compared by presence.
 func sameTrie(t testing.TB, where string, got, want *node) {
 	t.Helper()
 	if got == nil {
@@ -116,16 +134,16 @@ func sameTrie(t testing.TB, where string, got, want *node) {
 	if (got.template >= 0) != (want.template >= 0) {
 		t.Fatalf("%s: terminal = %v, New builds %v", where, got.template >= 0, want.template >= 0)
 	}
-	if got.soleKey != want.soleKey || (got.soleChild == nil) != (want.soleChild == nil) ||
-		(got.soleChild != nil && got.soleChild != got.children[got.soleKey]) {
-		t.Fatalf("%s: single-child cache %q/%v, New builds %q/%v", where, got.soleKey, got.soleChild != nil, want.soleKey, want.soleChild != nil)
+	ge, we := exactEdges(t, where, got), exactEdges(t, where+" (New)", want)
+	if got.soleKey != want.soleKey || (got.children == nil) != (want.children == nil) {
+		t.Fatalf("%s: sole edge %q map=%v, New builds %q map=%v", where, got.soleKey, got.children != nil, want.soleKey, want.children != nil)
 	}
-	if len(got.children) != len(want.children) || (got.wildcard == nil) != (want.wildcard == nil) {
+	if len(ge) != len(we) || (got.wildcard == nil) != (want.wildcard == nil) {
 		t.Fatalf("%s: %d children wildcard=%v, New builds %d wildcard=%v (stale path left behind?)",
-			where, len(got.children), got.wildcard != nil, len(want.children), want.wildcard != nil)
+			where, len(ge), got.wildcard != nil, len(we), want.wildcard != nil)
 	}
-	for k, wc := range want.children {
-		sameTrie(t, where+" "+k, got.children[k], wc)
+	for k, wc := range we {
+		sameTrie(t, where+" "+k, ge[k], wc)
 	}
 	if want.wildcard != nil {
 		sameTrie(t, where+" *", got.wildcard, want.wildcard)
@@ -158,23 +176,33 @@ func FuzzMatchRemove(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runRemoveOps(t, data) })
 }
 
-// TestRemoveRestoresSoleChild pins the cache transition Remove owns: a node
-// whose fan-out drops from two to one must answer from the single-child
-// fast path again, not from the map.
+// TestRemoveRestoresSoleChild pins the shape transitions step and unlink
+// own: the second child promotes the sole edge into a map, and a fan-out
+// dropping from two to one demotes it back — the node answers from the
+// single-child fast path again and the map is gone, not left to the collector
+// to walk.
 func TestRemoveRestoresSoleChild(t *testing.T) {
 	m, err := New([]core.Template{tmpl("A", "a", "b"), tmpl("B", "a", "c")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := m.root[2].children["a"]
-	if a.soleChild != nil {
-		t.Fatal("fan-out 2 node has a sole-child cache")
+	root := m.root[2]
+	if root.children != nil || root.soleKey != "a" {
+		t.Fatalf("fan-out 1 root: map = %v, soleKey %q; want no map and the sole edge a", root.children != nil, root.soleKey)
+	}
+	a := root.soleChild
+	if a.soleChild != nil || len(a.children) != 2 {
+		t.Fatalf("fan-out 2 node: sole edge set = %v, %d map entries; want a two-entry map only", a.soleChild != nil, len(a.children))
+	}
+	b := a.children["b"]
+	if b.children != nil || b.soleChild != nil {
+		t.Error("leaf holds a map or a sole edge")
 	}
 	if !m.Remove([]string{"a", "c"}) {
 		t.Fatal("Remove(a c) = false")
 	}
-	if a.soleKey != "b" || a.soleChild != a.children["b"] {
-		t.Errorf("after fan-out 2→1: soleKey %q, soleChild set = %v", a.soleKey, a.soleChild != nil)
+	if a.soleKey != "b" || a.soleChild != b || a.children != nil {
+		t.Errorf("after fan-out 2→1: soleKey %q, soleChild kept = %v, map = %v", a.soleKey, a.soleChild == b, a.children != nil)
 	}
 	if idx, ok := m.MatchBytes([][]byte{[]byte("a"), []byte("b")}); !ok || idx != 0 {
 		t.Errorf("MatchBytes(a b) = (%d, %v), want (0, true)", idx, ok)

@@ -99,10 +99,13 @@ type StreamParser struct {
 
 	// intern maps a token to its ID (≥ 1; 0 means wildcard or unknown). Only
 	// founding an object inserts, so it holds tokens that are or once were a
-	// constant of some object; a line's tokens are only looked up. masks is
-	// the bit-vector kernel's table, one word per ID: the positions of that
-	// ID in the line being scanned, all zero between scans.
+	// constant of some object; a line's tokens are only looked up. names is
+	// the way back, ID to the one interned string every object holding that
+	// constant shares. masks is the bit-vector kernel's table, one word per
+	// ID: the positions of that ID in the line being scanned, all zero
+	// between scans.
 	intern map[string]uint32
+	names  []string
 	masks  []uint64
 
 	// matcher is the prefix-tree accelerator over the current templates and
@@ -128,6 +131,7 @@ func NewStream(opts Options) *StreamParser {
 		opts:   opts.withDefaults(),
 		byLen:  make(map[int]*bucket),
 		intern: make(map[string]uint32),
+		names:  make([]string, 1),
 		masks:  make([]uint64, 1),
 	}
 	s.rebuildMatcher()
@@ -161,7 +165,11 @@ func (s *StreamParser) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 	}
 	toks := make([]string, len(tokens))
 	for i, t := range tokens {
-		toks[i] = string(t)
+		if id := ids[i]; id != 0 {
+			toks[i] = s.names[id] // already interned: no second copy of the bytes
+		} else {
+			toks[i] = string(t)
+		}
 	}
 	o := s.add(toks)
 	s.insertMatcher(o.idx)
@@ -295,13 +303,13 @@ func (s *StreamParser) merge(o *object, ids []uint32) (changed bool) {
 	return changed
 }
 
-// add appends an object with the given template (retained), interning its
-// constants, and indexes its bucket from the objects' current constants the
-// moment it outgrows posting.Small — the same entries a Restore of this
-// state would make. A literal "*" in a founding line is a wildcard from the
-// start.
+// add appends an object with the given template (retained, its constants
+// replaced by their interned strings), interning what is new, and indexes its
+// bucket from the objects' current constants the moment it outgrows
+// posting.Small — the same entries a Restore of this state would make. A
+// literal "*" in a founding line is a wildcard from the start.
 func (s *StreamParser) add(tokens []string) *object {
-	o := &object{idx: len(s.objs), tokens: tokens, ids: make([]uint32, len(tokens))}
+	o := &object{idx: len(s.objs), tokens: tokens, ids: make([]uint32, len(tokens)), consts: make([]uint32, 0, len(tokens))}
 	for i, t := range tokens {
 		if t == core.Wildcard {
 			continue
@@ -310,9 +318,10 @@ func (s *StreamParser) add(tokens []string) *object {
 		if !ok {
 			id = uint32(len(s.masks))
 			s.intern[t] = id
+			s.names = append(s.names, t)
 			s.masks = append(s.masks, 0)
 		}
-		o.ids[i] = id
+		o.ids[i], tokens[i] = id, s.names[id]
 	}
 	o.refreshConsts()
 	s.objs = append(s.objs, o)
@@ -338,10 +347,11 @@ func (s *StreamParser) add(tokens []string) *object {
 // O(template length) — new objects are the common way the template set
 // grows, and a full O(objects) rebuild per growth would make learning
 // quadratic on high-cardinality streams. It reports false, and records j
-// as shadowed, when an earlier object already holds that template.
+// as shadowed, when an earlier object already holds that template. The
+// template goes in without an ID: slotObj is the way back from a slot, and
+// nothing reads a name out of the accelerator.
 func (s *StreamParser) insertMatcher(j int) bool {
-	t := core.Template{ID: fmt.Sprintf("L%d", j+1), Tokens: s.objs[j].tokens}
-	if err := s.matcher.Insert(t); err != nil {
+	if err := s.matcher.Insert(core.Template{Tokens: s.objs[j].tokens}); err != nil {
 		s.shadow = append(s.shadow, j)
 		return false
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"logparse/internal/core"
 	"logparse/internal/gen"
@@ -305,14 +306,62 @@ func TestFoundingMissAllocsIndependentOfObjects(t *testing.T) {
 	}
 	m := s.matcher
 	// Per founding line of 6 tokens: the line string and tokenizer scratch,
-	// 6 token strings, the object and its three slices, 6 trie nodes with a
-	// map each, amortised growth of objs/bucket/intern/masks/slotObj.
-	const bound = 60
+	// 6 token strings, the object and its three slices, 6 trie nodes,
+	// amortised growth of objs/bucket/intern/names/masks/slotObj: 25 measured
+	// (40 while every node carried a map).
+	const bound = 30
 	if allocs := testing.AllocsPerRun(200, func() { learn(n); n++ }); allocs > bound {
 		t.Errorf("founding miss at %d objects: %v allocs/op, want ≤ %d", n, allocs, bound)
 	}
 	if s.matcher != m {
 		t.Error("founding an object rebuilt the accelerator")
+	}
+}
+
+// TestFoundingReusesInternedTokens pins what founding allocates when the
+// learner already owns every token of the line: no token strings. Two
+// founders intern a₁…a₁₄ and b₁…b₁₄; under Tau = 1 every other line that
+// picks aᵢ or bᵢ per position founds an object (only an identical line's LCS
+// reaches 14), and its template must hold the founders' strings themselves.
+func TestFoundingReusesInternedTokens(t *testing.T) {
+	const width = 14
+	s := NewStream(Options{Tau: 1})
+	vocab := [2][][]byte{make([][]byte, width), make([][]byte, width)}
+	for v, name := range []string{"a", "b"} {
+		for i := range vocab[v] {
+			vocab[v][i] = []byte(fmt.Sprintf("%s%d=interned-token", name, i))
+		}
+		s.LearnBytes(vocab[v])
+	}
+	interned := len(s.names)
+	line := make([][]byte, width)
+	k := 1 // bit i picks position i's vocabulary; 0 and 1<<width-1 are the founders
+	found := func() {
+		for i := range line {
+			line[i] = vocab[k>>i&1][i]
+		}
+		if _, changed := s.LearnBytes(line); !changed {
+			t.Fatalf("line %d did not found an object", k)
+		}
+		k++
+	}
+	// The template and the matcher's copy of it, the object and its ID and
+	// constant slices, the trie nodes below the line's fork, amortised growth
+	// of objs/bucket/index/slotObj: 14 measured. With 14 token strings, a map
+	// per node and the constants grown 1-2-4-8-16 on top it was 43.
+	const bound = 16
+	if allocs := testing.AllocsPerRun(500, found); allocs > bound {
+		t.Errorf("founding from interned tokens: %v allocs/op, want ≤ %d", allocs, bound)
+	}
+	if len(s.names) != interned || len(s.intern) != interned-1 {
+		t.Errorf("founding from interned tokens interned %d more", len(s.names)-interned)
+	}
+	for _, o := range s.objs {
+		for i, tok := range o.tokens {
+			if want := s.names[o.ids[i]]; unsafe.StringData(tok) != unsafe.StringData(want) {
+				t.Fatalf("object %d token %d %q is a copy, not the interned string", o.idx, i, tok)
+			}
+		}
 	}
 }
 

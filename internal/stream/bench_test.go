@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -244,8 +245,14 @@ var learnFreshSizes = []int{100000, 300000, 900000}
 
 // benchLearnFresh drives a bare learner over the first n fresh generated
 // Thunderbird lines — the stream bench/'s learner workloads send — for each
-// size, reporting ns/line and whatever report adds about the last learner.
-func benchLearnFresh[L OnlineParser](b *testing.B, mk func() L, report func(b *testing.B, s L, misses, n int)) {
+// size, reporting ns/line, heapB/template (what the last learner keeps live:
+// heap in use after a forced collection, over the heap before the first
+// learner, per template — the curve's memory axis and the number a byte cap
+// on a learner has to budget) and whatever report adds about that learner.
+func benchLearnFresh[L interface {
+	OnlineParser
+	NumTemplates() int
+}](b *testing.B, mk func() L, report func(b *testing.B, s L, misses, n int)) {
 	cat, err := gen.ByName("Thunderbird")
 	if err != nil {
 		b.Fatal(err)
@@ -262,7 +269,9 @@ func benchLearnFresh[L OnlineParser](b *testing.B, mk func() L, report func(b *t
 				s      L
 				misses int
 			)
+			base := liveHeap()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, misses = mk(), 0
 				for _, l := range lines[:n] {
@@ -274,10 +283,21 @@ func benchLearnFresh[L OnlineParser](b *testing.B, mk func() L, report func(b *t
 					}
 				}
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/line")
+			b.ReportMetric(float64(s.NumTemplates()), "templates")
+			b.ReportMetric(float64(int64(liveHeap()-base))/float64(s.NumTemplates()), "heapB/template")
 			report(b, s, misses, n)
 		})
 	}
+}
+
+// liveHeap is the heap in use once a forced collection has run.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // BenchmarkSpellLearnFresh: BenchmarkSpellIngest above replays synthLines,

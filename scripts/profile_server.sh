@@ -11,7 +11,9 @@
 # top restricted to this module, net/http, the garbage collector's
 # background workers, io.ReadAll and time.Now. Then runs ten query rounds on
 # the now idle tenant and prints the eventstore.reader.* counters: one open,
-# and refreshes that read nothing.
+# and refreshes that read nothing. Last, what the run cost in memory: the
+# server's resident high-water mark (VmHWM of /proc/PID/status) and the
+# collector's cycle count and total pause (memstats in /debug/vars).
 #
 #   scripts/profile_server.sh [-online Drain|Spell] DATASET LINES
 #   scripts/profile_server.sh HDFS 3000000                 # the wire-hdfs shape
@@ -104,6 +106,14 @@ curl -s "http://$debug/debug/vars" | grep -o '"eventstore\.reader\.[a-z_]*": *[0
 	echo "profile_server: FAIL: no eventstore.reader.* counters in /debug/vars" >&2
 	exit 1
 }
+
+hwm="$(awk '/^VmHWM:/ { print $2, $3 }' "/proc/$server_pid/status")"
+gc="$(curl -s "http://$debug/debug/vars" | grep -o '"\(NumGC\|PauseTotalNs\)":[0-9]*' | awk -F'[":]+' '{ printf "%s%s %s", sep, $2, $3; sep = ", " }')"
+[ -n "$hwm" ] && [ -n "$gc" ] || {
+	echo "profile_server: FAIL: no VmHWM in /proc/$server_pid/status or no memstats in /debug/vars" >&2
+	exit 1
+}
+echo "server memory: VmHWM $hwm, $gc"
 
 kill -TERM "$server_pid" && wait "$server_pid"
 server_pid=""

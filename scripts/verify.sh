@@ -75,9 +75,11 @@ sh scripts/events_smoke.sh
 
 echo "==> server profile recipe smoke (scripts/profile_server.sh HDFS 20000, -online Spell Thunderbird 20000)"
 prof="$(mktemp)"
-PROFILE_OUT="$prof" sh scripts/profile_server.sh HDFS 20000 >/dev/null
-PROFILE_OUT="$prof" sh scripts/profile_server.sh -online Spell Thunderbird 20000 >/dev/null
-rm -f "$prof"
+PROFILE_OUT="$prof" sh scripts/profile_server.sh HDFS 20000 >"$prof.out"
+grep '^server memory: VmHWM' "$prof.out"
+PROFILE_OUT="$prof" sh scripts/profile_server.sh -online Spell Thunderbird 20000 >"$prof.out"
+grep '^server memory: VmHWM' "$prof.out"
+rm -f "$prof" "$prof.out"
 
 echo "==> golden-digest check (cmd/conformgen -check)"
 go run ./cmd/conformgen -check >/dev/null
