@@ -36,10 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
-	"time"
 
 	"logparse/internal/eventstore"
 	"logparse/internal/stream"
@@ -56,31 +53,13 @@ func main() {
 	os.Exit(code)
 }
 
-// result is the -json output document; exactly one of Count, Events,
-// Templates is set, per mode.
+// result is the -json output document: the answer's count, events or
+// templates (per mode) and its skip-scan stats, in an envelope.
 type result struct {
-	Dir       string                `json:"dir"`
-	Mode      string                `json:"mode"`
-	Count     *int64                `json:"count,omitempty"`
-	Events    []eventRow            `json:"events,omitempty"`
-	Templates []templateRow         `json:"templates,omitempty"`
-	Stats     eventstore.QueryStats `json:"stats"`
-	Store     storeInfo             `json:"store"`
-}
-
-type eventRow struct {
-	Seq      int64  `json:"seq"`
-	Time     string `json:"time"`
-	Template int32  `json:"template"`
-	Name     string `json:"name,omitempty"`
-	Kind     string `json:"kind"`
-	RawOff   int64  `json:"raw_off,omitempty"`
-}
-
-type templateRow struct {
-	Template int32  `json:"template"`
-	Count    int64  `json:"count"`
-	Name     string `json:"name,omitempty"`
+	Dir  string `json:"dir"`
+	Mode string `json:"mode"`
+	eventstore.Answer
+	Store storeInfo `json:"store"`
 }
 
 type storeInfo struct {
@@ -98,18 +77,18 @@ func run() (int, error) {
 		root   = flag.String("root", "", "server events root; use with -tenant")
 		tenant = flag.String("tenant", "", "tenant id under -root")
 
-		mode      = flag.String("mode", "count", "count, top (most frequent templates) or list (the events themselves)")
-		templates = flag.String("template", "", "comma-separated template ids to select (empty = all matched)")
-		unmatched = flag.Bool("unmatched", false, "include unmatched lines (template -1)")
-		from      = flag.String("from", "", "lower time bound, RFC3339 (inclusive)")
-		to        = flag.String("to", "", "upper time bound, RFC3339 (exclusive)")
-		limit     = flag.Int("limit", 100, "list mode: maximum events returned")
-		topN      = flag.Int("n", 10, "top mode: number of templates")
-
 		ckptDir   = flag.String("checkpoint-dir", "", "engine checkpoint directory; resolves template ids to names")
 		jsonOut   = flag.Bool("json", false, "emit the result as one JSON document")
 		showStats = flag.Bool("stats", true, "print skip-scan effectiveness to stderr (text mode)")
 	)
+	// The query: eventstore.ParseRequest reads these by name.
+	flag.String("mode", "count", "count, top (most frequent templates) or list (the events themselves)")
+	flag.String("template", "", "comma-separated template ids to select (empty = all matched)")
+	flag.Bool("unmatched", false, "include unmatched lines (template -1)")
+	flag.String("from", "", "lower time bound, RFC3339 (inclusive)")
+	flag.String("to", "", "upper time bound, RFC3339 (exclusive)")
+	flag.Int("limit", 100, "list mode: maximum events returned")
+	flag.Int("n", 10, "top mode: number of templates")
 	flag.Parse()
 
 	switch {
@@ -128,28 +107,9 @@ func run() (int, error) {
 		return 1, fmt.Errorf("event store %s: %w", storeDir, err)
 	}
 
-	q := eventstore.Query{IncludeUnmatched: *unmatched}
-	if *templates != "" {
-		for _, part := range strings.Split(*templates, ",") {
-			id, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
-			if err != nil {
-				return 2, fmt.Errorf("bad -template entry %q", part)
-			}
-			q.TemplateIDs = append(q.TemplateIDs, int32(id))
-		}
-	}
-	for _, bound := range []struct {
-		flag, name string
-		dst        *time.Time
-	}{{*from, "-from", &q.From}, {*to, "-to", &q.To}} {
-		if bound.flag == "" {
-			continue
-		}
-		ts, err := time.Parse(time.RFC3339Nano, bound.flag)
-		if err != nil {
-			return 2, fmt.Errorf("%s: want RFC3339: %w", bound.name, err)
-		}
-		*bound.dst = ts
+	req, err := eventstore.ParseRequest(func(name string) string { return flag.Lookup(name).Value.String() })
+	if err != nil {
+		return 2, fmt.Errorf("-%w", err)
 	}
 
 	names, err := loadTemplateNames(*ckptDir)
@@ -163,63 +123,14 @@ func run() (int, error) {
 	}
 	res := result{
 		Dir:  storeDir,
-		Mode: *mode,
+		Mode: req.Mode,
 		Store: storeInfo{
 			Segments: info.Segments, Blocks: info.Blocks, Events: info.Events,
 			LastSeq: info.LastSeq, TornTail: info.TornTail, Damaged: info.Damaged,
 		},
 	}
-
-	switch *mode {
-	case "count":
-		n, st, err := rd.Count(q)
-		if err != nil {
-			return 1, err
-		}
-		res.Count, res.Stats = &n, st
-	case "top":
-		if *topN <= 0 {
-			return 2, errors.New("-n must be positive")
-		}
-		counts, st, err := rd.TemplateCounts(q)
-		if err != nil {
-			return 1, err
-		}
-		res.Stats = st
-		for id, c := range counts {
-			res.Templates = append(res.Templates, templateRow{Template: id, Count: c, Name: names[id]})
-		}
-		sort.Slice(res.Templates, func(i, j int) bool {
-			if res.Templates[i].Count != res.Templates[j].Count {
-				return res.Templates[i].Count > res.Templates[j].Count
-			}
-			return res.Templates[i].Template < res.Templates[j].Template
-		})
-		if len(res.Templates) > *topN {
-			res.Templates = res.Templates[:*topN]
-		}
-	case "list":
-		if *limit <= 0 {
-			return 2, errors.New("-limit must be positive")
-		}
-		q.Limit = *limit
-		st, err := rd.Scan(q, func(ev eventstore.Event) error {
-			res.Events = append(res.Events, eventRow{
-				Seq:      ev.Seq,
-				Time:     time.Unix(0, ev.Time).UTC().Format(time.RFC3339Nano),
-				Template: ev.Template,
-				Name:     names[ev.Template],
-				Kind:     ev.Kind.String(),
-				RawOff:   ev.RawOff,
-			})
-			return nil
-		})
-		if err != nil {
-			return 1, err
-		}
-		res.Stats = st
-	default:
-		return 2, fmt.Errorf("unknown -mode %q (want count, top or list)", *mode)
+	if res.Answer, err = rd.Run(req, names); err != nil {
+		return 1, err
 	}
 
 	if *jsonOut {

@@ -21,18 +21,16 @@
 // finishes the stream. SIGINT is a graceful shutdown: the engine stops and
 // writes a final checkpoint before exiting.
 //
-// Fault injection: -eof-after-lines truncates the source mid-stream (clean
-// EOF; the engine checkpoints and a later run completes the job) and
-// -torn-checkpoint-at N tears the Nth checkpoint save after
-// -torn-checkpoint-limit bytes, modelling a write cut short mid-save — the
-// save fails, and a resumed run detects the torn delta tail and recovers
+// Fault injection: -torn-checkpoint-at N tears the Nth checkpoint save
+// after -torn-checkpoint-limit bytes, modelling a write cut short mid-save —
+// the save fails, and a resumed run detects the torn delta tail and recovers
 // from the save before it.
 //
-// Network mode: -listen promotes the daemon to the sharded multi-tenant
-// ingestion server. Tenants POST newline-delimited lines and each gets its
-// own engine, quota, and checkpoint directory under -checkpoint-dir:
+// Network mode: -listen promotes the daemon to the multi-tenant ingestion
+// server. Tenants POST newline-delimited lines and each gets its own engine,
+// quota, and checkpoint directory under -checkpoint-dir:
 //
-//	logstreamd -listen :8080 -checkpoint-dir /var/lib/logstream -shards 8
+//	logstreamd -listen :8080 -checkpoint-dir /var/lib/logstream -wal
 //	curl -s --data-binary @app.log 'http://localhost:8080/v1/ingest?tenant=web'
 //	curl -s http://localhost:8080/v1/tenants/web/stats
 //
@@ -41,6 +39,10 @@
 // A killed process (SIGKILL, power cut) instead resumes from the newest
 // trustworthy checkpoints, and clients replay their streams — already-
 // processed lines are skipped, so replay is idempotent.
+//
+// Both modes build their engines from the same flags. A flag that cannot
+// take effect in the chosen mode (-wal without -listen, -digest with it) is
+// a usage error, exit 2, not silently ignored.
 package main
 
 import (
@@ -56,6 +58,8 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
+	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -79,111 +83,135 @@ func main() {
 	os.Exit(code)
 }
 
+// flagNeeds lists the flags that take effect only beside another flag
+// ("listen") or only without one ("!listen").
+var flagNeeds = map[string]string{
+	"in": "!listen", "dataset": "!listen", "lines": "dataset", "digest": "!listen", "stats": "!listen",
+	"kill-after-lines": "!listen", "torn-checkpoint-at": "!listen", "torn-checkpoint-limit": "torn-checkpoint-at",
+	"linger": "!listen", "listen-addr-file": "listen",
+	"quota-rate": "listen", "quota-burst": "listen", "max-body": "listen",
+	"request-timeout": "listen", "drain-timeout": "listen",
+	"wal": "listen", "wal-sync": "wal", "wal-segment-bytes": "wal",
+	"retrainer": "!online", "support": "!online", "retrain-batch": "!online", "max-unmatched": "!online",
+	"events-block-bytes": "events", "debug-addr-file": "debug-addr",
+}
+
+// checkFlagNeeds refuses the first flag given on the command line whose
+// flagNeeds entry the command line does not meet.
+func checkFlagNeeds() (err error) {
+	flag.Visit(func(f *flag.Flag) {
+		need, listed := flagNeeds[f.Name]
+		if !listed || err != nil {
+			return
+		}
+		other := flag.Lookup(strings.TrimPrefix(need, "!"))
+		given := other.Value.String() != other.DefValue
+		switch {
+		case need != other.Name && given:
+			err = fmt.Errorf("-%s has no effect with -%s", f.Name, other.Name)
+		case need == other.Name && !given:
+			err = fmt.Errorf("-%s has no effect without -%s", f.Name, other.Name)
+		}
+	})
+	return err
+}
+
+// choiceVar declares a flag that takes one of the named values; any other is
+// a usage error in either mode.
+func choiceVar[T any](dst *T, name, usage string, values map[string]T) {
+	flag.Func(name, usage, func(v string) error {
+		val, ok := values[v]
+		if !ok {
+			var names []string
+			for name := range values {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			return fmt.Errorf("want one of %s", strings.Join(names, ", "))
+		}
+		*dst = val
+		return nil
+	})
+}
+
 func run() (int, error) {
+	// tmpl is the engine configuration both modes start from; srv is what
+	// -listen mode wraps around it.
+	var (
+		tmpl stream.Config
+		srv  server.Config
+	)
 	var (
 		in      = flag.String("in", "", "log file to ingest (annotated or raw lines)")
 		dataset = flag.String("dataset", "", "generate this dataset instead of reading -in (BGL, HPC, Proxifier, HDFS, Zookeeper, Hadoop, Spark, Thunderbird)")
 		lines   = flag.Int("lines", 20000, "dataset size when -dataset is set")
 		seed    = flag.Int64("seed", 1, "dataset generation seed")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory (required)")
-		ckptEvery = flag.Int("checkpoint-every", 5000, "checkpoint after this many processed lines (<0 disables periodic checkpoints)")
-		ring      = flag.Int("ring", 1024, "admission ring capacity (memory bound on in-flight lines)")
-		policy    = flag.String("policy", "backpressure", "admission policy when the ring is full: backpressure or shed")
+		ckptDir = flag.String("checkpoint-dir", "", "checkpoint directory (required); with -listen the root tenant T checkpoints under, as <dir>/tenants/T")
 
-		retrainBatch = flag.Int("retrain-batch", 256, "unmatched lines buffered before retraining")
-		maxUnmatched = flag.Int("max-unmatched", 0, "unmatched-buffer cap (default 4x retrain batch)")
-		primary      = flag.String("retrainer", "", "primary retrain algorithm ahead of the SLCT-stream tier (SLCT, IPLoM, LKE, LogSig; empty = SLCT-stream only)")
-		support      = flag.Int("support", 0, "SLCT support threshold for retraining (0 = fractional default)")
-		online       = flag.String("online", "", "online-parser mode: learn per line with this algorithm (Drain or Spell) instead of the match/retrain cycle; exclusive with -retrainer")
+		primary = flag.String("retrainer", "", "primary retrain algorithm ahead of the SLCT-stream tier (SLCT, IPLoM, LKE, LogSig; empty = SLCT-stream only)")
+		support = flag.Int("support", 0, "SLCT support threshold for retraining (0 = fractional default)")
+		online  = flag.String("online", "", "online-parser mode: learn per line with this algorithm (Drain or Spell) instead of the match/retrain cycle; exclusive with -retrainer and its knobs")
 
-		eventsDir   = flag.String("events", "", "record per-line parse decisions into this event-store directory (file mode) or root (-listen mode: tenant T under <root>/tenants/T); query with logquery or GET /v1/query")
-		eventsBlock = flag.Int("events-block-bytes", 0, "event-store target block size in raw bytes, one to two per event (0 = default 64 KiB); smaller blocks skip more precisely, larger compress better")
+		eventsDir = flag.String("events", "", "record per-line parse decisions into this event-store directory (with -listen: root, tenant T under <root>/tenants/T); query with logquery or GET /v1/query")
 
 		killAfter = flag.Int64("kill-after-lines", 0, "simulate a crash (exit 3, no checkpoint) after processing this source line")
-		eofAfter  = flag.Int("eof-after-lines", 0, "inject a premature clean EOF after this many source lines")
 		tornAt    = flag.Int("torn-checkpoint-at", 0, "tear the Nth checkpoint save (fault injection; 0 = never)")
 		tornLimit = flag.Int64("torn-checkpoint-limit", 50, "bytes that survive the torn checkpoint save")
 
 		digest    = flag.Bool("digest", false, "print the canonical digest of the final template set and counts")
 		showStats = flag.Bool("stats", true, "print the stats summary on exit")
 
-		listen         = flag.String("listen", "", "serve the multi-tenant ingest API on this address (e.g. :8080); replaces -in/-dataset")
+		listen         = flag.String("listen", "", "serve the multi-tenant ingest API on this address (e.g. :8080) instead of reading -in/-dataset")
 		listenAddrFile = flag.String("listen-addr-file", "", "write the bound listen address to this file (useful with -listen :0)")
-		shards         = flag.Int("shards", 4, "fault-isolation shards tenants are hashed across (-listen mode)")
-		quotaRate      = flag.Float64("quota-rate", 0, "per-tenant admission quota in lines/sec (0 = unlimited; -listen mode)")
-		quotaBurst     = flag.Float64("quota-burst", 0, "per-tenant quota burst in lines (default one second's worth; -listen mode)")
-		maxBody        = flag.Int64("max-body", 1<<20, "ingest request body cap in bytes (-listen mode)")
-		reqTimeout     = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (-listen mode)")
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown deadline: drain rings + checkpoint every tenant (-listen mode)")
-		walOn          = flag.Bool("wal", false, "per-tenant write-ahead log: acknowledged batches survive kill -9 without client replay (-listen mode)")
-		walSync        = flag.String("wal-sync", "batch", "WAL durability policy: batch (one fsync per acknowledged batch) or none (flush only; survives process kill, not power loss)")
-		walSegBytes    = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
+		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown deadline: drain rings + checkpoint every tenant (needs -listen)")
 
 		debugAddr     = flag.String("debug-addr", "", "serve /debug/vars (stream.* metrics) and /debug/pprof on this address (e.g. :6060; empty = off)")
 		debugAddrFile = flag.String("debug-addr-file", "", "write the bound debug address to this file (useful with -debug-addr :0)")
 		linger        = flag.Bool("linger", false, "after the source drains, keep the debug server running until SIGINT")
 	)
+	flag.IntVar(&tmpl.CheckpointEvery, "checkpoint-every", 5000, "checkpoint after this many processed lines (<0 disables periodic checkpoints)")
+	flag.IntVar(&tmpl.RingCapacity, "ring", 1024, "admission ring capacity (memory bound on in-flight lines)")
+	choiceVar(&tmpl.Policy, "policy", "admission policy when the ring is full: backpressure (default) or shed",
+		map[string]stream.AdmissionPolicy{"backpressure": stream.Backpressure, "shed": stream.LoadShed})
+	flag.IntVar(&tmpl.RetrainBatch, "retrain-batch", 256, "unmatched lines buffered before retraining")
+	flag.IntVar(&tmpl.MaxUnmatched, "max-unmatched", 0, "unmatched-buffer cap (default 4x retrain batch)")
+	flag.IntVar(&tmpl.EventStoreBlockBytes, "events-block-bytes", 0, "event-store target block size in raw bytes, one to two per event (0 = default 64 KiB); smaller blocks skip more precisely, larger compress better")
+	flag.Float64Var(&srv.QuotaRate, "quota-rate", 0, "per-tenant admission quota in lines/sec (0 = unlimited; needs -listen)")
+	flag.Float64Var(&srv.QuotaBurst, "quota-burst", 0, "per-tenant quota burst in lines (default one second's worth; needs -listen)")
+	flag.Int64Var(&srv.MaxBodyBytes, "max-body", 1<<20, "ingest request body cap in bytes (needs -listen)")
+	flag.DurationVar(&srv.RequestTimeout, "request-timeout", 30*time.Second, "per-request deadline (needs -listen)")
+	flag.BoolVar(&srv.WAL, "wal", false, "per-tenant write-ahead log: acknowledged batches survive kill -9 without client replay (needs -listen)")
+	choiceVar(&tmpl.WALSync, "wal-sync", "WAL durability policy: batch (default; one fsync per acknowledged batch) or none (flush only; survives process kill, not power loss)",
+		map[string]stream.WALSyncPolicy{"batch": stream.WALSyncBatch, "none": stream.WALSyncNone})
+	flag.Int64Var(&tmpl.WALSegmentBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
 	flag.Parse()
 
+	if err := checkFlagNeeds(); err != nil {
+		return 2, err
+	}
 	if *ckptDir == "" {
 		return 2, errors.New("-checkpoint-dir is required")
 	}
-	if *listen != "" {
-		if *in != "" || *dataset != "" {
-			return 2, errors.New("-listen is exclusive with -in/-dataset")
-		}
-		if *online != "" && *primary != "" {
-			return 2, errors.New("-online is exclusive with -retrainer")
-		}
-		return runServer(serverOpts{
-			listen: *listen, addrFile: *listenAddrFile, ckptRoot: *ckptDir,
-			shards: *shards, quotaRate: *quotaRate, quotaBurst: *quotaBurst,
-			maxBody: *maxBody, reqTimeout: *reqTimeout, drainTimeout: *drainTimeout,
-			ring: *ring, ckptEvery: *ckptEvery, retrainBatch: *retrainBatch,
-			maxUnmatched: *maxUnmatched, policy: *policy,
-			primary: *primary, support: *support, seed: *seed, online: *online,
-			wal: *walOn, walSync: *walSync, walSegBytes: *walSegBytes,
-			eventsRoot: *eventsDir, eventsBlock: *eventsBlock,
-			debugAddr: *debugAddr, debugAddrFile: *debugAddrFile,
-		})
-	}
-	if (*in == "") == (*dataset == "") {
-		return 2, errors.New("exactly one of -in or -dataset is required")
+	if *listen == "" && (*in == "") == (*dataset == "") {
+		return 2, errors.New("exactly one of -in, -dataset or -listen is required")
 	}
 
-	open, err := buildSource(*in, *dataset, *lines, *seed, *eofAfter)
+	// learner builds one engine's learner — every tenant its own: the
+	// -online parser, or else the retrain chain.
+	learner := func() (op stream.OnlineParser, rt stream.Retrainer, err error) {
+		if *online != "" {
+			op, err = logparse.NewOnlineParser(*online, logparse.Options{})
+		} else {
+			rt, err = logparse.NewStreamRetrainer(*primary,
+				logparse.Options{Support: *support, SupportFrac: 0.005, NumGroups: 40, Seed: *seed},
+				logparse.RobustPolicy{})
+		}
+		return op, rt, err
+	}
+	op, rt, err := learner() // the file engine's; also refuses a bad -online or -retrainer now, not at a tenant's first contact
 	if err != nil {
 		return 2, err
-	}
-
-	var pol stream.AdmissionPolicy
-	switch *policy {
-	case "backpressure":
-		pol = stream.Backpressure
-	case "shed":
-		pol = stream.LoadShed
-	default:
-		return 2, fmt.Errorf("unknown -policy %q (want backpressure or shed)", *policy)
-	}
-
-	var retrainer stream.Retrainer
-	var onlineParser stream.OnlineParser
-	if *online != "" {
-		if *primary != "" {
-			return 2, errors.New("-online is exclusive with -retrainer")
-		}
-		onlineParser, err = logparse.NewOnlineParser(*online, logparse.Options{})
-		if err != nil {
-			return 2, err
-		}
-	} else {
-		retrainer, err = logparse.NewStreamRetrainer(*primary,
-			logparse.Options{Support: *support, SupportFrac: 0.005, NumGroups: 40, Seed: *seed},
-			logparse.RobustPolicy{})
-		if err != nil {
-			return 2, err
-		}
 	}
 
 	var tel *logparse.Telemetry
@@ -194,20 +222,21 @@ func run() (int, error) {
 		}
 	}
 
-	cfg := stream.Config{
-		Open:            open,
-		CheckpointDir:   *ckptDir,
-		RingCapacity:    *ring,
-		Policy:          pol,
-		CheckpointEvery: *ckptEvery,
-		RetrainBatch:    *retrainBatch,
-		MaxUnmatched:    *maxUnmatched,
-		Retrainer:       retrainer,
-		Online:          onlineParser,
-		Telemetry:       tel,
+	if *listen != "" {
+		if op != nil {
+			srv.NewOnline = func(string) (stream.OnlineParser, error) { op, _, err := learner(); return op, err }
+		} else {
+			srv.NewRetrainer = func(string) (stream.Retrainer, error) { _, rt, err := learner(); return rt, err }
+		}
+		srv.CheckpointRoot, srv.EventsRoot, srv.Stream, srv.Telemetry = *ckptDir, *eventsDir, tmpl, tel
+		return runServer(srv, *listen, *listenAddrFile, *drainTimeout)
+	}
 
-		EventStoreDir:        *eventsDir,
-		EventStoreBlockBytes: *eventsBlock,
+	cfg := tmpl
+	cfg.CheckpointDir, cfg.EventStoreDir, cfg.Telemetry = *ckptDir, *eventsDir, tel
+	cfg.Online, cfg.Retrainer = op, rt
+	if cfg.Open, err = buildSource(*in, *dataset, *lines, *seed); err != nil {
+		return 2, err
 	}
 	if *tornAt > 0 {
 		// The Nth save's writes stop after -torn-checkpoint-limit bytes,
@@ -307,122 +336,21 @@ func run() (int, error) {
 	return 0, nil
 }
 
-// serverOpts carries the -listen mode flags into runServer.
-type serverOpts struct {
-	listen, addrFile, ckptRoot string
-
-	shards       int
-	quotaRate    float64
-	quotaBurst   float64
-	maxBody      int64
-	reqTimeout   time.Duration
-	drainTimeout time.Duration
-
-	ring, ckptEvery, retrainBatch, maxUnmatched int
-	policy, primary, online                     string
-	support                                     int
-	seed                                        int64
-
-	wal         bool
-	walSync     string
-	walSegBytes int64
-
-	eventsRoot  string
-	eventsBlock int
-
-	debugAddr, debugAddrFile string
-}
-
-// newRetrainerFactory builds the per-tenant retrainer factory, or nil when
-// -online replaces the retrain cycle entirely.
-func newRetrainerFactory(o serverOpts) func(tenant string) (stream.Retrainer, error) {
-	if o.online != "" {
-		return nil
-	}
-	return func(tenant string) (stream.Retrainer, error) {
-		return logparse.NewStreamRetrainer(o.primary,
-			logparse.Options{Support: o.support, SupportFrac: 0.005, NumGroups: 40, Seed: o.seed},
-			logparse.RobustPolicy{})
-	}
-}
-
-// newOnlineFactory builds the per-tenant online-learner factory for -online
-// mode (each tenant engine gets its own learner instance), or nil in the
-// default match/retrain mode.
-func newOnlineFactory(o serverOpts) func(tenant string) (stream.OnlineParser, error) {
-	if o.online == "" {
-		return nil
-	}
-	return func(tenant string) (stream.OnlineParser, error) {
-		return logparse.NewOnlineParser(o.online, logparse.Options{})
-	}
-}
-
-// runServer runs the sharded multi-tenant ingest service until SIGINT or
-// SIGTERM, then drains: admission stops, every tenant's ring empties, and
-// every tenant's closing checkpoint is written before exit.
-func runServer(o serverOpts) (int, error) {
-	var pol stream.AdmissionPolicy
-	switch o.policy {
-	case "backpressure":
-		pol = stream.Backpressure
-	case "shed":
-		pol = stream.LoadShed
-	default:
-		return 2, fmt.Errorf("unknown -policy %q (want backpressure or shed)", o.policy)
-	}
-
-	var sync stream.WALSyncPolicy
-	switch o.walSync {
-	case "", "batch":
-		sync = stream.WALSyncBatch
-	case "none":
-		sync = stream.WALSyncNone
-	default:
-		return 2, fmt.Errorf("unknown -wal-sync %q (want batch or none)", o.walSync)
-	}
-
-	var tel *logparse.Telemetry
-	if o.debugAddr != "" {
-		tel = logparse.NewTelemetry()
-		if err := serveDebug(o.debugAddr, o.debugAddrFile, tel); err != nil {
-			return 1, err
-		}
-	}
-
-	srv, err := server.New(server.Config{
-		CheckpointRoot:  o.ckptRoot,
-		Shards:          o.shards,
-		WAL:             o.wal,
-		EventsRoot:      o.eventsRoot,
-		EventBlockBytes: o.eventsBlock,
-		Stream: stream.Config{
-			RingCapacity:    o.ring,
-			Policy:          pol,
-			CheckpointEvery: o.ckptEvery,
-			RetrainBatch:    o.retrainBatch,
-			MaxUnmatched:    o.maxUnmatched,
-			WALSync:         sync,
-			WALSegmentBytes: o.walSegBytes,
-		},
-		NewRetrainer:   newRetrainerFactory(o),
-		NewOnline:      newOnlineFactory(o),
-		QuotaRate:      o.quotaRate,
-		QuotaBurst:     o.quotaBurst,
-		MaxBodyBytes:   o.maxBody,
-		RequestTimeout: o.reqTimeout,
-		Telemetry:      tel,
-	})
+// runServer runs the multi-tenant ingest service until SIGINT or SIGTERM,
+// then drains: admission stops, every tenant's ring empties, and every
+// tenant's closing checkpoint is written before exit.
+func runServer(cfg server.Config, listen, addrFile string, drainTimeout time.Duration) (int, error) {
+	srv, err := server.New(cfg)
 	if err != nil {
 		return 1, err
 	}
 
-	ln, err := net.Listen("tcp", o.listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return 1, fmt.Errorf("listen: %w", err)
 	}
-	if o.addrFile != "" {
-		if err := os.WriteFile(o.addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+	if addrFile != "" {
+		if err := os.WriteFile(addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			ln.Close()
 			return 1, err
 		}
@@ -430,8 +358,7 @@ func runServer(o serverOpts) (int, error) {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "logstreamd: multi-tenant ingest on http://%s/v1/ingest (%d shards)\n",
-		ln.Addr(), o.shards)
+	fmt.Fprintf(os.Stderr, "logstreamd: multi-tenant ingest on http://%s/v1/ingest\n", ln.Addr())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -440,12 +367,12 @@ func runServer(o serverOpts) (int, error) {
 	select {
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "logstreamd: %s; draining %d tenants (deadline %s)\n",
-			sig, srv.Stats().Tenants, o.drainTimeout)
+			sig, srv.Stats().Tenants, drainTimeout)
 	case err := <-serveErr:
 		return 1, fmt.Errorf("http server: %w", err)
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	// Drain the engines first so in-flight ingest requests get their typed
 	// 503s rather than hard-closed connections, then stop the HTTP server.
@@ -485,40 +412,21 @@ func serveDebug(addr, addrFile string, tel *logparse.Telemetry) error {
 }
 
 // buildSource returns a re-openable reader over the input file or an
-// in-memory generated dataset, optionally wrapped with a premature-EOF
-// fault.
-func buildSource(in, dataset string, lines int, seed int64, eofAfter int) (func() (io.ReadCloser, error), error) {
-	var open func() (io.ReadCloser, error)
+// in-memory generated dataset.
+func buildSource(in, dataset string, lines int, seed int64) (func() (io.ReadCloser, error), error) {
 	if in != "" {
-		open = func() (io.ReadCloser, error) { return os.Open(in) }
-	} else {
-		cat, err := logparse.Dataset(dataset)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := logparse.WriteMessages(&buf, cat.Generate(seed, lines)); err != nil {
-			return nil, err
-		}
-		data := buf.Bytes()
-		open = func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		}
+		return func() (io.ReadCloser, error) { return os.Open(in) }, nil
 	}
-	if eofAfter > 0 {
-		inner := open
-		open = func() (io.ReadCloser, error) {
-			rc, err := inner()
-			if err != nil {
-				return nil, err
-			}
-			return struct {
-				io.Reader
-				io.Closer
-			}{faultinject.NewReader(rc, faultinject.Faults{EOFAfterLines: eofAfter}), rc}, nil
-		}
+	cat, err := logparse.Dataset(dataset)
+	if err != nil {
+		return nil, err
 	}
-	return open, nil
+	var buf bytes.Buffer
+	if err := logparse.WriteMessages(&buf, cat.Generate(seed, lines)); err != nil {
+		return nil, err
+	}
+	data := buf.Bytes()
+	return func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }, nil
 }
 
 func printStats(w io.Writer, s stream.Stats) {

@@ -3,16 +3,16 @@ package logparse
 // Multi-tenant ingestion service (the network layer over the streaming
 // engine). The follow-up evaluations stress that production parsers run
 // continuously over heterogeneous multi-source traffic; the IngestServer
-// hash-shards tenants across fault-isolation domains, gives each its own
-// supervised StreamEngine (admission ring, retrain breaker, checkpoint
-// generations, quota), and guarantees that one tenant's flood, panic, or
-// rotted checkpoint degrades that tenant only. See DESIGN.md
+// makes every tenant its own fault domain — a supervised StreamEngine
+// (admission ring, retrain breaker, checkpoint generations, quota) — and
+// guarantees that one tenant's flood, panic, rotted checkpoint or slow
+// recovery degrades that tenant only. See DESIGN.md
 // "Multi-tenant server & isolation semantics".
 
 import "logparse/internal/server"
 
 type (
-	// IngestServer is the sharded multi-tenant ingestion service.
+	// IngestServer is the multi-tenant ingestion service.
 	IngestServer = server.Server
 	// IngestConfig configures an IngestServer.
 	IngestConfig = server.Config
@@ -44,7 +44,6 @@ var (
 //
 //	srv, _ := logparse.NewIngestServer(logparse.IngestConfig{
 //		CheckpointRoot: "/var/lib/logstream",
-//		Shards:         8,
 //		QuotaRate:      10000, // lines/sec per tenant
 //	})
 //	http.ListenAndServe(":8080", srv.Handler())

@@ -5,14 +5,13 @@ import (
 	"time"
 )
 
-// SlowShard injects deterministic per-line processing latency into a
-// stream engine's consumer, modelling a shard whose tenants parse
-// pathologically slowly — a wedged disk, a degenerate retrain input, a
-// neighbouring process stealing its CPU. The server tests hang one of
-// these off stream.Config.AfterLine for every tenant of one shard and then
-// prove the slow shard's backlog never stalls its siblings: requests to
-// slow tenants hit the per-request deadline while other shards keep their
-// full throughput.
+// SlowShard injects deterministic per-line processing latency into one
+// stream engine's consumer, modelling a tenant that parses pathologically
+// slowly — a wedged disk, a degenerate retrain input, a neighbouring
+// process stealing its CPU. The server tests hang one off a tenant's
+// stream.Config.AfterLine and then prove that its backlog, or its recovery,
+// never stalls a neighbour: requests to the slow tenant hit the per-request
+// deadline while every other tenant keeps its full throughput.
 //
 // Injection is deterministic: the delay fires on every Every-th processed
 // line (counted from 1), never on a clock or RNG. The zero value injects

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"time"
 
 	"logparse/internal/core"
 	"logparse/internal/parsers/posting"
@@ -345,10 +344,6 @@ func New(opts Options) *Parser { return &Parser{opts: opts.withDefaults()} }
 // Name returns the algorithm name.
 func (p *Parser) Name() string { return "Drain" }
 
-// cancelCheckStride bounds how many lines are learned between context
-// checks; Drain is near-linear, so a coarse stride keeps overhead nil.
-const cancelCheckStride = 4096
-
 // Parse learns the corpus line by line and reports the final templates with
 // each message assigned to its group.
 func (p *Parser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
@@ -357,48 +352,5 @@ func (p *Parser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
 
 // ParseCtx is Parse under a context.
 func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.ParseResult, error) {
-	if len(msgs) == 0 {
-		return nil, core.ErrNoMessages
-	}
-	tel := p.opts.Telemetry
-	tel.Counter("parse.drain.calls").Inc()
-	tel.Counter("parse.drain.lines").Add(uint64(len(msgs)))
-	sp := tel.SpanFrom(ctx, "drain.parse")
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Histogram("parse.drain.seconds", telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	}()
-
-	stage := sp.Child("learn")
-	s := NewStream(p.opts)
-	assign := make([]int, len(msgs))
-	var (
-		buf   [][]byte
-		arena []byte // one line's tokens packed back to back; buf slices it
-	)
-	for i := range msgs {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				stage.End()
-				return nil, fmt.Errorf("drain: parse cancelled at line %d: %w", i, err)
-			}
-		}
-		toks := msgs[i].Tokens
-		if toks == nil {
-			toks = core.Tokenize(msgs[i].Content)
-		}
-		if len(toks) == 0 {
-			assign[i] = core.OutlierID
-			continue
-		}
-		arena, buf = core.PackTokens(toks, arena, buf)
-		assign[i], _ = s.LearnBytes(buf)
-	}
-	stage.End()
-
-	stage = sp.Child("templates")
-	res := &core.ParseResult{Templates: s.Templates(), Assignment: assign}
-	stage.End()
-	return res, nil
+	return core.LearnCorpus(ctx, p.Name(), p.opts.Telemetry, NewStream(p.opts), msgs)
 }

@@ -29,7 +29,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"logparse/internal/core"
 	"logparse/internal/match"
@@ -435,10 +434,6 @@ func New(opts Options) *Parser { return &Parser{opts: opts.withDefaults()} }
 // Name returns the algorithm name.
 func (p *Parser) Name() string { return "Spell" }
 
-// cancelCheckStride bounds how many lines are learned between context
-// checks.
-const cancelCheckStride = 1024
-
 // Parse learns the corpus line by line and reports the final templates with
 // each message assigned to its object.
 func (p *Parser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
@@ -447,48 +442,5 @@ func (p *Parser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
 
 // ParseCtx is Parse under a context.
 func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.ParseResult, error) {
-	if len(msgs) == 0 {
-		return nil, core.ErrNoMessages
-	}
-	tel := p.opts.Telemetry
-	tel.Counter("parse.spell.calls").Inc()
-	tel.Counter("parse.spell.lines").Add(uint64(len(msgs)))
-	sp := tel.SpanFrom(ctx, "spell.parse")
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Histogram("parse.spell.seconds", telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	}()
-
-	stage := sp.Child("learn")
-	s := NewStream(p.opts)
-	assign := make([]int, len(msgs))
-	var (
-		buf   [][]byte
-		arena []byte // one line's tokens packed back to back; buf slices it
-	)
-	for i := range msgs {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				stage.End()
-				return nil, fmt.Errorf("spell: parse cancelled at line %d: %w", i, err)
-			}
-		}
-		toks := msgs[i].Tokens
-		if toks == nil {
-			toks = core.Tokenize(msgs[i].Content)
-		}
-		if len(toks) == 0 {
-			assign[i] = core.OutlierID
-			continue
-		}
-		arena, buf = core.PackTokens(toks, arena, buf)
-		assign[i], _ = s.LearnBytes(buf)
-	}
-	stage.End()
-
-	stage = sp.Child("templates")
-	res := &core.ParseResult{Templates: s.Templates(), Assignment: assign}
-	stage.End()
-	return res, nil
+	return core.LearnCorpus(ctx, p.Name(), p.opts.Telemetry, NewStream(p.opts), msgs)
 }

@@ -17,7 +17,7 @@ import (
 func eventsConfig(t *testing.T) Config {
 	cfg := testConfig(t.TempDir())
 	cfg.EventsRoot = t.TempDir()
-	cfg.EventBlockBytes = 2048
+	cfg.Stream.EventStoreBlockBytes = 2048
 	return cfg
 }
 

@@ -27,7 +27,7 @@ import (
 //	                                list, template=, from=, to=, limit=,
 //	                                n=, unmatched=); 404 when disabled or
 //	                                no events recorded — see handleQuery
-//	GET  /v1/tenants                live tenants with shard and offset
+//	GET  /v1/tenants                live tenants with their offsets
 //	GET  /v1/tenants/{id}/stats     one tenant's full snapshot + digest
 //	GET  /v1/stats                  the fleet snapshot
 //	GET  /healthz                   200 while the process lives
@@ -35,8 +35,8 @@ import (
 //	                                draining (Retry-After)
 //
 // The whole tree is wrapped in a per-request deadline
-// (Config.RequestTimeout): a request stuck behind one slow shard gets 503
-// without tying up anything but its own tenant.
+// (Config.RequestTimeout): a request stuck behind a slow tenant gets 503
+// without tying up anything but that tenant.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
@@ -51,7 +51,7 @@ func (s *Server) Handler() http.Handler {
 	var h http.Handler = mux
 	if s.cfg.RequestTimeout > 0 {
 		h = http.TimeoutHandler(h, s.cfg.RequestTimeout,
-			`{"error":"request deadline exceeded; the tenant's shard is backlogged"}`)
+			`{"error":"request deadline exceeded; the tenant is backlogged"}`)
 	}
 	return h
 }
@@ -199,6 +199,8 @@ func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, 0, tie.Error())
 		case errors.Is(err, ErrUnknownTenant):
 			writeErr(w, http.StatusNotFound, 0, err.Error())
+		case errors.Is(err, ErrDraining):
+			writeErr(w, http.StatusServiceUnavailable, 1, err.Error())
 		default:
 			writeErr(w, http.StatusInternalServerError, 0, err.Error())
 		}
@@ -210,16 +212,16 @@ func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 // tenantSummary is one row of GET /v1/tenants.
 type tenantSummary struct {
 	Tenant string `json:"tenant"`
-	Shard  int    `json:"shard"`
 	Offset int64  `json:"offset"`
 }
 
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	tenants := s.allTenants()
+	tenants, _ := s.snapshot(false)
 	out := make([]tenantSummary, 0, len(tenants))
 	for _, t := range tenants {
-		st := t.stats()
-		out = append(out, tenantSummary{Tenant: st.Tenant, Shard: st.Shard, Offset: st.Stream.Offset})
+		if t.built() { // one still recovering is listed once it serves
+			out = append(out, tenantSummary{Tenant: t.id, Offset: t.stats().Stream.Offset})
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": out})
 }

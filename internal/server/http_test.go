@@ -203,14 +203,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 // TestSlowShardDeadlineIsolation injects per-line latency into one tenant's
 // consumer (faultinject.SlowShard) with a ring too small to absorb the
 // batch. That tenant's request must hit the per-request deadline and get
-// 503 — while tenants on other shards complete at full speed during the
-// very window the slow request is stuck.
+// 503 — while every other tenant, founded during the very window the slow
+// request is stuck, completes at full speed: a tenant is its own fault domain.
 func TestSlowShardDeadlineIsolation(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.Stream.RingCapacity = 8
 	cfg.RequestTimeout = 150 * time.Millisecond
 	slow := &faultinject.SlowShard{PerLine: 10 * time.Millisecond}
-	cfg.ConfigureEngine = func(tenant string, shard int, sc *stream.Config) {
+	cfg.ConfigureEngine = func(tenant string, sc *stream.Config) {
 		if tenant == "molasses" {
 			sc.AfterLine = slow.AfterLine
 		}
@@ -230,7 +230,7 @@ func TestSlowShardDeadlineIsolation(t *testing.T) {
 		slowDone <- resp.StatusCode
 	}()
 
-	// While the slow request is wedged behind its own shard, fast tenants
+	// While the slow request is wedged behind its own ring, fast tenants
 	// must complete comfortably inside the same deadline.
 	fastStart := time.Now()
 	for i := 0; i < 4; i++ {
@@ -241,7 +241,7 @@ func TestSlowShardDeadlineIsolation(t *testing.T) {
 		}
 	}
 	if elapsed := time.Since(fastStart); elapsed > 10*time.Second {
-		t.Fatalf("fast tenants took %s; the slow shard stalled the fleet", elapsed)
+		t.Fatalf("fast tenants took %s; the slow tenant stalled the fleet", elapsed)
 	}
 	if got := <-slowDone; got != http.StatusServiceUnavailable {
 		t.Fatalf("slow tenant = %d, want 503 (deadline exceeded)", got)
@@ -285,7 +285,6 @@ func benchServerLoopback(b *testing.B, wal bool) {
 	b.StopTimer()
 	s, err := New(Config{
 		CheckpointRoot: b.TempDir(),
-		Shards:         4,
 		WAL:            wal,
 		Stream: stream.Config{
 			RingCapacity:    1024,

@@ -65,7 +65,7 @@ func TestPooledBodyDoesNotAlias(t *testing.T) {
 
 	cfg := walTestConfig(t.TempDir())
 	cfg.Stream.RingCapacity = 2048
-	cfg.ConfigureEngine = func(_ string, _ int, sc *stream.Config) {
+	cfg.ConfigureEngine = func(_ string, sc *stream.Config) {
 		sc.AfterLine = (&faultinject.SlowShard{PerLine: 20 * time.Microsecond}).AfterLine
 	}
 	s, err := New(cfg)

@@ -53,12 +53,12 @@ func requireQueriesEqualCold(t *testing.T, s *Server, ts *httptest.Server, tenan
 		if got := queryOverHTTP(t, ts, "tenant="+tenant+"&mode=count"+suffix); got.Count == nil || *got.Count != want {
 			t.Fatalf("mode=count%s over HTTP differs from the cold reader's %d: %+v", suffix, want, got.Stats)
 		}
-		counts, _, err := cold.TemplateCounts(q)
+		top, err := cold.Run(eventstore.Request{Mode: "top", Query: q, Top: 100000}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := queryOverHTTP(t, ts, "tenant="+tenant+"&mode=top&n=100000"+suffix).Templates; !reflect.DeepEqual(got, topTemplates(counts, 100000)) {
-			t.Fatalf("mode=top%s over HTTP = %+v, cold reader %+v", suffix, got, topTemplates(counts, 100000))
+		if got := queryOverHTTP(t, ts, "tenant="+tenant+"&mode=top&n=100000"+suffix).Templates; !reflect.DeepEqual(got, top.Templates) {
+			t.Fatalf("mode=top%s over HTTP = %+v, cold reader %+v", suffix, got, top.Templates)
 		}
 		var seqs []int64
 		q.Limit = 10000
@@ -85,10 +85,10 @@ func requireQueriesEqualCold(t *testing.T, s *Server, ts *httptest.Server, tenan
 // reader — as it did before the failure.
 func TestQueryReaderAcrossForcedRestart(t *testing.T) {
 	cfg := eventsConfig(t)
-	cfg.EventBlockBytes = 64 // several auto-sealed blocks per checkpoint interval
+	cfg.Stream.EventStoreBlockBytes = 64 // several auto-sealed blocks per checkpoint interval
 	cfg.Telemetry = telemetry.New()
 	var blocks atomic.Int64
-	cfg.ConfigureEngine = func(_ string, _ int, sc *stream.Config) {
+	cfg.ConfigureEngine = func(_ string, sc *stream.Config) {
 		sc.EventStoreSeam.Hook = func(point string) error {
 			// Once, a few blocks past a checkpoint: the block is on disk,
 			// the store latches failed, the engine refuses to checkpoint.

@@ -1,4 +1,4 @@
-// Package server is the sharded multi-tenant ingestion service: the
+// Package server is the multi-tenant ingestion service: the
 // promotion of the crash-safe stream engine from a single-process,
 // single-tenant daemon to a network service that survives the failure
 // modes of shared infrastructure. Both follow-up evaluations (Zhu et al.,
@@ -7,11 +7,12 @@
 // setting one tenant's garbage input, flood, or rotted checkpoint must
 // degrade that tenant only, never the fleet.
 //
-// Architecture: tenants are hash-sharded (FNV-1a) across N shards. A
-// shard is the unit of placement and fault isolation; within it every
-// tenant owns a full stream.Engine — admission ring, retrain breaker,
-// atomic checkpoint generations — running in push mode under a supervisor
-// goroutine. The isolation properties, each proven by a test:
+// Architecture: one map of tenants under one lock that is never held
+// across I/O. The tenant is the unit of fault isolation: each owns a full
+// stream.Engine — admission ring, retrain breaker, atomic checkpoint
+// generations, WAL, event store — running in push mode under a supervisor
+// goroutine, and only a tenant's own callers ever wait on its recovery.
+// The isolation properties, each proven by a test:
 //
 //   - noisy-tenant fairness: per-tenant token-bucket quotas reject a
 //     flooder's batches with 429/Retry-After before admission, and
@@ -47,11 +48,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,9 +67,6 @@ type Config struct {
 	// CheckpointRoot is the directory holding per-tenant state; tenant id
 	// T checkpoints under <root>/tenants/<T>/.
 	CheckpointRoot string
-	// Shards is the number of fault-isolation shards tenants are hashed
-	// across (default 4).
-	Shards int
 	// Stream is the engine template applied to every tenant. Open,
 	// CheckpointDir, WALDir and Now are overwritten per tenant; everything
 	// else (ring capacity, checkpoint cadence, retrain batch, policy,
@@ -86,12 +84,9 @@ type Config struct {
 	// store: tenant T's per-line parse decisions are recorded under
 	// <EventsRoot>/tenants/<T> as compressed, checksummed blocks, kept in
 	// exact count parity with the tenant's checkpoints, and served
-	// read-only through GET /v1/query and the logquery CLI.
+	// read-only through GET /v1/query and the logquery CLI. The block size
+	// comes from the template (Stream.EventStoreBlockBytes).
 	EventsRoot string
-	// EventBlockBytes overrides the event store's target block size for
-	// every tenant (0 = the Stream template's value, or the eventstore
-	// default).
-	EventBlockBytes int
 	// NewRetrainer builds a tenant's retrainer (nil = the stream default,
 	// or Stream.Retrainer shared across tenants if set). Per-tenant
 	// retrainers keep one tenant's poisoned retrain input out of its
@@ -115,10 +110,11 @@ type Config struct {
 	// larger requests get 413.
 	MaxBodyBytes int64
 	// RequestTimeout bounds one HTTP request end to end (default 30s;
-	// negative disables). A tenant whose shard is too slow to admit its
-	// batch within the deadline gets 503 — and only that tenant does.
+	// negative disables). A tenant too slow to admit its batch within
+	// the deadline gets 503 — and only that tenant does.
 	RequestTimeout time.Duration
-	// MaxTenants caps the number of live tenants (default 1024).
+	// MaxTenants caps the number of live tenants, those still recovering
+	// included (default 1024).
 	MaxTenants int
 	// Telemetry, when non-nil, publishes fleet-level server.* metrics.
 	// Engines run without per-tenant telemetry (gauges from hundreds of
@@ -130,8 +126,8 @@ type Config struct {
 	Now func() time.Time
 	// ConfigureEngine, when non-nil, is called with each new tenant's
 	// engine config before construction — the test seam for fault
-	// injection (panicking hooks, slow shards, torn checkpoint writers).
-	ConfigureEngine func(tenant string, shard int, cfg *stream.Config)
+	// injection (panicking hooks, slow consumers, torn checkpoint writers).
+	ConfigureEngine func(tenant string, cfg *stream.Config)
 }
 
 // Typed ingest failures; the HTTP layer maps each to a status code.
@@ -175,21 +171,24 @@ func (e *QuotaError) Error() string {
 // it must not traverse, hide, or collide.
 var tenantIDRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
-// Server is the sharded multi-tenant ingestion service. Build one with
-// New, expose Handler over HTTP (or call IngestBatch directly), and end it with
+// Server is the multi-tenant ingestion service. Build one with New, expose
+// Handler over HTTP (or call IngestBatch directly), and end it with
 // Shutdown (graceful: drain + checkpoint everything) or Kill (the crash
 // model: nothing after the last checkpoints survives).
 type Server struct {
-	cfg    Config
-	now    func() time.Time
-	tm     serverTelemetry
-	ctx    context.Context
-	kill   context.CancelFunc
-	shards []*shard
+	cfg  Config
+	now  func() time.Time
+	tm   serverTelemetry
+	ctx  context.Context
+	kill context.CancelFunc
 
+	// mu guards draining and the tenant map, nothing else, and is never held
+	// across I/O or a wait — an ingest request takes it once, to find its
+	// tenant, and a tenant's recovery is waited for on the tenant's own
+	// ready channel.
 	mu       sync.Mutex
 	draining bool
-	tenantN  int
+	tenants  map[string]*tenant
 
 	accepted      atomic.Int64
 	skipped       atomic.Int64
@@ -205,9 +204,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Stream.Online != nil {
 		return nil, errors.New("server: set Config.NewOnline, not Stream.Online — learners hold per-engine state and must not be shared across tenants")
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
@@ -233,45 +229,30 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	ctx, kill := context.WithCancel(context.Background())
-	s := &Server{
-		cfg:  cfg,
-		now:  cfg.Now,
-		tm:   newServerTelemetry(cfg.Telemetry),
-		ctx:  ctx,
-		kill: kill,
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &shard{id: i, srv: s, tenants: make(map[string]*tenant)})
-	}
-	return s, nil
-}
-
-// shardFor maps a tenant id to its shard (stable FNV-1a placement).
-func (s *Server) shardFor(id string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return s.shards[int(h.Sum32()%uint32(len(s.shards)))]
+	return &Server{
+		cfg:     cfg,
+		now:     cfg.Now,
+		tm:      newServerTelemetry(cfg.Telemetry),
+		ctx:     ctx,
+		kill:    kill,
+		tenants: make(map[string]*tenant),
+	}, nil
 }
 
 // IngestBatch pushes one batch of raw line bytes for a tenant — the path
 // behind the newline-delimited HTTP batch body — creating the tenant's
-// engine on first contact. The flow is: draining check, tenant resolution,
-// quota charge for the lines that advance the numbering, then
+// engine on first contact. The flow is: tenant resolution (refused while
+// draining), quota charge for the lines that advance the numbering, then
 // stream.Engine.PushBatch (which copies the lines into pooled arenas at
 // admission, so the caller may reuse the backing buffer once IngestBatch
 // returns) and the fleet-level accounting of its result. The returned
 // PushResult accounts for every line: admitted, replay-skipped, or shed.
 // Errors are the typed ingest failures above, a stream.ErrNotServing
 // (engine restarting after a panic — retry), or a tenant's terminal serve
-// error. ctx bounds admission entry only (see PushBatch).
+// error. ctx bounds the wait for this tenant's own recovery and admission
+// entry (see PushBatch), nothing else.
 func (s *Server) IngestBatch(ctx context.Context, tenantID string, lines [][]byte) (stream.PushResult, error) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return stream.PushResult{}, ErrDraining
-	}
-	t, err := s.tenant(tenantID, true)
+	t, err := s.tenant(ctx, tenantID, true)
 	if err != nil {
 		return stream.PushResult{}, err
 	}
@@ -306,26 +287,54 @@ func countNonEmpty(lines [][]byte) int {
 	return n
 }
 
-// tenant resolves a tenant, optionally creating it. With create=false an
-// unknown tenant materializes only when its checkpoint directory already
-// exists on disk (a stats query after a restart), else ErrUnknownTenant.
-func (s *Server) tenant(id string, create bool) (*tenant, error) {
+// tenant resolves a tenant and waits, bounded by ctx, until its engine is
+// built. An ingest is refused while draining and founds the tenant on first
+// contact; any other caller materializes an unknown tenant only when its
+// checkpoint directory already exists on disk (a stats query after a
+// restart), else ErrUnknownTenant.
+func (s *Server) tenant(ctx context.Context, id string, ingest bool) (*tenant, error) {
 	if !tenantIDRe.MatchString(id) {
 		return nil, &TenantIDError{ID: id}
 	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	t, ok := sh.tenants[id]
-	sh.mu.Unlock()
-	if ok {
-		return t, nil
-	}
-	if !create {
-		if _, err := os.Stat(s.tenantDir(id)); err != nil {
+	t, mine, err := s.entry(id, ingest, ingest)
+	if err == nil && t == nil {
+		if _, serr := os.Stat(s.tenantDir(id)); serr != nil {
 			return nil, ErrUnknownTenant
 		}
+		t, mine, err = s.entry(id, false, true)
 	}
-	return s.createTenant(sh, id)
+	if err != nil {
+		return nil, err
+	}
+	if mine {
+		s.build(t)
+	}
+	if err := t.wait(ctx); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// entry looks a tenant up, reserving its place in the map when it has none
+// and reserve is set. Draining check, cap check and insert are one critical
+// section: MaxTenants is exact however many first contacts race, and no
+// tenant appears behind a drain's back. mine tells the one caller that made
+// the reservation to build the tenant; everyone else waits on it.
+func (s *Server) entry(id string, ingest, reserve bool) (t *tenant, mine bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t = s.tenants[id]
+	switch {
+	case s.draining && (ingest || t == nil && reserve):
+		return nil, false, ErrDraining
+	case t != nil || !reserve:
+		return t, false, nil
+	case len(s.tenants) >= s.cfg.MaxTenants:
+		return nil, false, ErrTooManyTenants
+	}
+	t = &tenant{id: id, srv: s, ready: make(chan struct{}), done: make(chan struct{})}
+	s.tenants[id] = t
+	return t, true, nil
 }
 
 func (s *Server) tenantDir(id string) string {
@@ -341,124 +350,120 @@ func (s *Server) eventsDir(id string) string {
 	return filepath.Join(s.cfg.EventsRoot, "tenants", id)
 }
 
-// createTenant builds a tenant's engine (restoring its checkpoint, or
-// quarantining corrupt generations into an empty start) and launches its
-// supervised serve loop on the tenant's shard.
-func (s *Server) createTenant(sh *shard, id string) (*tenant, error) {
-	s.mu.Lock()
-	if s.tenantN >= s.cfg.MaxTenants {
-		s.mu.Unlock()
-		return nil, ErrTooManyTenants
-	}
-	s.mu.Unlock()
-
-	cfg := s.cfg.Stream // copy of the template
+// engineConfig is tenant id's copy of the engine template.
+func (s *Server) engineConfig(id string) (stream.Config, error) {
+	cfg := s.cfg.Stream
 	cfg.Open = nil
 	cfg.CheckpointDir = s.tenantDir(id)
 	cfg.WALDir = "" // never share one WAL across tenants
 	if s.cfg.WAL {
 		cfg.WALDir = filepath.Join(s.tenantDir(id), "wal")
 	}
-	cfg.EventStoreDir = "" // never share one event store across tenants
-	if s.cfg.EventsRoot != "" {
-		cfg.EventStoreDir = s.eventsDir(id)
-		if s.cfg.EventBlockBytes > 0 {
-			cfg.EventStoreBlockBytes = s.cfg.EventBlockBytes
-		}
-	}
+	cfg.EventStoreDir = s.eventsDir(id) // nor one event store
 	if cfg.Now == nil {
 		cfg.Now = s.now
 	}
 	if s.cfg.NewRetrainer != nil {
 		rt, err := s.cfg.NewRetrainer(id)
 		if err != nil {
-			return nil, fmt.Errorf("server: retrainer for tenant %s: %w", id, err)
+			return cfg, fmt.Errorf("server: retrainer for tenant %s: %w", id, err)
 		}
 		cfg.Retrainer = rt
 	}
 	if s.cfg.NewOnline != nil {
 		op, err := s.cfg.NewOnline(id)
 		if err != nil {
-			return nil, fmt.Errorf("server: online parser for tenant %s: %w", id, err)
+			return cfg, fmt.Errorf("server: online parser for tenant %s: %w", id, err)
 		}
 		cfg.Online = op
 	}
 	if s.cfg.ConfigureEngine != nil {
-		s.cfg.ConfigureEngine(id, sh.id, &cfg)
+		s.cfg.ConfigureEngine(id, &cfg)
 	}
+	return cfg, nil
+}
 
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if t, ok := sh.tenants[id]; ok { // lost the creation race
-		return t, nil
+// build makes a reserved tenant serve: it builds the engine (restoring its
+// checkpoint, or quarantining corrupt generations into an empty start),
+// launches the supervised serve loop and waits for the WAL replay to open
+// admission — all on the goroutine of the caller that made the reservation
+// and outside s.mu, so nobody but this tenant's own callers waits for it. A
+// failed construction takes the reservation back, which frees the id for a
+// retry, and every waiter gets the error.
+func (s *Server) build(t *tenant) {
+	defer close(t.ready)
+	cfg, err := s.engineConfig(t.id)
+	if err == nil {
+		if t.eng, err = stream.New(cfg); err != nil {
+			err = fmt.Errorf("server: engine for tenant %s: %w", t.id, err)
+		}
 	}
-	eng, err := stream.New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("server: engine for tenant %s: %w", id, err)
+		t.buildErr = err
+		s.mu.Lock()
+		delete(s.tenants, t.id)
+		s.mu.Unlock()
+		return
 	}
-	if eng.RecoveryError() != nil {
+	if t.eng.RecoveryError() != nil {
 		s.tm.corruptResets.Inc()
 	}
-	t := &tenant{
-		id:      id,
-		shardID: sh.id,
-		srv:     s,
-		quota:   newBucket(s.cfg.QuotaRate, s.cfg.QuotaBurst, s.now),
-		engCfg:  cfg,
-		eng:     eng,
-		done:    make(chan struct{}),
-	}
-	sh.tenants[id] = t
-	s.mu.Lock()
-	s.tenantN++
-	s.mu.Unlock()
+	t.engCfg = cfg
+	t.quota = newBucket(s.cfg.QuotaRate, s.cfg.QuotaBurst, s.now)
 	s.tm.tenants.Add(1)
 	go t.supervise(s.ctx)
 	// Handshake: don't hand the tenant out until its serve loop admits
 	// pushes, or the first ingest would race the loop's startup. A killed
 	// server (ctx done) skips the wait; pushes then fail typed.
-	_ = eng.WaitServing(s.ctx)
-	return t, nil
+	_ = t.eng.WaitServing(s.ctx)
 }
 
 // TenantStats returns one tenant's snapshot, materializing it from disk if
 // it has durable state but no live engine yet.
 func (s *Server) TenantStats(id string) (TenantStats, error) {
-	t, err := s.tenant(id, false)
+	// No deadline of its own: the wait ends with the tenant's build, and Kill
+	// cuts that short.
+	t, err := s.tenant(context.Background(), id, false)
 	if err != nil {
 		return TenantStats{}, err
 	}
 	return t.stats(), nil
 }
 
-// allTenants snapshots every live tenant, ordered by id.
-func (s *Server) allTenants() []*tenant {
-	var out []*tenant
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, t := range sh.tenants {
-			out = append(out, t)
-		}
-		sh.mu.Unlock()
+// snapshot returns every tenant in the map — those still under construction
+// included — ordered by id, and whether the server is draining. drain
+// starts the drain in the same critical section, so the snapshot is final.
+func (s *Server) snapshot(drain bool) ([]*tenant, bool) {
+	s.mu.Lock()
+	s.draining = s.draining || drain
+	draining := s.draining
+	out := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *tenant) int { return strings.Compare(a.id, b.id) })
+	return out, draining
 }
 
-// Stats returns the fleet snapshot.
+// Stats returns the fleet snapshot. It never waits on a tenant's recovery.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
+	tenants, draining := s.snapshot(false)
 	st := Stats{
-		Tenants:       s.tenantN,
-		Draining:      s.draining,
+		Tenants:       len(tenants),
+		Draining:      draining,
 		Accepted:      s.accepted.Load(),
 		Skipped:       s.skipped.Load(),
 		Shed:          s.shed.Load(),
 		QuotaRejected: s.quotaRejected.Load(),
 	}
-	s.mu.Unlock()
-	for _, sh := range s.shards {
-		st.Shards = append(st.Shards, sh.stats())
+	for _, t := range tenants {
+		t.mu.Lock()
+		st.Panics += t.panics
+		st.Restarts += t.restarts
+		st.WALFailures += t.walFailures
+		st.EventStoreFailures += t.storeFailures
+		t.mu.Unlock()
 	}
 	return st
 }
@@ -469,15 +474,23 @@ func (s *Server) Stats() Stats {
 // first tenant's terminal error, or ctx's error if the deadline expires
 // before the fleet drains. Idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	tenants := s.allTenants()
+	tenants, _ := s.snapshot(true)
+	// Stop what already serves first: the fleet drains in parallel while a
+	// tenant still recovering is waited for below.
 	for _, t := range tenants {
-		t.stop()
+		if t.built() {
+			t.stop()
+		}
 	}
 	var firstErr error
 	for _, t := range tenants {
+		if err := t.wait(ctx); err != nil {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			continue // its construction failed: nothing to drain
+		}
+		t.stop()
 		select {
 		case <-t.done:
 		case <-ctx.Done():
@@ -497,11 +510,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // dies mid-flight; everything after each tenant's last checkpoint is
 // deliberately forgotten, exactly like a power cut.
 func (s *Server) Kill() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
+	tenants, _ := s.snapshot(true)
 	s.kill()
-	for _, t := range s.allTenants() {
-		<-t.done
+	for _, t := range tenants {
+		if t.wait(context.Background()) == nil {
+			<-t.done
+		}
 	}
 }

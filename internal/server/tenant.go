@@ -10,41 +10,21 @@ import (
 	"logparse/internal/stream"
 )
 
-// shard is a fault-isolation domain: the tenants hashed onto it, each with
-// its own supervised engine. A panic in one tenant's consumer is absorbed
-// here — the engine is rebuilt from its checkpoint while every other
-// tenant, on this shard and all others, keeps serving.
-type shard struct {
-	id  int
+// tenant is one tenant's full ingestion stack — quota, engine, supervisor —
+// and the fault domain: a panic in its consumer is absorbed here, the engine
+// rebuilt from its checkpoint, while every other tenant keeps serving.
+type tenant struct {
+	id  string
 	srv *Server
 
-	mu      sync.Mutex
-	tenants map[string]*tenant
-}
-
-// stats aggregates the shard's tenants.
-func (sh *shard) stats() ShardStats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := ShardStats{Shard: sh.id, Tenants: len(sh.tenants)}
-	for _, t := range sh.tenants {
-		t.mu.Lock()
-		st.Panics += t.panics
-		st.Restarts += t.restarts
-		st.WALFailures += t.walFailures
-		st.EventStoreFailures += t.storeFailures
-		t.mu.Unlock()
-	}
-	return st
-}
-
-// tenant is one tenant's full ingestion stack: quota, engine, supervisor.
-type tenant struct {
-	id      string
-	shardID int
-	srv     *Server
-	quota   *bucket
-	engCfg  stream.Config // the recipe for rebuilding after a panic
+	// ready is closed when Server.build has finished with the reservation:
+	// either buildErr is set and the tenant is out of the map again, or
+	// quota, engCfg and eng are and the supervisor runs. Before that nothing
+	// below may be touched but mu and the counters under it (wait, built).
+	ready    chan struct{}
+	buildErr error
+	quota    *bucket
+	engCfg   stream.Config // the recipe for rebuilding after a panic
 
 	mu            sync.Mutex
 	eng           *stream.Engine
@@ -71,18 +51,17 @@ type tenant struct {
 
 // reader returns a snapshot of a tenant's event store that covers every
 // block finalized so far: the live tenant's kept reader, refreshed, or — for
-// a tenant that exists only on disk, with no incarnation to key one to — a
-// cold scan. cold forces a fresh scan after a query found the kept reader
-// stale. A query that races a restart may still be answered from the
+// a tenant that exists only on disk or is still recovering, with no
+// incarnation to key one to — a cold scan. cold forces a fresh scan after a
+// query found the kept reader stale. A query that races a restart may still be answered from the
 // outgoing incarnation's view; whatever it leaves in rd is keyed to that
 // incarnation and never used again.
 func (s *Server) reader(id, dir string, cold bool) (rd *eventstore.Reader, info eventstore.ReadInfo, err error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	t := sh.tenants[id]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	t := s.tenants[id]
+	s.mu.Unlock()
 	opts := eventstore.ReaderOptions{Telemetry: s.cfg.Telemetry}
-	if t == nil {
+	if t == nil || !t.built() {
 		return eventstore.OpenReader(dir, opts)
 	}
 	t.mu.Lock()
@@ -187,6 +166,27 @@ func (t *tenant) supervise(ctx context.Context) {
 	}
 }
 
+// wait blocks until the tenant's construction has finished, or ctx ends, and
+// returns how it ended.
+func (t *tenant) wait(ctx context.Context) error {
+	select {
+	case <-t.ready:
+		return t.buildErr
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// built reports, without waiting, whether the tenant has an engine.
+func (t *tenant) built() bool {
+	select {
+	case <-t.ready:
+		return t.buildErr == nil
+	default:
+		return false
+	}
+}
+
 // serveOnce runs one engine incarnation, converting a panic anywhere under
 // Serve into a returned value instead of a process crash.
 func (t *tenant) serveOnce(ctx context.Context, eng *stream.Engine) (pv any, err error) {
@@ -226,7 +226,6 @@ func (t *tenant) stats() TenantStats {
 	eng := t.eng
 	st := TenantStats{
 		Tenant:             t.id,
-		Shard:              t.shardID,
 		Panics:             t.panics,
 		Restarts:           t.restarts,
 		WALFailures:        t.walFailures,
@@ -244,9 +243,8 @@ func (t *tenant) stats() TenantStats {
 
 // TenantStats is one tenant's externally visible snapshot.
 type TenantStats struct {
-	// Tenant is the tenant id; Shard is its placement.
+	// Tenant is the tenant id.
 	Tenant string `json:"tenant"`
-	Shard  int    `json:"shard"`
 	// Stream is the tenant engine's full health snapshot.
 	Stream stream.Stats `json:"stream"`
 	// Digest is the canonical digest of the tenant's parse outcome — the
@@ -267,23 +265,17 @@ type TenantStats struct {
 	Error string `json:"error,omitempty"`
 }
 
-// ShardStats aggregates one shard.
-type ShardStats struct {
-	Shard              int   `json:"shard"`
+// Stats is the fleet snapshot. Tenants counts the tenant map, those still
+// recovering included; the four restart counters are summed over it.
+type Stats struct {
 	Tenants            int   `json:"tenants"`
+	Draining           bool  `json:"draining"`
+	Accepted           int64 `json:"accepted"`
+	Skipped            int64 `json:"skipped"`
+	Shed               int64 `json:"shed"`
+	QuotaRejected      int64 `json:"quota_rejected"`
 	Panics             int64 `json:"panics"`
 	Restarts           int64 `json:"restarts"`
 	WALFailures        int64 `json:"wal_failures"`
 	EventStoreFailures int64 `json:"eventstore_failures"`
-}
-
-// Stats is the fleet snapshot.
-type Stats struct {
-	Tenants       int          `json:"tenants"`
-	Draining      bool         `json:"draining"`
-	Accepted      int64        `json:"accepted"`
-	Skipped       int64        `json:"skipped"`
-	Shed          int64        `json:"shed"`
-	QuotaRejected int64        `json:"quota_rejected"`
-	Shards        []ShardStats `json:"shards"`
 }

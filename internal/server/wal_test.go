@@ -157,7 +157,7 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 	cfg := walTestConfig(t.TempDir())
 	var pushes atomic.Int64
 	var fired atomic.Bool
-	cfg.ConfigureEngine = func(tenant string, shard int, sc *stream.Config) {
+	cfg.ConfigureEngine = func(tenant string, sc *stream.Config) {
 		if tenant != "victim" {
 			return
 		}
@@ -241,7 +241,7 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 // terminal with the failure recorded, instead of restart-looping forever.
 func TestWALFailureCapGoesTerminal(t *testing.T) {
 	cfg := walTestConfig(t.TempDir())
-	cfg.ConfigureEngine = func(tenant string, shard int, sc *stream.Config) {
+	cfg.ConfigureEngine = func(tenant string, sc *stream.Config) {
 		sc.WALSeam.Hook = func(point string) error {
 			if point == "push" {
 				return errors.New("wal_test: permanently broken wal")

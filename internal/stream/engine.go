@@ -73,9 +73,10 @@ type Engine struct {
 	recoveryErr   error // non-nil after a corrupt-reset start (*AllCorruptError)
 	ring          *ring
 	running       bool
-	serveEnded    bool  // a Serve call has returned (WaitServing stops waiting)
-	walReplayed   int64 // WAL records re-admitted at Serve start, process lifetime
-	walErr        error // the WAL failure that ended the current incarnation
+	serveEnded    bool           // the last incarnation has returned (WaitServing stops waiting)
+	walReplayed   int64          // WAL records re-admitted at Serve start, process lifetime
+	replay        sync.WaitGroup // the serving incarnation's WAL replay goroutine
+	walErr        error          // the WAL failure that ended the current incarnation
 
 	// wal is the push-mode write-ahead log (nil when Config.WALDir is
 	// empty); walInfo is what opening it found and repaired. Both are
@@ -213,11 +214,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.EventStoreDir != "" {
 		es, esInfo, err := eventstore.Open(eventstore.Options{
-			Dir:          cfg.EventStoreDir,
-			BlockBytes:   cfg.EventStoreBlockBytes,
-			SegmentBytes: cfg.EventStoreSegmentBytes,
-			Seam:         cfg.EventStoreSeam,
-			Telemetry:    cfg.Telemetry,
+			Dir:        cfg.EventStoreDir,
+			BlockBytes: cfg.EventStoreBlockBytes,
+			Seam:       cfg.EventStoreSeam,
+			Telemetry:  cfg.Telemetry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("stream: open event store: %w", err)
@@ -335,6 +335,43 @@ func (e *Engine) rebuildMatcher() error {
 	return nil
 }
 
+// begin opens one Run or Serve incarnation: it claims the running flag
+// (ErrAlreadyRunning while another incarnation holds it), installs a fresh
+// ring that ctx's end aborts — waking every blocked ring operation — and
+// returns the ring, the restored offset and the epilogue its caller defers.
+func (e *Engine) begin(ctx context.Context) (r *ring, offset int64, end func(), err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.running {
+		return nil, 0, nil, ErrAlreadyRunning
+	}
+	e.running = true
+	e.serveEnded = false
+	r = newRing(e.cfg.RingCapacity)
+	e.ring = r
+	unwatch := context.AfterFunc(ctx, r.abort)
+	return r, e.offset, func() {
+		unwatch()
+		// Abort BEFORE taking pushMu: a pusher blocked mid-batch in a
+		// flush is holding pushMu, and after a panic unwound the
+		// consumer nobody is left to free a ring slot — the abort is what
+		// wakes it to release the lock. (Locking first deadlocks the
+		// unwind against the blocked pusher.) It equally wakes a file
+		// producer still blocked on the ring, and stops a WAL replay still
+		// in flight; waiting for that goroutine before clearing push.ring
+		// keeps a late publication from leaking a dead incarnation's ring.
+		r.abort()
+		e.replay.Wait()
+		e.pushMu.Lock()
+		e.push.ring = nil
+		e.pushMu.Unlock()
+		e.mu.Lock()
+		e.running = false
+		e.serveEnded = true
+		e.mu.Unlock()
+	}, nil
+}
+
 // Run tails the source until it ends cleanly or Stop drains it (final
 // checkpoint, nil return), the source fails (state checkpointed, error
 // returned — a later Run resumes), or ctx ends (NO checkpoint:
@@ -346,35 +383,11 @@ func (e *Engine) Run(ctx context.Context) error {
 	if e.cfg.Open == nil {
 		return fmt.Errorf("stream: Config.Open is required for Run (use Serve for push mode)")
 	}
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		return ErrAlreadyRunning
+	r, startOffset, end, err := e.begin(ctx)
+	if err != nil {
+		return err
 	}
-	e.running = true
-	startOffset := e.offset
-	r := newRing(e.cfg.RingCapacity)
-	e.ring = r
-	e.mu.Unlock()
-	defer func() {
-		// Wake a producer still blocked on the ring if the consumer
-		// unwound without draining (error or panic in process).
-		r.abort()
-		e.mu.Lock()
-		e.running = false
-		e.mu.Unlock()
-	}()
-
-	// Wake blocked ring operations when the caller cancels.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.abort()
-		case <-stop:
-		}
-	}()
+	defer end()
 
 	prodErr := make(chan error, 1)
 	go e.produce(ctx, r, startOffset, prodErr)
@@ -584,15 +597,9 @@ func (e *Engine) retrainLocked(ctx context.Context) {
 		return
 	}
 	e.noteBreakerLocked(prevState) // open → half-open happens inside allow
-	rctx := ctx
-	var cancel context.CancelFunc
-	if e.cfg.RetrainTimeout > 0 {
-		rctx, cancel = context.WithTimeout(ctx, e.cfg.RetrainTimeout)
-		defer cancel()
-	}
 	batch := append([]string(nil), e.unmatched...)
 	start := e.now()
-	tmpls, err := e.cfg.Retrainer.Retrain(rctx, batch)
+	tmpls, err := e.cfg.Retrainer.Retrain(ctx, batch)
 	e.tm.retrainSec.Observe(e.now().Sub(start).Seconds())
 	if err == nil {
 		err = e.mergeTemplatesLocked(tmpls)

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 )
 
@@ -79,19 +78,12 @@ type PushResult struct {
 // lines in the same order converges a resumed engine to the digest of an
 // uninterrupted one.
 func (e *Engine) Serve(ctx context.Context) error {
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		return ErrAlreadyRunning
+	r, start, end, err := e.begin(ctx)
+	if err != nil {
+		return err
 	}
-	e.running = true
-	e.serveEnded = false
-	r := newRing(e.cfg.RingCapacity)
-	e.ring = r
-	start := e.offset
-	e.mu.Unlock()
+	defer end()
 
-	var replayWG sync.WaitGroup
 	if e.wal != nil {
 		// With a WAL, push-ring publication is deferred to the replay
 		// goroutine: every surviving WAL record beyond the checkpoint is
@@ -100,9 +92,9 @@ func (e *Engine) Serve(ctx context.Context) error {
 		// their original positions ahead of new traffic. Until
 		// publication, PushBatch returns ErrNotServing and WaitServing
 		// waits.
-		replayWG.Add(1)
+		e.replay.Add(1)
 		go func() {
-			defer replayWG.Done()
+			defer e.replay.Done()
 			e.replayWAL(r, start)
 		}()
 	} else {
@@ -112,36 +104,6 @@ func (e *Engine) Serve(ctx context.Context) error {
 		e.pushSkip = start
 		e.pushMu.Unlock()
 	}
-
-	defer func() {
-		// Abort BEFORE taking pushMu: a pusher blocked mid-batch in a
-		// flush is holding pushMu, and after a panic unwound the
-		// consumer nobody is left to free a ring slot — the abort is what
-		// wakes it to release the lock. (Locking first deadlocks the
-		// unwind against the blocked pusher.) The abort also stops a
-		// replay still in flight; waiting for its goroutine before
-		// clearing push.ring keeps a late publication from leaking a dead
-		// incarnation's ring.
-		r.abort()
-		replayWG.Wait()
-		e.pushMu.Lock()
-		e.push.ring = nil
-		e.pushMu.Unlock()
-		e.mu.Lock()
-		e.running = false
-		e.serveEnded = true
-		e.mu.Unlock()
-	}()
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.abort()
-		case <-stop:
-		}
-	}()
 
 	if err := e.consume(ctx, r); err != nil {
 		return err

@@ -135,9 +135,6 @@ type Config struct {
 	// engine (server.Config.NewOnline). Mutually exclusive with
 	// InitialTemplates.
 	Online OnlineParser
-	// RetrainTimeout bounds one retrain attempt (0 = none). A timed-out
-	// retrain counts as a failure toward the breaker.
-	RetrainTimeout time.Duration
 	// Breaker configures the retrain circuit breaker.
 	Breaker BreakerConfig
 	// InitialTemplates seeds the matcher when no checkpoint exists, e.g.
@@ -208,10 +205,8 @@ type Config struct {
 	// §13 "Event store format & query semantics".
 	EventStoreDir string
 	// EventStoreBlockBytes is the raw block size at which the store seals
-	// a block (default 64 KiB, ≈ 30–60 k events); EventStoreSegmentBytes is
-	// its segment rotation threshold (default 64 MiB).
-	EventStoreBlockBytes   int
-	EventStoreSegmentBytes int64
+	// a block (default 64 KiB, ≈ 30–60 k events).
+	EventStoreBlockBytes int
 	// EventStoreSeam is the event store's fault-injection seam, the same
 	// shape as WALSeam; its Hook additionally fires at "block" and
 	// "finalize" (see eventstore.Options.Seam).

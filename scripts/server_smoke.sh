@@ -42,7 +42,7 @@ awk -v n="$LINES_B" 'BEGIN { for (i = 1; i <= n; i++)
 start_server() {
 	rm -f "$work/addr"
 	"$work/logstreamd" -listen 127.0.0.1:0 -listen-addr-file "$work/addr" \
-		-checkpoint-dir "$1" -shards 2 -checkpoint-every 200 -retrain-batch 64 \
+		-checkpoint-dir "$1" -checkpoint-every 200 -retrain-batch 64 \
 		-events "$1.ev" -events-block-bytes 1024 \
 		>"$work/server.out" 2>"$work/server.err" &
 	server_pid=$!

@@ -11,9 +11,11 @@
 #                              WAL and event-store crash smokes + the
 #                              server-profile recipe on 20 k lines (matcher
 #                              and learner legs) + a 5s fuzz smoke pass per
-#                              fuzz target
+#                              fuzz target + the LoC ratchet
+#                              (scripts/loc.sh -check)
 #   scripts/verify.sh -short   fast: build + vet + `go test -short -race` +
-#                              reduced crash-recovery and server smokes
+#                              the LoC ratchet + reduced crash-recovery and
+#                              server smokes
 #                              (skips the long-running suites and the fuzz
 #                              smokes; the conformance differential matrix
 #                              still runs at reduced breadth)
@@ -40,6 +42,8 @@ go vet ./...
 if [ "$short" = 1 ]; then
 	echo "==> go test -short -race ./..."
 	go test -short -race ./...
+	echo "==> non-test Go line counts against the committed baseline (scripts/loc.sh -check)"
+	sh scripts/loc.sh -check >/dev/null
 	echo "==> crash-recovery smoke (reduced)"
 	sh scripts/crash_smoke.sh Zookeeper 3000 2345
 	echo "==> multi-tenant server smoke (reduced)"
@@ -116,7 +120,7 @@ go test ./internal/eventstore -run '^$' -bench EventStoreList -benchtime 1x >/de
 echo "==> go test -fuzz=FuzzSeglogOpen -fuzztime=5s ./internal/seglog"
 go test ./internal/seglog -run '^$' -fuzz '^FuzzSeglogOpen$' -fuzztime=5s >/dev/null
 
-echo "==> non-test Go line counts (scripts/loc.sh, informational)"
-sh scripts/loc.sh
+echo "==> non-test Go line counts against the committed baseline (scripts/loc.sh -check)"
+sh scripts/loc.sh -check
 
 echo "verify: OK"

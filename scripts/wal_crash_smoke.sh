@@ -46,7 +46,7 @@ nbatches=$(( (LINES + BATCH - 1) / BATCH ))
 start_server() {
 	rm -f "$work/addr"
 	"$work/logstreamd" -listen 127.0.0.1:0 -listen-addr-file "$work/addr" \
-		-checkpoint-dir "$1" -wal -shards 2 -checkpoint-every 200 -retrain-batch 64 \
+		-checkpoint-dir "$1" -wal -checkpoint-every 200 -retrain-batch 64 \
 		>>"$work/server.out" 2>>"$work/server.err" &
 	server_pid=$!
 	for _ in $(seq 1 100); do
