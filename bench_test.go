@@ -319,32 +319,6 @@ func BenchmarkAblationPCA(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallel compares sequential and sharded parsing (§V's
-// distributed-parsing direction) in both time and accuracy.
-func BenchmarkAblationParallel(b *testing.B) {
-	msgs := gen.HDFS().Generate(42, 20000)
-	b.Run("sequential", func(b *testing.B) {
-		var f float64
-		for i := 0; i < b.N; i++ {
-			f = scoreParse(b, iplom.New(iplom.Options{}), msgs)
-		}
-		b.ReportMetric(f, "fmeasure")
-	})
-	for _, shards := range []int{2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p, err := logparse.NewParallelParser("IPLoM", shards, logparse.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var f float64
-			for i := 0; i < b.N; i++ {
-				f = scoreParse(b, p, msgs)
-			}
-			b.ReportMetric(f, "fmeasure")
-		})
-	}
-}
-
 // BenchmarkStreamingSLCT compares the in-memory parser against the
 // two-pass streaming implementation (exact and lossy-counted vocabulary) —
 // the bounded-memory path for paper-scale logs.

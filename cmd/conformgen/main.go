@@ -88,9 +88,8 @@ func run(dir string, check bool) error {
 }
 
 // runMeasure prints, per cell, the pairwise F-measure of the serial parse
-// (for two algorithm seeds) and of the 4-shard parallel parse — the
-// measurements the floors in internal/conform are derived from (measured
-// value minus a safety margin).
+// for two algorithm seeds — the measurements the floors in internal/conform
+// are derived from (measured value minus a safety margin).
 func runMeasure() error {
 	for _, c := range conform.Cases() {
 		factory, err := c.Factory()
@@ -110,20 +109,7 @@ func runMeasure() error {
 			}
 			fs = append(fs, f)
 		}
-		pp, err := c.ParallelParser(4, 1)
-		if err != nil {
-			return err
-		}
-		pres, err := pp.Parse(msgs)
-		if err != nil {
-			return fmt.Errorf("%s parallel: %w", c.Name(), err)
-		}
-		pf, err := conform.FMeasureAgainstTruth(pres, msgs)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-22s n=%-4d F(seed1)=%.4f F(seed2)=%.4f F(parallel4)=%.4f\n",
-			c.Name(), c.N, fs[0], fs[1], pf)
+		fmt.Printf("%-22s n=%-4d F(seed1)=%.4f F(seed2)=%.4f\n", c.Name(), c.N, fs[0], fs[1])
 	}
 	return nil
 }

@@ -8,10 +8,16 @@
 // When the input carries ground-truth annotations (loggen's format), the
 // parse is also scored with the pairwise F-measure.
 //
-// For production-style runs, -timeout, -retries and -fallback wrap the
-// parse in the fault-tolerant degradation chain (panics isolated, deadline
-// enforced, transient failures retried, fallback algorithms tried in
-// order), and -strict rejects corrupt input lines instead of skipping them.
+// For production-style runs, -timeout and -fallback wrap the parse in the
+// fault-tolerant degradation chain (panics isolated, deadline enforced,
+// fallback algorithms tried in order), and -strict rejects corrupt input
+// lines instead of skipping them.
+//
+// -stream runs SLCT's bounded-memory two-pass parse instead, which reads
+// only -parser, -support, -support-frac, -epsilon and the file flags. A
+// flag that cannot take effect in the chosen mode (-epsilon without
+// -stream, -timeout with it) is a usage error, exit 2, not silently
+// ignored.
 package main
 
 import (
@@ -23,16 +29,31 @@ import (
 	"strings"
 
 	"logparse"
+	"logparse/internal/cli"
 )
 
 func main() {
-	if err := run(); err != nil {
+	code, err := run()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "logparse:", err)
-		os.Exit(1)
+		if code == 0 {
+			code = 1
+		}
 	}
+	os.Exit(code)
 }
 
-func run() error {
+// flagNeeds lists the flags that take effect only beside another flag
+// ("stream") or only without one ("!stream").
+var flagNeeds = map[string]string{
+	"epsilon":   "stream",
+	"max-lines": "!stream", "preprocess": "!stream", "strict": "!stream", "report": "!stream",
+	"timeout": "!stream", "fallback": "!stream", "seed": "!stream", "groups": "!stream",
+	"threshold": "!stream", "depth": "!stream", "sim-threshold": "!stream",
+	"max-children": "!stream", "tau": "!stream",
+}
+
+func run() (int, error) {
 	var (
 		in         = flag.String("in", "", "input log file (required)")
 		parserName = flag.String("parser", "IPLoM", "algorithm: SLCT, IPLoM, LKE, LogSig, Drain, Spell")
@@ -52,23 +73,27 @@ func run() error {
 		stream     = flag.Bool("stream", false, "SLCT only: two-pass streaming parse with bounded memory")
 		epsilon    = flag.Float64("epsilon", 0, "streaming: lossy-counting error bound for the vocabulary pass (0 = exact)")
 		timeout    = flag.Duration("timeout", 0, "per-tier parse deadline (0 = none); enables the fault-tolerant wrapper")
-		retries    = flag.Int("retries", 0, "retry a tier this many times on transient failures before degrading")
 		fallback   = flag.String("fallback", "", "comma-separated fallback algorithms tried in order when the primary fails (e.g. IPLoM,SLCT)")
 		strict     = flag.Bool("strict", false, "fail on corrupt/ambiguous/over-long input lines instead of skipping and counting them")
 		report     = flag.String("report", "", "write a JSON run report (stage timings, spans, metrics) to this file (- = stderr)")
 	)
 	flag.Parse()
-	if *in == "" {
-		return fmt.Errorf("-in is required")
+	if err := cli.CheckFlagNeeds(flagNeeds); err != nil {
+		return 2, err
 	}
-
+	if *in == "" {
+		return 2, fmt.Errorf("-in is required")
+	}
 	if *stream {
-		return runStream(*in, *parserName, *events, *structured, *support, *frac, *epsilon)
+		if err := runStream(*in, *parserName, *events, *structured, *support, *frac, *epsilon); err != nil {
+			return 1, err
+		}
+		return 0, nil
 	}
 
 	f, err := os.Open(*in)
 	if err != nil {
-		return err
+		return 1, err
 	}
 	defer f.Close()
 	msgs, stats, err := logparse.ReadMessagesOpts(f, logparse.ReadOptions{
@@ -76,14 +101,14 @@ func run() error {
 		Strict:   *strict,
 	})
 	if err != nil {
-		return err
+		return 1, err
 	}
 	if stats.Corrupt+stats.Ambiguous+stats.Oversized > 0 {
 		fmt.Fprintf(os.Stderr, "logparse: tolerated %d corrupt, %d ambiguous, %d over-long lines\n",
 			stats.Corrupt, stats.Ambiguous, stats.Oversized)
 	}
 	if len(msgs) == 0 {
-		return fmt.Errorf("no log messages in %s", *in)
+		return 1, fmt.Errorf("no log messages in %s", *in)
 	}
 	if *preprocess != "" {
 		msgs = logparse.Preprocess(*preprocess, msgs)
@@ -107,12 +132,12 @@ func run() error {
 	}
 	parser, err := logparse.NewParser(*parserName, opts)
 	if err != nil {
-		return err
+		return 1, err
 	}
 
 	servedBy := parser.Name()
 	var result *logparse.Result
-	if *timeout > 0 || *retries > 0 || *fallback != "" {
+	if *timeout > 0 || *fallback != "" {
 		algorithms := []string{*parserName}
 		for _, a := range strings.Split(*fallback, ",") {
 			if a = strings.TrimSpace(a); a != "" {
@@ -120,14 +145,14 @@ func run() error {
 			}
 		}
 		chain, err := logparse.NewRobustParser(algorithms, opts,
-			logparse.RobustPolicy{Timeout: *timeout, MaxRetries: *retries, Telemetry: tel})
+			logparse.RobustPolicy{Timeout: *timeout, Telemetry: tel})
 		if err != nil {
-			return err
+			return 1, err
 		}
 		var att *logparse.ParseAttribution
 		result, att, err = chain.ParseAttributed(context.Background(), msgs)
 		if err != nil {
-			return err
+			return 1, err
 		}
 		servedBy = att.TierName
 		if att.Degraded {
@@ -136,13 +161,11 @@ func run() error {
 			for _, a := range att.Attempts {
 				fmt.Fprintf(os.Stderr, "logparse:   tier %d (%s): %v\n", a.Tier, a.TierName, a.Err)
 			}
-		} else if att.Retries > 0 {
-			fmt.Fprintf(os.Stderr, "logparse: served by %s after %d transient retries\n", att.TierName, att.Retries)
 		}
 	} else {
 		result, err = parser.Parse(msgs)
 		if err != nil {
-			return err
+			return 1, err
 		}
 	}
 
@@ -150,22 +173,22 @@ func run() error {
 	if *events != "" {
 		ef, err := os.Create(*events)
 		if err != nil {
-			return err
+			return 1, err
 		}
 		defer ef.Close()
 		eventsOut = ef
 	}
 	if err := logparse.WriteEvents(eventsOut, result); err != nil {
-		return err
+		return 1, err
 	}
 	if *structured != "" {
 		sf, err := os.Create(*structured)
 		if err != nil {
-			return err
+			return 1, err
 		}
 		defer sf.Close()
 		if err := logparse.WriteStructured(sf, msgs, result); err != nil {
-			return err
+			return 1, err
 		}
 	}
 
@@ -175,16 +198,16 @@ func run() error {
 	if msgs[0].TruthID != "" {
 		acc, err := logparse.EvaluateResult(msgs, result)
 		if err != nil {
-			return err
+			return 1, err
 		}
 		fmt.Fprintf(os.Stderr, "logparse: accuracy vs ground truth: %s\n", acc)
 	}
 	if *report != "" {
 		if err := writeReport(tel, "logparse", *report); err != nil {
-			return err
+			return 1, err
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // writeReport emits the telemetry run report as JSON to path ("-" = stderr,

@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"logparse"
+	"logparse/internal/cli"
 	"logparse/internal/faultinject"
 	"logparse/internal/seglog"
 	"logparse/internal/server"
@@ -94,26 +95,6 @@ var flagNeeds = map[string]string{
 	"wal": "listen", "wal-sync": "wal", "wal-segment-bytes": "wal",
 	"retrainer": "!online", "support": "!online", "retrain-batch": "!online", "max-unmatched": "!online",
 	"events-block-bytes": "events", "debug-addr-file": "debug-addr",
-}
-
-// checkFlagNeeds refuses the first flag given on the command line whose
-// flagNeeds entry the command line does not meet.
-func checkFlagNeeds() (err error) {
-	flag.Visit(func(f *flag.Flag) {
-		need, listed := flagNeeds[f.Name]
-		if !listed || err != nil {
-			return
-		}
-		other := flag.Lookup(strings.TrimPrefix(need, "!"))
-		given := other.Value.String() != other.DefValue
-		switch {
-		case need != other.Name && given:
-			err = fmt.Errorf("-%s has no effect with -%s", f.Name, other.Name)
-		case need == other.Name && !given:
-			err = fmt.Errorf("-%s has no effect without -%s", f.Name, other.Name)
-		}
-	})
-	return err
 }
 
 // choiceVar declares a flag that takes one of the named values; any other is
@@ -187,7 +168,7 @@ func run() (int, error) {
 	flag.Int64Var(&tmpl.WALSegmentBytes, "wal-segment-bytes", 4<<20, "WAL segment rotation threshold in bytes")
 	flag.Parse()
 
-	if err := checkFlagNeeds(); err != nil {
+	if err := cli.CheckFlagNeeds(flagNeeds); err != nil {
 		return 2, err
 	}
 	if *ckptDir == "" {

@@ -4,9 +4,6 @@ import (
 	"io"
 
 	"logparse/internal/match"
-	"logparse/internal/mining/deployver"
-	"logparse/internal/mining/synoptic"
-	"logparse/internal/parsers/parallel"
 	"logparse/internal/parsers/slct"
 )
 
@@ -38,65 +35,3 @@ var ErrNoMatch = match.ErrNoMatch
 
 // NewMatcher builds a matcher from a parse result's templates.
 func NewMatcher(res *Result) (*Matcher, error) { return match.FromResult(res) }
-
-// Extensions beyond the paper's core study: the §V "potential direction"
-// of distributed parsing, and the two additional §III-A log-mining tasks
-// (deployment verification, system-model construction).
-
-// NewParallelParser wraps an algorithm in the shard-and-merge harness of
-// §V's distributed-parsing direction: the input is split into shards
-// parsed concurrently, and per-shard templates are merged by identity.
-// shards ≤ 0 uses GOMAXPROCS. A shard whose parser fails — even by
-// panicking — fails the parse with a wrapped error instead of killing the
-// process.
-func NewParallelParser(algorithm string, shards int, opts Options) (Parser, error) {
-	// Validate the configuration once up front.
-	if _, err := NewParser(algorithm, opts); err != nil {
-		return nil, err
-	}
-	return parallel.New(algorithm, shards, func(shard int) (Parser, error) {
-		o := opts
-		o.Seed = opts.Seed + int64(shard)
-		return NewParser(algorithm, o)
-	}), nil
-}
-
-// Deployment verification (Shang et al., ICSE 2013).
-type (
-	// DeployResult summarises a deployment-verification run.
-	DeployResult = deployver.Result
-	// DeployDivergence is one deployed session with an unseen sequence.
-	DeployDivergence = deployver.Divergence
-)
-
-// VerifyDeployment compares per-session event sequences between a baseline
-// (pseudo-cloud) log and a deployment log, reporting only the deployed
-// sessions whose sequence never occurs in the baseline.
-func VerifyDeployment(baseline, deployed []Message, parser Parser) (*DeployResult, error) {
-	return deployver.Verify(baseline, deployed, parser)
-}
-
-// System-model construction (Beschastnikh et al., ESEC/FSE 2011).
-type (
-	// FSMModel is a k-tails finite-state model over event types.
-	FSMModel = synoptic.Model
-	// TemporalInvariant is one mined AFby/AP/NFby property.
-	TemporalInvariant = synoptic.Invariant
-)
-
-// EventTraces groups parsed messages into per-session event-ID sequences.
-func EventTraces(msgs []Message, parsed *Result) [][]string {
-	return synoptic.TracesFromParse(msgs, parsed)
-}
-
-// MineInvariants mines Synoptic's three temporal invariant kinds over
-// event traces.
-func MineInvariants(traces [][]string) ([]TemporalInvariant, error) {
-	return synoptic.MineInvariants(traces)
-}
-
-// BuildModel constructs a finite-state model from event traces by k-tails
-// merging.
-func BuildModel(traces [][]string, k int) (*FSMModel, error) {
-	return synoptic.BuildModel(traces, k)
-}

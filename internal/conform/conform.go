@@ -9,10 +9,10 @@
 //
 //   - differential oracles: every parser, over every internal/gen dataset,
 //     must produce the same clustering through every execution path
-//     (Parse, ParseCtx, a robust degradation chain, a one-shard parallel
-//     harness), must be deterministic run-to-run and — for the seedless
-//     algorithms — across seeds, and must clear a per-dataset pairwise
-//     F-measure floor against the generators' ground truth;
+//     (Parse, ParseCtx, a robust degradation chain), must be deterministic
+//     run-to-run and — for the seedless algorithms — across seeds, and
+//     must clear a per-dataset pairwise F-measure floor against the
+//     generators' ground truth;
 //   - metamorphic invariants: input permutation, corpus duplication and
 //     variable-token injection must not change clusterings; the F-measure
 //     and PCA-anomaly machinery must obey their algebraic symmetries;
@@ -37,7 +37,6 @@ import (
 	"logparse/internal/eval"
 	"logparse/internal/experiments"
 	"logparse/internal/gen"
-	"logparse/internal/parsers/parallel"
 	"logparse/internal/robust"
 )
 
@@ -58,10 +57,6 @@ type Case struct {
 	// the implementation drifted, not that the data got unlucky — the
 	// sample is deterministic in Seed and N).
 	Floor float64
-	// ParallelFloor is the F-measure floor for the 4-shard parallel
-	// harness, whose template-identity merge can legitimately split events
-	// whose variable parts freeze differently across shards.
-	ParallelFloor float64
 	// Seeded reports whether the algorithm consumes Options.Seed (LKE,
 	// LogSig). Seedless parsers must produce identical output across
 	// seeds; seeded ones must be deterministic per seed and clear Floor on
@@ -108,48 +103,48 @@ func sizeFor(parser string) int {
 // and Zookeeper and the low LogSig floor on BGL are faithful: the paper's
 // Table II reports exactly those weaknesses on raw (unpreprocessed) input.
 // Regenerate the measurements with cmd/conformgen -measure.
-var floors = map[string]struct{ base, parallel float64 }{
-	"BGL-SLCT":         {0.95, 0.95},
-	"BGL-IPLoM":        {0.95, 0.93},
-	"BGL-LKE":          {0.95, 0.92},
-	"BGL-LogSig":       {0.30, 0.20},
-	"HPC-SLCT":         {0.95, 0.95},
-	"HPC-IPLoM":        {0.97, 0.95},
-	"HPC-LKE":          {0.95, 0.93},
-	"HPC-LogSig":       {0.90, 0.88},
-	"Proxifier-SLCT":   {0.90, 0.82},
-	"Proxifier-IPLoM":  {0.70, 0.68},
-	"Proxifier-LKE":    {0.65, 0.64},
-	"Proxifier-LogSig": {0.88, 0.82},
-	"HDFS-SLCT":        {0.22, 0.55},
-	"HDFS-IPLoM":       {0.95, 0.93},
-	"HDFS-LKE":         {0.80, 0.64},
-	"HDFS-LogSig":      {0.78, 0.60},
-	"Zookeeper-SLCT":   {0.34, 0.75},
-	"Zookeeper-IPLoM":  {0.95, 0.93},
-	"Zookeeper-LKE":    {0.95, 0.93},
-	"Zookeeper-LogSig": {0.62, 0.48},
+var floors = map[string]float64{
+	"BGL-SLCT":         0.95,
+	"BGL-IPLoM":        0.95,
+	"BGL-LKE":          0.95,
+	"BGL-LogSig":       0.30,
+	"HPC-SLCT":         0.95,
+	"HPC-IPLoM":        0.97,
+	"HPC-LKE":          0.95,
+	"HPC-LogSig":       0.90,
+	"Proxifier-SLCT":   0.90,
+	"Proxifier-IPLoM":  0.70,
+	"Proxifier-LKE":    0.65,
+	"Proxifier-LogSig": 0.88,
+	"HDFS-SLCT":        0.22,
+	"HDFS-IPLoM":       0.95,
+	"HDFS-LKE":         0.80,
+	"HDFS-LogSig":      0.78,
+	"Zookeeper-SLCT":   0.34,
+	"Zookeeper-IPLoM":  0.95,
+	"Zookeeper-LKE":    0.95,
+	"Zookeeper-LogSig": 0.62,
 
 	// Streaming-native parsers, over the paper datasets and the extended
 	// catalogues. The very low Proxifier-Drain floor is faithful: Drain
 	// routes by leading tokens, and Proxifier messages lead with a
 	// variable program name, a known Drain weakness on that system.
-	"BGL-Drain":         {0.97, 0.95},
-	"BGL-Spell":         {0.97, 0.95},
-	"HPC-Drain":         {0.97, 0.95},
-	"HPC-Spell":         {0.97, 0.95},
-	"Proxifier-Drain":   {0.15, 0.13},
-	"Proxifier-Spell":   {0.70, 0.68},
-	"HDFS-Drain":        {0.95, 0.93},
-	"HDFS-Spell":        {0.95, 0.93},
-	"Zookeeper-Drain":   {0.97, 0.95},
-	"Zookeeper-Spell":   {0.97, 0.95},
-	"Hadoop-Drain":      {0.90, 0.88},
-	"Hadoop-Spell":      {0.90, 0.88},
-	"Spark-Drain":       {0.92, 0.90},
-	"Spark-Spell":       {0.92, 0.90},
-	"Thunderbird-Drain": {0.95, 0.93},
-	"Thunderbird-Spell": {0.93, 0.91},
+	"BGL-Drain":         0.97,
+	"BGL-Spell":         0.97,
+	"HPC-Drain":         0.97,
+	"HPC-Spell":         0.97,
+	"Proxifier-Drain":   0.15,
+	"Proxifier-Spell":   0.70,
+	"HDFS-Drain":        0.95,
+	"HDFS-Spell":        0.95,
+	"Zookeeper-Drain":   0.97,
+	"Zookeeper-Spell":   0.97,
+	"Hadoop-Drain":      0.90,
+	"Hadoop-Spell":      0.90,
+	"Spark-Drain":       0.92,
+	"Spark-Spell":       0.92,
+	"Thunderbird-Drain": 0.95,
+	"Thunderbird-Spell": 0.93,
 }
 
 // Cases returns the full conformance matrix: the paper's four parsers over
@@ -179,33 +174,19 @@ func newCase(dataset, parser string) Case {
 		N:       sizeFor(parser),
 		Seeded:  parser == "LKE" || parser == "LogSig",
 	}
-	if f, ok := floors[c.Name()]; ok {
-		c.Floor, c.ParallelFloor = f.base, f.parallel
-	}
+	c.Floor = floors[c.Name()]
 	return c
 }
 
 // RobustParser wraps the cell's parser in a single-tier robust chain — the
-// production execution path (panic isolation, retry machinery) that the
-// differential oracle requires to be a behavioral no-op.
+// production execution path (panic isolation, deadline, attribution) that
+// the differential oracle requires to be a behavioral no-op.
 func (c Case) RobustParser(algSeed int64) (core.Parser, error) {
 	factory, err := c.Factory()
 	if err != nil {
 		return nil, err
 	}
 	return robust.Wrap(robust.Policy{}, factory(algSeed))
-}
-
-// ParallelParser wraps the cell's parser in the shard-and-merge harness,
-// seeding shard s with algSeed+s exactly as the public facade does.
-func (c Case) ParallelParser(shards int, algSeed int64) (core.Parser, error) {
-	factory, err := c.Factory()
-	if err != nil {
-		return nil, err
-	}
-	return parallel.New(c.Parser, shards, func(shard int) (core.Parser, error) {
-		return factory(algSeed + int64(shard)), nil
-	}), nil
 }
 
 // Signature renders the clustering of a parse result in canonical form:
@@ -259,12 +240,11 @@ func joinInts(xs []int) string {
 }
 
 // MergeEqualTemplates returns a copy of res with clusters that render the
-// same template string unified into one, the way the parallel harness's
-// identity merge does. LogSig can emit distinct groups with identical
-// signatures (several "*" noise groups), so a 1-shard parallel parse is
-// equivalent to a serial parse only in this merged space; the differential
-// oracle compares there. Merging is idempotent, so applying it to an
-// already-merged result is a no-op.
+// same template string unified into one. A parse can emit distinct groups
+// with identical signatures (LogSig's several "*" noise groups), while a
+// template matcher replaying that set types each line into one of them, so
+// parse-versus-replay oracles compare in this merged space. Merging is
+// idempotent, so applying it to an already-merged result is a no-op.
 func MergeEqualTemplates(res *core.ParseResult) *core.ParseResult {
 	out := &core.ParseResult{Assignment: make([]int, len(res.Assignment))}
 	index := make(map[string]int)
@@ -294,7 +274,7 @@ func MergeEqualTemplates(res *core.ParseResult) *core.ParseResult {
 
 // TemplateStrings returns the sorted rendered template strings of a
 // result — the template set differential oracles compare across modes
-// that rename or reorder templates (the parallel merge).
+// that rename or reorder templates.
 func TemplateStrings(res *core.ParseResult) []string {
 	out := make([]string, len(res.Templates))
 	for i, t := range res.Templates {

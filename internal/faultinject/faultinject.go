@@ -2,10 +2,9 @@
 // injection for the robustness layer's tests. It provides (a) a chaos
 // io.Reader that corrupts a log stream the way real deployments do —
 // injected read errors, truncated lines, NUL bytes, over-long lines,
-// mid-stream EOF — and (b) mock parsers that panic, hang, fail transiently
-// or run slowly. The fault-injection suite uses both to prove that every
-// failure mode surfaces as a typed error or a successful degraded parse,
-// never a crash or a hang.
+// mid-stream EOF — and (b) mock parsers that panic or hang. The
+// fault-injection suite uses both to prove that every failure mode surfaces
+// as a typed error or a successful degraded parse, never a crash or a hang.
 //
 // All injection is deterministic (counter- or byte-offset-driven, no wall
 // clock, no global RNG) so failures reproduce exactly.
@@ -22,9 +21,8 @@ import (
 // ErrInjected is the root of every injected read error.
 var ErrInjected = errors.New("faultinject: injected read error")
 
-// InjectedError is the typed read error the chaos reader returns; it is
-// transient (robust.IsTransient reports true), modelling a flaky source
-// that may succeed when re-opened.
+// InjectedError is the typed read error the chaos reader returns,
+// modelling a source that fails mid-read.
 type InjectedError struct {
 	// Offset is the stream byte offset at which the error fired.
 	Offset int64
@@ -36,9 +34,6 @@ func (e *InjectedError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrInjected) work.
 func (e *InjectedError) Unwrap() error { return ErrInjected }
-
-// Transient marks the error as retryable for the robust layer.
-func (e *InjectedError) Transient() bool { return true }
 
 // Faults configures the chaos reader. The zero value injects nothing.
 // Line-level faults count physical lines starting at 1 and fire on every

@@ -43,9 +43,6 @@ func TestReaderInjectedError(t *testing.T) {
 	if !errors.As(err, &ie) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %T %v, want *InjectedError wrapping ErrInjected", err, err)
 	}
-	if !ie.Transient() {
-		t.Error("injected read error must be transient")
-	}
 }
 
 func TestReaderMidStreamEOF(t *testing.T) {
@@ -208,30 +205,6 @@ func TestPanicParserPanics(t *testing.T) {
 		}
 	}()
 	_, _ = PanicParser{}.Parse([]core.LogMessage{{Content: "x"}})
-}
-
-func TestFlakyParserRecovers(t *testing.T) {
-	inner := stubParser{}
-	p := NewFlakyParser(inner, 2, nil)
-	for i := 0; i < 2; i++ {
-		if _, err := p.Parse(nil); err == nil {
-			t.Fatalf("call %d: want transient failure", i)
-		}
-	}
-	if _, err := p.Parse(nil); err != nil {
-		t.Fatalf("call 3: want recovery, got %v", err)
-	}
-}
-
-// stubParser returns an empty-but-valid result.
-type stubParser struct{}
-
-func (stubParser) Name() string { return "stub" }
-func (stubParser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
-	return &core.ParseResult{Assignment: make([]int, len(msgs))}, nil
-}
-func (s stubParser) ParseCtx(_ context.Context, msgs []core.LogMessage) (*core.ParseResult, error) {
-	return s.Parse(msgs)
 }
 
 func TestReaderEOFAfterLines(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"logparse/internal/core"
 )
@@ -83,76 +82,4 @@ func (p *HangParser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*cor
 	}
 	<-p.release
 	return nil, context.Canceled
-}
-
-// FlakyParser fails its first Failures calls with Err (a transient error by
-// default), then delegates to Inner — the shape of a source or parser that
-// recovers, exercising retry-with-backoff.
-type FlakyParser struct {
-	Inner core.Parser
-	Err   error
-
-	remaining atomic.Int64
-	// Calls counts every ParseCtx invocation.
-	Calls atomic.Int64
-}
-
-var _ core.Parser = (*FlakyParser)(nil)
-
-// NewFlakyParser builds a parser failing the first failures calls with err;
-// a nil err defaults to a transient *InjectedError.
-func NewFlakyParser(inner core.Parser, failures int, err error) *FlakyParser {
-	p := &FlakyParser{Inner: inner, Err: err}
-	p.remaining.Store(int64(failures))
-	return p
-}
-
-// Name implements core.Parser.
-func (p *FlakyParser) Name() string { return "Flaky" + p.Inner.Name() }
-
-// Parse implements core.Parser.
-func (p *FlakyParser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
-	return p.ParseCtx(context.Background(), msgs)
-}
-
-// ParseCtx implements core.Parser.
-func (p *FlakyParser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.ParseResult, error) {
-	p.Calls.Add(1)
-	if p.remaining.Add(-1) >= 0 {
-		if p.Err != nil {
-			return nil, p.Err
-		}
-		return nil, &InjectedError{}
-	}
-	return p.Inner.ParseCtx(ctx, msgs)
-}
-
-// SlowParser sleeps for Delay (honouring ctx) before delegating to Inner —
-// a straggler that finishes when given time, exercising the
-// deadline-versus-degradation tradeoff.
-type SlowParser struct {
-	Inner core.Parser
-	Delay time.Duration
-}
-
-var _ core.Parser = SlowParser{}
-
-// Name implements core.Parser.
-func (p SlowParser) Name() string { return "Slow" + p.Inner.Name() }
-
-// Parse implements core.Parser.
-func (p SlowParser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
-	return p.ParseCtx(context.Background(), msgs)
-}
-
-// ParseCtx implements core.Parser.
-func (p SlowParser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.ParseResult, error) {
-	t := time.NewTimer(p.Delay)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-t.C:
-	}
-	return p.Inner.ParseCtx(ctx, msgs)
 }

@@ -37,12 +37,11 @@ func (e *TimeoutError) Error() string {
 
 func (e *TimeoutError) Unwrap() error { return context.DeadlineExceeded }
 
-// Attempt records one failed try of one tier: which tier, the retry number
-// within that tier (0 = first try), the error, and how long it ran.
+// Attempt records the failed try of one tier: which tier, the error, and
+// how long it ran.
 type Attempt struct {
 	Tier     int
 	TierName string
-	Try      int
 	Err      error
 	Elapsed  time.Duration
 }
@@ -58,7 +57,7 @@ func (e *ChainError) Error() string {
 	var sb strings.Builder
 	sb.WriteString("robust: all tiers failed")
 	for _, a := range e.Attempts {
-		fmt.Fprintf(&sb, "; %s try %d: %v", a.TierName, a.Try, a.Err)
+		fmt.Fprintf(&sb, "; %s: %v", a.TierName, a.Err)
 	}
 	return sb.String()
 }
@@ -70,15 +69,4 @@ func (e *ChainError) Unwrap() []error {
 		errs[i] = a.Err
 	}
 	return errs
-}
-
-// transienter is the marker interface a typed error implements to advertise
-// that retrying the same operation may succeed (e.g. a flaky log source).
-type transienter interface{ Transient() bool }
-
-// IsTransient reports whether err advertises itself as transient via a
-// Transient() bool method anywhere in its wrap chain.
-func IsTransient(err error) bool {
-	var t transienter
-	return errors.As(err, &t) && t.Transient()
 }

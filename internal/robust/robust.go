@@ -9,11 +9,9 @@
 //   - panics inside a tier are recovered into *PanicError;
 //   - each tier attempt runs under a per-parse deadline (Policy.Timeout)
 //     and surfaces as *TimeoutError when exceeded;
-//   - errors advertising Transient() bool are retried with exponential
-//     backoff plus jitter before the chain degrades;
-//   - on failure the next tier is tried (e.g. LogSig → IPLoM → SLCT →
-//     passthrough Matcher), and the served tier is recorded both per call
-//     (Attribution) and cumulatively (Stats).
+//   - on any failure the next tier is tried once (e.g. LogSig → IPLoM →
+//     SLCT), and the served tier is recorded both per call (Attribution)
+//     and cumulatively (Stats).
 //
 // Tiers that honour context cancellation (all four built-in parsers do)
 // stop promptly on deadline expiry; a tier that ignores its context is
@@ -34,44 +32,17 @@ import (
 	"logparse/internal/telemetry"
 )
 
-// Policy configures deadlines and the retry schedule of a robust Parser.
-// The zero value means no deadline and no retries.
+// Policy configures a robust Parser. The zero value means no deadline and
+// no telemetry.
 type Policy struct {
 	// Timeout bounds every tier attempt; 0 disables the deadline. The
 	// caller's context, when it expires earlier, always wins.
 	Timeout time.Duration
-	// MaxRetries is how many times one tier retries an error classified as
-	// transient (IsTransient) before the chain degrades to the next tier.
-	MaxRetries int
-	// BackoffBase is the delay before retry 1; retry n waits
-	// BackoffBase·2ⁿ⁻¹, capped at BackoffMax. Defaults to 20ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff delay. Defaults to 1s.
-	BackoffMax time.Duration
-	// JitterFrac perturbs each delay uniformly in ±JitterFrac·delay,
-	// decorrelating retry storms. Defaults to 0.2; negative disables.
-	JitterFrac float64
-	// Seed drives the jitter RNG (deterministic schedules in tests).
-	Seed int64
-	// Telemetry, when non-nil, records chain counters (attempts, retries,
-	// panics, timeouts, degradations, per-tier serves), per-attempt
-	// duration histograms, and a span tree per parse whose tier-attempt
-	// children nest the tier parser's own stage spans. Nil is free.
+	// Telemetry, when non-nil, records chain counters (attempts, panics,
+	// timeouts, degradations, per-tier serves), per-attempt duration
+	// histograms, and a span tree per parse whose tier-attempt children
+	// nest the tier parser's own stage spans. Nil is free.
 	Telemetry *telemetry.Handle
-}
-
-// withDefaults resolves zero values to the documented defaults.
-func (p Policy) withDefaults() Policy {
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 20 * time.Millisecond
-	}
-	if p.BackoffMax <= 0 {
-		p.BackoffMax = time.Second
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.2
-	}
-	return p
 }
 
 // Tier is one level of the degradation chain. Name defaults to the parser's
@@ -88,7 +59,6 @@ type Attribution struct {
 	Tier     int
 	TierName string
 	Degraded bool
-	Retries  int
 	Attempts []Attempt
 }
 
@@ -96,12 +66,10 @@ type Attribution struct {
 type Stats struct {
 	// ServedByTier counts successful parses per tier index.
 	ServedByTier []uint64
-	// Panics, Timeouts, Retries and Exhausted count recovered panics,
-	// tier deadline expiries, backoff retries, and parses where every
-	// tier failed.
+	// Panics, Timeouts and Exhausted count recovered panics, tier
+	// deadline expiries, and parses where every tier failed.
 	Panics    uint64
 	Timeouts  uint64
-	Retries   uint64
 	Exhausted uint64
 }
 
@@ -110,19 +78,16 @@ type Stats struct {
 type Parser struct {
 	tiers []Tier
 	pol   Policy
-	rng   *lockedRand
 
 	served    []atomic.Uint64
 	panics    atomic.Uint64
 	timeouts  atomic.Uint64
-	retries   atomic.Uint64
 	exhausted atomic.Uint64
 
 	// Pre-resolved telemetry instruments (all nil when telemetry is off,
 	// in which case every call below no-ops without allocating).
 	tel        *telemetry.Handle
 	mAttempts  *telemetry.Counter
-	mRetries   *telemetry.Counter
 	mPanics    *telemetry.Counter
 	mTimeouts  *telemetry.Counter
 	mDegraded  *telemetry.Counter
@@ -149,16 +114,13 @@ func New(pol Policy, tiers ...Tier) (*Parser, error) {
 		}
 		ts[i] = t
 	}
-	pol = pol.withDefaults()
 	p := &Parser{
 		tiers:  ts,
 		pol:    pol,
-		rng:    newLockedRand(pol.Seed),
 		served: make([]atomic.Uint64, len(ts)),
 	}
 	p.tel = pol.Telemetry
 	p.mAttempts = p.tel.Counter("robust.attempts")
-	p.mRetries = p.tel.Counter("robust.retries")
 	p.mPanics = p.tel.Counter("robust.panics")
 	p.mTimeouts = p.tel.Counter("robust.timeouts")
 	p.mDegraded = p.tel.Counter("robust.degraded")
@@ -209,7 +171,6 @@ func (p *Parser) Stats() Stats {
 	}
 	s.Panics = p.panics.Load()
 	s.Timeouts = p.timeouts.Load()
-	s.Retries = p.retries.Load()
 	s.Exhausted = p.exhausted.Load()
 	return s
 }
@@ -235,62 +196,49 @@ func (p *Parser) ParseAttributed(ctx context.Context, msgs []core.LogMessage) (*
 	}
 	sp := p.tel.SpanFrom(ctx, "robust.parse")
 	defer sp.End()
-	for ti := range p.tiers {
-		tier := p.tiers[ti]
-		for try := 0; ; try++ {
-			if err := ctx.Err(); err != nil {
-				return nil, att, err
+	for ti, tier := range p.tiers {
+		if err := ctx.Err(); err != nil {
+			return nil, att, err
+		}
+		p.mAttempts.Inc()
+		asp := sp.Child(p.spanNames[ti])
+		start := time.Now()
+		res, err := p.runTier(telemetry.ContextWith(ctx, asp), tier, msgs)
+		asp.End()
+		p.hAttempt.Observe(time.Since(start).Seconds())
+		if err == nil {
+			if verr := res.Validate(len(msgs)); verr != nil {
+				// A structurally invalid result is as unusable as an
+				// error; degrade instead of handing it to the caller.
+				err = fmt.Errorf("robust: tier %s returned invalid result: %w", tier.Name, verr)
 			}
-			p.mAttempts.Inc()
-			asp := sp.Child(p.spanNames[ti])
-			start := time.Now()
-			res, err := p.runTier(telemetry.ContextWith(ctx, asp), tier, msgs)
-			asp.End()
-			p.hAttempt.Observe(time.Since(start).Seconds())
-			if err == nil {
-				if verr := res.Validate(len(msgs)); verr != nil {
-					// A structurally invalid result is as unusable as an
-					// error; degrade instead of handing it to the caller.
-					err = fmt.Errorf("robust: tier %s returned invalid result: %w", tier.Name, verr)
-				}
+		}
+		if err == nil {
+			att.Tier, att.TierName, att.Degraded = ti, tier.Name, ti > 0
+			p.served[ti].Add(1)
+			p.mServed[ti].Inc()
+			if ti > 0 {
+				p.mDegraded.Inc()
 			}
-			if err == nil {
-				att.Tier, att.TierName, att.Degraded = ti, tier.Name, ti > 0
-				p.served[ti].Add(1)
-				p.mServed[ti].Inc()
-				if ti > 0 {
-					p.mDegraded.Inc()
-				}
-				return res, att, nil
-			}
-			att.Attempts = append(att.Attempts, Attempt{
-				Tier: ti, TierName: tier.Name, Try: try, Err: err, Elapsed: time.Since(start),
-			})
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				p.panics.Add(1)
-				p.mPanics.Inc()
-			}
-			var te *TimeoutError
-			if errors.As(err, &te) {
-				p.timeouts.Add(1)
-				p.mTimeouts.Inc()
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				// The caller's context ended: abort the whole chain rather
-				// than burning the remaining tiers on a dead request.
-				return nil, att, cerr
-			}
-			if try < p.pol.MaxRetries && IsTransient(err) {
-				if serr := sleepCtx(ctx, p.backoff(try)); serr != nil {
-					return nil, att, serr
-				}
-				p.retries.Add(1)
-				p.mRetries.Inc()
-				att.Retries++
-				continue
-			}
-			break // degrade to the next tier
+			return res, att, nil
+		}
+		att.Attempts = append(att.Attempts, Attempt{
+			Tier: ti, TierName: tier.Name, Err: err, Elapsed: time.Since(start),
+		})
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			p.panics.Add(1)
+			p.mPanics.Inc()
+		}
+		var te *TimeoutError
+		if errors.As(err, &te) {
+			p.timeouts.Add(1)
+			p.mTimeouts.Inc()
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			// The caller's context ended: abort the whole chain rather
+			// than burning the remaining tiers on a dead request.
+			return nil, att, cerr
 		}
 	}
 	p.exhausted.Add(1)
@@ -315,7 +263,7 @@ func (p *Parser) runTier(ctx context.Context, tier Tier, msgs []core.LogMessage)
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := SafeParseCtx(tctx, tier.Parser, msgs)
+		res, err := safeParseCtx(tctx, tier.Parser, msgs)
 		done <- outcome{res, err}
 	}()
 	select {
@@ -333,10 +281,9 @@ func (p *Parser) runTier(ctx context.Context, tier Tier, msgs []core.LogMessage)
 	}
 }
 
-// SafeParseCtx runs parser.ParseCtx in the calling goroutine, converting a
-// panic into a *PanicError. It is the panic-isolation primitive shared with
-// the parallel shard harness.
-func SafeParseCtx(ctx context.Context, parser core.Parser, msgs []core.LogMessage) (res *core.ParseResult, err error) {
+// safeParseCtx runs parser.ParseCtx in the calling goroutine, converting a
+// panic into a *PanicError.
+func safeParseCtx(ctx context.Context, parser core.Parser, msgs []core.LogMessage) (res *core.ParseResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
@@ -344,24 +291,4 @@ func SafeParseCtx(ctx context.Context, parser core.Parser, msgs []core.LogMessag
 		}
 	}()
 	return parser.ParseCtx(ctx, msgs)
-}
-
-// backoff computes the jittered delay before retry number try+1.
-func (p *Parser) backoff(try int) time.Duration {
-	return backoffDelay(p.pol, try, p.rng)
-}
-
-// sleepCtx sleeps for d unless ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"logparse/internal/core"
 	"logparse/internal/faultinject"
-	"logparse/internal/match"
 	"logparse/internal/parsers/iplom"
 	"logparse/internal/parsers/slct"
+	"logparse/internal/telemetry"
 )
 
 // testMessages builds a small two-event workload every real tier can parse.
@@ -29,6 +30,28 @@ func testMessages(n int) []core.LogMessage {
 		msgs[i] = core.LogMessage{LineNo: i + 1, Content: l, Tokens: core.Tokenize(l)}
 	}
 	return msgs
+}
+
+// countParser counts its calls; it fails each with err, or delegates to
+// inner when err is nil.
+type countParser struct {
+	inner core.Parser
+	err   error
+	calls atomic.Int64
+}
+
+func (p *countParser) Name() string { return "count" }
+
+func (p *countParser) Parse(msgs []core.LogMessage) (*core.ParseResult, error) {
+	return p.ParseCtx(context.Background(), msgs)
+}
+
+func (p *countParser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.ParseResult, error) {
+	p.calls.Add(1)
+	if p.err != nil {
+		return nil, p.err
+	}
+	return p.inner.ParseCtx(ctx, msgs)
 }
 
 func TestDegradationChain(t *testing.T) {
@@ -80,7 +103,7 @@ func TestDegradationChain(t *testing.T) {
 		{
 			name: "erroring primary degrades",
 			primary: func(t *testing.T) core.Parser {
-				return faultinject.NewFlakyParser(iplom.New(iplom.Options{}), 1000, errors.New("permanent"))
+				return &countParser{err: errors.New("permanent")}
 			},
 			pol:      Policy{},
 			wantTier: 1,
@@ -155,65 +178,13 @@ func TestTierAttributionNames(t *testing.T) {
 	}
 }
 
-func TestMatcherPassthroughTier(t *testing.T) {
-	msgs := testMessages(50)
-	m, err := match.New([]core.Template{
-		{ID: "E1", Tokens: []string{"opening", "file", core.Wildcard, "now"}},
-		{ID: "E2", Tokens: []string{"closing", "file", core.Wildcard, "now"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Policy{Timeout: 20 * time.Millisecond},
-		Tier{Parser: faultinject.PanicParser{}},
-		MatcherTier(m),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, att, err := p.ParseAttributed(context.Background(), msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if att.TierName != "Matcher" {
-		t.Errorf("served by %q, want Matcher", att.TierName)
-	}
-	for i, a := range res.Assignment {
-		if a == core.OutlierID {
-			t.Fatalf("message %d unmatched by passthrough matcher", i)
-		}
-	}
-}
-
-func TestRetryTransientThenSucceed(t *testing.T) {
+// TestFailingTierTriedOnceThenDegrades: a tier that fails is not tried
+// again; the chain moves straight on to the next tier.
+func TestFailingTierTriedOnceThenDegrades(t *testing.T) {
 	msgs := testMessages(100)
-	flaky := faultinject.NewFlakyParser(iplom.New(iplom.Options{}), 2, nil)
-	p, err := Wrap(Policy{MaxRetries: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}, flaky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, att, err := p.ParseAttributed(context.Background(), msgs)
-	if err != nil {
-		t.Fatalf("retries did not recover the transient failure: %v", err)
-	}
-	if att.Tier != 0 {
-		t.Errorf("served by tier %d, want 0 (retried, not degraded)", att.Tier)
-	}
-	if att.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", att.Retries)
-	}
-	if got := flaky.Calls.Load(); got != 3 {
-		t.Errorf("primary called %d times, want 3", got)
-	}
-	if s := p.Stats(); s.Retries != 2 || s.ServedByTier[0] != 1 {
-		t.Errorf("stats = %+v, want 2 retries and 1 served on tier 0", s)
-	}
-}
-
-func TestNonTransientErrorNotRetried(t *testing.T) {
-	msgs := testMessages(100)
-	flaky := faultinject.NewFlakyParser(iplom.New(iplom.Options{}), 1000, errors.New("permanent failure"))
-	p, err := Wrap(Policy{MaxRetries: 5, BackoffBase: time.Millisecond}, flaky, iplom.New(iplom.Options{}))
+	tel := telemetry.New()
+	failing := &countParser{err: errors.New("permanent failure")}
+	p, err := Wrap(Policy{Telemetry: tel}, failing, iplom.New(iplom.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +192,17 @@ func TestNonTransientErrorNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := flaky.Calls.Load(); got != 1 {
-		t.Errorf("non-transient error retried: %d calls, want 1", got)
+	if got := failing.calls.Load(); got != 1 {
+		t.Errorf("failing tier called %d times, want 1", got)
+	}
+	if len(att.Attempts) != 1 {
+		t.Errorf("%d failed attempts recorded, want 1", len(att.Attempts))
 	}
 	if att.Tier != 1 {
 		t.Errorf("served by tier %d, want 1", att.Tier)
+	}
+	if got := tel.Snapshot().Counters["robust.attempts"]; got != 2 {
+		t.Errorf("robust.attempts = %d, want 2 (failing tier once, then the fallback)", got)
 	}
 }
 
@@ -271,7 +248,7 @@ func TestAllTiersFailReturnsChainError(t *testing.T) {
 
 func TestCallerCancellationAbortsChain(t *testing.T) {
 	msgs := testMessages(20)
-	fallback := faultinject.NewFlakyParser(iplom.New(iplom.Options{}), 0, nil)
+	fallback := &countParser{inner: iplom.New(iplom.Options{})}
 	p, err := Wrap(Policy{}, faultinject.NewHangParser(true), fallback)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +262,7 @@ func TestCallerCancellationAbortsChain(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := fallback.Calls.Load(); got != 0 {
+	if got := fallback.calls.Load(); got != 0 {
 		t.Errorf("cancelled request still burned the fallback tier (%d calls)", got)
 	}
 }
@@ -308,8 +285,7 @@ func TestNewRejectsEmptyChain(t *testing.T) {
 
 func TestConcurrentParses(t *testing.T) {
 	msgs := testMessages(200)
-	p, err := Wrap(Policy{Timeout: 30 * time.Second, MaxRetries: 2, BackoffBase: time.Millisecond},
-		faultinject.PanicParser{}, iplom.New(iplom.Options{}))
+	p, err := Wrap(Policy{Timeout: 30 * time.Second}, faultinject.PanicParser{}, iplom.New(iplom.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,40 +303,5 @@ func TestConcurrentParses(t *testing.T) {
 	s := p.Stats()
 	if s.ServedByTier[1] != 8 || s.Panics != 8 {
 		t.Errorf("stats = %+v, want 8 served on tier 1 and 8 panics", s)
-	}
-}
-
-func TestRetryHelper(t *testing.T) {
-	calls := 0
-	err := Retry(context.Background(), Policy{MaxRetries: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
-		func(context.Context) error {
-			calls++
-			if calls < 3 {
-				return &faultinject.InjectedError{}
-			}
-			return nil
-		})
-	if err != nil || calls != 3 {
-		t.Errorf("Retry: err=%v calls=%d, want nil after 3 calls", err, calls)
-	}
-
-	calls = 0
-	permanent := errors.New("permanent")
-	err = Retry(context.Background(), Policy{MaxRetries: 3, BackoffBase: time.Millisecond},
-		func(context.Context) error { calls++; return permanent })
-	if !errors.Is(err, permanent) || calls != 1 {
-		t.Errorf("Retry on permanent error: err=%v calls=%d, want permanent after 1 call", err, calls)
-	}
-}
-
-func TestIsTransient(t *testing.T) {
-	if !IsTransient(&faultinject.InjectedError{}) {
-		t.Error("InjectedError not transient")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", &faultinject.InjectedError{})) {
-		t.Error("wrapped InjectedError not transient")
-	}
-	if IsTransient(errors.New("plain")) {
-		t.Error("plain error transient")
 	}
 }

@@ -2,7 +2,6 @@ package robust
 
 import (
 	"testing"
-	"time"
 
 	"logparse/internal/faultinject"
 	"logparse/internal/parsers/iplom"
@@ -39,7 +38,6 @@ func TestChainTelemetryCounters(t *testing.T) {
 		{"robust.attempts", 2 * parses}, // panic attempt + fallback per parse
 		{"robust.panics", s.Panics},
 		{"robust.timeouts", s.Timeouts},
-		{"robust.retries", s.Retries},
 		{"robust.exhausted", s.Exhausted},
 		{"robust.degraded", parses},
 		{"robust.served.primary", s.ServedByTier[0]},
@@ -85,38 +83,5 @@ func TestChainTelemetryCounters(t *testing.T) {
 		if tree.Name != "robust.parse" {
 			t.Errorf("unexpected root span %q", tree.Name)
 		}
-	}
-}
-
-// TestChainTelemetryRetries checks the retry counter against a transiently
-// failing tier.
-func TestChainTelemetryRetries(t *testing.T) {
-	tel := telemetry.New()
-	tier := &flakyTier{failures: 2}
-	p, err := New(Policy{
-		MaxRetries:  3,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  10 * time.Microsecond,
-		Telemetry:   tel,
-	}, Tier{Parser: tier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := testMessages(10)
-	if _, err := p.Parse(msgs); err != nil {
-		t.Fatal(err)
-	}
-	snap := tel.Snapshot()
-	if got := snap.Counters["robust.retries"]; got != 2 {
-		t.Errorf("robust.retries = %d, want 2", got)
-	}
-	if got := snap.Counters["robust.attempts"]; got != 3 {
-		t.Errorf("robust.attempts = %d, want 3 (initial + 2 retries)", got)
-	}
-	if got := snap.Counters["robust.degraded"]; got != 0 {
-		t.Errorf("robust.degraded = %d, want 0 (same tier retried)", got)
-	}
-	if got := snap.Counters["robust.served.flaky"]; got != 1 {
-		t.Errorf("robust.served.flaky = %d, want 1", got)
 	}
 }

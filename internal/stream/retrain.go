@@ -19,9 +19,9 @@ type Retrainer interface {
 // ChainRetrainer runs a robust degradation chain over the batch: an
 // optional primary mining parser (IPLoM, LogSig, …) degrading to the
 // SLCT-stream tier — the cheapest, most predictable miner in the toolkit.
-// Panics, deadlines and transient failures inside the tiers are absorbed
-// by the robust layer; only a fully exhausted chain surfaces as a retrain
-// failure (and from there, into the engine's circuit breaker).
+// Panics, deadlines and errors inside the tiers are absorbed by the robust
+// layer; only a fully exhausted chain surfaces as a retrain failure (and
+// from there, into the engine's circuit breaker).
 type ChainRetrainer struct {
 	chain *robust.Parser
 }

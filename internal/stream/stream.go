@@ -35,9 +35,10 @@
 //     degrades the service to known-template matching instead of taking
 //     it down.
 //
-// cmd/logstreamd wires the engine to generated datasets replayed through
-// internal/faultinject; internal/conform registers the resumed-after-kill
-// path under the same canonical-digest equivalence as the batch path.
+// cmd/logstreamd wires the engine to a log file, a generated dataset or the
+// multi-tenant server (internal/server); internal/conform registers the
+// resumed-after-kill path under the same canonical-digest equivalence as the
+// batch path.
 package stream
 
 import (

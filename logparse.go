@@ -41,7 +41,7 @@
 // would otherwise run for hours. Parse(msgs) is shorthand for ParseCtx
 // with context.Background(). For unattended production use, wrap parsers
 // in a RobustParser (see NewRobustParser): panic isolation, per-tier
-// deadlines, transient-failure retries, and a degradation chain.
+// deadlines, and a degradation chain.
 package logparse
 
 import (

@@ -163,73 +163,6 @@ func TestAnomalyFacade(t *testing.T) {
 	}
 }
 
-func TestParallelParserFacade(t *testing.T) {
-	cat, err := Dataset("HDFS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := cat.Generate(9, 3000)
-	p, err := NewParallelParser("IPLoM", 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Parse(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := EvaluateResult(msgs, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc.F < 0.85 {
-		t.Errorf("parallel IPLoM F=%.2f", acc.F)
-	}
-	if _, err := NewParallelParser("bogus", 2, Options{}); err == nil {
-		t.Error("invalid algorithm accepted by parallel wrapper")
-	}
-}
-
-func TestDeployAndModelFacade(t *testing.T) {
-	base, err := GenerateHDFSSessions(HDFSSessionOptions{Seed: 1, Sessions: 200, AnomalyRate: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := GenerateHDFSSessions(HDFSSessionOptions{Seed: 2, Sessions: 200, AnomalyRate: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parser, err := NewParser("IPLoM", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := VerifyDeployment(base.Messages, dep.Messages, parser)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DeployedSessions != 200 {
-		t.Errorf("deployed sessions = %d", res.DeployedSessions)
-	}
-	parsed, err := parser.Parse(base.Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := EventTraces(base.Messages, parsed)
-	model, err := BuildModel(traces, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.NumStates == 0 {
-		t.Error("empty model")
-	}
-	ivs, err := MineInvariants(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ivs) == 0 {
-		t.Error("no invariants")
-	}
-}
-
 func TestSummarizeDatasetFacade(t *testing.T) {
 	s, err := SummarizeDataset("BGL")
 	if err != nil {

@@ -1,30 +1,21 @@
 package logparse
 
-import (
-	"context"
-	"io"
-
-	"logparse/internal/robust"
-)
+import "logparse/internal/robust"
 
 // Fault-tolerant parsing (the production execution layer). Parser cost is
 // wildly uneven across algorithms (RQ2: LKE is Θ(n²), LogSig's local search
 // can run orders of magnitude longer than SLCT/IPLoM on the same input), so
 // a service typing live traffic wraps every parse in a RobustParser: panics
-// become typed errors, each tier attempt runs under a deadline, transient
-// source failures are retried with exponential backoff plus jitter, and on
-// timeout or crash the parse degrades down a fallback chain — e.g.
-// LogSig → IPLoM → SLCT → passthrough Matcher — recording which tier served
-// the request.
+// become typed errors, each tier attempt runs under a deadline, and on
+// timeout, crash or error the parse degrades down a fallback chain — e.g.
+// LogSig → IPLoM → SLCT — recording which tier served the request.
 
 type (
 	// RobustParser is a fault-tolerant Parser: a degradation chain of
 	// tiers executed under a RobustPolicy. Safe for concurrent use.
 	RobustParser = robust.Parser
-	// RobustPolicy configures per-tier deadlines and the retry schedule.
+	// RobustPolicy configures the per-tier deadline and telemetry.
 	RobustPolicy = robust.Policy
-	// RobustTier is one level of a degradation chain.
-	RobustTier = robust.Tier
 	// ParseAttribution reports which tier served a parse and every failed
 	// attempt along the way.
 	ParseAttribution = robust.Attribution
@@ -46,45 +37,15 @@ type (
 //
 //	p, _ := logparse.NewRobustParser([]string{"LogSig", "IPLoM", "SLCT"},
 //		logparse.Options{NumGroups: 40},
-//		logparse.RobustPolicy{Timeout: 2 * time.Second, MaxRetries: 2})
+//		logparse.RobustPolicy{Timeout: 2 * time.Second})
 func NewRobustParser(algorithms []string, opts Options, pol RobustPolicy) (*RobustParser, error) {
-	tiers := make([]RobustTier, 0, len(algorithms))
+	tiers := make([]robust.Tier, 0, len(algorithms))
 	for _, a := range algorithms {
 		p, err := NewParser(a, opts)
 		if err != nil {
 			return nil, err
 		}
-		tiers = append(tiers, RobustTier{Parser: p})
+		tiers = append(tiers, robust.Tier{Parser: p})
 	}
 	return robust.New(pol, tiers...)
-}
-
-// NewRobustChain builds a fault-tolerant parser over explicit tiers, for
-// chains mixing algorithm configurations or ending in MatcherTier.
-func NewRobustChain(pol RobustPolicy, tiers ...RobustTier) (*RobustParser, error) {
-	return robust.New(pol, tiers...)
-}
-
-// MatcherTier wraps a template matcher as a passthrough fallback tier: it
-// types every message against the already-known template set in O(line
-// length) and never fails (unmatched messages become outliers) — the tier
-// of last resort when every mining parser times out or crashes.
-func MatcherTier(m *Matcher) RobustTier { return robust.MatcherTier(m) }
-
-// IsTransient reports whether err advertises itself as retryable via a
-// Transient() bool method anywhere in its wrap chain.
-func IsTransient(err error) bool { return robust.IsTransient(err) }
-
-// RetryTransient runs op under pol's retry schedule until it succeeds,
-// fails non-transiently, exhausts the retries, or ctx ends — the generic
-// building block for flaky log sources.
-func RetryTransient(ctx context.Context, pol RobustPolicy, op func(context.Context) error) error {
-	return robust.Retry(ctx, pol, op)
-}
-
-// ReadMessagesRetry reads log messages from a re-openable source, retrying
-// transient failures under pol; each retry re-opens the source from the
-// start.
-func ReadMessagesRetry(ctx context.Context, pol RobustPolicy, open func() (io.ReadCloser, error), opts ReadOptions) ([]Message, ReadStats, error) {
-	return robust.ReadMessagesRetry(ctx, pol, open, opts)
 }

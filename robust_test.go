@@ -2,15 +2,12 @@ package logparse_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"logparse"
-	"logparse/internal/faultinject"
 )
 
 func robustWorkload(n int) []logparse.Message {
@@ -54,77 +51,5 @@ func TestNewRobustParserUnknownAlgorithm(t *testing.T) {
 		logparse.Options{}, logparse.RobustPolicy{})
 	if err == nil || !strings.Contains(err.Error(), "NoSuch") {
 		t.Fatalf("err = %v, want unknown-algorithm error naming NoSuch", err)
-	}
-}
-
-func TestNewRobustChainWithMatcherTier(t *testing.T) {
-	m, err := logparse.NewMatcher(&logparse.Result{Templates: []logparse.Template{
-		{ID: "E1", Tokens: []string{"opening", "file", logparse.Wildcard, "now"}},
-		{ID: "E2", Tokens: []string{"closing", "file", logparse.Wildcard, "now"}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := logparse.NewRobustChain(logparse.RobustPolicy{Timeout: 50 * time.Millisecond},
-		logparse.RobustTier{Name: "hang", Parser: faultinject.NewHangParser(true)},
-		logparse.MatcherTier(m),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := robustWorkload(40)
-	_, att, err := p.ParseAttributed(context.Background(), msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if att.TierName != "Matcher" || !att.Degraded {
-		t.Errorf("served by %q (degraded=%v), want Matcher via degradation", att.TierName, att.Degraded)
-	}
-	var te *logparse.ParseTimeoutError
-	if len(att.Attempts) == 0 || !errors.As(att.Attempts[0].Err, &te) {
-		t.Errorf("first attempt error = %+v, want *ParseTimeoutError", att.Attempts)
-	}
-}
-
-func TestRetryTransientFacade(t *testing.T) {
-	calls := 0
-	err := logparse.RetryTransient(context.Background(),
-		logparse.RobustPolicy{MaxRetries: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
-		func(context.Context) error {
-			if calls++; calls < 3 {
-				return &faultinject.InjectedError{}
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("retry did not recover: %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("op called %d times, want 3", calls)
-	}
-}
-
-func TestReadMessagesRetryFacade(t *testing.T) {
-	const data = "alpha beta\ngamma delta\n"
-	opens := 0
-	open := func() (io.ReadCloser, error) {
-		opens++
-		if opens == 1 {
-			return io.NopCloser(faultinject.NewReader(strings.NewReader(data),
-				faultinject.Faults{ErrAfterBytes: 5})), nil
-		}
-		return io.NopCloser(strings.NewReader(data)), nil
-	}
-	msgs, _, err := logparse.ReadMessagesRetry(context.Background(),
-		logparse.RobustPolicy{MaxRetries: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond},
-		open, logparse.ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opens != 2 {
-		t.Errorf("source opened %d times, want 2", opens)
-	}
-	if len(msgs) != 2 {
-		t.Errorf("read %d messages, want 2", len(msgs))
 	}
 }

@@ -88,37 +88,16 @@ rm -f "$prof" "$prof.out"
 echo "==> golden-digest check (cmd/conformgen -check)"
 go run ./cmd/conformgen -check >/dev/null
 
-# Short fuzz smoke over every native fuzz target: replays the committed
-# corpora plus 5 seconds of fresh coverage-guided inputs each. A failure
-# writes the crasher to the package's testdata/fuzz/<target>/.
-for target in FuzzTokenize FuzzTokenizeBytesEquivalence FuzzReadMessages FuzzHeaderDetect \
-	FuzzParseSmallSLCT FuzzParseSmallIPLoM FuzzParseSmallLKE FuzzParseSmallLogSig \
-	FuzzDrainInsert; do
-	echo "==> go test -fuzz=$target -fuzztime=5s ./internal/conform"
-	go test ./internal/conform -run '^$' -fuzz "^${target}\$" -fuzztime=5s >/dev/null
-done
-for target in FuzzSpellLCS FuzzSpellLearnEquivalence; do
-	echo "==> go test -fuzz=$target -fuzztime=5s ./internal/parsers/spell"
-	go test ./internal/parsers/spell -run '^$' -fuzz "^${target}\$" -fuzztime=5s >/dev/null
-done
-echo "==> go test -fuzz=FuzzDrainLearnEquivalence -fuzztime=5s ./internal/parsers/drain"
-go test ./internal/parsers/drain -run '^$' -fuzz '^FuzzDrainLearnEquivalence$' -fuzztime=5s >/dev/null
-echo "==> go test -fuzz=FuzzMatchRemove -fuzztime=5s ./internal/match"
-go test ./internal/match -run '^$' -fuzz '^FuzzMatchRemove$' -fuzztime=5s >/dev/null
-echo "==> go test -fuzz=FuzzWALDecode -fuzztime=5s ./internal/stream/wal"
-go test ./internal/stream/wal -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime=5s >/dev/null
-echo "==> go test -fuzz=FuzzCheckpointDelta -fuzztime=5s ./internal/stream"
-go test ./internal/stream -run '^$' -fuzz '^FuzzCheckpointDelta$' -fuzztime=5s >/dev/null
+# Short fuzz smoke over every native fuzz target the module declares:
+# replays the committed corpora plus 5 seconds of fresh coverage-guided
+# inputs each. A failure writes the crasher to the package's
+# testdata/fuzz/<target>/.
+echo "==> fuzz smoke (scripts/fuzz_smoke.sh)"
+sh scripts/fuzz_smoke.sh
 echo "==> go test -run TestCheckpointChainModel ./internal/stream (seeded op-sequence model)"
 go test ./internal/stream -count=1 -run '^TestCheckpointChainModel$' >/dev/null
-echo "==> go test -fuzz=FuzzBlockDecode -fuzztime=5s ./internal/eventstore"
-go test ./internal/eventstore -run '^$' -fuzz '^FuzzBlockDecode$' -fuzztime=5s >/dev/null
-echo "==> go test -fuzz=FuzzBlockRoundtrip -fuzztime=5s ./internal/eventstore"
-go test ./internal/eventstore -run '^$' -fuzz '^FuzzBlockRoundtrip$' -fuzztime=5s >/dev/null
 echo "==> go test -bench EventStoreList -benchtime 1x ./internal/eventstore (service-shaped corpus smoke)"
 go test ./internal/eventstore -run '^$' -bench EventStoreList -benchtime 1x >/dev/null
-echo "==> go test -fuzz=FuzzSeglogOpen -fuzztime=5s ./internal/seglog"
-go test ./internal/seglog -run '^$' -fuzz '^FuzzSeglogOpen$' -fuzztime=5s >/dev/null
 
 echo "==> non-test Go line counts against the committed baseline (scripts/loc.sh -check)"
 sh scripts/loc.sh -check
