@@ -147,7 +147,7 @@ func run() (int, error) {
 		listenAddrFile = flag.String("listen-addr-file", "", "write the bound listen address to this file (useful with -listen :0)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown deadline: drain rings + checkpoint every tenant (needs -listen)")
 
-		debugAddr     = flag.String("debug-addr", "", "serve /debug/vars (stream.* metrics) and /debug/pprof on this address (e.g. :6060; empty = off)")
+		debugAddr     = flag.String("debug-addr", "", "serve /debug/vars (the engine's stats and metrics) and /debug/pprof on this address (e.g. :6060; empty = off)")
 		debugAddrFile = flag.String("debug-addr-file", "", "write the bound debug address to this file (useful with -debug-addr :0)")
 		linger        = flag.Bool("linger", false, "after the source drains, keep the debug server running until SIGINT")
 	)
@@ -255,6 +255,12 @@ func run() (int, error) {
 	eng, err := stream.New(cfg)
 	if err != nil {
 		return 1, err
+	}
+	if tel != nil {
+		// The engine's own account, cumulative across resumes — the numbers
+		// the stats lines print on exit. (Listen mode serves them per tenant
+		// on /v1/tenants/{id}/stats.)
+		expvar.Publish("stream", expvar.Func(func() any { return eng.Stats() }))
 	}
 	if st := eng.Stats(); st.RecoveredFrom != "" {
 		fmt.Fprintf(os.Stderr, "logstreamd: restored %s checkpoint base + %d deltas (generation %d, offset %d)\n",

@@ -82,26 +82,16 @@ const defaultBlockBytes = 64 << 10
 var ErrClosed = seglog.ErrClosed
 
 type storeTelemetry struct {
-	appends       *telemetry.Counter
 	blocksWritten *telemetry.Counter
 	bytesRaw      *telemetry.Counter
 	bytesComp     *telemetry.Counter
-	tornTails     *telemetry.Counter
-	corrupt       *telemetry.Counter
-	alignDropped  *telemetry.Counter
-	segments      *telemetry.Gauge
 }
 
 func newStoreTelemetry(h *telemetry.Handle) storeTelemetry {
 	return storeTelemetry{
-		appends:       h.Counter("eventstore.appends"),
 		blocksWritten: h.Counter("eventstore.blocks.written"),
 		bytesRaw:      h.Counter("eventstore.bytes.raw"),
 		bytesComp:     h.Counter("eventstore.bytes.compressed"),
-		tornTails:     h.Counter("eventstore.torn_tails"),
-		corrupt:       h.Counter("eventstore.corrupt_dropped"),
-		alignDropped:  h.Counter("eventstore.align.blocks_dropped"),
-		segments:      h.Gauge("eventstore.segments"),
 	}
 }
 
@@ -170,9 +160,6 @@ func Open(opts Options) (*Store, OpenInfo, error) {
 		return nil, info, err
 	}
 	s.log, s.lastSeq, s.events = log, info.LastSeq, info.Events
-	s.tm.tornTails.Add(uint64(li.TornTails))
-	s.tm.corrupt.Add(uint64(li.CorruptDropped))
-	s.tm.segments.Set(int64(li.Segments))
 	return s, info, nil
 }
 
@@ -197,7 +184,6 @@ func (s *Store) Append(ev Event) error {
 		return s.log.Fail(err)
 	}
 	s.bb.add(ev)
-	s.tm.appends.Inc()
 	if s.bb.rawLen() >= s.opts.BlockBytes {
 		return s.sealLocked()
 	}
@@ -222,7 +208,6 @@ func (s *Store) sealLocked() error {
 	}
 	if created {
 		s.blocks = append(s.blocks, nil)
-		s.tm.segments.Set(int64(len(s.blocks)))
 	}
 	meta.off = s.log.Size()
 	if _, err := s.log.Write(out); err != nil {
@@ -324,7 +309,6 @@ func (s *Store) AlignTo(seq int64) (AlignInfo, error) {
 		if cut == len(blocks) {
 			break
 		}
-		s.tm.alignDropped.Add(uint64(len(blocks) - cut))
 		var end, last int64 // cut == 0 removes the file whole
 		if cut > 0 {
 			end, last = blocks[cut-1].off+blocks[cut-1].size, blocks[cut-1].maxSeq
@@ -347,7 +331,6 @@ func (s *Store) AlignTo(seq int64) (AlignInfo, error) {
 		}
 		s.lastSeq = blocks[len(blocks)-1].maxSeq
 	}
-	s.tm.segments.Set(int64(len(s.blocks)))
 	return info, nil
 }
 

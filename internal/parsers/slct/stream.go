@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -134,13 +135,25 @@ func (p *Parser) ParseStream(open func() (io.ReadCloser, error), opts StreamOpti
 		return nil, fmt.Errorf("slct: pass 2a: %w", err)
 	}
 
-	// Select clusters and build templates from the pair profiles.
-	res := &StreamResult{Lines: lines}
-	clusterOf := make(map[string]int32)
+	// Select clusters with enough support, in ParseCtx's deterministic
+	// order, and build templates from the pair profiles.
+	var selected []string
 	for key, c := range candidates {
-		if c.support < support {
-			continue
+		if c.support >= support {
+			selected = append(selected, key)
 		}
+	}
+	sort.Slice(selected, func(a, b int) bool {
+		ca, cb := candidates[selected[a]], candidates[selected[b]]
+		if ca.support != cb.support {
+			return ca.support > cb.support
+		}
+		return selected[a] < selected[b]
+	})
+	res := &StreamResult{Lines: lines}
+	clusterOf := make(map[string]int32, len(selected))
+	for _, key := range selected {
+		c := candidates[key]
 		tmpl := make([]string, c.repLen)
 		for i := range tmpl {
 			tmpl[i] = core.Wildcard

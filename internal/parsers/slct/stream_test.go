@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"logparse/internal/core"
@@ -57,6 +58,40 @@ func TestParseStreamMatchesInMemory(t *testing.T) {
 			}
 		} else {
 			streamOf[s] = m
+		}
+	}
+}
+
+// TestParseStreamDeterministic: the selected clusters come out in ParseCtx's
+// order — support descending, then pair key — so repeated parses hand out
+// the same template IDs, and a line's cluster index is the in-memory one.
+func TestParseStreamDeterministic(t *testing.T) {
+	msgs := gen.HDFS().Generate(33, 5000)
+	p := New(Options{Support: 10})
+	opts := StreamOptions{Options: Options{Support: 10}}
+	first, err := p.ParseStream(memSource(t, msgs), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Templates) < 5 {
+		t.Fatalf("degenerate parse: %d templates", len(first.Templates))
+	}
+	for run := 0; run < 5; run++ {
+		again, err := p.ParseStream(memSource(t, msgs), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Templates, first.Templates) || !reflect.DeepEqual(again.Assignment, first.Assignment) {
+			t.Fatalf("run %d handed out different templates or IDs:\n%v\n%v", run, again.Templates, first.Templates)
+		}
+	}
+	inMem, err := p.Parse(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range first.Assignment {
+		if int(a) != inMem.Assignment[i] {
+			t.Fatalf("line %d: stream cluster %d, in-memory cluster %d", i, a, inMem.Assignment[i])
 		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"logparse/internal/core"
 	"logparse/internal/faultinject"
 	"logparse/internal/stream"
 )
@@ -125,7 +125,14 @@ func TestIngestAllocationIndependentOfBodySize(t *testing.T) {
 	cfg.RequestTimeout = -1 // no TimeoutHandler goroutine and buffer in the count
 	cfg.Stream.RingCapacity = 1024
 	cfg.Stream.CheckpointEvery = -1
-	cfg.Stream.InitialTemplates = []core.Template{{ID: "T1", Tokens: []string{"connection", "from", "*", "port", "*"}}}
+	// Tenant t starts out knowing the one template every line matches.
+	store, err := stream.NewStore(filepath.Join(cfg.CheckpointRoot, "tenants", "t"))
+	if err == nil {
+		err = store.Save(&stream.State{Templates: []stream.SavedTemplate{{ID: "T1", Tokens: []string{"connection", "from", "*", "port", "*"}}}})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

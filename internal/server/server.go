@@ -70,7 +70,7 @@ type Config struct {
 	// Stream is the engine template applied to every tenant. Open,
 	// CheckpointDir, WALDir and Now are overwritten per tenant; everything
 	// else (ring capacity, checkpoint cadence, retrain batch, policy,
-	// breaker, WAL sync policy and segment size) is copied. The zero value
+	// WAL sync policy and segment size) is copied. The zero value
 	// means the stream package defaults.
 	Stream stream.Config
 	// WAL enables a per-tenant write-ahead log under
@@ -117,9 +117,9 @@ type Config struct {
 	// included (default 1024).
 	MaxTenants int
 	// Telemetry, when non-nil, publishes fleet-level server.* metrics.
-	// Engines run without per-tenant telemetry (gauges from hundreds of
-	// tenants would fight over one registry); use ConfigureEngine to
-	// instrument a specific tenant.
+	// Engines run without per-tenant telemetry (hundreds of tenants'
+	// instruments would sum in one registry; TenantStats is the per-tenant
+	// account); use ConfigureEngine to instrument a specific tenant.
 	Telemetry *telemetry.Handle
 	// Now is the server clock (quota refill, engine clocks). Defaults to
 	// time.Now; tests inject a fake.
@@ -190,10 +190,9 @@ type Server struct {
 	draining bool
 	tenants  map[string]*tenant
 
-	accepted      atomic.Int64
-	skipped       atomic.Int64
-	shed          atomic.Int64
-	quotaRejected atomic.Int64
+	accepted atomic.Int64
+	skipped  atomic.Int64
+	shed     atomic.Int64
 }
 
 // New builds a server. Tenants materialize lazily on first ingest (or on a
@@ -261,17 +260,12 @@ func (s *Server) IngestBatch(ctx context.Context, tenantID string, lines [][]byt
 		t.mu.Lock()
 		t.quotaRejected += int64(n)
 		t.mu.Unlock()
-		s.quotaRejected.Add(int64(n))
-		s.tm.quotaRejected.Add(uint64(n))
 		return stream.PushResult{}, &QuotaError{RetryAfter: retry, Rejected: n, Permanent: permanent}
 	}
 	res, err := t.pushBatch(ctx, lines)
 	s.accepted.Add(int64(res.Accepted))
 	s.skipped.Add(int64(res.Skipped))
 	s.shed.Add(int64(res.Shed))
-	s.tm.accepted.Add(uint64(res.Accepted))
-	s.tm.skipped.Add(uint64(res.Skipped))
-	s.tm.shed.Add(uint64(res.Shed))
 	return res, err
 }
 
@@ -410,7 +404,6 @@ func (s *Server) build(t *tenant) {
 	}
 	t.engCfg = cfg
 	t.quota = newBucket(s.cfg.QuotaRate, s.cfg.QuotaBurst, s.now)
-	s.tm.tenants.Add(1)
 	go t.supervise(s.ctx)
 	// Handshake: don't hand the tenant out until its serve loop admits
 	// pushes, or the first ingest would race the loop's startup. A killed
@@ -450,15 +443,15 @@ func (s *Server) snapshot(drain bool) ([]*tenant, bool) {
 func (s *Server) Stats() Stats {
 	tenants, draining := s.snapshot(false)
 	st := Stats{
-		Tenants:       len(tenants),
-		Draining:      draining,
-		Accepted:      s.accepted.Load(),
-		Skipped:       s.skipped.Load(),
-		Shed:          s.shed.Load(),
-		QuotaRejected: s.quotaRejected.Load(),
+		Tenants:  len(tenants),
+		Draining: draining,
+		Accepted: s.accepted.Load(),
+		Skipped:  s.skipped.Load(),
+		Shed:     s.shed.Load(),
 	}
 	for _, t := range tenants {
 		t.mu.Lock()
+		st.QuotaRejected += t.quotaRejected
 		st.Panics += t.panics
 		st.Restarts += t.restarts
 		st.WALFailures += t.walFailures

@@ -5,34 +5,18 @@ import "logparse/internal/telemetry"
 // serverTelemetry holds the fleet-level instruments, pre-resolved so the
 // ingest path never does a registry lookup. Every field is nil when
 // Config.Telemetry is nil; instrument methods no-op on nil receivers, so
-// the disabled path costs nothing. Per-tenant engine telemetry is
-// deliberately not wired here — see Config.Telemetry.
+// the disabled path costs nothing. Line and restart counts are not here:
+// they are Stats and TenantStats fields, served by GET /v1/stats and
+// /v1/tenants/{id}/stats. Per-tenant engine telemetry is deliberately not
+// wired — see Config.Telemetry.
 type serverTelemetry struct {
 	requests      *telemetry.Counter // server.requests — ingest requests received
-	accepted      *telemetry.Counter // server.lines.accepted
-	skipped       *telemetry.Counter // server.lines.skipped — replay duplicates
-	shed          *telemetry.Counter // server.lines.shed — ring-full drops
-	quotaRejected *telemetry.Counter // server.lines.quota_rejected
-	panics        *telemetry.Counter // server.engine.panics — consumer panics absorbed
-	restarts      *telemetry.Counter // server.engine.restarts — engines rebuilt from checkpoints
-	walFailures   *telemetry.Counter // server.engine.wal_failures — restarts caused by WAL failures
-	storeFailures *telemetry.Counter // server.engine.eventstore_failures — restarts caused by event-store failures
 	corruptResets *telemetry.Counter // server.engine.corrupt_resets — tenants started empty over rotted state
-	tenants       *telemetry.Gauge   // server.tenants — live tenant count
 }
 
 func newServerTelemetry(h *telemetry.Handle) serverTelemetry {
 	return serverTelemetry{
 		requests:      h.Counter("server.requests"),
-		accepted:      h.Counter("server.lines.accepted"),
-		skipped:       h.Counter("server.lines.skipped"),
-		shed:          h.Counter("server.lines.shed"),
-		quotaRejected: h.Counter("server.lines.quota_rejected"),
-		panics:        h.Counter("server.engine.panics"),
-		restarts:      h.Counter("server.engine.restarts"),
-		walFailures:   h.Counter("server.engine.wal_failures"),
-		storeFailures: h.Counter("server.engine.eventstore_failures"),
 		corruptResets: h.Counter("server.engine.corrupt_resets"),
-		tenants:       h.Gauge("server.tenants"),
 	}
 }

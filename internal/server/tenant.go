@@ -108,7 +108,6 @@ func (t *tenant) supervise(ctx context.Context) {
 			// A panic unwound the consumer: everything in that
 			// incarnation's ring is gone (clients replay it), but the
 			// checkpoints survive.
-			t.srv.tm.panics.Inc()
 			t.mu.Lock()
 			t.panics++
 			t.mu.Unlock()
@@ -121,11 +120,10 @@ func (t *tenant) supervise(ctx context.Context) {
 			// after a store failure the engine refused to checkpoint over
 			// the gap, so the store is realigned to the restored
 			// checkpoint and replay re-emits exactly the dropped events.
-			ctr, failures := t.srv.tm.walFailures, &t.walFailures
+			failures := &t.walFailures
 			if durable.Layer == stream.LayerEventStore {
-				ctr, failures = t.srv.tm.storeFailures, &t.storeFailures
+				failures = &t.storeFailures
 			}
-			ctr.Inc()
 			t.mu.Lock()
 			*failures++
 			n := *failures
@@ -158,7 +156,6 @@ func (t *tenant) supervise(ctx context.Context) {
 			t.mu.Unlock()
 			return
 		}
-		t.srv.tm.restarts.Inc()
 		t.mu.Lock()
 		t.eng = next
 		t.restarts++
@@ -266,7 +263,8 @@ type TenantStats struct {
 }
 
 // Stats is the fleet snapshot. Tenants counts the tenant map, those still
-// recovering included; the four restart counters are summed over it.
+// recovering included; QuotaRejected and the four restart counters are
+// summed over it.
 type Stats struct {
 	Tenants            int   `json:"tenants"`
 	Draining           bool  `json:"draining"`

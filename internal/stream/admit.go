@@ -55,7 +55,6 @@ func (a *admitter) flush(policy AdmissionPolicy) (inserted, shed int, ok bool) {
 		a.e.mu.Lock()
 		a.e.ctrs.Shed += int64(shed)
 		a.e.mu.Unlock()
-		a.e.tm.shed.Add(uint64(shed))
 	}
 	return inserted, shed, ok
 }

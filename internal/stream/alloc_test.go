@@ -16,6 +16,24 @@ func allocTemplates() []core.Template {
 	}
 }
 
+// seedTemplates saves tmpls as dir's checkpoint, so an engine built over dir
+// starts out matching them, and returns dir.
+func seedTemplates(t *testing.T, dir string, tmpls []core.Template) string {
+	t.Helper()
+	st := &State{Templates: make([]SavedTemplate, len(tmpls))}
+	for i, tm := range tmpls {
+		st.Templates[i] = SavedTemplate{ID: tm.ID, Tokens: tm.Tokens}
+	}
+	store, err := NewStore(dir)
+	if err == nil {
+		err = store.Save(st)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // TestProcessMatchedPathAllocs pins the consumer's matched path — content
 // extraction, tokenisation into the engine's reused buffer, the byte trie
 // walk, and the index-addressed count bump — at zero allocations per line.
@@ -25,10 +43,9 @@ func allocTemplates() []core.Template {
 // allocs/op.
 func TestProcessMatchedPathAllocs(t *testing.T) {
 	eng, err := New(Config{
-		CheckpointDir:    t.TempDir(),
-		CheckpointEvery:  -1,
-		InitialTemplates: allocTemplates(),
-		Retrainer:        &groupMiner{},
+		CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
+		CheckpointEvery: -1,
+		Retrainer:       &groupMiner{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,11 +84,10 @@ func TestProcessMatchedPathAllocs(t *testing.T) {
 // regression.
 func TestPushBatchPerLineAllocBudget(t *testing.T) {
 	eng, err := New(Config{
-		CheckpointDir:    t.TempDir(),
-		CheckpointEvery:  -1,
-		RingCapacity:     1024,
-		InitialTemplates: allocTemplates(),
-		Retrainer:        &groupMiner{},
+		CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
+		CheckpointEvery: -1,
+		RingCapacity:    1024,
+		Retrainer:       &groupMiner{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,31 +2,14 @@ package stream
 
 import "time"
 
-// BreakerConfig configures the retrain circuit breaker. Zero values mean
-// the documented defaults.
-type BreakerConfig struct {
-	// Threshold is how many consecutive retrain failures open the breaker
-	// (default 3).
-	Threshold int
-	// Cooldown is the initial open duration before a half-open probe
-	// (default 30s). Each failed probe doubles it.
-	Cooldown time.Duration
-	// MaxCooldown caps the doubling schedule (default 16×Cooldown).
-	MaxCooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.MaxCooldown <= 0 {
-		c.MaxCooldown = 16 * c.Cooldown
-	}
-	return c
-}
+// The retrain breaker's schedule: breakerThreshold consecutive retrain
+// failures open it, a half-open probe is allowed after breakerCooldown, and
+// each failed probe doubles the wait up to breakerMaxCooldown.
+const (
+	breakerThreshold   = 3
+	breakerCooldown    = 30 * time.Second
+	breakerMaxCooldown = 16 * breakerCooldown
+)
 
 const (
 	breakerClosed = iota
@@ -39,12 +22,11 @@ const (
 // unmatched buffer is capped by shedding its oldest lines, and no retrain
 // is attempted until the cooldown elapses and a half-open probe is allowed.
 // A successful probe closes the breaker; a failed one reopens it with a
-// doubled cooldown (capped at MaxCooldown).
+// doubled cooldown (capped at breakerMaxCooldown).
 //
 // The breaker is driven from the engine's single consumer goroutine under
 // the engine mutex, so it needs no locking of its own.
 type breaker struct {
-	cfg         BreakerConfig
 	state       int
 	consecutive int
 	openedAt    time.Time
@@ -54,9 +36,8 @@ type breaker struct {
 // newBreaker builds a breaker, optionally restoring checkpointed state: a
 // breaker that was open at checkpoint time resumes open with a fresh
 // initial cooldown (conservative — the failing tier probably still fails).
-func newBreaker(cfg BreakerConfig, restoredFailures int, restoredOpen bool, now time.Time) *breaker {
-	cfg = cfg.withDefaults()
-	b := &breaker{cfg: cfg, consecutive: restoredFailures, cooldown: cfg.Cooldown}
+func newBreaker(restoredFailures int, restoredOpen bool, now time.Time) *breaker {
+	b := &breaker{consecutive: restoredFailures, cooldown: breakerCooldown}
 	if restoredOpen {
 		b.state = breakerOpen
 		b.openedAt = now
@@ -84,7 +65,7 @@ func (b *breaker) allow(now time.Time) bool {
 func (b *breaker) success() {
 	b.state = breakerClosed
 	b.consecutive = 0
-	b.cooldown = b.cfg.Cooldown
+	b.cooldown = breakerCooldown
 }
 
 // failure records a failed retrain.
@@ -92,15 +73,12 @@ func (b *breaker) failure(now time.Time) {
 	b.consecutive++
 	if b.state == breakerHalfOpen {
 		// Failed probe: back off harder.
-		b.cooldown *= 2
-		if b.cooldown > b.cfg.MaxCooldown {
-			b.cooldown = b.cfg.MaxCooldown
-		}
+		b.cooldown = min(2*b.cooldown, breakerMaxCooldown)
 		b.state = breakerOpen
 		b.openedAt = now
 		return
 	}
-	if b.consecutive >= b.cfg.Threshold {
+	if b.consecutive >= breakerThreshold {
 		b.state = breakerOpen
 		b.openedAt = now
 	}

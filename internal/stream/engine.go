@@ -134,11 +134,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.Online != nil {
-		if len(cfg.InitialTemplates) > 0 {
-			return nil, fmt.Errorf("stream: Config.Online and Config.InitialTemplates are mutually exclusive (the learner owns the template set)")
-		}
-	} else if cfg.Retrainer == nil {
+	if cfg.Online == nil && cfg.Retrainer == nil {
 		rt, err := NewRetrainer(robust.Policy{}, nil, slct.StreamOptions{})
 		if err != nil {
 			return nil, err
@@ -204,13 +200,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	} else {
-		if err := e.adoptTemplates(cfg.InitialTemplates); err != nil {
-			return nil, err
-		}
-		for i := range e.templates {
-			e.savedTmpls.add(i) // no checkpoint holds the seed set yet
-		}
-		e.breaker = newBreaker(cfg.Breaker, 0, false, e.now())
+		e.breaker = newBreaker(0, false, e.now())
 	}
 	if cfg.EventStoreDir != "" {
 		es, esInfo, err := eventstore.Open(eventstore.Options{
@@ -232,10 +222,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.events, e.eventsInfo, e.eventsAlign = es, esInfo, ai
 	}
-
-	e.noteBreakerLocked(e.breaker.state) // publish restored state, no transition
-	e.tm.templates.Set(int64(len(e.templates)))
-	e.tm.unmatchedBuffered.Set(int64(len(e.unmatched)))
 	return e, nil
 }
 
@@ -260,7 +246,7 @@ func (e *Engine) restore(st *State) error {
 	e.unmatched = append([]string(nil), st.Unmatched...)
 	e.offset = st.Offset
 	e.ctrs = st.Counters
-	e.breaker = newBreaker(e.cfg.Breaker, st.BreakerFailures, st.BreakerOpen, e.now())
+	e.breaker = newBreaker(st.BreakerFailures, st.BreakerOpen, e.now())
 	return nil
 }
 
@@ -296,7 +282,7 @@ func (e *Engine) restoreOnline(st *State) error {
 	e.counts = counts
 	e.offset = st.Offset
 	e.ctrs = st.Counters
-	e.breaker = newBreaker(e.cfg.Breaker, st.BreakerFailures, st.BreakerOpen, e.now())
+	e.breaker = newBreaker(st.BreakerFailures, st.BreakerOpen, e.now())
 	return nil
 }
 
@@ -434,10 +420,6 @@ func (e *Engine) consume(ctx context.Context, r *ring) error {
 		if !ok {
 			return nil // clean drain
 		}
-		if e.tm.ringDepth != nil {
-			d, _ := r.stats()
-			e.tm.ringDepth.Set(int64(d))
-		}
 		if e.events != nil {
 			// One clock read per popped batch, not per line: an event's time
 			// is the instant its batch was dequeued (eventstore.Event.Time).
@@ -529,10 +511,8 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 	e.ctrs.Processed++
 	e.sinceCkpt++
 	e.offset = it.lineNo
-	e.tm.processed.Inc()
 	if it.oversized {
 		e.ctrs.Oversized++
-		e.tm.oversized.Inc()
 	}
 	ckptDue = e.cfg.CheckpointEvery > 0 && e.sinceCkpt >= e.cfg.CheckpointEvery
 
@@ -541,7 +521,6 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 	tokens := e.tokBuf
 	if len(tokens) == 0 {
 		e.ctrs.Empty++
-		e.tm.empty.Inc()
 		return ckptDue
 	}
 	if e.online != nil {
@@ -558,13 +537,11 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 			e.savedTmpls.add(idx)
 			if idx >= len(e.counts) {
 				e.counts = append(e.counts, 0)
-				e.tm.templates.Set(int64(len(e.counts)))
 			}
 		}
 		e.counts[idx]++
 		e.savedCounts.add(idx)
 		e.ctrs.Matched++
-		e.tm.matched.Inc()
 		e.recordEventLocked(it.lineNo, int32(idx), eventstore.KindMatched)
 		return ckptDue
 	}
@@ -573,7 +550,6 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 			e.counts[idx]++
 			e.savedCounts.add(idx)
 			e.ctrs.Matched++
-			e.tm.matched.Inc()
 			e.recordEventLocked(it.lineNo, int32(idx), eventstore.KindMatched)
 			return ckptDue
 		}
@@ -584,7 +560,6 @@ func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
 		e.retrainLocked(ctx)
 	}
 	e.capUnmatchedLocked()
-	e.tm.unmatchedBuffered.Set(int64(len(e.unmatched)))
 	return ckptDue
 }
 
@@ -607,7 +582,6 @@ func (e *Engine) retrainLocked(ctx context.Context) {
 	prevState = e.breaker.state
 	if err != nil {
 		e.ctrs.RetrainFailures++
-		e.tm.retrainFailures.Inc()
 		e.breaker.failure(e.now())
 		e.noteBreakerLocked(prevState)
 		// Shed the batch head: the trigger re-arms only after RetrainBatch
@@ -618,14 +592,11 @@ func (e *Engine) retrainLocked(ctx context.Context) {
 		}
 		e.unmatched = append([]string(nil), e.unmatched[drop:]...)
 		e.ctrs.UnmatchedDropped += int64(drop)
-		e.tm.unmatchedDropped.Add(uint64(drop))
 		return
 	}
 	e.ctrs.Retrains++
-	e.tm.retrains.Inc()
 	e.breaker.success()
 	e.noteBreakerLocked(prevState)
-	e.tm.templates.Set(int64(len(e.templates)))
 	e.reapplyUnmatchedLocked()
 }
 
@@ -655,29 +626,26 @@ func (e *Engine) mergeTemplatesLocked(tmpls []core.Template) error {
 
 // reapplyUnmatchedLocked drains the buffer through the (possibly updated)
 // matcher: covered lines are counted, the rest are unparsed — below the
-// mining support threshold — and dropped so memory stays bounded.
+// mining support threshold — and dropped so memory stays bounded. The
+// matcher's index is the template index, as on process's hot path.
 func (e *Engine) reapplyUnmatchedLocked() {
 	pending := e.unmatched
 	e.unmatched = nil
 	for _, line := range pending {
 		if e.matcher == nil {
 			e.ctrs.Unparsed++
-			e.tm.unparsed.Inc()
 			continue
 		}
-		if t, err := e.matcher.Match(core.Tokenize(line)); err == nil {
-			idx := e.index[t.String()]
+		if idx, ok := e.matcher.MatchIndex(core.Tokenize(line)); ok {
 			e.counts[idx]++
 			e.savedCounts.add(idx)
 			e.ctrs.Matched++
-			e.tm.matched.Inc()
 			// The buffered line's own number is gone; the current offset
 			// (the line whose processing triggered this retrain) keeps
 			// event seqs non-decreasing and inside checkpoint coverage.
 			e.recordEventLocked(e.offset, int32(idx), eventstore.KindLateMatched)
 		} else {
 			e.ctrs.Unparsed++
-			e.tm.unparsed.Inc()
 		}
 	}
 }
@@ -687,7 +655,6 @@ func (e *Engine) capUnmatchedLocked() {
 	if over := len(e.unmatched) - e.cfg.MaxUnmatched; over > 0 {
 		e.unmatched = append([]string(nil), e.unmatched[over:]...)
 		e.ctrs.UnmatchedDropped += int64(over)
-		e.tm.unmatchedDropped.Add(uint64(over))
 	}
 }
 
@@ -713,11 +680,9 @@ func (e *Engine) checkpointLocked() error {
 	}
 	if err != nil {
 		e.ckptErrors++
-		e.tm.ckptErrors.Inc()
 		return err
 	}
 	e.checkpoints++
-	e.tm.checkpoints.Inc()
 	e.sinceCkpt = 0
 	e.lastCkpt = e.now()
 	e.haveCkpt = true

@@ -186,11 +186,18 @@ func TestEngineBasicIngest(t *testing.T) {
 	}
 }
 
+// TestEngineDigestDeterministicAcrossFreshRuns runs the default retrainer
+// (SLCT-stream) twice over one stream: not only the digest but every
+// template's index, ID and tokens — what checkpoints and the event store
+// record — must come out the same.
 func TestEngineDigestDeterministicAcrossFreshRuns(t *testing.T) {
 	lines := synthLines(500, 2)
 	var digests []string
+	var results [][]core.Template
 	for i := 0; i < 2; i++ {
-		e, err := New(testConfig(t, lines))
+		cfg := testConfig(t, lines)
+		cfg.Retrainer = nil
+		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,12 +205,22 @@ func TestEngineDigestDeterministicAcrossFreshRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		digests = append(digests, e.Digest())
+		tmpls, _ := e.Result()
+		results = append(results, tmpls)
 	}
 	if digests[0] != digests[1] {
 		t.Fatalf("two identical fresh runs diverged: %s vs %s", digests[0], digests[1])
 	}
+	if len(results[0]) < 2 {
+		t.Fatalf("degenerate run: %d templates", len(results[0]))
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("two identical fresh runs ordered their templates differently:\n%v\n%v", results[0], results[1])
+	}
 }
 
+// TestEngineInitialTemplatesMatcherOnly: templates the checkpoint already
+// holds match from the first line, with no retrain.
 func TestEngineInitialTemplatesMatcherOnly(t *testing.T) {
 	lines := []string{
 		"login user alice ok",
@@ -211,7 +228,7 @@ func TestEngineInitialTemplatesMatcherOnly(t *testing.T) {
 		"login user carol ok",
 	}
 	cfg := testConfig(t, lines)
-	cfg.InitialTemplates = []core.Template{{ID: "T1", Tokens: []string{"login", "user", "*", "ok"}}}
+	seedTemplates(t, cfg.CheckpointDir, []core.Template{{ID: "T1", Tokens: []string{"login", "user", "*", "ok"}}})
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +313,6 @@ func TestEngineBreakerTripsThenRecovers(t *testing.T) {
 	cfg.Retrainer = miner
 	cfg.RetrainBatch = 16
 	cfg.MaxUnmatched = 32
-	cfg.Breaker = BreakerConfig{Threshold: 2, Cooldown: time.Minute}
 	cfg.Now = clock.Now
 	e, err := New(cfg)
 	if err != nil {
@@ -322,7 +338,7 @@ func TestEngineBreakerTripsThenRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.RetrainFailures < 2 {
+	if s.RetrainFailures < breakerThreshold {
 		t.Fatalf("RetrainFailures = %d, want >= threshold", s.RetrainFailures)
 	}
 	if s.Retrains == 0 || s.Breaker != "closed" {
@@ -344,7 +360,7 @@ func TestEngineBreakerOpenCapsUnmatchedBuffer(t *testing.T) {
 	cfg.Retrainer = miner
 	cfg.RetrainBatch = 16
 	cfg.MaxUnmatched = 40
-	cfg.Breaker = BreakerConfig{Threshold: 2, Cooldown: time.Hour}
+	cfg.Now = newFakeClock().Now // the cooldown never elapses
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +372,7 @@ func TestEngineBreakerOpenCapsUnmatchedBuffer(t *testing.T) {
 	if s.Breaker != "open" {
 		t.Fatalf("breaker = %s, want open (miner always fails)", s.Breaker)
 	}
-	if s.RetrainFailures != 2 {
+	if s.RetrainFailures != breakerThreshold {
 		t.Fatalf("RetrainFailures = %d, want exactly the threshold (breaker then blocks)", s.RetrainFailures)
 	}
 	if s.UnmatchedBuffered > 40 {

@@ -274,11 +274,10 @@ func TestEventStoreFinalizeCrashRefusesCheckpoint(t *testing.T) {
 // allocation per line.
 func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 	eng, err := New(Config{
-		CheckpointDir:    t.TempDir(),
-		CheckpointEvery:  -1,
-		InitialTemplates: allocTemplates(),
-		Retrainer:        &groupMiner{},
-		EventStoreDir:    t.TempDir(),
+		CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
+		CheckpointEvery: -1,
+		Retrainer:       &groupMiner{},
+		EventStoreDir:   t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +306,7 @@ func TestEventTimeIsPerBatch(t *testing.T) {
 	cfg.Open = nil
 	cfg.RingCapacity = 2 * n
 	cfg.CheckpointEvery = -1
-	cfg.InitialTemplates = allocTemplates()
+	seedTemplates(t, cfg.CheckpointDir, allocTemplates())
 	cfg.EventStoreDir = t.TempDir()
 	var ticks int64 // a clock that moves on every read
 	var mu sync.Mutex

@@ -192,19 +192,6 @@ func TestOnlineModeMismatchRefused(t *testing.T) {
 	}
 }
 
-// TestOnlineRejectsInitialTemplates: the learner owns the template set, so
-// seeding is a configuration error, not a silent merge.
-func TestOnlineRejectsInitialTemplates(t *testing.T) {
-	_, err := New(Config{
-		CheckpointDir:    t.TempDir(),
-		Online:           drain.NewStream(drain.Options{}),
-		InitialTemplates: allocTemplates(),
-	})
-	if err == nil {
-		t.Fatal("Online+InitialTemplates accepted")
-	}
-}
-
 // TestOnlineMatchedPathAllocs pins online mode's steady-state per-line cost
 // at zero allocations, for both learners: once the template set has
 // converged for a line shape, process() — tokenisation, the learner's

@@ -133,14 +133,8 @@ type Config struct {
 	// checkpoint, so kill-and-recover replays converge to the digest of an
 	// uninterrupted run. The engine owns the instance (learners are not
 	// safe for concurrent use); multi-tenant callers construct one per
-	// engine (server.Config.NewOnline). Mutually exclusive with
-	// InitialTemplates.
+	// engine (server.Config.NewOnline).
 	Online OnlineParser
-	// Breaker configures the retrain circuit breaker.
-	Breaker BreakerConfig
-	// InitialTemplates seeds the matcher when no checkpoint exists, e.g.
-	// from an offline batch parse. Ignored when a checkpoint is restored.
-	InitialTemplates []core.Template
 	// MaxLineBytes caps one source line (default core.DefaultMaxLineBytes);
 	// longer lines are truncated at the cap and counted, as in
 	// core.ReadMessagesOpts.
@@ -160,11 +154,12 @@ type Config struct {
 	// yet started), "rotate" (the base is published, superseded delta
 	// segments not yet dropped), "truncate" and "dirsync".
 	CheckpointSeam seglog.Seam
-	// Telemetry, when non-nil, publishes the engine's health to a metrics
-	// registry: stream.* counters mirroring Stats, ring-depth/buffer/breaker
-	// gauges, and retrain/checkpoint duration histograms (see DESIGN.md §9
-	// for the catalogue). Instrumentation is behavior-neutral and, when nil,
-	// free.
+	// Telemetry, when non-nil, publishes what Stats does not hold to a
+	// metrics registry: checkpoint bytes and file counts, breaker
+	// transitions, durable-layer failures, and retrain/checkpoint duration
+	// histograms (see DESIGN.md §9 for the catalogue). Every count Stats
+	// reports is read from Stats. Instrumentation is behavior-neutral and,
+	// when nil, free.
 	Telemetry *telemetry.Handle
 	// WALDir, when non-empty, enables the push-mode write-ahead log:
 	// every line PushBatch admits is appended to the WAL before the

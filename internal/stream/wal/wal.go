@@ -82,10 +82,7 @@ type walTelemetry struct {
 	commitErrs *telemetry.Counter
 	created    *telemetry.Counter
 	deleted    *telemetry.Counter
-	tornTails  *telemetry.Counter
-	corrupt    *telemetry.Counter
 	replayed   *telemetry.Counter
-	segments   *telemetry.Gauge
 	fsyncSec   *telemetry.Histogram
 }
 
@@ -97,10 +94,7 @@ func newWALTelemetry(h *telemetry.Handle) walTelemetry {
 		commitErrs: h.Counter("stream.wal.commit.errors"),
 		created:    h.Counter("stream.wal.segments.created"),
 		deleted:    h.Counter("stream.wal.segments.deleted"),
-		tornTails:  h.Counter("stream.wal.torn_tails"),
-		corrupt:    h.Counter("stream.wal.replay.corrupt"),
 		replayed:   h.Counter("stream.wal.replayed"),
-		segments:   h.Gauge("stream.wal.segments"),
 		fsyncSec:   h.Histogram("stream.wal.fsync.seconds", telemetry.DurationBuckets),
 	}
 }
@@ -151,9 +145,6 @@ func Open(opts Options) (*WAL, OpenInfo, error) {
 	}
 	w := &WAL{opts: opts, tm: newWALTelemetry(opts.Telemetry), log: log, lastSeq: li.LastSeq}
 	w.bw = bufio.NewWriterSize(log, opts.BufferBytes)
-	w.tm.tornTails.Add(uint64(li.TornTails))
-	w.tm.corrupt.Add(uint64(li.CorruptDropped))
-	w.tm.segments.Set(int64(li.Segments))
 	return w, info, nil
 }
 
@@ -181,7 +172,6 @@ func (w *WAL) Append(seq uint64, payload []byte) error {
 		}
 		if created {
 			w.tm.created.Inc()
-			w.tm.segments.Set(int64(len(w.log.Segments())))
 		}
 	}
 	encodeRecordHeader(&w.hdrBuf, seq, payload)
@@ -275,7 +265,6 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 	defer w.mu.Unlock()
 	n, err := w.log.DropHead(seq)
 	w.tm.deleted.Add(uint64(n))
-	w.tm.segments.Set(int64(len(w.log.Segments())))
 	return err
 }
 

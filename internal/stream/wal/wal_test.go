@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"logparse/internal/seglog"
-	"logparse/internal/telemetry"
 )
 
 // appendN appends records start..end (inclusive) with deterministic
@@ -90,16 +89,13 @@ func TestReopenContinuesActiveSegment(t *testing.T) {
 	appendN(t, w, 1, 10)
 	w.Close()
 
-	tel := telemetry.New()
-	w2, info2, err := Open(Options{Dir: dir, Telemetry: tel})
+	w2, info2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	// The reopened tail segment counts the same everywhere: OpenInfo,
-	// Segments() and the stream.wal.segments gauge (which once reported
-	// one fewer until the next rotation).
-	if g := tel.Gauge("stream.wal.segments").Value(); info2.Segments != 1 || w2.Segments() != 1 || g != 1 {
-		t.Fatalf("after reopen: OpenInfo.Segments=%d Segments()=%d gauge=%d, want 1 each", info2.Segments, w2.Segments(), g)
+	// The reopened tail segment counts the same in OpenInfo and Segments().
+	if info2.Segments != 1 || w2.Segments() != 1 {
+		t.Fatalf("after reopen: OpenInfo.Segments=%d Segments()=%d, want 1 each", info2.Segments, w2.Segments())
 	}
 	appendN(t, w2, 11, 20)
 	w2.Close()

@@ -495,13 +495,12 @@ func TestWALOffMatchesWALOn(t *testing.T) {
 // must not reintroduce per-line allocations on the push path.
 func TestPushBatchWALPerLineAllocBudget(t *testing.T) {
 	eng, err := New(Config{
-		CheckpointDir:    filepath.Join(t.TempDir(), "ckpt"),
-		WALDir:           filepath.Join(t.TempDir(), "wal"),
-		WALSegmentBytes:  1 << 30, // no rotation during measurement
-		CheckpointEvery:  -1,
-		RingCapacity:     1024,
-		InitialTemplates: allocTemplates(),
-		Retrainer:        &groupMiner{},
+		CheckpointDir:   seedTemplates(t, filepath.Join(t.TempDir(), "ckpt"), allocTemplates()),
+		WALDir:          filepath.Join(t.TempDir(), "wal"),
+		WALSegmentBytes: 1 << 30, // no rotation during measurement
+		CheckpointEvery: -1,
+		RingCapacity:    1024,
+		Retrainer:       &groupMiner{},
 	})
 	if err != nil {
 		t.Fatal(err)

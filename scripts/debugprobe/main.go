@@ -1,9 +1,9 @@
 // Command debugprobe checks a running logstreamd debug endpoint. It polls
-// /debug/vars until the published logstream expvar reports at least
-// -min-processed stream.processed lines (or the deadline expires), then
-// requires /debug/pprof/cmdline to answer 200. Used by
-// scripts/telemetry_smoke.sh; exits non-zero on any failure so the smoke
-// fails loudly.
+// /debug/vars until the engine's published Stats report -processed lines
+// (or the deadline expires) and fails at once if they report more, then
+// requires the logstream metrics var beside them and /debug/pprof/cmdline
+// to answer 200. Used by scripts/telemetry_smoke.sh; exits non-zero on any
+// failure so the smoke fails loudly.
 package main
 
 import (
@@ -17,9 +17,12 @@ import (
 )
 
 type debugVars struct {
-	Logstream struct {
+	Stream *struct {
+		Processed int64
+		Templates int
+	} `json:"stream"`
+	Logstream *struct {
 		Counters map[string]uint64 `json:"counters"`
-		Gauges   map[string]int64  `json:"gauges"`
 	} `json:"logstream"`
 }
 
@@ -43,9 +46,14 @@ func fetchVars(url string) (*debugVars, error) {
 	return &v, nil
 }
 
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "debugprobe: "+format+"\n", args...)
+	os.Exit(1)
+}
+
 func main() {
 	addr := flag.String("addr", "", "host:port of the debug server (required)")
-	minProcessed := flag.Uint64("min-processed", 1, "wait until stream.processed reaches this count")
+	processed := flag.Int64("processed", 1, "the line count the published Stats.Processed must reach, and not pass")
 	timeout := flag.Duration("timeout", 15*time.Second, "overall probe deadline")
 	flag.Parse()
 	if *addr == "" {
@@ -55,24 +63,27 @@ func main() {
 
 	varsURL := "http://" + *addr + "/debug/vars"
 	deadline := time.Now().Add(*timeout)
-	var lastErr error
 	for {
 		v, err := fetchVars(varsURL)
 		if err == nil {
-			if v.Logstream.Counters == nil {
-				err = fmt.Errorf("logstream expvar missing from %s", varsURL)
-			} else if got := v.Logstream.Counters["stream.processed"]; got < *minProcessed {
-				err = fmt.Errorf("stream.processed = %d, want >= %d", got, *minProcessed)
-			} else {
-				fmt.Printf("debugprobe: stream.processed=%d templates=%d\n",
-					got, v.Logstream.Gauges["stream.templates"])
-				break
+			switch {
+			case v.Stream == nil:
+				err = fmt.Errorf("stream expvar missing from %s", varsURL)
+			case v.Stream.Processed > *processed:
+				fail("Stats.Processed = %d, more than the %d lines sent", v.Stream.Processed, *processed)
+			case v.Stream.Processed < *processed:
+				err = fmt.Errorf("Stats.Processed = %d, want %d", v.Stream.Processed, *processed)
+			case v.Logstream == nil:
+				fail("logstream expvar missing from %s", varsURL)
+			default:
+				fmt.Printf("debugprobe: Processed=%d Templates=%d\n", v.Stream.Processed, v.Stream.Templates)
 			}
 		}
-		lastErr = err
+		if err == nil {
+			break
+		}
 		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "debugprobe: %v\n", lastErr)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
@@ -80,14 +91,12 @@ func main() {
 	pprofURL := "http://" + *addr + "/debug/pprof/cmdline"
 	resp, err := http.Get(pprofURL)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "debugprobe: %v\n", err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "debugprobe: GET %s: status %d\n", pprofURL, resp.StatusCode)
-		os.Exit(1)
+		fail("GET %s: status %d", pprofURL, resp.StatusCode)
 	}
 	fmt.Println("debugprobe: /debug/vars and /debug/pprof OK")
 }

@@ -31,8 +31,6 @@ type (
 	// StreamAdmissionPolicy selects backpressure vs load shedding when the
 	// admission ring is full.
 	StreamAdmissionPolicy = stream.AdmissionPolicy
-	// StreamBreakerConfig configures the retrain circuit breaker.
-	StreamBreakerConfig = stream.BreakerConfig
 	// StreamRetrainer mines templates from batches of unmatched lines.
 	StreamRetrainer = stream.Retrainer
 	// StreamOnlineParser is a learn-per-line parser the engine can run on
@@ -63,6 +61,10 @@ const (
 //		CheckpointDir: "/var/lib/logstream",
 //	})
 //	err := eng.Run(ctx) // blocks; eng.Stats() is safe concurrently
+//
+// Stats is the one account of what the engine counted; a
+// StreamConfig.Telemetry handle adds only what Stats lacks (checkpoint
+// bytes, breaker transitions, durable-layer failures, duration histograms).
 func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) {
 	return stream.New(cfg)
 }

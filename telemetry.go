@@ -7,7 +7,9 @@ import "logparse/internal/telemetry"
 // plus lightweight hierarchical stage spans. One handle can be shared by
 // any number of parsers (Options.Telemetry), robust chains
 // (RobustPolicy.Telemetry) and stream engines (StreamConfig.Telemetry);
-// everything they record lands in the same registry.
+// everything they record lands in the same registry. A stream engine
+// records only what its StreamStats does not already count — read line,
+// retrain and checkpoint counts from Stats.
 //
 // A nil *Telemetry is fully valid and means "off": every method no-ops
 // without allocating, so instrumented code pays nothing when telemetry is
@@ -16,7 +18,7 @@ import "logparse/internal/telemetry"
 // Export paths: Snapshot() for a point-in-time copy, Report(tool) for the
 // structured run report cmd/logparse and cmd/logeval emit with -report,
 // and Var() for an expvar-compatible value served on /debug/vars (see
-// cmd/logstreamd -debug-addr).
+// cmd/logstreamd -debug-addr, which serves the engine's Stats beside it).
 type Telemetry = telemetry.Handle
 
 // TelemetrySnapshot is a point-in-time copy of a handle's metrics.
