@@ -14,10 +14,10 @@
 // lines instead of skipping them.
 //
 // -stream runs SLCT's bounded-memory two-pass parse instead, which reads
-// only -parser, -support, -support-frac, -epsilon and the file flags. A
-// flag that cannot take effect in the chosen mode (-epsilon without
-// -stream, -timeout with it) is a usage error, exit 2, not silently
-// ignored.
+// only -support, -support-frac, -epsilon and the file flags and writes the
+// files batch SLCT writes. A flag that cannot take effect in the chosen
+// mode (-epsilon without -stream, -timeout or a -parser other than SLCT
+// with it) is a usage error, exit 2, not silently ignored.
 package main
 
 import (
@@ -56,7 +56,7 @@ var flagNeeds = map[string]string{
 func run() (int, error) {
 	var (
 		in         = flag.String("in", "", "input log file (required)")
-		parserName = flag.String("parser", "IPLoM", "algorithm: SLCT, IPLoM, LKE, LogSig, Drain, Spell")
+		parserName = flag.String("parser", "", "algorithm: SLCT, IPLoM, LKE, LogSig, Drain, Spell (default IPLoM; -stream is SLCT)")
 		events     = flag.String("events", "", "log events output file (default stdout)")
 		structured = flag.String("structured", "", "structured log output file (omit to skip)")
 		maxLines   = flag.Int("max-lines", 0, "read at most this many lines (0 = all)")
@@ -70,7 +70,7 @@ func run() (int, error) {
 		simTh      = flag.Float64("sim-threshold", 0, "Drain: leaf similarity threshold (0 = default 0.4)")
 		maxKids    = flag.Int("max-children", 0, "Drain: per-node fan-out cap (0 = default 100)")
 		tau        = flag.Float64("tau", 0, "Spell: LCS acceptance threshold (0 = default 0.5)")
-		stream     = flag.Bool("stream", false, "SLCT only: two-pass streaming parse with bounded memory")
+		stream     = flag.Bool("stream", false, "SLCT's two-pass streaming parse with bounded memory")
 		epsilon    = flag.Float64("epsilon", 0, "streaming: lossy-counting error bound for the vocabulary pass (0 = exact)")
 		timeout    = flag.Duration("timeout", 0, "per-tier parse deadline (0 = none); enables the fault-tolerant wrapper")
 		fallback   = flag.String("fallback", "", "comma-separated fallback algorithms tried in order when the primary fails (e.g. IPLoM,SLCT)")
@@ -85,10 +85,16 @@ func run() (int, error) {
 		return 2, fmt.Errorf("-in is required")
 	}
 	if *stream {
-		if err := runStream(*in, *parserName, *events, *structured, *support, *frac, *epsilon); err != nil {
+		if *parserName != "" && !strings.EqualFold(*parserName, "SLCT") {
+			return 2, fmt.Errorf("-parser %s has no effect with -stream, which runs SLCT", *parserName)
+		}
+		if err := runStream(*in, *events, *structured, *support, *frac, *epsilon); err != nil {
 			return 1, err
 		}
 		return 0, nil
+	}
+	if *parserName == "" {
+		*parserName = "IPLoM"
 	}
 
 	f, err := os.Open(*in)
@@ -226,10 +232,7 @@ func writeReport(tel *logparse.Telemetry, tool, path string) error {
 }
 
 // runStream runs the bounded-memory two-pass SLCT over a file on disk.
-func runStream(in, parserName, events, structured string, support int, frac, epsilon float64) error {
-	if parserName != "SLCT" {
-		return fmt.Errorf("-stream is only implemented for SLCT (two single-scan passes); got %q", parserName)
-	}
+func runStream(in, events, structured string, support int, frac, epsilon float64) error {
 	open := func() (io.ReadCloser, error) { return os.Open(in) }
 	res, err := logparse.ParseStreamSLCT(open, logparse.Options{Support: support, SupportFrac: frac}, epsilon)
 	if err != nil {
@@ -244,8 +247,8 @@ func runStream(in, parserName, events, structured string, support int, frac, eps
 		defer ef.Close()
 		eventsOut = ef
 	}
-	for _, t := range res.Templates {
-		fmt.Fprintf(eventsOut, "%s\t%s\n", t.ID, t)
+	if err := logparse.WriteEvents(eventsOut, &logparse.Result{Templates: res.Templates}); err != nil {
+		return err
 	}
 	if structured != "" {
 		sf, err := os.Create(structured)

@@ -130,7 +130,7 @@ func run() (int, error) {
 
 		ckptDir = flag.String("checkpoint-dir", "", "checkpoint directory (required); with -listen the root tenant T checkpoints under, as <dir>/tenants/T")
 
-		primary = flag.String("retrainer", "", "primary retrain algorithm ahead of the SLCT-stream tier (SLCT, IPLoM, LKE, LogSig; empty = SLCT-stream only)")
+		primary = flag.String("retrainer", "", "primary retrain algorithm ahead of the SLCT tier (SLCT, IPLoM, LKE, LogSig; empty = SLCT only)")
 		support = flag.Int("support", 0, "SLCT support threshold for retraining (0 = fractional default)")
 		online  = flag.String("online", "", "online-parser mode: learn per line with this algorithm (Drain or Spell) instead of the match/retrain cycle; exclusive with -retrainer and its knobs")
 

@@ -13,15 +13,12 @@ import (
 type StreamResult = slct.StreamResult
 
 // ParseStreamSLCT runs two-pass SLCT over a re-openable source (open is
-// called once per pass) with bounded memory. epsilon > 0 additionally
-// bounds the vocabulary pass with Manku–Motwani lossy counting at that
-// error rate; 0 keeps exact counting.
+// called once per pass) with bounded memory; with epsilon 0 its result is
+// the batch SLCT parse of ReadMessages over the same source. epsilon > 0
+// additionally bounds the vocabulary pass with Manku–Motwani lossy counting
+// at that error rate.
 func ParseStreamSLCT(open func() (io.ReadCloser, error), opts Options, epsilon float64) (*StreamResult, error) {
-	p := slct.New(slct.Options{Support: opts.Support, SupportFrac: opts.SupportFrac})
-	return p.ParseStream(open, slct.StreamOptions{
-		Options:      slct.Options{Support: opts.Support, SupportFrac: opts.SupportFrac},
-		VocabEpsilon: epsilon,
-	})
+	return slct.New(slct.Options{Support: opts.Support, SupportFrac: opts.SupportFrac}).ParseStream(open, epsilon)
 }
 
 // Matcher applies an extracted template set to new log messages in

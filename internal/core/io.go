@@ -117,20 +117,33 @@ func ReadMessages(r io.Reader, maxLines int) ([]LogMessage, error) {
 // line is truncated (or skipped) and counted instead of failing the whole
 // read with ErrTooLong.
 func ReadMessagesOpts(r io.Reader, opts ReadOptions) ([]LogMessage, ReadStats, error) {
+	var msgs []LogMessage
+	stats, err := ScanMessages(r, opts, func(msg LogMessage) { msgs = append(msgs, msg) })
+	if err != nil {
+		return nil, stats, err
+	}
+	return msgs, stats, nil
+}
+
+// ScanMessages is ReadMessagesOpts one message at a time: it hands each
+// message it would return to fn, in order, and keeps none of them. A
+// consumer that scans the same input twice (slct.ParseStream) therefore
+// sees exactly the messages ReadMessagesOpts materialises, under the same
+// line policy.
+func ScanMessages(r io.Reader, opts ReadOptions, fn func(LogMessage)) (ReadStats, error) {
 	if opts.MaxLineBytes <= 0 {
 		opts.MaxLineBytes = DefaultMaxLineBytes
 	}
 	br := bufio.NewReaderSize(r, 64*1024)
-	var msgs []LogMessage
 	var stats ReadStats
 	lineNo := 0
 	for {
-		if opts.MaxLines > 0 && len(msgs) >= opts.MaxLines {
+		if opts.MaxLines > 0 && stats.Messages >= opts.MaxLines {
 			break
 		}
 		raw, oversized, rerr := ReadLineInto(br, nil, opts.MaxLineBytes)
 		if rerr != nil && !errors.Is(rerr, io.EOF) {
-			return nil, stats, fmt.Errorf("core: read messages: %w", rerr)
+			return stats, fmt.Errorf("core: read messages: %w", rerr)
 		}
 		done := errors.Is(rerr, io.EOF)
 		if len(raw) == 0 && !oversized {
@@ -146,7 +159,7 @@ func ReadMessagesOpts(r io.Reader, opts ReadOptions) ([]LogMessage, ReadStats, e
 		if oversized {
 			stats.Oversized++
 			if opts.Strict {
-				return nil, stats, &CorruptLineError{LineNo: lineNo,
+				return stats, &CorruptLineError{LineNo: lineNo,
 					Reason: fmt.Sprintf("line exceeds %d bytes", opts.MaxLineBytes)}
 			}
 			if opts.SkipOversized {
@@ -155,29 +168,29 @@ func ReadMessagesOpts(r io.Reader, opts ReadOptions) ([]LogMessage, ReadStats, e
 		}
 		if keep && strings.IndexByte(line, 0) >= 0 {
 			if opts.Strict {
-				return nil, stats, &CorruptLineError{LineNo: lineNo, Reason: "line contains NUL bytes"}
+				return stats, &CorruptLineError{LineNo: lineNo, Reason: "line contains NUL bytes"}
 			}
 			stats.Corrupt++
 			keep = false
 		}
 		if keep {
 			stats.Lines++
-			msg := LogMessage{LineNo: len(msgs) + 1}
+			msg := LogMessage{LineNo: stats.Messages + 1}
 			ok, err := fillMessage(&msg, line, opts, lineNo, &stats)
 			if err != nil {
-				return nil, stats, err
+				return stats, err
 			}
 			if ok {
 				msg.Tokens = Tokenize(msg.Content)
-				msgs = append(msgs, msg)
 				stats.Messages++
+				fn(msg)
 			}
 		}
 		if done {
 			break
 		}
 	}
-	return msgs, stats, nil
+	return stats, nil
 }
 
 // fillMessage interprets one line under the configured format, reporting
@@ -239,9 +252,9 @@ func indexByte[T string | []byte](s T, c byte) int {
 // as bytes, under the FormatAuto rule: a line splitting into three
 // tab-separated fields whose first two look like an annotation yields its
 // third field; any other line is pure content. It is the line-at-a-time
-// counterpart of ReadMessagesOpts used by streaming consumers
-// (slct.ParseStream, the ingestion engine) that never materialise a
-// LogMessage. The result is a subslice of line: no copy, no allocation.
+// counterpart of ReadMessagesOpts used by the ingestion engine, which
+// never materialises a LogMessage. The result is a subslice of line: no
+// copy, no allocation.
 func ContentOf[T string | []byte](line T) T {
 	t1 := indexByte(line, '\t')
 	if t1 < 0 {

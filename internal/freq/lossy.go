@@ -9,13 +9,14 @@ package freq
 
 import "fmt"
 
-// LossyCounter counts item frequencies approximately over a stream.
-type LossyCounter struct {
+// LossyCounter counts frequencies of items of type K approximately over a
+// stream.
+type LossyCounter[K comparable] struct {
 	epsilon float64
 	width   int // bucket width ⌈1/ε⌉
 	n       int // items seen
 	bucket  int // current bucket id
-	counts  map[string]*entry
+	counts  map[K]*entry
 }
 
 type entry struct {
@@ -26,21 +27,21 @@ type entry struct {
 
 // NewLossyCounter creates a counter with error bound epsilon ∈ (0, 1): any
 // item's reported count is between true−ε·N and true.
-func NewLossyCounter(epsilon float64) (*LossyCounter, error) {
+func NewLossyCounter[K comparable](epsilon float64) (*LossyCounter[K], error) {
 	if epsilon <= 0 || epsilon >= 1 {
 		return nil, fmt.Errorf("freq: epsilon must be in (0,1), got %v", epsilon)
 	}
 	width := int(1/epsilon) + 1
-	return &LossyCounter{
+	return &LossyCounter[K]{
 		epsilon: epsilon,
 		width:   width,
 		bucket:  1,
-		counts:  make(map[string]*entry),
+		counts:  make(map[K]*entry),
 	}, nil
 }
 
 // Add counts one occurrence of item.
-func (c *LossyCounter) Add(item string) {
+func (c *LossyCounter[K]) Add(item K) {
 	c.n++
 	if e, ok := c.counts[item]; ok {
 		e.count++
@@ -53,7 +54,7 @@ func (c *LossyCounter) Add(item string) {
 }
 
 // prune drops items whose upper-bound count falls below the bucket id.
-func (c *LossyCounter) prune() {
+func (c *LossyCounter[K]) prune() {
 	for item, e := range c.counts {
 		if e.count+e.delta <= c.bucket {
 			delete(c.counts, item)
@@ -63,15 +64,15 @@ func (c *LossyCounter) prune() {
 }
 
 // N returns the number of items seen.
-func (c *LossyCounter) N() int { return c.n }
+func (c *LossyCounter[K]) N() int { return c.n }
 
 // Size returns the number of items currently tracked (the space bound in
 // action).
-func (c *LossyCounter) Size() int { return len(c.counts) }
+func (c *LossyCounter[K]) Size() int { return len(c.counts) }
 
 // Count returns the (possibly undercounted) frequency of item; 0 when the
 // item was pruned or never seen.
-func (c *LossyCounter) Count(item string) int {
+func (c *LossyCounter[K]) Count(item K) int {
 	if e, ok := c.counts[item]; ok {
 		return e.count
 	}
@@ -82,8 +83,8 @@ func (c *LossyCounter) Count(item string) int {
 // items with count + delta ≥ threshold. Guaranteed to include every item
 // whose true frequency is ≥ threshold, and to exclude items whose true
 // frequency is < threshold − ε·N.
-func (c *LossyCounter) AtLeast(threshold int) map[string]int {
-	out := make(map[string]int)
+func (c *LossyCounter[K]) AtLeast(threshold int) map[K]int {
+	out := make(map[K]int)
 	for item, e := range c.counts {
 		if e.count+e.delta >= threshold {
 			out[item] = e.count

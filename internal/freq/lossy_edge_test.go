@@ -28,7 +28,7 @@ func TestNewLossyCounterEpsilonBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewLossyCounter(tc.epsilon)
+			c, err := NewLossyCounter[string](tc.epsilon)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("NewLossyCounter(%v) accepted an out-of-range epsilon", tc.epsilon)
@@ -49,7 +49,7 @@ func TestLossyCounterSingleItemStream(t *testing.T) {
 	// A one-item stream crosses every bucket boundary but the item's count
 	// always exceeds the bucket id, so it must never be evicted and must be
 	// counted exactly (delta = 0 for an item present from the start).
-	c, err := NewLossyCounter(0.1)
+	c, err := NewLossyCounter[string](0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLossyCounterEvictionAtBucketBoundary(t *testing.T) {
 	// singleton inserted in bucket b has count+delta = 1+(b−1) = b ≤ b, so
 	// it is evicted at the first boundary after its insertion — and
 	// surviving items carry their full count across the boundary.
-	c, err := NewLossyCounter(0.5)
+	c, err := NewLossyCounter[string](0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestLossyCounterUndercountBound(t *testing.T) {
 	// AtLeast(threshold) must include every item with true count ≥
 	// threshold.
 	const epsilon = 0.02
-	c, err := NewLossyCounter(epsilon)
+	c, err := NewLossyCounter[string](epsilon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,17 @@ import (
 
 func TestNewLossyCounterValidation(t *testing.T) {
 	for _, eps := range []float64{0, 1, -0.5, 2} {
-		if _, err := NewLossyCounter(eps); err == nil {
+		if _, err := NewLossyCounter[string](eps); err == nil {
 			t.Errorf("epsilon %v accepted", eps)
 		}
 	}
-	if _, err := NewLossyCounter(0.01); err != nil {
+	if _, err := NewLossyCounter[string](0.01); err != nil {
 		t.Errorf("valid epsilon rejected: %v", err)
 	}
 }
 
 func TestExactForSmallStreams(t *testing.T) {
-	c, err := NewLossyCounter(0.001)
+	c, err := NewLossyCounter[string](0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestExactForSmallStreams(t *testing.T) {
 func TestFrequentItemsAlwaysFound(t *testing.T) {
 	// Guarantee: every item with true frequency ≥ threshold appears in
 	// AtLeast(threshold), regardless of how much rare noise interleaves.
-	c, err := NewLossyCounter(0.005)
+	c, err := NewLossyCounter[string](0.005)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFrequentItemsAlwaysFound(t *testing.T) {
 func TestUndercountBounded(t *testing.T) {
 	// Property: reported count ∈ [true − εN, true].
 	eps := 0.01
-	c, err := NewLossyCounter(eps)
+	c, err := NewLossyCounter[string](eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestUndercountBounded(t *testing.T) {
 }
 
 func TestNAndSize(t *testing.T) {
-	c, err := NewLossyCounter(0.1)
+	c, err := NewLossyCounter[string](0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestNAndSize(t *testing.T) {
 func TestLossyCounterProperty(t *testing.T) {
 	// Property: for any stream, no item is overcounted.
 	f := func(raw []byte) bool {
-		c, err := NewLossyCounter(0.05)
+		c, err := NewLossyCounter[string](0.05)
 		if err != nil {
 			return false
 		}

@@ -10,12 +10,13 @@ package slct
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"logparse/internal/core"
+	"logparse/internal/freq"
 	"logparse/internal/telemetry"
 )
 
@@ -91,9 +92,47 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 	if len(msgs) == 0 {
 		return nil, core.ErrNoMessages
 	}
+	templates, ids, err := p.parse(ctx, 0, func(fn func(tokens []string)) error {
+		for i := range msgs {
+			if i%cancelCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			fn(msgs[i].Tokens)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &core.ParseResult{Templates: templates, Assignment: make([]int, len(ids))}
+	for i, id := range ids {
+		res.Assignment[i] = int(id)
+	}
+	return res, nil
+}
+
+// candidate is a cluster candidate: the frequent pairs its lines contain,
+// in position order and serialised as key, how many lines contain exactly
+// those, and how many of the lines have each token count.
+type candidate struct {
+	key     string
+	pairs   []posWord
+	support int
+	lengths map[int]int
+}
+
+// parse is SLCT's two passes over the lines each feeds, once per call, to
+// fn. Pass 1 counts the (position, word) vocabulary — exactly, or with
+// lossy counting at error rate epsilon when epsilon > 0. Pass 2 files each
+// line under the candidate its frequent pairs form. The candidates with
+// enough support become templates, most supported first (ties by key),
+// and parse returns them with each line's template index (OutlierID when
+// its candidate was not selected or it has none).
+func (p *Parser) parse(ctx context.Context, epsilon float64, each func(fn func(tokens []string)) error) ([]core.Template, []int32, error) {
 	tel := p.opts.Telemetry
 	tel.Counter("parse.slct.calls").Inc()
-	tel.Counter("parse.slct.lines").Add(uint64(len(msgs)))
 	sp := tel.SpanFrom(ctx, "slct.parse")
 	start := time.Now()
 	defer func() {
@@ -101,113 +140,124 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 		tel.Histogram("parse.slct.seconds", telemetry.DurationBuckets).
 			Observe(time.Since(start).Seconds())
 	}()
-	support := p.support(len(msgs))
 
-	// Pass 1: word-position vocabulary.
 	stage := sp.Child("vocab")
 	vocab := make(map[posWord]int)
-	for i := range msgs {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("slct: pass 1: %w", err)
-			}
-		}
-		for pos, w := range msgs[i].Tokens {
-			vocab[posWord{pos, w}]++
+	var lossy *freq.LossyCounter[posWord]
+	if epsilon > 0 {
+		var err error
+		if lossy, err = freq.NewLossyCounter[posWord](epsilon); err != nil {
+			return nil, nil, err
 		}
 	}
+	n := 0
+	err := each(func(tokens []string) {
+		n++
+		for pos, w := range tokens {
+			if lossy != nil {
+				lossy.Add(posWord{pos, w})
+			} else {
+				vocab[posWord{pos, w}]++
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("slct: pass 1: %w", err)
+	}
+	if n == 0 {
+		return nil, nil, core.ErrNoMessages
+	}
+	tel.Counter("parse.slct.lines").Add(uint64(n))
+	support := p.support(n)
 	frequent := make(map[posWord]bool)
-	for pw, n := range vocab {
-		if n >= support {
+	if lossy != nil {
+		for pw := range lossy.AtLeast(support) {
+			frequent[pw] = true
+		}
+	}
+	for pw, c := range vocab {
+		if c >= support {
 			frequent[pw] = true
 		}
 	}
 	stage.End()
 
-	// Pass 2: cluster candidates keyed by the ordered frequent pairs a
-	// line contains.
 	stage = sp.Child("candidates")
-	type candidate struct {
-		pairs   []posWord
-		members []int
-	}
-	candidates := make(map[string]*candidate)
-	keys := make([]string, len(msgs)) // candidate key per message ("" = none)
-	for i := range msgs {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("slct: pass 2: %w", err)
-			}
-		}
-		var pairs []posWord
-		var sb strings.Builder
-		for pos, w := range msgs[i].Tokens {
-			if frequent[posWord{pos, w}] {
-				pairs = append(pairs, posWord{pos, w})
-				sb.WriteString(strconv.Itoa(pos))
-				sb.WriteByte('=')
-				sb.WriteString(w)
-				sb.WriteByte('\x00')
+	var cands []candidate
+	index := make(map[string]int32)
+	ids := make([]int32, 0, n)
+	var pairs []posWord
+	var key []byte
+	err = each(func(tokens []string) {
+		pairs, key = pairs[:0], key[:0]
+		for pos, w := range tokens {
+			if pw := (posWord{pos, w}); frequent[pw] {
+				pairs = append(pairs, pw)
+				key = strconv.AppendInt(key, int64(pos), 10)
+				key = append(append(append(key, '='), w...), 0)
 			}
 		}
 		if len(pairs) == 0 {
-			continue
+			ids = append(ids, core.OutlierID)
+			return
 		}
-		key := sb.String()
-		keys[i] = key
-		c, ok := candidates[key]
+		id, ok := index[string(key)]
 		if !ok {
-			c = &candidate{pairs: pairs}
-			candidates[key] = c
+			id = int32(len(cands))
+			index[string(key)] = id
+			cands = append(cands, candidate{key: string(key), pairs: slices.Clone(pairs), lengths: map[int]int{}})
 		}
-		c.members = append(c.members, i)
+		cands[id].support++
+		cands[id].lengths[len(tokens)]++
+		ids = append(ids, id)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("slct: pass 2: %w", err)
+	}
+	if len(ids) != n {
+		return nil, nil, fmt.Errorf("slct: pass 2 read %d lines, pass 1 read %d", len(ids), n)
 	}
 	stage.End()
 
-	// Select clusters with enough support, in deterministic order.
 	stage = sp.Child("templates")
 	defer stage.End()
-	selected := make([]string, 0, len(candidates))
-	for key, c := range candidates {
-		if len(c.members) >= support {
-			selected = append(selected, key)
+	var selected []int32
+	for id := range cands {
+		if cands[id].support >= support {
+			selected = append(selected, int32(id))
 		}
 	}
 	sort.Slice(selected, func(a, b int) bool {
-		ca, cb := candidates[selected[a]], candidates[selected[b]]
-		if len(ca.members) != len(cb.members) {
-			return len(ca.members) > len(cb.members)
+		ca, cb := &cands[selected[a]], &cands[selected[b]]
+		if ca.support != cb.support {
+			return ca.support > cb.support
 		}
-		return selected[a] < selected[b]
+		return ca.key < cb.key
 	})
-
-	res := &core.ParseResult{Assignment: make([]int, len(msgs))}
-	clusterOf := make(map[string]int, len(selected))
-	for rank, key := range selected {
-		c := candidates[key]
-		res.Templates = append(res.Templates, core.Template{
-			ID:     fmt.Sprintf("SLCT-%d", rank+1),
-			Tokens: templateFor(c.pairs, c.members, msgs),
+	rank := make([]int32, len(cands))
+	for id := range rank {
+		rank[id] = core.OutlierID
+	}
+	var templates []core.Template
+	for r, id := range selected {
+		rank[id] = int32(r)
+		templates = append(templates, core.Template{
+			ID:     fmt.Sprintf("SLCT-%d", r+1),
+			Tokens: templateFor(cands[id].pairs, cands[id].lengths),
 		})
-		clusterOf[key] = rank
 	}
-	for i := range msgs {
-		if idx, ok := clusterOf[keys[i]]; ok && keys[i] != "" {
-			res.Assignment[i] = idx
-			continue
+	for i, id := range ids {
+		if id >= 0 {
+			ids[i] = rank[id]
 		}
-		res.Assignment[i] = core.OutlierID
 	}
-	return res, nil
+	return templates, ids, nil
 }
 
 // templateFor renders a cluster's template: the frequent word at frequent
-// positions, the wildcard elsewhere, over the majority member length.
-func templateFor(pairs []posWord, members []int, msgs []core.LogMessage) []string {
-	lengths := make(map[int]int)
-	for _, m := range members {
-		lengths[len(msgs[m].Tokens)]++
-	}
+// positions, the wildcard elsewhere, over the majority member length (the
+// longer on a tie).
+func templateFor(pairs []posWord, lengths map[int]int) []string {
 	bestLen, bestCount := 0, 0
 	for l, c := range lengths {
 		if c > bestCount || (c == bestCount && l > bestLen) {

@@ -135,7 +135,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Now = time.Now
 	}
 	if cfg.Online == nil && cfg.Retrainer == nil {
-		rt, err := NewRetrainer(robust.Policy{}, nil, slct.StreamOptions{})
+		rt, err := NewRetrainer(robust.Policy{}, nil, slct.Options{})
 		if err != nil {
 			return nil, err
 		}

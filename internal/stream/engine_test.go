@@ -187,7 +187,7 @@ func TestEngineBasicIngest(t *testing.T) {
 }
 
 // TestEngineDigestDeterministicAcrossFreshRuns runs the default retrainer
-// (SLCT-stream) twice over one stream: not only the digest but every
+// (SLCT) twice over one stream: not only the digest but every
 // template's index, ID and tokens — what checkpoints and the event store
 // record — must come out the same.
 func TestEngineDigestDeterministicAcrossFreshRuns(t *testing.T) {
@@ -483,6 +483,33 @@ func TestEngineOversizedLinesCounted(t *testing.T) {
 	s := e.Stats()
 	if s.Oversized != 1 || s.Processed != 3 {
 		t.Fatalf("Oversized = %d Processed = %d, want 1/3", s.Oversized, s.Processed)
+	}
+}
+
+// TestEngineRetrainsOverMaxLineBytesLine: a line truncated at MaxLineBytes
+// is an ordinary unmatched line to the default retrainer — the batch it
+// lands in retrains, and nothing is shed.
+func TestEngineRetrainsOverMaxLineBytesLine(t *testing.T) {
+	lines := []string{strings.Repeat("x", core.DefaultMaxLineBytes+6)}
+	for i := 1; i <= 5; i++ {
+		lines = append(lines, fmt.Sprintf("alpha beta %d", i))
+	}
+	for i := 1; i <= 20; i++ {
+		lines = append(lines, fmt.Sprintf("gamma delta %d", i))
+	}
+	cfg := testConfig(t, lines)
+	cfg.Retrainer = nil
+	cfg.RetrainBatch = 4
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.RetrainFailures != 0 || s.UnmatchedDropped != 0 || s.Oversized != 1 {
+		t.Fatalf("RetrainFailures = %d UnmatchedDropped = %d Oversized = %d, want 0/0/1",
+			s.RetrainFailures, s.UnmatchedDropped, s.Oversized)
 	}
 }
 

@@ -18,7 +18,7 @@ type Retrainer interface {
 
 // ChainRetrainer runs a robust degradation chain over the batch: an
 // optional primary mining parser (IPLoM, LogSig, …) degrading to the
-// SLCT-stream tier — the cheapest, most predictable miner in the toolkit.
+// SLCT tier — the cheapest, most predictable miner in the toolkit.
 // Panics, deadlines and errors inside the tiers are absorbed by the robust
 // layer; only a fully exhausted chain surfaces as a retrain failure (and
 // from there, into the engine's circuit breaker).
@@ -29,13 +29,13 @@ type ChainRetrainer struct {
 var _ Retrainer = (*ChainRetrainer)(nil)
 
 // NewRetrainer builds the default retrain chain. primary may be nil, in
-// which case the chain is SLCT-stream alone.
-func NewRetrainer(pol robust.Policy, primary core.Parser, slctOpts slct.StreamOptions) (*ChainRetrainer, error) {
+// which case the chain is SLCT alone.
+func NewRetrainer(pol robust.Policy, primary core.Parser, slctOpts slct.Options) (*ChainRetrainer, error) {
 	var tiers []robust.Tier
 	if primary != nil {
 		tiers = append(tiers, robust.Tier{Parser: primary})
 	}
-	tiers = append(tiers, robust.Tier{Parser: slct.NewStreamParser(slctOpts)})
+	tiers = append(tiers, robust.Tier{Parser: slct.New(slctOpts)})
 	chain, err := robust.New(pol, tiers...)
 	if err != nil {
 		return nil, err
@@ -43,7 +43,7 @@ func NewRetrainer(pol robust.Policy, primary core.Parser, slctOpts slct.StreamOp
 	return &ChainRetrainer{chain: chain}, nil
 }
 
-// Name implements Retrainer, e.g. "Robust(IPLoM→SLCT-stream)".
+// Name implements Retrainer, e.g. "Robust(IPLoM→SLCT)".
 func (r *ChainRetrainer) Name() string { return r.chain.Name() }
 
 // Stats exposes the underlying chain's cumulative counters (panics,

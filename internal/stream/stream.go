@@ -10,7 +10,7 @@
 // against a template Matcher (O(line length), the ingest-path component of
 // internal/match), buffers the lines no known template covers, and
 // periodically retrains on that buffer through a robust degradation chain
-// whose cheap tier reuses slct.ParseStream. Around that core it provides
+// whose cheap tier is SLCT. Around that core it provides
 // the three robustness properties a long-running service needs:
 //
 //   - crash safety: the matcher's template set, per-template event counts,
@@ -123,7 +123,7 @@ type Config struct {
 	// shed and counted (default 4×RetrainBatch).
 	MaxUnmatched int
 	// Retrainer mines templates from a batch of unmatched lines. Defaults
-	// to NewRetrainer with no primary tier (SLCT-stream only). Ignored when
+	// to NewRetrainer with no primary tier (SLCT only). Ignored when
 	// Online is set.
 	Retrainer Retrainer
 	// Online, when non-nil, switches the engine to online-parser mode: the

@@ -10,12 +10,13 @@
 #                              smoke + multi-tenant server smoke +
 #                              WAL and event-store crash smokes + the
 #                              server-profile recipe on 20 k lines (matcher
-#                              and learner legs) + a 5s fuzz smoke pass per
+#                              and learner legs) + the SLCT stream-equals-
+#                              batch smoke + a 5s fuzz smoke pass per
 #                              fuzz target + the LoC ratchet
 #                              (scripts/loc.sh -check)
 #   scripts/verify.sh -short   fast: build + vet + `go test -short -race` +
 #                              the LoC ratchet + reduced crash-recovery and
-#                              server smokes
+#                              server smokes + the SLCT smoke
 #                              (skips the long-running suites and the fuzz
 #                              smokes; the conformance differential matrix
 #                              still runs at reduced breadth)
@@ -52,6 +53,8 @@ if [ "$short" = 1 ]; then
 	sh scripts/wal_crash_smoke.sh 3 1500
 	echo "==> event-store crash smoke (reduced)"
 	sh scripts/events_smoke.sh 3000 1200
+	echo "==> SLCT stream-equals-batch smoke (scripts/slct_smoke.sh)"
+	sh scripts/slct_smoke.sh
 	echo "verify: OK (short)"
 	exit 0
 fi
@@ -76,6 +79,9 @@ sh scripts/wal_crash_smoke.sh
 
 echo "==> event-store crash smoke (scripts/events_smoke.sh)"
 sh scripts/events_smoke.sh
+
+echo "==> SLCT stream-equals-batch smoke (scripts/slct_smoke.sh)"
+sh scripts/slct_smoke.sh
 
 echo "==> server profile recipe smoke (scripts/profile_server.sh HDFS 20000, -online Spell Thunderbird 20000)"
 prof="$(mktemp)"

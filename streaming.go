@@ -71,7 +71,8 @@ func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) {
 
 // NewStreamRetrainer builds the default retrain chain: an optional primary
 // mining algorithm (by registry name, configured from opts) degrading to
-// the streaming SLCT tier. primary == "" yields the SLCT-only chain.
+// SLCT over the batch of unmatched lines. primary == "" yields the
+// SLCT-only chain.
 func NewStreamRetrainer(primary string, opts Options, pol RobustPolicy) (StreamRetrainer, error) {
 	var p core.Parser
 	if primary != "" {
@@ -81,10 +82,7 @@ func NewStreamRetrainer(primary string, opts Options, pol RobustPolicy) (StreamR
 		}
 		p = parser
 	}
-	return stream.NewRetrainer(pol, p, slct.StreamOptions{Options: slct.Options{
-		Support:     opts.Support,
-		SupportFrac: opts.SupportFrac,
-	}})
+	return stream.NewRetrainer(pol, p, slct.Options{Support: opts.Support, SupportFrac: opts.SupportFrac})
 }
 
 // NewOnlineParser builds the online learner for a streaming-native
