@@ -38,61 +38,112 @@ func BenchmarkEventStoreQuery(b *testing.B) {
 	b.ReportMetric(float64(last.Decompressed), "blocks-inflated/op")
 }
 
-// BenchmarkEventStoreList measures what a block costs a list query on a
-// service-shaped store: 400 blocks of 5,000 events (the engine's checkpoint
-// interval), 64 events per instant (its consumer batch), Zipf-distributed
-// templates, and one rare template — every 20,000th event — that
-// `mode=list&limit=100` must find: a quarter of the blocks hold one such
-// event each, and each of those is read, verified, inflated and decoded
-// for it.
-func BenchmarkEventStoreList(b *testing.B) {
-	const blocks, perBlock, batch, rare = 400, 5000, 64, 60
-	dir := b.TempDir()
-	s, _, err := Open(Options{Dir: dir})
-	if err != nil {
-		b.Fatalf("Open: %v", err)
-	}
-	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 2, 47)
-	for i := 0; i < blocks*perBlock; i++ {
+// benchShapes are the two template mixes a store's blocks carry: a
+// converged matcher's, 47 Zipf templates (HDFS's stores hold ≈ 100 per
+// block), and a learner's, ≈ 1,900 distinct templates per 5,000-event
+// block, most seen once or twice — where rebuilding a v3 block's code from
+// its footer costs most.
+var benchShapes = []struct {
+	name string
+	s, v float64
+	imax uint64
+}{{"zipf47", 1.2, 2, 47}, {"learner", 1.01, 1, 20000}}
+
+// benchEvents returns the i-th event of a service-shaped stream: 64 events
+// per instant (the engine's consumer batch), templates drawn from zipf,
+// and one rare template — every 20,000th event — no draw yields.
+func benchEvents(zipf *rand.Zipf) func(i int) Event {
+	return func(i int) Event {
 		ev := Event{
 			Seq:      int64(i + 1),
-			Time:     int64(time.Hour) + int64(i/batch)*int64(50*time.Microsecond),
+			Time:     int64(time.Hour) + int64(i/64)*int64(50*time.Microsecond),
 			Template: int32(zipf.Uint64()),
 			Kind:     KindMatched,
 		}
 		if i%20000 == 9999 {
-			ev.Template = rare
+			ev.Template = benchRare
 		}
-		if err := s.Append(ev); err != nil {
-			b.Fatalf("Append: %v", err)
-		}
-		if i%perBlock == perBlock-1 {
-			if err := s.Finalize(); err != nil {
-				b.Fatalf("Finalize: %v", err)
+		return ev
+	}
+}
+
+const (
+	benchRare     = 1 << 15
+	benchPerBlock = 5000 // the engine's checkpoint interval
+)
+
+// BenchmarkEventStoreList measures what a block costs a list query on a
+// service-shaped store, in each shape: 400 blocks of 5,000 events, where
+// `mode=list&limit=100` must find the rare template. A quarter of the
+// blocks hold one such event each, and each of those is read, verified and
+// decoded for it.
+func BenchmarkEventStoreList(b *testing.B) {
+	const blocks = 400
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			dir := b.TempDir()
+			s, _, err := Open(Options{Dir: dir})
+			if err != nil {
+				b.Fatalf("Open: %v", err)
 			}
-		}
+			event := benchEvents(rand.NewZipf(rand.New(rand.NewSource(1)), sh.s, sh.v, sh.imax))
+			for i := 0; i < blocks*benchPerBlock; i++ {
+				if err := s.Append(event(i)); err != nil {
+					b.Fatalf("Append: %v", err)
+				}
+				if i%benchPerBlock == benchPerBlock-1 {
+					if err := s.Finalize(); err != nil {
+						b.Fatalf("Finalize: %v", err)
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				b.Fatalf("Close: %v", err)
+			}
+			r, info, err := OpenReader(dir, ReaderOptions{})
+			if err != nil || info.Blocks != blocks {
+				b.Fatalf("OpenReader: %+v, %v", info, err)
+			}
+			q := Query{TemplateIDs: []int32{benchRare}, Limit: 100}
+			b.ResetTimer()
+			var st QueryStats
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if st, err = r.Scan(q, func(Event) error { n++; return nil }); err != nil || n != 100 {
+					b.Fatalf("Scan: %d events, %v", n, err)
+				}
+			}
+			if st.Decompressed != blocks/4 {
+				b.Fatalf("stats: %+v", st)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*st.Decompressed), "us/block")
+			b.ReportMetric(float64(st.BytesDecompressed)/float64(st.Decompressed), "rawB/block")
+		})
 	}
-	if err := s.Close(); err != nil {
-		b.Fatalf("Close: %v", err)
+}
+
+// BenchmarkEventStoreSeal measures what sealing a 5,000-event block costs
+// per event, in each shape: the code's build, the body, the footer and the
+// checksum. Filling the block is not timed.
+func BenchmarkEventStoreSeal(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			event := benchEvents(rand.NewZipf(rand.New(rand.NewSource(1)), sh.s, sh.v, sh.imax))
+			var bb blockBuilder
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bb.reset()
+				for j := 0; j < benchPerBlock; j++ {
+					bb.add(event(i*benchPerBlock + j))
+				}
+				b.StartTimer()
+				out, _ = bb.seal(out[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchPerBlock), "ns/event")
+			b.ReportMetric(float64(len(out))/benchPerBlock, "B/event")
+		})
 	}
-	r, info, err := OpenReader(dir, ReaderOptions{})
-	if err != nil || info.Blocks != blocks {
-		b.Fatalf("OpenReader: %+v, %v", info, err)
-	}
-	q := Query{TemplateIDs: []int32{rare}, Limit: 100}
-	b.ResetTimer()
-	var st QueryStats
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if st, err = r.Scan(q, func(Event) error { n++; return nil }); err != nil || n != 100 {
-			b.Fatalf("Scan: %d events, %v", n, err)
-		}
-	}
-	if st.Decompressed != blocks/4 {
-		b.Fatalf("stats: %+v", st)
-	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*st.Decompressed), "us/block")
-	b.ReportMetric(float64(st.BytesDecompressed)/float64(st.Decompressed), "rawB/block")
 }
 
 // BenchmarkEventStoreAppend measures the writer's ingest-side cost per

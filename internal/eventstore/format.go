@@ -7,7 +7,7 @@
 // sequence, a per-block template→count inverted index, and a SHA-256
 // checksum. A Reader answers
 // template/time-range queries by consulting block metadata first, so a
-// selective query skips (and never decompresses) the blocks that cannot
+// selective query skips (and never decodes) the blocks that cannot
 // match.
 //
 // Crash discipline is internal/seglog's, shared with the WAL: a block cut
@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"logparse/internal/seglog"
@@ -40,12 +41,13 @@ import (
 //
 // Block layout:
 //
-//	magic   "EVB2" (4 bytes) — "EVB1" in stores written before the
-//	                           columnar body; see below
-//	bodyLen (4 bytes, little-endian) — compressed body byte count
-//	rawLen  (4 bytes, little-endian) — uncompressed body byte count
+//	magic   "EVB3" (4 bytes) — "EVB2" or "EVB1" in stores written before
+//	                           this layout; see below
+//	bodyLen (4 bytes, little-endian) — body byte count
+//	rawLen  (4 bytes, little-endian) — equal to bodyLen ("EVB2", "EVB1":
+//	                                   the inflated body's byte count)
 //	ftrLen  (4 bytes, little-endian) — footer byte count
-//	body    (bodyLen bytes)          — one flate stream over the raw body
+//	body    (bodyLen bytes)          — see below
 //	footer  (ftrLen bytes)           — see below
 //	sum     (32 bytes)               — SHA-256 over header+body+footer
 //
@@ -59,8 +61,9 @@ import (
 //	entries          indexN × (uvarint templateID, uvarint count),
 //	                 templateID strictly ascending
 //
-// Raw body, "EVB2" — columnar, because a reader wants one field (which
-// template) of every event and the other four of almost none:
+// Body, "EVB3" — columnar, because a reader wants one field (which
+// template) of every event and the other four of almost none; stored as it
+// is, with no compression stage:
 //
 //	seq column    runs of (uvarint runLen, varint seqDelta) — Seq minus
 //	              the previous event's Seq, the first against zero (≥ 0:
@@ -71,22 +74,28 @@ import (
 //	kind column   runs of (uvarint runLen, varint kind)
 //	offset column runs of (uvarint runLen, varint rawOff) — optional
 //	              raw-line byte offset, 0 when unused
-//	template column  count × uvarint tmpl+1 — 0 encodes the unmatched
-//	                 sentinel Template == −1
+//	template column  count canonical Huffman codes, MSB-first, zero-padded
+//	                 to a byte — a code the reader rebuilds from the footer
+//	                 (huffman.go), so none is stored; empty when the block
+//	                 holds one template
 //
 // Each run column's lengths sum to the footer's count, which is also what
-// delimits it; the template column ends the body.
+// delimits it; the template column ends the body. A full read checks that
+// the column decodes to exactly count codes ending in its last byte, and
+// that their histogram is the footer index's.
 //
-// "EVB1" blocks — the only layout before this one, still read, never
-// written — differ in two places: the footer carries a 256-bit template
-// bloom filter between matched and indexN (skipped: the inverted index
-// beside it is exact), and the raw body is count interleaved records
+// "EVB2" blocks — still read, never written — store the same body as one
+// flate stream, with a template column of count × uvarint tmpl+1 (0 encodes
+// the unmatched sentinel Template == −1). "EVB1" blocks, the layout before
+// that, also differ in the footer, which carries a 256-bit template bloom
+// filter between matched and indexN (skipped: the inverted index beside it
+// is exact), and their inflated body is count interleaved records
 //
 //	uvarint seqDelta, varint timeDelta, uvarint tmpl+1, kind (1 byte),
 //	uvarint rawOff
 //
-// A segment may hold blocks of both layouts; everything that stays in the
-// footer (Open, AlignTo, Refresh, count and top queries) cannot tell.
+// A segment may hold blocks of all three layouts; everything that stays in
+// the footer (Open, AlignTo, Refresh, count and top queries) cannot tell.
 //
 // The segment header, file naming, torn-tail vs corruption taxonomy and
 // crash repair are internal/seglog's; this file holds the block codec it
@@ -100,8 +109,9 @@ const (
 	segMagic = "logevents-segment v1\n"
 	// segHeaderSize is the magic line plus the 8-byte firstSeq.
 	segHeaderSize = len(segMagic) + 8
-	blockMagic    = "EVB2"
-	blockMagicV1  = "EVB1"
+	// blockMagic is "EVB" and the layout's version digit: 3 is written,
+	// 1 and 2 are read.
+	blockMagic = "EVB3"
 	// blockHeaderSize is magic(4) + bodyLen(4) + rawLen(4) + ftrLen(4).
 	blockHeaderSize = 16
 	checksumSize    = sha256.Size
@@ -112,7 +122,7 @@ const (
 	footerV1Skipped = 32
 )
 
-// The run columns of a v2 body, in body order.
+// The run columns of a v2 or v3 body, in body order.
 const (
 	colSeq = iota
 	colTime
@@ -220,7 +230,7 @@ type blockMeta struct {
 	minTime, maxTime int64
 	count, matched   uint32
 	rawLen           uint32
-	v1               bool // the body is v1's rows, not columns
+	version          byte // the magic's layout digit
 }
 
 // IndexEntry is one inverted-index row: how many events of one template a
@@ -230,45 +240,46 @@ type IndexEntry struct {
 	Count    int64
 }
 
-// decodeEvents walks a raw (decompressed) block body, calling fn for each
-// event whose template is one of ids — for every event when ids is empty.
-// meta supplies the footer's claims, which the walk verifies: count, seq
-// bounds and monotonicity. Returns a *CorruptError (with empty Path/Offset
-// for the caller to fill) on any structural violation, or fn's error, which
-// stops the walk where it is.
-func decodeEvents(raw []byte, meta blockMeta, ids []int32, fn func(Event) error) error {
-	if meta.v1 {
-		return decodeRows(raw, meta, ids, fn)
-	}
+// decodeEvents walks a v2 or v3 block body (v2: inflated; a v1 body
+// arrives rewritten as v2, decoder.columns), calling fn for each event whose
+// template is one of ids — for every event when ids is empty. meta supplies
+// the footer's claims, which the walk verifies: count, seq bounds and
+// monotonicity. code is a v3 block's template code, built from its footer.
+// Returns a *CorruptError (with empty Path/Offset for the caller to fill) on
+// any structural violation, or fn's error, which stops the walk where it
+// is.
+func decodeEvents(raw []byte, meta blockMeta, code *huffman, ids []int32, fn func(Event) error) error {
 	cols, tmpl, err := splitColumns(raw, meta)
 	if err != nil {
 		return err
 	}
-	// The filter runs here, on the template column: only a hit pays for
-	// seeking the four run cursors to its position.
-	for p := uint32(0); p < meta.count; p++ {
-		// A one-byte code is the common case; sending it through
-		// binary.Uvarint too costs the walk ≈ 8 % per block.
-		code, k := uint64(0), 1
-		if len(tmpl) > 0 && tmpl[0] < 0x80 {
-			code = uint64(tmpl[0])
-		} else if code, k = binary.Uvarint(tmpl); k == 0 {
-			return &seglog.CorruptError{Reason: fmt.Sprintf("footer claims %d events, body holds %d", meta.count, p)}
-		} else if k < 0 || code > 1<<31 {
-			return &seglog.CorruptError{Reason: "bad event template"}
-		}
-		tmpl = tmpl[k:]
-		ev := Event{Template: int32(code) - 1}
-		if fn == nil || !wanted(ids, ev.Template) {
-			continue
-		}
+	// The filter runs on the template column: only a hit pays for seeking
+	// the four run cursors to its position.
+	hit := func(p uint32, t int32) error {
 		for c := range cols {
 			cols[c].seek(p)
 		}
-		ev.Seq, ev.Time = cols[colSeq].sum(p), cols[colTime].sum(p)
-		ev.Kind, ev.RawOff = Kind(cols[colKind].v), cols[colOff].v
-		if err := fn(ev); err != nil {
-			return err
+		return fn(Event{
+			Seq: cols[colSeq].sum(p), Time: cols[colTime].sum(p), Template: t,
+			Kind: Kind(cols[colKind].v), RawOff: cols[colOff].v,
+		})
+	}
+	if meta.version == 3 {
+		for s, t := range code.syms {
+			code.want[s] = fn != nil && wanted(ids, t)
+		}
+		return code.walk(tmpl, meta.count, hit)
+	}
+	for p := uint32(0); p < meta.count; p++ {
+		v, k := binary.Uvarint(tmpl)
+		if k <= 0 || v > 1<<31 {
+			return &seglog.CorruptError{Reason: "bad event template"}
+		}
+		tmpl = tmpl[k:]
+		if t := int32(v) - 1; fn != nil && wanted(ids, t) {
+			if err := hit(p, t); err != nil {
+				return err
+			}
 		}
 	}
 	if len(tmpl) != 0 {
@@ -277,8 +288,9 @@ func decodeEvents(raw []byte, meta blockMeta, ids []int32, fn func(Event) error)
 	return nil
 }
 
-// wanted is decodeEvents' template filter. (slices.Contains costs the column
-// walk a call per event: its generic body is not inlined.)
+// wanted is decodeEvents' template filter, per event of a v2 body, per
+// symbol of a v3 one. (slices.Contains costs the v2 walk a call per event:
+// its generic body is not inlined.)
 func wanted(ids []int32, tmpl int32) bool {
 	for _, id := range ids {
 		if id == tmpl {
@@ -288,7 +300,7 @@ func wanted(ids []int32, tmpl int32) bool {
 	return len(ids) == 0
 }
 
-// runCursor walks one run column of a v2 body that splitColumns has
+// runCursor walks one run column of a v2 or v3 body that splitColumns has
 // validated, forwards only.
 type runCursor struct {
 	col  []byte // the runs not yet read
@@ -326,7 +338,7 @@ func (c *runCursor) sum(p uint32) int64 {
 	return c.base + int64(p-(c.end-c.n)+1)*c.v
 }
 
-// splitColumns validates the four run columns of a v2 body once — every
+// splitColumns validates the four run columns of a v2 or v3 body once — every
 // column's run lengths sum to the footer's count; seq deltas are ≥ 0, start
 // at minSeq and add up to maxSeq, which bounds every seq in between; kinds
 // are known; offsets ≥ 0 — and returns a cursor at the start of each plus
@@ -366,78 +378,12 @@ func splitColumns(raw []byte, meta blockMeta) (cols [numCols]runCursor, tmpl []b
 	return cols, raw, nil
 }
 
-// decodeRows is decodeEvents for a v1 body: count interleaved records.
-func decodeRows(raw []byte, meta blockMeta, ids []int32, fn func(Event) error) error {
-	var prev Event
-	var n uint32
-	for len(raw) > 0 {
-		seqDelta, k := binary.Uvarint(raw)
-		if k <= 0 {
-			return &seglog.CorruptError{Reason: "bad event seq delta"}
-		}
-		raw = raw[k:]
-		timeDelta, k := binary.Varint(raw)
-		if k <= 0 {
-			return &seglog.CorruptError{Reason: "bad event time delta"}
-		}
-		raw = raw[k:]
-		tmpl, k := binary.Uvarint(raw)
-		if k <= 0 || tmpl > 1<<31 {
-			return &seglog.CorruptError{Reason: "bad event template"}
-		}
-		raw = raw[k:]
-		if len(raw) == 0 {
-			return &seglog.CorruptError{Reason: "truncated event record"}
-		}
-		kind := Kind(raw[0])
-		if kind >= kindLimit {
-			return &seglog.CorruptError{Reason: fmt.Sprintf("unknown event kind %d", kind)}
-		}
-		raw = raw[1:]
-		rawOff, k := binary.Uvarint(raw)
-		if k <= 0 {
-			return &seglog.CorruptError{Reason: "bad event raw offset"}
-		}
-		raw = raw[k:]
-		ev := Event{
-			Seq:      prev.Seq + int64(seqDelta),
-			Time:     prev.Time + timeDelta,
-			Template: int32(tmpl) - 1,
-			Kind:     kind,
-			RawOff:   int64(rawOff),
-		}
-		if n == 0 && ev.Seq != meta.minSeq {
-			return &seglog.CorruptError{Reason: "first event seq disagrees with footer"}
-		}
-		n++
-		if n > meta.count {
-			return &seglog.CorruptError{Reason: "more events than the footer claims"}
-		}
-		if ev.Seq > meta.maxSeq {
-			return &seglog.CorruptError{Reason: "event seq above the footer maximum"}
-		}
-		prev = ev
-		if fn != nil && wanted(ids, ev.Template) {
-			if err := fn(ev); err != nil {
-				return err
-			}
-		}
-	}
-	if n != meta.count {
-		return &seglog.CorruptError{Reason: fmt.Sprintf("footer claims %d events, body holds %d", meta.count, n)}
-	}
-	if n > 0 && prev.Seq != meta.maxSeq {
-		return &seglog.CorruptError{Reason: "last event seq disagrees with footer"}
-	}
-	return nil
-}
-
-// decodeFooter parses a block footer, v1's or v2's. idx, when non-nil,
-// receives the inverted index (appended).
-func decodeFooter(ftr []byte, v1 bool, idx *[]IndexEntry) (blockMeta, error) {
-	m := blockMeta{v1: v1}
+// decodeFooter parses a block footer of the given layout version. idx,
+// when non-nil, receives the inverted index (appended).
+func decodeFooter(ftr []byte, version byte, idx *[]IndexEntry) (blockMeta, error) {
+	m := blockMeta{version: version}
 	fixed := footerFixedSize
-	if v1 {
+	if version == 1 {
 		fixed += footerV1Skipped
 	}
 	if len(ftr) < fixed {
@@ -497,19 +443,19 @@ func decodeFooter(ftr []byte, v1 bool, idx *[]IndexEntry) (blockMeta, error) {
 // block; whoever knows the block's position places them (seglog.Spec.At).
 func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err error) {
 	// Distinguish a header cut short mid-write from trailing garbage: a
-	// prefix of either magic is torn, anything else is corruption.
+	// prefix of any magic is torn, anything else is corruption.
 	n := min(len(data), len(blockMagic))
-	v1 := string(data[:n]) != blockMagic[:n]
-	if v1 && string(data[:n]) != blockMagicV1[:n] {
+	if string(data[:min(n, 3)]) != blockMagic[:min(n, 3)] || n == 4 && (data[3] < '1' || data[3] > '3') {
 		return meta, nil, &seglog.CorruptError{Reason: "bad block magic"}
 	}
 	if len(data) < blockHeaderSize {
 		return meta, nil, &seglog.TornTailError{}
 	}
+	version := data[3] - '0'
 	bodyLen := binary.LittleEndian.Uint32(data[4:8])
 	rawLen := binary.LittleEndian.Uint32(data[8:12])
 	ftrLen := binary.LittleEndian.Uint32(data[12:16])
-	if bodyLen > MaxBlockBytes || rawLen > MaxBlockBytes {
+	if bodyLen > MaxBlockBytes || rawLen > MaxBlockBytes || version == 3 && rawLen != bodyLen {
 		return meta, nil, &seglog.CorruptError{Reason: "implausible block body length"}
 	}
 	if ftrLen > maxFooterBytes {
@@ -525,25 +471,98 @@ func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err
 	if !bytes.Equal(sum[:], data[sumStart:total]) {
 		return meta, nil, &seglog.CorruptError{Reason: "block checksum mismatch"}
 	}
-	meta, err = decodeFooter(data[ftrStart:sumStart], v1, idx)
+	meta, err = decodeFooter(data[ftrStart:sumStart], version, idx)
 	if err != nil {
 		return meta, nil, err
+	}
+	// A v1 or v2 body bounds count at a byte per event; a v3 body may
+	// spend less, so the bound is stated.
+	if meta.count > MaxBlockBytes {
+		return meta, nil, &seglog.CorruptError{Reason: "implausible block event count"}
 	}
 	meta.rawLen = rawLen
 	meta.size = int64(total)
 	return meta, data[blockHeaderSize:ftrStart], nil
 }
 
-// inflater decompresses block bodies, reusing one flate reader (≈ 40 KB of
-// state) and one output buffer, raw, from block to block.
-type inflater struct {
-	fr  io.ReadCloser
-	raw []byte
+// decoder turns verified blocks into events, reusing its buffers from block
+// to block: a v3 block's template code; a v1 or v2 block's flate reader
+// (≈ 40 KB of state) and inflated body, raw; and a v1 body's rows
+// rewritten as columns.
+type decoder struct {
+	code huffman
+	fr   io.ReadCloser
+	raw  []byte
+	cols [numCols]runColumn
+	tmpl []byte
+	body []byte
 }
 
-// inflate decompresses a block body into z.raw — valid until the next call —
-// and verifies the advertised raw length.
-func (z *inflater) inflate(body []byte, rawLen uint32) error {
+// decode feeds fn the events of block v whose templates are among ids, as
+// decodeEvents does; a v3 block needs v.index.
+func (z *decoder) decode(v blockView, ids []int32, fn func(Event) error) error {
+	if v.meta.version == 3 {
+		z.code.alphabet(v.index, v.meta.count-v.meta.matched)
+		z.code.build()
+		return decodeEvents(v.body, v.meta, &z.code, ids, fn)
+	}
+	if err := z.inflate(v.body, v.meta.rawLen); err != nil {
+		return err
+	}
+	raw := z.raw
+	if v.meta.version == 1 {
+		var err error
+		if raw, err = z.columns(raw); err != nil {
+			return err
+		}
+	}
+	return decodeEvents(raw, v.meta, nil, ids, fn)
+}
+
+// columns rewrites a v1 body, rows of (uvarint seqDelta, varint timeDelta,
+// uvarint tmpl+1, kind byte, uvarint rawOff), as the v2 body of the same
+// events, so that one walk reads every layout and checks what the columns
+// hold. A row that does not parse is corruption.
+func (z *decoder) columns(rows []byte) ([]byte, error) {
+	for c := range z.cols {
+		z.cols[c] = runColumn{buf: z.cols[c].buf[:0]}
+	}
+	z.tmpl = z.tmpl[:0]
+	for len(rows) > 0 {
+		seqDelta, k := binary.Uvarint(rows)
+		timeDelta, j := binary.Varint(rows[max(k, 0):])
+		if k <= 0 || j <= 0 {
+			return nil, &seglog.CorruptError{Reason: "bad event record"}
+		}
+		k += j
+		tmpl, j := binary.Uvarint(rows[k:])
+		if j <= 0 || k+j == len(rows) { // the kind byte follows
+			return nil, &seglog.CorruptError{Reason: "bad event record"}
+		}
+		k += j
+		rawOff, j := binary.Uvarint(rows[k+1:])
+		if j <= 0 {
+			return nil, &seglog.CorruptError{Reason: "bad event record"}
+		}
+		z.cols[colSeq].add(int64(seqDelta))
+		z.cols[colTime].add(timeDelta)
+		z.cols[colKind].add(int64(rows[k]))
+		z.cols[colOff].add(int64(rawOff))
+		z.tmpl = binary.AppendUvarint(z.tmpl, tmpl)
+		rows = rows[k+1+j:]
+	}
+	z.body = z.body[:0]
+	for c := range z.cols {
+		z.cols[c].flush()
+		z.body = append(z.body, z.cols[c].buf...)
+	}
+	z.body = append(z.body, z.tmpl...)
+	return z.body, nil
+}
+
+// inflate decompresses a v1 or v2 block body into z.raw — valid until the
+// next call — and verifies the advertised raw length.
+func (z *decoder) inflate(body []byte, rawLen uint32) error {
 	if cap(z.raw) < int(rawLen) {
 		z.raw = make([]byte, rawLen)
 	}
@@ -567,8 +586,8 @@ func (z *inflater) inflate(body []byte, rawLen uint32) error {
 }
 
 // blockView is what verifying one block yields: its footer metadata, the
-// still-compressed body (a view into the segment image) and, when asked
-// for, the footer's inverted index.
+// still-encoded body (a view into the segment image) and, when asked for,
+// the footer's inverted index.
 type blockView struct {
 	meta  blockMeta
 	body  []byte
@@ -597,7 +616,7 @@ func verifyBlock(wantIndex bool) func([]byte) (seglog.Frame, blockView, error) {
 
 // scanSegmentMeta walks one segment image verifying headers, checksums,
 // footers and block ordering, and hands each (when non-nil) every block's
-// offset and view — but never decompresses a body.
+// offset and view — but never decodes a body.
 func scanSegmentMeta(data []byte, wantIndex bool, each func(off int64, fr seglog.Frame, v blockView) error) (SegmentInfo, error) {
 	info, err := seglog.Walk(&spec, data, verifyBlock(wantIndex), each)
 	return SegmentInfo{
@@ -607,7 +626,7 @@ func scanSegmentMeta(data []byte, wantIndex bool, each func(off int64, fr seglog
 }
 
 // DecodeSegment is the full verification of one segment image: the
-// metadata walk plus, per block, decompression and the event-structure
+// metadata walk plus, per block, the body's decoding and event-structure
 // check, calling fn (when non-nil) for each event in order. It never
 // panics on malformed input: the returned error is nil for a clean
 // segment, a *seglog.TornTailError when the image ends mid-block (a crash
@@ -616,12 +635,9 @@ func scanSegmentMeta(data []byte, wantIndex bool, each func(off int64, fr seglog
 // error, which stops the walk. Path fields of returned errors are empty.
 // Exported for the fuzz target and tests.
 func DecodeSegment(data []byte, fn func(Event) error) (SegmentInfo, error) {
-	var z inflater
-	return scanSegmentMeta(data, false, func(_ int64, _ seglog.Frame, v blockView) error {
-		if err := z.inflate(v.body, v.meta.rawLen); err != nil {
-			return err
-		}
-		return decodeEvents(z.raw, v.meta, nil, fn)
+	var z decoder
+	return scanSegmentMeta(data, true, func(_ int64, _ seglog.Frame, v blockView) error {
+		return z.decode(v, nil, fn)
 	})
 }
 
@@ -652,36 +668,45 @@ func (c *runColumn) flush() {
 // encoded block image. All buffers are reused across blocks.
 type blockBuilder struct {
 	cols             [numCols]runColumn
-	tmpl             []byte // the template column
-	prev             Event  // running delta base
+	prev             Event // running delta base
 	count            uint32
 	match            uint32
 	minSeq, maxSeq   int64
 	minTime, maxTime int64
-	counts           map[int32]int64 // per-template matched+late counts
 
-	fw     *flate.Writer
-	cmp    bytes.Buffer
-	idxIDs []int32 // seal's reusable sorted-id scratch
+	// The template column: each event's slot, a template's first-seen
+	// rank in the block (slot 0 is the unmatched sentinel), and per slot
+	// its template id and event count.
+	tmpls   []uint32
+	tmplLen int // the column's size as v2's uvarints
+	slotOf  map[int32]uint32
+	ids     []int32
+	counts  []uint32
+	index   []IndexEntry // seal's footer index
+	symOf   []uint32     // and slot → code symbol
+	code    huffman
 }
 
 func (b *blockBuilder) reset() {
 	for c := range b.cols {
 		b.cols[c] = runColumn{buf: b.cols[c].buf[:0]}
 	}
-	b.tmpl = b.tmpl[:0]
+	b.tmpls, b.tmplLen = b.tmpls[:0], 0
+	b.ids, b.counts = append(b.ids[:0], -1), append(b.counts[:0], 0)
 	b.prev = Event{}
 	b.count, b.match = 0, 0 // add starts the seq and time bounds over
-	if b.counts == nil {
-		b.counts = make(map[int32]int64)
+	if b.slotOf == nil {
+		b.slotOf = make(map[int32]uint32)
 	} else {
-		clear(b.counts)
+		clear(b.slotOf)
 	}
 }
 
-// rawLen is the body's size so far; seal adds at most the four open runs.
+// rawLen is the size the body would have as v2's, so far; seal adds at
+// most the four open runs. It sets where blocks end, so it stays v2's: a
+// v3 body is smaller, and block boundaries do not move with the layout.
 func (b *blockBuilder) rawLen() int {
-	n := len(b.tmpl)
+	n := b.tmplLen
 	for c := range b.cols {
 		n += len(b.cols[c].buf)
 	}
@@ -699,57 +724,55 @@ func (b *blockBuilder) add(ev Event) {
 	b.cols[colTime].add(ev.Time - b.prev.Time)
 	b.cols[colKind].add(int64(ev.Kind))
 	b.cols[colOff].add(ev.RawOff)
-	b.tmpl = binary.AppendUvarint(b.tmpl, uint64(uint32(ev.Template)+1)) // −1 → 0, MaxInt32 → 1<<31
+	b.tmplLen += (bits.Len32(uint32(ev.Template)+1|1) + 6) / 7 // −1 → 0, MaxInt32 → 1<<31
 	b.prev = ev
 	b.count++
+	slot := uint32(0)
 	if ev.Template >= 0 {
 		b.match++
-		b.counts[ev.Template]++
+		var ok bool
+		if slot, ok = b.slotOf[ev.Template]; !ok {
+			slot = uint32(len(b.ids))
+			b.slotOf[ev.Template] = slot
+			b.ids, b.counts = append(b.ids, ev.Template), append(b.counts, 0)
+		}
 	}
+	b.counts[slot]++
+	b.tmpls = append(b.tmpls, slot)
 }
 
-// seal compresses the accumulated events and appends the complete block
+// seal encodes the accumulated events and appends the complete block
 // image (header, body, footer, checksum) to dst, returning the extended
 // slice and the block's meta. The builder must hold at least one event.
-func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta, error) {
-	b.cmp.Reset()
-	if b.fw == nil {
-		fw, err := flate.NewWriter(&b.cmp, flate.BestSpeed)
-		if err != nil {
-			return dst, blockMeta{}, err
-		}
-		b.fw = fw
-	} else {
-		b.fw.Reset(&b.cmp)
+func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta) {
+	// The code's alphabet is the footer's: ids ascending, then −1.
+	h := &b.code
+	h.order = h.order[:0]
+	for slot, id := range b.ids[1:] {
+		h.order = append(h.order, uint64(id)<<32|uint64(slot+1))
 	}
-	for c := range b.cols {
-		b.cols[c].flush()
-		if _, err := b.fw.Write(b.cols[c].buf); err != nil {
-			return dst, blockMeta{}, err
-		}
+	slices.Sort(h.order)
+	b.index, b.symOf = b.index[:0], slices.Grow(b.symOf[:0], len(b.ids))[:len(b.ids)]
+	for s, o := range h.order {
+		b.index = append(b.index, IndexEntry{Template: int32(o >> 32), Count: int64(b.counts[uint32(o)])})
+		b.symOf[uint32(o)] = uint32(s)
 	}
-	if _, err := b.fw.Write(b.tmpl); err != nil {
-		return dst, blockMeta{}, err
-	}
-	if err := b.fw.Close(); err != nil {
-		return dst, blockMeta{}, err
-	}
-	body := b.cmp.Bytes()
+	b.symOf[0] = uint32(len(b.index)) // −1's symbol, when it has events
+	h.alphabet(b.index, b.counts[0])
+	h.build()
 
 	start := len(dst)
 	dst = append(dst, blockMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.rawLen()))
-	b.idxIDs = b.idxIDs[:0]
-	for id := range b.counts {
-		b.idxIDs = append(b.idxIDs, id)
+	// bodyLen, rawLen (equal in v3) and ftrLen are not known until the
+	// body and footer are written; reserve the slots and patch them after.
+	dst = append(dst, make([]byte, 12)...)
+	bodyStart := len(dst)
+	for c := range b.cols {
+		b.cols[c].flush()
+		dst = append(dst, b.cols[c].buf...)
 	}
-	slices.Sort(b.idxIDs)
-	// Footer length is not known until the varints are written; reserve
-	// the slot and patch it after.
-	ftrLenAt := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, 0)
-	dst = append(dst, body...)
+	dst = h.appendColumn(dst, b.tmpls, b.symOf)
+	bodyLen := uint32(len(dst) - bodyStart)
 
 	ftrStart := len(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(b.minSeq))
@@ -758,12 +781,14 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(b.maxTime))
 	dst = binary.LittleEndian.AppendUint32(dst, b.count)
 	dst = binary.LittleEndian.AppendUint32(dst, b.match)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.idxIDs)))
-	for _, id := range b.idxIDs {
-		dst = binary.AppendUvarint(dst, uint64(id))
-		dst = binary.AppendUvarint(dst, uint64(b.counts[id]))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.index)))
+	for _, e := range b.index {
+		dst = binary.AppendUvarint(dst, uint64(e.Template))
+		dst = binary.AppendUvarint(dst, uint64(e.Count))
 	}
-	binary.LittleEndian.PutUint32(dst[ftrLenAt:], uint32(len(dst)-ftrStart))
+	binary.LittleEndian.PutUint32(dst[start+4:], bodyLen)
+	binary.LittleEndian.PutUint32(dst[start+8:], bodyLen)
+	binary.LittleEndian.PutUint32(dst[start+12:], uint32(len(dst)-ftrStart))
 
 	sum := sha256.Sum256(dst[start:])
 	dst = append(dst, sum[:]...)
@@ -776,9 +801,10 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta, error) {
 		maxTime: b.maxTime,
 		count:   b.count,
 		matched: b.match,
-		rawLen:  uint32(b.rawLen()),
+		rawLen:  bodyLen,
+		version: 3,
 	}
-	return dst, meta, nil
+	return dst, meta
 }
 
 // AppendBlock encodes events as one complete block image appended to dst —
@@ -799,6 +825,6 @@ func AppendBlock(dst []byte, events []Event) ([]byte, error) {
 		}
 		b.add(ev)
 	}
-	dst, _, err := b.seal(dst)
-	return dst, err
+	dst, _ = b.seal(dst)
+	return dst, nil
 }

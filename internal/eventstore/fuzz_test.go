@@ -38,13 +38,14 @@ func fuzzSeedSegment() []byte {
 // never panic, never over-claim a valid prefix — and the repaired prefix
 // must redecode cleanly to the same state. scanSegmentMeta (the
 // metadata-only walk Open and the Reader use) must agree with the full
-// decompressing walk on every input. The committed testdata seeds are v1
-// images (the read-only path); the ones added here are v2, plus a v1 block
-// followed by a v2 block.
+// decoding walk on every input. The committed testdata seeds are v1 images
+// (a read-only path); the ones added here are v3, v2, a one-template v3
+// block, and one segment of a v1, a v2 and a v3 block.
 func FuzzBlockDecode(f *testing.F) {
 	clean := fuzzSeedSegment()
 	blk1, blk2 := fuzzSeedBlocks()
-	mixed, _ := AppendBlock(appendBlockV1(SegmentHeader(1), blk1), blk2)
+	blk3 := []Event{{Seq: 9, Time: 9 * int64(time.Second), Template: 4, RawOff: 7}, {Seq: 12, Time: 10 * int64(time.Second), Template: 2}}
+	mixed, _ := AppendBlock(appendBlockV2(appendBlockV1(SegmentHeader(1), blk1), blk2), blk3)
 	f.Add(mixed)
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
@@ -57,6 +58,9 @@ func FuzzBlockDecode(f *testing.F) {
 	corrupt := append([]byte(nil), clean...)
 	corrupt[len(corrupt)-10] ^= 0xff // damage inside the final checksum
 	f.Add(corrupt)
+	f.Add(appendBlockV2(appendBlockV2(SegmentHeader(1), blk1), blk2))
+	lone, _ := AppendBlock(SegmentHeader(9), blk3[:1])
+	f.Add(lone)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var seqs []int64
@@ -139,12 +143,12 @@ func fuzzEvents(data []byte) (evs []Event) {
 	return evs
 }
 
-// FuzzBlockRoundtrip holds the columnar codec to its contract on event
+// FuzzBlockRoundtrip holds the block codec to its contract on event
 // sequences derived from the fuzz bytes: AppendBlock → DecodeSegment is the
 // identity, whatever the block sizes (the first byte picks them, one-event
-// blocks included, at most 32 blocks and a tail); decoding with a template set equals decoding without
-// and filtering; and the v1 reference encoder's image of the same blocks
-// decodes to the same events.
+// blocks included, at most 32 blocks and a tail); decoding with a template
+// set equals decoding without and filtering; and the v1 and v2 reference
+// encoders' images of the same blocks decode to the same events.
 func FuzzBlockRoundtrip(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 1, 0, 1, 0, 1, 0, 1, 0})                                                // one-event blocks
@@ -157,14 +161,14 @@ func FuzzBlockRoundtrip(f *testing.F) {
 		}
 		evs := fuzzEvents(data[1:])
 		per := max(1+int(data[0]), len(evs)/32) // a flate writer per block: keep an exec cheap
-		v2, v1 := SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq)
+		v1, v2, v3 := SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq)
 		for at := 0; at < len(evs); at += per {
 			blk := evs[at:min(at+per, len(evs))]
 			var err error
-			if v2, err = AppendBlock(v2, blk); err != nil {
+			if v3, err = AppendBlock(v3, blk); err != nil {
 				t.Fatalf("AppendBlock: %v", err)
 			}
-			v1 = appendBlockV1(v1, blk)
+			v1, v2 = appendBlockV1(v1, blk), appendBlockV2(v2, blk)
 		}
 		ids := []int32{evs[len(evs)/2].Template, 3}
 		var want []Event
@@ -173,18 +177,18 @@ func FuzzBlockRoundtrip(f *testing.F) {
 				want = append(want, ev)
 			}
 		}
-		for i, img := range [][]byte{v1, v2} {
-			name := []string{"v1", "v2"}[i]
+		for i, img := range [][]byte{v1, v2, v3} {
+			name := []string{"v1", "v2", "v3"}[i]
 			var got, filtered []Event
-			var z inflater
-			info, err := scanSegmentMeta(img, false, func(_ int64, _ seglog.Frame, v blockView) error {
-				if err := z.inflate(v.body, v.meta.rawLen); err != nil {
+			var z decoder
+			info, err := scanSegmentMeta(img, true, func(_ int64, _ seglog.Frame, v blockView) error {
+				if v.meta.version != byte(i+1) {
+					t.Fatalf("%s: a block of layout %d", name, v.meta.version)
+				}
+				if err := z.decode(v, nil, func(ev Event) error { got = append(got, ev); return nil }); err != nil {
 					return err
 				}
-				if err := decodeEvents(z.raw, v.meta, nil, func(ev Event) error { got = append(got, ev); return nil }); err != nil {
-					return err
-				}
-				return decodeEvents(z.raw, v.meta, ids, func(ev Event) error { filtered = append(filtered, ev); return nil })
+				return z.decode(v, ids, func(ev Event) error { filtered = append(filtered, ev); return nil })
 			})
 			if err != nil || info.Events != int64(len(evs)) || info.Good != int64(len(img)) {
 				t.Fatalf("%s: %+v, %v", name, info, err)

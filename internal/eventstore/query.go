@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"logparse/internal/seglog"
@@ -16,8 +17,8 @@ import (
 // before opening.
 type Query struct {
 	// TemplateIDs restricts the result to events of these engine template
-	// indices (matched and late-matched kinds). Empty means every
-	// template.
+	// indices (matched and late-matched kinds), a set: naming an id twice
+	// selects it once. Empty means every template.
 	TemplateIDs []int32
 	// From and To bound the event time, half-open [From, To): events of one
 	// consumer batch share an instant, so adjacent windows [a, b) and [b, c)
@@ -30,6 +31,16 @@ type Query struct {
 	// Limit caps the events Scan yields (0 = unlimited). Count and
 	// TemplateCounts ignore it.
 	Limit int
+}
+
+// normalized returns q with its template ids sorted and deduplicated, in
+// a copy: the form every query method works on, so a repeated id cannot
+// count twice from a footer index.
+func (q Query) normalized() Query {
+	q.TemplateIDs = slices.Clone(q.TemplateIDs)
+	slices.Sort(q.TemplateIDs)
+	q.TemplateIDs = slices.Compact(q.TemplateIDs)
+	return q
 }
 
 // timeBounds renders the query's time range as unix nanoseconds with
@@ -69,10 +80,10 @@ type QueryStats struct {
 	Blocks  int `json:"blocks"`
 	Skipped int `json:"skipped"`
 	// IndexOnly counts blocks answered exactly from the footer's
-	// inverted index — consulted, never decompressed.
+	// inverted index — consulted, never decoded.
 	IndexOnly int `json:"index_only"`
-	// Decompressed counts blocks whose body was actually inflated;
-	// BytesDecompressed is their total raw size.
+	// Decompressed counts blocks whose body was actually decoded;
+	// BytesDecompressed is their total raw (v1, v2: inflated) size.
 	Decompressed      int   `json:"decompressed"`
 	BytesDecompressed int64 `json:"bytes_decompressed"`
 	// Events counts the events of the Decompressed blocks — all of each,
@@ -200,14 +211,15 @@ func (r *Reader) extend(read *telemetry.Counter) (*Reader, ReadInfo, error) {
 }
 
 // blockCursor reads and decodes blocks for one query, reusing the open
-// segment handle and both buffers from block to block.
+// segment handle and its buffers from block to block.
 type blockCursor struct {
 	r        *Reader
 	st       *QueryStats
 	f        *os.File
 	seg      int
 	blockBuf []byte
-	z        inflater
+	index    []IndexEntry
+	z        decoder
 }
 
 func (c *blockCursor) close() {
@@ -216,8 +228,8 @@ func (c *blockCursor) close() {
 	}
 }
 
-// events reads block rb from its segment, re-verifies and inflates it,
-// and feeds fn its events of templates ids — every event when ids is empty.
+// events reads block rb from its segment, re-verifies and decodes it, and
+// feeds fn its events of templates ids — every event when ids is empty.
 func (c *blockCursor) events(rb readBlock, ids []int32, fn func(Event) error) error {
 	path := c.r.scan.Paths[rb.seg]
 	if c.f == nil || c.seg != rb.seg {
@@ -235,29 +247,29 @@ func (c *blockCursor) events(rb readBlock, ids []int32, fn func(Event) error) er
 	if _, err := c.f.ReadAt(c.blockBuf, rb.meta.off); err != nil {
 		return fmt.Errorf("eventstore: read block: %w", err)
 	}
-	meta, body, err := scanBlock(c.blockBuf, nil)
-	if err == nil {
-		err = c.z.inflate(body, meta.rawLen)
-	}
-	if err != nil {
+	v := blockView{index: c.index[:0]}
+	var err error
+	if v.meta, v.body, err = scanBlock(c.blockBuf, &v.index); err != nil {
 		return spec.At(err, path, rb.meta.off)
 	}
+	c.index = v.index
 	c.st.Decompressed++
-	c.st.BytesDecompressed += int64(meta.rawLen)
-	c.st.Events += int64(meta.count)
+	c.st.BytesDecompressed += int64(v.meta.rawLen)
+	c.st.Events += int64(v.meta.count)
 	c.r.tm.blocksRead.Inc()
-	c.r.tm.bytesInfl.Add(uint64(meta.rawLen))
-	return spec.At(decodeEvents(c.z.raw, meta, ids, fn), path, rb.meta.off)
+	c.r.tm.bytesInfl.Add(uint64(v.meta.rawLen))
+	return spec.At(c.z.decode(v, ids, fn), path, rb.meta.off)
 }
 
 // Scan streams every selected event, in store order, to fn. Blocks that
 // cannot hold a selected event — time range disjoint, footer index
 // missing every requested template — are skipped without being read or
-// decompressed. fn's error stops the scan and is returned.
+// decoded. fn's error stops the scan and is returned.
 func (r *Reader) Scan(q Query, fn func(Event) error) (QueryStats, error) {
 	start := r.now()
 	defer func() { r.tm.querySec.Observe(r.now().Sub(start).Seconds()) }()
 	r.tm.queries.Inc()
+	q = q.normalized()
 	from, to := q.timeBounds()
 	var st QueryStats
 	st.Blocks = len(r.blocks)
@@ -343,32 +355,57 @@ func indexCount(index []IndexEntry, id int32) int64 {
 
 // Count returns how many events satisfy the query. Blocks fully inside
 // the time range are answered from the footer index alone; only blocks
-// the range cuts through are decompressed.
+// the range cuts through are decoded.
 func (r *Reader) Count(q Query) (int64, QueryStats, error) {
-	counts, st, err := r.TemplateCounts(q)
-	if err != nil {
-		return 0, st, err
-	}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total, st, nil
+	st, err := r.tally(q, nil)
+	return st.Selected, st, err
 }
 
 // TemplateCounts returns per-template selected-event counts — the query
 // engine behind logquery's top-templates mode, and the conformance
 // bridge: over a store written by one engine run, TemplateCounts of the
 // unbounded query equals the engine's per-template counts exactly.
-// Unmatched events (when included) count under key −1.
+// Unmatched events (when included) count under key −1; a template with no
+// selected event has no key.
 func (r *Reader) TemplateCounts(q Query) (map[int32]int64, QueryStats, error) {
+	// Ids below 2^16 count in a slice, so that a hostile id cannot size
+	// it; −1 and the rare larger id go to the map.
+	var dense []int64
+	counts := make(map[int32]int64)
+	st, err := r.tally(q, func(id int32, n int64) {
+		if uint32(id) >= 1<<16 {
+			counts[id] += n
+			return
+		}
+		if int(id) >= len(dense) {
+			dense = append(dense, make([]int64, int(id)+1-len(dense))...)
+		}
+		dense[id] += n
+	})
+	for id, c := range dense {
+		if c != 0 {
+			counts[int32(id)] = c
+		}
+	}
+	return counts, st, err
+}
+
+// tally runs a counting query, handing each (template, selected events)
+// pair it finds, n > 0, to each when it is non-nil; st.Selected is the
+// total.
+func (r *Reader) tally(q Query, each func(id int32, n int64)) (QueryStats, error) {
 	start := r.now()
 	defer func() { r.tm.querySec.Observe(r.now().Sub(start).Seconds()) }()
 	r.tm.queries.Inc()
+	q = q.normalized()
 	from, to := q.timeBounds()
-	counts := make(map[int32]int64)
 	var st QueryStats
 	st.Blocks = len(r.blocks)
+	add := func(id int32, n int64) {
+		if st.Selected += n; n > 0 && each != nil {
+			each(id, n)
+		}
+	}
 	cur := blockCursor{r: r, st: &st}
 	defer cur.close()
 	for _, rb := range r.blocks {
@@ -383,35 +420,27 @@ func (r *Reader) TemplateCounts(q Query) (map[int32]int64, QueryStats, error) {
 			st.IndexOnly++
 			if len(q.TemplateIDs) > 0 {
 				for _, id := range q.TemplateIDs {
-					if c := indexCount(rb.index, id); c > 0 {
-						counts[id] += c
-						st.Selected += c
-					}
+					add(id, indexCount(rb.index, id))
 				}
 			} else {
 				for _, e := range rb.index {
-					counts[e.Template] += e.Count
-					st.Selected += e.Count
+					add(e.Template, e.Count)
 				}
 				if q.IncludeUnmatched {
-					un := int64(rb.meta.count) - int64(rb.meta.matched)
-					counts[-1] += un
-					st.Selected += un
+					add(-1, int64(rb.meta.count)-int64(rb.meta.matched))
 				}
 			}
 			continue
 		}
 		err := cur.events(rb, q.TemplateIDs, func(ev Event) error {
-			if !q.matches(ev, from, to) {
-				return nil
+			if q.matches(ev, from, to) {
+				add(ev.Template, 1)
 			}
-			st.Selected++
-			counts[ev.Template]++
 			return nil
 		})
 		if err != nil {
-			return counts, st, err
+			return st, err
 		}
 	}
-	return counts, st, nil
+	return st, nil
 }

@@ -1,6 +1,7 @@
 package eventstore
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -315,6 +316,47 @@ func TestQueryWindowsTile(t *testing.T) {
 			if got, want := append(list(ab), list(bc)...), list(ac); !slices.Equal(got, want) || int64(len(want)) != cAC {
 				t.Fatalf("window %v %+v: lists do not tile: %d + %d events vs %d (count %d)", w, base, len(list(ab)), len(list(bc)), len(want), cAC)
 			}
+		}
+	}
+}
+
+// TestRepeatedTemplateIDs holds a query naming a template twice to the
+// query naming it once, on every path a count takes: blocks the range
+// covers (answered from the footer index), blocks it cuts through
+// (decoded), and the unbounded range.
+func TestRepeatedTemplateIDs(t *testing.T) {
+	dir := t.TempDir()
+	buildSkipCorpus(t, dir)
+	r, _, err := OpenReader(dir, ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := func(n int64) time.Time { return time.Unix(0, n*int64(time.Millisecond)) }
+	for name, q := range map[string]Query{
+		"unbounded":   {},
+		"covered":     {From: ms(0), To: ms(1 << 20)},
+		"cut-through": {From: ms(2901), To: ms(3099)},
+	} {
+		once, twice := q, q
+		once.TemplateIDs, twice.TemplateIDs = []int32{7, 8}, []int32{8, 7, 7, 8, 7}
+		n1, st, err1 := r.Count(once)
+		n2, _, err2 := r.Count(twice)
+		if err1 != nil || err2 != nil || n1 == 0 || n1 != n2 {
+			t.Fatalf("%s: Count = %d once, %d twice (%v, %v)", name, n1, n2, err1, err2)
+		}
+		if name == "cut-through" && st.Decompressed == 0 || name != "cut-through" && st.IndexOnly == 0 {
+			t.Fatalf("%s: the query took the wrong path: %+v", name, st)
+		}
+		c1, _, _ := r.TemplateCounts(once)
+		c2, _, _ := r.TemplateCounts(twice)
+		if !reflect.DeepEqual(c1, c2) {
+			t.Fatalf("%s: TemplateCounts = %v once, %v twice", name, c1, c2)
+		}
+		var e1, e2 []Event
+		r.Scan(once, func(ev Event) error { e1 = append(e1, ev); return nil })
+		r.Scan(twice, func(ev Event) error { e2 = append(e2, ev); return nil })
+		if int64(len(e1)) != n1 || !slices.Equal(e1, e2) {
+			t.Fatalf("%s: Scan = %d events once, %d twice; Count %d", name, len(e1), len(e2), n1)
 		}
 	}
 }

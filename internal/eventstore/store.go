@@ -190,17 +190,14 @@ func (s *Store) Append(ev Event) error {
 	return nil
 }
 
-// sealLocked compresses the accumulating block and writes it to the
+// sealLocked encodes the accumulating block and writes it to the
 // active segment (the newest file while it has room, else a fresh one).
 // No fsync: durability waits for Finalize. Latches on failure.
 func (s *Store) sealLocked() error {
 	if s.bb.count == 0 {
 		return nil
 	}
-	out, meta, err := s.bb.seal(s.wbuf[:0])
-	if err != nil {
-		return s.log.Fail(fmt.Errorf("eventstore: seal block: %w", err))
-	}
+	out, meta := s.bb.seal(s.wbuf[:0])
 	s.wbuf = out
 	created, err := s.log.Ensure(uint64(s.bb.minSeq))
 	if err != nil {

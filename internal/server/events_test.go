@@ -147,6 +147,17 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 		t.Fatalf("template-restricted count %v != top count %d (top listing %+v)", qr.Count, topID.Count, top)
 	}
 
+	// A template named twice is selected once, by count and by top.
+	id := strconv.FormatInt(int64(topID.Template), 10)
+	_, qr = get("tenant=web&template=" + id + "," + id)
+	if qr.Count == nil || *qr.Count != topID.Count {
+		t.Fatalf("template=%s,%s count %v != %d", id, id, qr.Count, topID.Count)
+	}
+	_, qr = get("tenant=web&mode=top&template=" + id + "," + id)
+	if len(qr.Templates) != 1 || qr.Templates[0].Count != topID.Count {
+		t.Fatalf("template=%s,%s top %+v, want one row of %d", id, id, qr.Templates, topID.Count)
+	}
+
 	for query, want := range map[string]int{
 		"tenant=nosuch":                http.StatusNotFound,
 		"tenant=..%2Fescape":           http.StatusBadRequest,

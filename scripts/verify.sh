@@ -102,8 +102,8 @@ echo "==> fuzz smoke (scripts/fuzz_smoke.sh)"
 sh scripts/fuzz_smoke.sh
 echo "==> go test -run TestCheckpointChainModel ./internal/stream (seeded op-sequence model)"
 go test ./internal/stream -count=1 -run '^TestCheckpointChainModel$' >/dev/null
-echo "==> go test -bench EventStoreList -benchtime 1x ./internal/eventstore (service-shaped corpus smoke)"
-go test ./internal/eventstore -run '^$' -bench EventStoreList -benchtime 1x >/dev/null
+echo "==> go test -bench 'EventStore(List|Seal)' -benchtime 1x ./internal/eventstore (service- and learner-shaped corpus smoke)"
+go test ./internal/eventstore -run '^$' -bench 'EventStore(List|Seal)' -benchtime 1x >/dev/null
 
 echo "==> non-test Go line counts against the committed baseline (scripts/loc.sh -check)"
 sh scripts/loc.sh -check
