@@ -2,6 +2,7 @@ package conform
 
 import (
 	"io"
+	"math"
 	"testing"
 
 	"logparse/internal/eventstore"
@@ -26,7 +27,8 @@ func eventStreamConfig(open func() (io.ReadCloser, error), dir, eventsDir string
 
 // storeTemplateCounts replays a store directory through the query engine
 // and returns per-template counts (matched + late-matched kinds — the
-// exact quantity the engine's counters track).
+// exact quantity the engine's counters track). An unbounded top query over
+// the same store must list exactly those counts, most frequent first.
 func storeTemplateCounts(t *testing.T, dir string) map[int32]int64 {
 	t.Helper()
 	r, info, err := eventstore.OpenReader(dir, eventstore.ReaderOptions{})
@@ -39,6 +41,18 @@ func storeTemplateCounts(t *testing.T, dir string) map[int32]int64 {
 	counts, _, err := r.TemplateCounts(eventstore.Query{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	top, err := r.Run(eventstore.Request{Mode: "top", Top: math.MaxInt32}, nil)
+	if err != nil || len(top.Templates) != len(counts) {
+		t.Fatalf("top over every template: %d rows, %v; TemplateCounts has %d", len(top.Templates), err, len(counts))
+	}
+	for i, row := range top.Templates {
+		if row.Count != counts[row.Template] {
+			t.Errorf("top row %d = %+v, TemplateCounts has %d", i, row, counts[row.Template])
+		}
+		if prev := top.Templates[max(i-1, 0)]; i > 0 && (prev.Count < row.Count || prev.Count == row.Count && prev.Template >= row.Template) {
+			t.Errorf("top rows %d, %d out of order: %+v then %+v", i-1, i, prev, row)
+		}
 	}
 	return counts
 }

@@ -43,11 +43,13 @@ func BenchmarkEventStoreQuery(b *testing.B) {
 // block), and a learner's, ≈ 1,900 distinct templates per 5,000-event
 // block, most seen once or twice — where rebuilding a v3 block's code from
 // its footer costs most.
-var benchShapes = []struct {
+var benchShapes = []benchShape{{"zipf47", 1.2, 2, 47}, {"learner", 1.01, 1, 20000}}
+
+type benchShape struct {
 	name string
 	s, v float64
 	imax uint64
-}{{"zipf47", 1.2, 2, 47}, {"learner", 1.01, 1, 20000}}
+}
 
 // benchEvents returns the i-th event of a service-shaped stream: 64 events
 // per instant (the engine's consumer batch), templates drawn from zipf,
@@ -72,6 +74,35 @@ const (
 	benchPerBlock = 5000 // the engine's checkpoint interval
 )
 
+// openBenchStore writes blocks blocks of benchPerBlock events of shape sh
+// and opens a reader over them.
+func openBenchStore(b *testing.B, sh benchShape, blocks int) *Reader {
+	dir := b.TempDir()
+	s, _, err := Open(Options{Dir: dir})
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	event := benchEvents(rand.NewZipf(rand.New(rand.NewSource(1)), sh.s, sh.v, sh.imax))
+	for i := 0; i < blocks*benchPerBlock; i++ {
+		if err := s.Append(event(i)); err != nil {
+			b.Fatalf("Append: %v", err)
+		}
+		if i%benchPerBlock == benchPerBlock-1 {
+			if err := s.Finalize(); err != nil {
+				b.Fatalf("Finalize: %v", err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatalf("Close: %v", err)
+	}
+	r, info, err := OpenReader(dir, ReaderOptions{})
+	if err != nil || info.Blocks != blocks {
+		b.Fatalf("OpenReader: %+v, %v", info, err)
+	}
+	return r
+}
+
 // BenchmarkEventStoreList measures what a block costs a list query on a
 // service-shaped store, in each shape: 400 blocks of 5,000 events, where
 // `mode=list&limit=100` must find the rare template. A quarter of the
@@ -81,32 +112,11 @@ func BenchmarkEventStoreList(b *testing.B) {
 	const blocks = 400
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
-			dir := b.TempDir()
-			s, _, err := Open(Options{Dir: dir})
-			if err != nil {
-				b.Fatalf("Open: %v", err)
-			}
-			event := benchEvents(rand.NewZipf(rand.New(rand.NewSource(1)), sh.s, sh.v, sh.imax))
-			for i := 0; i < blocks*benchPerBlock; i++ {
-				if err := s.Append(event(i)); err != nil {
-					b.Fatalf("Append: %v", err)
-				}
-				if i%benchPerBlock == benchPerBlock-1 {
-					if err := s.Finalize(); err != nil {
-						b.Fatalf("Finalize: %v", err)
-					}
-				}
-			}
-			if err := s.Close(); err != nil {
-				b.Fatalf("Close: %v", err)
-			}
-			r, info, err := OpenReader(dir, ReaderOptions{})
-			if err != nil || info.Blocks != blocks {
-				b.Fatalf("OpenReader: %+v, %v", info, err)
-			}
+			r := openBenchStore(b, sh, blocks)
 			q := Query{TemplateIDs: []int32{benchRare}, Limit: 100}
 			b.ResetTimer()
 			var st QueryStats
+			var err error
 			for i := 0; i < b.N; i++ {
 				n := 0
 				if st, err = r.Scan(q, func(Event) error { n++; return nil }); err != nil || n != 100 {
@@ -118,6 +128,35 @@ func BenchmarkEventStoreList(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*st.Decompressed), "us/block")
 			b.ReportMetric(float64(st.BytesDecompressed)/float64(st.Decompressed), "rawB/block")
+		})
+	}
+}
+
+// BenchmarkEventStoreTop measures `mode=top&n=10` over a whole store of
+// 120 blocks, in each shape — the learner's holds ≈ 19,700 templates. Every
+// block is answered from its footer index, so the cost is the tally and
+// the selection of ten rows.
+func BenchmarkEventStoreTop(b *testing.B) {
+	const blocks = 120
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			r := openBenchStore(b, sh, blocks)
+			counts, _, err := r.TemplateCounts(Query{})
+			if err != nil {
+				b.Fatalf("TemplateCounts: %v", err)
+			}
+			req := Request{Mode: "top", Top: 10}
+			b.ResetTimer()
+			var ans Answer
+			for i := 0; i < b.N; i++ {
+				if ans, err = r.Run(req, nil); err != nil || len(ans.Templates) != 10 {
+					b.Fatalf("Run: %d rows, %v", len(ans.Templates), err)
+				}
+			}
+			if ans.Stats.IndexOnly != blocks {
+				b.Fatalf("stats: %+v", ans.Stats)
+			}
+			b.ReportMetric(float64(len(counts)), "templates")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package eventstore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -357,58 +358,149 @@ func indexCount(index []IndexEntry, id int32) int64 {
 // the time range are answered from the footer index alone; only blocks
 // the range cuts through are decoded.
 func (r *Reader) Count(q Query) (int64, QueryStats, error) {
-	st, err := r.tally(q, nil)
+	st, err := r.tally(q, &tally{})
 	return st.Selected, st, err
 }
 
-// TemplateCounts returns per-template selected-event counts — the query
-// engine behind logquery's top-templates mode, and the conformance
-// bridge: over a store written by one engine run, TemplateCounts of the
-// unbounded query equals the engine's per-template counts exactly.
-// Unmatched events (when included) count under key −1; a template with no
-// selected event has no key.
+// TemplateCounts returns per-template selected-event counts — the
+// conformance bridge: over a store written by one engine run,
+// TemplateCounts of the unbounded query equals the engine's per-template
+// counts exactly. Unmatched events (when included) count under key −1; a
+// template with no selected event has no key.
 func (r *Reader) TemplateCounts(q Query) (map[int32]int64, QueryStats, error) {
-	// Ids below 2^16 count in a slice, so that a hostile id cannot size
-	// it; −1 and the rare larger id go to the map.
-	var dense []int64
-	counts := make(map[int32]int64)
-	st, err := r.tally(q, func(id int32, n int64) {
-		if uint32(id) >= 1<<16 {
-			counts[id] += n
-			return
-		}
-		if int(id) >= len(dense) {
-			dense = append(dense, make([]int64, int(id)+1-len(dense))...)
-		}
-		dense[id] += n
-	})
-	for id, c := range dense {
-		if c != 0 {
-			counts[int32(id)] = c
-		}
-	}
-	return counts, st, err
+	t := newTally()
+	st, err := r.tally(q, t)
+	return t.counts(), st, err
 }
 
-// tally runs a counting query, handing each (template, selected events)
-// pair it finds, n > 0, to each when it is non-nil; st.Selected is the
-// total.
-func (r *Reader) tally(q Query, each func(id int32, n int64)) (QueryStats, error) {
+// tally is one counting query's result, which Count, TemplateCounts and top
+// all fill: the total and, unless sparse is nil, the per-template counts —
+// ids below 2^16 in dense, so that a hostile id cannot size it, −1 and the
+// rare larger id in sparse. Like the footer index, it keeps only counts
+// above zero.
+type tally struct {
+	total  int64
+	dense  []int64
+	sparse map[int32]int64
+}
+
+// newTally returns a tally that keeps per-template counts.
+func newTally() *tally { return &tally{sparse: make(map[int32]int64)} }
+
+// add counts n selected events of template id.
+func (t *tally) add(id int32, n int64) {
+	t.total += n
+	switch {
+	case t.sparse == nil || n <= 0:
+	case uint32(id) < uint32(len(t.dense)):
+		t.dense[id] += n
+	case uint32(id) < 1<<16:
+		t.dense = append(t.dense, make([]int64, int(id)+1-len(t.dense))...)
+		t.dense[id] += n
+	default:
+		t.sparse[id] += n
+	}
+}
+
+// each hands fn every template with selected events, dense ids ascending
+// first, then the map's in no order.
+func (t *tally) each(fn func(id int32, c int64)) {
+	for id, c := range t.dense {
+		if c != 0 {
+			fn(int32(id), c)
+		}
+	}
+	for id, c := range t.sparse {
+		fn(id, c)
+	}
+}
+
+// counts returns the per-template counts as a map.
+func (t *tally) counts() map[int32]int64 {
+	m := make(map[int32]int64, len(t.sparse))
+	t.each(func(id int32, c int64) { m[id] = c })
+	return m
+}
+
+// top returns the n templates with the most selected events, most first
+// and ties by ascending id, named from names. A heap of at most n rows
+// whose root is the worst row kept selects them, so T templates cost
+// T log n and only min(n, T) rows are allocated.
+func (t *tally) top(n int, names map[int32]string) []TemplateCount {
+	if n <= 0 {
+		return nil
+	}
+	k := 0
+	t.each(func(int32, int64) { k++ })
+	h := make([]TemplateCount, 0, min(n, k))
+	t.each(func(id int32, c int64) {
+		row := TemplateCount{Template: id, Count: c}
+		if len(h) < n {
+			h = append(h, row)
+			for i := len(h) - 1; i > 0 && ranksBelow(h[i], h[(i-1)/2]); i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+			return
+		}
+		if !ranksBelow(h[0], row) {
+			return
+		}
+		h[0] = row
+		for i, m := 0, 0; ; i = m {
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(h) && ranksBelow(h[c], h[m]) {
+					m = c
+				}
+			}
+			if m == i {
+				break
+			}
+			h[i], h[m] = h[m], h[i]
+		}
+	})
+	slices.SortFunc(h, func(a, b TemplateCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Template, b.Template))
+	})
+	for i := range h {
+		h[i].Name = names[h[i].Template]
+	}
+	return h
+}
+
+// ranksBelow reports whether top lists a after b: fewer events, or as many
+// and a larger id.
+func ranksBelow(a, b TemplateCount) bool {
+	return a.Count < b.Count || a.Count == b.Count && a.Template > b.Template
+}
+
+// tally runs a counting query into t; st.Selected is t.total.
+func (r *Reader) tally(q Query, t *tally) (st QueryStats, err error) {
 	start := r.now()
 	defer func() { r.tm.querySec.Observe(r.now().Sub(start).Seconds()) }()
 	r.tm.queries.Inc()
 	q = q.normalized()
 	from, to := q.timeBounds()
-	var st QueryStats
 	st.Blocks = len(r.blocks)
-	add := func(id int32, n int64) {
-		if st.Selected += n; n > 0 && each != nil {
-			each(id, n)
-		}
-	}
+	defer func() { st.Selected = t.total }()
 	cur := blockCursor{r: r, st: &st}
 	defer cur.close()
 	for _, rb := range r.blocks {
+		if covered(rb.meta, from, to) && len(q.TemplateIDs) > 0 {
+			// One probe per id both answers the block and decides its skip.
+			hit := false
+			for _, id := range q.TemplateIDs {
+				c := indexCount(rb.index, id)
+				hit = hit || c > 0
+				t.add(id, c)
+			}
+			if hit {
+				st.IndexOnly++
+			} else {
+				st.Skipped++
+				r.tm.skipped.Inc()
+			}
+			continue
+		}
 		if r.skip(rb, q, from, to) {
 			st.Skipped++
 			r.tm.skipped.Inc()
@@ -418,27 +510,20 @@ func (r *Reader) tally(q Query, each func(id int32, n int64)) (QueryStats, error
 			// The footer index is exact for matched+late events; the
 			// unmatched remainder is count−matched. No bytes touched.
 			st.IndexOnly++
-			if len(q.TemplateIDs) > 0 {
-				for _, id := range q.TemplateIDs {
-					add(id, indexCount(rb.index, id))
-				}
-			} else {
-				for _, e := range rb.index {
-					add(e.Template, e.Count)
-				}
-				if q.IncludeUnmatched {
-					add(-1, int64(rb.meta.count)-int64(rb.meta.matched))
-				}
+			for _, e := range rb.index {
+				t.add(e.Template, e.Count)
+			}
+			if q.IncludeUnmatched {
+				t.add(-1, int64(rb.meta.count)-int64(rb.meta.matched))
 			}
 			continue
 		}
-		err := cur.events(rb, q.TemplateIDs, func(ev Event) error {
+		if err = cur.events(rb, q.TemplateIDs, func(ev Event) error {
 			if q.matches(ev, from, to) {
-				add(ev.Template, 1)
+				t.add(ev.Template, 1)
 			}
 			return nil
-		})
-		if err != nil {
+		}); err != nil {
 			return st, err
 		}
 	}

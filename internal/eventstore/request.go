@@ -3,7 +3,6 @@ package eventstore
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -121,16 +120,9 @@ func (r *Reader) Run(req Request, names map[int32]string) (ans Answer, err error
 		n, ans.Stats, err = r.Count(req.Query)
 		ans.Count = &n
 	case "top":
-		var counts map[int32]int64
-		counts, ans.Stats, err = r.TemplateCounts(req.Query)
-		ans.Templates = make([]TemplateCount, 0, len(counts))
-		for id, c := range counts {
-			ans.Templates = append(ans.Templates, TemplateCount{Template: id, Count: c, Name: names[id]})
-		}
-		slices.SortFunc(ans.Templates, func(a, b TemplateCount) int {
-			return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Template, b.Template))
-		})
-		ans.Templates = ans.Templates[:min(len(ans.Templates), req.Top)]
+		t := newTally()
+		ans.Stats, err = r.tally(req.Query, t)
+		ans.Templates = t.top(req.Top, names)
 	case "list":
 		ans.Stats, err = r.Scan(req.Query, func(ev Event) error {
 			ans.Events = append(ans.Events, Row{

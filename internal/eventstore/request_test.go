@@ -1,6 +1,9 @@
 package eventstore
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -111,5 +114,62 @@ func TestReaderRun(t *testing.T) {
 
 	if _, err := rd.Run(Request{Mode: "tail"}, nil); err == nil {
 		t.Error("Run accepted an unknown mode")
+	}
+}
+
+// TestTopSelection holds top's bounded selection to a full sort of every
+// template, over seeded random tallies: dense and sparse ids, the −1
+// bucket, counts drawn from a narrow range so that ties abound, and row
+// bounds from none through the template count to 2^31−1 — ten and half the
+// templates among them, where rows replace the heap's root again and again.
+func TestTopSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		tl := newTally()
+		for i, adds := 0, rng.Intn(300); i < adds; i++ {
+			var id int32
+			switch rng.Intn(4) {
+			case 0:
+				id = int32(rng.Intn(50))
+			case 1:
+				id = int32(rng.Intn(1 << 16))
+			case 2:
+				id = 1<<16 + rng.Int31n(math.MaxInt32-1<<16)
+			default:
+				id = -1
+			}
+			tl.add(id, 1+rng.Int63n(4))
+		}
+		names := map[int32]string{-1: "unmatched", 3: "three"}
+		var want []TemplateCount
+		for id, c := range tl.counts() {
+			want = append(want, TemplateCount{Template: id, Count: c, Name: names[id]})
+		}
+		slices.SortFunc(want, func(a, b TemplateCount) int {
+			return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Template, b.Template))
+		})
+		T := len(want)
+		for _, n := range []int{0, 1, 10, T / 2, T - 1, T, T + 1, math.MaxInt32} {
+			got := tl.top(n, names)
+			if wantN := want[:max(0, min(n, T))]; len(got) != len(wantN) || len(got) > 0 && !reflect.DeepEqual(got, wantN) {
+				t.Fatalf("trial %d, %d templates, n=%d:\ngot  %v\nwant %v", trial, T, n, got, wantN)
+			}
+		}
+	}
+}
+
+// TestTopAllocs pins that top's row bound never sizes an allocation: the
+// widest bound over ten templates allocates the ten rows it returns.
+func TestTopAllocs(t *testing.T) {
+	tl := newTally()
+	for id := int32(0); id < 10; id++ {
+		tl.add(id, int64(id%3+1))
+	}
+	var rows []TemplateCount
+	if allocs := testing.AllocsPerRun(100, func() { rows = tl.top(math.MaxInt32, nil) }); allocs != 1 {
+		t.Errorf("top(2^31−1) over 10 templates: %v allocations, want 1", allocs)
+	}
+	if len(rows) != 10 || cap(rows) != 10 {
+		t.Errorf("top(2^31−1) over 10 templates: %d rows, capacity %d; want 10, 10", len(rows), cap(rows))
 	}
 }

@@ -134,6 +134,12 @@ func TestSkipScanCountUsesIndexOnly(t *testing.T) {
 	if st.IndexOnly == 0 {
 		t.Fatal("no blocks answered from the index")
 	}
+	// Exactly the blocks holding template 7 — those a scan for it decodes —
+	// are answered; every other one is skipped.
+	scan, err := r.Scan(Query{TemplateIDs: []int32{7}}, func(Event) error { return nil })
+	if err != nil || st.IndexOnly != scan.Decompressed || st.Skipped != st.Blocks-st.IndexOnly {
+		t.Fatalf("count stats %+v, but a scan decodes %d blocks (%v)", st, scan.Decompressed, err)
+	}
 
 	// TemplateCounts over everything reproduces the generator exactly.
 	counts, st2, err := r.TemplateCounts(Query{})

@@ -110,26 +110,26 @@ func TestQueryReaderAcrossForcedRestart(t *testing.T) {
 	waitTenantOffset(t, s, "web", 600)
 	requireQueriesEqualCold(t, s, ts, "web")
 
-	// One batch at a time, waiting for each to be processed, so the failure
-	// lands while no push is in flight and the test — the client — sees the
-	// restart before it sends anything to the new incarnation. That one
-	// resumed from its last checkpoint and numbers pushes from the start of
-	// the stream: the client replays from the beginning, and what the
-	// checkpoint covers is skipped. Queries keep arriving throughout.
-	send := func(from, to int) {
+	// One batch at a time, waiting for each to be processed, with queries
+	// throughout. The failure lands while a batch is being admitted or
+	// processed, and the next incarnation resumed from its last checkpoint
+	// and numbers pushes from the start of the stream: the client replays
+	// from the beginning, and what the checkpoint covers is skipped. A push
+	// refused mid-batch (ErrNotServing) is never resent alone — the next
+	// incarnation would number it as the stream's first lines, skip them,
+	// and count every later line one batch too high; the replay covers it.
+	send := func(from, to int) bool {
 		t.Helper()
 		for i := from; i < to; i += 100 {
-			for attempt := 0; ; attempt++ {
-				_, err := ingest(s, "web", lines[i:i+100])
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, stream.ErrNotServing) || attempt > 5000 {
-					t.Fatalf("ingest at %d: %v", i, err)
-				}
-				time.Sleep(time.Millisecond) // the new incarnation is not admitting yet
+			_, err := ingest(s, "web", lines[i:i+100])
+			if errors.Is(err, stream.ErrNotServing) {
+				return false
+			}
+			if err != nil {
+				t.Fatalf("ingest at %d: %v", i, err)
 			}
 		}
+		return true
 	}
 	restarted := false
 	for pos := 600; pos < len(lines); pos += 100 {
@@ -140,11 +140,15 @@ func TestQueryReaderAcrossForcedRestart(t *testing.T) {
 				t.Fatalf("waiting for offset %d: stats %+v, err %v", pos+100, st, err)
 			}
 			if st.Restarts > 0 && !restarted {
-				restarted = true
 				// No query until the replay has regrown the store past where
 				// the kept reader stopped: only the incarnation rule, not the
-				// file sizes, can tell that reader it is stale.
-				send(0, pos+100)
+				// file sizes, can tell that reader it is stale. A refused
+				// replay numbered nothing: the new incarnation is not
+				// admitting yet.
+				if !send(0, pos+100) {
+					continue
+				}
+				restarted = true
 			}
 			if st.Stream.Offset >= int64(pos+100) {
 				break

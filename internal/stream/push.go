@@ -237,14 +237,16 @@ func (e *Engine) WaitServing(ctx context.Context) error {
 // externally-aborted batch would leave the client unable to tell which
 // lines hold sequence numbers — replaying the whole batch would then
 // double-process the tail. ErrNotServing means the serve loop ended
-// mid-batch: retry the whole batch against the next incarnation and the
-// processed prefix is skipped.
+// mid-batch. The next incarnation numbers pushes from the start of the
+// stream, so replay the stream from its beginning, this batch included,
+// and the processed prefix is skipped; the batch resent alone would be
+// numbered as the stream's first lines.
 //
 // With a WAL (Config.WALDir), a nil return additionally means the whole
 // batch is durable: every line was appended to the log before admission
 // and one group commit fsynced them all before returning. A *DurableError
 // means the batch was NOT acknowledged and the incarnation is ending —
-// replay the batch whole against the next one.
+// replay the stream, this batch whole, against the next one.
 func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, error) {
 	if err := ctx.Err(); err != nil {
 		return PushResult{}, err

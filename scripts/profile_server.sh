@@ -9,9 +9,11 @@
 # (scripts/postlines), captures /debug/pprof/profile over the measured part
 # only — the first tenth of the lines is warm-up — and prints the cumulative
 # top restricted to this module, net/http, the garbage collector's
-# background workers, io.ReadAll and time.Now. Then runs ten query rounds on
-# the now idle tenant and prints the eventstore.reader.* counters: one open,
-# and refreshes that read nothing. Last, what the run cost in memory: the
+# background workers, io.ReadAll and time.Now. Then, on the now idle tenant,
+# times the benchmark's four query shapes (p50 of each over 20 rounds),
+# profiles 3 s of query rounds into $PROFILE_OUT with .query before .pprof,
+# and prints the eventstore.reader.* counters: one open, and refreshes that
+# read nothing. Last, what the run cost in memory: the
 # server's resident high-water mark (VmHWM of /proc/PID/status) and the
 # collector's cycle count and total pause (memstats in /debug/vars).
 #
@@ -87,7 +89,18 @@ echo "==> profiling $secs s over the measured part"
 curl -s -o "$out" "http://$debug/debug/pprof/profile?seconds=$secs" &
 profile_pid=$!
 sleep 0.2 # let the profiler start
-"$work/postlines" -url "$ingest" -in "$work/rest.log"
+# The measured part goes in three pieces, to stamp the window [t40, t60)
+# that the span query counts over.
+n40=$((LINES * 2 / 5 - warm))
+n60=$((LINES * 3 / 5 - warm))
+head -n "$n40" "$work/rest.log" >"$work/a.log"
+sed -n "$((n40 + 1)),${n60}p" "$work/rest.log" >"$work/b.log"
+tail -n +"$((n60 + 1))" "$work/rest.log" >"$work/c.log"
+"$work/postlines" -url "$ingest" -in "$work/a.log"
+t40="$(date -u +%Y-%m-%dT%H:%M:%S.%NZ)"
+"$work/postlines" -url "$ingest" -in "$work/b.log"
+t60="$(date -u +%Y-%m-%dT%H:%M:%S.%NZ)"
+"$work/postlines" -url "$ingest" -in "$work/c.log"
 wait "$profile_pid"
 [ -s "$out" ] || { echo "profile_server: FAIL: empty profile" >&2; exit 1; }
 
@@ -96,12 +109,43 @@ go tool pprof -top -cum -nodecount=60 \
 	-show='logparse/|net/http\.|runtime\.gcBgMarkWorker|runtime\.growslice|io\.ReadAll|time\.Now' \
 	"$work/logstreamd" "$out" 2>/dev/null | sed -n '1,70p'
 
-echo "==> ten query rounds on the idle tenant"
-for _ in $(seq 1 10); do
-	for q in 'mode=count&template=0' 'mode=top&n=10' 'mode=list&template=1&limit=100' 'mode=count&from=2020-01-01T00:00:00Z'; do
-		curl -s -o /dev/null "http://$addr/v1/query?tenant=t0&$q"
-	done
+# The query rounds ask what the benchmark's do, once the tenant is idle: the
+# most frequent template's count, the top ten, a list of the rarest template
+# with at least 100 events, and a count over the [t40, t60) window recorded
+# while posting. Each shape's p50 is over 20 rounds on one connection.
+lines="$(grep -c . "$work/lines.log")"
+for _ in $(seq 1 600); do
+	curl -s "http://$addr/v1/tenants/t0/stats" | grep -q "\"Processed\":$lines[,}]" && break
+	sleep 0.1
 done
+rows="$(curl -s "http://$addr/v1/query?tenant=t0&mode=top&n=100000" |
+	grep -o '"template":[0-9]*,"count":[0-9]*' | tr -c '0-9\n' ' ')"
+frequent="$(echo "$rows" | awk 'NR == 1 { print $1 }')"
+rare="$(echo "$rows" | awk -v f="$frequent" 'BEGIN { r = f } $2 >= 100 { r = $1 } END { print r }')"
+[ -n "$frequent" ] || { echo "profile_server: FAIL: tenant t0 has no matched events" >&2; exit 1; }
+shapes="mode=count&template=$frequent mode=top&n=10 mode=list&template=$rare&limit=100 mode=count&from=$t40&to=$t60"
+round() { # $1 rounds of the four shapes on one connection, one time_total line per query
+	for _ in $(seq 1 "$1"); do
+		for q in $shapes; do printf 'url = "http://%s/v1/query?tenant=t0&%s"\noutput = /dev/null\n' "$addr" "$q"; done
+	done | curl -s -K - -w '%{time_total}\n'
+}
+echo "==> query p50 over 20 rounds on the idle tenant (template $frequent most frequent, $rare rarest with >= 100 events)"
+round 20 >"$work/times"
+i=0
+for name in count top list span; do
+	i=$((i + 1))
+	awk -v i="$i" '(NR - i) % 4 == 0 { print $1 * 1000 }' "$work/times" | sort -n |
+		awk -v name="$name" '{ v[NR] = $1 } END { printf "  %-5s p50 %.2f ms\n", name, (v[10] + v[11]) / 2 }'
+done
+qout="${out%.pprof}.query.pprof"
+echo "==> go tool pprof -top -cum of 3 s of query rounds (this module; profile in $qout)"
+curl -s -o "$qout" "http://$debug/debug/pprof/profile?seconds=3" &
+profile_pid=$!
+sleep 0.2
+while kill -0 "$profile_pid" 2>/dev/null; do round 5 >/dev/null; done
+wait "$profile_pid"
+go tool pprof -top -cum -nodecount=30 -show='logparse/|slices\.|runtime\.mapassign' \
+	"$work/logstreamd" "$qout" 2>/dev/null | sed -n '1,40p'
 curl -s "http://$debug/debug/vars" | grep -o '"eventstore\.reader\.[a-z_]*": *[0-9]*' || {
 	echo "profile_server: FAIL: no eventstore.reader.* counters in /debug/vars" >&2
 	exit 1

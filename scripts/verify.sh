@@ -89,7 +89,7 @@ PROFILE_OUT="$prof" sh scripts/profile_server.sh HDFS 20000 >"$prof.out"
 grep '^server memory: VmHWM' "$prof.out"
 PROFILE_OUT="$prof" sh scripts/profile_server.sh -online Spell Thunderbird 20000 >"$prof.out"
 grep '^server memory: VmHWM' "$prof.out"
-rm -f "$prof" "$prof.out"
+rm -f "$prof" "$prof.out" "$prof.query.pprof"
 
 echo "==> golden-digest check (cmd/conformgen -check)"
 go run ./cmd/conformgen -check >/dev/null
@@ -102,8 +102,8 @@ echo "==> fuzz smoke (scripts/fuzz_smoke.sh)"
 sh scripts/fuzz_smoke.sh
 echo "==> go test -run TestCheckpointChainModel ./internal/stream (seeded op-sequence model)"
 go test ./internal/stream -count=1 -run '^TestCheckpointChainModel$' >/dev/null
-echo "==> go test -bench 'EventStore(List|Seal)' -benchtime 1x ./internal/eventstore (service- and learner-shaped corpus smoke)"
-go test ./internal/eventstore -run '^$' -bench 'EventStore(List|Seal)' -benchtime 1x >/dev/null
+echo "==> go test -bench 'EventStore(List|Seal|Top)' -benchtime 1x ./internal/eventstore (service- and learner-shaped corpus smoke)"
+go test ./internal/eventstore -run '^$' -bench 'EventStore(List|Seal|Top)' -benchtime 1x >/dev/null
 
 echo "==> non-test Go line counts against the committed baseline (scripts/loc.sh -check)"
 sh scripts/loc.sh -check
