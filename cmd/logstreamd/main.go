@@ -323,6 +323,32 @@ func run() (int, error) {
 	return 0, nil
 }
 
+// The front door's timeouts, so that no client holds a connection and
+// its goroutine indefinitely: one that trickles its headers is cut off at
+// readHeaderTimeout, one that trickles its body at readTimeout. idleTimeout
+// stays above a client transport's idle timeout (a minute in the
+// benchmark's, 90 s in Go's default), so the server never closes a
+// kept-alive connection a client is about to reuse.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the ingest service's front door to h, whose requests
+// run under requestTimeout (server.Config.RequestTimeout). net/http
+// cancels a request's context once the read timeout has passed since its
+// headers began, so that timeout outlasts the header read plus
+// requestTimeout, and a negative requestTimeout, which disables the
+// deadline, leaves it unset.
+func newHTTPServer(h http.Handler, requestTimeout time.Duration) *http.Server {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	if requestTimeout >= 0 {
+		srv.ReadTimeout = max(readTimeout, readHeaderTimeout+requestTimeout)
+	}
+	return srv
+}
+
 // runServer runs the multi-tenant ingest service until SIGINT or SIGTERM,
 // then drains: admission stops, every tenant's ring empties, and every
 // tenant's closing checkpoint is written before exit.
@@ -342,7 +368,7 @@ func runServer(cfg server.Config, listen, addrFile string, drainTimeout time.Dur
 			return 1, err
 		}
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler(), cfg.RequestTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "logstreamd: multi-tenant ingest on http://%s/v1/ingest\n", ln.Addr())

@@ -41,8 +41,8 @@ import (
 //
 // Block layout:
 //
-//	magic   "EVB3" (4 bytes) — "EVB2" or "EVB1" in stores written before
-//	                           this layout; see below
+//	magic   "EVB4" (4 bytes) — "EVB3", "EVB2" or "EVB1" in stores written
+//	                           before this layout; see below
 //	bodyLen (4 bytes, little-endian) — body byte count
 //	rawLen  (4 bytes, little-endian) — equal to bodyLen ("EVB2", "EVB1":
 //	                                   the inflated body's byte count)
@@ -59,9 +59,9 @@ import (
 //	matched          (4 bytes) — events with Template ≥ 0
 //	indexN           (4 bytes) — inverted-index entry count
 //	entries          indexN × (uvarint templateID, uvarint count),
-//	                 templateID strictly ascending
+//	                 templateID strictly ascending, count ≤ matched
 //
-// Body, "EVB3" — columnar, because a reader wants one field (which
+// Body, "EVB4" — columnar, because a reader wants one field (which
 // template) of every event and the other four of almost none; stored as it
 // is, with no compression stage:
 //
@@ -74,17 +74,29 @@ import (
 //	kind column   runs of (uvarint runLen, varint kind)
 //	offset column runs of (uvarint runLen, varint rawOff) — optional
 //	              raw-line byte offset, 0 when unused
-//	template column  count canonical Huffman codes, MSB-first, zero-padded
-//	                 to a byte — a code the reader rebuilds from the footer
-//	                 (huffman.go), so none is stored; empty when the block
-//	                 holds one template
+//	sparse section   for each sparse symbol, in symbol order, its
+//	                 ascending in-block positions, bits.Len32(count−1)
+//	                 bits each, MSB-first; zero-padded to a byte once
+//	template column  count − sparse events canonical Huffman codes, one
+//	                 per position no sparse list claims, MSB-first,
+//	                 zero-padded to a byte — a code the reader rebuilds
+//	                 from the footer (huffman.go), so none is stored; empty
+//	                 when at most one non-sparse symbol has events
 //
-// Each run column's lengths sum to the footer's count, which is also what
-// delimits it; the template column ends the body. A full read checks that
-// the column decodes to exactly count codes ending in its last byte, and
-// that their histogram is the footer index's.
+// The symbols are the footer index's templates, ascending, then −1 when
+// count > matched; one is sparse when its count is at most sparseMax. The
+// footer's counts thus give which symbols are sparse, each list's length
+// and offset and the section's length: nothing else is stored. Each run
+// column's lengths sum to the footer's count, which is also what delimits
+// it; the template column ends the body. A full read checks that the
+// lists ascend below count and claim no position twice, that the column
+// decodes to exactly count − sparse events codes ending in its last byte,
+// and that their histogram is the footer index's. A read of sparse
+// templates alone reads their lists and not the column.
 //
-// "EVB2" blocks — still read, never written — store the same body as one
+// "EVB3" blocks — still read, never written — are the same without the
+// sparse section: the column codes every symbol, the rarest too. "EVB2"
+// blocks store the same body as one
 // flate stream, with a template column of count × uvarint tmpl+1 (0 encodes
 // the unmatched sentinel Template == −1). "EVB1" blocks, the layout before
 // that, also differ in the footer, which carries a 256-bit template bloom
@@ -94,7 +106,7 @@ import (
 //	uvarint seqDelta, varint timeDelta, uvarint tmpl+1, kind (1 byte),
 //	uvarint rawOff
 //
-// A segment may hold blocks of all three layouts; everything that stays in
+// A segment may hold blocks of all four layouts; everything that stays in
 // the footer (Open, AlignTo, Refresh, count and top queries) cannot tell.
 //
 // The segment header, file naming, torn-tail vs corruption taxonomy and
@@ -109,9 +121,9 @@ const (
 	segMagic = "logevents-segment v1\n"
 	// segHeaderSize is the magic line plus the 8-byte firstSeq.
 	segHeaderSize = len(segMagic) + 8
-	// blockMagic is "EVB" and the layout's version digit: 3 is written,
-	// 1 and 2 are read.
-	blockMagic = "EVB3"
+	// blockMagic is "EVB" and the layout's version digit: 4 is written,
+	// 1 to 3 are read.
+	blockMagic = "EVB4"
 	// blockHeaderSize is magic(4) + bodyLen(4) + rawLen(4) + ftrLen(4).
 	blockHeaderSize = 16
 	checksumSize    = sha256.Size
@@ -122,7 +134,7 @@ const (
 	footerV1Skipped = 32
 )
 
-// The run columns of a v2 or v3 body, in body order.
+// The run columns of a v2, v3 or v4 body, in body order.
 const (
 	colSeq = iota
 	colTime
@@ -240,11 +252,13 @@ type IndexEntry struct {
 	Count    int64
 }
 
-// decodeEvents walks a v2 or v3 block body (v2: inflated; a v1 body
+// decodeEvents walks a v2, v3 or v4 block body (v2: inflated; a v1 body
 // arrives rewritten as v2, decoder.columns), calling fn for each event whose
 // template is one of ids — for every event when ids is empty. meta supplies
 // the footer's claims, which the walk verifies: count, seq bounds and
-// monotonicity. code is a v3 block's template code, built from its footer.
+// monotonicity. code holds a v3 or v4 block's alphabet, loaded from its
+// footer; when every template of ids is sparse in a v4 block, only their
+// position lists are read (huffman.scanLists).
 // Returns a *CorruptError (with empty Path/Offset for the caller to fill) on
 // any structural violation, or fn's error, which stops the walk where it
 // is.
@@ -264,9 +278,15 @@ func decodeEvents(raw []byte, meta blockMeta, code *huffman, ids []int32, fn fun
 			Kind: Kind(cols[colKind].v), RawOff: cols[colOff].v,
 		})
 	}
-	if meta.version == 3 {
+	if code != nil && code.only {
+		return code.scanLists(tmpl, meta.count, hit)
+	}
+	if meta.version >= 3 {
 		for s, t := range code.syms {
 			code.want[s] = fn != nil && wanted(ids, t)
+		}
+		for l := range code.lists {
+			code.lists[l].want = fn != nil && wanted(ids, code.lists[l].tmpl)
 		}
 		return code.walk(tmpl, meta.count, hit)
 	}
@@ -289,8 +309,8 @@ func decodeEvents(raw []byte, meta blockMeta, code *huffman, ids []int32, fn fun
 }
 
 // wanted is decodeEvents' template filter, per event of a v2 body, per
-// symbol of a v3 one. (slices.Contains costs the v2 walk a call per event:
-// its generic body is not inlined.)
+// symbol of a v3 or v4 one. (slices.Contains costs the v2 walk a call per
+// event: its generic body is not inlined.)
 func wanted(ids []int32, tmpl int32) bool {
 	for _, id := range ids {
 		if id == tmpl {
@@ -300,8 +320,8 @@ func wanted(ids []int32, tmpl int32) bool {
 	return len(ids) == 0
 }
 
-// runCursor walks one run column of a v2 or v3 body that splitColumns has
-// validated, forwards only.
+// runCursor walks one run column of a v2, v3 or v4 body that splitColumns
+// has validated, forwards only.
 type runCursor struct {
 	col  []byte // the runs not yet read
 	end  uint32 // events the runs read so far cover
@@ -338,11 +358,11 @@ func (c *runCursor) sum(p uint32) int64 {
 	return c.base + int64(p-(c.end-c.n)+1)*c.v
 }
 
-// splitColumns validates the four run columns of a v2 or v3 body once — every
-// column's run lengths sum to the footer's count; seq deltas are ≥ 0, start
-// at minSeq and add up to maxSeq, which bounds every seq in between; kinds
-// are known; offsets ≥ 0 — and returns a cursor at the start of each plus
-// the template column behind them. No check multiplies before it has
+// splitColumns validates the four run columns of a v2, v3 or v4 body once —
+// every column's run lengths sum to the footer's count; seq deltas are ≥ 0,
+// start at minSeq and add up to maxSeq, which bounds every seq in between;
+// kinds are known; offsets ≥ 0 — and returns a cursor at the start of each
+// plus the template data behind them. No check multiplies before it has
 // divided, so a crafted run cannot wrap one.
 func splitColumns(raw []byte, meta blockMeta) (cols [numCols]runCursor, tmpl []byte, err error) {
 	for c := range cols {
@@ -415,7 +435,7 @@ func decodeFooter(ftr []byte, version byte, idx *[]IndexEntry) (blockMeta, error
 		}
 		rest = rest[k:]
 		cnt, k := binary.Uvarint(rest)
-		if k <= 0 {
+		if k <= 0 || cnt > uint64(m.matched) {
 			return m, &seglog.CorruptError{Reason: "bad index count"}
 		}
 		rest = rest[k:]
@@ -445,7 +465,7 @@ func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err
 	// Distinguish a header cut short mid-write from trailing garbage: a
 	// prefix of any magic is torn, anything else is corruption.
 	n := min(len(data), len(blockMagic))
-	if string(data[:min(n, 3)]) != blockMagic[:min(n, 3)] || n == 4 && (data[3] < '1' || data[3] > '3') {
+	if string(data[:min(n, 3)]) != blockMagic[:min(n, 3)] || n == 4 && (data[3] < '1' || data[3] > '4') {
 		return meta, nil, &seglog.CorruptError{Reason: "bad block magic"}
 	}
 	if len(data) < blockHeaderSize {
@@ -455,7 +475,7 @@ func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err
 	bodyLen := binary.LittleEndian.Uint32(data[4:8])
 	rawLen := binary.LittleEndian.Uint32(data[8:12])
 	ftrLen := binary.LittleEndian.Uint32(data[12:16])
-	if bodyLen > MaxBlockBytes || rawLen > MaxBlockBytes || version == 3 && rawLen != bodyLen {
+	if bodyLen > MaxBlockBytes || rawLen > MaxBlockBytes || version >= 3 && rawLen != bodyLen {
 		return meta, nil, &seglog.CorruptError{Reason: "implausible block body length"}
 	}
 	if ftrLen > maxFooterBytes {
@@ -475,8 +495,8 @@ func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err
 	if err != nil {
 		return meta, nil, err
 	}
-	// A v1 or v2 body bounds count at a byte per event; a v3 body may
-	// spend less, so the bound is stated.
+	// A v1 or v2 body bounds count at a byte per event; a v3 or v4 body
+	// may spend less, so the bound is stated.
 	if meta.count > MaxBlockBytes {
 		return meta, nil, &seglog.CorruptError{Reason: "implausible block event count"}
 	}
@@ -486,7 +506,7 @@ func scanBlock(data []byte, idx *[]IndexEntry) (meta blockMeta, body []byte, err
 }
 
 // decoder turns verified blocks into events, reusing its buffers from block
-// to block: a v3 block's template code; a v1 or v2 block's flate reader
+// to block: a v3 or v4 block's template code; a v1 or v2 block's flate reader
 // (≈ 40 KB of state) and inflated body, raw; and a v1 body's rows
 // rewritten as columns.
 type decoder struct {
@@ -499,11 +519,13 @@ type decoder struct {
 }
 
 // decode feeds fn the events of block v whose templates are among ids, as
-// decodeEvents does; a v3 block needs v.index.
+// decodeEvents does; a v3 or v4 block needs v.index.
 func (z *decoder) decode(v blockView, ids []int32, fn func(Event) error) error {
-	if v.meta.version == 3 {
-		z.code.alphabet(v.index, v.meta.count-v.meta.matched)
-		z.code.build()
+	if v.meta.version >= 3 {
+		unmatched := v.meta.count - v.meta.matched
+		if v.meta.version < 4 || fn == nil || len(ids) == 0 || !z.code.sparseOnly(v.index, unmatched, ids) {
+			z.code.alphabet(v.index, unmatched, v.meta.version == 4)
+		}
 		return decodeEvents(v.body, v.meta, &z.code, ids, fn)
 	}
 	if err := z.inflate(v.body, v.meta.rawLen); err != nil {
@@ -704,7 +726,8 @@ func (b *blockBuilder) reset() {
 
 // rawLen is the size the body would have as v2's, so far; seal adds at
 // most the four open runs. It sets where blocks end, so it stays v2's: a
-// v3 body is smaller, and block boundaries do not move with the layout.
+// v3 or v4 body is smaller, and block boundaries do not move with the
+// layout.
 func (b *blockBuilder) rawLen() int {
 	n := b.tmplLen
 	for c := range b.cols {
@@ -745,25 +768,36 @@ func (b *blockBuilder) add(ev Event) {
 // image (header, body, footer, checksum) to dst, returning the extended
 // slice and the block's meta. The builder must hold at least one event.
 func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta) {
-	// The code's alphabet is the footer's: ids ascending, then −1.
+	// The alphabet is the footer's: ids ascending, then −1; a symbol is a
+	// sparse list or a code symbol, in order, as alphabet decides.
 	h := &b.code
 	h.order = h.order[:0]
 	for slot, id := range b.ids[1:] {
 		h.order = append(h.order, uint64(id)<<32|uint64(slot+1))
 	}
 	slices.Sort(h.order)
-	b.index, b.symOf = b.index[:0], slices.Grow(b.symOf[:0], len(b.ids))[:len(b.ids)]
-	for s, o := range h.order {
-		b.index = append(b.index, IndexEntry{Template: int32(o >> 32), Count: int64(b.counts[uint32(o)])})
-		b.symOf[uint32(o)] = uint32(s)
+	if b.counts[0] > 0 {
+		h.order = append(h.order, 0) // −1's slot
 	}
-	b.symOf[0] = uint32(len(b.index)) // −1's symbol, when it has events
-	h.alphabet(b.index, b.counts[0])
+	b.index, b.symOf = b.index[:0], slices.Grow(b.symOf[:0], len(b.ids))[:len(b.ids)]
+	var lists, syms uint32
+	for _, o := range h.order {
+		slot := uint32(o)
+		if slot != 0 {
+			b.index = append(b.index, IndexEntry{Template: int32(o >> 32), Count: int64(b.counts[slot])})
+		}
+		if b.counts[slot] <= sparseMax {
+			b.symOf[slot], lists = sparseSym|lists, lists+1
+		} else {
+			b.symOf[slot], syms = syms, syms+1
+		}
+	}
+	h.alphabet(b.index, b.counts[0], true)
 	h.build()
 
 	start := len(dst)
 	dst = append(dst, blockMagic...)
-	// bodyLen, rawLen (equal in v3) and ftrLen are not known until the
+	// bodyLen, rawLen (equal in v4) and ftrLen are not known until the
 	// body and footer are written; reserve the slots and patch them after.
 	dst = append(dst, make([]byte, 12)...)
 	bodyStart := len(dst)
@@ -771,6 +805,7 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta) {
 		b.cols[c].flush()
 		dst = append(dst, b.cols[c].buf...)
 	}
+	dst = h.appendSparse(dst, b.tmpls, b.symOf)
 	dst = h.appendColumn(dst, b.tmpls, b.symOf)
 	bodyLen := uint32(len(dst) - bodyStart)
 
@@ -802,7 +837,7 @@ func (b *blockBuilder) seal(dst []byte) ([]byte, blockMeta) {
 		count:   b.count,
 		matched: b.match,
 		rawLen:  bodyLen,
-		version: 3,
+		version: 4,
 	}
 	return dst, meta
 }

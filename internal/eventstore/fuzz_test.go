@@ -33,20 +33,41 @@ func fuzzSeedSegment() []byte {
 	return data
 }
 
+// sparseSeeds are FuzzBlockRoundtrip inputs, one block each unless said,
+// that reach the EVB4 sparse lists' edges; FuzzBlockDecode seeds with
+// their blocks' images.
+var sparseSeeds = [][]byte{
+	// Every symbol sparse, −1 among them: no code, an empty column.
+	{200, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 3, 0},
+	// One-event blocks: positions of zero bits.
+	{0, 1, 0, 5, 0, 1, 0, 6, 0},
+	// A sparse −1 (one unmatched event) beside a frequent template.
+	{200, 1, 0, 1, 0, 1, 0, 1, 0, 9, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0},
+	// Exactly one non-sparse symbol, so its code is empty, and two sparse.
+	{200, 1, 0, 3, 0, 1, 0, 4, 0, 1, 0, 3, 0, 1, 0, 3, 0, 1, 0, 5, 0, 1, 0, 3, 0, 1, 0, 3, 0, 1, 0, 3, 0},
+}
+
 // FuzzBlockDecode drives the segment recovery taxonomy: whatever the
 // bytes, DecodeSegment must classify them as clean, torn, or corrupt —
 // never panic, never over-claim a valid prefix — and the repaired prefix
 // must redecode cleanly to the same state. scanSegmentMeta (the
 // metadata-only walk Open and the Reader use) must agree with the full
 // decoding walk on every input. The committed testdata seeds are v1 images
-// (a read-only path); the ones added here are v3, v2, a one-template v3
-// block, and one segment of a v1, a v2 and a v3 block.
+// (a read-only path); the ones added here are v4, v2, a one-template v4
+// block, one segment of a v1, a v2, a v3 and a v4 block, and sparseSeeds'
+// v4 blocks.
 func FuzzBlockDecode(f *testing.F) {
 	clean := fuzzSeedSegment()
 	blk1, blk2 := fuzzSeedBlocks()
 	blk3 := []Event{{Seq: 9, Time: 9 * int64(time.Second), Template: 4, RawOff: 7}, {Seq: 12, Time: 10 * int64(time.Second), Template: 2}}
-	mixed, _ := AppendBlock(appendBlockV2(appendBlockV1(SegmentHeader(1), blk1), blk2), blk3)
+	blk4 := []Event{{Seq: 12, Time: 11 * int64(time.Second), Template: -1, Kind: KindUnmatched}, {Seq: 13, Time: 11 * int64(time.Second), Template: 4}}
+	mixed, _ := AppendBlock(appendBlockV3(appendBlockV2(appendBlockV1(SegmentHeader(1), blk1), blk2), blk3), blk4)
 	f.Add(mixed)
+	for _, seed := range sparseSeeds {
+		evs := fuzzEvents(seed[1:])
+		img, _ := AppendBlock(SegmentHeader(evs[0].Seq), evs)
+		f.Add(img)
+	}
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
 	f.Add(SegmentHeader(0))
@@ -147,9 +168,13 @@ func fuzzEvents(data []byte) (evs []Event) {
 // sequences derived from the fuzz bytes: AppendBlock → DecodeSegment is the
 // identity, whatever the block sizes (the first byte picks them, one-event
 // blocks included, at most 32 blocks and a tail); decoding with a template
-// set equals decoding without and filtering; and the v1 and v2 reference
-// encoders' images of the same blocks decode to the same events.
+// set, or one template (in a v4 block, where it is sparse, its lists
+// alone), equals decoding without and filtering; and the v1, v2 and v3
+// reference encoders' images of the same blocks decode to the same events.
 func FuzzBlockRoundtrip(f *testing.F) {
+	for _, seed := range sparseSeeds {
+		f.Add(seed)
+	}
 	f.Add([]byte{0})
 	f.Add([]byte{1, 1, 0, 1, 0, 1, 0, 1, 0})                                                // one-event blocks
 	f.Add([]byte{40, 1, 0, 3, 0, 0, 0, 3, 0, 8, 0, 3, 0, 16, 0, 0x41, 0, 5, 9, 0x91, 0xc1}) // a late run, kinds flipping
@@ -161,25 +186,28 @@ func FuzzBlockRoundtrip(f *testing.F) {
 		}
 		evs := fuzzEvents(data[1:])
 		per := max(1+int(data[0]), len(evs)/32) // a flate writer per block: keep an exec cheap
-		v1, v2, v3 := SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq)
+		v1, v2, v3, v4 := SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq), SegmentHeader(evs[0].Seq)
 		for at := 0; at < len(evs); at += per {
 			blk := evs[at:min(at+per, len(evs))]
 			var err error
-			if v3, err = AppendBlock(v3, blk); err != nil {
+			if v4, err = AppendBlock(v4, blk); err != nil {
 				t.Fatalf("AppendBlock: %v", err)
 			}
-			v1, v2 = appendBlockV1(v1, blk), appendBlockV2(v2, blk)
+			v1, v2, v3 = appendBlockV1(v1, blk), appendBlockV2(v2, blk), appendBlockV3(v3, blk)
 		}
-		ids := []int32{evs[len(evs)/2].Template, 3}
-		var want []Event
+		sets := [][]int32{{evs[len(evs)/2].Template, 3}, {evs[len(evs)-1].Template}}
+		want := make([][]Event, len(sets))
 		for _, ev := range evs {
-			if slices.Contains(ids, ev.Template) {
-				want = append(want, ev)
+			for k, ids := range sets {
+				if slices.Contains(ids, ev.Template) {
+					want[k] = append(want[k], ev)
+				}
 			}
 		}
-		for i, img := range [][]byte{v1, v2, v3} {
-			name := []string{"v1", "v2", "v3"}[i]
-			var got, filtered []Event
+		for i, img := range [][]byte{v1, v2, v3, v4} {
+			name := []string{"v1", "v2", "v3", "v4"}[i]
+			var got []Event
+			filtered := make([][]Event, len(sets))
 			var z decoder
 			info, err := scanSegmentMeta(img, true, func(_ int64, _ seglog.Frame, v blockView) error {
 				if v.meta.version != byte(i+1) {
@@ -188,7 +216,12 @@ func FuzzBlockRoundtrip(f *testing.F) {
 				if err := z.decode(v, nil, func(ev Event) error { got = append(got, ev); return nil }); err != nil {
 					return err
 				}
-				return z.decode(v, ids, func(ev Event) error { filtered = append(filtered, ev); return nil })
+				for k, ids := range sets {
+					if err := z.decode(v, ids, func(ev Event) error { filtered[k] = append(filtered[k], ev); return nil }); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
 			if err != nil || info.Events != int64(len(evs)) || info.Good != int64(len(img)) {
 				t.Fatalf("%s: %+v, %v", name, info, err)
@@ -196,8 +229,10 @@ func FuzzBlockRoundtrip(f *testing.F) {
 			if !slices.Equal(got, evs) {
 				t.Fatalf("%s: decoded\n%v\nwant\n%v", name, got, evs)
 			}
-			if !slices.Equal(filtered, want) {
-				t.Fatalf("%s: decoded with template set %v\n%v\nwant\n%v", name, ids, filtered, want)
+			for k, ids := range sets {
+				if !slices.Equal(filtered[k], want[k]) {
+					t.Fatalf("%s: decoded with template set %v\n%v\nwant\n%v", name, ids, filtered[k], want[k])
+				}
 			}
 		}
 	})

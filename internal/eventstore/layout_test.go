@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -84,7 +85,13 @@ func appendBlockV2(dst []byte, events []Event) []byte {
 	return appendBlockOld(dst, events, 2)
 }
 
-// appendBlockOld encodes events as one block of layout version 1 or 2.
+// appendBlockV3 is the reference encoder of the third: the run columns
+// and a Huffman column over every template, the rarest too, stored.
+func appendBlockV3(dst []byte, events []Event) []byte {
+	return appendBlockOld(dst, events, 3)
+}
+
+// appendBlockOld encodes events as one block of layout version 1, 2 or 3.
 func appendBlockOld(dst []byte, events []Event, version byte) []byte {
 	m := blockMeta{version: version, minSeq: events[0].Seq, minTime: math.MaxInt64, maxTime: math.MinInt64}
 	counts := map[int32]int64{}
@@ -117,6 +124,20 @@ func appendBlockOld(dst []byte, events []Event, version byte) []byte {
 	for c := range cols {
 		cols[c].flush()
 		raw = append(raw, cols[c].buf...)
+	}
+	if version == 3 {
+		var h huffman
+		h.alphabet(index, m.count-m.matched, false)
+		h.build()
+		var syms, ident []uint32
+		for _, ev := range events {
+			s, _ := slices.BinarySearchFunc(index, ev.Template, func(e IndexEntry, t int32) int { return cmp.Compare(e.Template, t) })
+			if ev.Template < 0 {
+				s = len(index)
+			}
+			syms, ident = append(syms, uint32(s)), append(ident, uint32(len(ident)))
+		}
+		tmpl = h.appendColumn(nil, syms, ident[:len(h.syms)])
 	}
 	return rawBlock(dst, append(raw, tmpl...), m, index)
 }
@@ -217,20 +238,25 @@ func TestHostileColumns(t *testing.T) {
 
 	// Fibonacci counts — template i has F(i+1) events, 26 templates — make
 	// the lightest template's Huffman code 25 bits long, past the cap: the
-	// writer and reader must both halve the weights to the same code.
+	// writer and reader must both halve the weights to the same code. An
+	// EVB4 block holds the four lightest as sparse lists, so the v3
+	// reference encoder writes the capped code.
 	var evs []Event
 	for i, f0, f1 := int32(0), 1, 1; i < 26; i, f0, f1 = i+1, f1, f0+f1 {
 		for k := 0; k < f0; k++ {
 			evs = append(evs, Event{Seq: int64(len(evs)), Template: i})
 		}
 	}
-	img, err := AppendBlock(SegmentHeader(0), evs)
+	v4, err := AppendBlock(SegmentHeader(0), evs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Event
-	if _, err := DecodeSegment(img, func(ev Event) error { got = append(got, ev); return nil }); err != nil || !slices.Equal(got, evs) {
-		t.Fatalf("Fibonacci block: %d of %d events back, %v", len(got), len(evs), err)
+	img := appendBlockV3(SegmentHeader(0), evs)
+	for _, data := range [][]byte{v4, img} {
+		var got []Event
+		if _, err := DecodeSegment(data, func(ev Event) error { got = append(got, ev); return nil }); err != nil || !slices.Equal(got, evs) {
+			t.Fatalf("Fibonacci block: %d of %d events back, %v", len(got), len(evs), err)
+		}
 	}
 	var fib []IndexEntry
 	bm, bodyBytes, err := scanBlock(img[segHeaderSize:], &fib)
@@ -238,7 +264,7 @@ func TestHostileColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var h huffman
-	h.alphabet(fib, bm.count-bm.matched)
+	h.alphabet(fib, bm.count-bm.matched, false)
 	uncapped := slices.Clone(h.weight)
 	minRedundancy(uncapped)
 	if h.build(); uncapped[0] != 25 || h.maxLen > maxCodeLen {
@@ -250,6 +276,140 @@ func TestHostileColumns(t *testing.T) {
 	var ce *seglog.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Fibonacci block with a bit flipped: %v", err)
+	}
+}
+
+// TestHostileSparseLists hands the v4 decoder sparse sections and columns
+// no writer produces, in blocks whose checksums are in order, on both read
+// paths: the full walk, and the sparse-only read a filter of sparse
+// templates takes. Damage to what a path reads is corruption on it, never
+// a panic; the sparse-only read, like a walk a Limit cut short, does not
+// read the column.
+func TestHostileSparseLists(t *testing.T) {
+	// Fifteen events, seqs 10..24 at one instant. Templates 0 and 2 have
+	// five events each, so they are coded (one bit each, 0 and 1); 1, 3
+	// and −1 are sparse: lists 1 [1 8], 3 [7], −1 [4 13], four bits a
+	// position.
+	tmpls := []int32{0, 1, 2, 0, -1, 2, 0, 3, 1, 0, 2, 0, 2, -1, 2}
+	var evs []Event
+	for p, tm := range tmpls {
+		ev := Event{Seq: 10 + int64(p), Time: 100, Template: tm}
+		if tm < 0 {
+			ev.Kind = KindUnmatched
+		}
+		evs = append(evs, ev)
+	}
+	meta := blockMeta{version: 4, minSeq: 10, maxSeq: 24, minTime: 100, maxTime: 100, count: 15, matched: 13}
+	index := []IndexEntry{{Template: 0, Count: 5}, {Template: 1, Count: 2}, {Template: 2, Count: 5}, {Template: 3, Count: 1}}
+	cols := slices.Concat(runs(1, 10, 14, 1), runs(1, 100, 14, 0), runs(4, 0, 1, 1, 8, 0, 1, 1, 1, 0), runs(15, 0))
+	sparse := []byte{0b0001_1000, 0b0111_0100, 0b1101_0000}
+	column := []byte{0b0101_0010, 0b1100_0000} // templates 0 2 0 2 0 0 2 0 2 2
+	honest := slices.Concat(cols, sparse, column)
+	if img, _ := AppendBlock(nil, evs); !bytes.Equal(rawBlock(nil, honest, meta, index), img) {
+		t.Fatalf("the hand-made block is not the writer's:\n%x\n%x", rawBlock(nil, honest, meta, index), img)
+	}
+	wantRare := []Event{evs[1], evs[7], evs[8]}
+
+	// read decodes raw on the full path or, with ids, through the
+	// decoder's sparse-only read of templates 1 and 3.
+	read := func(raw []byte, ids []int32) (got []Event, err error) {
+		var z decoder
+		img := rawBlock(SegmentHeader(10), raw, meta, index)
+		_, err = scanSegmentMeta(img, true, func(_ int64, _ seglog.Frame, v blockView) error {
+			return z.decode(v, ids, func(ev Event) error { got = append(got, ev); return nil })
+		})
+		if len(ids) > 0 && !z.code.only {
+			t.Fatalf("templates %v did not take the sparse-only read", ids)
+		}
+		return got, err
+	}
+	if got, err := read(honest, nil); err != nil || !slices.Equal(got, evs) {
+		t.Fatalf("the honest block: %v, %v", got, err)
+	}
+	for _, ids := range [][]int32{{1, 3}, {3, 1, 3}} { // the read needs no order of ids
+		if got, err := read(honest, ids); err != nil || !slices.Equal(got, wantRare) {
+			t.Fatalf("the honest block, sparse-only %v: %v, %v", ids, got, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		raw    []byte
+		column bool // the damage is in the column, which a sparse-only read does not read
+	}{
+		{"sparse position ≥ count", slices.Concat(cols, []byte{0b0001_1111, 0b0111_0100, 0b1101_0000}, column), false},
+		{"a list that does not ascend", slices.Concat(cols, []byte{0b1000_0001, 0b0111_0100, 0b1101_0000}, column), false},
+		{"two lists claim one position", slices.Concat(cols, []byte{0b0001_1000, 0b1000_0100, 0b1101_0000}, column), false},
+		{"body ends inside the sparse section", slices.Concat(cols, sparse[:2]), false},
+		{"non-zero sparse padding", slices.Concat(cols, []byte{0b0001_1000, 0b0111_0100, 0b1101_0001}, column), false},
+		{"column one code long", slices.Concat(cols, sparse, []byte{0b0101_0010, 0b1110_0000}), true},
+		{"column one code short", slices.Concat(cols, sparse, []byte{0b0101_0010, 0b1000_0000}), true},
+		{"column a byte long", slices.Concat(cols, sparse, column, []byte{0}), true},
+		{"no column", slices.Concat(cols, sparse), true},
+	} {
+		var ce *seglog.CorruptError
+		if got, err := read(tc.raw, nil); !errors.As(err, &ce) || len(got) > len(evs) {
+			t.Errorf("%s: full read: %d events, err %v; want a CorruptError", tc.name, len(got), err)
+		}
+		got, err := read(tc.raw, []int32{1, 3})
+		if tc.column && (err != nil || !slices.Equal(got, wantRare)) {
+			t.Errorf("%s: sparse-only read: %v, %v; want the lists' events", tc.name, got, err)
+		}
+		if !tc.column && !errors.As(err, &ce) {
+			t.Errorf("%s: sparse-only read: %d events, err %v; want a CorruptError", tc.name, len(got), err)
+		}
+	}
+}
+
+// TestSparseScanEqualsFullDecode holds the sparse-only read to the full
+// walk on seeded random stores: for every template, and one no block
+// holds, a Scan of that template alone — with and without a Limit —
+// yields exactly the events a full decode of the store filters to.
+func TestSparseScanEqualsFullDecode(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		s, _, err := Open(Options{Dir: dir, BlockBytes: 64 + rng.Intn(2000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		zipf := rand.NewZipf(rng, 1.1+rng.Float64(), 1, 200)
+		var ev Event
+		for i := 0; i < 3000; i++ {
+			ev.Seq += int64(rng.Intn(2))
+			ev.Time += int64(rng.Intn(3))
+			ev.Template, ev.Kind = int32(zipf.Uint64()), KindMatched
+			if rng.Intn(50) == 0 {
+				ev.Template, ev.Kind = -1, KindUnmatched
+			}
+			if err := s.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		all := readAll(t, dir)
+		r, _, err := OpenReader(dir, ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tm := int32(0); tm <= 201; tm++ {
+			var want []Event
+			for _, ev := range all {
+				if ev.Template == tm {
+					want = append(want, ev)
+				}
+			}
+			for _, limit := range []int{0, 1 + rng.Intn(6)} {
+				var got []Event
+				if _, err := r.Scan(Query{TemplateIDs: []int32{tm}, Limit: limit}, func(ev Event) error { got = append(got, ev); return nil }); err != nil {
+					t.Fatalf("seed %d: Scan(%d): %v", seed, tm, err)
+				}
+				if w := want[:min(len(want), cmp.Or(limit, len(want)))]; !slices.Equal(got, w) {
+					t.Fatalf("seed %d: Scan(template %d, limit %d) = %v; full decode %v", seed, tm, limit, got, w)
+				}
+			}
+		}
 	}
 }
 
@@ -308,11 +468,11 @@ func checkModel(t *testing.T, r *Reader, model []Event) {
 	}
 }
 
-// TestMixedLayouts is a store's life across both layout changes: a segment
-// of v1 then v2 blocks, as the trees before each change left them, opened,
-// aligned inside the v2 part, extended with v3 blocks by this writer, and
-// read — cold, and by a reader refreshed across the boundary — against a
-// model.
+// TestMixedLayouts is a store's life across every layout change: a segment
+// of v1, then v2, then v3 blocks, as the trees before each change left
+// them, opened, aligned inside the v3 part, extended with v4 blocks by this
+// writer, and read — cold, and by a reader refreshed across the boundary —
+// against a model.
 func TestMixedLayouts(t *testing.T) {
 	dir := t.TempDir()
 	var model []Event
@@ -322,10 +482,13 @@ func TestMixedLayouts(t *testing.T) {
 		for s := seq; s < seq+50; s++ {
 			blk = append(blk, modelEvent(s))
 		}
-		if seq <= 300 {
+		switch {
+		case seq <= 200:
 			data = appendBlockV1(data, blk)
-		} else {
+		case seq <= 300:
 			data = appendBlockV2(data, blk)
+		default:
+			data = appendBlockV3(data, blk)
 		}
 		model = append(model, blk...)
 	}
@@ -335,14 +498,14 @@ func TestMixedLayouts(t *testing.T) {
 	}
 	old, info, err := OpenReader(dir, ReaderOptions{})
 	if err != nil || info.Blocks != 12 || info.Events != 600 || info.Damaged != "" || info.TornTail {
-		t.Fatalf("OpenReader over v1 and v2: %+v, %v", info, err)
+		t.Fatalf("OpenReader over v1, v2 and v3: %+v, %v", info, err)
 	}
 	checkModel(t, old, model)
 
-	// The writer's Open repairs nothing, and AlignTo cuts at a v2 block edge.
+	// The writer's Open repairs nothing, and AlignTo cuts at a v3 block edge.
 	s, oi, err := Open(Options{Dir: dir, BlockBytes: 64})
 	if err != nil || oi.Events != 600 || oi.TornTails != 0 || oi.CorruptDropped != 0 {
-		t.Fatalf("Open over v1 and v2: %+v, %v", oi, err)
+		t.Fatalf("Open over v1, v2 and v3: %+v, %v", oi, err)
 	}
 	ai, err := s.AlignTo(375)
 	if err != nil || ai.BlocksDropped != 5 || ai.Spanning != 1 || s.LastSeq() != 350 {
@@ -358,7 +521,7 @@ func TestMixedLayouts(t *testing.T) {
 	}
 	checkModel(t, kept, model)
 
-	// Replay extends the same segment with v3 blocks, a late-matched run
+	// Replay extends the same segment with v4 blocks, a late-matched run
 	// (one seq, kind flipping) among them.
 	for seq := int64(351); seq <= 900; seq++ {
 		ev := modelEvent(seq)
@@ -391,8 +554,8 @@ func TestMixedLayouts(t *testing.T) {
 		t.Fatalf("read back %d events, model %d", len(got), len(model))
 	}
 
-	// The one file really holds all three layouts, in order: six v1
-	// blocks, the one v2 block AlignTo kept, then v3.
+	// The one file really holds all four layouts, in order: four v1
+	// blocks, two v2, the one v3 block AlignTo kept, then v4.
 	data, err = os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -404,12 +567,12 @@ func TestMixedLayouts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(layouts) < 10 || !slices.IsSorted(layouts) || !slices.Equal(layouts[:8], []byte{1, 1, 1, 1, 1, 1, 2, 3}) {
+	if len(layouts) < 10 || !slices.IsSorted(layouts) || !slices.Equal(layouts[:8], []byte{1, 1, 1, 1, 2, 2, 3, 4}) {
 		t.Fatalf("block layouts: %v", layouts)
 	}
 
-	// A later restart may still cut back into the v1 part, past every v2
-	// and v3 block.
+	// A later restart may still cut back into the v1 part, past every
+	// later block.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +600,7 @@ func TestParentWrittenSegment(t *testing.T) {
 		layout   string
 		blocks   int
 		template int32 // its count, in the writer's logquery, is 424
-	}{{"v1", 10, 27}, {"v2", 4, 0}} {
+	}{{"v1", 10, 27}, {"v2", 4, 0}, {"v3", 4, 0}} {
 		t.Run(fx.layout, func(t *testing.T) {
 			f, err := os.Open(filepath.Join("testdata", fx.layout, "events.txt"))
 			if err != nil {

@@ -83,8 +83,9 @@ type QueryStats struct {
 	// IndexOnly counts blocks answered exactly from the footer's
 	// inverted index — consulted, never decoded.
 	IndexOnly int `json:"index_only"`
-	// Decompressed counts blocks whose body was actually decoded;
-	// BytesDecompressed is their total raw (v1, v2: inflated) size.
+	// Decompressed counts blocks whose body was actually read — a v4
+	// block whose sparse lists alone answered too; BytesDecompressed is
+	// their total raw (v1, v2: inflated) size.
 	Decompressed      int   `json:"decompressed"`
 	BytesDecompressed int64 `json:"bytes_decompressed"`
 	// Events counts the events of the Decompressed blocks — all of each,

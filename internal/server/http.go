@@ -158,6 +158,10 @@ func appendBatchLines(lines [][]byte, body []byte) [][]byte {
 	return lines
 }
 
+// replayAdvice is what a 503 tells a client whose batch an engine
+// incarnation refused.
+const replayAdvice = "replay the stream from its beginning; acknowledged lines are skipped as duplicates"
+
 // writeIngestErr maps a typed ingest failure to its status code and
 // backpressure signal.
 func writeIngestErr(w http.ResponseWriter, err error) {
@@ -167,10 +171,11 @@ func writeIngestErr(w http.ResponseWriter, err error) {
 	case errors.As(err, &de):
 		// The tenant's WAL or event store failed mid-batch: nothing in
 		// this batch was acknowledged, and the supervisor is rebuilding
-		// the engine (reopening the failed layer repairs it). The client
-		// replays the whole batch; the durable prefix is skipped as
-		// duplicates.
-		writeErr(w, http.StatusServiceUnavailable, 1, de.Error()+"; replay the batch")
+		// the engine (reopening the failed layer repairs it). The new
+		// incarnation numbers pushes from the start of the stream, so the
+		// client replays the stream from its beginning, not the batch
+		// alone; what is durable is skipped as duplicates.
+		writeErr(w, http.StatusServiceUnavailable, 1, de.Error()+"; "+replayAdvice)
 	case errors.As(err, &qe):
 		if qe.Permanent {
 			writeErr(w, http.StatusRequestEntityTooLarge, 0, qe.Error())
@@ -183,8 +188,10 @@ func writeIngestErr(w http.ResponseWriter, err error) {
 		writeErr(w, http.StatusServiceUnavailable, 0, err.Error())
 	case errors.Is(err, stream.ErrNotServing):
 		// The tenant's engine is between incarnations (panic recovery in
-		// progress) or mid-drain; the batch was not durably admitted.
-		writeErr(w, http.StatusServiceUnavailable, 1, err.Error()+"; replay the batch")
+		// progress) or mid-drain; the batch was not durably admitted, and
+		// the next incarnation, too, numbers pushes from the start of the
+		// stream.
+		writeErr(w, http.StatusServiceUnavailable, 1, err.Error()+"; "+replayAdvice)
 	default:
 		writeErr(w, http.StatusInternalServerError, 0, err.Error())
 	}

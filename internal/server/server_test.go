@@ -341,11 +341,11 @@ func TestPanicIsolationRestartsOnlyThatTenant(t *testing.T) {
 	}
 
 	ingestAll(t, s, "calm", calm, 250)
-	// First pass: batches are admitted until the consumer panics at line
-	// 600 and takes the un-checkpointed tail of the ring with it. Stop at
-	// the first refusal — a later batch reaching the rebuilt incarnation
-	// would be numbered as the start of the stream.
-	for i := 0; i < len(boom); i += 250 {
+	// First pass: batches up to the one holding line 600, where the
+	// consumer panics and takes the un-checkpointed tail of the ring with
+	// it; stop at the first refusal. No later batch: one reaching the
+	// rebuilt incarnation would be numbered as the start of the stream.
+	for i := 0; i < 750; i += 250 {
 		if _, err := ingest(s, "boom", boom[i:i+250]); err != nil {
 			if !errors.Is(err, stream.ErrNotServing) {
 				t.Fatalf("boom ingest: %v", err)
@@ -366,9 +366,19 @@ func TestPanicIsolationRestartsOnlyThatTenant(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// Replay against the new incarnation: already-checkpointed lines are
-	// skipped, the lost tail is re-admitted.
-	if res := ingestAll(t, s, "boom", boom, 250); res.Skipped == 0 {
-		t.Fatalf("replay skipped nothing (%+v); the restart did not restore a checkpoint", res)
+	// skipped, the lost tail is re-admitted. Restarts moves before the new
+	// incarnation serves, and a push it refuses before serving numbers
+	// nothing, so the replay's first batch is retried until admitted.
+	first, err := ingest(s, "boom", boom[:250])
+	for errors.Is(err, stream.ErrNotServing) && first == (stream.PushResult{}) && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+		first, err = ingest(s, "boom", boom[:250])
+	}
+	if err != nil {
+		t.Fatalf("replay's first batch: %v", err)
+	}
+	if res := ingestAll(t, s, "boom", boom[250:], 250); first.Skipped+res.Skipped == 0 {
+		t.Fatalf("replay skipped nothing (%+v, then %+v); the restart did not restore a checkpoint", first, res)
 	}
 	waitTenantOffset(t, s, "boom", perTenant)
 	waitTenantOffset(t, s, "calm", perTenant)

@@ -273,20 +273,29 @@ func TestWALFailureCapGoesTerminal(t *testing.T) {
 	s.Kill()
 }
 
-// TestWALErrorHTTPMapping pins the wire contract: a WAL failure surfaces
-// as 503 with Retry-After and an explicit replay instruction — the batch
-// was not acknowledged.
+// TestWALErrorHTTPMapping pins the wire contract: a durable-layer failure
+// or an engine between incarnations surfaces as 503 with Retry-After and an
+// explicit instruction to replay the stream from its beginning — the batch
+// was not acknowledged, and the next incarnation numbers pushes from the
+// start of the stream, so replaying the batch alone would miscount.
 func TestWALErrorHTTPMapping(t *testing.T) {
-	rec := httptest.NewRecorder()
-	writeIngestErr(rec, &stream.DurableError{Layer: stream.LayerWAL, Err: errors.New("disk gone")})
-	if rec.Code != 503 {
-		t.Fatalf("status = %d, want 503", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("missing Retry-After")
-	}
-	if body := rec.Body.String(); !contains(body, "replay the batch") {
-		t.Fatalf("body does not tell the client to replay: %s", body)
+	for _, err := range []error{
+		&stream.DurableError{Layer: stream.LayerWAL, Err: errors.New("disk gone")},
+		&stream.DurableError{Layer: stream.LayerEventStore, Err: errors.New("disk gone")},
+		stream.ErrNotServing,
+	} {
+		rec := httptest.NewRecorder()
+		writeIngestErr(rec, err)
+		if rec.Code != 503 {
+			t.Fatalf("%v: status = %d, want 503", err, rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%v: missing Retry-After", err)
+		}
+		body := rec.Body.String()
+		if !contains(body, "replay the stream from its beginning; acknowledged lines are skipped as duplicates") || contains(body, "replay the batch") {
+			t.Fatalf("%v: body does not tell the client to replay the stream: %s", err, body)
+		}
 	}
 }
 

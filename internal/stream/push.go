@@ -28,7 +28,8 @@ const (
 // lifetime cap per layer). What differs is the checkpoint:
 //
 //   - LayerWAL: the push that observed the failure was NOT acknowledged
-//     (the client must replay the whole batch); progress up to the failure
+//     (the client must replay its stream from the beginning: the next
+//     incarnation numbers pushes from there); progress up to the failure
 //     is checkpointed before the error surfaces, and the next Serve
 //     replays the surviving records.
 //   - LayerEventStore: the engine refuses to checkpoint — a checkpoint
