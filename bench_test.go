@@ -228,7 +228,7 @@ func BenchmarkTable3AnomalyDetection(b *testing.B) {
 func BenchmarkAblationPreprocessing(b *testing.B) {
 	cat := gen.BGL()
 	msgs := cat.Generate(42, 2000)
-	pre := tokenize.ForDataset("BGL").Apply(msgs)
+	pre := tokenize.NewPreprocessor(gen.BGL().Rules...).Apply(msgs)
 	factory := benchFactory(b, "LogSig", "BGL")
 	for _, variant := range []struct {
 		name string

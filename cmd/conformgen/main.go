@@ -8,7 +8,7 @@
 //	conformgen            regenerate every golden file in place
 //	conformgen -check     recompute and compare without writing; exit 1 on drift
 //	conformgen -measure   print the measured F-measures per cell (the data
-//	                      behind the floors table in internal/conform)
+//	                      behind each dataset row's floors in internal/gen)
 //
 // Golden updates must be a deliberate, reviewed diff: a changed digest
 // means parser (or generator) behavior changed, which is exactly what the
@@ -88,8 +88,8 @@ func run(dir string, check bool) error {
 }
 
 // runMeasure prints, per cell, the pairwise F-measure of the serial parse
-// for two algorithm seeds — the measurements the floors in internal/conform
-// are derived from (measured value minus a safety margin).
+// for two algorithm seeds — the measurements the dataset rows' floors in
+// internal/gen are derived from (measured value minus a safety margin).
 func runMeasure() error {
 	for _, c := range conform.Cases() {
 		factory, err := c.Factory()

@@ -58,7 +58,11 @@ func run() error {
 	opts := experiments.Options{Sample: *sample, Runs: *runs, Seed: *seed, Telemetry: tel}
 	datasets := gen.Names
 	if *dataset != "" {
-		datasets = []string{*dataset}
+		cat, err := gen.ByName(*dataset)
+		if err != nil {
+			return err
+		}
+		datasets = []string{cat.Name}
 	}
 	parserList := experiments.ParserNames
 	if *parsers != "" {

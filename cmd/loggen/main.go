@@ -20,6 +20,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 
 	"logparse"
 )
@@ -67,7 +68,7 @@ func run() error {
 	}
 
 	if *sessions > 0 {
-		if *dataset != "HDFS" {
+		if !strings.EqualFold(*dataset, "HDFS") {
 			return fmt.Errorf("session mode is only available for HDFS, got %q", *dataset)
 		}
 		data, err := logparse.GenerateHDFSSessions(logparse.HDFSSessionOptions{

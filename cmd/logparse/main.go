@@ -84,6 +84,11 @@ func run() (int, error) {
 	if *in == "" {
 		return 2, fmt.Errorf("-in is required")
 	}
+	if *preprocess != "" {
+		if _, err := logparse.Dataset(*preprocess); err != nil {
+			return 2, fmt.Errorf("-preprocess: %w", err)
+		}
+	}
 	if *stream {
 		if *parserName != "" && !strings.EqualFold(*parserName, "SLCT") {
 			return 2, fmt.Errorf("-parser %s has no effect with -stream, which runs SLCT", *parserName)

@@ -99,3 +99,32 @@ func TestStreamSurvivesLineOverFourMiB(t *testing.T) {
 		t.Fatalf("events differ:\nbatch:\n%s\nstream:\n%s", events["batch"], events["stream"])
 	}
 }
+
+// TestPreprocessNamesADataset: -preprocess resolves its dataset the way
+// every other dataset flag does, case-insensitively, and a name it does not
+// know is a usage error, exit 2, naming the known datasets — not a raw parse
+// under a silently empty rule set.
+func TestPreprocessNamesADataset(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "h.log")
+	var in bytes.Buffer
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&in, "Receiving block blk_%d src: /10.0.0.%d:4000 dest: /10.0.0.2:50010\n", i, i%9)
+	}
+	if err := os.WriteFile(log, in.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		code int
+	}{{"HDSF", 2}, {"hdfs", 0}, {"HDFS", 0}} {
+		os.Args = []string{"logparse", "-in", log, "-parser", "SLCT", "-preprocess", tc.name, "-events", os.DevNull}
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+		code, err := run()
+		if code != tc.code {
+			t.Errorf("-preprocess %s: exit %d (%v), want %d", tc.name, code, err, tc.code)
+		}
+		if tc.code == 2 && (err == nil || !strings.Contains(err.Error(), "BGL, HPC, Proxifier, HDFS, Zookeeper")) {
+			t.Errorf("-preprocess %s: error %v does not name the known datasets", tc.name, err)
+		}
+	}
+}

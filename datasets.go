@@ -1,14 +1,12 @@
 package logparse
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
 	"logparse/internal/core"
 	"logparse/internal/gen"
-	"logparse/internal/header"
 	"logparse/internal/tokenize"
 )
 
@@ -51,25 +49,28 @@ func GroundTruthResult(msgs []Message) *Result { return gen.TruthResult(msgs) }
 // (§IV-B: IP/block-ID/core-ID masking) to messages, returning a rewritten
 // copy. Unknown dataset names apply no rules.
 func Preprocess(dataset string, msgs []Message) []Message {
-	return tokenize.ForDataset(dataset).Apply(msgs)
+	var rules []tokenize.Rule
+	if cat, err := gen.ByName(dataset); err == nil {
+		rules = cat.Rules
+	}
+	return tokenize.NewPreprocessor(rules...).Apply(msgs)
 }
 
 // RenderRawLines renders messages as full raw log lines with realistic
 // per-dataset headers (timestamp, node, severity, component) — the form
 // production systems actually write. Timestamps advance monotonically from
-// start with small jitter. Use StripHeader (or logparse -strip) to recover
-// message content.
+// start with small jitter. Use StripHeader to recover message content.
 func RenderRawLines(dataset string, msgs []Message, seed int64, start time.Time) ([]string, error) {
-	f, ok := header.ForDataset(dataset)
-	if !ok {
-		return nil, fmt.Errorf("logparse: no header format for dataset %q", dataset)
+	cat, err := gen.ByName(dataset)
+	if err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	lines := make([]string, len(msgs))
 	ts := start
 	for i, m := range msgs {
 		ts = ts.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
-		lines[i] = f.Render(m.Content, ts, rng)
+		lines[i] = cat.Header.Render(m.Content, ts, rng)
 	}
 	return lines, nil
 }
@@ -77,11 +78,11 @@ func RenderRawLines(dataset string, msgs []Message, seed int64, start time.Time)
 // StripHeader removes a dataset's header fields from one raw line,
 // returning the free-text message content the parsers consume.
 func StripHeader(dataset, line string) (string, error) {
-	f, ok := header.ForDataset(dataset)
-	if !ok {
-		return "", fmt.Errorf("logparse: no header format for dataset %q", dataset)
+	cat, err := gen.ByName(dataset)
+	if err != nil {
+		return "", err
 	}
-	return f.Strip(line), nil
+	return cat.Header.Strip(line), nil
 }
 
 // ReadMessages reads raw or ground-truth-annotated log lines; maxLines ≤ 0

@@ -97,56 +97,6 @@ func sizeFor(parser string) int {
 	}
 }
 
-// floors carries the measured pairwise F-measure per cell minus a safety
-// margin (the samples are deterministic, so a drop below a floor is
-// implementation drift, not sampling noise). The low SLCT floors on HDFS
-// and Zookeeper and the low LogSig floor on BGL are faithful: the paper's
-// Table II reports exactly those weaknesses on raw (unpreprocessed) input.
-// Regenerate the measurements with cmd/conformgen -measure.
-var floors = map[string]float64{
-	"BGL-SLCT":         0.95,
-	"BGL-IPLoM":        0.95,
-	"BGL-LKE":          0.95,
-	"BGL-LogSig":       0.30,
-	"HPC-SLCT":         0.95,
-	"HPC-IPLoM":        0.97,
-	"HPC-LKE":          0.95,
-	"HPC-LogSig":       0.90,
-	"Proxifier-SLCT":   0.90,
-	"Proxifier-IPLoM":  0.70,
-	"Proxifier-LKE":    0.65,
-	"Proxifier-LogSig": 0.88,
-	"HDFS-SLCT":        0.22,
-	"HDFS-IPLoM":       0.95,
-	"HDFS-LKE":         0.80,
-	"HDFS-LogSig":      0.78,
-	"Zookeeper-SLCT":   0.34,
-	"Zookeeper-IPLoM":  0.95,
-	"Zookeeper-LKE":    0.95,
-	"Zookeeper-LogSig": 0.62,
-
-	// Streaming-native parsers, over the paper datasets and the extended
-	// catalogues. The very low Proxifier-Drain floor is faithful: Drain
-	// routes by leading tokens, and Proxifier messages lead with a
-	// variable program name, a known Drain weakness on that system.
-	"BGL-Drain":         0.97,
-	"BGL-Spell":         0.97,
-	"HPC-Drain":         0.97,
-	"HPC-Spell":         0.97,
-	"Proxifier-Drain":   0.15,
-	"Proxifier-Spell":   0.70,
-	"HDFS-Drain":        0.95,
-	"HDFS-Spell":        0.95,
-	"Zookeeper-Drain":   0.97,
-	"Zookeeper-Spell":   0.97,
-	"Hadoop-Drain":      0.90,
-	"Hadoop-Spell":      0.90,
-	"Spark-Drain":       0.92,
-	"Spark-Spell":       0.92,
-	"Thunderbird-Drain": 0.95,
-	"Thunderbird-Spell": 0.93,
-}
-
 // Cases returns the full conformance matrix: the paper's four parsers over
 // its five datasets, plus the streaming-native Drain and Spell over every
 // dataset including the extended catalogues (Hadoop, Spark, Thunderbird).
@@ -165,8 +115,16 @@ func Cases() []Case {
 	return cases
 }
 
-// newCase builds one cell with its measured floors attached.
+// newCase builds one cell with its measured floor, from the dataset's row,
+// attached. The floors are the measured pairwise F-measure per cell minus a
+// safety margin (the samples are deterministic, so a drop below a floor is
+// implementation drift, not sampling noise); regenerate the measurements
+// with cmd/conformgen -measure.
 func newCase(dataset, parser string) Case {
+	cat, err := gen.ByName(dataset)
+	if err != nil {
+		panic(err) // cases are a static matrix over known names
+	}
 	c := Case{
 		Dataset: dataset,
 		Parser:  parser,
@@ -174,7 +132,7 @@ func newCase(dataset, parser string) Case {
 		N:       sizeFor(parser),
 		Seeded:  parser == "LKE" || parser == "LogSig",
 	}
-	c.Floor = floors[c.Name()]
+	c.Floor = cat.Floors[parser]
 	return c
 }
 

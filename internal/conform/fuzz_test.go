@@ -10,7 +10,6 @@ import (
 
 	"logparse/internal/core"
 	"logparse/internal/gen"
-	"logparse/internal/header"
 	"logparse/internal/parsers/iplom"
 	"logparse/internal/parsers/lke"
 	"logparse/internal/parsers/logsig"
@@ -119,13 +118,21 @@ func FuzzHeaderDetect(f *testing.F) {
 	f.Add("[10.30 16:49:06] open through proxy proxy.example.com:443 HTTPS")
 	f.Add("short line")
 	f.Add("")
-	formats := []header.Format{header.HDFS, header.BGL, header.HPC, header.Zookeeper, header.Proxifier}
+	var cats []*gen.Catalog
+	for _, dataset := range gen.Names {
+		cat, err := gen.ByName(dataset)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cats = append(cats, cat)
+	}
 	ts := time.Date(2016, 6, 28, 12, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, line string) {
-		for _, format := range formats {
+		for _, cat := range cats {
+			format := cat.Header
 			stripped := format.Strip(line)
 			if !strings.Contains(line, stripped) {
-				t.Fatalf("%s: Strip result %q is not a substring of %q", format.Name, stripped, line)
+				t.Fatalf("%s: Strip result %q is not a substring of %q", cat.Name, stripped, line)
 			}
 			content := strings.Join(strings.Fields(line), " ")
 			if content == "" {
@@ -134,7 +141,7 @@ func FuzzHeaderDetect(f *testing.F) {
 			rng := rand.New(rand.NewSource(1))
 			rendered := format.Render(content, ts, rng)
 			if got := format.Strip(rendered); got != content {
-				t.Fatalf("%s: Strip(Render(%q)) = %q", format.Name, content, got)
+				t.Fatalf("%s: Strip(Render(%q)) = %q", cat.Name, content, got)
 			}
 		}
 	})

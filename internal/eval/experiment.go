@@ -53,7 +53,7 @@ func Accuracy(cat *gen.Catalog, factory ParserFactory, opts AccuracyOptions) (Ac
 	}
 	msgs := cat.Generate(opts.DataSeed, opts.Sample)
 	if opts.Preprocess {
-		msgs = tokenize.ForDataset(cat.Name).Apply(msgs)
+		msgs = tokenize.NewPreprocessor(cat.Rules...).Apply(msgs)
 	}
 	truth := make([]string, len(msgs))
 	for i := range msgs {

@@ -198,7 +198,7 @@ func TestTuneSLCTProxifier(t *testing.T) {
 // high parsing accuracy, and the ground-truth row is nearly clean.
 func TestFindings5And6Table3(t *testing.T) {
 	if testing.Short() {
-		t.Skip("Table III takes ~1 min; skipped with -short")
+		t.Skip("Table III takes ~10 s; skipped with -short")
 	}
 	reports, err := Table3(Table3Options{Sessions: 3000, Seed: 11})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"logparse/internal/core"
 	"logparse/internal/eval"
+	"logparse/internal/gen"
 	"logparse/internal/parsers/drain"
 	"logparse/internal/parsers/iplom"
 	"logparse/internal/parsers/lke"
@@ -31,39 +32,13 @@ var ParserNames = []string{"SLCT", "IPLoM", "LKE", "LogSig"}
 // online-vs-batch equivalence cells.
 var StreamingNames = []string{"Drain", "Spell"}
 
-// tunedParams carries the per-dataset parameters obtained by tuning on a 2k
-// sample, the protocol of §IV-B/§IV-C (Finding 4 is about how expensive
-// this step is; the values here are the result of running Tune once).
-type tunedParams struct {
-	slctSupportFrac float64
-	lkeSplitRatio   float64
-	lkeThreshold    float64 // 0 = automatic 2-means selection
-	logsigGroups    int
-}
-
-// tuned maps dataset name → tuned parameters.
-var tuned = map[string]tunedParams{
-	"BGL":       {slctSupportFrac: 0.005, lkeSplitRatio: 0.25, logsigGroups: 110},
-	"HPC":       {slctSupportFrac: 0.005, lkeSplitRatio: 0.25, logsigGroups: 80},
-	"HDFS":      {slctSupportFrac: 0.005, lkeSplitRatio: 0.25, logsigGroups: 35},
-	"Zookeeper": {slctSupportFrac: 0.005, lkeSplitRatio: 0.25, logsigGroups: 60},
-	"Proxifier": {slctSupportFrac: 0.15, lkeSplitRatio: 0.004, logsigGroups: 8},
-
-	// Extended (non-paper) datasets, tuned the same way on a 2k sample.
-	// The paper sweeps never touch these; they exist for the Drain/Spell
-	// conformance cells and ad-hoc runs.
-	"Hadoop":      {slctSupportFrac: 0.005, lkeSplitRatio: 0.25, logsigGroups: 100},
-	"Spark":       {slctSupportFrac: 0.005, lkeSplitRatio: 0.25, logsigGroups: 36},
-	"Thunderbird": {slctSupportFrac: 0.005, lkeSplitRatio: 0.25, logsigGroups: 130},
-}
-
 // lkeDefaultCap bounds LKE input sizes: beyond it the Θ(n²) clustering does
 // not finish in reasonable time on one core, mirroring the missing LKE
 // points in Fig. 2 ("may cause days or even weeks").
 const lkeDefaultCap = 4000
 
 // Factory returns the eval.ParserFactory for a parser on a dataset, with
-// the dataset's tuned parameters baked in.
+// the dataset's tuned parameters (its row's Tuned) baked in.
 func Factory(parser, dataset string) (eval.ParserFactory, error) {
 	return FactoryWith(parser, dataset, nil)
 }
@@ -73,14 +48,15 @@ func Factory(parser, dataset string) (eval.ParserFactory, error) {
 // conformance suite uses it to assert parse results are identical with
 // telemetry on and off.
 func FactoryWith(parser, dataset string, tel *telemetry.Handle) (eval.ParserFactory, error) {
-	p, ok := tuned[dataset]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown dataset %q", dataset)
+	cat, err := gen.ByName(dataset)
+	if err != nil {
+		return nil, err
 	}
+	p := cat.Tuned
 	switch parser {
 	case "SLCT":
 		return func(int64) core.Parser {
-			return slct.New(slct.Options{SupportFrac: p.slctSupportFrac, Telemetry: tel})
+			return slct.New(slct.Options{SupportFrac: p.SLCTSupportFrac, Telemetry: tel})
 		}, nil
 	case "IPLoM":
 		return func(int64) core.Parser {
@@ -90,15 +66,14 @@ func FactoryWith(parser, dataset string, tel *telemetry.Handle) (eval.ParserFact
 		return func(seed int64) core.Parser {
 			return lke.New(lke.Options{
 				Seed:        seed,
-				SplitRatio:  p.lkeSplitRatio,
-				Threshold:   p.lkeThreshold,
+				SplitRatio:  p.LKESplitRatio,
 				MaxMessages: lkeDefaultCap,
 				Telemetry:   tel,
 			})
 		}, nil
 	case "LogSig":
 		return func(seed int64) core.Parser {
-			return logsig.New(logsig.Options{NumGroups: p.logsigGroups, Seed: seed, Telemetry: tel})
+			return logsig.New(logsig.Options{NumGroups: p.LogSigGroups, Seed: seed, Telemetry: tel})
 		}, nil
 	case "Drain":
 		return func(int64) core.Parser {

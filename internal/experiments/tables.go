@@ -66,8 +66,8 @@ type Table2Cell struct {
 	Parser       string
 	Raw          float64
 	Preprocessed float64
-	// HasPreprocessed is false for Proxifier, which has no
-	// domain-knowledge rules (the paper prints "-").
+	// HasPreprocessed is false for a dataset with no domain-knowledge
+	// rules, Proxifier (the paper prints "-").
 	HasPreprocessed bool
 }
 
@@ -108,7 +108,7 @@ func table2Cell(parser, dataset string, opts Options) (Table2Cell, error) {
 		return Table2Cell{}, fmt.Errorf("table2 %s/%s raw: %w", parser, dataset, err)
 	}
 	cell.Raw = raw.F
-	if cat.Name != "Proxifier" {
+	if len(cat.Rules) > 0 {
 		accOpts.Preprocess = true
 		pp, err := eval.Accuracy(cat, factory, accOpts)
 		if err != nil {

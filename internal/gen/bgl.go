@@ -1,6 +1,12 @@
 package gen
 
-import "sync"
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"logparse/internal/tokenize"
+)
 
 // BGL models the BlueGene/L supercomputer log (Table I: 4,747,963 lines,
 // 376 event types, message lengths up to ~102 tokens). The hand-written
@@ -45,15 +51,26 @@ var bglHead = []Spec{
 	MustSpec("BGL-E30", "kernel panic in interrupt handler at <hex>: unable to recover, job <int> killed on <node>"),
 }
 
-var (
-	bglOnce    sync.Once
-	bglCatalog *Catalog
-)
-
-// BGL returns the BlueGene/L dataset catalogue (built once; catalogues are
-// immutable after construction).
-func BGL() *Catalog {
-	bglOnce.Do(func() {
+// bgl is BGL's row in the dataset table (registry.go).
+var bgl = &Catalog{
+	Name:     "BGL",
+	Paper:    true,
+	FullSize: 4747963,
+	Rules:    []tokenize.Rule{tokenize.RuleCoreID},
+	// "- 1117838570 2005.06.03 R02-M1-N0-C:J12-U11 RAS KERNEL INFO <content>"
+	Header: Header{Fields: 7, render: func(ts time.Time, rng *rand.Rand) string {
+		sev := []string{"INFO", "WARNING", "ERROR", "FATAL"}
+		sub := []string{"KERNEL", "APP", "DISCOVERY", "HARDWARE", "MMCS"}
+		return fmt.Sprintf("- %d %s R%02d-M%d-N%d-C:J%02d-U%02d RAS %s %s",
+			ts.Unix(), ts.Format("2006.01.02"),
+			rng.Intn(80), rng.Intn(2), rng.Intn(16), rng.Intn(18), rng.Intn(12),
+			sub[rng.Intn(len(sub))], sev[rng.Intn(len(sev))])
+	}},
+	Tuned: Tuned{SLCTSupportFrac: 0.005, LKESplitRatio: 0.25, LogSigGroups: 110},
+	// The low LogSig floor is faithful: Table II reports that weakness on
+	// raw input.
+	Floors: map[string]float64{"SLCT": 0.95, "IPLoM": 0.95, "LKE": 0.95, "LogSig": 0.30, "Drain": 0.97, "Spell": 0.97},
+	specs: func() []Spec {
 		style := synthStyle{
 			prefixes:     []string{"ciod:", "kernel:", "mmcs:", "ido:", "rts:", "ddr:"},
 			fieldPalette: []Field{FieldHex, FieldInt, FieldNode, FieldIPBare, FieldCoreID, FieldFloat},
@@ -61,7 +78,10 @@ func BGL() *Catalog {
 			longTailProb: 0.08,
 		}
 		tail := synthesizeSpecs("BGL", 0xB61, bglEvents-len(bglHead), 6, 102, style, bglHead)
-		bglCatalog = mustCatalog("BGL", append(append([]Spec(nil), bglHead...), tail...))
-	})
-	return bglCatalog
+		return append(append([]Spec(nil), bglHead...), tail...)
+	},
 }
+
+// BGL returns the BlueGene/L dataset catalogue (built once; catalogues are
+// immutable after construction).
+func BGL() *Catalog { return bgl.built() }

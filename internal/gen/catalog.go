@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"logparse/internal/core"
+	"logparse/internal/tokenize"
 )
 
 // seg is one segment of a spec token: either a literal string or a field.
@@ -169,13 +171,45 @@ func (s Spec) MinTokens() int {
 }
 
 // Catalog is a complete dataset specification: a named collection of specs
-// with Zipf-skewed popularity (spec order is popularity rank).
+// with Zipf-skewed popularity (spec order is popularity rank). A built-in
+// catalogue is also its dataset's one row of settings — everything the
+// experiments, the conformance suite and the facade know about the dataset;
+// a catalogue made with NewCatalog leaves those fields zero.
 type Catalog struct {
 	// Name is the dataset name, e.g. "BGL".
 	Name  string
 	Specs []Spec
 
-	cum []float64 // cumulative sampling weights
+	// Paper is true for the paper's five datasets, the ones its tables
+	// and figures sweep.
+	Paper bool
+	// FullSize is the dataset's line count in Table I (loghub's collection
+	// size for the extended catalogues). Experiments scale it down; the
+	// generator accepts any n.
+	FullSize int
+	// Rules are the §IV-B domain-knowledge preprocessing rules (Table II's
+	// right-hand numbers); a dataset without rules has no preprocessed
+	// column (Table II prints "-").
+	Rules []tokenize.Rule
+	// Header is the raw-line layout the facade renders and strips.
+	Header Header
+	// Tuned are the parser parameters tuned on a 2k sample, the protocol
+	// of §IV-B/§IV-C (Finding 4 is about how expensive this step is).
+	Tuned Tuned
+	// Floors are the conformance floors per parser name: the measured
+	// pairwise F-measure of each cell minus a safety margin.
+	Floors map[string]float64
+
+	specs func() []Spec // builds a built-in row's Specs on first lookup
+	once  sync.Once
+	cum   []float64 // cumulative sampling weights
+}
+
+// Tuned holds a dataset's tuned parser parameters.
+type Tuned struct {
+	SLCTSupportFrac float64
+	LKESplitRatio   float64
+	LogSigGroups    int
 }
 
 // Popularity skew: real system logs are dominated by a handful of events
@@ -200,31 +234,44 @@ func specWeight(r int) float64 {
 
 // NewCatalog builds a catalogue; specs must be non-empty with unique IDs.
 func NewCatalog(name string, specs []Spec) (*Catalog, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("gen: catalogue %s has no specs", name)
-	}
-	seen := make(map[string]bool, len(specs))
-	for _, s := range specs {
-		if seen[s.ID] {
-			return nil, fmt.Errorf("gen: catalogue %s has duplicate spec ID %s", name, s.ID)
-		}
-		seen[s.ID] = true
-	}
-	c := &Catalog{Name: name, Specs: specs, cum: make([]float64, len(specs))}
-	total := 0.0
-	for i := range specs {
-		total += specWeight(i + 1)
-		c.cum[i] = total
+	c := &Catalog{Name: name, Specs: specs}
+	if err := c.weigh(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// mustCatalog wraps NewCatalog for the static built-in catalogues.
-func mustCatalog(name string, specs []Spec) *Catalog {
-	c, err := NewCatalog(name, specs)
-	if err != nil {
-		panic(err)
+// weigh checks the specs and computes the cumulative sampling weights.
+func (c *Catalog) weigh() error {
+	if len(c.Specs) == 0 {
+		return fmt.Errorf("gen: catalogue %s has no specs", c.Name)
 	}
+	seen := make(map[string]bool, len(c.Specs))
+	for _, s := range c.Specs {
+		if seen[s.ID] {
+			return fmt.Errorf("gen: catalogue %s has duplicate spec ID %s", c.Name, s.ID)
+		}
+		seen[s.ID] = true
+	}
+	c.cum = make([]float64, len(c.Specs))
+	total := 0.0
+	for i := range c.Specs {
+		total += specWeight(i + 1)
+		c.cum[i] = total
+	}
+	return nil
+}
+
+// built returns a built-in row with its vocabulary built, building it on
+// the first call (catalogues are immutable afterwards). A malformed
+// built-in catalogue is a programming error and panics.
+func (c *Catalog) built() *Catalog {
+	c.once.Do(func() {
+		c.Specs = c.specs()
+		if err := c.weigh(); err != nil {
+			panic(err)
+		}
+	})
 	return c
 }
 

@@ -184,8 +184,8 @@ func TestSpecWeightMonotone(t *testing.T) {
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown dataset accepted")
+	if _, err := ByName("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(AllNames(), ", ")) {
+		t.Errorf("unknown dataset: err = %v, want one naming the known datasets", err)
 	}
 	if _, err := ByName("hdfs"); err != nil {
 		t.Errorf("lowercase name rejected: %v", err)
@@ -197,7 +197,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumLogs != FullSize["HDFS"] || s.NumEvents != 29 {
+	if s.NumLogs != 11175629 || s.NumEvents != 29 {
 		t.Errorf("Summarize(HDFS) = %+v", s)
 	}
 }

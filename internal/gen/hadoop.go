@@ -1,6 +1,11 @@
 package gen
 
-import "sync"
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"time"
+)
 
 // Hadoop models a MapReduce/YARN application log (loghub's Hadoop sample:
 // ~114 event types, container- and attempt-centric messages of 3–45
@@ -41,14 +46,32 @@ var hadoopHead = []Spec{
 	MustSpec("HD-E29", "Spilling map output: record full = true buffer used <size> of <size>"),
 }
 
-var (
-	hadoopOnce    sync.Once
-	hadoopCatalog *Catalog
-)
-
-// Hadoop returns the Hadoop MapReduce dataset catalogue.
-func Hadoop() *Catalog {
-	hadoopOnce.Do(func() {
+// hadoop is Hadoop's row in the dataset table (registry.go).
+var hadoop = &Catalog{
+	Name:     "Hadoop",
+	FullSize: 394308,
+	// "2015-10-18 18:01:47,978 INFO [main] org.apache.hadoop.mapreduce.v2.app.MRAppMaster: <content>"
+	Header: Header{Fields: 5, render: func(ts time.Time, rng *rand.Rand) string {
+		sev := []string{"INFO", "WARN", "ERROR"}
+		procs := []string{"[main]", "[RMCommunicator Allocator]", "[AsyncDispatcher event handler]", "[IPC Server handler 0 on 62270]", "[eventHandlingThread]"}
+		comps := []string{
+			"org.apache.hadoop.mapreduce.v2.app.MRAppMaster:",
+			"org.apache.hadoop.mapreduce.v2.app.rm.RMContainerAllocator:",
+			"org.apache.hadoop.mapreduce.v2.app.job.impl.TaskAttemptImpl:",
+			"org.apache.hadoop.yarn.client.RMProxy:",
+			"org.apache.hadoop.ipc.Client:",
+		}
+		// "[IPC Server handler ...]" spans several whitespace fields, so
+		// the process tag must stay a single token for the header's field
+		// count to hold; replace inner spaces.
+		proc := strings.ReplaceAll(procs[rng.Intn(len(procs))], " ", "_")
+		return fmt.Sprintf("%s %s %s %s",
+			ts.Format("2006-01-02 15:04:05,000"), sev[rng.Intn(len(sev))],
+			proc, comps[rng.Intn(len(comps))])
+	}},
+	Tuned:  Tuned{SLCTSupportFrac: 0.005, LKESplitRatio: 0.25, LogSigGroups: 100},
+	Floors: map[string]float64{"Drain": 0.90, "Spell": 0.90},
+	specs: func() []Spec {
 		style := synthStyle{
 			prefixes:     []string{"yarn:", "mapred:", "shuffle:", "rm:", "nm:"},
 			fieldPalette: []Field{FieldInt, FieldBigInt, FieldHost, FieldPath, FieldSize, FieldDuration},
@@ -56,7 +79,9 @@ func Hadoop() *Catalog {
 			longTailProb: 0.04,
 		}
 		tail := synthesizeSpecs("HD", 0x5AD0, hadoopEvents-len(hadoopHead), 3, 45, style, hadoopHead)
-		hadoopCatalog = mustCatalog("Hadoop", append(append([]Spec(nil), hadoopHead...), tail...))
-	})
-	return hadoopCatalog
+		return append(append([]Spec(nil), hadoopHead...), tail...)
+	},
 }
+
+// Hadoop returns the Hadoop MapReduce dataset catalogue.
+func Hadoop() *Catalog { return hadoop.built() }

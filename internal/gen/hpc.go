@@ -1,6 +1,12 @@
 package gen
 
-import "sync"
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"logparse/internal/tokenize"
+)
 
 // HPC models the Los Alamos high-performance-cluster log (Table I: 433,490
 // lines, 105 event types, lengths up to ~104 tokens). HPC messages are
@@ -32,14 +38,21 @@ var hpcHead = []Spec{
 	MustSpec("HPC-E20", "job <int> terminated by scheduler on <int> nodes exit status <int>"),
 }
 
-var (
-	hpcOnce    sync.Once
-	hpcCatalog *Catalog
-)
-
-// HPC returns the Los Alamos cluster dataset catalogue.
-func HPC() *Catalog {
-	hpcOnce.Do(func() {
+// hpc is HPC's row in the dataset table (registry.go).
+var hpc = &Catalog{
+	Name:     "HPC",
+	Paper:    true,
+	FullSize: 433490,
+	Rules:    []tokenize.Rule{tokenize.RuleIP},
+	// "268588 node-148 unix.hw state_change.unavailable 1084680778 1 <content>"
+	Header: Header{Fields: 6, render: func(ts time.Time, rng *rand.Rand) string {
+		k := []string{"unix.hw", "boot_cmd", "net.niff", "unix.fs"}
+		return fmt.Sprintf("%d node-%d %s state_change.unavailable %d %d",
+			rng.Intn(1<<20), rng.Intn(1024), k[rng.Intn(len(k))], ts.Unix(), rng.Intn(2))
+	}},
+	Tuned:  Tuned{SLCTSupportFrac: 0.005, LKESplitRatio: 0.25, LogSigGroups: 80},
+	Floors: map[string]float64{"SLCT": 0.95, "IPLoM": 0.97, "LKE": 0.95, "LogSig": 0.90, "Drain": 0.97, "Spell": 0.97},
+	specs: func() []Spec {
 		style := synthStyle{
 			prefixes:     []string{"psu:", "fan:", "temp:", "net:", "disk:", "sched:"},
 			fieldPalette: []Field{FieldInt, FieldNode, FieldHex, FieldFloat, FieldDuration},
@@ -47,7 +60,9 @@ func HPC() *Catalog {
 			longTailProb: 0.06,
 		}
 		tail := synthesizeSpecs("HPC", 0x45C, hpcEvents-len(hpcHead), 6, 104, style, hpcHead)
-		hpcCatalog = mustCatalog("HPC", append(append([]Spec(nil), hpcHead...), tail...))
-	})
-	return hpcCatalog
+		return append(append([]Spec(nil), hpcHead...), tail...)
+	},
 }
+
+// HPC returns the Los Alamos cluster dataset catalogue.
+func HPC() *Catalog { return hpc.built() }

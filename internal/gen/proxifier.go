@@ -1,6 +1,9 @@
 package gen
 
-import "sync"
+import (
+	"math/rand"
+	"time"
+)
 
 // Proxifier models the standalone desktop proxy-client log (Table I: 10,108
 // lines, only 8 event types, lengths 10–27 tokens). All eight templates are
@@ -19,15 +22,21 @@ var proxifierSpecs = []Spec{
 	MustSpec("PX-E8", "<prog> - <host> request rejected by rule <word> default deny"),
 }
 
-var (
-	proxifierOnce    sync.Once
-	proxifierCatalog *Catalog
-)
+// proxifier is Proxifier's row in the dataset table (registry.go).
+var proxifier = &Catalog{
+	Name:     "Proxifier",
+	Paper:    true,
+	FullSize: 10108,
+	// "[10.30 16:49:06] <content>"
+	Header: Header{Fields: 2, render: func(ts time.Time, rng *rand.Rand) string {
+		return ts.Format("[01.02 15:04:05]")
+	}},
+	Tuned: Tuned{SLCTSupportFrac: 0.15, LKESplitRatio: 0.004, LogSigGroups: 8},
+	// The very low Drain floor is faithful: Drain routes by leading tokens,
+	// and Proxifier messages lead with a variable program name.
+	Floors: map[string]float64{"SLCT": 0.90, "IPLoM": 0.70, "LKE": 0.65, "LogSig": 0.88, "Drain": 0.15, "Spell": 0.70},
+	specs:  func() []Spec { return proxifierSpecs },
+}
 
 // Proxifier returns the Proxifier dataset catalogue.
-func Proxifier() *Catalog {
-	proxifierOnce.Do(func() {
-		proxifierCatalog = mustCatalog("Proxifier", proxifierSpecs)
-	})
-	return proxifierCatalog
-}
+func Proxifier() *Catalog { return proxifier.built() }

@@ -8,65 +8,50 @@ import (
 	"logparse/internal/core"
 )
 
-// FullSize is the line count of each dataset in Table I. Experiments scale
-// these down with a factor on small machines; the generators accept any n.
-var FullSize = map[string]int{
-	"BGL":       4747963,
-	"HPC":       433490,
-	"Proxifier": 10108,
-	"HDFS":      11175629,
-	"Zookeeper": 74380,
-
-	// Extended (non-paper) catalogues, at their loghub collection sizes.
-	"Hadoop":      394308,
-	"Spark":       33236604,
-	"Thunderbird": 211212192,
-}
-
 // FullHDFSSessions is the paper's number of block operation requests.
 const FullHDFSSessions = 575061
 
 // FullHDFSAnomalies is the paper's number of labelled anomalies.
 const FullHDFSAnomalies = 16838
 
-// Names lists the datasets in the paper's presentation order. Frozen at the
-// paper's five systems: experiment sweeps, goldens and Table I all iterate
-// this list, so new catalogues go in ExtraNames instead.
-var Names = []string{"BGL", "HPC", "Proxifier", "HDFS", "Zookeeper"}
+// datasets is the table of built-in datasets, one row each: the paper's
+// five in its presentation order, then the extended catalogues.
+var datasets = []*Catalog{bgl, hpc, proxifier, hdfs, zookeeper, hadoop, spark, thunderbird}
+
+// Names lists the paper's datasets in its presentation order. Experiment
+// sweeps, goldens and Table I all iterate this list.
+var Names = names(true)
 
 // ExtraNames lists catalogues beyond the paper's five — loghub-style systems
 // added for the online-parser conformance suite. ByName resolves them like
 // any other dataset, but the paper experiments never sweep them.
-var ExtraNames = []string{"Hadoop", "Spark", "Thunderbird"}
+var ExtraNames = names(false)
+
+func names(paper bool) []string {
+	var out []string
+	for _, c := range datasets {
+		if c.Paper == paper {
+			out = append(out, c.Name)
+		}
+	}
+	return out
+}
 
 // AllNames returns the paper datasets followed by the extras.
 func AllNames() []string {
 	return append(append([]string(nil), Names...), ExtraNames...)
 }
 
-// ByName returns the catalogue for a dataset name (case-insensitive).
+// ByName returns the catalogue for a dataset name (case-insensitive); an
+// unknown name's error lists the known ones.
 func ByName(name string) (*Catalog, error) {
-	switch strings.ToLower(name) {
-	case "bgl":
-		return BGL(), nil
-	case "hpc":
-		return HPC(), nil
-	case "proxifier":
-		return Proxifier(), nil
-	case "hdfs":
-		return HDFS(), nil
-	case "zookeeper":
-		return Zookeeper(), nil
-	case "hadoop":
-		return Hadoop(), nil
-	case "spark":
-		return Spark(), nil
-	case "thunderbird":
-		return Thunderbird(), nil
-	default:
-		return nil, fmt.Errorf("gen: unknown dataset %q (want one of %s)",
-			name, strings.Join(AllNames(), ", "))
+	for _, c := range datasets {
+		if strings.EqualFold(c.Name, name) {
+			return c.built(), nil
+		}
 	}
+	return nil, fmt.Errorf("gen: unknown dataset %q (want one of %s)",
+		name, strings.Join(AllNames(), ", "))
 }
 
 // Summary is one row of Table I.
@@ -87,7 +72,7 @@ func Summarize(name string) (Summary, error) {
 	lo, hi := c.LengthRange()
 	return Summary{
 		System:    c.Name,
-		NumLogs:   FullSize[c.Name],
+		NumLogs:   c.FullSize,
 		MinLength: lo,
 		MaxLength: hi,
 		NumEvents: c.NumEvents(),
@@ -105,9 +90,9 @@ func DistinctEvents(msgs []core.LogMessage) int {
 	return len(seen)
 }
 
-// TruthClusters groups message indices by ground-truth event, sorted by
-// descending cluster size; used by evaluation and by the ground-truth
-// parser in RQ3.
+// TruthClusters groups message indices by ground-truth event, each cluster
+// in message order; used by evaluation and by the ground-truth parser in
+// RQ3.
 func TruthClusters(msgs []core.LogMessage) map[string][]int {
 	clusters := make(map[string][]int)
 	for i, m := range msgs {

@@ -1,6 +1,10 @@
 package gen
 
-import "sync"
+import (
+	"fmt"
+	"math/rand"
+	"time"
+)
 
 // Spark models a Spark executor log (loghub's Spark sample: ~36 event
 // types, short block-manager and scheduler messages of 3–30 tokens). Spark
@@ -34,14 +38,25 @@ var sparkHead = []Spec{
 	MustSpec("SP-E20", "Told master about block broadcast_<int>_piece<int>"),
 }
 
-var (
-	sparkOnce    sync.Once
-	sparkCatalog *Catalog
-)
-
-// Spark returns the Spark executor dataset catalogue.
-func Spark() *Catalog {
-	sparkOnce.Do(func() {
+// spark is Spark's row in the dataset table (registry.go).
+var spark = &Catalog{
+	Name:     "Spark",
+	FullSize: 33236604,
+	// "17/06/09 20:10:40 INFO executor.Executor: <content>"
+	Header: Header{Fields: 4, render: func(ts time.Time, rng *rand.Rand) string {
+		sev := []string{"INFO", "WARN", "ERROR"}
+		comps := []string{
+			"executor.Executor:", "storage.MemoryStore:", "broadcast.TorrentBroadcast:",
+			"storage.BlockManager:", "executor.CoarseGrainedExecutorBackend:",
+			"spark.MapOutputTrackerWorker:", "storage.ShuffleBlockFetcherIterator:",
+		}
+		return fmt.Sprintf("%s %s %s",
+			ts.Format("06/01/02 15:04:05"), sev[rng.Intn(len(sev))],
+			comps[rng.Intn(len(comps))])
+	}},
+	Tuned:  Tuned{SLCTSupportFrac: 0.005, LKESplitRatio: 0.25, LogSigGroups: 36},
+	Floors: map[string]float64{"Drain": 0.92, "Spell": 0.92},
+	specs: func() []Spec {
 		style := synthStyle{
 			prefixes:     []string{"executor:", "storage:", "shuffle:", "rpc:"},
 			fieldPalette: []Field{FieldInt, FieldSize, FieldHost, FieldDuration, FieldFloat},
@@ -49,7 +64,9 @@ func Spark() *Catalog {
 			longTailProb: 0.0,
 		}
 		tail := synthesizeSpecs("SP", 0x3B2A, sparkEvents-len(sparkHead), 3, 30, style, sparkHead)
-		sparkCatalog = mustCatalog("Spark", append(append([]Spec(nil), sparkHead...), tail...))
-	})
-	return sparkCatalog
+		return append(append([]Spec(nil), sparkHead...), tail...)
+	},
 }
+
+// Spark returns the Spark executor dataset catalogue.
+func Spark() *Catalog { return spark.built() }

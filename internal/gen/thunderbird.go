@@ -1,6 +1,10 @@
 package gen
 
-import "sync"
+import (
+	"fmt"
+	"math/rand"
+	"time"
+)
 
 // Thunderbird models the Sandia Thunderbird supercomputer syslog (loghub's
 // sample: ~149 event types spanning kernel, daemon and hardware messages of
@@ -42,14 +46,25 @@ var thunderbirdHead = []Spec{
 	MustSpec("TB-E28", "updating!"),
 }
 
-var (
-	thunderbirdOnce    sync.Once
-	thunderbirdCatalog *Catalog
-)
-
-// Thunderbird returns the Thunderbird syslog dataset catalogue.
-func Thunderbird() *Catalog {
-	thunderbirdOnce.Do(func() {
+// thunderbird is Thunderbird's row in the dataset table (registry.go).
+var thunderbird = &Catalog{
+	Name:     "Thunderbird",
+	FullSize: 211212192,
+	// "- 1131566461 2005.11.09 dn228 Nov 9 12:01:01 dn228/dn228 crond(pam_unix)[2915]: <content>"
+	Header: Header{Fields: 9, render: func(ts time.Time, rng *rand.Rand) string {
+		node := fmt.Sprintf("dn%d", rng.Intn(1024))
+		comps := []string{
+			"crond(pam_unix)", "sshd", "ntpd", "kernel", "pbs_mom",
+			"postfix/smtpd", "xinetd", "dhcpd",
+		}
+		return fmt.Sprintf("- %d %s %s %s %s/%s %s[%d]:",
+			ts.Unix(), ts.Format("2006.01.02"), node,
+			ts.Format("Jan 2 15:04:05"), node, node,
+			comps[rng.Intn(len(comps))], rng.Intn(32768))
+	}},
+	Tuned:  Tuned{SLCTSupportFrac: 0.005, LKESplitRatio: 0.25, LogSigGroups: 130},
+	Floors: map[string]float64{"Drain": 0.95, "Spell": 0.93},
+	specs: func() []Spec {
 		style := synthStyle{
 			prefixes:     []string{"kernel:", "sshd:", "pbs_mom:", "ntpd:", "dhcpd:", "xinetd:"},
 			fieldPalette: []Field{FieldInt, FieldIPBare, FieldHex, FieldUser, FieldPath, FieldBigInt},
@@ -57,7 +72,9 @@ func Thunderbird() *Catalog {
 			longTailProb: 0.08,
 		}
 		tail := synthesizeSpecs("TB", 0x7B1D, thunderbirdEvents-len(thunderbirdHead), 3, 120, style, thunderbirdHead)
-		thunderbirdCatalog = mustCatalog("Thunderbird", append(append([]Spec(nil), thunderbirdHead...), tail...))
-	})
-	return thunderbirdCatalog
+		return append(append([]Spec(nil), thunderbirdHead...), tail...)
+	},
 }
+
+// Thunderbird returns the Thunderbird syslog dataset catalogue.
+func Thunderbird() *Catalog { return thunderbird.built() }

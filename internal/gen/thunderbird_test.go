@@ -65,8 +65,8 @@ func TestExtraNamesResolve(t *testing.T) {
 		if c.Name != name {
 			t.Errorf("ByName(%s) returned catalogue %q", name, c.Name)
 		}
-		if FullSize[name] == 0 {
-			t.Errorf("%s missing a FullSize entry", name)
+		if c.FullSize == 0 {
+			t.Errorf("%s missing a FullSize", name)
 		}
 	}
 	if got := len(AllNames()); got != len(Names)+len(ExtraNames) {

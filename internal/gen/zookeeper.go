@@ -1,6 +1,12 @@
 package gen
 
-import "sync"
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"logparse/internal/tokenize"
+)
 
 // Zookeeper models the lab-collected Zookeeper log (Table I: 74,380 lines,
 // 80 event types, lengths 8–27 tokens). The head reproduces the familiar
@@ -35,14 +41,28 @@ var zookeeperHead = []Spec{
 	MustSpec("ZK-E24", "FOLLOWING - LEADER ELECTION TOOK - <int>"),
 }
 
-var (
-	zookeeperOnce    sync.Once
-	zookeeperCatalog *Catalog
-)
-
-// Zookeeper returns the Zookeeper dataset catalogue.
-func Zookeeper() *Catalog {
-	zookeeperOnce.Do(func() {
+// zookeeper is Zookeeper's row in the dataset table (registry.go).
+var zookeeper = &Catalog{
+	Name:     "Zookeeper",
+	Paper:    true,
+	FullSize: 74380,
+	Rules:    []tokenize.Rule{tokenize.RuleIP},
+	// "2015-07-29 17:41:41,648 - INFO  [QuorumPeer:/0.0.0.0:2181] - <content>"
+	Header: Header{Fields: 6, render: func(ts time.Time, rng *rand.Rand) string {
+		sev := []string{"INFO", "WARN", "ERROR"}
+		threads := []string{
+			"[QuorumPeer:/0.0.0.0:2181]", "[main:QuorumPeerMain@127]",
+			"[SyncThread:0:FileTxnLog@199]", "[NIOServerCxn.Factory:0.0.0.0/0.0.0.0:2181]",
+		}
+		return fmt.Sprintf("%s - %s %s -",
+			ts.Format("2006-01-02 15:04:05,000"), sev[rng.Intn(len(sev))],
+			threads[rng.Intn(len(threads))])
+	}},
+	Tuned: Tuned{SLCTSupportFrac: 0.005, LKESplitRatio: 0.25, LogSigGroups: 60},
+	// The low SLCT floor is faithful: Table II reports that weakness on raw
+	// input.
+	Floors: map[string]float64{"SLCT": 0.34, "IPLoM": 0.95, "LKE": 0.95, "LogSig": 0.62, "Drain": 0.97, "Spell": 0.97},
+	specs: func() []Spec {
 		style := synthStyle{
 			prefixes:     []string{"quorum:", "txn:", "snap:", "elect:"},
 			fieldPalette: []Field{FieldSession, FieldZxid, FieldIP, FieldInt, FieldPath},
@@ -50,7 +70,9 @@ func Zookeeper() *Catalog {
 			longTailProb: 0.0,
 		}
 		tail := synthesizeSpecs("ZK", 0x200, zookeeperEvents-len(zookeeperHead), 8, 27, style, zookeeperHead)
-		zookeeperCatalog = mustCatalog("Zookeeper", append(append([]Spec(nil), zookeeperHead...), tail...))
-	})
-	return zookeeperCatalog
+		return append(append([]Spec(nil), zookeeperHead...), tail...)
+	},
 }
+
+// Zookeeper returns the Zookeeper dataset catalogue.
+func Zookeeper() *Catalog { return zookeeper.built() }

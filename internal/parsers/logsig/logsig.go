@@ -111,12 +111,9 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 			Observe(time.Since(start).Seconds())
 	}()
 
-	// Step 1: word pairs per message.
+	// Step 1: word pairs per message, each interned to a dense id.
 	stage := sp.Child("wordpairs")
-	pairsOf := make([][]pair, n)
-	for i := range msgs {
-		pairsOf[i] = wordPairs(msgs[i].Tokens)
-	}
+	pairsOf, numPairs := pairIDs(msgs)
 	stage.End()
 
 	// Step 2: local search, with restarts keeping the highest-potential
@@ -125,7 +122,7 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 	var group, size []int
 	bestPotential := -1.0
 	for restart := 0; restart < p.opts.Restarts; restart++ {
-		g, s, c, err := p.localSearch(ctx, pairsOf, k, p.opts.Seed+int64(restart))
+		g, s, c, err := p.localSearch(ctx, pairsOf, numPairs, k, p.opts.Seed+int64(restart))
 		if err != nil {
 			return nil, err
 		}
@@ -168,16 +165,17 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 }
 
 // localSearch runs one randomly initialised local-search pass and returns
-// the converged assignment, group sizes and per-group pair counts. It checks
-// ctx every cancelCheckStride messages of every sweep.
-func (p *Parser) localSearch(ctx context.Context, pairsOf [][]pair, k int, seed int64) ([]int, []int, []map[pair]int, error) {
+// the converged assignment, group sizes and per-group pair counts, each
+// group's counts indexed by pair id. It checks ctx every cancelCheckStride
+// messages of every sweep.
+func (p *Parser) localSearch(ctx context.Context, pairsOf [][]int32, numPairs, k int, seed int64) ([]int, []int, [][]int32, error) {
 	n := len(pairsOf)
 	rng := rand.New(rand.NewSource(seed))
 	group := make([]int, n)
 	size := make([]int, k)
-	count := make([]map[pair]int, k)
+	count := make([][]int32, k)
 	for g := range count {
-		count[g] = make(map[pair]int)
+		count[g] = make([]int32, numPairs)
 	}
 	for i := range group {
 		g := rng.Intn(k)
@@ -208,9 +206,6 @@ func (p *Parser) localSearch(ctx context.Context, pairsOf [][]pair, k int, seed 
 			old := group[i]
 			for _, r := range pairsOf[i] {
 				count[old][r]--
-				if count[old][r] == 0 {
-					delete(count[old], r)
-				}
 				count[best][r]++
 			}
 			size[old]--
@@ -227,7 +222,7 @@ func (p *Parser) localSearch(ctx context.Context, pairsOf [][]pair, k int, seed 
 
 // potential is the global objective Σ_X Σ_{r∈R(X)} p(r, C_X)², the value
 // the local search climbs; restarts keep the solution maximising it.
-func potential(pairsOf [][]pair, group []int, count []map[pair]int, size []int) float64 {
+func potential(pairsOf [][]int32, group []int, count [][]int32, size []int) float64 {
 	total := 0.0
 	for i, rs := range pairsOf {
 		total += score(rs, count[group[i]], size[group[i]])
@@ -253,11 +248,32 @@ func wordPairs(tokens []string) []pair {
 	return out
 }
 
+// pairIDs builds every message's word-pair set with each pair interned to a
+// dense id, so the local search counts pairs in slices, not in maps keyed
+// by two strings.
+func pairIDs(msgs []core.LogMessage) ([][]int32, int) {
+	ids := make(map[pair]int32)
+	out := make([][]int32, len(msgs))
+	for i := range msgs {
+		rs := wordPairs(msgs[i].Tokens)
+		out[i] = make([]int32, len(rs))
+		for j, r := range rs {
+			id, ok := ids[r]
+			if !ok {
+				id = int32(len(ids))
+				ids[r] = id
+			}
+			out[i][j] = id
+		}
+	}
+	return out, len(ids)
+}
+
 // score is the message's potential in a group: Σ_r p(r,C)² over the
 // message's pairs, where p(r,C) is the fraction of the group's messages
 // containing pair r. Squaring rewards groups where the message's pairs are
 // strongly shared, the potential function of the original paper.
-func score(rs []pair, counts map[pair]int, size int) float64 {
+func score(rs []int32, counts []int32, size int) float64 {
 	if size == 0 {
 		return 0
 	}

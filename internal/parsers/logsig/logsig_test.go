@@ -149,8 +149,8 @@ func TestWordPairs(t *testing.T) {
 }
 
 func TestScore(t *testing.T) {
-	counts := map[pair]int{{"a", "b"}: 3, {"a", "c"}: 1}
-	got := score([]pair{{"a", "b"}, {"a", "c"}, {"z", "z"}}, counts, 3)
+	counts := []int32{3, 1, 0} // pair ids 0, 1, 2
+	got := score([]int32{0, 1, 2}, counts, 3)
 	want := 1.0 + 1.0/9.0 // (3/3)² + (1/3)² + 0
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("score = %v, want %v", got, want)
@@ -180,14 +180,11 @@ func TestRestartsImprovePotentialMonotonically(t *testing.T) {
 	// seed by more than noise... assert the mechanism directly instead:
 	// potentials of the chosen solution are >= each individual restart's.
 	msgs := gen.Zookeeper().Generate(21, 600)
-	pairsOf := make([][]pair, len(msgs))
-	for i := range msgs {
-		pairsOf[i] = wordPairs(msgs[i].Tokens)
-	}
+	pairsOf, numPairs := pairIDs(msgs)
 	p := New(Options{NumGroups: 30, Seed: 5, Restarts: 1})
 	var pots []float64
 	for r := int64(0); r < 3; r++ {
-		g, s, c, err := p.localSearch(context.Background(), pairsOf, 30, 5+r)
+		g, s, c, err := p.localSearch(context.Background(), pairsOf, numPairs, 30, 5+r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +199,7 @@ func TestRestartsImprovePotentialMonotonically(t *testing.T) {
 	// Reconstruct what the Restarts=3 parser would pick.
 	best := -1.0
 	for r := int64(0); r < 3; r++ {
-		g, s, c, err := p.localSearch(context.Background(), pairsOf, 30, 5+r)
+		g, s, c, err := p.localSearch(context.Background(), pairsOf, numPairs, 30, 5+r)
 		if err != nil {
 			t.Fatal(err)
 		}

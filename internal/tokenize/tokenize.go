@@ -7,7 +7,6 @@ package tokenize
 
 import (
 	"regexp"
-	"strings"
 
 	"logparse/internal/core"
 )
@@ -85,20 +84,3 @@ var (
 	// numeric masking mentioned for LKE.
 	RuleNumber = Rule{Name: "number", Pattern: anchor(`-?(0x)?\d+`)}
 )
-
-// ForDataset returns the preprocessing configuration the paper uses for a
-// dataset (Table II's right-hand numbers): IP removal for HPC, Zookeeper
-// and HDFS; core-ID removal for BGL; block-ID removal for HDFS. Proxifier
-// has no rule-based preprocessing and returns an empty preprocessor.
-func ForDataset(name string) *Preprocessor {
-	switch strings.ToLower(name) {
-	case "bgl":
-		return NewPreprocessor(RuleCoreID)
-	case "hpc", "zookeeper":
-		return NewPreprocessor(RuleIP)
-	case "hdfs":
-		return NewPreprocessor(RuleIP, RuleBlockID)
-	default:
-		return NewPreprocessor()
-	}
-}

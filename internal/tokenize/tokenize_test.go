@@ -89,37 +89,10 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 	}
 }
 
-func TestForDataset(t *testing.T) {
-	tests := []struct {
-		dataset string
-		rules   []string
-	}{
-		{"BGL", []string{"core-id"}},
-		{"bgl", []string{"core-id"}}, // case-insensitive
-		{"HPC", []string{"ip-address"}},
-		{"Zookeeper", []string{"ip-address"}},
-		{"HDFS", []string{"ip-address", "block-id"}},
-		{"Proxifier", nil},
-		{"unknown", nil},
-	}
-	for _, tt := range tests {
-		t.Run(tt.dataset, func(t *testing.T) {
-			got := ForDataset(tt.dataset).Rules()
-			var names []string
-			for _, r := range got {
-				names = append(names, r.Name)
-			}
-			if !reflect.DeepEqual(names, tt.rules) {
-				t.Errorf("ForDataset(%q) rules = %v, want %v", tt.dataset, names, tt.rules)
-			}
-		})
-	}
-}
-
 func TestHDFSPreprocessingEndToEnd(t *testing.T) {
 	// The Fig. 1 example line must reduce to its event template.
 	line := "Receiving block blk_-1608999687919862906 src: /10.251.31.5:42506 dest: /10.251.31.5:50010"
-	out := ForDataset("HDFS").Apply([]core.LogMessage{{Content: line, Tokens: core.Tokenize(line)}})
+	out := NewPreprocessor(RuleIP, RuleBlockID).Apply([]core.LogMessage{{Content: line, Tokens: core.Tokenize(line)}})
 	want := []string{"Receiving", "block", "*", "src:", "*", "dest:", "*"}
 	if !reflect.DeepEqual(out[0].Tokens, want) {
 		t.Errorf("preprocessed = %v, want %v", out[0].Tokens, want)

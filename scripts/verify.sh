@@ -10,8 +10,9 @@
 #                              smoke + multi-tenant server smoke +
 #                              WAL and event-store crash smokes + the
 #                              server-profile recipe on 20 k lines (matcher
-#                              and learner legs) + the SLCT stream-equals-
-#                              batch smoke + a 5s fuzz smoke pass per
+#                              and learner legs) + the four examples/ +
+#                              the SLCT stream-equals-batch smoke + a 5s
+#                              fuzz smoke pass per
 #                              fuzz target + the LoC ratchet
 #                              (scripts/loc.sh -check)
 #   scripts/verify.sh -short   fast: build + vet + `go test -short -race` +
@@ -93,6 +94,11 @@ rm -f "$prof" "$prof.out" "$prof.query.pprof"
 
 echo "==> golden-digest check (cmd/conformgen -check)"
 go run ./cmd/conformgen -check >/dev/null
+
+echo "==> examples (each must exit 0)"
+for e in examples/*/; do
+	go run "./$e" >/dev/null
+done
 
 # Short fuzz smoke over every native fuzz target the module declares:
 # replays the committed corpora plus 5 seconds of fresh coverage-guided
