@@ -19,17 +19,22 @@ import (
 
 	"logparse/internal/experiments"
 	"logparse/internal/gen"
+	"logparse/internal/parsers"
 	"logparse/internal/telemetry"
 )
 
 func main() {
-	if err := run(); err != nil {
+	code, err := run()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "logeval:", err)
-		os.Exit(1)
+		if code == 0 {
+			code = 1
+		}
 	}
+	os.Exit(code)
 }
 
-func run() error {
+func run() (int, error) {
 	var (
 		table1  = flag.Bool("table1", false, "print Table I (dataset summary)")
 		table2  = flag.Bool("table2", false, "run Table II (parsing accuracy)")
@@ -42,13 +47,32 @@ func run() error {
 		seed    = flag.Int64("seed", 42, "dataset generation seed")
 		maxSize = flag.Int("max-size", 40000, "largest size in Fig. 2/3 sweeps")
 		plot    = flag.Bool("plot", false, "render Fig. 2 panels as ASCII log-log charts")
-		parsers = flag.String("parsers", "", "comma-separated parser subset for -fig2/-fig3 (default all)")
+		only    = flag.String("parsers", "", "comma-separated parsers for -fig2/-fig3, any case, Drain and Spell included (default the paper's four)")
 		report  = flag.String("report", "", "write a JSON run report (stage timings, spans, metrics) to this file (- = stderr)")
 	)
 	flag.Parse()
 	if !*table1 && !*table2 && !*fig2 && !*fig3 && !*tune {
 		flag.Usage()
-		return fmt.Errorf("select at least one of -table1, -table2, -fig2, -fig3, -tune")
+		return 2, fmt.Errorf("select at least one of -table1, -table2, -fig2, -fig3, -tune")
+	}
+	datasets := gen.Names
+	if *dataset != "" {
+		cat, err := gen.ByName(*dataset)
+		if err != nil {
+			return 2, err
+		}
+		datasets = []string{cat.Name}
+	}
+	parserList := experiments.ParserNames
+	if *only != "" {
+		parserList = nil
+		for _, name := range strings.Split(*only, ",") {
+			row, err := parsers.ByName(strings.TrimSpace(name))
+			if err != nil {
+				return 2, fmt.Errorf("-parsers: %w", err)
+			}
+			parserList = append(parserList, row.Name)
+		}
 	}
 
 	var tel *telemetry.Handle
@@ -56,23 +80,11 @@ func run() error {
 		tel = telemetry.New()
 	}
 	opts := experiments.Options{Sample: *sample, Runs: *runs, Seed: *seed, Telemetry: tel}
-	datasets := gen.Names
-	if *dataset != "" {
-		cat, err := gen.ByName(*dataset)
-		if err != nil {
-			return err
-		}
-		datasets = []string{cat.Name}
-	}
-	parserList := experiments.ParserNames
-	if *parsers != "" {
-		parserList = strings.Split(*parsers, ",")
-	}
 
 	if *table1 {
 		rows, err := experiments.Table1()
 		if err != nil {
-			return err
+			return 1, err
 		}
 		fmt.Println("Table I: Summary of System Log Datasets (full-scale sizes)")
 		experiments.FormatTable1(os.Stdout, rows)
@@ -81,7 +93,7 @@ func run() error {
 	if *table2 {
 		cells, err := experiments.Table2(opts)
 		if err != nil {
-			return err
+			return 1, err
 		}
 		fmt.Println("Table II: Parsing Accuracy (raw/preprocessed)")
 		experiments.FormatTable2(os.Stdout, cells)
@@ -92,7 +104,7 @@ func run() error {
 		for _, d := range datasets {
 			points, err := experiments.Fig2Parsers(d, parserList, sizes, opts)
 			if err != nil {
-				return err
+				return 1, err
 			}
 			experiments.FormatFig2(os.Stdout, d, points)
 			if *plot {
@@ -106,7 +118,7 @@ func run() error {
 		for _, d := range datasets {
 			rows, err := experiments.Fig3Parsers(d, parserList, sizes, opts)
 			if err != nil {
-				return err
+				return 1, err
 			}
 			experiments.FormatFig3(os.Stdout, d, rows, sizes)
 			fmt.Println()
@@ -116,7 +128,7 @@ func run() error {
 		for _, d := range datasets {
 			trials, best, err := experiments.TuneSLCT(d, *sample, *seed)
 			if err != nil {
-				return err
+				return 1, err
 			}
 			fmt.Printf("Tuning SLCT support fraction on %s (%d-line sample):\n", d, *sample)
 			for _, t := range trials {
@@ -125,7 +137,7 @@ func run() error {
 			fmt.Printf("  best: %g\n", best)
 			trials, bestK, err := experiments.TuneLogSigK(d, *sample, *seed)
 			if err != nil {
-				return err
+				return 1, err
 			}
 			fmt.Printf("Tuning LogSig k on %s:\n", d)
 			for _, t := range trials {
@@ -139,14 +151,14 @@ func run() error {
 		if *report != "-" {
 			f, err := os.Create(*report)
 			if err != nil {
-				return err
+				return 1, err
 			}
 			defer f.Close()
 			out = f
 		}
 		if err := tel.Report("logeval").WriteJSON(out); err != nil {
-			return err
+			return 1, err
 		}
 	}
-	return nil
+	return 0, nil
 }

@@ -56,7 +56,7 @@ var flagNeeds = map[string]string{
 func run() (int, error) {
 	var (
 		in         = flag.String("in", "", "input log file (required)")
-		parserName = flag.String("parser", "", "algorithm: SLCT, IPLoM, LKE, LogSig, Drain, Spell (default IPLoM; -stream is SLCT)")
+		parserName = flag.String("parser", "", "algorithm: "+strings.Join(logparse.Algorithms(), ", ")+" (default IPLoM; -stream is SLCT)")
 		events     = flag.String("events", "", "log events output file (default stdout)")
 		structured = flag.String("structured", "", "structured log output file (omit to skip)")
 		maxLines   = flag.Int("max-lines", 0, "read at most this many lines (0 = all)")
@@ -102,6 +102,40 @@ func run() (int, error) {
 		*parserName = "IPLoM"
 	}
 
+	var tel *logparse.Telemetry
+	if *report != "" {
+		tel = logparse.NewTelemetry()
+	}
+	opts := logparse.Options{
+		Seed:         *seed,
+		Support:      *support,
+		SupportFrac:  *frac,
+		NumGroups:    *groups,
+		Threshold:    *threshold,
+		Depth:        *depth,
+		SimThreshold: *simTh,
+		MaxChildren:  *maxKids,
+		Tau:          *tau,
+		Telemetry:    tel,
+	}
+	parser, err := logparse.NewParser(*parserName, opts)
+	if err != nil {
+		return 2, fmt.Errorf("-parser: %w", err)
+	}
+	var chain *logparse.RobustParser
+	if *timeout > 0 || *fallback != "" {
+		algorithms := []string{*parserName}
+		for _, a := range strings.Split(*fallback, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				algorithms = append(algorithms, a)
+			}
+		}
+		if chain, err = logparse.NewRobustParser(algorithms, opts,
+			logparse.RobustPolicy{Timeout: *timeout, Telemetry: tel}); err != nil {
+			return 2, fmt.Errorf("-fallback: %w", err)
+		}
+	}
+
 	f, err := os.Open(*in)
 	if err != nil {
 		return 1, err
@@ -125,41 +159,9 @@ func run() (int, error) {
 		msgs = logparse.Preprocess(*preprocess, msgs)
 	}
 
-	var tel *logparse.Telemetry
-	if *report != "" {
-		tel = logparse.NewTelemetry()
-	}
-	opts := logparse.Options{
-		Seed:         *seed,
-		Support:      *support,
-		SupportFrac:  *frac,
-		NumGroups:    *groups,
-		Threshold:    *threshold,
-		Depth:        *depth,
-		SimThreshold: *simTh,
-		MaxChildren:  *maxKids,
-		Tau:          *tau,
-		Telemetry:    tel,
-	}
-	parser, err := logparse.NewParser(*parserName, opts)
-	if err != nil {
-		return 1, err
-	}
-
 	servedBy := parser.Name()
 	var result *logparse.Result
-	if *timeout > 0 || *fallback != "" {
-		algorithms := []string{*parserName}
-		for _, a := range strings.Split(*fallback, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				algorithms = append(algorithms, a)
-			}
-		}
-		chain, err := logparse.NewRobustParser(algorithms, opts,
-			logparse.RobustPolicy{Timeout: *timeout, Telemetry: tel})
-		if err != nil {
-			return 1, err
-		}
+	if chain != nil {
 		var att *logparse.ParseAttribution
 		result, att, err = chain.ParseAttributed(context.Background(), msgs)
 		if err != nil {

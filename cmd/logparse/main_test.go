@@ -128,3 +128,27 @@ func TestPreprocessNamesADataset(t *testing.T) {
 		}
 	}
 }
+
+// TestParserNamesCheckedBeforeInput: the parser and the -fallback chain are
+// built before the input is opened, so an unknown name, or LogSig without
+// -groups, is a usage error, exit 2, even when the input does not exist —
+// not a missing-file error, nor a failure after reading the whole input.
+func TestParserNamesCheckedBeforeInput(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-parser", "Foo"}, "SLCT, IPLoM, LKE, LogSig, Drain, Spell"},
+		{[]string{"-fallback", "Bogus"}, "SLCT, IPLoM, LKE, LogSig, Drain, Spell"},
+		{[]string{"-parser", "IPLoM", "-fallback", "SLCT,Bogus"}, "SLCT, IPLoM, LKE, LogSig, Drain, Spell"},
+		{[]string{"-parser", "LogSig"}, "NumGroups"},
+		{[]string{"-parser", "SLCT", "-fallback", "LogSig"}, "NumGroups"},
+	} {
+		os.Args = append([]string{"logparse", "-in", "missing.log"}, tc.args...)
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+		code, err := run()
+		if code != 2 || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: exit %d, error %v; want exit 2 and an error containing %q", tc.args, code, err, tc.want)
+		}
+	}
+}

@@ -44,11 +44,8 @@ func main() {
 }
 
 func mustParser(algo string, events int) logparse.Parser {
-	opts := logparse.Options{Seed: 1}
-	if algo == "LogSig" {
-		opts.NumGroups = events
-	}
-	p, err := logparse.NewParser(algo, opts)
+	// LogSig needs k up front; every other parser ignores NumGroups.
+	p, err := logparse.NewParser(algo, logparse.Options{Seed: 1, NumGroups: events})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,11 +19,8 @@ func main() {
 	fmt.Printf("Generated %d HDFS log lines, e.g.:\n  %s\n\n", len(msgs), msgs[0].Content)
 
 	for _, algo := range logparse.Algorithms() {
-		opts := logparse.Options{Seed: 1}
-		if algo == "LogSig" {
-			opts.NumGroups = cat.NumEvents() // LogSig needs k up front
-		}
-		parser, err := logparse.NewParser(algo, opts)
+		// LogSig needs k up front; every other parser ignores NumGroups.
+		parser, err := logparse.NewParser(algo, logparse.Options{Seed: 1, NumGroups: cat.NumEvents()})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -37,6 +37,7 @@ import (
 	"logparse/internal/eval"
 	"logparse/internal/experiments"
 	"logparse/internal/gen"
+	"logparse/internal/parsers"
 	"logparse/internal/robust"
 )
 
@@ -44,21 +45,22 @@ import (
 type Case struct {
 	// Dataset is an internal/gen dataset name.
 	Dataset string
-	// Parser is one of the four algorithm names.
+	// Parser is an internal/parsers parser name.
 	Parser string
 	// Seed is the dataset generation seed.
 	Seed int64
-	// N is the sample size. Kept small enough that the full matrix runs
-	// under -race in tier-1, but large enough that support thresholds and
-	// popularity skew behave like the paper's samples.
+	// N is the sample size, the parser row's ConformN. Kept small enough
+	// that the full matrix runs under -race in tier-1, but large enough
+	// that support thresholds and popularity skew behave like the paper's
+	// samples.
 	N int
 	// Floor is the minimum pairwise F-measure the parser must reach on the
 	// sample (measured value minus a safety margin; a drop below it means
 	// the implementation drifted, not that the data got unlucky — the
 	// sample is deterministic in Seed and N).
 	Floor float64
-	// Seeded reports whether the algorithm consumes Options.Seed (LKE,
-	// LogSig). Seedless parsers must produce identical output across
+	// Seeded is the parser row's Seeded: whether the algorithm consumes
+	// Options.Seed. Seedless parsers must produce identical output across
 	// seeds; seeded ones must be deterministic per seed and clear Floor on
 	// every tested seed.
 	Seeded bool
@@ -80,21 +82,6 @@ func (c Case) Messages() []core.LogMessage {
 // per-dataset tuned parameters of the paper's protocol.
 func (c Case) Factory() (eval.ParserFactory, error) {
 	return experiments.Factory(c.Parser, c.Dataset)
-}
-
-// sizeFor keeps the expensive algorithms at conformance-friendly sizes:
-// LKE's clustering is Θ(n²) and LogSig's local search is the slowest
-// non-quadratic phase, so their cells shrink; SLCT and IPLoM are near
-// linear and keep the full sample.
-func sizeFor(parser string) int {
-	switch parser {
-	case "LKE":
-		return 150
-	case "LogSig":
-		return 200
-	default:
-		return 500
-	}
 }
 
 // Cases returns the full conformance matrix: the paper's four parsers over
@@ -125,15 +112,18 @@ func newCase(dataset, parser string) Case {
 	if err != nil {
 		panic(err) // cases are a static matrix over known names
 	}
-	c := Case{
+	row, err := parsers.ByName(parser)
+	if err != nil {
+		panic(err) // cases are a static matrix over known names
+	}
+	return Case{
 		Dataset: dataset,
 		Parser:  parser,
 		Seed:    42,
-		N:       sizeFor(parser),
-		Seeded:  parser == "LKE" || parser == "LogSig",
+		N:       row.ConformN,
+		Floor:   cat.Floors[parser],
+		Seeded:  row.Seeded,
 	}
-	c.Floor = cat.Floors[parser]
-	return c
 }
 
 // RobustParser wraps the cell's parser in a single-tier robust chain — the

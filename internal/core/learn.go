@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"logparse/internal/telemetry"
 )
@@ -17,6 +16,33 @@ type LineLearner interface {
 	LearnBytes(tokens [][]byte) (idx int, changed bool)
 	// Templates returns the learned templates in group-creation order.
 	Templates() []Template
+}
+
+// OnlineParser is a learn-per-line parser the stream engine can run in place
+// of its match/buffer/retrain cycle. Implementations (drain.StreamParser,
+// spell.StreamParser) are single-goroutine learners; the engine serialises
+// every call under its own lock, so they need no internal synchronisation.
+type OnlineParser interface {
+	// LearnBytes and Templates are LineLearner's, with two further
+	// promises: indices are stable (group i keeps meaning group i forever,
+	// and the template count never shrinks), and the tokens' backing
+	// storage is not retained.
+	LineLearner
+	// Name identifies the algorithm; checkpoints record it and refuse to
+	// restore under a different parser.
+	Name() string
+	// TemplateTokens returns group i's current tokens as a read-only view,
+	// valid until the next LearnBytes or Restore — what a checkpoint delta
+	// records for a group founded or generalised since the last save.
+	TemplateTokens(i int) []string
+	// Snapshot serialises the learner's full state for a checkpoint: a JSON
+	// object whose "templates" member lists each group's tokens in creation
+	// order (stream.State.TemplateNames reads it), plus whatever else the learner
+	// needs. It is the only copy of the templates an online checkpoint holds.
+	Snapshot() ([]byte, error)
+	// Restore replaces the learner's state with a snapshot taken by the same
+	// algorithm under the same parameters.
+	Restore(data []byte) error
 }
 
 // learnStride bounds how many lines are learned between context checks; the
@@ -34,14 +60,8 @@ func LearnCorpus(ctx context.Context, name string, tel *telemetry.Handle, s Line
 		return nil, ErrNoMessages
 	}
 	name = strings.ToLower(name)
-	tel.Counter("parse." + name + ".calls").Inc()
-	tel.Counter("parse." + name + ".lines").Add(uint64(len(msgs)))
-	sp := tel.SpanFrom(ctx, name+".parse")
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Histogram("parse."+name+".seconds", telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	}()
+	sp := tel.StartParse(ctx, name, len(msgs))
+	defer sp.End()
 
 	stage := sp.Child("learn")
 	assign := make([]int, len(msgs))

@@ -61,12 +61,21 @@ func TestFactoryKnownParsers(t *testing.T) {
 	}
 }
 
+// TestRunsFor: a sweep repeats a randomised parser Options.Runs times and
+// runs a deterministic one once.
 func TestRunsFor(t *testing.T) {
-	if runsFor("LKE", 10) != 10 || runsFor("LogSig", 10) != 10 {
-		t.Error("randomised parsers must repeat")
+	rows, err := Fig3Parsers("Proxifier", ParserNames, []int{400}, Options{Runs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if runsFor("SLCT", 10) != 1 || runsFor("IPLoM", 10) != 1 {
-		t.Error("deterministic parsers must run once")
+	want := map[string]int{"SLCT": 1, "IPLoM": 1, "LKE": 2, "LogSig": 2}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %+v", rows)
+	}
+	for _, r := range rows {
+		if r.Runs != want[r.Parser] {
+			t.Errorf("%s ran %d times, want %d", r.Parser, r.Runs, want[r.Parser])
+		}
 	}
 }
 

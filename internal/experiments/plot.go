@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"logparse/internal/eval"
+	"logparse/internal/parsers"
 )
 
 // Series is one line of an ASCII chart: points (X[i], Y[i]) drawn with
@@ -119,12 +120,15 @@ func axisLabel(v float64, logScale bool) string {
 }
 
 // PlotFig2 renders a Fig. 2 panel (running time vs volume, log-log) as an
-// ASCII chart.
+// ASCII chart, one series per parser the points hold, in run order, drawn
+// with its row's marker.
 func PlotFig2(w io.Writer, dataset string, points []eval.EfficiencyPoint) {
-	markers := map[string]byte{"SLCT": 'S', "IPLoM": 'I', "LKE": 'K', "LogSig": 'L'}
 	var series []Series
-	for _, parser := range ParserNames {
-		s := Series{Name: parser, Marker: markers[parser]}
+	for _, parser := range axis(points, func(p eval.EfficiencyPoint) string { return p.Parser }) {
+		s := Series{Name: parser, Marker: '*'}
+		if row, err := parsers.ByName(parser); err == nil {
+			s.Marker = row.Marker
+		}
 		for _, p := range points {
 			if p.Parser != parser || p.Skipped {
 				continue

@@ -89,28 +89,24 @@ func Table2(opts Options) ([]Table2Cell, error) {
 }
 
 func table2Cell(parser, dataset string, opts Options) (Table2Cell, error) {
-	cat, err := gen.ByName(dataset)
+	row, cat, f, err := resolve(parser, dataset, opts.Telemetry)
 	if err != nil {
 		return Table2Cell{}, err
 	}
-	factory, err := FactoryWith(parser, dataset, opts.Telemetry)
-	if err != nil {
-		return Table2Cell{}, err
-	}
-	cell := Table2Cell{Dataset: cat.Name, Parser: parser}
+	cell := Table2Cell{Dataset: cat.Name, Parser: row.Name}
 	accOpts := eval.AccuracyOptions{
 		Sample:   opts.Sample,
-		Runs:     runsFor(parser, opts.Runs),
+		Runs:     row.Runs(opts.Runs),
 		DataSeed: opts.Seed,
 	}
-	raw, err := eval.Accuracy(cat, factory, accOpts)
+	raw, err := eval.Accuracy(cat, f, accOpts)
 	if err != nil {
 		return Table2Cell{}, fmt.Errorf("table2 %s/%s raw: %w", parser, dataset, err)
 	}
 	cell.Raw = raw.F
 	if len(cat.Rules) > 0 {
 		accOpts.Preprocess = true
-		pp, err := eval.Accuracy(cat, factory, accOpts)
+		pp, err := eval.Accuracy(cat, f, accOpts)
 		if err != nil {
 			return Table2Cell{}, fmt.Errorf("table2 %s/%s preprocessed: %w", parser, dataset, err)
 		}
@@ -167,21 +163,18 @@ func Fig2(dataset string, sizes []int, opts Options) ([]eval.EfficiencyPoint, er
 	return Fig2Parsers(dataset, ParserNames, sizes, opts)
 }
 
-// Fig2Parsers is Fig2 restricted to a subset of parsers — used for
-// paper-scale sweeps where only the linear parsers are feasible.
-func Fig2Parsers(dataset string, parsers []string, sizes []int, opts Options) ([]eval.EfficiencyPoint, error) {
+// Fig2Parsers is Fig2 over the named parsers (any case, Drain and Spell
+// included), in the order given — used for paper-scale sweeps where only
+// the linear parsers are feasible.
+func Fig2Parsers(dataset string, names []string, sizes []int, opts Options) ([]eval.EfficiencyPoint, error) {
 	opts = opts.withDefaults()
-	cat, err := gen.ByName(dataset)
-	if err != nil {
-		return nil, err
-	}
 	var points []eval.EfficiencyPoint
-	for _, parser := range parsers {
-		factory, err := FactoryWith(parser, dataset, opts.Telemetry)
+	for _, parser := range names {
+		_, cat, f, err := resolve(parser, dataset, opts.Telemetry)
 		if err != nil {
 			return nil, err
 		}
-		ps, err := eval.Efficiency(cat, factory, sizes, opts.Seed)
+		ps, err := eval.Efficiency(cat, f, sizes, opts.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s/%s: %w", parser, dataset, err)
 		}
@@ -190,17 +183,18 @@ func Fig2Parsers(dataset string, parsers []string, sizes []int, opts Options) ([
 	return points, nil
 }
 
-// FormatFig2 prints a Fig. 2 panel as a size × parser table of runtimes.
+// FormatFig2 prints a Fig. 2 panel as a size × parser table of runtimes,
+// one column per parser the points hold, in run order.
 func FormatFig2(w io.Writer, dataset string, points []eval.EfficiencyPoint) {
-	sizes := sizeAxis(points)
+	names := axis(points, func(p eval.EfficiencyPoint) string { return p.Parser })
 	fmt.Fprintf(w, "Fig.2 (%s): running time\n%-10s", dataset, "#lines")
-	for _, p := range ParserNames {
+	for _, p := range names {
 		fmt.Fprintf(w, " %12s", p)
 	}
 	fmt.Fprintln(w)
-	for _, n := range sizes {
+	for _, n := range axis(points, func(p eval.EfficiencyPoint) int { return p.Lines }) {
 		fmt.Fprintf(w, "%-10d", n)
-		for _, parser := range ParserNames {
+		for _, parser := range names {
 			cell := "-"
 			for _, pt := range points {
 				if pt.Parser == parser && pt.Lines == n {
@@ -223,21 +217,17 @@ func Fig3(dataset string, sizes []int, opts Options) ([]eval.AccuracyResult, err
 	return Fig3Parsers(dataset, ParserNames, sizes, opts)
 }
 
-// Fig3Parsers is Fig3 restricted to a subset of parsers.
-func Fig3Parsers(dataset string, parsers []string, sizes []int, opts Options) ([]eval.AccuracyResult, error) {
+// Fig3Parsers is Fig3 over the named parsers, as Fig2Parsers.
+func Fig3Parsers(dataset string, names []string, sizes []int, opts Options) ([]eval.AccuracyResult, error) {
 	opts = opts.withDefaults()
-	cat, err := gen.ByName(dataset)
-	if err != nil {
-		return nil, err
-	}
 	var rows []eval.AccuracyResult
-	for _, parser := range parsers {
-		factory, err := FactoryWith(parser, dataset, opts.Telemetry)
+	for _, parser := range names {
+		row, cat, f, err := resolve(parser, dataset, opts.Telemetry)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := eval.AccuracyVsSize(cat, factory, sizes, eval.AccuracyOptions{
-			Runs:     runsFor(parser, opts.Runs),
+		rs, err := eval.AccuracyVsSize(cat, f, sizes, eval.AccuracyOptions{
+			Runs:     row.Runs(opts.Runs),
 			DataSeed: opts.Seed,
 		})
 		if err != nil {
@@ -248,16 +238,18 @@ func Fig3Parsers(dataset string, parsers []string, sizes []int, opts Options) ([
 	return rows, nil
 }
 
-// FormatFig3 prints a Fig. 3 panel as a size × parser table of F-measures.
+// FormatFig3 prints a Fig. 3 panel as a size × parser table of F-measures,
+// one column per parser the rows hold, in run order.
 func FormatFig3(w io.Writer, dataset string, rows []eval.AccuracyResult, sizes []int) {
+	names := axis(rows, func(r eval.AccuracyResult) string { return r.Parser })
 	fmt.Fprintf(w, "Fig.3 (%s): parsing accuracy\n%-10s", dataset, "#lines")
-	for _, p := range ParserNames {
+	for _, p := range names {
 		fmt.Fprintf(w, " %8s", p)
 	}
 	fmt.Fprintln(w)
 	for _, n := range sizes {
 		fmt.Fprintf(w, "%-10d", n)
-		for _, parser := range ParserNames {
+		for _, parser := range names {
 			cell := "-"
 			for _, r := range rows {
 				if r.Parser == parser && r.Sample == n {
@@ -270,14 +262,16 @@ func FormatFig3(w io.Writer, dataset string, rows []eval.AccuracyResult, sizes [
 	}
 }
 
-func sizeAxis(points []eval.EfficiencyPoint) []int {
-	var sizes []int
-	seen := make(map[int]bool)
-	for _, p := range points {
-		if !seen[p.Lines] {
-			seen[p.Lines] = true
-			sizes = append(sizes, p.Lines)
+// axis returns the distinct keys of xs in first-seen order: the sizes or
+// the parsers a sweep ran, in run order.
+func axis[T any, K comparable](xs []T, key func(T) K) []K {
+	var out []K
+	seen := make(map[K]bool)
+	for _, x := range xs {
+		if k := key(x); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
 		}
 	}
-	return sizes
+	return out
 }

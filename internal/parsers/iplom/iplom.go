@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"logparse/internal/core"
 	"logparse/internal/telemetry"
@@ -123,16 +122,8 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 	if len(msgs) == 0 {
 		return nil, core.ErrNoMessages
 	}
-	tel := p.opts.Telemetry
-	tel.Counter("parse.iplom.calls").Inc()
-	tel.Counter("parse.iplom.lines").Add(uint64(len(msgs)))
-	sp := tel.SpanFrom(ctx, "iplom.parse")
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Histogram("parse.iplom.seconds", telemetry.DurationBuckets).
-			Observe(time.Since(start).Seconds())
-	}()
+	sp := p.opts.Telemetry.StartParse(ctx, "iplom", len(msgs))
+	defer sp.End()
 	var outliers []int
 
 	// Step 1: partition by event size (token count).

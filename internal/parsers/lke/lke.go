@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"logparse/internal/cluster"
 	"logparse/internal/core"
@@ -117,16 +116,8 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 	if p.opts.MaxMessages > 0 && len(msgs) > p.opts.MaxMessages {
 		return nil, fmt.Errorf("%w: %d messages > limit %d", ErrTooLarge, len(msgs), p.opts.MaxMessages)
 	}
-	tel := p.opts.Telemetry
-	tel.Counter("parse.lke.calls").Inc()
-	tel.Counter("parse.lke.lines").Add(uint64(len(msgs)))
-	sp := tel.SpanFrom(ctx, "lke.parse")
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Histogram("parse.lke.seconds", telemetry.DurationBuckets).
-			Observe(time.Since(start).Seconds())
-	}()
+	sp := p.opts.Telemetry.StartParse(ctx, "lke", len(msgs))
+	defer sp.End()
 	n := len(msgs)
 	stage := sp.Child("threshold")
 	threshold := p.opts.Threshold

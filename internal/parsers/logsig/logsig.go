@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"logparse/internal/core"
 	"logparse/internal/telemetry"
@@ -100,16 +99,8 @@ func (p *Parser) ParseCtx(ctx context.Context, msgs []core.LogMessage) (*core.Pa
 		k = len(msgs)
 	}
 	n := len(msgs)
-	tel := p.opts.Telemetry
-	tel.Counter("parse.logsig.calls").Inc()
-	tel.Counter("parse.logsig.lines").Add(uint64(n))
-	sp := tel.SpanFrom(ctx, "logsig.parse")
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Histogram("parse.logsig.seconds", telemetry.DurationBuckets).
-			Observe(time.Since(start).Seconds())
-	}()
+	sp := p.opts.Telemetry.StartParse(ctx, "logsig", n)
+	defer sp.End()
 
 	// Step 1: word pairs per message, each interned to a dense id.
 	stage := sp.Child("wordpairs")

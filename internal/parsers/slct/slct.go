@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"time"
 
 	"logparse/internal/core"
 	"logparse/internal/freq"
@@ -131,15 +130,8 @@ type candidate struct {
 // and parse returns them with each line's template index (OutlierID when
 // its candidate was not selected or it has none).
 func (p *Parser) parse(ctx context.Context, epsilon float64, each func(fn func(tokens []string)) error) ([]core.Template, []int32, error) {
-	tel := p.opts.Telemetry
-	tel.Counter("parse.slct.calls").Inc()
-	sp := tel.SpanFrom(ctx, "slct.parse")
-	start := time.Now()
-	defer func() {
-		sp.End()
-		tel.Histogram("parse.slct.seconds", telemetry.DurationBuckets).
-			Observe(time.Since(start).Seconds())
-	}()
+	sp := p.opts.Telemetry.StartParse(ctx, "slct", 0)
+	defer sp.End()
 
 	stage := sp.Child("vocab")
 	vocab := make(map[posWord]int)
@@ -167,7 +159,7 @@ func (p *Parser) parse(ctx context.Context, epsilon float64, each func(fn func(t
 	if n == 0 {
 		return nil, nil, core.ErrNoMessages
 	}
-	tel.Counter("parse.slct.lines").Add(uint64(n))
+	sp.Lines(n)
 	support := p.support(n)
 	frequent := make(map[posWord]bool)
 	if lossy != nil {

@@ -35,6 +35,12 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 			c.End()
 			sp.End()
 		}},
+		{"parse", func() {
+			p := h.StartParse(ctx, "slct", 1000)
+			p.Child("vocab").End()
+			p.Lines(1000)
+			p.End()
+		}},
 		{"context", func() {
 			ctx2 := ContextWith(ctx, nil)
 			_ = FromContext(ctx2)

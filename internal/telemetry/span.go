@@ -122,6 +122,52 @@ func (h *Handle) SpanFrom(ctx context.Context, name string) *Span {
 	return h.StartSpan(name)
 }
 
+// Parse is one parse call's instruments, opened by StartParse: the
+// <name>.parse span (a parser's stages are its Child spans) and the clock
+// End observes into parse.<name>.seconds.
+type Parse struct {
+	*Span
+	h     *Handle
+	name  string
+	start time.Time
+}
+
+// StartParse opens the instruments every parser's parse call shares: it
+// counts parse.<name>.calls, adds lines (when positive; see Lines) to
+// parse.<name>.lines, and opens the <name>.parse span under ctx's span (a
+// root on h when ctx carries none). name is the algorithm's name in lower
+// case. With a nil h and no span in ctx nothing allocates.
+func (h *Handle) StartParse(ctx context.Context, name string, lines int) Parse {
+	p := Parse{h: h, name: name, start: time.Now()}
+	if h != nil || FromContext(ctx) != nil {
+		p.Span = h.SpanFrom(ctx, name+".parse")
+	}
+	if h != nil {
+		h.Counter("parse." + name + ".calls").Inc()
+	}
+	if lines > 0 {
+		p.Lines(lines)
+	}
+	return p
+}
+
+// Lines adds n to parse.<name>.lines, for a parser that learns its line
+// count only during the parse.
+func (p Parse) Lines(n int) {
+	if p.h != nil {
+		p.h.Counter("parse." + p.name + ".lines").Add(uint64(n))
+	}
+}
+
+// End ends the span and observes the parse's duration into
+// parse.<name>.seconds.
+func (p Parse) End() {
+	p.Span.End()
+	if p.h != nil {
+		p.h.Histogram("parse."+p.name+".seconds", DurationBuckets).Observe(time.Since(p.start).Seconds())
+	}
+}
+
 // stageAgg accumulates all finished spans sharing one path.
 type stageAgg struct {
 	count uint64

@@ -17,9 +17,12 @@
 // TestDisabledTelemetryZeroAllocs). Instrumented code therefore never
 // checks whether telemetry is on:
 //
-//	tel.Counter("parse.slct.calls").Inc()          // no-op when tel == nil
-//	sp := tel.SpanFrom(ctx, "slct.parse")          // nil span when disabled
+//	tel.Counter("stream.checkpoint.bases").Inc()   // no-op when tel == nil
+//	sp := tel.SpanFrom(ctx, "robust.parse")        // nil span when disabled
 //	defer sp.End()
+//
+// A parser's parse call opens its counters, span and duration histogram in
+// one call, StartParse.
 //
 // Export paths: Snapshot (structured, for the -report JSON run report),
 // Var (an expvar.Var for /debug/vars), and the span side: StageTimings

@@ -45,16 +45,8 @@
 package logparse
 
 import (
-	"fmt"
-	"strings"
-
 	"logparse/internal/core"
-	"logparse/internal/parsers/drain"
-	"logparse/internal/parsers/iplom"
-	"logparse/internal/parsers/lke"
-	"logparse/internal/parsers/logsig"
-	"logparse/internal/parsers/slct"
-	"logparse/internal/parsers/spell"
+	"logparse/internal/parsers"
 )
 
 // Core model types, re-exported from the toolkit's data model.
@@ -81,118 +73,22 @@ var ErrNoMessages = core.ErrNoMessages
 
 // Options carries the union of all parser parameters; each algorithm reads
 // only its own fields and falls back to its published defaults for zero
-// values. See the paper's §II-B for what each knob controls.
-type Options struct {
-	// Seed drives randomised algorithms (LKE threshold sampling, LogSig
-	// initialisation).
-	Seed int64
-
-	// Support is SLCT's absolute support threshold; SupportFrac expresses
-	// it as a fraction of the input when Support is 0.
-	Support     int
-	SupportFrac float64
-
-	// FileSupport, PartitionSupport, LowerBound, UpperBound,
-	// ClusterGoodness, VariableRatio and MappingRatio are IPLoM's
-	// thresholds.
-	FileSupport      float64
-	PartitionSupport float64
-	LowerBound       float64
-	UpperBound       float64
-	ClusterGoodness  float64
-	VariableRatio    float64
-	MappingRatio     float64
-
-	// Threshold, Nu, SplitRatio and MaxMessages configure LKE. MaxMessages
-	// guards LKE's Θ(n²) clustering; Parse fails beyond it.
-	Threshold   float64
-	Nu          float64
-	SplitRatio  float64
-	MaxMessages int
-
-	// NumGroups is LogSig's k (required for LogSig); MaxIterations caps
-	// its local search; Restarts reruns it from several initialisations
-	// keeping the highest-potential solution.
-	NumGroups     int
-	MaxIterations int
-	Restarts      int
-
-	// Depth, SimThreshold and MaxChildren configure Drain's prefix tree
-	// (tree depth, leaf similarity threshold, per-node fan-out cap).
-	Depth        int
-	SimThreshold float64
-	MaxChildren  int
-
-	// Tau is Spell's LCS acceptance threshold in (0,1].
-	Tau float64
-
-	// Telemetry, when non-nil, instruments the built parser with stage
-	// spans, parse counters and duration histograms (see NewTelemetry).
-	// Nil — the zero value — leaves the parser uninstrumented at zero
-	// cost.
-	Telemetry *Telemetry
-}
+// values. See the paper's §II-B for what each knob controls, and
+// NewTelemetry for its Telemetry handle.
+type Options = parsers.Options
 
 // Algorithms lists the available parser names: the paper's four in its
 // order, then the streaming-native additions.
-func Algorithms() []string { return []string{"SLCT", "IPLoM", "LKE", "LogSig", "Drain", "Spell"} }
+func Algorithms() []string { return parsers.Names(nil) }
 
-// NewParser builds a parser by algorithm name (case-insensitive).
+// NewParser builds a parser by algorithm name (case-insensitive); an
+// unknown name's error lists Algorithms.
 func NewParser(algorithm string, opts Options) (Parser, error) {
-	switch strings.ToLower(algorithm) {
-	case "slct":
-		return slct.New(slct.Options{
-			Support:     opts.Support,
-			SupportFrac: opts.SupportFrac,
-			Telemetry:   opts.Telemetry,
-		}), nil
-	case "iplom":
-		return iplom.New(iplom.Options{
-			FileSupport:      opts.FileSupport,
-			PartitionSupport: opts.PartitionSupport,
-			LowerBound:       opts.LowerBound,
-			UpperBound:       opts.UpperBound,
-			ClusterGoodness:  opts.ClusterGoodness,
-			VariableRatio:    opts.VariableRatio,
-			MappingRatio:     opts.MappingRatio,
-			Telemetry:        opts.Telemetry,
-		}), nil
-	case "lke":
-		return lke.New(lke.Options{
-			Threshold:   opts.Threshold,
-			Nu:          opts.Nu,
-			SplitRatio:  opts.SplitRatio,
-			Seed:        opts.Seed,
-			MaxMessages: opts.MaxMessages,
-			Telemetry:   opts.Telemetry,
-		}), nil
-	case "logsig":
-		if opts.NumGroups <= 0 {
-			return nil, fmt.Errorf("logparse: LogSig requires Options.NumGroups > 0")
-		}
-		return logsig.New(logsig.Options{
-			NumGroups:     opts.NumGroups,
-			MaxIterations: opts.MaxIterations,
-			Seed:          opts.Seed,
-			Restarts:      opts.Restarts,
-			Telemetry:     opts.Telemetry,
-		}), nil
-	case "drain":
-		return drain.New(drain.Options{
-			Depth:        opts.Depth,
-			SimThreshold: opts.SimThreshold,
-			MaxChildren:  opts.MaxChildren,
-			Telemetry:    opts.Telemetry,
-		}), nil
-	case "spell":
-		return spell.New(spell.Options{
-			Tau:       opts.Tau,
-			Telemetry: opts.Telemetry,
-		}), nil
-	default:
-		return nil, fmt.Errorf("logparse: unknown algorithm %q (want one of %s)",
-			algorithm, strings.Join(Algorithms(), ", "))
+	row, err := parsers.ByName(algorithm)
+	if err != nil {
+		return nil, err
 	}
+	return row.New(opts)
 }
 
 // Tokenize splits raw message content into the toolkit's canonical tokens.

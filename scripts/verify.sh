@@ -11,13 +11,16 @@
 #                              WAL and event-store crash smokes + the
 #                              server-profile recipe on 20 k lines (matcher
 #                              and learner legs) + the four examples/ +
-#                              the SLCT stream-equals-batch smoke + a 5s
+#                              the SLCT stream-equals-batch smoke + the
+#                              committed results/ Tables I–III regenerated
+#                              byte for byte + a 5s
 #                              fuzz smoke pass per
 #                              fuzz target + the LoC ratchet
 #                              (scripts/loc.sh -check)
 #   scripts/verify.sh -short   fast: build + vet + `go test -short -race` +
 #                              the LoC ratchet + reduced crash-recovery and
-#                              server smokes + the SLCT smoke
+#                              server smokes + the SLCT smoke + Table I
+#                              against results/table1.txt
 #                              (skips the long-running suites and the fuzz
 #                              smokes; the conformance differential matrix
 #                              still runs at reduced breadth)
@@ -56,6 +59,8 @@ if [ "$short" = 1 ]; then
 	sh scripts/events_smoke.sh 3000 1200
 	echo "==> SLCT stream-equals-batch smoke (scripts/slct_smoke.sh)"
 	sh scripts/slct_smoke.sh
+	echo "==> committed results reproduce (scripts/results_check.sh -short: Table I)"
+	sh scripts/results_check.sh -short
 	echo "verify: OK (short)"
 	exit 0
 fi
@@ -94,6 +99,9 @@ rm -f "$prof" "$prof.out" "$prof.query.pprof"
 
 echo "==> golden-digest check (cmd/conformgen -check)"
 go run ./cmd/conformgen -check >/dev/null
+
+echo "==> committed results reproduce (scripts/results_check.sh: Tables I, III, II)"
+sh scripts/results_check.sh
 
 echo "==> examples (each must exit 0)"
 for e in examples/*/; do

@@ -15,9 +15,8 @@ import (
 	"strings"
 
 	"logparse/internal/core"
-	"logparse/internal/parsers/drain"
+	"logparse/internal/parsers"
 	"logparse/internal/parsers/slct"
-	"logparse/internal/parsers/spell"
 	"logparse/internal/stream"
 )
 
@@ -93,22 +92,15 @@ func NewStreamRetrainer(primary string, opts Options, pol RobustPolicy) (StreamR
 // converge to an uninterrupted run's digest. Each engine needs its own
 // instance — learners are not safe for concurrent use.
 func NewOnlineParser(algorithm string, opts Options) (StreamOnlineParser, error) {
-	switch strings.ToLower(algorithm) {
-	case "drain":
-		return drain.NewStream(drain.Options{
-			Depth:        opts.Depth,
-			SimThreshold: opts.SimThreshold,
-			MaxChildren:  opts.MaxChildren,
-			Telemetry:    opts.Telemetry,
-		}), nil
-	case "spell":
-		return spell.NewStream(spell.Options{
-			Tau:       opts.Tau,
-			Telemetry: opts.Telemetry,
-		}), nil
-	default:
-		return nil, fmt.Errorf("logparse: no online learner for %q (want Drain or Spell)", algorithm)
+	row, err := parsers.ByName(algorithm)
+	if err != nil {
+		return nil, err
 	}
+	if row.Online == nil {
+		return nil, fmt.Errorf("logparse: no online learner for %s (want one of %s)", row.Name,
+			strings.Join(parsers.Names(func(r *parsers.Row) bool { return r.Online != nil }), ", "))
+	}
+	return row.Online(opts), nil
 }
 
 // StreamDigest is the canonical digest of a streaming run's outcome (sorted
