@@ -10,8 +10,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"unicode"
@@ -247,8 +249,25 @@ func TemplateFromCluster(tokenSeqs [][]string) []string {
 // the toolkit's canonical tokenisation; preprocessors operate on its output.
 func Tokenize(content string) []string { return strings.Fields(content) }
 
-// asciiSpace marks the ASCII bytes strings.Fields treats as whitespace.
-var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+// Word-at-a-time (SWAR) constants: a byte repeated into all eight lanes.
+const (
+	lanes   = 0x0101010101010101
+	highBit = 0x80 * lanes
+)
+
+// spaceLanes returns the bytes of w, eight bytes below 0x80 loaded
+// little-endian, that strings.Fields treats as space ('\t'…'\r', ' ') as an
+// 8-bit mask (bit k: byte k). Every lane sum stays below 0x100, so no carry
+// crosses lanes and each test is exact: a lane of w^0x20 is zero iff adding
+// 0x7f leaves its high bit clear, and a byte is in '\t'..'\r' iff adding
+// 0x77 sets its high bit and adding 0x72 does not. The multiply gathers the
+// eight high bits into the top byte.
+func spaceLanes(w uint64) uint64 {
+	eq := ^((w ^ 0x20*lanes) + 0x7f*lanes)
+	in := (w + 0x77*lanes) &^ (w + 0x72*lanes)
+	hits := (eq | in) & highBit >> 7 // one bit per space lane, at the lane's bottom
+	return hits * 0x0102040810204080 >> 56
+}
 
 // TokenizeBytes is the allocation-free counterpart of Tokenize for the
 // streaming hot path: it splits line around runs of Unicode whitespace
@@ -259,40 +278,75 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 // line buffers (pooled arenas, bufio views) must not retain the tokens
 // across lines. Pass the previous return value back as buf to amortise the
 // slice to zero allocations per call.
+//
+// The line is scanned up to 64 bytes at a time: each 8-byte word yields its
+// space lanes (spaceLanes), the chunk's words one mask, and the token
+// boundaries are the mask's 0↔1 edges, walked with TrailingZeros64. A
+// chunk holding a byte ≥ 0x80, and a line shorter than a word, are scanned
+// rune by rune instead, as strings.FieldsFunc(unicode.IsSpace) does.
 func TokenizeBytes(line []byte, buf [][]byte) [][]byte {
 	tokens := buf[:0]
-	start := -1
-	for i := 0; i < len(line); {
-		if c := line[i]; c < utf8.RuneSelf {
-			if asciiSpace[c] {
-				if start >= 0 {
-					tokens = append(tokens, line[start:i])
-					start = -1
-				}
-			} else if start < 0 {
-				start = i
-			}
-			i++
+	i, start := 0, -1 // start: the open token's first byte, or -1 between tokens
+	if len(line) < 8 {
+		i, start, tokens = tokenizeRunes(line, 0, len(line), start, tokens)
+	}
+	for i < len(line) {
+		n := min(64, len(line)-i)
+		var spaces, seen uint64
+		for k := 0; k < n; k += 8 {
+			// A last word of fewer than 8 bytes is the line's last 8,
+			// shifted past the bytes already seen (NUL fills: not a space).
+			w := binary.LittleEndian.Uint64(line[min(i+k, i+n-8):]) >> (8 * max(0, k+8-n))
+			seen |= w
+			spaces |= spaceLanes(w) << k
+		}
+		if seen&highBit != 0 {
+			i, start, tokens = tokenizeRunes(line, i, i+n, start, tokens)
 			continue
 		}
-		// Multi-byte rune: decode like strings.FieldsFunc does. An
-		// invalid sequence yields RuneError (size 1), which is not a
-		// space — identical to the string path.
-		r, size := utf8.DecodeRune(line[i:])
-		if unicode.IsSpace(r) {
-			if start >= 0 {
-				tokens = append(tokens, line[start:i])
+		prev := uint64(start) >> 63 // the byte before the chunk as a space lane: 1 between tokens
+		edges := spaces ^ (spaces<<1 | prev)
+		if n < 64 {
+			edges &= 1<<n - 1
+		}
+		for ; edges != 0; edges &= edges - 1 {
+			if at := i + bits.TrailingZeros64(edges); start < 0 {
+				start = at
+			} else {
+				tokens = append(tokens, line[start:at])
 				start = -1
 			}
-		} else if start < 0 {
-			start = i
 		}
-		i += size
+		i += n
 	}
 	if start >= 0 {
 		tokens = append(tokens, line[start:])
 	}
 	return tokens
+}
+
+// tokenizeRunes is TokenizeBytes' per-rune scan of line[i:end], resumed
+// with the open token's start; it returns where it stopped (at or past end,
+// a rune may straddle it) and the updated start and tokens. An invalid
+// sequence decodes to RuneError (size 1), which is not a space — identical
+// to the string path.
+func tokenizeRunes(line []byte, i, end, start int, tokens [][]byte) (int, int, [][]byte) {
+	for i < end {
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(line[i:])
+		}
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			tokens = append(tokens, line[start:i])
+			start = -1
+		}
+		i += size
+	}
+	return i, start, tokens
 }
 
 // PackTokens is the bridge from string tokens to the [][]byte the online

@@ -698,9 +698,12 @@ type blockBuilder struct {
 
 	// The template column: each event's slot, a template's first-seen
 	// rank in the block (slot 0 is the unmatched sentinel), and per slot
-	// its template id and event count.
+	// its template id and event count. A template id below 2^16 finds its
+	// slot in dense (0: none yet), so that a hostile id cannot size it, a
+	// larger one in slotOf; the whole of dense is ≤ 256 KB, cleared per block.
 	tmpls   []uint32
 	tmplLen int // the column's size as v2's uvarints
+	dense   []uint32
 	slotOf  map[int32]uint32
 	ids     []int32
 	counts  []uint32
@@ -714,6 +717,7 @@ func (b *blockBuilder) reset() {
 		b.cols[c] = runColumn{buf: b.cols[c].buf[:0]}
 	}
 	b.tmpls, b.tmplLen = b.tmpls[:0], 0
+	clear(b.dense)
 	b.ids, b.counts = append(b.ids[:0], -1), append(b.counts[:0], 0)
 	b.prev = Event{}
 	b.count, b.match = 0, 0 // add starts the seq and time bounds over
@@ -753,11 +757,21 @@ func (b *blockBuilder) add(ev Event) {
 	slot := uint32(0)
 	if ev.Template >= 0 {
 		b.match++
-		var ok bool
-		if slot, ok = b.slotOf[ev.Template]; !ok {
+		id := ev.Template
+		if int(id) < len(b.dense) {
+			slot = b.dense[id]
+		} else {
+			slot = b.slotOf[id]
+		}
+		if slot == 0 {
 			slot = uint32(len(b.ids))
-			b.slotOf[ev.Template] = slot
-			b.ids, b.counts = append(b.ids, ev.Template), append(b.counts, 0)
+			b.ids, b.counts = append(b.ids, id), append(b.counts, 0)
+			if id >= 1<<16 {
+				b.slotOf[id] = slot
+			} else {
+				b.dense = append(b.dense, make([]uint32, max(0, int(id)+1-len(b.dense)))...)
+				b.dense[id] = slot
+			}
 		}
 	}
 	b.counts[slot]++

@@ -163,29 +163,34 @@ func Open(opts Options) (*Store, OpenInfo, error) {
 	return s, info, nil
 }
 
-// Append accumulates one event into the current block, sealing and
-// writing the block once it reaches BlockBytes of raw event data.
+// Append accumulates events, in order, into the current block, sealing
+// and writing the block each time it reaches BlockBytes of raw event data.
 // Sequence numbers must be non-decreasing. Durability comes only from the
-// next Finalize.
-func (s *Store) Append(ev Event) error {
+// next Finalize. The engine hands over a whole ring batch at once, so the
+// lock is taken once per batch, not per event.
+func (s *Store) Append(evs ...Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.log.Check(); err != nil {
 		return err
 	}
-	floor := s.lastSeq
-	if s.bb.count > 0 {
-		floor = s.bb.maxSeq
-	}
-	if ev.Seq < floor {
-		return s.log.Fail(fmt.Errorf("eventstore: append seq %d below %d", ev.Seq, floor))
-	}
-	if err := ev.check(); err != nil {
-		return s.log.Fail(err)
-	}
-	s.bb.add(ev)
-	if s.bb.rawLen() >= s.opts.BlockBytes {
-		return s.sealLocked()
+	for _, ev := range evs {
+		floor := s.lastSeq
+		if s.bb.count > 0 {
+			floor = s.bb.maxSeq
+		}
+		if ev.Seq < floor {
+			return s.log.Fail(fmt.Errorf("eventstore: append seq %d below %d", ev.Seq, floor))
+		}
+		if err := ev.check(); err != nil {
+			return s.log.Fail(err)
+		}
+		s.bb.add(ev)
+		if s.bb.rawLen() >= s.opts.BlockBytes {
+			if err := s.sealLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

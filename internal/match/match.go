@@ -89,9 +89,17 @@ func (n *node) empty() bool {
 	return n.template < 0 && n.wildcard == nil && n.soleChild == nil && n.children == nil
 }
 
+// shortLen bounds the token counts whose trie roots sit in a fixed array,
+// read without hashing; longer counts fall back to a map, so that a hostile
+// long template cannot size the array.
+const shortLen = 64
+
 // Matcher matches token sequences against a template set.
 type Matcher struct {
-	root map[int]*node // by token length: templates only match equal length
+	// The trie roots by token length — templates only match equal length —
+	// below shortLen in short and from there on in long.
+	short [shortLen]*node
+	long  map[int]*node
 	// templates is indexed by slot: the build-order index the Match* family
 	// returns. Remove retires a slot (zero Template) and never reuses it.
 	templates []core.Template
@@ -101,10 +109,7 @@ type Matcher struct {
 // New builds a matcher from templates. Duplicate template token sequences
 // are rejected (they would make matches ambiguous).
 func New(templates []core.Template) (*Matcher, error) {
-	m := &Matcher{
-		root:      make(map[int]*node),
-		templates: append([]core.Template(nil), templates...),
-	}
+	m := &Matcher{long: make(map[int]*node), templates: append([]core.Template(nil), templates...)}
 	for slot, t := range templates {
 		if err := m.terminate(t, slot); err != nil {
 			return nil, err
@@ -117,10 +122,10 @@ func New(templates []core.Template) (*Matcher, error) {
 // there. A duplicate finds its whole path in place, so the trie is unchanged
 // when an error is returned.
 func (m *Matcher) terminate(t core.Template, slot int) error {
-	n := m.root[len(t.Tokens)]
+	n := m.root(len(t.Tokens))
 	if n == nil {
 		n = newNode()
-		m.root[len(t.Tokens)] = n
+		m.setRoot(len(t.Tokens), n)
 	}
 	for _, tok := range t.Tokens {
 		n = n.step(tok, true)
@@ -165,14 +170,34 @@ func (m *Matcher) Insert(t core.Template) error {
 // therefore never calls Remove; it is for learners (Spell) that own the
 // index mapping. Not safe for concurrent use with matching.
 func (m *Matcher) Remove(tokens []string) bool {
-	root := m.root[len(tokens)]
+	root := m.root(len(tokens))
 	if root == nil || !m.remove(root, tokens) {
 		return false
 	}
 	if root.empty() {
-		delete(m.root, len(tokens))
+		m.setRoot(len(tokens), nil)
 	}
 	return true
+}
+
+// root returns the trie of templates with n tokens, nil when there is none.
+func (m *Matcher) root(n int) *node {
+	if n < shortLen {
+		return m.short[n]
+	}
+	return m.long[n]
+}
+
+// setRoot installs r as the trie of n tokens; nil removes it.
+func (m *Matcher) setRoot(n int, r *node) {
+	switch {
+	case n < shortLen:
+		m.short[n] = r
+	case r == nil:
+		delete(m.long, n)
+	default:
+		m.long[n] = r
+	}
 }
 
 func (m *Matcher) remove(n *node, tokens []string) bool {
@@ -247,7 +272,7 @@ func (m *Matcher) MatchBytes(tokens [][]byte) (int, bool) { return lookup(m, tok
 // templates only match lines of their own length, so it picks the length's
 // trie and walks it.
 func lookup[T ~string | ~[]byte](m *Matcher, tokens []T) (int, bool) {
-	root := m.root[len(tokens)]
+	root := m.root(len(tokens))
 	if root == nil {
 		return -1, false
 	}

@@ -81,11 +81,11 @@ func runRemoveOps(t testing.TB, data []byte) {
 		if m.NumTemplates() != len(live) || !reflect.DeepEqual(m.Templates(), fresh.Templates()) {
 			t.Fatalf("op %d: live templates %v, want %v", op/2, m.Templates(), fresh.Templates())
 		}
-		if len(m.root) != len(fresh.root) {
-			t.Fatalf("op %d: %d length roots, New builds %d", op/2, len(m.root), len(fresh.root))
+		if len(roots(m)) != len(roots(fresh)) {
+			t.Fatalf("op %d: %d length roots, New builds %d", op/2, len(roots(m)), len(roots(fresh)))
 		}
-		for l, root := range fresh.root {
-			sameTrie(t, fmt.Sprintf("op %d len %d", op/2, l), m.root[l], root)
+		for l, root := range roots(fresh) {
+			sameTrie(t, fmt.Sprintf("op %d len %d", op/2, l), m.root(l), root)
 		}
 		for _, p := range removeProbes {
 			want, werr := fresh.Match(p)
@@ -186,7 +186,7 @@ func TestRemoveRestoresSoleChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := m.root[2]
+	root := m.root(2)
 	if root.children != nil || root.soleKey != "a" {
 		t.Fatalf("fan-out 1 root: map = %v, soleKey %q; want no map and the sole edge a", root.children != nil, root.soleKey)
 	}
@@ -240,7 +240,7 @@ func TestRemoveAbsentChangesNothing(t *testing.T) {
 		t.Errorf("failed removals changed the set: %v", m.Templates())
 	}
 	fresh, _ := New(set[:2])
-	sameTrie(t, "after failed removals", m.root[3], fresh.root[3])
+	sameTrie(t, "after failed removals", m.root(3), fresh.root(3))
 }
 
 // TestRemoveRetiresSlot defines what a matcher reports after a removal:
@@ -280,5 +280,63 @@ func TestRemoveRetiresSlot(t *testing.T) {
 	}
 	if want := []int{1, 2, core.OutlierID}; !reflect.DeepEqual(res.Assignment, want) {
 		t.Errorf("Apply assignment = %v, want %v into the live templates", res.Assignment, want)
+	}
+}
+
+// roots lists m's trie roots by token length, short and long alike.
+func roots(m *Matcher) map[int]*node {
+	out := map[int]*node{}
+	for l, r := range m.short {
+		if r != nil {
+			out[l] = r
+		}
+	}
+	for l, r := range m.long {
+		out[l] = r
+	}
+	return out
+}
+
+// TestLongTemplateRoot covers token counts at and past shortLen, whose roots
+// live in the map: they match only lines of their own length, and removing
+// the last one leaves no root behind.
+func TestLongTemplateRoot(t *testing.T) {
+	long := func(n int, last string) []string {
+		toks := make([]string, n)
+		for i := range toks {
+			toks[i] = fmt.Sprint("t", i)
+		}
+		toks[n-1] = last
+		return toks
+	}
+	set := []core.Template{
+		{ID: "S", Tokens: long(shortLen-1, core.Wildcard)},
+		{ID: "L", Tokens: long(shortLen, core.Wildcard)},
+		{ID: "XL", Tokens: long(5*shortLen, "end")},
+	}
+	m, err := New(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tokens []string
+		want   string
+	}{
+		{long(shortLen-1, "x"), "S"},
+		{long(shortLen, "x"), "L"},
+		{long(5*shortLen, "end"), "XL"},
+		{long(5*shortLen, "x"), ""},
+		{long(shortLen+1, "x"), ""},
+	} {
+		got, err := m.Match(tc.tokens)
+		if got.ID != tc.want || (err == nil) != (tc.want != "") {
+			t.Errorf("%d tokens: matched %q (%v), want %q", len(tc.tokens), got.ID, err, tc.want)
+		}
+	}
+	if !m.Remove(set[1].Tokens) || !m.Remove(set[2].Tokens) {
+		t.Fatal("a long template was not removed")
+	}
+	if len(m.long) != 0 || m.root(shortLen-1) == nil {
+		t.Fatalf("after removing the long templates: %d long roots, short root %v", len(m.long), m.root(shortLen-1))
 	}
 }

@@ -233,8 +233,7 @@ func (t *tenant) stats() TenantStats {
 		st.Error = t.err.Error()
 	}
 	t.mu.Unlock()
-	st.Stream = eng.Stats()
-	st.Digest = eng.Digest()
+	st.Stream, st.Digest = eng.StatsDigest()
 	return st
 }
 

@@ -196,3 +196,94 @@ func TestFailedTenantConstructionFreesTheID(t *testing.T) {
 		t.Fatalf("tenants after the retry = %d, want 1", got)
 	}
 }
+
+// TestStatsDigestCoversProcessed polls a tenant's stats while a slowed
+// consumer drains its backlog: every snapshot's digest must be the digest of
+// exactly its first Processed lines. The reference digests are read after
+// each line from the consumer's own goroutine, where no other line can be
+// in flight.
+func TestStatsDigestCoversProcessed(t *testing.T) {
+	const n, tenant = 1500, "t"
+	lines := tenantLines(t, 0, n)
+
+	var mu sync.Mutex
+	ref := make(map[int64]string, n)
+	cfg := testConfig(t.TempDir())
+	var rs *Server
+	cfg.ConfigureEngine = func(_ string, sc *stream.Config) {
+		sc.AfterLine = func(int64) {
+			st, err := rs.TenantStats(tenant)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			ref[st.Stream.Processed] = st.Digest
+			mu.Unlock()
+		}
+	}
+	rs, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Kill()
+	ingestAll(t, rs, tenant, lines, 100)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		done := len(ref) == n
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the reference run never processed every line")
+		}
+	}
+
+	cfg = testConfig(t.TempDir())
+	slow := &faultinject.SlowShard{PerLine: 100 * time.Microsecond, Every: 8}
+	cfg.ConfigureEngine = func(_ string, sc *stream.Config) { sc.AfterLine = slow.AfterLine }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	if _, err := ingest(s, tenant, lines[:1]); err != nil {
+		t.Fatal(err)
+	}
+	pushed := make(chan error, 1)
+	go func() {
+		for i := 1; i < n; i += 100 {
+			if _, err := ingest(s, tenant, lines[i:min(i+100, n)]); err != nil {
+				pushed <- err
+				return
+			}
+		}
+		pushed <- nil
+	}()
+	seen := map[int64]bool{}
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		st, err := s.TenantStats(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := st.Stream.Processed; p > 0 {
+			seen[p] = true
+			if st.Digest != ref[p] {
+				t.Fatalf("a snapshot with Processed %d carries a digest other than that of its first %d lines", p, p)
+			}
+		}
+		if st.Stream.Processed == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the slowed tenant stuck at %d of %d lines", st.Stream.Processed, n)
+		}
+	}
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) < 20 {
+		t.Fatalf("polls saw only %d distinct Processed values, want the drain observed mid-way", len(seen))
+	}
+}

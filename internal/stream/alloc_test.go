@@ -34,6 +34,13 @@ func seedTemplates(t *testing.T, dir string, tmpls []core.Template) string {
 	return dir
 }
 
+// consumeOne runs one line through the consumer's path as a ring batch of
+// one: e.mu once, the line, its event appended, a due checkpoint.
+func consumeOne(ctx context.Context, e *Engine, it item) {
+	batch := [1]item{it}
+	e.consumeBatch(ctx, batch[:])
+}
+
 // TestProcessMatchedPathAllocs pins the consumer's matched path — content
 // extraction, tokenisation into the engine's reused buffer, the byte trie
 // walk, and the index-addressed count bump — at zero allocations per line.
@@ -63,7 +70,7 @@ func TestProcessMatchedPathAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		it := tc.it
-		fn := func() { eng.process(ctx, it) }
+		fn := func() { consumeOne(ctx, eng, it) }
 		fn() // warm the engine's token buffer
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op in process, want 0", tc.name, allocs)

@@ -394,7 +394,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 							seed++
 							chunk = cat.Generate(seed, 50000)
 						}
-						e.process(context.Background(), item{lineNo: e.offset + 1, data: []byte(chunk[0].Content)})
+						consumeOne(context.Background(), e, item{lineNo: e.offset + 1, data: []byte(chunk[0].Content)})
 						chunk = chunk[1:]
 					}
 				}

@@ -538,7 +538,7 @@ func runModel(t *testing.T, m chainMode, script string, pinned bool) {
 	ctx := context.Background()
 	learn := func(e *Engine, k int) {
 		for ; k > 0 && e.offset < total; k-- {
-			e.process(ctx, item{lineNo: e.offset + 1, data: []byte(modelLine(e.offset + 1))})
+			consumeOne(ctx, e, item{lineNo: e.offset + 1, data: []byte(modelLine(e.offset + 1))})
 		}
 	}
 	history := map[uint64]savedModel{}

@@ -91,8 +91,9 @@ type Engine struct {
 	events         *eventstore.Store
 	eventsInfo     eventstore.OpenInfo
 	eventsAlign    eventstore.AlignInfo
-	eventsAppended int64 // events appended this process
-	eventsErr      error // the store failure that ended the incarnation
+	evBuf          []eventstore.Event // the consumed batch's events, not yet appended
+	eventsAppended int64              // events appended this process
+	eventsErr      error              // the store failure that ended the incarnation
 
 	// Push-mode admission state (Serve/PushBatch). pushMu is separate from
 	// mu because a flush can block on a full ring while the consumer needs
@@ -404,18 +405,11 @@ func (e *Engine) Run(ctx context.Context) error {
 // hook, which is what hard-stops an engine between two particular lines.
 func (e *Engine) consume(ctx context.Context, r *ring) error {
 	var batch [ingestBatch]item
-	abandon := func(rest []item) error {
-		// Like the ring abandons its buffer.
-		for j := range rest {
-			rest[j].release()
-			rest[j] = item{}
-		}
-		return ctx.Err()
-	}
 	for {
 		n, ok := r.popBatch(batch[:])
 		if ctx.Err() != nil {
-			return abandon(batch[:n])
+			abandon(batch[:n])
+			return ctx.Err()
 		}
 		if !ok {
 			return nil // clean drain
@@ -425,24 +419,62 @@ func (e *Engine) consume(ctx context.Context, r *ring) error {
 			// is the instant its batch was dequeued (eventstore.Event.Time).
 			e.eventTime = e.now().UnixNano()
 		}
-		for i := 0; i < n; i++ {
-			it := batch[i]
-			batch[i] = item{}
-			due := e.process(ctx, it)
-			it.release()
-			if e.cfg.AfterLine != nil {
-				e.cfg.AfterLine(it.lineNo)
-				if ctx.Err() != nil {
-					return abandon(batch[i+1 : n])
-				}
-			}
-			if due {
-				e.mu.Lock()
-				e.checkpointLocked()
-				e.mu.Unlock()
-			}
+		if err := e.consumeBatch(ctx, batch[:n]); err != nil {
+			return err
 		}
 	}
+}
+
+// abandon releases items the consumer will not process, as the ring
+// abandons its buffer.
+func abandon(rest []item) {
+	for j := range rest {
+		rest[j].release()
+		rest[j] = item{}
+	}
+}
+
+// consumeBatch processes one popped batch under one hold of e.mu, and its
+// events reach the store in one append at the end — ring, lock and store
+// overhead are paid per batch, not per line. A due periodic checkpoint is
+// written after the line that made it due (its Finalize takes the events
+// so far first). With an AfterLine hook the batch's events so far are
+// appended and e.mu is released around each call, so the hook sees the
+// engine and the store as they stand after its line; a ctx ended by then
+// abandons the rest of the batch and is returned.
+func (e *Engine) consumeBatch(ctx context.Context, batch []item) error {
+	e.mu.Lock()
+	defer func() {
+		e.flushEventsLocked()
+		e.mu.Unlock()
+	}()
+	for i := range batch {
+		it := batch[i]
+		batch[i] = item{}
+		due := e.processLocked(ctx, it)
+		it.release()
+		if e.cfg.AfterLine != nil {
+			e.flushEventsLocked()
+			e.afterLineUnlocked(it.lineNo)
+			if ctx.Err() != nil {
+				abandon(batch[i+1:])
+				return ctx.Err()
+			}
+		}
+		if due {
+			e.checkpointLocked()
+		}
+	}
+	return nil
+}
+
+// afterLineUnlocked calls the AfterLine hook with e.mu released, and takes
+// it back however the hook returns: the hook may panic, and the panic must
+// unwind through consumeBatch's unlock.
+func (e *Engine) afterLineUnlocked(lineNo int64) {
+	e.mu.Unlock()
+	defer e.mu.Lock()
+	e.cfg.AfterLine(lineNo)
 }
 
 // produce tails the source into the ring, skipping the first startOffset
@@ -491,23 +523,21 @@ func (e *Engine) produce(ctx context.Context, r *ring, startOffset int64, prodEr
 	}
 }
 
-// process handles one admitted line: match it, or buffer it and possibly
-// retrain. Retrain failures are absorbed by the breaker. The matched path
-// is allocation-free (pinned by TestProcessMatchedPathAllocs): content
-// extraction and tokenisation stay on it.data's bytes in the engine's
-// reusable token buffer, the trie walk compares byte slices in place, and
-// the matcher's build order equals e.templates order so the returned index
-// addresses e.counts directly (the engine only ever builds the matcher with
-// match.New and never calls Matcher.Remove, which retires indices; pinned by
-// TestMatcherBuildOrderIsTemplateOrder). Strings are materialised only on the
-// unmatched slow path, where the line outlives the arena in the retrain
-// buffer. The return value reports whether a periodic checkpoint is due —
-// the consumer writes it after the AfterLine hook and the cancellation
-// check, preserving the hook's power to hard-stop the engine before the
-// interval's checkpoint lands.
-func (e *Engine) process(ctx context.Context, it item) (ckptDue bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// processLocked handles one admitted line: match it, or buffer it and
+// possibly retrain. Retrain failures are absorbed by the breaker. The
+// matched path is allocation-free (pinned by TestProcessMatchedPathAllocs):
+// content extraction and tokenisation stay on it.data's bytes in the
+// engine's reusable token buffer, the trie walk compares byte slices in
+// place, and the matcher's build order equals e.templates order so the
+// returned index addresses e.counts directly (the engine only ever builds
+// the matcher with match.New and never calls Matcher.Remove, which retires
+// indices; pinned by TestMatcherBuildOrderIsTemplateOrder). Strings are
+// materialised only on the unmatched slow path, where the line outlives the
+// arena in the retrain buffer. The return value reports whether a periodic
+// checkpoint is due — consumeBatch writes it after the AfterLine hook and
+// the cancellation check, preserving the hook's power to hard-stop the
+// engine before the interval's checkpoint lands. Called with e.mu held.
+func (e *Engine) processLocked(ctx context.Context, it item) (ckptDue bool) {
 	e.ctrs.Processed++
 	e.sinceCkpt++
 	e.offset = it.lineNo
@@ -627,7 +657,7 @@ func (e *Engine) mergeTemplatesLocked(tmpls []core.Template) error {
 // reapplyUnmatchedLocked drains the buffer through the (possibly updated)
 // matcher: covered lines are counted, the rest are unparsed — below the
 // mining support threshold — and dropped so memory stays bounded. The
-// matcher's index is the template index, as on process's hot path.
+// matcher's index is the template index, as on processLocked's hot path.
 func (e *Engine) reapplyUnmatchedLocked() {
 	pending := e.unmatched
 	e.unmatched = nil
@@ -787,6 +817,10 @@ func (d *dirtySet) clear() {
 func (e *Engine) Result() ([]core.Template, []int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.resultLocked()
+}
+
+func (e *Engine) resultLocked() ([]core.Template, []int64) {
 	e.syncOnlineLocked()
 	tmpls := make([]core.Template, len(e.templates))
 	for i, t := range e.templates {
@@ -815,6 +849,21 @@ func (e *Engine) RecoveryError() error {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.statsLocked()
+}
+
+// StatsDigest returns Stats and Digest as of one instant, so the digest
+// covers exactly the Processed lines even while the consumer runs: the
+// outcome is copied under e.mu and hashed outside it.
+func (e *Engine) StatsDigest() (Stats, string) {
+	e.mu.Lock()
+	st := e.statsLocked()
+	tmpls, counts := e.resultLocked()
+	e.mu.Unlock()
+	return st, Digest(tmpls, counts)
+}
+
+func (e *Engine) statsLocked() Stats {
 	s := Stats{
 		Processed:         e.ctrs.Processed,
 		Matched:           e.ctrs.Matched,

@@ -18,24 +18,37 @@ func (e *Engine) eventSinkFailLocked(err error) {
 	}
 }
 
-// recordEventLocked appends one per-line decision to the event store.
-// Called with e.mu held on the process hot path; when the store is off
-// (or already failed) it is a nil check and nothing more.
+// recordEventLocked buffers one per-line decision for the event store;
+// flushEventsLocked appends the buffer. Called with e.mu held on the
+// per-line hot path; when the store is off (or already failed) it is a nil
+// check and nothing more.
 func (e *Engine) recordEventLocked(seq int64, tmpl int32, kind eventstore.Kind) {
 	if e.events == nil || e.eventsErr != nil {
 		return
 	}
-	err := e.events.Append(eventstore.Event{
+	e.evBuf = append(e.evBuf, eventstore.Event{
 		Seq:      seq,
 		Time:     e.eventTime,
 		Template: tmpl,
 		Kind:     kind,
 	})
-	if err != nil {
-		e.eventSinkFailLocked(err)
+}
+
+// flushEventsLocked appends the buffered events to the store in one call.
+// Called with e.mu held: at the end of each consumed batch, before an
+// AfterLine hook and before a checkpoint's Finalize.
+func (e *Engine) flushEventsLocked() {
+	if len(e.evBuf) == 0 {
 		return
 	}
-	e.eventsAppended++
+	if e.eventsErr == nil {
+		if err := e.events.Append(e.evBuf...); err != nil {
+			e.eventSinkFailLocked(err)
+		} else {
+			e.eventsAppended += int64(len(e.evBuf))
+		}
+	}
+	e.evBuf = e.evBuf[:0]
 }
 
 // finalizeEventsLocked is the checkpoint barrier on the store side: seal
@@ -46,6 +59,7 @@ func (e *Engine) finalizeEventsLocked() error {
 	if e.events == nil {
 		return nil
 	}
+	e.flushEventsLocked()
 	if e.eventsErr == nil {
 		if err := e.events.Finalize(); err != nil {
 			e.eventSinkFailLocked(err)

@@ -269,10 +269,13 @@ func TestEventStoreFinalizeCrashRefusesCheckpoint(t *testing.T) {
 
 // TestProcessMatchedPathAllocsEventStore is the alloc-budget twin of
 // TestProcessMatchedPathAllocs with the event store on: the per-line cost
-// of recording is one delta-encoded append into a reused block buffer,
-// with reallocation and block-seal costs amortized far below one
-// allocation per line.
+// of recording is one slot in the engine's reused event buffer, appended
+// to the store's reused block buffer once per batch, with reallocation and
+// block-seal costs amortized far below one allocation per line. It then
+// consumes full ring batches across checkpoints that fall mid-batch: each
+// checkpoint's Finalize must already hold every event through its line.
 func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
+	const every = 100 // not a multiple of ingestBatch
 	eng, err := New(Config{
 		CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
 		CheckpointEvery: -1,
@@ -284,7 +287,7 @@ func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 	}
 	ctx := context.Background()
 	it := item{lineNo: 1, data: []byte("connection from 10.0.0.9 port 1042")}
-	fn := func() { eng.process(ctx, it) }
+	fn := func() { consumeOne(ctx, eng, it) }
 	for i := 0; i < 300; i++ {
 		fn() // warm the token buffer, block builder and counts map
 	}
@@ -293,6 +296,30 @@ func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 	}
 	if st := eng.Stats(); st.EventsAppended == 0 {
 		t.Fatalf("no events recorded: %+v", st)
+	}
+
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	eng.cfg.CheckpointEvery = every
+	base := eng.offset
+	var batch [ingestBatch]item
+	for b := 0; b < 10; b++ {
+		for i := range batch {
+			batch[i] = item{lineNo: eng.offset + int64(i) + 1, data: it.data}
+		}
+		covered := base + (eng.offset+ingestBatch-base)/every*every
+		if err := eng.consumeBatch(ctx, batch[:]); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats()
+		if st.EventsAppended != st.Processed || st.EventStoreLastSeq < covered {
+			t.Fatalf("batch %d: %d events appended for %d lines, finalized through seq %d, want a checkpoint at %d to cover its events",
+				b, st.EventsAppended, st.Processed, st.EventStoreLastSeq, covered)
+		}
+	}
+	if st := eng.Stats(); st.Checkpoints < 5 {
+		t.Fatalf("%d checkpoints across the batches, want ≥ 5", st.Checkpoints)
 	}
 }
 

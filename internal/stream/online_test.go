@@ -194,7 +194,7 @@ func TestOnlineModeMismatchRefused(t *testing.T) {
 
 // TestOnlineMatchedPathAllocs pins online mode's steady-state per-line cost
 // at zero allocations, for both learners: once the template set has
-// converged for a line shape, process() — tokenisation, the learner's
+// converged for a line shape, processLocked — tokenisation, the learner's
 // accelerated match, the count bump, the counters — allocates nothing.
 func TestOnlineMatchedPathAllocs(t *testing.T) {
 	for name, mk := range onlineFactories() {
@@ -215,7 +215,7 @@ func TestOnlineMatchedPathAllocs(t *testing.T) {
 				"session 91 closed after 7 ms",
 			}
 			for i, l := range warm {
-				eng.process(ctx, item{lineNo: int64(i + 1), data: []byte(l)})
+				consumeOne(ctx, eng, item{lineNo: int64(i + 1), data: []byte(l)})
 			}
 			matched := item{lineNo: 99, data: []byte("connection from 10.0.0.9 port 1042")}
 			empty := item{lineNo: 99, data: []byte("   \t  ")}
@@ -224,14 +224,14 @@ func TestOnlineMatchedPathAllocs(t *testing.T) {
 				it   item
 			}{{"matched", matched}, {"empty", empty}} {
 				it := tc.it
-				fn := func() { eng.process(ctx, it) }
+				fn := func() { consumeOne(ctx, eng, it) }
 				fn() // warm the token buffer and confirm the shape is learned
 				if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 					t.Errorf("%s: %v allocs/op in online process, want 0", tc.name, allocs)
 				}
 			}
 			before := eng.Stats().Templates
-			eng.process(ctx, item{lineNo: 100, data: []byte("connection from 10.0.0.8 port 77")})
+			consumeOne(ctx, eng, item{lineNo: 100, data: []byte("connection from 10.0.0.8 port 77")})
 			if eng.Stats().Templates != before {
 				t.Fatal("warm line still grows the template set")
 			}

@@ -140,9 +140,11 @@ type Config struct {
 	// core.ReadMessagesOpts.
 	MaxLineBytes int
 	// AfterLine, when non-nil, is called by the consumer after each
-	// processed line with its source line number. It is the
-	// instrumentation and fault-injection hook the kill-and-recover tests
-	// use to hard-stop the engine at exact stream positions.
+	// processed line with its source line number, with the line's event
+	// appended and the engine's lock released, so it may call back into
+	// the engine. It is the instrumentation and fault-injection hook the
+	// kill-and-recover tests use to hard-stop the engine at exact stream
+	// positions.
 	AfterLine func(lineNo int64)
 	// Now is the engine clock (checkpoint age, breaker cooldowns).
 	// Defaults to time.Now; tests inject a fake.

@@ -9,12 +9,12 @@
 # (scripts/postlines), captures /debug/pprof/profile over the measured part
 # only — the first tenth of the lines is warm-up — and prints the cumulative
 # top restricted to this module, net/http, the garbage collector's
-# background workers, io.ReadAll and time.Now. Then, on the now idle tenant,
-# times the benchmark's four query shapes (p50 of each over 20 rounds),
-# profiles 3 s of query rounds into $PROFILE_OUT with .query before .pprof,
-# and prints the eventstore.reader.* counters: one open, and refreshes that
-# read nothing. Last, what the run cost in memory: the
-# server's resident high-water mark (VmHWM of /proc/PID/status) and the
+# background workers, io.ReadAll, time.Now, mutexes and map lookups. Then,
+# on the now idle tenant, times the benchmark's four query shapes (p50 of
+# each over 20 rounds), profiles 3 s of query rounds into $PROFILE_OUT with
+# .query before .pprof, and prints the eventstore.reader.* counters: one
+# open, and refreshes that read nothing. Last, what the run cost in memory:
+# the server's resident high-water mark (VmHWM of /proc/PID/status) and the
 # collector's cycle count and total pause (memstats in /debug/vars).
 #
 #   scripts/profile_server.sh [-online Drain|Spell] DATASET LINES
@@ -104,9 +104,9 @@ t60="$(date -u +%Y-%m-%dT%H:%M:%S.%NZ)"
 wait "$profile_pid"
 [ -s "$out" ] || { echo "profile_server: FAIL: empty profile" >&2; exit 1; }
 
-echo "==> go tool pprof -top -cum (this module, net/http, GC workers, io.ReadAll, time.Now)"
+echo "==> go tool pprof -top -cum (this module, net/http, GC workers, io.ReadAll, time.Now, locks, map lookups)"
 go tool pprof -top -cum -nodecount=60 \
-	-show='logparse/|net/http\.|runtime\.gcBgMarkWorker|runtime\.growslice|io\.ReadAll|time\.Now' \
+	-show='logparse/|net/http\.|runtime\.gcBgMarkWorker|runtime\.growslice|io\.ReadAll|time\.Now|sync\.\(\*Mutex\)|runtime\.mapaccess' \
 	"$work/logstreamd" "$out" 2>/dev/null | sed -n '1,70p'
 
 # The query rounds ask what the benchmark's do, once the tenant is idle: the
