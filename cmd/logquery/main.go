@@ -150,11 +150,18 @@ func loadTemplateNames(ckptDir string) (map[int32]string, error) {
 	if ckptDir == "" {
 		return nil, nil
 	}
+	// Stat first: NewStore would create a mistyped directory.
+	if _, err := os.Stat(ckptDir); err != nil {
+		return nil, fmt.Errorf("checkpoint %s: %w", ckptDir, err)
+	}
 	store, err := stream.NewStore(ckptDir)
 	if err != nil {
 		return nil, err
 	}
 	st, _, err := store.Load()
+	if err == nil && st == nil {
+		err = errors.New("no checkpoint in the directory")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", ckptDir, err)
 	}

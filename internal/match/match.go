@@ -16,6 +16,10 @@ import (
 // ErrNoMatch is returned by Match when no template covers the message.
 var ErrNoMatch = errors.New("match: no template matches")
 
+// ErrDuplicate is wrapped by New and Insert when a template's token
+// sequence is already in the matcher.
+var ErrDuplicate = errors.New("match: duplicate template")
+
 // node is one trie level: exact-token edges plus an optional wildcard edge.
 // The exact edges take the smallest form that holds them, so a template
 // costs what it holds: a leaf has neither field set, exactly one exact child
@@ -107,7 +111,7 @@ type Matcher struct {
 }
 
 // New builds a matcher from templates. Duplicate template token sequences
-// are rejected (they would make matches ambiguous).
+// are rejected with ErrDuplicate (they would make matches ambiguous).
 func New(templates []core.Template) (*Matcher, error) {
 	m := &Matcher{long: make(map[int]*node), templates: append([]core.Template(nil), templates...)}
 	for slot, t := range templates {
@@ -131,8 +135,8 @@ func (m *Matcher) terminate(t core.Template, slot int) error {
 		n = n.step(tok, true)
 	}
 	if n.template >= 0 {
-		return fmt.Errorf("match: templates %s and %s are identical",
-			m.templates[n.template].ID, t.ID)
+		return fmt.Errorf("%w: %s and %s are identical",
+			ErrDuplicate, m.templates[n.template].ID, t.ID)
 	}
 	n.template = slot
 	return nil
@@ -141,9 +145,10 @@ func (m *Matcher) terminate(t core.Template, slot int) error {
 // Insert adds one template to the matcher in O(template length) — the
 // incremental twin of New, through the same walk, for online learners that
 // grow their template set one group at a time and cannot afford an O(n)
-// rebuild per growth. Duplicate token sequences are rejected like in New;
-// the matcher is unchanged when an error is returned. Not safe for
-// concurrent use with matching.
+// rebuild per growth. The template takes the next slot. Duplicate token
+// sequences are rejected with ErrDuplicate like in New; the matcher is
+// unchanged when an error is returned. Not safe for concurrent use with
+// matching.
 func (m *Matcher) Insert(t core.Template) error {
 	if len(t.Tokens) == 0 {
 		return fmt.Errorf("match: template %s has no tokens", t.ID)
@@ -166,9 +171,9 @@ func (m *Matcher) Insert(t core.Template) error {
 // sole edge again. The template's slot is retired, not reused: indices returned
 // for the other templates stay valid, so after a removal they no longer
 // address Templates(), which lists only the live templates. The stream
-// engine keeps per-template state in a slice parallel to build order and
-// therefore never calls Remove; it is for learners (Spell) that own the
-// index mapping. Not safe for concurrent use with matching.
+// engine keeps per-template state in a slice indexed by slot and therefore
+// never calls Remove; it is for learners (Spell) that own the index
+// mapping. Not safe for concurrent use with matching.
 func (m *Matcher) Remove(tokens []string) bool {
 	root := m.root(len(tokens))
 	if root == nil || !m.remove(root, tokens) {
@@ -230,6 +235,10 @@ func FromResult(res *core.ParseResult) (*Matcher, error) { return New(res.Templa
 
 // NumTemplates reports the number of live templates.
 func (m *Matcher) NumTemplates() int { return len(m.templates) - m.removed }
+
+// Template returns the template in slot i (zero for a retired slot) as a
+// read-only view: its tokens are the matcher's own.
+func (m *Matcher) Template(i int) core.Template { return m.templates[i] }
 
 // Templates returns a copy of the matcher's live templates in build order.
 // Long-running services checkpoint this to rebuild an equivalent matcher

@@ -112,8 +112,8 @@ func TestDuplicateTemplatesRejected(t *testing.T) {
 		tmpl("A", "x", "*"),
 		tmpl("B", "x", "*"),
 	})
-	if err == nil {
-		t.Error("duplicate templates accepted")
+	if !errors.Is(err, ErrDuplicate) {
+		t.Errorf("duplicate templates: error %v, want ErrDuplicate", err)
 	}
 }
 
@@ -298,11 +298,11 @@ func TestInsertRejectsDuplicateAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert(tmpl("B", "a", "*")); err == nil {
-		t.Error("duplicate insert accepted")
+	if err := m.Insert(tmpl("B", "a", "*")); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("duplicate insert: error %v, want ErrDuplicate", err)
 	}
-	if err := m.Insert(tmpl("C")); err == nil {
-		t.Error("empty insert accepted")
+	if err := m.Insert(tmpl("C")); err == nil || errors.Is(err, ErrDuplicate) {
+		t.Errorf("empty insert: error %v, want a refusal other than ErrDuplicate", err)
 	}
 	if m.NumTemplates() != 1 {
 		t.Errorf("failed inserts changed the template set: %d", m.NumTemplates())

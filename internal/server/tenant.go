@@ -79,13 +79,14 @@ func (s *Server) reader(id, dir string, cold bool) (rd *eventstore.Reader, info 
 	return rd, info, err
 }
 
-// maxDurableRestarts caps how many failures of one durable layer (the
-// write-ahead log, the event store — counted separately) a tenant may
-// absorb over its lifetime before the supervisor declares it terminal: a
-// log or store that keeps failing after repair-and-rebuild (disk full,
-// dead device) is not going to heal by reopening, and each restart re-runs
-// a full replay.
-const maxDurableRestarts = 8
+// maxRestarts caps how many failures of one cause (a consumer panic, the
+// write-ahead log, the event store — counted separately) a tenant may absorb
+// over its lifetime before the supervisor declares it terminal: a panic that
+// recurs on replay (a poison line the WAL re-admits on every rebuild), or a
+// log or store that keeps failing after repair-and-rebuild (disk full, dead
+// device), is not going to heal by reopening, and each restart re-runs a
+// full replay.
+const maxRestarts = 8
 
 // supervise runs the tenant's serve loop, absorbing panics and
 // durable-layer failures by rebuilding the engine from its newest
@@ -101,17 +102,15 @@ func (t *tenant) supervise(ctx context.Context) {
 		t.mu.Unlock()
 
 		pv, err := t.serveOnce(ctx, eng)
-		var cause string
+		var failures *int64
+		var cause error
 		var durable *stream.DurableError
 		switch {
 		case pv != nil:
 			// A panic unwound the consumer: everything in that
 			// incarnation's ring is gone (clients replay it), but the
 			// checkpoints survive.
-			t.mu.Lock()
-			t.panics++
-			t.mu.Unlock()
-			cause = fmt.Sprintf("panic (%v)", pv)
+			failures, cause = &t.panics, fmt.Errorf("consumer panic: %v", pv)
 		case errors.As(err, &durable):
 			// The WAL or the event store failed mid-write. Either way the
 			// batch that observed it was never acknowledged and a rebuild
@@ -120,20 +119,10 @@ func (t *tenant) supervise(ctx context.Context) {
 			// after a store failure the engine refused to checkpoint over
 			// the gap, so the store is realigned to the restored
 			// checkpoint and replay re-emits exactly the dropped events.
-			failures := &t.walFailures
+			failures, cause = &t.walFailures, durable
 			if durable.Layer == stream.LayerEventStore {
 				failures = &t.storeFailures
 			}
-			t.mu.Lock()
-			*failures++
-			n := *failures
-			if n > maxDurableRestarts {
-				t.err = fmt.Errorf("%s failed %d times; tenant is terminal: %w", durable.Layer, n, durable)
-				t.mu.Unlock()
-				return
-			}
-			t.mu.Unlock()
-			cause = string(durable.Layer) + " failure"
 		default:
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.mu.Lock()
@@ -144,15 +133,20 @@ func (t *tenant) supervise(ctx context.Context) {
 		}
 
 		t.mu.Lock()
+		*failures++
+		n := *failures
 		stopping := t.stopping
+		if n > maxRestarts {
+			t.err = fmt.Errorf("tenant is terminal after %d failures of one cause: %w", n, cause)
+		}
 		t.mu.Unlock()
-		if ctx.Err() != nil || stopping {
+		if n > maxRestarts || ctx.Err() != nil || stopping {
 			return
 		}
 		next, nerr := stream.New(t.engCfg)
 		if nerr != nil {
 			t.mu.Lock()
-			t.err = fmt.Errorf("restart after %s: %w", cause, nerr)
+			t.err = fmt.Errorf("restart after %v: %w", cause, nerr)
 			t.mu.Unlock()
 			return
 		}
@@ -246,11 +240,10 @@ type TenantStats struct {
 	// Digest is the canonical digest of the tenant's parse outcome — the
 	// quantity the kill-and-recover equivalence compares.
 	Digest string `json:"digest"`
-	// Panics and Restarts count consumer panics absorbed and engine
-	// incarnations rebuilt from checkpoints; WALFailures and
-	// EventStoreFailures count the restarts caused by write-ahead-log and
-	// event-store failures (each capped at its lifetime maximum before
-	// the tenant goes terminal).
+	// Panics, WALFailures and EventStoreFailures count consumer panics,
+	// write-ahead-log failures and event-store failures, each capped at
+	// its lifetime maximum before the tenant goes terminal; Restarts
+	// counts engine incarnations rebuilt from checkpoints.
 	Panics             int64 `json:"panics"`
 	Restarts           int64 `json:"restarts"`
 	WALFailures        int64 `json:"wal_failures"`

@@ -237,7 +237,7 @@ func TestWALFailureRestartsOnlyThatTenant(t *testing.T) {
 }
 
 // TestWALFailureCapGoesTerminal pins the restart budget: a WAL that fails
-// on every incarnation exhausts maxDurableRestarts and the tenant goes
+// on every incarnation exhausts maxRestarts and the tenant goes
 // terminal with the failure recorded, instead of restart-looping forever.
 func TestWALFailureCapGoesTerminal(t *testing.T) {
 	cfg := walTestConfig(t.TempDir())
@@ -267,10 +267,52 @@ func TestWALFailureCapGoesTerminal(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st.WALFailures != maxDurableRestarts+1 {
-		t.Fatalf("wal_failures = %d, want %d (cap + the terminal one)", st.WALFailures, maxDurableRestarts+1)
+	if st.WALFailures != maxRestarts+1 {
+		t.Fatalf("wal_failures = %d, want %d (cap + the terminal one)", st.WALFailures, maxRestarts+1)
 	}
 	s.Kill()
+}
+
+// TestPoisonLineGoesTerminal pins the same budget for consumer panics: a
+// line that panics the consumer is in the WAL, so every rebuild replays it
+// and panics again. The panics count against the one per-cause cap, and the
+// tenant goes terminal with the panic value recorded instead of rebuilding
+// forever.
+func TestPoisonLineGoesTerminal(t *testing.T) {
+	cfg := walTestConfig(t.TempDir())
+	cfg.ConfigureEngine = func(tenant string, sc *stream.Config) {
+		sc.AfterLine = func(lineNo int64) {
+			if lineNo == 50 {
+				panic("wal_test: poison line")
+			}
+		}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	// The batch is in the WAL before the consumer sees line 50, so whether
+	// or not its ack wins the race with the panic, every rebuild replays it.
+	ingest(s, "poison", tenantLines(t, 0, 100))
+	deadline := time.Now().Add(30 * time.Second)
+	var st TenantStats
+	for {
+		var serr error
+		if st, serr = s.TenantStats("poison"); serr == nil && st.Error != "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tenant never went terminal: panics=%d restarts=%d", st.Panics, st.Restarts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st.Panics != maxRestarts+1 || st.Restarts != maxRestarts {
+		t.Fatalf("panics/restarts = %d/%d, want %d/%d", st.Panics, st.Restarts, maxRestarts+1, maxRestarts)
+	}
+	if !contains(st.Error, "wal_test: poison line") {
+		t.Fatalf("terminal error %q does not carry the panic value", st.Error)
+	}
 }
 
 // TestWALErrorHTTPMapping pins the wire contract: a durable-layer failure

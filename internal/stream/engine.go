@@ -40,21 +40,18 @@ type Engine struct {
 	// consumer goroutine touches it.
 	eventTime int64
 
-	mu        sync.Mutex // guards everything below
+	mu sync.Mutex // guards everything below
+	// The learner owns the template set: matcher in retrain mode, online
+	// (the learn-per-line parser) in online-parser mode; the other is nil.
+	// counts is indexed by matcher slot or learner group.
 	matcher   *match.Matcher
-	templates []core.Template
+	online    OnlineParser
 	counts    []int64
-	index     map[string]int // rendered template → index
-	tokBuf    [][]byte       // consumer's reusable token buffer
+	tokBuf    [][]byte // consumer's reusable token buffer
 	unmatched []string
 	offset    int64
 	ctrs      Counters
 	breaker   *breaker
-
-	// online is the learn-per-line parser in online-parser mode (nil in
-	// retrain mode); onlineDirty marks e.templates stale relative to it.
-	online      OnlineParser
-	onlineDirty bool
 
 	// savedTmpls and savedCounts mark the template indices founded or
 	// generalised, and the counts moved, since the last durable save — what
@@ -152,7 +149,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		store:  store,
 		now:    cfg.Now,
-		index:  make(map[string]int),
 		online: cfg.Online,
 		tm:     newEngineTelemetry(cfg.Telemetry),
 	}
@@ -202,6 +198,9 @@ func New(cfg Config) (*Engine, error) {
 		}
 	} else {
 		e.breaker = newBreaker(0, false, e.now())
+		if e.online == nil {
+			e.matcher, _ = match.New(nil) // an empty set has no duplicate
+		}
 	}
 	if cfg.EventStoreDir != "" {
 		es, esInfo, err := eventstore.Open(eventstore.Options{
@@ -237,12 +236,14 @@ func (e *Engine) restore(st *State) error {
 	tmpls := make([]core.Template, len(st.Templates))
 	counts := make([]int64, len(st.Templates))
 	for i, t := range st.Templates {
-		tmpls[i] = core.Template{ID: t.ID, Tokens: append([]string(nil), t.Tokens...)}
+		tmpls[i] = core.Template{ID: t.ID, Tokens: t.Tokens}
 		counts[i] = t.Count
 	}
-	if err := e.adoptTemplates(tmpls); err != nil {
+	m, err := match.New(tmpls)
+	if err != nil {
 		return fmt.Errorf("stream: checkpoint templates: %w", err)
 	}
+	e.matcher = m
 	e.counts = counts
 	e.unmatched = append([]string(nil), st.Unmatched...)
 	e.offset = st.Offset
@@ -279,46 +280,10 @@ func (e *Engine) restoreOnline(st *State) error {
 		}
 		counts[i] = t.Count
 	}
-	e.templates = tmpls
 	e.counts = counts
 	e.offset = st.Offset
 	e.ctrs = st.Counters
 	e.breaker = newBreaker(st.BreakerFailures, st.BreakerOpen, e.now())
-	return nil
-}
-
-// adoptTemplates installs a template set (deduplicated by rendered string)
-// and rebuilds the matcher.
-func (e *Engine) adoptTemplates(tmpls []core.Template) error {
-	e.templates = nil
-	e.counts = nil
-	e.index = make(map[string]int, len(tmpls))
-	for _, t := range tmpls {
-		key := t.String()
-		if _, dup := e.index[key]; dup {
-			continue
-		}
-		e.index[key] = len(e.templates)
-		e.templates = append(e.templates, core.Template{
-			ID:     t.ID,
-			Tokens: append([]string(nil), t.Tokens...),
-		})
-		e.counts = append(e.counts, 0)
-	}
-	return e.rebuildMatcher()
-}
-
-// rebuildMatcher refreshes the trie from e.templates.
-func (e *Engine) rebuildMatcher() error {
-	if len(e.templates) == 0 {
-		e.matcher = nil
-		return nil
-	}
-	m, err := match.New(e.templates)
-	if err != nil {
-		return err
-	}
-	e.matcher = m
 	return nil
 }
 
@@ -528,10 +493,10 @@ func (e *Engine) produce(ctx context.Context, r *ring, startOffset int64, prodEr
 // matched path is allocation-free (pinned by TestProcessMatchedPathAllocs):
 // content extraction and tokenisation stay on it.data's bytes in the
 // engine's reusable token buffer, the trie walk compares byte slices in
-// place, and the matcher's build order equals e.templates order so the
-// returned index addresses e.counts directly (the engine only ever builds
-// the matcher with match.New and never calls Matcher.Remove, which retires
-// indices; pinned by TestMatcherBuildOrderIsTemplateOrder). Strings are
+// place, and the returned slot addresses e.counts directly (the engine
+// builds the matcher with match.New on restore, grows it with Insert and
+// never calls Matcher.Remove, which retires slots; pinned by
+// TestMatcherBuildOrderIsTemplateOrder). Strings are
 // materialised only on the unmatched slow path, where the line outlives the
 // arena in the retrain buffer. The return value reports whether a periodic
 // checkpoint is due — consumeBatch writes it after the AfterLine hook and
@@ -563,7 +528,6 @@ func (e *Engine) processLocked(ctx context.Context, it item) (ckptDue bool) {
 		// the hot path never materialises strings.
 		idx, changed := e.online.LearnBytes(tokens)
 		if changed {
-			e.onlineDirty = true
 			e.savedTmpls.add(idx)
 			if idx >= len(e.counts) {
 				e.counts = append(e.counts, 0)
@@ -575,14 +539,12 @@ func (e *Engine) processLocked(ctx context.Context, it item) (ckptDue bool) {
 		e.recordEventLocked(it.lineNo, int32(idx), eventstore.KindMatched)
 		return ckptDue
 	}
-	if e.matcher != nil {
-		if idx, ok := e.matcher.MatchBytes(tokens); ok {
-			e.counts[idx]++
-			e.savedCounts.add(idx)
-			e.ctrs.Matched++
-			e.recordEventLocked(it.lineNo, int32(idx), eventstore.KindMatched)
-			return ckptDue
-		}
+	if idx, ok := e.matcher.MatchBytes(tokens); ok {
+		e.counts[idx]++
+		e.savedCounts.add(idx)
+		e.ctrs.Matched++
+		e.recordEventLocked(it.lineNo, int32(idx), eventstore.KindMatched)
+		return ckptDue
 	}
 	e.recordEventLocked(it.lineNo, -1, eventstore.KindUnmatched)
 	e.unmatched = append(e.unmatched, string(content))
@@ -630,42 +592,32 @@ func (e *Engine) retrainLocked(ctx context.Context) {
 	e.reapplyUnmatchedLocked()
 }
 
-// mergeTemplatesLocked adds newly mined templates (deduplicated against
-// the live set by rendered string) and rebuilds the matcher.
+// mergeTemplatesLocked inserts newly mined templates into the matcher, each
+// into the next slot as S<slot+1>; one the matcher already holds is skipped.
 func (e *Engine) mergeTemplatesLocked(tmpls []core.Template) error {
-	added := false
 	for _, t := range tmpls {
-		key := strings.Join(t.Tokens, " ")
-		if _, ok := e.index[key]; ok {
+		i := e.matcher.NumTemplates()
+		err := e.matcher.Insert(core.Template{ID: fmt.Sprintf("S%d", i+1), Tokens: t.Tokens})
+		if errors.Is(err, match.ErrDuplicate) {
 			continue
 		}
-		e.index[key] = len(e.templates)
-		e.savedTmpls.add(len(e.templates))
-		e.templates = append(e.templates, core.Template{
-			ID:     fmt.Sprintf("S%d", len(e.templates)+1),
-			Tokens: append([]string(nil), t.Tokens...),
-		})
+		if err != nil {
+			return err
+		}
+		e.savedTmpls.add(i)
 		e.counts = append(e.counts, 0)
-		added = true
 	}
-	if !added {
-		return nil
-	}
-	return e.rebuildMatcher()
+	return nil
 }
 
 // reapplyUnmatchedLocked drains the buffer through the (possibly updated)
 // matcher: covered lines are counted, the rest are unparsed — below the
 // mining support threshold — and dropped so memory stays bounded. The
-// matcher's index is the template index, as on processLocked's hot path.
+// matcher's slot is the count index, as on processLocked's hot path.
 func (e *Engine) reapplyUnmatchedLocked() {
 	pending := e.unmatched
 	e.unmatched = nil
 	for _, line := range pending {
-		if e.matcher == nil {
-			e.ctrs.Unparsed++
-			continue
-		}
 		if idx, ok := e.matcher.MatchIndex(core.Tokenize(line)); ok {
 			e.counts[idx]++
 			e.savedCounts.add(idx)
@@ -741,7 +693,8 @@ func (e *Engine) saveLocked() error {
 		if e.online != nil {
 			d.Templates = append(d.Templates, templateDelta{Index: i, Tokens: e.online.TemplateTokens(i)})
 		} else {
-			d.Templates = append(d.Templates, templateDelta{Index: i, ID: e.templates[i].ID, Tokens: e.templates[i].Tokens})
+			t := e.matcher.Template(i)
+			d.Templates = append(d.Templates, templateDelta{Index: i, ID: t.ID, Tokens: t.Tokens})
 		}
 	}
 	for _, i := range e.savedCounts.list {
@@ -780,7 +733,8 @@ func (e *Engine) saveLocked() error {
 		}
 		st.Online = &OnlineState{Parser: e.online.Name(), Data: blob}
 	} else {
-		for i, t := range e.templates {
+		for i := range st.Templates {
+			t := e.matcher.Template(i)
 			st.Templates[i].ID, st.Templates[i].Tokens = t.ID, t.Tokens
 		}
 	}
@@ -821,10 +775,11 @@ func (e *Engine) Result() ([]core.Template, []int64) {
 }
 
 func (e *Engine) resultLocked() ([]core.Template, []int64) {
-	e.syncOnlineLocked()
-	tmpls := make([]core.Template, len(e.templates))
-	for i, t := range e.templates {
-		tmpls[i] = core.Template{ID: t.ID, Tokens: append([]string(nil), t.Tokens...)}
+	var tmpls []core.Template
+	if e.online != nil {
+		tmpls = e.online.Templates()
+	} else {
+		tmpls = e.matcher.Templates()
 	}
 	return tmpls, append([]int64(nil), e.counts...)
 }

@@ -246,11 +246,12 @@ func TestEngineInitialTemplatesMatcherOnly(t *testing.T) {
 	}
 }
 
-// TestMatcherBuildOrderIsTemplateOrder pins what process relies on to index
-// e.counts with a matcher index: after any number of retrains the matcher's
-// live templates are exactly e.templates, in order, with no retired slot —
-// which holds because the engine rebuilds with match.New and never calls
-// Matcher.Remove.
+// TestMatcherBuildOrderIsTemplateOrder pins what processLocked relies on to
+// index e.counts with a matcher slot: after several retrains, and again
+// after a restore, slot i holds template S<i+1>, its own tokens match at
+// index i, and there is one count per template — which holds because the
+// engine grows the matcher with Insert, rebuilds it only on restore, and
+// never calls Matcher.Remove.
 func TestMatcherBuildOrderIsTemplateOrder(t *testing.T) {
 	cfg := testConfig(t, synthLines(600, 5))
 	cfg.RetrainBatch = 4
@@ -264,14 +265,80 @@ func TestMatcherBuildOrderIsTemplateOrder(t *testing.T) {
 	if e.Stats().Retrains < 2 {
 		t.Fatalf("want several retrains, got %+v", e.Stats())
 	}
-	got := e.matcher.Templates()
-	if len(got) != len(e.templates) {
-		t.Fatalf("matcher lists %d live templates, engine holds %d", len(got), len(e.templates))
+	restored, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, tm := range e.templates {
-		if idx, ok := e.matcher.MatchIndex(tm.Tokens); !ok || idx != i || !reflect.DeepEqual(got[i], tm) {
-			t.Errorf("template %d %q: matcher index %d (%v), listed as %q", i, tm.Tokens, idx, ok, got[i].Tokens)
+	for _, tc := range []struct {
+		when string
+		e    *Engine
+	}{{"after retrains", e}, {"after restore", restored}} {
+		m := tc.e.matcher
+		if m.NumTemplates() < 2 || len(tc.e.counts) != m.NumTemplates() {
+			t.Fatalf("%s: %d counts for %d templates", tc.when, len(tc.e.counts), m.NumTemplates())
 		}
+		for i := 0; i < m.NumTemplates(); i++ {
+			tm := m.Template(i)
+			if idx, ok := m.MatchIndex(tm.Tokens); !ok || idx != i || tm.ID != fmt.Sprintf("S%d", i+1) {
+				t.Errorf("%s: slot %d holds %s %q, which matches at %d (%v)", tc.when, i, tm.ID, tm.Tokens, idx, ok)
+			}
+		}
+	}
+}
+
+// fixedMiner is a retrainer that mines the same templates from any batch.
+type fixedMiner []core.Template
+
+func (fixedMiner) Name() string { return "fixed-miner" }
+
+func (m fixedMiner) Retrain(context.Context, []string) ([]core.Template, error) { return m, nil }
+
+// TestRetrainSkipsHeldAndRepeatedTemplates feeds a retrain a template the
+// engine already holds and one template twice: each is added once, under
+// the next S id, and a later retrain that mines nothing new adds nothing —
+// the counts, the checkpoint delta's templates and the digest pinned here are
+// those of the engine that deduplicated by rendered string.
+func TestRetrainSkipsHeldAndRepeatedTemplates(t *testing.T) {
+	tmpl := func(toks ...string) core.Template { return core.Template{ID: "mined", Tokens: toks} }
+	first := []string{"a b 1", "a b 2", "a b 3", "c 4", "login user x ok"}
+	cfg := testConfig(t, first)
+	cfg.RetrainBatch = 2
+	cfg.Retrainer = fixedMiner{tmpl("login", "user", "*", "ok"), tmpl("a", "b", "*"), tmpl("a", "b", "*"), tmpl("c", "*")}
+	seedTemplates(t, cfg.CheckpointDir, []core.Template{{ID: "T1", Tokens: []string{"login", "user", "*", "ok"}}})
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tmpls, counts := e.Result()
+	want := []core.Template{
+		{ID: "T1", Tokens: []string{"login", "user", "*", "ok"}},
+		{ID: "S2", Tokens: []string{"a", "b", "*"}},
+		{ID: "S3", Tokens: []string{"c", "*"}},
+	}
+	if !reflect.DeepEqual(tmpls, want) || !reflect.DeepEqual(counts, []int64{1, 3, 1}) {
+		t.Fatalf("templates %v counts %v, want %v [1 3 1]", tmpls, counts, want)
+	}
+	wantDelta := []templateDelta{{Index: 1, ID: "S2", Tokens: want[1].Tokens}, {Index: 2, ID: "S3", Tokens: want[2].Tokens}}
+	if !reflect.DeepEqual(e.delta.Templates, wantDelta) {
+		t.Fatalf("delta templates %+v, want %+v", e.delta.Templates, wantDelta)
+	}
+	if d := e.Digest(); d != "3862f7f65c6a3e68ccd2542616964a63ae2e40b5acc836a085584b92d8c4e3d7" {
+		t.Errorf("digest %s", d)
+	}
+
+	// Two lines no template covers: a retrain that mines only held templates.
+	e.cfg.Open = memOpen(append(first, "zzz 1", "zzz 2"))
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.Retrains != 2 || s.Templates != 3 || s.Unparsed != 2 {
+		t.Fatalf("second retrain: %+v", s)
+	}
+	if len(e.delta.Templates) != 0 {
+		t.Fatalf("a retrain that added nothing saved templates %+v", e.delta.Templates)
 	}
 }
 

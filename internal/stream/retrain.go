@@ -46,10 +46,6 @@ func NewRetrainer(pol robust.Policy, primary core.Parser, slctOpts slct.Options)
 // Name implements Retrainer, e.g. "Robust(IPLoM→SLCT)".
 func (r *ChainRetrainer) Name() string { return r.chain.Name() }
 
-// Stats exposes the underlying chain's cumulative counters (panics,
-// timeouts, per-tier serves).
-func (r *ChainRetrainer) Stats() robust.Stats { return r.chain.Stats() }
-
 // Retrain implements Retrainer.
 func (r *ChainRetrainer) Retrain(ctx context.Context, lines []string) ([]core.Template, error) {
 	msgs := make([]core.LogMessage, len(lines))

@@ -94,25 +94,16 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Fixed bucket layouts. These are package-level variables only so that
-// call sites do not allocate a fresh slice per observation; treat them as
-// immutable. The registry copies the layout it is given, so callers
-// passing their own slice may reuse it freely afterwards.
-var (
-	// DurationBuckets is the layout for latency histograms, in seconds:
-	// 100µs up to 60s, roughly logarithmic. Parse calls span five orders
-	// of magnitude across algorithms (RQ2), so the layout must too.
-	DurationBuckets = []float64{
-		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-		0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-	}
-	// SizeBuckets is the layout for byte-size histograms: 256B to 16MiB.
-	SizeBuckets = []float64{
-		256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20, 16 << 20,
-	}
-	// DepthBuckets is the layout for queue-depth histograms.
-	DepthBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096}
-)
+// DurationBuckets is the layout for latency histograms, in seconds: 100µs
+// up to 60s, roughly logarithmic. Parse calls span five orders of magnitude
+// across algorithms (RQ2), so the layout must too. It is a package-level
+// variable only so that call sites do not allocate a fresh slice per
+// observation; treat it as immutable. The registry copies the layout it is
+// given, so callers passing their own slice may reuse it freely afterwards.
+var DurationBuckets = []float64{
+	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
+	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
+}
 
 // Histogram accumulates observations into fixed buckets. The bucket
 // layout is immutable after creation. A nil *Histogram no-ops.

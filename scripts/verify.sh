@@ -18,7 +18,9 @@
 #                              fuzz target + the LoC ratchet
 #                              (scripts/loc.sh -check)
 #   scripts/verify.sh -short   fast: build + vet + `go test -short -race` +
-#                              the LoC ratchet + reduced crash-recovery and
+#                              the LoC ratchet + the golden-digest check
+#                              (byte for byte, all 36 goldens) +
+#                              reduced crash-recovery and
 #                              server smokes + the SLCT smoke + Table I
 #                              against results/table1.txt
 #                              (skips the long-running suites and the fuzz
@@ -49,6 +51,8 @@ if [ "$short" = 1 ]; then
 	go test -short -race ./...
 	echo "==> non-test Go line counts against the committed baseline (scripts/loc.sh -check)"
 	sh scripts/loc.sh -check >/dev/null
+	echo "==> golden-digest check (cmd/conformgen -check)"
+	go run ./cmd/conformgen -check >/dev/null
 	echo "==> crash-recovery smoke (reduced)"
 	sh scripts/crash_smoke.sh Zookeeper 3000 2345
 	echo "==> multi-tenant server smoke (reduced)"
