@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,14 +39,13 @@ func TestCheckpointDirWithoutCheckpointFails(t *testing.T) {
 		fmt.Fprintf(&src, "connection %d from host h%d established\n", i, i%7)
 	}
 	eng, err := stream.New(stream.Config{
-		Open:          func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(src.String())), nil },
 		CheckpointDir: ckpt,
 		EventStoreDir: events,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(context.Background()); err != nil {
+	if err := stream.Feed(context.Background(), eng, strings.NewReader(src.String())); err != nil {
 		t.Fatal(err)
 	}
 	if code, err := runArgs(t, "-dir", events, "-mode", "top", "-checkpoint-dir", ckpt, "-stats=false"); code != 0 || err != nil {

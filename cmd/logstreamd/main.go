@@ -216,9 +216,11 @@ func run() (int, error) {
 	cfg := tmpl
 	cfg.CheckpointDir, cfg.EventStoreDir, cfg.Telemetry = *ckptDir, *eventsDir, tel
 	cfg.Online, cfg.Retrainer = op, rt
-	if cfg.Open, err = buildSource(*in, *dataset, *lines, *seed); err != nil {
+	src, err := buildSource(*in, *dataset, *lines, *seed)
+	if err != nil {
 		return 2, err
 	}
+	defer src.Close()
 	if *tornAt > 0 {
 		// The Nth save's writes stop after -torn-checkpoint-limit bytes,
 		// whichever file it is writing: the save fails and leaves a torn
@@ -267,8 +269,8 @@ func run() (int, error) {
 			st.RecoveredFrom, st.DeltasSinceBase, st.CheckpointGen, st.Offset)
 	}
 
-	// SIGINT/SIGTERM request a graceful stop: the producer stops pulling,
-	// every admitted line drains through the matcher, and only then is the
+	// SIGINT/SIGTERM request a graceful stop: Feed stops pushing, every
+	// admitted line drains through the matcher, and only then is the
 	// closing checkpoint written — no admitted line is lost to a shutdown.
 	// A second signal hard-cancels (the crash model, no checkpoint).
 	sigCh := make(chan os.Signal, 1)
@@ -288,7 +290,7 @@ func run() (int, error) {
 	}()
 
 	runStart := time.Now()
-	runErr := eng.Run(ctx)
+	runErr := stream.Feed(ctx, eng, src)
 	runElapsed := time.Since(runStart)
 	switch {
 	case runErr == nil && interrupted:
@@ -424,11 +426,12 @@ func serveDebug(addr, addrFile string, tel *logparse.Telemetry) error {
 	return nil
 }
 
-// buildSource returns a re-openable reader over the input file or an
-// in-memory generated dataset.
-func buildSource(in, dataset string, lines int, seed int64) (func() (io.ReadCloser, error), error) {
+// buildSource opens the input file or generates the dataset in memory; a
+// missing file or an unknown dataset fails here, before any engine is
+// built.
+func buildSource(in, dataset string, lines int, seed int64) (io.ReadCloser, error) {
 	if in != "" {
-		return func() (io.ReadCloser, error) { return os.Open(in) }, nil
+		return os.Open(in)
 	}
 	cat, err := logparse.Dataset(dataset)
 	if err != nil {
@@ -438,8 +441,7 @@ func buildSource(in, dataset string, lines int, seed int64) (func() (io.ReadClos
 	if err := logparse.WriteMessages(&buf, cat.Generate(seed, lines)); err != nil {
 		return nil, err
 	}
-	data := buf.Bytes()
-	return func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }, nil
+	return io.NopCloser(&buf), nil
 }
 
 func printStats(w io.Writer, s stream.Stats) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -135,4 +136,76 @@ func TestFrontDoorCutsTricklingClient(t *testing.T) {
 	if d := <-cut; d > 3*time.Second {
 		t.Fatalf("the trickle went on for %v after the server cut it", d)
 	}
+}
+
+// TestParentFileModeRootsResume resumes checkpoint roots written by the
+// file tailer that file mode had before it became a Feed client: a
+// Zookeeper run (seed 6) of 3,000 lines with a checkpoint every 700, killed
+// after line 2,345 (-kill-after-lines), once in retrain mode and once under
+// online Drain. Fed the same dataset again, each root must resume at its last
+// checkpoint and finish with the digest that tailer's uninterrupted run
+// printed.
+func TestParentFileModeRootsResume(t *testing.T) {
+	for _, tc := range []struct {
+		root   string
+		args   []string
+		digest string
+	}{
+		{"retrain", []string{"-retrain-batch", "64"}, "f462deb013b62d5d87c6643b6aad97ac026299a557d72f722211691ecba3aa25"},
+		{"drain", []string{"-online", "Drain"}, "870a85d4bdcb62e0a1e9dfa8dd145e035cccef4e6a76216d3bac13afd109fc56"},
+	} {
+		t.Run(tc.root, func(t *testing.T) {
+			dir := t.TempDir()
+			src := filepath.Join("testdata", "parent-roots", tc.root)
+			ents, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ent := range ents {
+				data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+				if err == nil {
+					err = os.WriteFile(filepath.Join(dir, ent.Name()), data, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			stdout, stderr := filepath.Join(t.TempDir(), "stdout"), filepath.Join(t.TempDir(), "stderr")
+			args := append([]string{"-dataset", "Zookeeper", "-lines", "3000", "-seed", "6", "-checkpoint-every", "700",
+				"-checkpoint-dir", dir, "-digest", "-stats=false"}, tc.args...)
+			if code, err := runTo(t, stdout, stderr, args...); code != 0 || err != nil {
+				t.Fatalf("exit %d, error %v", code, err)
+			}
+			out, _ := os.ReadFile(stdout)
+			errOut, _ := os.ReadFile(stderr)
+			if !strings.Contains(string(errOut), "(generation 3, offset 2100)") {
+				t.Errorf("did not resume the root at its last checkpoint; stderr:\n%s", errOut)
+			}
+			if got := strings.TrimSpace(string(out)); got != tc.digest {
+				t.Errorf("digest %s, want %s", got, tc.digest)
+			}
+		})
+	}
+}
+
+// runTo runs the command line through run with stdout and stderr written
+// to the named files.
+func runTo(t *testing.T, stdout, stderr string, args ...string) (int, error) {
+	t.Helper()
+	outF, err := os.Create(stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer outF.Close()
+	errF, err := os.Create(stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errF.Close()
+	saveOut, saveErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	defer func() { os.Stdout, os.Stderr = saveOut, saveErr }()
+	os.Args = append([]string{"logstreamd"}, args...)
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	return run()
 }

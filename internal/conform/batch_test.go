@@ -2,7 +2,6 @@ package conform
 
 import (
 	"context"
-	"io"
 	"strings"
 	"testing"
 
@@ -11,8 +10,8 @@ import (
 
 // The batched ingest path joins the conformance matrix here: pushing a
 // dataset through Engine.PushBatch must be observationally equivalent to
-// pushing it in one-line batches and to tailing it in file mode
-// through Run — same canonical stream digest, same re-applied batch parse
+// pushing it in one-line batches and to feeding it in file mode
+// through Feed — same canonical stream digest, same re-applied batch parse
 // digest, same counters. Batching is an admission optimisation; the moment
 // it moves a digest it has changed what the engine computes.
 
@@ -44,27 +43,12 @@ func TestBatchPushMatchesSingleLineAndFileMode(t *testing.T) {
 		c := c
 		t.Run(c.dataset, func(t *testing.T) {
 			t.Parallel()
-			open, msgs := sourceFor(t, c)
+			src, msgs := sourceFor(t, c)
 
-			// The exact lines the file producer reads, as a push client
-			// would hold them.
-			rc, err := open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := io.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(string(raw), "\n")
+			// The exact lines Feed reads, as a push client would hold them.
+			lines := strings.Split(string(src), "\n")
 
-			pushCfg := func(dir string) stream.Config {
-				cfg := streamConfig(nil, dir)
-				return cfg
-			}
-
-			fileMode := runStream(t, streamConfig(open, t.TempDir()), 0)
+			fileMode := runStream(t, streamConfig(t.TempDir()), src, 0)
 			wantStream := fileMode.Digest()
 			wantBatch := batchDigest(t, fileMode, msgs)
 
@@ -85,10 +69,10 @@ func TestBatchPushMatchesSingleLineAndFileMode(t *testing.T) {
 					}
 				}
 			}
-			single := serveAndIngest(t, pushCfg(t.TempDir()), pushIn(1))
+			single := serveAndIngest(t, streamConfig(t.TempDir()), pushIn(1))
 			// A ragged batch size so batch boundaries land everywhere
 			// relative to the engine's internal admission batching.
-			batched := serveAndIngest(t, pushCfg(t.TempDir()), pushIn(997))
+			batched := serveAndIngest(t, streamConfig(t.TempDir()), pushIn(997))
 
 			for name, e := range map[string]*stream.Engine{"one-line batches": single, "ragged batches": batched} {
 				if got := e.Digest(); got != wantStream {

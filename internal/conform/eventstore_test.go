@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"io"
 	"math"
 	"testing"
 
@@ -18,8 +17,8 @@ import (
 
 // eventStreamConfig is streamConfig plus a per-run event store with small
 // blocks, so each cell exercises many block seals.
-func eventStreamConfig(open func() (io.ReadCloser, error), dir, eventsDir string) stream.Config {
-	cfg := streamConfig(open, dir)
+func eventStreamConfig(dir, eventsDir string) stream.Config {
+	cfg := streamConfig(dir)
 	cfg.EventStoreDir = eventsDir
 	cfg.EventStoreBlockBytes = 4096
 	return cfg
@@ -62,11 +61,11 @@ func TestEventStoreOnMatchesOff(t *testing.T) {
 		c := c
 		t.Run(c.dataset, func(t *testing.T) {
 			t.Parallel()
-			open, msgs := sourceFor(t, c)
+			src, msgs := sourceFor(t, c)
 
-			off := runStream(t, streamConfig(open, t.TempDir()), 0)
+			off := runStream(t, streamConfig(t.TempDir()), src, 0)
 			eventsDir := t.TempDir()
-			on := runStream(t, eventStreamConfig(open, t.TempDir(), eventsDir), 0)
+			on := runStream(t, eventStreamConfig(t.TempDir(), eventsDir), src, 0)
 
 			// Recording is behavior-neutral: same stream digest, same
 			// canonical batch digest, same counters.
@@ -108,15 +107,15 @@ func TestEventStoreSurvivesKills(t *testing.T) {
 		c := c
 		t.Run(c.dataset, func(t *testing.T) {
 			t.Parallel()
-			open, _ := sourceFor(t, c)
+			src, _ := sourceFor(t, c)
 
-			clean := runStream(t, streamConfig(open, t.TempDir()), 0)
+			clean := runStream(t, streamConfig(t.TempDir()), src, 0)
 
 			ckptDir, eventsDir := t.TempDir(), t.TempDir()
 			for _, kill := range c.kills {
-				runStream(t, eventStreamConfig(open, ckptDir, eventsDir), kill)
+				runStream(t, eventStreamConfig(ckptDir, eventsDir), src, kill)
 			}
-			resumed := runStream(t, eventStreamConfig(open, ckptDir, eventsDir), 0)
+			resumed := runStream(t, eventStreamConfig(ckptDir, eventsDir), src, 0)
 
 			if got, want := resumed.Digest(), clean.Digest(); got != want {
 				t.Errorf("stream digest after %d kills = %s, want %s", len(c.kills), got, want)

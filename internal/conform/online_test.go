@@ -43,14 +43,12 @@ func onlineCells() []onlineCell {
 // onlineStreamConfig is streamConfig for online-parser mode (no retrain
 // knobs — the learner replaces that machinery entirely), with a fresh
 // learner instance per engine incarnation.
-func onlineStreamConfig(c streamCase, t *testing.T, dir string, cell onlineCell) (stream.Config, []core.LogMessage) {
-	open, msgs := sourceFor(t, c)
+func onlineStreamConfig(dir string, cell onlineCell) stream.Config {
 	return stream.Config{
-		Open:            open,
 		CheckpointDir:   dir,
 		CheckpointEvery: 333,
 		Online:          cell.mk(),
-	}, msgs
+	}
 }
 
 func TestOnlineEngineMatchesBatchParse(t *testing.T) {
@@ -59,8 +57,8 @@ func TestOnlineEngineMatchesBatchParse(t *testing.T) {
 			c, cell := c, cell
 			t.Run(c.dataset+"-"+cell.name, func(t *testing.T) {
 				t.Parallel()
-				cfg, msgs := onlineStreamConfig(c, t, t.TempDir(), cell)
-				clean := runStream(t, cfg, 0)
+				src, msgs := sourceFor(t, c)
+				clean := runStream(t, onlineStreamConfig(t.TempDir(), cell), src, 0)
 
 				res, err := cell.batch().Parse(msgs)
 				if err != nil {
@@ -96,17 +94,15 @@ func TestOnlineKillAndRecoverMatchesUninterrupted(t *testing.T) {
 			c, cell := c, cell
 			t.Run(c.dataset+"-"+cell.name, func(t *testing.T) {
 				t.Parallel()
-				cleanCfg, _ := onlineStreamConfig(c, t, t.TempDir(), cell)
-				clean := runStream(t, cleanCfg, 0)
+				src, _ := sourceFor(t, c)
+				clean := runStream(t, onlineStreamConfig(t.TempDir(), cell), src, 0)
 				want := clean.Digest()
 
 				dir := t.TempDir()
 				for _, kill := range c.kills {
-					cfg, _ := onlineStreamConfig(c, t, dir, cell)
-					runStream(t, cfg, kill)
+					runStream(t, onlineStreamConfig(dir, cell), src, kill)
 				}
-				finalCfg, _ := onlineStreamConfig(c, t, dir, cell)
-				resumed := runStream(t, finalCfg, 0)
+				resumed := runStream(t, onlineStreamConfig(dir, cell), src, 0)
 
 				if got := resumed.Digest(); got != want {
 					t.Errorf("digest after %d kills = %s, want %s", len(c.kills), got, want)

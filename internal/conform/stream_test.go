@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"testing"
 
 	"logparse/internal/core"
@@ -35,9 +34,9 @@ func streamCases() []streamCase {
 	}
 }
 
-// sourceFor serialises the cell's deterministic sample into a re-openable
-// in-memory source (the annotated format the whole toolkit reads).
-func sourceFor(t *testing.T, c streamCase) (func() (io.ReadCloser, error), []core.LogMessage) {
+// sourceFor serialises the cell's deterministic sample into the annotated
+// format the whole toolkit reads; every run feeds it from its start.
+func sourceFor(t *testing.T, c streamCase) ([]byte, []core.LogMessage) {
 	t.Helper()
 	cat, err := gen.ByName(c.dataset)
 	if err != nil {
@@ -48,23 +47,20 @@ func sourceFor(t *testing.T, c streamCase) (func() (io.ReadCloser, error), []cor
 	if err := core.WriteMessages(&buf, msgs); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	return func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(data)), nil
-	}, msgs
+	return buf.Bytes(), msgs
 }
 
-func streamConfig(open func() (io.ReadCloser, error), dir string) stream.Config {
+func streamConfig(dir string) stream.Config {
 	return stream.Config{
-		Open:            open,
 		CheckpointDir:   dir,
 		CheckpointEvery: 333,
 		RetrainBatch:    128,
 	}
 }
 
-// runStream drives one engine incarnation; killAt == 0 runs to completion.
-func runStream(t *testing.T, cfg stream.Config, killAt int64) *stream.Engine {
+// runStream feeds src to one engine incarnation; killAt == 0 runs to
+// completion.
+func runStream(t *testing.T, cfg stream.Config, src []byte, killAt int64) *stream.Engine {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -79,7 +75,7 @@ func runStream(t *testing.T, cfg stream.Config, killAt int64) *stream.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Run(ctx)
+	err = stream.Feed(ctx, e, bytes.NewReader(src))
 	if killAt > 0 {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("killed run returned %v, want context.Canceled", err)
@@ -110,17 +106,17 @@ func TestStreamResumedRunMatchesUninterrupted(t *testing.T) {
 		c := c
 		t.Run(c.dataset, func(t *testing.T) {
 			t.Parallel()
-			open, msgs := sourceFor(t, c)
+			src, msgs := sourceFor(t, c)
 
-			clean := runStream(t, streamConfig(open, t.TempDir()), 0)
+			clean := runStream(t, streamConfig(t.TempDir()), src, 0)
 			wantStream := clean.Digest()
 			wantBatch := batchDigest(t, clean, msgs)
 
 			dir := t.TempDir()
 			for _, kill := range c.kills {
-				runStream(t, streamConfig(open, dir), kill)
+				runStream(t, streamConfig(dir), src, kill)
 			}
-			resumed := runStream(t, streamConfig(open, dir), 0)
+			resumed := runStream(t, streamConfig(dir), src, 0)
 
 			if got := resumed.Digest(); got != wantStream {
 				t.Errorf("stream digest after %d kills = %s, want %s", len(c.kills), got, wantStream)

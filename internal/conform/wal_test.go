@@ -2,7 +2,6 @@ package conform
 
 import (
 	"context"
-	"io"
 	"strings"
 	"testing"
 
@@ -20,18 +19,8 @@ func TestWALOnMatchesWALOff(t *testing.T) {
 		c := c
 		t.Run(c.dataset, func(t *testing.T) {
 			t.Parallel()
-			open, msgs := sourceFor(t, c)
-
-			rc, err := open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := io.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(string(raw), "\n")
+			src, msgs := sourceFor(t, c)
+			lines := strings.Split(string(src), "\n")
 			byteLines := make([][]byte, len(lines))
 			for i, l := range lines {
 				byteLines[i] = []byte(l)
@@ -51,9 +40,9 @@ func TestWALOnMatchesWALOff(t *testing.T) {
 				}
 			}
 
-			off := serveAndIngest(t, streamConfig(nil, t.TempDir()), ingest)
+			off := serveAndIngest(t, streamConfig(t.TempDir()), ingest)
 
-			onCfg := streamConfig(nil, t.TempDir())
+			onCfg := streamConfig(t.TempDir())
 			onCfg.WALDir = t.TempDir()
 			// Small segments so the run crosses several rotations and at
 			// least one checkpoint-driven truncation.

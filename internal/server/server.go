@@ -347,7 +347,6 @@ func (s *Server) eventsDir(id string) string {
 // engineConfig is tenant id's copy of the engine template.
 func (s *Server) engineConfig(id string) (stream.Config, error) {
 	cfg := s.cfg.Stream
-	cfg.Open = nil
 	cfg.CheckpointDir = s.tenantDir(id)
 	cfg.WALDir = "" // never share one WAL across tenants
 	if s.cfg.WAL {

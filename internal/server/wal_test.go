@@ -292,12 +292,15 @@ func TestPoisonLineGoesTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Kill()
-	// The batch is in the WAL before the consumer sees line 50, so whether
-	// or not its ack wins the race with the panic, every rebuild replays it.
-	ingest(s, "poison", tenantLines(t, 0, 100))
+	// A batch is durable only once its ack's commit lands: the consumer may
+	// reach line 50 and panic before that, and an unacknowledged batch is
+	// the client's to replay. So the client replays until the batch is in
+	// the WAL, and from then on every rebuild replays it and panics again.
+	lines := tenantLines(t, 0, 100)
 	deadline := time.Now().Add(30 * time.Second)
 	var st TenantStats
 	for {
+		ingest(s, "poison", lines)
 		var serr error
 		if st, serr = s.TenantStats("poison"); serr == nil && st.Error != "" {
 			break

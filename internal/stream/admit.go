@@ -1,15 +1,15 @@
 package stream
 
 // ingestBatch is the size lines are grouped into on their way through the
-// ring: producers flush admission per batch and the consumer drains per
-// batch, so ring lock and counter traffic is paid once per batch instead
+// ring: admitters flush per batch and the consumer drains per batch, so
+// ring lock and counter traffic is paid once per batch instead
 // of once per line. Batching never reorders lines or changes what is
 // admitted — it only amortises overhead.
 const ingestBatch = 64
 
-// admitter is the one way a producer puts lines into the ring. The file
-// tailer (produce), the push path (PushBatch, under pushMu) and WAL replay
-// each own one: add copies a line into pooled arena storage and queues it,
+// admitter is the one way lines get into the ring. The push path
+// (PushBatch, under pushMu, and so Feed) and WAL replay each own one: add
+// cuts an over-long line, copies it into pooled arena storage and queues it,
 // flush admits the queued batch under a policy. Not safe for concurrent
 // use.
 type admitter struct {
@@ -20,8 +20,14 @@ type admitter struct {
 }
 
 // add copies line into pooled storage and queues it for the next flush,
-// reporting whether the batch is now due for one.
-func (a *admitter) add(lineNo int64, line []byte, oversized bool) (full bool) {
+// reporting whether the batch is now due for one. A line longer than
+// MaxLineBytes is truncated to it and marked oversized — decided here, for
+// a pushed line and a replayed WAL record alike.
+func (a *admitter) add(lineNo int64, line []byte) (full bool) {
+	oversized := len(line) > a.e.cfg.MaxLineBytes
+	if oversized {
+		line = line[:a.e.cfg.MaxLineBytes]
+	}
 	if a.batch == nil {
 		a.batch = make([]item, 0, ingestBatch)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -37,14 +38,13 @@ func (cf benchCountingFile) Write(p []byte) (int, error) {
 // periodic checkpoints, isolating matching throughput from checkpoint
 // overhead.
 func benchIngest(b *testing.B, n, checkpointEvery int) {
-	lines := synthLines(n, 99)
+	data := strings.Join(synthLines(n, 99), "\n") + "\n"
 	var ckptBytes atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e, err := New(Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   b.TempDir(),
 			RingCapacity:    1024,
 			CheckpointEvery: checkpointEvery,
@@ -58,7 +58,7 @@ func benchIngest(b *testing.B, n, checkpointEvery int) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := e.Run(context.Background()); err != nil {
+		if err := Feed(context.Background(), e, strings.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func BenchmarkStreamPushBatchWAL(b *testing.B) { benchPushBatch(b, true) }
 // history; evt-B/op is the compressed bytes the history costs per run.
 func BenchmarkStreamIngestEventStore(b *testing.B) {
 	const n = 20000
-	lines := synthLines(n, 99)
+	data := strings.Join(synthLines(n, 99), "\n") + "\n"
 	b.ReportAllocs()
 	b.ResetTimer()
 	var evtBytes int64
@@ -161,7 +161,6 @@ func BenchmarkStreamIngestEventStore(b *testing.B) {
 		b.StopTimer()
 		dir := b.TempDir()
 		e, err := New(Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   b.TempDir(),
 			RingCapacity:    1024,
 			CheckpointEvery: 5000,
@@ -173,7 +172,7 @@ func BenchmarkStreamIngestEventStore(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := e.Run(context.Background()); err != nil {
+		if err := Feed(context.Background(), e, strings.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -200,13 +199,12 @@ func BenchmarkStreamIngestEventStore(b *testing.B) {
 // checkpoints serialise it, and lines/sec is directly comparable with
 // BenchmarkStreamIngest's retrain-mode figure at the same cadence.
 func benchOnlineIngest(b *testing.B, n int, mk func() OnlineParser) {
-	lines := synthLines(n, 99)
+	data := strings.Join(synthLines(n, 99), "\n") + "\n"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e, err := New(Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   b.TempDir(),
 			RingCapacity:    1024,
 			CheckpointEvery: 5000,
@@ -216,7 +214,7 @@ func benchOnlineIngest(b *testing.B, n int, mk func() OnlineParser) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := e.Run(context.Background()); err != nil {
+		if err := Feed(context.Background(), e, strings.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -332,13 +330,12 @@ func BenchmarkDrainLearnFresh(b *testing.B) {
 // bounds the instrumentation overhead on the per-line hot path.
 func BenchmarkStreamIngestTelemetry(b *testing.B) {
 	const n = 20000
-	lines := synthLines(n, 99)
+	data := strings.Join(synthLines(n, 99), "\n") + "\n"
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e, err := New(Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   b.TempDir(),
 			RingCapacity:    1024,
 			CheckpointEvery: 5000,
@@ -350,7 +347,7 @@ func BenchmarkStreamIngestTelemetry(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := e.Run(context.Background()); err != nil {
+		if err := Feed(context.Background(), e, strings.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func chainModes(t *testing.T) []chainMode {
 	}
 	mode := func(name string, lines []string, set func(*Config)) chainMode {
 		return chainMode{name, lines, func(dir string) Config {
-			cfg := Config{Open: memOpen(lines), CheckpointDir: dir, CheckpointEvery: chainEvery, RetrainBatch: 24}
+			cfg := Config{CheckpointDir: dir, CheckpointEvery: chainEvery, RetrainBatch: 24}
 			set(&cfg)
 			return cfg
 		}}
@@ -72,8 +72,8 @@ type crashPlan struct {
 	wrap func(f *os.File, save *int) seglog.File
 }
 
-// crash runs cfg's engine under the plan and returns the corpse.
-func crash(t *testing.T, cfg Config, p crashPlan) *Engine {
+// crash feeds lines to cfg's engine under the plan and returns the corpse.
+func crash(t *testing.T, cfg Config, lines []string, p crashPlan) *Engine {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -107,7 +107,7 @@ func crash(t *testing.T, cfg Config, p crashPlan) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+	if err := feedLines(ctx, e, lines); !errors.Is(err, context.Canceled) {
 		t.Fatalf("crashed run returned %v, want context.Canceled", err)
 	}
 	return e
@@ -270,11 +270,11 @@ func TestCheckpointChainFaultMatrix(t *testing.T) {
 		},
 	}
 	for _, m := range chainModes(t) {
-		wantDigest, _ := runToEnd(t, m.cfg(t.TempDir()))
+		wantDigest, _ := runToEnd(t, m.cfg(t.TempDir()), m.lines)
 		for _, f := range faults {
 			t.Run(m.name+"/"+f.name, func(t *testing.T) {
 				dir := t.TempDir()
-				corpse := crash(t, m.cfg(dir), f.plan)
+				corpse := crash(t, m.cfg(dir), m.lines, f.plan)
 				if got := corpse.Stats().CheckpointErrors; got != f.want.errors {
 					t.Fatalf("the crashed life counted %d checkpoint errors, want %d", got, f.want.errors)
 				}
@@ -352,7 +352,7 @@ func checkRecovery(t *testing.T, m chainMode, dir, from string, offset int64, de
 	if s := resumed.Stats(); s.CheckpointGen <= onDisk || s.DeltasSinceBase != 0 {
 		t.Fatalf("first save of the recovered engine: generation %d + %d deltas, want a base above generation %d", s.CheckpointGen, s.DeltasSinceBase, onDisk)
 	}
-	if err := resumed.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), resumed, m.lines); err != nil {
 		t.Fatal(err)
 	}
 	if got := resumed.Digest(); got != wantDigest {
@@ -370,12 +370,12 @@ func checkRecovery(t *testing.T, m chainMode, dir, from string, offset int64, de
 func TestSnapshotFailureAtRebaseKeepsTheDelta(t *testing.T) {
 	for _, m := range chainModes(t)[1:] {
 		t.Run(m.name, func(t *testing.T) {
-			wantDigest, _ := runToEnd(t, m.cfg(t.TempDir()))
+			wantDigest, _ := runToEnd(t, m.cfg(t.TempDir()), m.lines)
 			dir := t.TempDir()
 			cfg := m.cfg(dir)
 			learner := &failingSnapshot{OnlineParser: cfg.Online}
 			cfg.Online = learner
-			corpse := crash(t, cfg, crashPlan{bases: []int{3}, kill: 3*chainEvery + 1, hook: func(point string, save int) error {
+			corpse := crash(t, cfg, m.lines, crashPlan{bases: []int{3}, kill: 3*chainEvery + 1, hook: func(point string, save int) error {
 				learner.fail = save == 3
 				return nil
 			}})
@@ -424,7 +424,7 @@ func TestDeltaBytesAboveBaseStayWithinOneRecordOfIt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Run(context.Background()); err != nil {
+			if err := feedLines(context.Background(), e, m.lines); err != nil {
 				t.Fatal(err)
 			}
 			if int64(len(bases)) >= saves || len(bases) < 2 {
@@ -441,9 +441,9 @@ func TestDeltaBytesAboveBaseStayWithinOneRecordOfIt(t *testing.T) {
 func TestParentCheckpointDirectoryResumes(t *testing.T) {
 	for _, m := range chainModes(t) {
 		t.Run(m.name, func(t *testing.T) {
-			wantDigest, _ := runToEnd(t, m.cfg(t.TempDir()))
+			wantDigest, _ := runToEnd(t, m.cfg(t.TempDir()), m.lines)
 			dir := t.TempDir()
-			crash(t, m.cfg(dir), crashPlan{kill: 5*chainEvery + 3})
+			crash(t, m.cfg(dir), m.lines, crashPlan{kill: 5*chainEvery + 3})
 			store, _ := NewStore(dir)
 			st, _, err := store.Load()
 			if err != nil {
@@ -462,7 +462,7 @@ func TestParentCheckpointDirectoryResumes(t *testing.T) {
 
 			// One more save, then a crash before it is compacted: generation
 			// 1 follows the parent's generation-less base.
-			crash(t, m.cfg(dir), crashPlan{kill: 6*chainEvery + 3, hook: func(point string, save int) error {
+			crash(t, m.cfg(dir), m.lines, crashPlan{kill: 6*chainEvery + 3, hook: func(point string, save int) error {
 				if point == "base" {
 					return faultinject.ErrInjectedCrash
 				}

@@ -1,11 +1,9 @@
 package stream
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -18,15 +16,17 @@ import (
 	"logparse/internal/stream/wal"
 )
 
-// ErrAlreadyRunning is returned by Run when the engine is mid-run.
+// ErrAlreadyRunning is returned by Serve and Feed when the engine already
+// has a serving incarnation.
 var ErrAlreadyRunning = errors.New("stream: engine is already running")
 
 // Engine is the crash-safe streaming ingester. Build one with New (which
-// restores the newest trustworthy checkpoint), drive it with Run, inspect
-// it with Stats/Result, and persist it on demand with Checkpoint.
+// restores the newest trustworthy checkpoint), drive it with Serve and
+// PushBatch or with Feed, inspect it with Stats/Result, and persist it on
+// demand with Checkpoint.
 //
 // Determinism contract: under the Backpressure policy everything downstream
-// of admission is a pure function of the source line order, so resuming
+// of admission is a pure function of the pushed line order, so resuming
 // from any checkpoint replays into exactly the state an uninterrupted run
 // reaches. Under LoadShed the set of kept lines depends on timing and the
 // contract is waived (that is the point of shedding).
@@ -108,8 +108,7 @@ type Engine struct {
 // starts empty and quarantines the damage as a typed *AllCorruptError,
 // surfaced through RecoveryError, Stats and telemetry — in a shared
 // multi-tenant service one tenant's rotted checkpoints must degrade that
-// tenant, not crash the fleet. Config.Open may be nil for push-mode-only
-// engines (Serve/PushBatch); Run requires it.
+// tenant, not crash the fleet.
 func New(cfg Config) (*Engine, error) {
 	if cfg.RingCapacity <= 0 {
 		cfg.RingCapacity = 1024
@@ -287,7 +286,7 @@ func (e *Engine) restoreOnline(st *State) error {
 	return nil
 }
 
-// begin opens one Run or Serve incarnation: it claims the running flag
+// begin opens one Serve incarnation: it claims the running flag
 // (ErrAlreadyRunning while another incarnation holds it), installs a fresh
 // ring that ctx's end aborts — waking every blocked ring operation — and
 // returns the ring, the restored offset and the epilogue its caller defers.
@@ -308,10 +307,10 @@ func (e *Engine) begin(ctx context.Context) (r *ring, offset int64, end func(), 
 		// flush is holding pushMu, and after a panic unwound the
 		// consumer nobody is left to free a ring slot — the abort is what
 		// wakes it to release the lock. (Locking first deadlocks the
-		// unwind against the blocked pusher.) It equally wakes a file
-		// producer still blocked on the ring, and stops a WAL replay still
-		// in flight; waiting for that goroutine before clearing push.ring
-		// keeps a late publication from leaking a dead incarnation's ring.
+		// unwind against the blocked pusher.) It equally stops a WAL
+		// replay still in flight; waiting for that goroutine before
+		// clearing push.ring keeps a late publication from leaking a dead
+		// incarnation's ring.
 		r.abort()
 		e.replay.Wait()
 		e.pushMu.Lock()
@@ -324,47 +323,9 @@ func (e *Engine) begin(ctx context.Context) (r *ring, offset int64, end func(), 
 	}, nil
 }
 
-// Run tails the source until it ends cleanly or Stop drains it (final
-// checkpoint, nil return), the source fails (state checkpointed, error
-// returned — a later Run resumes), or ctx ends (NO checkpoint:
-// cancellation models a crash, so everything after the last checkpoint is
-// deliberately forgotten). Graceful shutdowns call Stop, which stops the
-// producer, drains every admitted line, and only then lets the closing
-// checkpoint happen — no admitted line is lost to a SIGINT.
-func (e *Engine) Run(ctx context.Context) error {
-	if e.cfg.Open == nil {
-		return fmt.Errorf("stream: Config.Open is required for Run (use Serve for push mode)")
-	}
-	r, startOffset, end, err := e.begin(ctx)
-	if err != nil {
-		return err
-	}
-	defer end()
-
-	prodErr := make(chan error, 1)
-	go e.produce(ctx, r, startOffset, prodErr)
-
-	if err := e.consume(ctx, r); err != nil {
-		return err // crash-style stop: no checkpoint
-	}
-
-	var srcErr error
-	select {
-	case srcErr = <-prodErr:
-	default:
-	}
-	if err := e.Checkpoint(); err != nil {
-		if srcErr != nil {
-			return fmt.Errorf("%w (and final checkpoint failed: %v)", srcErr, err)
-		}
-		return err
-	}
-	return srcErr
-}
-
-// consume drains the ring until it closes cleanly (nil — the source ended
-// or Stop was called and every admitted line has been processed) or ctx
-// ends (ctx.Err(), the crash path). Cancellation is looked for once per
+// consume drains the ring until it closes cleanly (nil — Stop was called
+// and every admitted line has been processed) or ctx ends (ctx.Err(), the
+// crash path). Cancellation is looked for once per
 // popped batch — ctx.Err is a mutex round trip, and a cancelled ring stops
 // handing out batches anyway — and after every line only behind an AfterLine
 // hook, which is what hard-stops an engine between two particular lines.
@@ -440,52 +401,6 @@ func (e *Engine) afterLineUnlocked(lineNo int64) {
 	e.mu.Unlock()
 	defer e.mu.Lock()
 	e.cfg.AfterLine(lineNo)
-}
-
-// produce tails the source into the ring, skipping the first startOffset
-// lines (already durably processed). Line numbering excludes empty lines
-// and is therefore identical across replays. Lines are read as views into
-// the bufio buffer (core.ReadLineInto), copied once into pooled arenas,
-// and admitted ingestBatch at a time.
-func (e *Engine) produce(ctx context.Context, r *ring, startOffset int64, prodErr chan<- error) {
-	defer r.close()
-	rc, err := e.cfg.Open()
-	if err != nil {
-		prodErr <- fmt.Errorf("stream: open source: %w", err)
-		return
-	}
-	defer rc.Close()
-	br := bufio.NewReaderSize(rc, 64*1024)
-	adm := admitter{e: e, ring: r}
-	defer adm.close()
-	var lineNo int64
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		raw, oversized, rerr := core.ReadLineInto(br, nil, e.cfg.MaxLineBytes)
-		done := errors.Is(rerr, io.EOF)
-		if rerr != nil && !done {
-			adm.flush(e.cfg.Policy)
-			prodErr <- fmt.Errorf("stream: read source: %w", rerr)
-			return
-		}
-		if len(raw) > 0 || oversized {
-			lineNo++
-			if lineNo > startOffset {
-				if adm.add(lineNo, raw, oversized) {
-					// A stopped ring (Stop or abort) ends the producer.
-					if _, _, ok := adm.flush(e.cfg.Policy); !ok {
-						return
-					}
-				}
-			}
-		}
-		if done {
-			adm.flush(e.cfg.Policy)
-			return
-		}
-	}
 }
 
 // processLocked handles one admitted line: match it, or buffer it and
@@ -641,7 +556,8 @@ func (e *Engine) capUnmatchedLocked() {
 }
 
 // Checkpoint persists the current state as the newest generation. Safe to
-// call at any time, including after Run returns (graceful shutdown).
+// call at any time, including after Serve or Feed returns (graceful
+// shutdown).
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -800,7 +716,8 @@ func (e *Engine) RecoveryError() error {
 	return e.recoveryErr
 }
 
-// Stats returns a health snapshot. Safe to call concurrently with Run.
+// Stats returns a health snapshot. Safe to call concurrently with Serve,
+// PushBatch and Feed.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -19,12 +19,15 @@ import (
 	"logparse/internal/faultinject"
 )
 
-// memOpen returns a re-openable source over fixed lines.
-func memOpen(lines []string) func() (io.ReadCloser, error) {
-	data := strings.Join(lines, "\n") + "\n"
-	return func() (io.ReadCloser, error) {
-		return io.NopCloser(strings.NewReader(data)), nil
-	}
+// lineReader is a file-mode source over fixed lines, each
+// newline-terminated.
+func lineReader(lines []string) io.Reader {
+	return strings.NewReader(strings.Join(lines, "\n") + "\n")
+}
+
+// feedLines feeds lines to e through Feed, as file mode does.
+func feedLines(ctx context.Context, e *Engine, lines []string) error {
+	return Feed(ctx, e, lineReader(lines))
 }
 
 // synthLines produces a deterministic stream mixing a few stable event
@@ -137,10 +140,9 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func testConfig(t *testing.T, lines []string) Config {
+func testConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Open:            memOpen(lines),
 		CheckpointDir:   t.TempDir(),
 		RingCapacity:    64,
 		CheckpointEvery: 50,
@@ -151,12 +153,12 @@ func testConfig(t *testing.T, lines []string) Config {
 
 func TestEngineBasicIngest(t *testing.T) {
 	lines := synthLines(600, 1)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -195,13 +197,13 @@ func TestEngineDigestDeterministicAcrossFreshRuns(t *testing.T) {
 	var digests []string
 	var results [][]core.Template
 	for i := 0; i < 2; i++ {
-		cfg := testConfig(t, lines)
+		cfg := testConfig(t)
 		cfg.Retrainer = nil
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(context.Background()); err != nil {
+		if err := feedLines(context.Background(), e, lines); err != nil {
 			t.Fatal(err)
 		}
 		digests = append(digests, e.Digest())
@@ -227,13 +229,13 @@ func TestEngineInitialTemplatesMatcherOnly(t *testing.T) {
 		"login user bob ok",
 		"login user carol ok",
 	}
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	seedTemplates(t, cfg.CheckpointDir, []core.Template{{ID: "T1", Tokens: []string{"login", "user", "*", "ok"}}})
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -253,13 +255,14 @@ func TestEngineInitialTemplatesMatcherOnly(t *testing.T) {
 // engine grows the matcher with Insert, rebuilds it only on restore, and
 // never calls Matcher.Remove.
 func TestMatcherBuildOrderIsTemplateOrder(t *testing.T) {
-	cfg := testConfig(t, synthLines(600, 5))
+	lines := synthLines(600, 5)
+	cfg := testConfig(t)
 	cfg.RetrainBatch = 4
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().Retrains < 2 {
@@ -301,7 +304,7 @@ func (m fixedMiner) Retrain(context.Context, []string) ([]core.Template, error) 
 func TestRetrainSkipsHeldAndRepeatedTemplates(t *testing.T) {
 	tmpl := func(toks ...string) core.Template { return core.Template{ID: "mined", Tokens: toks} }
 	first := []string{"a b 1", "a b 2", "a b 3", "c 4", "login user x ok"}
-	cfg := testConfig(t, first)
+	cfg := testConfig(t)
 	cfg.RetrainBatch = 2
 	cfg.Retrainer = fixedMiner{tmpl("login", "user", "*", "ok"), tmpl("a", "b", "*"), tmpl("a", "b", "*"), tmpl("c", "*")}
 	seedTemplates(t, cfg.CheckpointDir, []core.Template{{ID: "T1", Tokens: []string{"login", "user", "*", "ok"}}})
@@ -309,7 +312,7 @@ func TestRetrainSkipsHeldAndRepeatedTemplates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, first); err != nil {
 		t.Fatal(err)
 	}
 	tmpls, counts := e.Result()
@@ -330,8 +333,7 @@ func TestRetrainSkipsHeldAndRepeatedTemplates(t *testing.T) {
 	}
 
 	// Two lines no template covers: a retrain that mines only held templates.
-	e.cfg.Open = memOpen(append(first, "zzz 1", "zzz 2"))
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, append(first, "zzz 1", "zzz 2")); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.Retrains != 2 || s.Templates != 3 || s.Unparsed != 2 {
@@ -344,7 +346,7 @@ func TestRetrainSkipsHeldAndRepeatedTemplates(t *testing.T) {
 
 func TestEngineLoadShedKeepsMemoryBoundedAndCountsSheds(t *testing.T) {
 	lines := synthLines(400, 3)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.Policy = LoadShed
 	cfg.RingCapacity = 4
 	cfg.AfterLine = func(int64) { time.Sleep(200 * time.Microsecond) } // slow consumer
@@ -352,7 +354,7 @@ func TestEngineLoadShedKeepsMemoryBoundedAndCountsSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -376,7 +378,7 @@ func TestEngineBreakerTripsThenRecovers(t *testing.T) {
 	miner := &groupMiner{}
 	miner.setFail(true)
 	clock := newFakeClock()
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.Retrainer = miner
 	cfg.RetrainBatch = 16
 	cfg.MaxUnmatched = 32
@@ -401,7 +403,7 @@ func TestEngineBreakerTripsThenRecovers(t *testing.T) {
 			})
 		}
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -423,7 +425,7 @@ func TestEngineBreakerOpenCapsUnmatchedBuffer(t *testing.T) {
 	lines := synthLines(500, 5)
 	miner := &groupMiner{}
 	miner.setFail(true)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.Retrainer = miner
 	cfg.RetrainBatch = 16
 	cfg.MaxUnmatched = 40
@@ -432,7 +434,7 @@ func TestEngineBreakerOpenCapsUnmatchedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -452,12 +454,12 @@ func TestEngineBreakerOpenCapsUnmatchedBuffer(t *testing.T) {
 
 func TestEngineRestoresFromPreviousWhenCurrentIsTorn(t *testing.T) {
 	lines := synthLines(300, 6)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	rebaseNext(e)
@@ -493,14 +495,14 @@ func TestEngineRestoresFromPreviousWhenCurrentIsTorn(t *testing.T) {
 // engine's next checkpoint repairs the log and lands.
 func TestEngineTornCheckpointWriterProducesFallback(t *testing.T) {
 	lines := synthLines(200, 7)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.CheckpointEvery = -1 // only explicit checkpoints
 	cfg.CheckpointSeam, _ = tearSave(2, 60)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil { // final checkpoint = healthy save 1
+	if err := feedLines(context.Background(), e, lines); err != nil { // final checkpoint = healthy save 1
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); !errors.Is(err, faultinject.ErrInjectedCrash) {
@@ -512,7 +514,7 @@ func TestEngineTornCheckpointWriterProducesFallback(t *testing.T) {
 
 	reopen := func() Stats {
 		t.Helper()
-		e2, err := New(Config{Open: cfg.Open, CheckpointDir: cfg.CheckpointDir, Retrainer: &groupMiner{}})
+		e2, err := New(Config{CheckpointDir: cfg.CheckpointDir, Retrainer: &groupMiner{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,24 +534,30 @@ func TestEngineTornCheckpointWriterProducesFallback(t *testing.T) {
 	}
 }
 
+// TestEngineOversizedLinesCounted: a line is oversized when its content,
+// without the line ending, is longer than MaxLineBytes. A CRLF line with
+// exactly MaxLineBytes of content is cut nowhere and not counted; a line
+// cut at a '\r' that more content follows is.
 func TestEngineOversizedLinesCounted(t *testing.T) {
 	lines := []string{
 		"short line one",
 		"long " + strings.Repeat("x", 300),
 		"short line two",
+		strings.Repeat("c", 64) + "\r",
+		strings.Repeat("r", 64) + "\rcut here",
 	}
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.MaxLineBytes = 64
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.Oversized != 1 || s.Processed != 3 {
-		t.Fatalf("Oversized = %d Processed = %d, want 1/3", s.Oversized, s.Processed)
+	if s.Oversized != 2 || s.Processed != 5 {
+		t.Fatalf("Oversized = %d Processed = %d, want 2/5", s.Oversized, s.Processed)
 	}
 }
 
@@ -564,14 +572,14 @@ func TestEngineRetrainsOverMaxLineBytesLine(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		lines = append(lines, fmt.Sprintf("gamma delta %d", i))
 	}
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.Retrainer = nil
 	cfg.RetrainBatch = 4
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.RetrainFailures != 0 || s.UnmatchedDropped != 0 || s.Oversized != 1 {
@@ -582,26 +590,26 @@ func TestEngineRetrainsOverMaxLineBytesLine(t *testing.T) {
 
 func TestEngineRunTwiceSequentiallyResumes(t *testing.T) {
 	lines := synthLines(100, 8)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	first := e.Stats().Processed
-	if err := e.Run(context.Background()); err != nil { // source replays; all lines already processed
+	if err := feedLines(context.Background(), e, lines); err != nil { // source replays; all lines already processed
 		t.Fatal(err)
 	}
 	if got := e.Stats().Processed; got != first {
-		t.Fatalf("second Run reprocessed lines: %d -> %d", first, got)
+		t.Fatalf("second Feed reprocessed lines: %d -> %d", first, got)
 	}
 }
 
 func TestEngineRejectsConcurrentRun(t *testing.T) {
 	lines := synthLines(2000, 9)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.AfterLine = func(int64) { time.Sleep(50 * time.Microsecond) }
 	e, err := New(cfg)
 	if err != nil {
@@ -610,10 +618,10 @@ func TestEngineRejectsConcurrentRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- e.Run(ctx) }()
+	go func() { done <- feedLines(ctx, e, lines) }()
 	time.Sleep(5 * time.Millisecond)
-	if err := e.Run(ctx); !errors.Is(err, ErrAlreadyRunning) {
-		t.Fatalf("second concurrent Run = %v, want ErrAlreadyRunning", err)
+	if err := feedLines(ctx, e, lines); !errors.Is(err, ErrAlreadyRunning) {
+		t.Fatalf("second concurrent Feed = %v, want ErrAlreadyRunning", err)
 	}
 	cancel()
 	<-done
@@ -621,7 +629,7 @@ func TestEngineRejectsConcurrentRun(t *testing.T) {
 
 func TestEngineStatsReadableDuringRun(t *testing.T) {
 	lines := synthLines(1500, 10)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -640,7 +648,7 @@ func TestEngineStatsReadableDuringRun(t *testing.T) {
 			}
 		}
 	}()
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

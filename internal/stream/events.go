@@ -6,7 +6,7 @@ import (
 
 // eventSinkFailLocked latches the first event-store failure and ends the
 // incarnation: the ring aborts, the consumer drains out, and the
-// Run/Serve epilogue (or the next Checkpoint) surfaces the typed error.
+// Serve epilogue (or the next Checkpoint) surfaces the typed error.
 // Called with e.mu held.
 func (e *Engine) eventSinkFailLocked(err error) {
 	if e.eventsErr == nil {

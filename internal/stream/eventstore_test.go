@@ -61,7 +61,7 @@ func TestEventStoreOnMatchesOff(t *testing.T) {
 	lines := synthLines(2000, 31)
 
 	run := func(events bool) (*Engine, string) {
-		cfg := testConfig(t, lines)
+		cfg := testConfig(t)
 		dir := ""
 		if events {
 			dir = t.TempDir()
@@ -72,7 +72,7 @@ func TestEventStoreOnMatchesOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(context.Background()); err != nil {
+		if err := feedLines(context.Background(), e, lines); err != nil {
 			t.Fatal(err)
 		}
 		return e, dir
@@ -123,8 +123,7 @@ func TestEventStoreOnMatchesOff(t *testing.T) {
 // finalize.
 func TestEventStorePushMode(t *testing.T) {
 	lines := synthLines(1500, 32)
-	cfg := testConfig(t, lines)
-	cfg.Open = nil
+	cfg := testConfig(t)
 	dir := t.TempDir()
 	cfg.EventStoreDir = dir
 	cfg.EventStoreBlockBytes = 2048
@@ -167,7 +166,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 	lines := synthLines(2000, 33)
 
 	// Reference: uninterrupted run.
-	refCfg := testConfig(t, lines)
+	refCfg := testConfig(t)
 	refDir := t.TempDir()
 	refCfg.EventStoreDir = refDir
 	refCfg.EventStoreBlockBytes = 1024
@@ -175,7 +174,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), ref, lines); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +182,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 	// few blocks into the stream.
 	ckptDir := t.TempDir()
 	storeDir := t.TempDir()
-	crashCfg := testConfig(t, lines)
+	crashCfg := testConfig(t)
 	crashCfg.CheckpointDir = ckptDir
 	crashCfg.EventStoreDir = storeDir
 	crashCfg.EventStoreBlockBytes = 1024
@@ -196,7 +195,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Run(context.Background())
+	err = feedLines(context.Background(), e, lines)
 	var esErr *DurableError
 	if !errors.As(err, &esErr) {
 		t.Fatalf("crash run returned %v, want *DurableError", err)
@@ -211,7 +210,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 
 	// Resume: fresh engine, no faults. Recovery repairs the torn block,
 	// aligns to the restored checkpoint, and replay converges.
-	resumeCfg := testConfig(t, lines)
+	resumeCfg := testConfig(t)
 	resumeCfg.CheckpointDir = ckptDir
 	resumeCfg.EventStoreDir = storeDir
 	resumeCfg.EventStoreBlockBytes = 1024
@@ -223,7 +222,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 	if rst.EventStoreTornTails == 0 {
 		t.Fatalf("resume did not repair a torn tail: %+v", rst)
 	}
-	if err := r.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), r, lines); err != nil {
 		t.Fatalf("resume run: %v", err)
 	}
 	if r.Digest() != ref.Digest() {
@@ -238,7 +237,7 @@ func TestEventStoreCrashRecovery(t *testing.T) {
 // event gap), and the typed error must surface from Checkpoint.
 func TestEventStoreFinalizeCrashRefusesCheckpoint(t *testing.T) {
 	lines := synthLines(300, 34)
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.CheckpointEvery = -1 // only the final checkpoint
 	storeDir := t.TempDir()
 	cfg.EventStoreDir = storeDir
@@ -253,10 +252,10 @@ func TestEventStoreFinalizeCrashRefusesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Run(context.Background())
+	err = feedLines(context.Background(), e, lines)
 	var esErr *DurableError
 	if !errors.As(err, &esErr) || !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want *DurableError wrapping the hook failure", err)
+		t.Fatalf("Feed = %v, want *DurableError wrapping the hook failure", err)
 	}
 	st := e.Stats()
 	if st.Checkpoints != 0 {
@@ -329,8 +328,7 @@ func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 // whole push is in the ring, so every later pop is a full ingestBatch.
 func TestEventTimeIsPerBatch(t *testing.T) {
 	const n = 10 * ingestBatch
-	cfg := testConfig(t, nil)
-	cfg.Open = nil
+	cfg := testConfig(t)
 	cfg.RingCapacity = 2 * n
 	cfg.CheckpointEvery = -1
 	seedTemplates(t, cfg.CheckpointDir, allocTemplates())

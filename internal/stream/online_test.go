@@ -30,7 +30,6 @@ func runOnline(t *testing.T, dir string, lines []string, parser OnlineParser, ki
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e, err := New(Config{
-		Open:            memOpen(lines),
 		CheckpointDir:   dir,
 		CheckpointEvery: ckptEvery,
 		Online:          parser,
@@ -43,7 +42,7 @@ func runOnline(t *testing.T, dir string, lines []string, parser OnlineParser, ki
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Run(ctx)
+	err = feedLines(ctx, e, lines)
 	if killAt > 0 {
 		if err == nil {
 			t.Fatalf("run killed at line %d returned nil error", killAt)
@@ -104,7 +103,6 @@ func TestOnlineCheckpointRoundTrip(t *testing.T) {
 			wantOffset := first.Stats().Offset
 
 			resumed, err := New(Config{
-				Open:          memOpen(lines),
 				CheckpointDir: dir,
 				Online:        mk(),
 			})
@@ -123,7 +121,7 @@ func TestOnlineCheckpointRoundTrip(t *testing.T) {
 			}
 			// The source has no lines past the restored offset; a resumed run
 			// must be a no-op that leaves the digest untouched.
-			if err := resumed.Run(context.Background()); err != nil {
+			if err := feedLines(context.Background(), resumed, lines); err != nil {
 				t.Fatal(err)
 			}
 			if got := resumed.Digest(); got != want {
@@ -165,11 +163,11 @@ func TestOnlineModeMismatchRefused(t *testing.T) {
 	lines := synthLines(1000, 5)
 
 	retrainDir := t.TempDir()
-	e, err := New(Config{Open: memOpen(lines), CheckpointDir: retrainDir, Retrainer: &groupMiner{}})
+	e, err := New(Config{CheckpointDir: retrainDir, Retrainer: &groupMiner{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(Config{CheckpointDir: retrainDir, Online: drain.NewStream(drain.Options{})}); err == nil {
@@ -408,11 +406,11 @@ func TestStateTemplateNames(t *testing.T) {
 	}
 	t.Run("retrain", func(t *testing.T) {
 		dir := t.TempDir()
-		e, err := New(Config{Open: memOpen(lines), CheckpointDir: dir, Retrainer: &groupMiner{}})
+		e, err := New(Config{CheckpointDir: dir, Retrainer: &groupMiner{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(context.Background()); err != nil {
+		if err := feedLines(context.Background(), e, lines); err != nil {
 			t.Fatal(err)
 		}
 		check(t, e, dir)

@@ -68,23 +68,27 @@ type PushResult struct {
 	Shed int `json:"shed"`
 }
 
-// Serve runs the engine in push mode: lines arrive via PushBatch instead of
-// being pulled from Config.Open, and the stream ends when Stop is called
-// (drain every admitted line, write the final checkpoint, return nil) or
-// when ctx ends (the crash model: no checkpoint, everything after the last
-// one is deliberately forgotten).
+// Serve runs the engine: lines arrive via PushBatch, and the stream ends
+// when Stop is called (drain every admitted line, write the final
+// checkpoint, return nil) or when ctx ends (the crash model: no checkpoint,
+// everything after the last one is deliberately forgotten).
 //
-// The determinism contract matches Run: line numbers are assigned in push
-// order, so as long as nothing is shed, a client that replays the same
-// lines in the same order converges a resumed engine to the digest of an
-// uninterrupted one.
+// Line numbers are assigned in push order, so as long as nothing is shed, a
+// client that replays the same lines in the same order converges a resumed
+// engine to the digest of an uninterrupted one.
 func (e *Engine) Serve(ctx context.Context) error {
 	r, start, end, err := e.begin(ctx)
 	if err != nil {
 		return err
 	}
 	defer end()
+	return e.serve(ctx, r, start)
+}
 
+// serve is the body of one incarnation begin opened with ring r at the
+// restored offset start: publish r for pushes (after the WAL replay, with a
+// WAL), consume until it closes, and write the closing checkpoint.
+func (e *Engine) serve(ctx context.Context, r *ring, start int64) error {
 	if e.wal != nil {
 		// With a WAL, push-ring publication is deferred to the replay
 		// goroutine: every surviving WAL record beyond the checkpoint is
@@ -150,7 +154,7 @@ func (e *Engine) replayWAL(r *ring, start int64) {
 		if int64(seq) <= start {
 			return nil // the checkpoint already covers it
 		}
-		if adm.add(int64(seq), payload, false) {
+		if adm.add(int64(seq), payload) {
 			return flush()
 		}
 		return nil
@@ -223,10 +227,10 @@ func (e *Engine) WaitServing(ctx context.Context) error {
 // PushBatch submits a batch of raw line bytes to a serving engine. Batches
 // are atomic in order: PushBatch holds the admission lock for the whole
 // batch, so concurrent pushers interleave at batch granularity, never
-// mid-batch. Empty lines do not advance the line numbering (matching the
-// file producer), so replayed streams number identically; lines at or below
-// the restored offset are skipped as replay duplicates; over-long lines are
-// truncated at MaxLineBytes. Under Backpressure a full ring blocks
+// mid-batch. Empty lines do not advance the line numbering, so replayed
+// streams number identically; lines at or below the restored offset are
+// skipped as replay duplicates; over-long lines are truncated at
+// MaxLineBytes and counted in Stats.Oversized. Under Backpressure a full ring blocks
 // PushBatch until the consumer frees a slot; under LoadShed the lines that
 // do not fit are counted in PushResult.Shed and dropped. Each admitted line
 // is copied into a pooled arena at admission, so the caller may reuse or
@@ -288,9 +292,10 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 			res.Skipped++
 			continue
 		}
-		oversized := len(line) > e.cfg.MaxLineBytes
-		if oversized {
-			line = line[:e.cfg.MaxLineBytes]
+		if len(line) > e.cfg.MaxLineBytes+1 {
+			// One byte over the cap is kept, in the WAL too, so that the
+			// admitter — here and on WAL replay — sees the line as over-long.
+			line = line[:e.cfg.MaxLineBytes+1]
 		}
 		if w != nil {
 			// Append-before-admit: the line reaches the WAL buffer before
@@ -300,7 +305,7 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 				return res, e.walAbort(err)
 			}
 		}
-		if e.push.add(e.pushSeq, line, oversized) {
+		if e.push.add(e.pushSeq, line) {
 			if err := flush(); err != nil {
 				return res, err
 			}
@@ -339,9 +344,9 @@ func (e *Engine) walAbort(err error) error {
 	return &DurableError{Layer: LayerWAL, Err: err}
 }
 
-// Stop requests a graceful stop of the active Run or Serve: no further
-// input is admitted (the file producer exits at its next flush, PushBatch
-// returns ErrNotServing), every already-admitted line is drained and
+// Stop requests a graceful stop of the active Serve or Feed: no further
+// input is admitted (PushBatch returns ErrNotServing, and Feed stops
+// reading), every already-admitted line is drained and
 // processed, and the loop returns through its clean path — final
 // checkpoint included. This ordering is the SIGINT guarantee: admission
 // happens-before the closing checkpoint, so no admitted line is ever lost

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"testing"
 	"time"
@@ -12,8 +11,8 @@ import (
 	"logparse/internal/telemetry"
 )
 
-// pushCfg is the base config for push-mode tests: no Open (lines arrive via
-// PushBatch), deterministic toy retrainer.
+// pushCfg is the base config for push-mode tests: lines arrive via
+// PushBatch, deterministic toy retrainer.
 func pushCfg(dir string) Config {
 	return Config{
 		CheckpointDir: dir,
@@ -62,13 +61,12 @@ func pushAll(t *testing.T, eng *Engine, lines []string, batch int) PushResult {
 }
 
 // TestPushServeMatchesFileRun proves the push-mode determinism contract:
-// the same lines delivered via PushBatch converge to the digest of a file-based
-// Run over the same stream.
+// the same lines delivered via PushBatch converge to the digest of Feed over
+// the same stream as a file.
 func TestPushServeMatchesFileRun(t *testing.T) {
 	lines := synthLines(3000, 7)
 
 	fileEng, err := New(Config{
-		Open:          memOpen(lines),
 		CheckpointDir: t.TempDir(),
 		RetrainBatch:  64,
 		Retrainer:     &groupMiner{minSupport: 3},
@@ -76,7 +74,7 @@ func TestPushServeMatchesFileRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fileEng.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), fileEng, lines); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +203,7 @@ func TestPushWhenNotServing(t *testing.T) {
 }
 
 // endlessSource yields synthetic lines forever — the long-running daemon
-// model, where Stop is the only clean way out of Run.
+// model, where Stop is the only clean way out of Feed.
 type endlessSource struct {
 	buf []byte
 	n   int
@@ -221,17 +219,14 @@ func (s *endlessSource) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (s *endlessSource) Close() error { return nil }
-
 // TestStopDrainsRingBeforeClosingCheckpoint is the SIGINT-ordering
-// regression test: Stop on an endless Run must stop the producer, drain
+// regression test: Stop on an endless Feed must stop the pushes, drain
 // every admitted line through the matcher, and write the closing checkpoint
 // — returning nil, not a cancellation, and losing nothing that was
 // admitted. (The old daemon path cancelled the context instead, which
 // abandoned the ring and skipped the checkpoint.)
 func TestStopDrainsRingBeforeClosingCheckpoint(t *testing.T) {
 	eng, err := New(Config{
-		Open:            func() (io.ReadCloser, error) { return &endlessSource{}, nil },
 		CheckpointDir:   t.TempDir(),
 		RingCapacity:    64,
 		RetrainBatch:    64,
@@ -242,16 +237,16 @@ func TestStopDrainsRingBeforeClosingCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- eng.Run(context.Background()) }()
+	go func() { errCh <- Feed(context.Background(), eng, &endlessSource{}) }()
 	waitForOffset(t, eng, 500)
 	eng.Stop()
 	select {
 	case err := <-errCh:
 		if err != nil {
-			t.Fatalf("Run after Stop = %v, want nil (clean drain)", err)
+			t.Fatalf("Feed after Stop = %v, want nil (clean drain)", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after Stop on an endless source")
+		t.Fatal("Feed did not return after Stop on an endless source")
 	}
 	st := eng.Stats()
 	if st.RingDepth != 0 {
@@ -286,7 +281,6 @@ func TestStopMidStreamResumesToUninterruptedDigest(t *testing.T) {
 	lines := synthLines(5000, 3)
 	mkCfg := func(dir string) Config {
 		return Config{
-			Open:          memOpen(lines),
 			CheckpointDir: dir,
 			RingCapacity:  64,
 			RetrainBatch:  64,
@@ -298,7 +292,7 @@ func TestStopMidStreamResumesToUninterruptedDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := unEng.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), unEng, lines); err != nil {
 		t.Fatal(err)
 	}
 
@@ -314,8 +308,8 @@ func TestStopMidStreamResumesToUninterruptedDigest(t *testing.T) {
 			eng.Stop()
 		}
 	}
-	if err := eng.Run(context.Background()); err != nil {
-		t.Fatalf("interrupted Run = %v, want nil", err)
+	if err := feedLines(context.Background(), eng, lines); err != nil {
+		t.Fatalf("interrupted Feed = %v, want nil", err)
 	}
 	stopped := eng.Stats()
 	if stopped.Offset >= int64(len(lines)) {
@@ -332,7 +326,7 @@ func TestStopMidStreamResumesToUninterruptedDigest(t *testing.T) {
 	if eng2.Stats().RecoveredFrom != "current" {
 		t.Fatalf("RecoveredFrom = %q, want current", eng2.Stats().RecoveredFrom)
 	}
-	if err := eng2.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), eng2, lines); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := eng2.Digest(), unEng.Digest(); got != want {
@@ -350,7 +344,6 @@ func TestAllCorruptCheckpointsQuarantineIntoEmptyStart(t *testing.T) {
 	dir := t.TempDir()
 	mkCfg := func() Config {
 		return Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   dir,
 			RetrainBatch:    64,
 			CheckpointEvery: 1000, // several saves → both generations exist
@@ -361,7 +354,7 @@ func TestAllCorruptCheckpointsQuarantineIntoEmptyStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), eng, lines); err != nil {
 		t.Fatal(err)
 	}
 	corrupt(t, filepath.Join(dir, currentName))
@@ -394,7 +387,7 @@ func TestAllCorruptCheckpointsQuarantineIntoEmptyStart(t *testing.T) {
 	}
 
 	// The quarantined engine re-learns the stream from line 1.
-	if err := eng2.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), eng2, lines); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng2.Stats().Offset; got != int64(len(lines)) {

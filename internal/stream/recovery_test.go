@@ -12,24 +12,24 @@ import (
 	"logparse/internal/faultinject"
 )
 
-// runToEnd drives a fresh engine over the whole stream uninterrupted and
-// returns its digest and stats.
-func runToEnd(t *testing.T, cfg Config) (string, Stats) {
+// runToEnd feeds lines to a fresh engine uninterrupted and returns its
+// digest and stats.
+func runToEnd(t *testing.T, cfg Config, lines []string) (string, Stats) {
 	t.Helper()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	return e.Digest(), e.Stats()
 }
 
 // killAt runs one engine incarnation and hard-stops it (context cancel, no
-// checkpoint — the crash model) right after processing source line n.
+// checkpoint — the crash model) right after processing line n of lines.
 // Returns the engine so callers can inspect the corpse.
-func killAt(t *testing.T, cfg Config, n int64) *Engine {
+func killAt(t *testing.T, cfg Config, lines []string, n int64) *Engine {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -42,7 +42,7 @@ func killAt(t *testing.T, cfg Config, n int64) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Run(ctx)
+	err = feedLines(ctx, e, lines)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run at line %d returned %v, want context.Canceled", n, err)
 	}
@@ -57,7 +57,6 @@ func TestKillAndRecoverConvergesToUninterruptedRun(t *testing.T) {
 	lines := synthLines(700, 20)
 	base := func(dir string) Config {
 		return Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   dir,
 			RingCapacity:    32,
 			CheckpointEvery: 37, // deliberately coprime with the kill points
@@ -65,16 +64,16 @@ func TestKillAndRecoverConvergesToUninterruptedRun(t *testing.T) {
 			Retrainer:       &groupMiner{},
 		}
 	}
-	wantDigest, wantStats := runToEnd(t, base(t.TempDir()))
+	wantDigest, wantStats := runToEnd(t, base(t.TempDir()), lines)
 
 	dir := t.TempDir()
 	for _, kill := range []int64{139, 347, 563} {
-		e := killAt(t, base(dir), kill)
+		e := killAt(t, base(dir), lines, kill)
 		if got := e.Stats().Offset; got < kill {
 			t.Fatalf("kill point %d: engine stopped early at offset %d", kill, got)
 		}
 	}
-	gotDigest, gotStats := runToEnd(t, base(dir))
+	gotDigest, gotStats := runToEnd(t, base(dir), lines)
 
 	if gotDigest != wantDigest {
 		t.Fatalf("digest after 3 kills and resumes = %s, want uninterrupted %s", gotDigest, wantDigest)
@@ -108,33 +107,27 @@ func (c cancelAtEOF) Read(p []byte) (int, error) {
 // TestCancelWithoutHookWritesNoCheckpoint pins the crash model on the path
 // production runs, where no AfterLine hook is set and the consumer looks for
 // cancellation once per popped batch: a context cancelled before the ring
-// closes ends Run with the context's error and without the closing
+// closes ends Feed with the context's error and without the closing
 // checkpoint, however much of the ring the consumer still drained, and the
 // next incarnation starts over from the last periodic checkpoint — here none.
 func TestCancelWithoutHookWritesNoCheckpoint(t *testing.T) {
 	lines := synthLines(300, 23)
 	cfg := Config{
-		Open:            memOpen(lines),
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 1 << 30,
 		RetrainBatch:    24,
 		Retrainer:       &groupMiner{},
 	}
-	wantDigest, _ := runToEnd(t, cfg)
+	wantDigest, _ := runToEnd(t, cfg, lines)
 
 	cfg.CheckpointDir = t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	killed := cfg
-	killed.Open = func() (io.ReadCloser, error) {
-		rc, err := cfg.Open()
-		return io.NopCloser(cancelAtEOF{rc, cancel}), err
-	}
-	e, err := New(killed)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+	if err := Feed(ctx, e, cancelAtEOF{lineReader(lines), cancel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 	if st := e.Stats(); st.Checkpoints != 0 {
@@ -148,7 +141,7 @@ func TestCancelWithoutHookWritesNoCheckpoint(t *testing.T) {
 	if got := e.Stats().Offset; got != 0 {
 		t.Fatalf("resumed at offset %d, want 0: the cancelled run left a checkpoint", got)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), e, lines); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Digest(); got != wantDigest {
@@ -159,7 +152,7 @@ func TestCancelWithoutHookWritesNoCheckpoint(t *testing.T) {
 // TestKillAndRecoverCountsOversizedOnce pins that Oversized, like every
 // cumulative counter, describes exactly the lines at or below the
 // checkpointed offset: over-long lines still in flight in the ring when a
-// checkpoint is taken are not in it, so the resumed tailer re-reading them
+// checkpoint is taken are not in it, so the resumed Feed pushing them again
 // counts each once.
 func TestKillAndRecoverCountsOversizedOnce(t *testing.T) {
 	lines := synthLines(200, 22)
@@ -168,7 +161,6 @@ func TestKillAndRecoverCountsOversizedOnce(t *testing.T) {
 	}
 	base := func(dir string) Config {
 		return Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   dir,
 			MaxLineBytes:    80, // above every synthetic line, below the padded ones
 			CheckpointEvery: 10,
@@ -176,14 +168,14 @@ func TestKillAndRecoverCountsOversizedOnce(t *testing.T) {
 			Retrainer:       &groupMiner{},
 		}
 	}
-	wantDigest, wantStats := runToEnd(t, base(t.TempDir()))
+	wantDigest, wantStats := runToEnd(t, base(t.TempDir()), lines)
 	if wantStats.Oversized != 40 {
 		t.Fatalf("uninterrupted run counted %d oversized lines, want 40", wantStats.Oversized)
 	}
 
 	dir := t.TempDir()
-	killAt(t, base(dir), 57)
-	gotDigest, gotStats := runToEnd(t, base(dir))
+	killAt(t, base(dir), lines, 57)
+	gotDigest, gotStats := runToEnd(t, base(dir), lines)
 	if gotStats.Oversized != wantStats.Oversized || gotStats.Processed != wantStats.Processed {
 		t.Fatalf("after kill and resume Oversized/Processed = %d/%d, want uninterrupted %d/%d",
 			gotStats.Oversized, gotStats.Processed, wantStats.Oversized, wantStats.Processed)
@@ -199,23 +191,22 @@ func TestKillImmediatelyAfterStartConverges(t *testing.T) {
 	lines := synthLines(300, 21)
 	base := func(dir string) Config {
 		return Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   dir,
 			CheckpointEvery: 1000, // first kill lands before any periodic save
 			RetrainBatch:    24,
 			Retrainer:       &groupMiner{},
 		}
 	}
-	wantDigest, _ := runToEnd(t, base(t.TempDir()))
+	wantDigest, _ := runToEnd(t, base(t.TempDir()), lines)
 
 	dir := t.TempDir()
-	killAt(t, base(dir), 5)
+	killAt(t, base(dir), lines, 5)
 	if store, err := NewStore(dir); err == nil {
 		if s, i, lerr := store.Load(); lerr != nil || s != nil || i.Source != "none" {
 			t.Fatalf("crash before first checkpoint left state: %+v %+v %v", s, i, lerr)
 		}
 	}
-	gotDigest, _ := runToEnd(t, base(dir))
+	gotDigest, _ := runToEnd(t, base(dir), lines)
 	if gotDigest != wantDigest {
 		t.Fatalf("digest = %s, want %s", gotDigest, wantDigest)
 	}
@@ -232,14 +223,13 @@ func TestKillDuringCheckpointFallsBackToPreviousAndConverges(t *testing.T) {
 	lines := synthLines(700, 22)
 	base := func(dir string) Config {
 		return Config{
-			Open:            memOpen(lines),
 			CheckpointDir:   dir,
 			CheckpointEvery: 41,
 			RetrainBatch:    24,
 			Retrainer:       &groupMiner{},
 		}
 	}
-	wantDigest, wantStats := runToEnd(t, base(t.TempDir()))
+	wantDigest, wantStats := runToEnd(t, base(t.TempDir()), lines)
 
 	for _, leg := range []struct {
 		name       string
@@ -278,7 +268,7 @@ func TestKillDuringCheckpointFallsBackToPreviousAndConverges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+			if err := feedLines(ctx, e, lines); !errors.Is(err, context.Canceled) {
 				t.Fatalf("torn-checkpoint run returned %v, want context.Canceled", err)
 			}
 			if leg.tornBase {
@@ -295,7 +285,7 @@ func TestKillDuringCheckpointFallsBackToPreviousAndConverges(t *testing.T) {
 				t.Fatalf("recovered %q + %d deltas at offset %d, want %q + %d at %d",
 					s.RecoveredFrom, s.DeltasSinceBase, s.Offset, leg.wantFrom, leg.wantDeltas, leg.wantOffset)
 			}
-			if err := resumed.Run(context.Background()); err != nil {
+			if err := feedLines(context.Background(), resumed, lines); err != nil {
 				t.Fatal(err)
 			}
 			if gotDigest := resumed.Digest(); gotDigest != wantDigest {
@@ -314,38 +304,30 @@ func TestKillDuringCheckpointFallsBackToPreviousAndConverges(t *testing.T) {
 // job with the same outcome as a run that never saw the fault.
 func TestRecoveryWithMidStreamSourceEOF(t *testing.T) {
 	lines := synthLines(400, 23)
-	healthy := memOpen(lines)
-	base := func(dir string, open func() (io.ReadCloser, error)) Config {
+	base := func(dir string) Config {
 		return Config{
-			Open:            open,
 			CheckpointDir:   dir,
 			CheckpointEvery: 31,
 			RetrainBatch:    24,
 			Retrainer:       &groupMiner{},
 		}
 	}
-	wantDigest, _ := runToEnd(t, base(t.TempDir(), healthy))
+	wantDigest, _ := runToEnd(t, base(t.TempDir()), lines)
 
 	dir := t.TempDir()
-	truncated := func() (io.ReadCloser, error) {
-		rc, err := healthy()
-		if err != nil {
-			return nil, err
-		}
-		return io.NopCloser(faultinject.NewReader(rc, faultinject.Faults{EOFAfterLines: 150})), nil
-	}
-	e, err := New(base(dir, truncated))
+	e, err := New(base(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(context.Background()); err != nil {
+	truncated := faultinject.NewReader(lineReader(lines), faultinject.Faults{EOFAfterLines: 150})
+	if err := Feed(context.Background(), e, truncated); err != nil {
 		t.Fatalf("premature EOF is a clean end of source: %v", err)
 	}
 	if got := e.Stats().Offset; got != 150 {
 		t.Fatalf("offset after truncated source = %d, want 150", got)
 	}
 
-	gotDigest, gotStats := runToEnd(t, base(dir, healthy))
+	gotDigest, gotStats := runToEnd(t, base(dir), lines)
 	if gotDigest != wantDigest {
 		t.Fatalf("digest = %s, want %s", gotDigest, wantDigest)
 	}

@@ -18,14 +18,14 @@ type item struct {
 // release returns the item's share of its arena to the pool.
 func (it item) release() { it.src.release() }
 
-// ring is the fixed-capacity admission queue between a producer (the file
-// tailer, PushBatch, WAL replay — all through admitter.flush) and the
-// matching consumer. Its capacity is the engine's memory bound on in-flight
-// lines: pushAllWait blocks the producer (Backpressure) and pushAllTry
-// refuses what does not fit (LoadShed); neither ever grows the buffer.
+// ring is the fixed-capacity admission queue between a producer (PushBatch
+// or WAL replay, both through admitter.flush) and the matching consumer.
+// Its capacity is the engine's memory bound on in-flight lines: pushAllWait
+// blocks the producer (Backpressure) and pushAllTry refuses what does not
+// fit (LoadShed); neither ever grows the buffer.
 //
-// close marks the clean end of the source (the consumer drains what is
-// buffered); abort is the hard stop (pending items are abandoned, blocked
+// close marks the clean end of input — Stop, or Feed at the end of its
+// reader (the consumer drains what is buffered); abort is the hard stop (pending items are abandoned, blocked
 // producers and consumers wake immediately).
 type ring struct {
 	mu       sync.Mutex

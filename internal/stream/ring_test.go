@@ -174,11 +174,11 @@ func TestAdmitterFlush(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := &Engine{}
+			e := &Engine{cfg: Config{MaxLineBytes: 64}}
 			r := newRing(capacity)
 			adm := admitter{e: e, ring: r}
 			for i := 1; i <= lines; i++ {
-				adm.add(int64(i), []byte("line"), false)
+				adm.add(int64(i), []byte("line"))
 			}
 			src := adm.batch[0].src // six short lines share one arena
 			if c.before != nil {

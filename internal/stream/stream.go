@@ -6,7 +6,8 @@
 // whose memory grows with the backlog, never survives contact with
 // production traffic.
 //
-// The Engine tails a re-openable log source, matches each line online
+// The Engine takes log lines pushed to it (PushBatch, or Feed over a
+// reader), matches each line online
 // against a template Matcher (O(line length), the ingest-path component of
 // internal/match), buffers the lines no known template covers, and
 // periodically retrains on that buffer through a robust degradation chain
@@ -25,7 +26,7 @@
 //     set and event counts as an uninterrupted run;
 //
 //   - bounded memory: admission runs through a fixed-capacity ring with a
-//     configurable policy — Backpressure blocks the tail, LoadShed drops
+//     configurable policy — Backpressure blocks the pusher, LoadShed drops
 //     the incoming line and counts it — and the unmatched buffer is capped,
 //     shedding its oldest lines when retraining cannot keep up;
 //
@@ -35,8 +36,9 @@
 //     degrades the service to known-template matching instead of taking
 //     it down.
 //
-// cmd/logstreamd wires the engine to a log file, a generated dataset or the
-// multi-tenant server (internal/server); internal/conform registers the
+// cmd/logstreamd feeds the engine a log file or a generated dataset through
+// Feed, or serves it to the multi-tenant server (internal/server);
+// internal/conform registers the
 // resumed-after-kill path under the same canonical-digest equivalence as the
 // batch path.
 package stream
@@ -44,7 +46,6 @@ package stream
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"sort"
 	"strconv"
 	"time"
@@ -59,12 +60,12 @@ import (
 type AdmissionPolicy int
 
 const (
-	// Backpressure blocks the source tail until the consumer frees a slot.
+	// Backpressure blocks the pusher until the consumer frees a slot.
 	// Nothing is lost, and replay after a crash is deterministic; the cost
-	// is that a slow consumer stalls the producer.
+	// is that a slow consumer stalls the pusher.
 	Backpressure AdmissionPolicy = iota
 	// LoadShed drops the incoming line when the ring is full and counts it
-	// in Stats.Shed. The tail never stalls; shed lines are lost to
+	// in Stats.Shed. The pusher never stalls; shed lines are lost to
 	// matching (and may or may not be re-seen after a crash, see DESIGN.md
 	// "Streaming & recovery semantics").
 	LoadShed
@@ -95,16 +96,9 @@ const (
 	WALSyncNone = wal.SyncNone
 )
 
-// Config configures an Engine. Open and CheckpointDir are required; zero
-// values elsewhere mean the documented defaults.
+// Config configures an Engine. CheckpointDir is required; zero values
+// elsewhere mean the documented defaults.
 type Config struct {
-	// Open returns a fresh reader over the log source from its beginning.
-	// The engine re-opens on start and skips to the checkpointed offset,
-	// so the source must replay the same lines in the same order (a file,
-	// an object-store segment, a replayable queue). Required for Run; may
-	// be nil for push-mode engines driven through Serve/PushBatch, where the
-	// same replay duty falls on the pushing client.
-	Open func() (io.ReadCloser, error)
 	// CheckpointDir is the directory holding the checkpoint generations.
 	CheckpointDir string
 	// RingCapacity bounds the admission ring (default 1024 lines).
@@ -135,12 +129,12 @@ type Config struct {
 	// safe for concurrent use); multi-tenant callers construct one per
 	// engine (server.Config.NewOnline).
 	Online OnlineParser
-	// MaxLineBytes caps one source line (default core.DefaultMaxLineBytes);
-	// longer lines are truncated at the cap and counted, as in
-	// core.ReadMessagesOpts.
+	// MaxLineBytes caps one line (default core.DefaultMaxLineBytes);
+	// longer lines are truncated at the cap and counted in
+	// Stats.Oversized, as in core.ReadMessagesOpts.
 	MaxLineBytes int
 	// AfterLine, when non-nil, is called by the consumer after each
-	// processed line with its source line number, with the line's event
+	// processed line with its line number, with the line's event
 	// appended and the engine's lock released, so it may call back into
 	// the engine. It is the instrumentation and fault-injection hook the
 	// kill-and-recover tests use to hard-stop the engine at exact stream
@@ -169,9 +163,8 @@ type Config struct {
 	// replays the WAL tail beyond the checkpoint before admitting new
 	// pushes, and each successful checkpoint truncates the segments it
 	// covers. With it, an acknowledged line survives kill -9; without it,
-	// recovery is checkpoint + client replay only. Run (file mode)
-	// ignores the WAL: the re-openable source is its own durability.
-	// See DESIGN.md §12 "Durability & WAL semantics".
+	// recovery is checkpoint + client replay only (Feed's client replay
+	// is reading its reader again from the start). See DESIGN.md §12 "Durability & WAL semantics".
 	WALDir string
 	// WALSync is the WAL commit durability policy (default wal.SyncBatch:
 	// one fsync per acknowledged batch).
@@ -215,7 +208,7 @@ type Config struct {
 // cumulative across crash recoveries (they are checkpointed), except
 // Checkpoints/CheckpointErrors which count this process's lifetime.
 type Stats struct {
-	// LinesIn is every line taken from the source and accounted for:
+	// LinesIn is every line admitted and accounted for:
 	// Processed + Shed + RingDepth.
 	LinesIn int64
 	// Processed counts lines the consumer fully handled.
@@ -251,7 +244,8 @@ type Stats struct {
 	// CheckpointAge is the time since the last successful save in this
 	// process; −1 when none has happened yet.
 	CheckpointAge time.Duration
-	// Offset is the source line number of the last processed line.
+	// Offset is the line number of the last processed line: non-empty
+	// lines, counted in push order from the stream's first.
 	Offset int64
 	// Templates is the current template-set size.
 	Templates int
@@ -262,7 +256,7 @@ type Stats struct {
 	OnlineParser string
 	// RingDepth and RingHighWater report the admission ring's current and
 	// maximum occupancy — memory is bounded by RingCapacity regardless of
-	// how far the producer runs ahead.
+	// how far the pusher runs ahead.
 	RingDepth     int
 	RingHighWater int
 	// RecoveredFrom reports which checkpoint base the engine restored at

@@ -26,23 +26,23 @@ func TestEngineTelemetryCheckpointAccounting(t *testing.T) {
 	lines := synthLines(800, 7)
 
 	// Telemetry-off reference run.
-	offCfg := testConfig(t, lines)
+	offCfg := testConfig(t)
 	offEng, err := New(offCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := offEng.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), offEng, lines); err != nil {
 		t.Fatal(err)
 	}
 
 	tel := telemetry.New()
-	cfg := testConfig(t, lines)
+	cfg := testConfig(t)
 	cfg.Telemetry = tel
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), eng, lines); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,7 +120,7 @@ func TestEngineTelemetryBreakerTransitions(t *testing.T) {
 		now = now.Add(breakerCooldown / 20)
 		return now
 	}
-	cfg := testConfig(t, synthLines(600, 3))
+	cfg := testConfig(t)
 	cfg.Telemetry = tel
 	cfg.Retrainer = miner
 	cfg.Now = fakeNow
@@ -129,7 +129,7 @@ func TestEngineTelemetryBreakerTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), eng, synthLines(600, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Stats().Breaker; got != "open" {
@@ -145,12 +145,11 @@ func TestEngineTelemetryBreakerTransitions(t *testing.T) {
 	miner.setFail(false)
 	cfg2 := cfg
 	cfg2.CheckpointDir = cfg.CheckpointDir // resume from the same state
-	cfg2.Open = memOpen(synthLines(1400, 3))
 	eng2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), eng2, synthLines(1400, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng2.Stats().Breaker; got != "closed" {
@@ -166,7 +165,7 @@ func TestEngineTelemetryBreakerTransitions(t *testing.T) {
 // the duration histogram.
 func TestEngineTelemetryCheckpointErrors(t *testing.T) {
 	tel := telemetry.New()
-	cfg := testConfig(t, synthLines(100, 5))
+	cfg := testConfig(t)
 	cfg.Telemetry = tel
 	cfg.CheckpointEvery = -1 // only explicit checkpoints
 	diskFull := false
@@ -180,7 +179,7 @@ func TestEngineTelemetryCheckpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(context.Background()); err != nil {
+	if err := feedLines(context.Background(), eng, synthLines(100, 5)); err != nil {
 		t.Fatal(err)
 	}
 	diskFull = true // the next save's first byte is refused

@@ -585,3 +585,66 @@ func TestCheckpointDirSyncFailureSurfaced(t *testing.T) {
 		t.Fatalf("healthy dirsync counted %d errors", got)
 	}
 }
+
+// TestWALReplayCountsOversized: a line cut at MaxLineBytes is counted in
+// Oversized whether the engine processes it as pushed or re-admits it from
+// the WAL after a crash before any checkpoint. The record keeps one byte
+// over the cap, and the admitter decides for both.
+func TestWALReplayCountsOversized(t *testing.T) {
+	lines := byteLines([]string{"short line one", "long " + strings.Repeat("x", 75), "short line two"})
+	cfg := func(root string) Config {
+		return Config{
+			CheckpointDir:   filepath.Join(root, "ckpt"),
+			WALDir:          filepath.Join(root, "wal"),
+			MaxLineBytes:    32,
+			CheckpointEvery: -1,
+			Retrainer:       &groupMiner{},
+		}
+	}
+
+	clean, err := New(cfg(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := serveAsync(context.Background(), clean)
+	if _, err := clean.PushBatch(context.Background(), lines); err != nil {
+		t.Fatal(err)
+	}
+	clean.Stop()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	root := t.TempDir()
+	crashed, err := New(cfg(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done = serveAsync(ctx, crashed)
+	if _, err := crashed.PushBatch(ctx, lines); err != nil { // acknowledged: in the WAL
+		t.Fatal(err)
+	}
+	cancel() // killed before any checkpoint
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed Serve = %v, want context.Canceled", err)
+	}
+	recovered, err := New(cfg(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done = serveAsync(context.Background(), recovered)
+	recovered.Stop()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	want, got := clean.Stats(), recovered.Stats()
+	if want.Oversized != 1 || got.WALReplayed != 3 || got.Processed != 3 || got.Oversized != want.Oversized {
+		t.Fatalf("recovered Oversized=%d Processed=%d WALReplayed=%d, want the uninterrupted Oversized=%d over 3 replayed lines",
+			got.Oversized, got.Processed, got.WALReplayed, want.Oversized)
+	}
+	if recovered.Digest() != clean.Digest() {
+		t.Fatalf("recovered digest %s, want %s", recovered.Digest(), clean.Digest())
+	}
+}

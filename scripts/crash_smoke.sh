@@ -2,7 +2,8 @@
 # Crash-recovery smoke: kill logstreamd at an exact stream position (a
 # simulated crash writes no final checkpoint), resume it over the same
 # source, and require the resumed run's canonical digest to equal an
-# uninterrupted run's. A second leg tears a checkpoint write mid-stream
+# uninterrupted run's — once in retrain mode and once with -online Drain,
+# the two learners file mode feeds. A third leg tears a checkpoint write mid-stream
 # (-torn-checkpoint-limit) before the kill, leaving a torn tail in the
 # checkpoint delta log: the resumed run must stop the chain there, resume
 # from the save before the torn one — and still converge.
@@ -35,30 +36,37 @@ trap 'rm -rf "$work"' EXIT
 echo "==> building logstreamd"
 go build -o "$work/logstreamd" ./cmd/logstreamd
 
+# crash_leg NAME FLAGS: an uninterrupted run, a run killed after line KILL
+# and its resumption, all with FLAGS; the resumed digest must be the
+# uninterrupted one, which is left in $want.
+crash_leg() {
+	echo "==> $1: uninterrupted run ($DATASET, $LINES lines)"
+	want="$("$work/logstreamd" $2 -checkpoint-dir "$work/$1.clean" -digest)"
+
+	echo "==> $1: crash run (kill after line $KILL, no checkpoint)"
+	status=0
+	"$work/logstreamd" $2 -checkpoint-dir "$work/$1.crash" -kill-after-lines "$KILL" || status=$?
+	if [ "$status" != 3 ]; then
+		echo "crash_smoke: FAIL: $1: simulated crash exited $status, want 3" >&2
+		exit 1
+	fi
+
+	echo "==> $1: resumed run"
+	got="$("$work/logstreamd" $2 -checkpoint-dir "$work/$1.crash" -digest 2>"$work/$1.log")"
+	if ! grep -q "restored current checkpoint base + .* offset $restored)" "$work/$1.log"; then
+		echo "crash_smoke: FAIL: $1: resumed run did not restore the newest save (offset $restored):" >&2
+		cat "$work/$1.log" >&2
+		exit 1
+	fi
+	if [ "$got" != "$want" ]; then
+		echo "crash_smoke: FAIL: $1: resumed digest $got != uninterrupted $want" >&2
+		exit 1
+	fi
+}
+
+crash_leg drain "-dataset $DATASET -lines $LINES -checkpoint-every 700 -online Drain -stats=false"
 common="-dataset $DATASET -lines $LINES -checkpoint-every 700 -retrain-batch 64 -stats=false"
-
-echo "==> uninterrupted run ($DATASET, $LINES lines)"
-want="$("$work/logstreamd" $common -checkpoint-dir "$work/clean" -digest)"
-
-echo "==> crash run (kill after line $KILL, no checkpoint)"
-status=0
-"$work/logstreamd" $common -checkpoint-dir "$work/crash" -kill-after-lines "$KILL" || status=$?
-if [ "$status" != 3 ]; then
-	echo "crash_smoke: FAIL: simulated crash exited $status, want 3" >&2
-	exit 1
-fi
-
-echo "==> resumed run"
-got="$("$work/logstreamd" $common -checkpoint-dir "$work/crash" -digest 2>"$work/crash.log")"
-if ! grep -q "restored current checkpoint base + .* offset $restored)" "$work/crash.log"; then
-	echo "crash_smoke: FAIL: resumed run did not restore the newest save (offset $restored):" >&2
-	cat "$work/crash.log" >&2
-	exit 1
-fi
-if [ "$got" != "$want" ]; then
-	echo "crash_smoke: FAIL: resumed digest $got != uninterrupted $want" >&2
-	exit 1
-fi
+crash_leg retrain "$common"
 
 echo "==> torn-checkpoint crash run (third checkpoint save torn at 50 bytes)"
 status=0

@@ -53,7 +53,7 @@ if [ "$short" = 1 ]; then
 	sh scripts/loc.sh -check >/dev/null
 	echo "==> golden-digest check (cmd/conformgen -check)"
 	go run ./cmd/conformgen -check >/dev/null
-	echo "==> crash-recovery smoke (reduced)"
+	echo "==> crash-recovery smoke, retrain and -online Drain (reduced)"
 	sh scripts/crash_smoke.sh Zookeeper 3000 2345
 	echo "==> multi-tenant server smoke (reduced)"
 	sh scripts/server_smoke.sh 800 600
@@ -78,7 +78,7 @@ go test -race ./internal/telemetry/...
 echo "==> telemetry/pprof endpoint smoke (scripts/telemetry_smoke.sh)"
 sh scripts/telemetry_smoke.sh
 
-echo "==> crash-recovery smoke (scripts/crash_smoke.sh)"
+echo "==> crash-recovery smoke, retrain and -online Drain (scripts/crash_smoke.sh)"
 sh scripts/crash_smoke.sh
 
 echo "==> multi-tenant server smoke (scripts/server_smoke.sh)"

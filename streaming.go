@@ -3,7 +3,7 @@ package logparse
 // Streaming ingestion (the long-running service layer). The paper's
 // experiments are one-shot batch parses; a deployment types an unbounded
 // stream and must survive crashes, overload and broken retraining. The
-// StreamEngine tails a re-openable source, matches lines online against the
+// StreamEngine takes pushed lines, matches them online against the
 // known template set, buffers what no template covers, and retrains on that
 // buffer through a robust degradation chain — with atomic checkpoints
 // (template set, event counts, unmatched buffer, stream offset), a bounded
@@ -11,7 +11,9 @@ package logparse
 // that degrades retraining to matcher-only service under repeated failure.
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"strings"
 
 	"logparse/internal/core"
@@ -43,7 +45,7 @@ type (
 
 // Admission policies for StreamConfig.Policy.
 const (
-	// StreamBackpressure blocks the source tail when the ring is full;
+	// StreamBackpressure blocks the pusher when the ring is full;
 	// nothing is lost and crash recovery is deterministic.
 	StreamBackpressure = stream.Backpressure
 	// StreamLoadShed drops the incoming line when the ring is full and
@@ -56,16 +58,24 @@ const (
 // generation falls back to the previous one automatically):
 //
 //	eng, _ := logparse.NewStreamEngine(logparse.StreamConfig{
-//		Open:          func() (io.ReadCloser, error) { return os.Open("app.log") },
 //		CheckpointDir: "/var/lib/logstream",
 //	})
-//	err := eng.Run(ctx) // blocks; eng.Stats() is safe concurrently
+//	f, _ := os.Open("app.log")
+//	err := logparse.FeedStream(ctx, eng, f) // blocks; eng.Stats() is safe concurrently
 //
 // Stats is the one account of what the engine counted; a
 // StreamConfig.Telemetry handle adds only what Stats lacks (checkpoint
 // bytes, breaker transitions, durable-layer failures, duration histograms).
 func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) {
 	return stream.New(cfg)
+}
+
+// FeedStream serves eng and pushes every line of r into it, stopping it at
+// the end of r (see stream.Feed). Reading the same r again from its start
+// after a crash resumes the run: the lines the checkpoint covers are
+// skipped.
+func FeedStream(ctx context.Context, eng *StreamEngine, r io.Reader) error {
+	return stream.Feed(ctx, eng, r)
 }
 
 // NewStreamRetrainer builds the default retrain chain: an optional primary

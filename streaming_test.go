@@ -3,7 +3,6 @@ package logparse_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"strings"
 	"testing"
 
@@ -26,9 +25,6 @@ func TestStreamEngineFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := logparse.NewStreamEngine(logparse.StreamConfig{
-		Open: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		},
 		CheckpointDir:   t.TempDir(),
 		Policy:          logparse.StreamBackpressure,
 		CheckpointEvery: 500,
@@ -38,7 +34,7 @@ func TestStreamEngineFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(context.Background()); err != nil {
+	if err := logparse.FeedStream(context.Background(), eng, bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	s := eng.Stats()
@@ -78,9 +74,6 @@ func TestStreamEngineOnlineFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, err := logparse.NewStreamEngine(logparse.StreamConfig{
-			Open: func() (io.ReadCloser, error) {
-				return io.NopCloser(bytes.NewReader(data)), nil
-			},
 			CheckpointDir:   t.TempDir(),
 			CheckpointEvery: 500,
 			Online:          online,
@@ -88,7 +81,7 @@ func TestStreamEngineOnlineFacadeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Run(context.Background()); err != nil {
+		if err := logparse.FeedStream(context.Background(), eng, bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
 		s := eng.Stats()
