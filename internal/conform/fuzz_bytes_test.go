@@ -97,8 +97,9 @@ func FuzzTokenizeBytesEquivalence(f *testing.F) {
 		for _, max := range []int{8, 4096} {
 			readAll := func(bufSize int) (lines []string, over []bool, errs []error) {
 				br := bufio.NewReaderSize(strings.NewReader(content), bufSize)
+				var scratch []byte
 				for {
-					l, o, err := core.ReadLineInto(br, nil, max)
+					l, o, err := core.ReadLineInto(br, &scratch, max)
 					lines = append(lines, string(l))
 					over = append(over, o)
 					if err != nil {

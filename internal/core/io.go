@@ -135,13 +135,16 @@ func ScanMessages(r io.Reader, opts ReadOptions, fn func(LogMessage)) (ReadStats
 		opts.MaxLineBytes = DefaultMaxLineBytes
 	}
 	br := bufio.NewReaderSize(r, 64*1024)
-	var stats ReadStats
+	var (
+		stats   ReadStats
+		scratch []byte
+	)
 	lineNo := 0
 	for {
 		if opts.MaxLines > 0 && stats.Messages >= opts.MaxLines {
 			break
 		}
-		raw, oversized, rerr := ReadLineInto(br, nil, opts.MaxLineBytes)
+		raw, oversized, rerr := ReadLineInto(br, &scratch, opts.MaxLineBytes)
 		if rerr != nil && !errors.Is(rerr, io.EOF) {
 			return stats, fmt.Errorf("core: read messages: %w", rerr)
 		}
@@ -288,11 +291,12 @@ func ContentOfBytes(line []byte) []byte { return ContentOf(line) }
 // The common case — a line that fits the reader's internal buffer — is
 // returned as a direct view into that buffer with zero copies and zero
 // allocations; only a line spanning buffer refills is accumulated into
-// scratch's backing array (growing it when needed; nil is fine). Either way
-// the returned slice is valid only until the next read from br — callers
-// that keep the line must copy it first (every caller in the toolkit
+// *scratch, which keeps whatever it grew to for the next such line (one
+// scratch per reader; it never receives a view of the reader's own buffer).
+// Either way the returned slice is valid only until the next read from br —
+// callers that keep the line must copy it first (every caller in the toolkit
 // materialises or arena-copies the line before reading the next one).
-func ReadLineInto(br *bufio.Reader, scratch []byte, max int) (line []byte, oversized bool, err error) {
+func ReadLineInto(br *bufio.Reader, scratch *[]byte, max int) (line []byte, oversized bool, err error) {
 	frag, ferr := br.ReadSlice('\n')
 	if !errors.Is(ferr, bufio.ErrBufferFull) {
 		// Fast path: the whole line (or the terminal fragment) is one view
@@ -313,7 +317,8 @@ func ReadLineInto(br *bufio.Reader, scratch []byte, max int) (line []byte, overs
 	}
 	// Slow path: the line spans internal buffer refills; accumulate into
 	// scratch.
-	line = scratch[:0]
+	line = (*scratch)[:0]
+	defer func() { *scratch = line }()
 	total := 0
 	for {
 		if n := len(frag); n > 0 && frag[n-1] == '\n' {

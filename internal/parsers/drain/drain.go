@@ -281,20 +281,25 @@ func (s *StreamParser) TemplateTokens(i int) []string { return s.tmpls[i] }
 // indexes are stored: Restore's replay of the templates in creation order
 // reconstructs them (see the invariant note there).
 type drainState struct {
-	Depth        int        `json:"depth"`
-	SimThreshold float64    `json:"sim_threshold"`
-	MaxChildren  int        `json:"max_children"`
-	Templates    [][]string `json:"templates"`
+	drainParams
+	Templates [][]string `json:"templates"`
 }
 
-// Snapshot serialises the learner for a checkpoint.
+// drainParams are the parameters the tree shape depends on.
+type drainParams struct {
+	Depth        int     `json:"depth"`
+	SimThreshold float64 `json:"sim_threshold"`
+	MaxChildren  int     `json:"max_children"`
+}
+
+// Snapshot serialises the learner for a checkpoint: json.Marshal of a
+// drainState, written by core.MarshalSnapshot.
 func (s *StreamParser) Snapshot() ([]byte, error) {
-	return json.Marshal(drainState{
+	return core.MarshalSnapshot(drainParams{
 		Depth:        s.opts.Depth,
 		SimThreshold: s.opts.SimThreshold,
 		MaxChildren:  s.opts.MaxChildren,
-		Templates:    s.tmpls,
-	})
+	}, s.tmpls)
 }
 
 // Restore replaces the learner's state with a snapshot. The snapshot must

@@ -363,7 +363,7 @@ func (r *refLearner) LearnBytes(tokens [][]byte) (idx int, changed bool) {
 }
 
 func (r *refLearner) Snapshot() []byte {
-	blob, _ := json.Marshal(drainState{r.opts.Depth, r.opts.SimThreshold, r.opts.MaxChildren, r.tmpls})
+	blob, _ := json.Marshal(drainState{drainParams{r.opts.Depth, r.opts.SimThreshold, r.opts.MaxChildren}, r.tmpls})
 	return blob
 }
 

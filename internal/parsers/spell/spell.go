@@ -389,17 +389,23 @@ func (s *StreamParser) TemplateTokens(i int) []string { return s.objs[i].tokens 
 // future decision (IDs, buckets and the accelerator are derived), so they
 // are the whole state.
 type spellState struct {
-	Tau       float64    `json:"tau"`
+	spellParams
 	Templates [][]string `json:"templates"`
 }
 
-// Snapshot serialises the learner for a checkpoint.
+// spellParams are the learner's parameters.
+type spellParams struct {
+	Tau float64 `json:"tau"`
+}
+
+// Snapshot serialises the learner for a checkpoint: json.Marshal of a
+// spellState, written by core.MarshalSnapshot.
 func (s *StreamParser) Snapshot() ([]byte, error) {
 	tmpls := make([][]string, len(s.objs))
 	for i, obj := range s.objs {
 		tmpls[i] = obj.tokens
 	}
-	return json.Marshal(spellState{Tau: s.opts.Tau, Templates: tmpls})
+	return core.MarshalSnapshot(spellParams{Tau: s.opts.Tau}, tmpls)
 }
 
 // Restore replaces the learner's state with a snapshot taken under the same

@@ -515,7 +515,7 @@ func (r *refLearner) rebuild() {
 }
 
 func (r *refLearner) Snapshot() []byte {
-	blob, _ := json.Marshal(spellState{Tau: r.tau, Templates: append([][]string{}, r.objs...)})
+	blob, _ := json.Marshal(spellState{spellParams: spellParams{Tau: r.tau}, Templates: append([][]string{}, r.objs...)})
 	return blob
 }
 
@@ -741,7 +741,7 @@ func TestLearnMatchesReferenceHardCases(t *testing.T) {
 	}
 
 	t.Run("shadow", func(t *testing.T) {
-		blob, err := json.Marshal(spellState{Tau: DefaultTau, Templates: [][]string{
+		blob, err := json.Marshal(spellState{spellParams: spellParams{Tau: DefaultTau}, Templates: [][]string{
 			{"job", "*", "done", "in", "*", "ms"}, {"other", "event", "here"}, {"job", "*", "done", "in", "*", "ms"},
 		}})
 		if err != nil {

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"logparse/internal/faultinject"
+	"logparse/internal/parsers/drain"
 	"logparse/internal/stream"
 )
 
@@ -325,5 +327,53 @@ func benchServerLoopback(b *testing.B, wal bool) {
 	ts.Close()
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
 		b.ReportMetric(float64(b.N*rounds*batchLines)/elapsed, "lines/sec")
+	}
+}
+
+// TestTenantListingAllocsFlat: GET /v1/tenants reads each tenant's offset from
+// its engine's Stats, so the listing allocates as often and as much at 3,000
+// templates as at 10, up to a little slack; reading it from the tenant's full stats rendered and
+// hashed every template.
+func TestTenantListingAllocsFlat(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.Stream.Retrainer = nil
+	cfg.NewOnline = func(string) (stream.OnlineParser, error) { return drain.NewStream(drain.Options{}), nil }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kill()
+	h := s.Handler()
+	list := func() {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/tenants", nil))
+	}
+	listing := func() (allocs float64, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(20, list)
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 21
+	}
+	// Lines sharing no token: Drain founds a group for each.
+	distinct := func(from, to int) []string {
+		var lines []string
+		for i := from; i < to; i++ {
+			lines = append(lines, fmt.Sprintf("k%d q%d r%d s%d", i, i, i, i))
+		}
+		return lines
+	}
+	ingestAll(t, s, "web", distinct(0, 10), 10)
+	waitTenantOffset(t, s, "web", 10)
+	fewAllocs, fewBytes := listing()
+	ingestAll(t, s, "web", distinct(10, 3010), 500)
+	waitTenantOffset(t, s, "web", 3010)
+	if st, _ := s.TenantStats("web"); st.Stream.Templates < 3000 {
+		t.Fatalf("tenant holds %d templates, want one per line", st.Stream.Templates)
+	}
+	// The slack absorbs the race detector's sync.Pool, which drops items at
+	// random; a digest would add tens of bytes per template.
+	if manyAllocs, manyBytes := listing(); manyAllocs > fewAllocs+2 || manyBytes > fewBytes+8<<10 {
+		t.Fatalf("GET /v1/tenants allocates %v times and %d B at 3,000 templates, %v and %d B at 10",
+			manyAllocs, manyBytes, fewAllocs, fewBytes)
 	}
 }

@@ -64,9 +64,7 @@ func (s *Server) reader(id, dir string, cold bool) (rd *eventstore.Reader, info 
 	if t == nil || !t.built() {
 		return eventstore.OpenReader(dir, opts)
 	}
-	t.mu.Lock()
-	eng := t.eng
-	t.mu.Unlock()
+	eng := t.engine()
 	t.rdMu.Lock()
 	defer t.rdMu.Unlock()
 	if t.rd != nil && t.rdEng == eng && !cold {
@@ -97,10 +95,7 @@ const maxRestarts = 8
 func (t *tenant) supervise(ctx context.Context) {
 	defer close(t.done)
 	for {
-		t.mu.Lock()
-		eng := t.eng
-		t.mu.Unlock()
-
+		eng := t.engine()
 		pv, err := t.serveOnce(ctx, eng)
 		var failures *int64
 		var cause error
@@ -176,6 +171,13 @@ func (t *tenant) built() bool {
 	default:
 		return false
 	}
+}
+
+// engine returns the tenant's current engine incarnation.
+func (t *tenant) engine() *stream.Engine {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.eng
 }
 
 // serveOnce runs one engine incarnation, converting a panic anywhere under

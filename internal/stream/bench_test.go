@@ -365,10 +365,6 @@ func BenchmarkStreamIngestTelemetry(b *testing.B) {
 // the base (it carries everything). Learning happens off the clock.
 func BenchmarkCheckpointSave(b *testing.B) {
 	const interval = 5000
-	cat, err := gen.ByName("Thunderbird")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, target := range []int{1000, 4000, 16000} {
 		for _, kind := range []string{"delta", "base"} {
 			b.Run(fmt.Sprintf("templates=%d/%s", target, kind), func(b *testing.B) {
@@ -382,21 +378,9 @@ func BenchmarkCheckpointSave(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Fresh lines from successive seeds, 50 k at a time.
-				var chunk []core.LogMessage
-				seed := int64(0)
-				learn := func(n int) {
-					for ; n > 0; n-- {
-						if len(chunk) == 0 {
-							seed++
-							chunk = cat.Generate(seed, 50000)
-						}
-						consumeOne(context.Background(), e, item{lineNo: e.offset + 1, data: []byte(chunk[0].Content)})
-						chunk = chunk[1:]
-					}
-				}
+				f := newFreshFeeder(b)
 				for len(e.counts) < target {
-					learn(interval)
+					f.learn(e, interval)
 				}
 				if err := e.Checkpoint(); err != nil { // the first save is always a base
 					b.Fatal(err)
@@ -405,7 +389,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					learn(interval)
+					f.learn(e, interval)
 					e.store.basePayload = math.MaxInt64
 					if kind == "base" {
 						rebaseNext(e)
@@ -422,5 +406,34 @@ func BenchmarkCheckpointSave(b *testing.B) {
 				b.ReportMetric(float64(len(e.counts)), "templates")
 			})
 		}
+	}
+}
+
+// freshFeeder feeds an engine's consumer fresh generated Thunderbird lines,
+// from successive seeds 50 k at a time, so a learner's template set keeps
+// growing.
+type freshFeeder struct {
+	cat   *gen.Catalog
+	chunk []core.LogMessage
+	seed  int64
+}
+
+func newFreshFeeder(b *testing.B) *freshFeeder {
+	cat, err := gen.ByName("Thunderbird")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &freshFeeder{cat: cat}
+}
+
+// learn consumes the next n lines.
+func (f *freshFeeder) learn(e *Engine, n int) {
+	for ; n > 0; n-- {
+		if len(f.chunk) == 0 {
+			f.seed++
+			f.chunk = f.cat.Generate(f.seed, 50000)
+		}
+		consumeOne(context.Background(), e, item{lineNo: e.offset + 1, data: []byte(f.chunk[0].Content)})
+		f.chunk = f.chunk[1:]
 	}
 }

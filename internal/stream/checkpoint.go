@@ -11,9 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
+	"logparse/internal/core"
 	"logparse/internal/seglog"
 	"logparse/internal/stream/wal"
 	"logparse/internal/telemetry"
@@ -505,21 +507,62 @@ func (s *Store) saveBase(st *State, gen uint64) error {
 	return nil
 }
 
-// encodeBase is json.Marshal of st at generation gen, byte for byte, except
-// that the learner's snapshot — JSON its own Marshal just produced, and most
-// of a large base — is spliced in as it is: encoding/json would scan and copy
-// all of it again to compact it (a third of a save at 15 k templates).
+// encodeBase is json.Marshal of st at generation gen, byte for byte. The
+// members that grow with the state — the templates, the unmatched lines and
+// the learner's snapshot, which is JSON already and most of a large base —
+// are appended by hand into one buffer of the final size. encoding/json
+// writes only the fixed rest, so no state-sized buffer goes back to its pool,
+// where the next delta's Marshal would keep it alive.
 func encodeBase(st *State, gen uint64) ([]byte, error) {
-	out := *st
-	out.Gen, out.Online = gen, nil
-	payload, err := json.Marshal(&out)
-	if err != nil || st.Online == nil {
-		return payload, err
+	rest := *st
+	rest.Gen, rest.Templates, rest.Unmatched, rest.Online = gen, nil, nil, nil
+	fixed, err := json.Marshal(&rest)
+	if err != nil {
+		return nil, err
 	}
-	parser, _ := json.Marshal(st.Online.Parser)
-	payload = append(payload[:len(payload)-1], `,"online":{"parser":`...)
-	payload = append(append(payload, parser...), `,"data":`...)
-	return append(append(payload, st.Online.Data...), "}}"...), nil
+	const gap = `"templates":null,"unmatched":null`
+	cut := bytes.Index(fixed, []byte(gap))
+	if cut < 0 {
+		return nil, fmt.Errorf("stream: encode checkpoint: no %s in %s", gap, fixed)
+	}
+	n := len(fixed) - len("null") - len("null") + core.JSONListLen(st.Templates, savedTemplateLen) + core.JSONStringsLen(st.Unmatched)
+	if st.Online != nil {
+		n += len(`,"online":{"parser":,"data":}`) + core.JSONStringLen(st.Online.Parser) + len(st.Online.Data)
+	}
+	b := append(make([]byte, 0, n), fixed[:cut]...)
+	b = core.AppendJSONList(append(b, `"templates":`...), st.Templates, appendSavedTemplate)
+	b = core.AppendJSONStrings(append(b, `,"unmatched":`...), st.Unmatched)
+	b = append(b, fixed[cut+len(gap):len(fixed)-1]...)
+	if st.Online != nil {
+		b = core.AppendJSONString(append(b, `,"online":{"parser":`...), st.Online.Parser)
+		b = append(append(append(b, `,"data":`...), st.Online.Data...), '}')
+	}
+	return append(b, '}'), nil
+}
+
+// savedTemplateLen is len(appendSavedTemplate(nil, t)).
+func savedTemplateLen(t SavedTemplate) int {
+	var num [20]byte
+	n := len(`{"count":}`) + len(strconv.AppendInt(num[:0], t.Count, 10))
+	if t.ID != "" {
+		n += len(`"id":,`) + core.JSONStringLen(t.ID)
+	}
+	if len(t.Tokens) > 0 {
+		n += len(`"tokens":,`) + core.JSONStringsLen(t.Tokens)
+	}
+	return n
+}
+
+// appendSavedTemplate appends t as json.Marshal encodes a SavedTemplate.
+func appendSavedTemplate(b []byte, t SavedTemplate) []byte {
+	b = append(b, '{')
+	if t.ID != "" {
+		b = append(core.AppendJSONString(append(b, `"id":`...), t.ID), ',')
+	}
+	if len(t.Tokens) > 0 {
+		b = append(core.AppendJSONStrings(append(b, `"tokens":`...), t.Tokens), ',')
+	}
+	return append(strconv.AppendInt(append(b, `"count":`...), t.Count, 10), '}')
 }
 
 // syncDir fsyncs the directory so the renames are durable. The rename

@@ -245,19 +245,43 @@ func TestCheckpointRejectsDuplicateTemplates(t *testing.T) {
 	}
 }
 
-// TestEncodeBaseIsPlainStateJSON: splicing the learner's snapshot into a
-// base yields exactly the bytes json.Marshal of the State would.
+// TestEncodeBaseIsPlainStateJSON: appending the state-sized members by hand
+// — templates, unmatched lines, the learner's snapshot — yields exactly the
+// bytes json.Marshal of the State would, in a buffer sized once.
 func TestEncodeBaseIsPlainStateJSON(t *testing.T) {
-	for _, online := range []*OnlineState{nil, {Parser: `Dr"ain`, Data: []byte(`{"depth":4,"templates":[["a","*"]]}`)}} {
-		st := testState(9)
-		st.Online = online
-		got, err := encodeBase(st, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Gen = 3
-		if want, _ := json.Marshal(st); string(got) != string(want) {
-			t.Fatalf("encodeBase = %s\njson.Marshal = %s", got, want)
+	online := &OnlineState{Parser: `Dr"ain<&>`, Data: []byte(`{"depth":4,"templates":[["a","*"]]}`)}
+	shapes := []func(st *State){
+		func(st *State) {},
+		func(st *State) { st.Online = online },
+		func(st *State) { st.Templates, st.Unmatched = nil, nil },
+		func(st *State) { st.Templates, st.Unmatched = []SavedTemplate{}, []string{} },
+		func(st *State) {
+			// Online mode: counts only, in group order.
+			st.Templates = []SavedTemplate{{Count: 3}, {Count: -1}, {}}
+			st.Online = online
+		},
+		func(st *State) {
+			st.Templates = append(st.Templates, SavedTemplate{ID: `S\3`, Tokens: []string{}},
+				SavedTemplate{Tokens: []string{"\u2028 \xff\x01", "<b>"}, Count: 1 << 62})
+			st.Unmatched = append(st.Unmatched, "tab\there \"quoted\" \u2029", "\xc3\x28")
+			st.BreakerFailures, st.BreakerOpen = 3, true
+		},
+	}
+	for i, shape := range shapes {
+		for _, gen := range []uint64{0, 3} {
+			st := testState(9)
+			shape(st)
+			got, err := encodeBase(st, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Gen = gen
+			if want, _ := json.Marshal(st); string(got) != string(want) {
+				t.Fatalf("shape %d gen %d: encodeBase = %s\njson.Marshal = %s", i, gen, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("shape %d gen %d: encodeBase sized its buffer %d for %d bytes", i, gen, cap(got), len(got))
+			}
 		}
 	}
 }

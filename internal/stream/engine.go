@@ -687,10 +687,6 @@ func (d *dirtySet) clear() {
 func (e *Engine) Result() ([]core.Template, []int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.resultLocked()
-}
-
-func (e *Engine) resultLocked() ([]core.Template, []int64) {
 	var tmpls []core.Template
 	if e.online != nil {
 		tmpls = e.online.Templates()
@@ -702,8 +698,20 @@ func (e *Engine) resultLocked() ([]core.Template, []int64) {
 
 // Digest returns the canonical digest of the engine's current outcome.
 func (e *Engine) Digest() string {
-	tmpls, counts := e.Result()
-	return Digest(tmpls, counts)
+	e.mu.Lock()
+	d := e.digestLocked()
+	e.mu.Unlock()
+	return d.sum()
+}
+
+// digestLocked renders the digest rows straight from the learner's or the
+// matcher's own tokens; len(e.counts) is the template count in both modes.
+func (e *Engine) digestLocked() digestRows {
+	tokens := func(i int) []string { return e.matcher.Template(i).Tokens }
+	if e.online != nil {
+		tokens = e.online.TemplateTokens
+	}
+	return renderDigest(len(e.counts), tokens, e.counts)
 }
 
 // RecoveryError returns the typed error of a corrupt-reset start (every
@@ -725,14 +733,15 @@ func (e *Engine) Stats() Stats {
 }
 
 // StatsDigest returns Stats and Digest as of one instant, so the digest
-// covers exactly the Processed lines even while the consumer runs: the
-// outcome is copied under e.mu and hashed outside it.
+// covers exactly the Processed lines even while the consumer runs. Under
+// e.mu it copies only the digest rows, rendered from the templates' own
+// tokens into one arena of exactly their size; sorting and hashing run
+// outside it.
 func (e *Engine) StatsDigest() (Stats, string) {
 	e.mu.Lock()
-	st := e.statsLocked()
-	tmpls, counts := e.resultLocked()
+	st, d := e.statsLocked(), e.digestLocked()
 	e.mu.Unlock()
-	return st, Digest(tmpls, counts)
+	return st, d.sum()
 }
 
 func (e *Engine) statsLocked() Stats {

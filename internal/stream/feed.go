@@ -55,10 +55,10 @@ func (e *Engine) feed(ctx context.Context, r io.Reader) error {
 	}
 	max := e.cfg.MaxLineBytes
 	br := bufio.NewReaderSize(r, 64*1024)
-	var buf []byte
+	var buf, scratch []byte
 	lines := make([][]byte, 0, ingestBatch)
 	for {
-		line, over, err := core.ReadLineInto(br, nil, max+1)
+		line, over, err := core.ReadLineInto(br, &scratch, max+1)
 		if err != nil && !errors.Is(err, io.EOF) {
 			e.PushBatch(ctx, lines)
 			return fmt.Errorf("stream: read source: %w", err)

@@ -191,13 +191,6 @@ func (e *Engine) replayWAL(r *ring, start int64) {
 	e.pushMu.Unlock()
 }
 
-// Serving reports whether a Serve loop is currently admitting pushes.
-func (e *Engine) Serving() bool {
-	e.pushMu.Lock()
-	defer e.pushMu.Unlock()
-	return e.push.ring != nil
-}
-
 // WaitServing blocks until the engine is admitting pushes or ctx ends —
 // the startup handshake between whoever launched Serve in a goroutine and
 // the first PushBatch (which would otherwise race the loop's registration and
@@ -208,7 +201,13 @@ func (e *Engine) Serving() bool {
 // waiting out ctx, so supervisors and tenant creation never hang on a
 // dead incarnation.
 func (e *Engine) WaitServing(ctx context.Context) error {
-	for !e.Serving() {
+	for {
+		e.pushMu.Lock()
+		serving := e.push.ring != nil
+		e.pushMu.Unlock()
+		if serving {
+			return nil
+		}
 		e.mu.Lock()
 		ended := e.serveEnded
 		e.mu.Unlock()
@@ -221,7 +220,6 @@ func (e *Engine) WaitServing(ctx context.Context) error {
 		case <-time.After(500 * time.Microsecond):
 		}
 	}
-	return nil
 }
 
 // PushBatch submits a batch of raw line bytes to a serving engine. Batches

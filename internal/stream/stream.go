@@ -44,9 +44,10 @@
 package stream
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -313,19 +314,62 @@ type Stats struct {
 // discovery order — the quantity the kill-and-recover equivalence tests
 // compare.
 func Digest(templates []core.Template, counts []int64) string {
-	rows := make([]string, len(templates))
-	for i, t := range templates {
-		c := int64(0)
+	return renderDigest(len(templates), func(i int) []string { return templates[i].Tokens }, counts).sum()
+}
+
+// digestRows are the rows a digest hashes — a template's tokens joined by
+// ' ', a tab and its event count — rendered into one arena of exactly their
+// size, each row followed by the '\n' the hash reads after it.
+type digestRows struct {
+	arena []byte
+	rows  [][2]int // each row's [start, end) in arena, without its '\n'
+}
+
+// renderDigest renders the rows of templates 0..n-1: tokens(i) is template
+// i's tokens, read and not kept, and counts[i] its count (0 past the end of
+// counts). It is the part of a digest that must see the templates, so the
+// engine runs it under e.mu and hashes outside.
+func renderDigest(n int, tokens func(int) []string, counts []int64) digestRows {
+	count := func(i int) int64 {
 		if i < len(counts) {
-			c = counts[i]
+			return counts[i]
 		}
-		rows[i] = t.String() + "\t" + strconv.FormatInt(c, 10)
+		return 0
 	}
-	sort.Strings(rows)
+	size := 0
+	var num [20]byte
+	for i := range n {
+		toks := tokens(i)
+		size += max(len(toks)-1, 0) + len("\t\n") + len(strconv.AppendInt(num[:0], count(i), 10))
+		for _, t := range toks {
+			size += len(t)
+		}
+	}
+	d := digestRows{arena: make([]byte, 0, size), rows: make([][2]int, n)}
+	for i := range n {
+		start := len(d.arena)
+		for j, t := range tokens(i) {
+			if j > 0 {
+				d.arena = append(d.arena, ' ')
+			}
+			d.arena = append(d.arena, t...)
+		}
+		d.arena = strconv.AppendInt(append(d.arena, '\t'), count(i), 10)
+		d.rows[i] = [2]int{start, len(d.arena)}
+		d.arena = append(d.arena, '\n')
+	}
+	return d
+}
+
+// sum sorts the rows bytewise, as sort.Strings orders the same rows as
+// strings, and returns the hex SHA-256 over them, each with its '\n'.
+func (d digestRows) sum() string {
+	slices.SortFunc(d.rows, func(a, b [2]int) int {
+		return bytes.Compare(d.arena[a[0]:a[1]], d.arena[b[0]:b[1]])
+	})
 	h := sha256.New()
-	for _, r := range rows {
-		h.Write([]byte(r))
-		h.Write([]byte{'\n'})
+	for _, r := range d.rows {
+		h.Write(d.arena[r[0] : r[1]+1])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -13,9 +13,13 @@
 # on the now idle tenant, times the benchmark's four query shapes (p50 of
 # each over 20 rounds), profiles 3 s of query rounds into $PROFILE_OUT with
 # .query before .pprof, and prints the eventstore.reader.* counters: one
-# open, and refreshes that read nothing. Last, what the run cost in memory:
-# the server's resident high-water mark (VmHWM of /proc/PID/status) and the
-# collector's cycle count and total pause (memstats in /debug/vars).
+# open, and refreshes that read nothing. Beside the query p50s it prints the
+# p50 of 20 GET /v1/tenants/t0/stats calls, the control plane's cost on the
+# loaded tenant. Last, what the run cost in memory: the server's resident
+# high-water mark (VmHWM of /proc/PID/status), the collector's cycle count and
+# total pause (memstats in /debug/vars), and the top of a heap profile taken
+# once the tenant has processed every line, left in $PROFILE_OUT with .heap
+# before .pprof.
 #
 #   scripts/profile_server.sh [-online Drain|Spell] DATASET LINES
 #   scripts/profile_server.sh HDFS 3000000                 # the wire-hdfs shape
@@ -118,6 +122,10 @@ for _ in $(seq 1 600); do
 	curl -s "http://$addr/v1/tenants/t0/stats" | grep -q "\"Processed\":$lines[,}]" && break
 	sleep 0.1
 done
+# The heap as ingest left it, before the queries: the profile forces one
+# collection, which a buffer held in a sync.Pool survives.
+hout="${out%.pprof}.heap.pprof"
+curl -s -o "$hout" "http://$debug/debug/pprof/heap?gc=1"
 rows="$(curl -s "http://$addr/v1/query?tenant=t0&mode=top&n=100000" |
 	grep -o '"template":[0-9]*,"count":[0-9]*' | tr -c '0-9\n' ' ')"
 frequent="$(echo "$rows" | awk 'NR == 1 { print $1 }')"
@@ -137,6 +145,11 @@ for name in count top list span; do
 	awk -v i="$i" '(NR - i) % 4 == 0 { print $1 * 1000 }' "$work/times" | sort -n |
 		awk -v name="$name" '{ v[NR] = $1 } END { printf "  %-5s p50 %.2f ms\n", name, (v[10] + v[11]) / 2 }'
 done
+# The control plane beside them: an operator's stats poll, whose digest
+# renders every template of the loaded tenant.
+for _ in $(seq 1 20); do printf 'url = "http://%s/v1/tenants/t0/stats"\noutput = /dev/null\n' "$addr"; done |
+	curl -s -K - -w '%{time_total}\n' | awk '{ print $1 * 1000 }' | sort -n |
+	awk '{ v[NR] = $1 } END { printf "  stats p50 %.2f ms (GET /v1/tenants/t0/stats, 20 calls)\n", (v[10] + v[11]) / 2 }'
 qout="${out%.pprof}.query.pprof"
 echo "==> go tool pprof -top -cum of 3 s of query rounds (this module; profile in $qout)"
 curl -s -o "$qout" "http://$debug/debug/pprof/profile?seconds=3" &
@@ -158,6 +171,8 @@ gc="$(curl -s "http://$debug/debug/vars" | grep -o '"\(NumGC\|PauseTotalNs\)":[0
 	exit 1
 }
 echo "server memory: VmHWM $hwm, $gc"
+echo "==> go tool pprof -top of the heap in use once every line was processed (profile in $hout)"
+go tool pprof -top -sample_index=inuse_space -nodecount=12 "$work/logstreamd" "$hout" 2>/dev/null | sed -n '1,20p'
 
 kill -TERM "$server_pid" && wait "$server_pid"
 server_pid=""
