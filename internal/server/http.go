@@ -107,7 +107,7 @@ var errDeclaredTooLarge = &http.MaxBytesError{}
 // admitted, so a request that fails half-way admits nothing. The buffer
 // goes back to the pool only here, on the handler's own goroutine and after
 // IngestBatch has returned — PushBatch has copied every admitted line into
-// the WAL buffer and an arena by then — which also holds when
+// the WAL buffer and an admission batch by then — which also holds when
 // http.TimeoutHandler has given up on this handler and answered for it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.tm.requests.Inc()

@@ -67,11 +67,17 @@ type Config struct {
 	// CheckpointRoot is the directory holding per-tenant state; tenant id
 	// T checkpoints under <root>/tenants/<T>/.
 	CheckpointRoot string
-	// Stream is the engine template applied to every tenant. Open,
-	// CheckpointDir, WALDir and Now are overwritten per tenant; everything
-	// else (ring capacity, checkpoint cadence, retrain batch, policy,
-	// WAL sync policy and segment size) is copied. The zero value
-	// means the stream package defaults.
+	// Stream is the engine template every tenant's config starts from.
+	// Per tenant, CheckpointDir and EventStoreDir are overwritten with the
+	// tenant's directories (EventStoreDir empty without EventsRoot), and
+	// WALDir likewise (empty without WAL). Now is filled with the
+	// server's clock only when nil. Retrainer is replaced by
+	// NewRetrainer's when that is set, else it is shared across tenants
+	// (nil: each engine builds the stream default). Online must be nil; it
+	// comes from NewOnline. Everything else (ring capacity, checkpoint
+	// cadence, retrain batch, policy, WAL sync policy and segment size,
+	// event block size) is copied, and ConfigureEngine sees the result
+	// last. The zero value means the stream package defaults.
 	Stream stream.Config
 	// WAL enables a per-tenant write-ahead log under
 	// <root>/tenants/<T>/wal: every acknowledged ingest batch is durable
@@ -242,7 +248,7 @@ func New(cfg Config) (*Server, error) {
 // behind the newline-delimited HTTP batch body — creating the tenant's
 // engine on first contact. The flow is: tenant resolution (refused while
 // draining), quota charge for the lines that advance the numbering, then
-// stream.Engine.PushBatch (which copies the lines into pooled arenas at
+// stream.Engine.PushBatch (which copies the lines into pooled batches at
 // admission, so the caller may reuse the backing buffer once IngestBatch
 // returns) and the fleet-level accounting of its result. The returned
 // PushResult accounts for every line: admitted, replay-skipped, or shed.

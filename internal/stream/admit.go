@@ -1,84 +1,146 @@
 package stream
 
-// ingestBatch is the size lines are grouped into on their way through the
-// ring: admitters flush per batch and the consumer drains per batch, so
-// ring lock and counter traffic is paid once per batch instead
-// of once per line. Batching never reorders lines or changes what is
-// admitted — it only amortises overhead.
+import "sync"
+
+// ingestBatch is the most lines one batch holds. Lines are admitted, queued
+// and consumed a batch at a time, so ring lock, counter and pool traffic is
+// paid once per batch instead of once per line. Batching never reorders
+// lines or changes what is admitted — it only amortises overhead.
 const ingestBatch = 64
+
+// batchKeepBytes caps the buffer a recycled batch keeps: a batch that grew
+// past it for long lines gives its buffer to the garbage collector, so the
+// pool never holds multi-MiB buffers.
+const batchKeepBytes = 256 << 10
+
+// batch is the unit of admission: up to ingestBatch admitted lines copied
+// back to back into one buffer. It has exactly one owner at a time — the
+// admitter filling it, the ring queueing it, the consumer processing it —
+// and the consumer returns it to batchPool, so the steady state reuses a
+// few buffers instead of leaving one []byte per line for the collector.
+// Handing a batch on is a pointer move; nothing is counted per line.
+type batch struct {
+	buf   []byte
+	lines [ingestBatch]lineEnd
+	n     int
+}
+
+// lineEnd is one line of a batch: its 1-based number in the source (empty
+// lines excluded), where its bytes end in buf (they start where the
+// previous line's end), and whether it was truncated at MaxLineBytes.
+type lineEnd struct {
+	no        int64
+	end       int
+	oversized bool
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+func (b *batch) add(lineNo int64, line []byte, oversized bool) {
+	b.buf = append(b.buf, line...)
+	b.lines[b.n] = lineEnd{no: lineNo, end: len(b.buf), oversized: oversized}
+	b.n++
+}
+
+// item is line i of b, its data a view into b's buffer that is valid until
+// the batch is recycled.
+func (b *batch) item(i int) item {
+	start := 0
+	if i > 0 {
+		start = b.lines[i-1].end
+	}
+	l := b.lines[i]
+	return item{lineNo: l.no, data: b.buf[start:l.end:l.end], oversized: l.oversized}
+}
+
+// truncate keeps the first n ≥ 1 lines.
+func (b *batch) truncate(n int) {
+	b.n = n
+	b.buf = b.buf[:b.lines[n-1].end]
+}
+
+func (b *batch) reset() {
+	b.n = 0
+	b.buf = b.buf[:0]
+}
+
+// recycle returns b to the pool.
+func (b *batch) recycle() {
+	if cap(b.buf) > batchKeepBytes {
+		b.buf = nil
+	}
+	b.reset()
+	batchPool.Put(b)
+}
+
+// item is one admitted line as processLocked sees it. oversized marks a
+// line truncated at MaxLineBytes; it is counted when the line is processed,
+// so the counter moves with the checkpointed offset.
+type item struct {
+	lineNo    int64
+	data      []byte
+	oversized bool
+}
 
 // admitter is the one way lines get into the ring. The push path
 // (PushBatch, under pushMu, and so Feed) and WAL replay each own one: add
-// cuts an over-long line, copies it into pooled arena storage and queues it,
-// flush admits the queued batch under a policy. Not safe for concurrent
-// use.
+// cuts an over-long line and copies it into the admitter's batch, flush
+// hands the batch to the ring under a policy. Not safe for concurrent use.
 type admitter struct {
-	e     *Engine
-	ring  *ring
-	lw    lineWriter
-	batch []item
+	e    *Engine
+	ring *ring
+	b    *batch // the batch being filled; nil once the ring took it
 }
 
-// add copies line into pooled storage and queues it for the next flush,
-// reporting whether the batch is now due for one. A line longer than
-// MaxLineBytes is truncated to it and marked oversized — decided here, for
-// a pushed line and a replayed WAL record alike.
+// add copies line into the batch, reporting whether the batch is now due
+// for a flush: it holds ingestBatch lines, or as many as the ring does. A
+// line longer than MaxLineBytes is truncated to it and marked oversized —
+// decided here, for a pushed line and a replayed WAL record alike.
 func (a *admitter) add(lineNo int64, line []byte) (full bool) {
 	oversized := len(line) > a.e.cfg.MaxLineBytes
 	if oversized {
 		line = line[:a.e.cfg.MaxLineBytes]
 	}
-	if a.batch == nil {
-		a.batch = make([]item, 0, ingestBatch)
+	if a.b == nil {
+		a.b = batchPool.Get().(*batch)
 	}
-	data, src := a.lw.add(line)
-	a.batch = append(a.batch, item{lineNo: lineNo, data: data, src: src, oversized: oversized})
-	return len(a.batch) == ingestBatch
+	a.b.add(lineNo, line, oversized)
+	return a.b.n == min(ingestBatch, len(a.ring.buf))
 }
 
-// flush admits the queued batch in order: Backpressure blocks while the
-// ring is full, LoadShed drops what does not fit and counts it in Shed.
-// ok=false means the ring stopped (closed or aborted) before the batch
-// finished; the remainder is neither admitted nor shed and the producer
-// must stop. Either way every item not inserted has its arena reference
-// released and the batch is left empty.
+// pending reports whether lines wait for a flush.
+func (a *admitter) pending() bool { return a.b != nil && a.b.n > 0 }
+
+// flush hands the batch to the ring: Backpressure blocks until all of it
+// fits, LoadShed queues the prefix that fits and drops the rest, counted in
+// Shed. ok=false means the ring stopped (closed or aborted) first; nothing
+// is admitted or shed and the producer must stop. A batch the ring did not
+// take stays with the admitter, emptied.
 func (a *admitter) flush(policy AdmissionPolicy) (inserted, shed int, ok bool) {
-	if len(a.batch) == 0 {
+	b := a.b
+	if !a.pending() {
 		return 0, 0, true
 	}
+	n := b.n
 	if policy == LoadShed {
 		var stopped bool
-		inserted, stopped = a.ring.pushAllTry(a.batch)
+		inserted, stopped = a.ring.pushTry(b)
 		ok = !stopped
 		if ok {
-			shed = len(a.batch) - inserted
+			shed = n - inserted
 		}
-	} else {
-		inserted, ok = a.ring.pushAllWait(a.batch)
+	} else if ok = a.ring.pushWait(b); ok {
+		inserted = n
 	}
-	a.clear(inserted)
+	if inserted > 0 {
+		a.b = nil // the ring's now
+	} else {
+		b.reset()
+	}
 	if shed > 0 {
 		a.e.mu.Lock()
 		a.e.ctrs.Shed += int64(shed)
 		a.e.mu.Unlock()
 	}
 	return inserted, shed, ok
-}
-
-// clear empties the batch, releasing the items from index from on — the
-// ones the ring did not take ownership of.
-func (a *admitter) clear(from int) {
-	for i := range a.batch {
-		if i >= from {
-			a.batch[i].release()
-		}
-		a.batch[i] = item{}
-	}
-	a.batch = a.batch[:0]
-}
-
-// close drops whatever is still queued and the writer's arena reference.
-func (a *admitter) close() {
-	a.clear(0)
-	a.lw.close()
 }

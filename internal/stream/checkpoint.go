@@ -315,16 +315,17 @@ func (c *chain) apply(gen uint64, payload []byte) error {
 }
 
 // finish writes the folded online templates back into the documented
-// "templates" member of Online.Data, making the State self-contained.
+// "templates" member of Online.Data, making the State self-contained. Every
+// learner parameter sorts before "templates", so core.MarshalSnapshot writes
+// the bytes json.Marshal of the whole map would, without a buffer the
+// snapshot's size in encoding/json's pool.
 func (c *chain) finish() error {
 	if c.learner == nil {
 		return nil
 	}
-	tmpls, err := json.Marshal(c.tmpls)
-	if err == nil {
-		c.learner["templates"] = tmpls
-		c.st.Online.Data, err = json.Marshal(c.learner)
-	}
+	delete(c.learner, "templates")
+	var err error
+	c.st.Online.Data, err = core.MarshalSnapshot(c.learner, c.tmpls)
 	return err
 }
 

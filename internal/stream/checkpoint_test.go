@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"logparse/internal/core"
 	"logparse/internal/faultinject"
+	"logparse/internal/parsers/drain"
+	"logparse/internal/parsers/spell"
 	"logparse/internal/seglog"
 )
 
@@ -283,5 +286,87 @@ func TestEncodeBaseIsPlainStateJSON(t *testing.T) {
 				t.Fatalf("shape %d gen %d: encodeBase sized its buffer %d for %d bytes", i, gen, cap(got), len(got))
 			}
 		}
+	}
+}
+
+// TestChainFinishIsJSONMarshal: folding template deltas into an online base
+// re-encodes the learner's snapshot with core.MarshalSnapshot, and the bytes
+// equal json.Marshal of the decoded snapshot with its "templates" member
+// replaced — HTML characters and invalid UTF-8 in tokens included, whether
+// folded straight into a chain or read back from a delta record.
+func TestChainFinishIsJSONMarshal(t *testing.T) {
+	learners := map[string]func() OnlineParser{
+		"drain": func() OnlineParser { return drain.NewStream(drain.Options{}) },
+		"spell": func() OnlineParser { return spell.NewStream(spell.Options{}) },
+	}
+	// marshalMap is the fold as json.Marshal writes it: the templates
+	// member replaced, the whole map marshalled with its keys sorted.
+	marshalMap := func(t *testing.T, blob []byte, edit func([][]string) [][]string) []byte {
+		t.Helper()
+		var m map[string]json.RawMessage
+		var tmpls [][]string
+		if err := json.Unmarshal(blob, &m); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(m["templates"], &tmpls); err != nil {
+			t.Fatal(err)
+		}
+		m["templates"], _ = json.Marshal(edit(tmpls))
+		out, _ := json.Marshal(m)
+		return out
+	}
+	changed := []string{"\xc3\x28", `"q"&`, "</script>", "\u2028", "\x01"}
+	for name, fresh := range learners {
+		t.Run(name, func(t *testing.T) {
+			learner := fresh()
+			for _, line := range []string{"open <a&b> file 7", "open <a&b> file 8", "close \xff\xfe now"} {
+				learner.LearnBytes(core.TokenizeBytes([]byte(line), nil))
+			}
+			blob, err := learner.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(learner.Templates())
+
+			// Straight into a chain: raw invalid UTF-8 reaches the encoder.
+			c := chain{st: &State{Online: &OnlineState{}}}
+			if err := json.Unmarshal(blob, &c.learner); err != nil {
+				t.Fatal(err)
+			}
+			json.Unmarshal(c.learner["templates"], &c.tmpls)
+			c.tmpls = append(c.tmpls, changed)
+			want := marshalMap(t, blob, func(ts [][]string) [][]string { return append(ts, changed) })
+			if err := c.finish(); err != nil || string(c.st.Online.Data) != string(want) {
+				t.Fatalf("finish = %s (%v)\njson.Marshal = %s", c.st.Online.Data, err, want)
+			}
+
+			// Through a delta record and Load.
+			s, _ := NewStore(t.TempDir())
+			if err := s.Save(&State{Online: &OnlineState{Parser: learner.Name(), Data: blob}, Templates: make([]SavedTemplate, n)}); err != nil {
+				t.Fatal(err)
+			}
+			generalised := []string{"open", "<*>", "&", "*"}
+			d := &delta{Offset: 3, NumTemplates: n + 1, Templates: []templateDelta{{Index: 0, Tokens: generalised}, {Index: n, Tokens: changed}}}
+			if _, err := s.saveDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			st, _, err := s.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded []string // the tokens as the record carries them
+			raw, _ := json.Marshal(changed)
+			json.Unmarshal(raw, &decoded)
+			want = marshalMap(t, blob, func(ts [][]string) [][]string {
+				ts[0] = generalised
+				return append(ts, decoded)
+			})
+			if string(st.Online.Data) != string(want) {
+				t.Fatalf("folded snapshot = %s\njson.Marshal = %s", st.Online.Data, want)
+			}
+			if err := fresh().Restore(st.Online.Data); err != nil {
+				t.Fatalf("restore the folded snapshot: %v", err)
+			}
+		})
 	}
 }

@@ -329,13 +329,13 @@ func (e *Engine) begin(ctx context.Context) (r *ring, offset int64, end func(), 
 // popped batch — ctx.Err is a mutex round trip, and a cancelled ring stops
 // handing out batches anyway — and after every line only behind an AfterLine
 // hook, which is what hard-stops an engine between two particular lines.
+// A processed batch goes back to the pool; one the consumer stops inside is
+// left to the collector with the incarnation's ring.
 func (e *Engine) consume(ctx context.Context, r *ring) error {
-	var batch [ingestBatch]item
 	for {
-		n, ok := r.popBatch(batch[:])
-		if ctx.Err() != nil {
-			abandon(batch[:n])
-			return ctx.Err()
+		b, ok := r.pop()
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if !ok {
 			return nil // clean drain
@@ -345,18 +345,10 @@ func (e *Engine) consume(ctx context.Context, r *ring) error {
 			// is the instant its batch was dequeued (eventstore.Event.Time).
 			e.eventTime = e.now().UnixNano()
 		}
-		if err := e.consumeBatch(ctx, batch[:n]); err != nil {
+		if err := e.consumeBatch(ctx, b); err != nil {
 			return err
 		}
-	}
-}
-
-// abandon releases items the consumer will not process, as the ring
-// abandons its buffer.
-func abandon(rest []item) {
-	for j := range rest {
-		rest[j].release()
-		rest[j] = item{}
+		b.recycle()
 	}
 }
 
@@ -368,22 +360,19 @@ func abandon(rest []item) {
 // appended and e.mu is released around each call, so the hook sees the
 // engine and the store as they stand after its line; a ctx ended by then
 // abandons the rest of the batch and is returned.
-func (e *Engine) consumeBatch(ctx context.Context, batch []item) error {
+func (e *Engine) consumeBatch(ctx context.Context, b *batch) error {
 	e.mu.Lock()
 	defer func() {
 		e.flushEventsLocked()
 		e.mu.Unlock()
 	}()
-	for i := range batch {
-		it := batch[i]
-		batch[i] = item{}
+	for i := range b.n {
+		it := b.item(i)
 		due := e.processLocked(ctx, it)
-		it.release()
 		if e.cfg.AfterLine != nil {
 			e.flushEventsLocked()
 			e.afterLineUnlocked(it.lineNo)
 			if ctx.Err() != nil {
-				abandon(batch[i+1:])
 				return ctx.Err()
 			}
 		}
@@ -412,8 +401,8 @@ func (e *Engine) afterLineUnlocked(lineNo int64) {
 // builds the matcher with match.New on restore, grows it with Insert and
 // never calls Matcher.Remove, which retires slots; pinned by
 // TestMatcherBuildOrderIsTemplateOrder). Strings are
-// materialised only on the unmatched slow path, where the line outlives the
-// arena in the retrain buffer. The return value reports whether a periodic
+// materialised only on the unmatched slow path, where the line outlives its
+// batch in the retrain buffer. The return value reports whether a periodic
 // checkpoint is due — consumeBatch writes it after the AfterLine hook and
 // the cancellation check, preserving the hook's power to hard-stop the
 // engine before the interval's checkpoint lands. Called with e.mu held.

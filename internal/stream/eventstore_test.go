@@ -302,13 +302,14 @@ func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 	}
 	eng.cfg.CheckpointEvery = every
 	base := eng.offset
-	var batch [ingestBatch]item
+	var batch batch
 	for b := 0; b < 10; b++ {
-		for i := range batch {
-			batch[i] = item{lineNo: eng.offset + int64(i) + 1, data: it.data}
+		batch.reset()
+		for i := range ingestBatch {
+			batch.add(eng.offset+int64(i)+1, it.data, false)
 		}
 		covered := base + (eng.offset+ingestBatch-base)/every*every
-		if err := eng.consumeBatch(ctx, batch[:]); err != nil {
+		if err := eng.consumeBatch(ctx, &batch); err != nil {
 			t.Fatal(err)
 		}
 		st := eng.Stats()

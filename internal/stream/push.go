@@ -136,7 +136,6 @@ func (e *Engine) serve(ctx context.Context, r *ring, start int64) error {
 // whatever the configured policy.
 func (e *Engine) replayWAL(r *ring, start int64) {
 	adm := admitter{e: e, ring: r}
-	defer adm.close()
 	top := start
 	if last := int64(e.wal.LastSeq()); last > top {
 		top = last
@@ -229,9 +228,10 @@ func (e *Engine) WaitServing(ctx context.Context) error {
 // streams number identically; lines at or below the restored offset are
 // skipped as replay duplicates; over-long lines are truncated at
 // MaxLineBytes and counted in Stats.Oversized. Under Backpressure a full ring blocks
-// PushBatch until the consumer frees a slot; under LoadShed the lines that
-// do not fit are counted in PushResult.Shed and dropped. Each admitted line
-// is copied into a pooled arena at admission, so the caller may reuse or
+// PushBatch until the consumer frees room for the batch it admits next
+// (ingestBatch lines at a time); under LoadShed the lines that do not fit
+// are counted in PushResult.Shed and dropped. Each admitted line
+// is copied into a pooled batch at admission, so the caller may reuse or
 // free the backing of lines the moment PushBatch returns; per-line the
 // engine allocates nothing.
 //
@@ -264,7 +264,7 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 
 	// flush admits the pending lines; a non-nil error fails the push.
 	flush := func() error {
-		if w != nil && len(e.push.batch) > 0 {
+		if w != nil && e.push.pending() {
 			// The enumerated crash point between WAL append and ring
 			// push: the batch's lines are in the WAL (possibly auto-
 			// flushed to disk) but not yet admitted.
@@ -325,13 +325,13 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 }
 
 // walAbort ends the serve incarnation after a write-ahead-log failure:
-// pending admission items are released, the failure is recorded, the ring
+// lines not yet flushed are dropped, the failure is recorded, the ring
 // aborts (the Serve loop drains out and surfaces a *DurableError for its
 // supervisor), and the pusher gets the typed error — its batch was NOT
 // acknowledged and must be replayed whole against the next incarnation.
 // Called with pushMu held.
 func (e *Engine) walAbort(err error) error {
-	e.push.clear(0)
+	e.push.b = nil
 	e.mu.Lock()
 	if e.walErr == nil {
 		e.walErr = err

@@ -1,13 +1,17 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"logparse/internal/core"
 	"logparse/internal/telemetry"
 )
 
@@ -395,5 +399,171 @@ func TestAllCorruptCheckpointsQuarantineIntoEmptyStart(t *testing.T) {
 	}
 	if eng2.Digest() != eng.Digest() {
 		t.Fatalf("re-learned digest %s != original digest %s", eng2.Digest(), eng.Digest())
+	}
+}
+
+// TestPushBatchRingCapacityBound holds the ring's line bound exact for ring
+// capacities below, at and above one batch: with the consumer held inside
+// line 1, LoadShed queues exactly RingCapacity lines and sheds the rest, and
+// Backpressure waits with the ring as full as whole batches make it. Either
+// way RingHighWater never exceeds RingCapacity and every pushed line is
+// processed or shed.
+func TestPushBatchRingCapacityBound(t *testing.T) {
+	for _, capacity := range []int{1, 3, ingestBatch - 1, ingestBatch, ingestBatch + 1, 1024} {
+		for _, policy := range []AdmissionPolicy{LoadShed, Backpressure} {
+			t.Run(fmt.Sprintf("%v/%d", policy, capacity), func(t *testing.T) {
+				held, release := make(chan struct{}), make(chan struct{})
+				eng, err := New(Config{
+					CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
+					CheckpointEvery: -1,
+					RingCapacity:    capacity,
+					Policy:          policy,
+					Retrainer:       &groupMiner{},
+					AfterLine: func(lineNo int64) {
+						if lineNo == 1 {
+							close(held)
+							<-release
+						}
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := context.Background()
+				done := serveAsync(ctx, eng)
+				lines := make([][]byte, 2*capacity+2*ingestBatch+5)
+				for i := range lines {
+					lines[i] = fmt.Appendf(nil, "connection from 10.0.0.%d port %d", i%50, i)
+				}
+				if _, err := eng.PushBatch(ctx, lines[:1]); err != nil {
+					t.Fatal(err)
+				}
+				<-held
+				rest := lines[1:]
+				var res PushResult
+				if policy == LoadShed {
+					if res, err = eng.PushBatch(ctx, rest); err != nil {
+						t.Fatal(err)
+					}
+					if res.Accepted != capacity || res.Shed != len(rest)-capacity {
+						t.Fatalf("held consumer: %+v, want %d accepted and the other %d shed", res, capacity, len(rest)-capacity)
+					}
+					close(release)
+				} else {
+					pushed := make(chan PushResult, 1)
+					go func() {
+						res, _ := eng.PushBatch(ctx, rest)
+						pushed <- res
+					}()
+					full := capacity - min(capacity, ingestBatch) // no further batch fits above this
+					for deadline := time.Now().Add(10 * time.Second); eng.Stats().RingDepth <= full; time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("ring depth %d never passed %d", eng.Stats().RingDepth, full)
+						}
+					}
+					close(release)
+					if res = <-pushed; res.Accepted != len(rest) {
+						t.Fatalf("backpressure accepted %d of %d", res.Accepted, len(rest))
+					}
+				}
+				eng.Stop()
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				st := eng.Stats()
+				if st.RingHighWater > capacity || (policy == LoadShed && st.RingHighWater != capacity) {
+					t.Fatalf("ring high-water %d with capacity %d", st.RingHighWater, capacity)
+				}
+				if st.Processed+st.Shed != int64(len(lines)) || st.Shed != int64(res.Shed) || st.Matched != st.Processed {
+					t.Fatalf("%d lines pushed: processed %d, shed %d (push said %d), matched %d", len(lines), st.Processed, st.Shed, res.Shed, st.Matched)
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentPushersStopMidStream: four pushers race one engine until a
+// Stop lands mid-stream. Each pusher's lines carry its own template and
+// lengths that vary line to line, and it overwrites every line once
+// PushBatch returns, so a batch buffer reused too early, shared by two
+// owners or aliasing the caller's memory shows as a line under the wrong
+// template or none. Every accepted line must be processed exactly once: the
+// engine's and the event store's per-template counts equal each pusher's
+// accepted total.
+func TestConcurrentPushersStopMidStream(t *testing.T) {
+	const pushers = 4
+	tmpls := make([]core.Template, pushers)
+	for p := range tmpls {
+		tmpls[p] = core.Template{ID: fmt.Sprintf("P%d", p), Tokens: []string{"pusher", fmt.Sprint(p), "line", "*", "pad", "*"}}
+	}
+	storeDir := t.TempDir()
+	eng, err := New(Config{
+		CheckpointDir:   seedTemplates(t, t.TempDir(), tmpls),
+		CheckpointEvery: 500,
+		RingCapacity:    100,
+		Retrainer:       &groupMiner{},
+		EventStoreDir:   storeDir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	done := serveAsync(ctx, eng)
+
+	var accepted [pushers]int64
+	errs := make(chan error, pushers)
+	var wg sync.WaitGroup
+	for p := range pushers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for n := 0; ; {
+				lines := make([][]byte, 1+rng.Intn(150))
+				for i := range lines {
+					lines[i] = fmt.Appendf(nil, "pusher %d line %d pad %s", p, n, bytes.Repeat([]byte{'a' + byte(p)}, 1+rng.Intn(300)))
+					n++
+				}
+				res, err := eng.PushBatch(ctx, lines)
+				accepted[p] += int64(res.Accepted)
+				for _, l := range lines {
+					for i := range l {
+						l[i] = '#'
+					}
+				}
+				if err != nil {
+					if !errors.Is(err, ErrNotServing) {
+						errs <- err
+					}
+					return
+				}
+			}
+		}()
+	}
+	waitForOffset(t, eng, 5000)
+	eng.Stop()
+	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatalf("PushBatch: %v", err)
+	}
+
+	var total int64
+	for _, n := range accepted {
+		total += n
+	}
+	st := eng.Stats()
+	if st.Processed != total || st.Matched != total || st.Shed != 0 || st.RingHighWater > 100 {
+		t.Fatalf("%d lines accepted: processed %d, matched %d, shed %d, ring high-water %d", total, st.Processed, st.Matched, st.Shed, st.RingHighWater)
+	}
+	_, counts := eng.Result()
+	stored, _ := storeCounts(t, storeDir)
+	for p, n := range accepted {
+		if counts[p] != n || stored[int32(p)] != n {
+			t.Fatalf("pusher %d: %d lines accepted, engine counted %d, event store %d", p, n, counts[p], stored[int32(p)])
+		}
 	}
 }

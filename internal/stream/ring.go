@@ -2,143 +2,110 @@ package stream
 
 import "sync"
 
-// item is one admitted source line: its 1-based line number in the source
-// (empty lines excluded) and its raw content. data points into the pooled
-// arena src holds a reference on (or into a dedicated allocation when src
-// is nil); whoever consumes the item calls release when done with data.
-// oversized marks a line truncated at MaxLineBytes; it is counted when the
-// line is processed, so the counter moves with the checkpointed offset.
-type item struct {
-	lineNo    int64
-	data      []byte
-	src       *arena
-	oversized bool
-}
-
-// release returns the item's share of its arena to the pool.
-func (it item) release() { it.src.release() }
-
 // ring is the fixed-capacity admission queue between a producer (PushBatch
-// or WAL replay, both through admitter.flush) and the matching consumer.
-// Its capacity is the engine's memory bound on in-flight lines: pushAllWait
-// blocks the producer (Backpressure) and pushAllTry refuses what does not
-// fit (LoadShed); neither ever grows the buffer.
+// or WAL replay, both through admitter.flush) and the matching consumer. It
+// queues batches but counts lines: its capacity, in lines, is the engine's
+// memory bound on in-flight lines. pushWait blocks the producer until the
+// whole batch fits (Backpressure) and pushTry queues only the prefix that
+// fits (LoadShed); neither ever grows the buffer. No batch holds more lines
+// than the capacity (admitter.add), so every batch fits an empty ring.
 //
 // close marks the clean end of input — Stop, or Feed at the end of its
-// reader (the consumer drains what is buffered); abort is the hard stop (pending items are abandoned, blocked
-// producers and consumers wake immediately).
+// reader (the consumer drains what is queued); abort is the hard stop
+// (queued batches are dropped, blocked producers and consumers wake
+// immediately).
 type ring struct {
 	mu       sync.Mutex
 	notFull  sync.Cond
 	notEmpty sync.Cond
 
-	buf       []item
+	// buf is the FIFO of queued batches. Each holds at least one line, so
+	// one slot per line of capacity is enough.
+	buf       []*batch
 	head      int
-	count     int
-	highWater int
+	queued    int // batches
+	lines     int
+	highWater int // most lines ever queued
 	closed    bool
 	aborted   bool
 }
 
 func newRing(capacity int) *ring {
-	r := &ring{buf: make([]item, capacity)}
+	r := &ring{buf: make([]*batch, capacity)}
 	r.notFull.L = &r.mu
 	r.notEmpty.L = &r.mu
 	return r
 }
 
-// insertLocked places the item; the caller signals notEmpty once per batch
-// — per-item signalling is a futex syscall each time the consumer sleeps,
-// and amortising it is a measurable share of the batch path's win.
-func (r *ring) insertLocked(it item) {
-	r.buf[(r.head+r.count)%len(r.buf)] = it
-	r.count++
-	if r.count > r.highWater {
-		r.highWater = r.count
-	}
+// insertLocked queues b and wakes the consumer.
+func (r *ring) insertLocked(b *batch) {
+	r.buf[(r.head+r.queued)%len(r.buf)] = b
+	r.queued++
+	r.lines += b.n
+	r.highWater = max(r.highWater, r.lines)
+	r.notEmpty.Signal()
 }
 
-// pushAllWait inserts items in order, blocking whenever the ring is full.
-// It returns how many were inserted and ok=false when the ring stopped
-// (closed or aborted) before the batch finished — the caller still owns
-// (and must release) items[inserted:].
-func (r *ring) pushAllWait(items []item) (inserted int, ok bool) {
+// pushWait queues b, blocking until all of its lines fit. ok=false means
+// the ring stopped (closed or aborted) first and the caller still owns b.
+func (r *ring) pushWait(b *batch) (ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, it := range items {
-		if r.count == len(r.buf) && !r.aborted && !r.closed {
-			// Wake the consumer to drain what this batch inserted so far
-			// before sleeping — without this a batch larger than the free
-			// space would fill the ring and wait with the consumer still
-			// parked on notEmpty.
-			r.notEmpty.Signal()
-			for r.count == len(r.buf) && !r.aborted && !r.closed {
-				r.notFull.Wait()
-			}
-		}
-		if r.aborted || r.closed {
-			// close/abort broadcast notEmpty; the consumer drains without
-			// needing a signal from us.
-			return inserted, false
-		}
-		r.insertLocked(it)
-		inserted++
+	for r.lines+b.n > len(r.buf) && !r.aborted && !r.closed {
+		r.notFull.Wait()
 	}
-	if inserted > 0 {
-		r.notEmpty.Signal()
+	if r.aborted || r.closed {
+		// close/abort broadcast notEmpty; the consumer drains without
+		// needing a signal from us.
+		return false
 	}
-	return inserted, true
+	r.insertLocked(b)
+	return true
 }
 
-// pushAllTry inserts items in order until the ring is full, never blocking.
-// stopped=true means the ring accepts no further input (the caller exits
-// rather than counting the remainder as shed); otherwise items[inserted:]
-// were shed and remain owned by the caller.
-func (r *ring) pushAllTry(items []item) (inserted int, stopped bool) {
+// pushTry queues the prefix of b that fits, never blocking, and reports how
+// many lines that is. With inserted > 0 the ring owns b, truncated to them;
+// otherwise the caller still owns b. stopped=true means the ring accepts no
+// further input (the caller exits rather than counting the batch as shed).
+func (r *ring) pushTry(b *batch) (inserted int, stopped bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.aborted || r.closed {
 		return 0, true
 	}
-	for _, it := range items {
-		if r.count == len(r.buf) {
-			break
-		}
-		r.insertLocked(it)
-		inserted++
-	}
-	if inserted > 0 {
-		r.notEmpty.Signal()
-	}
-	return inserted, false
-}
-
-// popBatch removes up to len(dst) oldest items into dst, blocking while the
-// ring is empty and still open. It returns at least one item whenever any
-// is available rather than waiting to fill dst — batching amortises the
-// lock, it must not add latency. ok=false means no more items will ever
-// come (aborted, or closed and fully drained).
-func (r *ring) popBatch(dst []item) (n int, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.count == 0 && !r.closed && !r.aborted {
-		r.notEmpty.Wait()
-	}
-	if r.aborted || r.count == 0 {
+	free := len(r.buf) - r.lines
+	if free == 0 {
 		return 0, false
 	}
-	for n < len(dst) && r.count > 0 {
-		dst[n] = r.buf[r.head]
-		r.buf[r.head] = item{} // release the line for GC
-		r.head = (r.head + 1) % len(r.buf)
-		r.count--
-		n++
+	if b.n > free {
+		b.truncate(free)
 	}
-	r.notFull.Broadcast()
-	return n, true
+	r.insertLocked(b)
+	return b.n, false
 }
 
-// close marks the end of the source; buffered items remain poppable.
+// pop removes the oldest batch, blocking while the ring is empty and still
+// open; the caller owns it. ok=false means no more batches will ever come
+// (aborted, or closed and fully drained).
+func (r *ring) pop() (b *batch, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.queued == 0 && !r.closed && !r.aborted {
+		r.notEmpty.Wait()
+	}
+	if r.aborted || r.queued == 0 {
+		return nil, false
+	}
+	b = r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) % len(r.buf)
+	r.queued--
+	r.lines -= b.n
+	r.notFull.Broadcast()
+	return b, true
+}
+
+// close marks the end of the source; queued batches remain poppable.
 func (r *ring) close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -147,7 +114,7 @@ func (r *ring) close() {
 	r.notEmpty.Broadcast()
 }
 
-// abort hard-stops the ring: pending items are abandoned and every blocked
+// abort hard-stops the ring: queued batches are dropped and every blocked
 // caller wakes with a failure.
 func (r *ring) abort() {
 	r.mu.Lock()
@@ -165,9 +132,9 @@ func (r *ring) stopped() bool {
 	return r.closed || r.aborted
 }
 
-// stats reports current depth and the high-water mark.
+// stats reports the lines queued now and the most ever queued.
 func (r *ring) stats() (depth, highWater int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.count, r.highWater
+	return r.lines, r.highWater
 }

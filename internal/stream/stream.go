@@ -25,10 +25,12 @@
 //     policy, so a killed-and-resumed run converges to the same template
 //     set and event counts as an uninterrupted run;
 //
-//   - bounded memory: admission runs through a fixed-capacity ring with a
-//     configurable policy — Backpressure blocks the pusher, LoadShed drops
-//     the incoming line and counts it — and the unmatched buffer is capped,
-//     shedding its oldest lines when retraining cannot keep up;
+//   - bounded memory: admitted lines travel in pooled batches of up to 64,
+//     each with one owner at a time (admitter, ring, consumer), through a
+//     ring bounded in lines with a configurable policy — Backpressure
+//     blocks the pusher until its batch fits, LoadShed keeps the prefix
+//     that fits and counts the rest as shed — and the unmatched buffer is
+//     capped, shedding its oldest lines when retraining cannot keep up;
 //
 //   - overload isolation: a circuit breaker trips retraining to the
 //     matcher-only tier after repeated failures and half-opens on an
@@ -61,12 +63,12 @@ import (
 type AdmissionPolicy int
 
 const (
-	// Backpressure blocks the pusher until the consumer frees a slot.
-	// Nothing is lost, and replay after a crash is deterministic; the cost
+	// Backpressure blocks the pusher until the ring has room for its
+	// whole batch. Nothing is lost, and replay after a crash is deterministic; the cost
 	// is that a slow consumer stalls the pusher.
 	Backpressure AdmissionPolicy = iota
-	// LoadShed drops the incoming line when the ring is full and counts it
-	// in Stats.Shed. The pusher never stalls; shed lines are lost to
+	// LoadShed drops the incoming lines that do not fit the ring and counts
+	// them in Stats.Shed. The pusher never stalls; shed lines are lost to
 	// matching (and may or may not be re-seen after a crash, see DESIGN.md
 	// "Streaming & recovery semantics").
 	LoadShed

@@ -8,8 +8,8 @@ import "logparse/internal/telemetry"
 // the disabled path costs nothing.
 //
 // Only what Stats does not already hold is published here: a line, retrain
-// or checkpoint count, a gauge of a current depth or state — those are
-// Stats fields, read from the engine itself, never kept twice.
+// or checkpoint count, a current depth or state — those are Stats fields,
+// read from the engine itself, never kept twice.
 type engineTelemetry struct {
 	ckptBytes      *telemetry.Counter
 	ckptBases      *telemetry.Counter

@@ -59,9 +59,6 @@ func TestEngineTelemetryCheckpointAccounting(t *testing.T) {
 	for name := range snap.Counters {
 		names = append(names, name)
 	}
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
 	for name := range snap.Histograms {
 		names = append(names, name)
 	}

@@ -260,7 +260,7 @@ func TestRecentSpansBounded(t *testing.T) {
 }
 
 // TestRegistryStress hammers one handle from 32 goroutines — counters,
-// gauges, histograms, span trees, and concurrent snapshot/report readers —
+// histograms, span trees, and concurrent snapshot/report readers —
 // and then checks the totals. Run with -race, this is the data-race lockdown
 // for the whole package.
 func TestRegistryStress(t *testing.T) {
@@ -276,7 +276,6 @@ func TestRegistryStress(t *testing.T) {
 			name := fmt.Sprintf("shared-%d", g%4) // contended lookups
 			for i := 0; i < iters; i++ {
 				h.Counter(name).Inc()
-				h.Gauge("depth").Set(int64(i))
 				h.Histogram("lat", DurationBuckets).Observe(float64(i) * 1e-4)
 				if i%100 == 0 {
 					sp := h.StartSpan("work")
@@ -321,11 +320,6 @@ func TestNilHandleSafe(t *testing.T) {
 	if h.Counter("c").Value() != 0 {
 		t.Fatal("nil counter should read 0")
 	}
-	h.Gauge("g").Set(3)
-	h.Gauge("g").Add(2)
-	if h.Gauge("g").Value() != 0 {
-		t.Fatal("nil gauge should read 0")
-	}
 	hist := h.Histogram("h", DurationBuckets)
 	hist.Observe(1)
 	if hist.Count() != 0 || hist.Sum() != 0 {
@@ -338,7 +332,7 @@ func TestNilHandleSafe(t *testing.T) {
 		t.Fatal("nil handle should expose a nil registry")
 	}
 	snap := h.Snapshot()
-	if snap.Counters == nil || snap.Gauges == nil || snap.Histograms == nil {
+	if snap.Counters == nil || snap.Histograms == nil {
 		t.Fatal("nil-handle snapshot should have non-nil empty maps")
 	}
 	if got := h.StageTimings(); got == nil || len(got) != 0 {

@@ -15,13 +15,12 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // sampleReport builds a small deterministic report exercising every section:
-// counters, a gauge, a histogram with in-range and overflow observations,
+// counters, a histogram with in-range and overflow observations,
 // and a two-level span tree. Values vary run to run (durations), but the
 // schema — the set of JSON paths and their types — must not.
 func sampleReport() *Report {
 	h := New()
 	h.Counter("parse.calls").Add(3)
-	h.Gauge("ring.depth").Set(7)
 	hist := h.Histogram("parse.seconds", DurationBuckets)
 	hist.Observe(0.002)
 	hist.Observe(120) // overflow

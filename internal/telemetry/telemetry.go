@@ -1,5 +1,5 @@
 // Package telemetry is the toolkit's zero-dependency observability layer:
-// a race-safe metrics registry (monotone counters, gauges, histograms with
+// a race-safe metrics registry (monotone counters and histograms with
 // fixed bucket layouts) plus lightweight trace spans with hierarchical
 // stage timings. The paper's RQ2 (Fig. 2) treats each parser as one
 // wall-clock number; a production ingester needs to see inside the hot
@@ -63,35 +63,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-write-wins instantaneous value. A nil *Gauge no-ops.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // DurationBuckets is the layout for latency histograms, in seconds: 100µs
@@ -188,7 +159,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -196,7 +166,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -214,21 +183,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
@@ -254,7 +208,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
-		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
 	if r == nil {
@@ -264,9 +217,6 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.snapshot()
@@ -278,7 +228,6 @@ func (r *Registry) Snapshot() Snapshot {
 // half of the -report JSON run report.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
@@ -334,14 +283,6 @@ func (h *Handle) Counter(name string) *Counter {
 		return nil
 	}
 	return h.reg.Counter(name)
-}
-
-// Gauge returns the named gauge (nil when disabled).
-func (h *Handle) Gauge(name string) *Gauge {
-	if h == nil {
-		return nil
-	}
-	return h.reg.Gauge(name)
 }
 
 // Histogram returns the named histogram (nil when disabled).

@@ -3,7 +3,7 @@ package logparse
 import "logparse/internal/telemetry"
 
 // Telemetry is an optional, self-contained observability handle: a
-// race-safe metrics registry (counters, gauges, fixed-bucket histograms)
+// race-safe metrics registry (counters, fixed-bucket histograms)
 // plus lightweight hierarchical stage spans. One handle can be shared by
 // any number of parsers (Options.Telemetry), robust chains
 // (RobustPolicy.Telemetry) and stream engines (StreamConfig.Telemetry);
