@@ -359,6 +359,11 @@ func runServer(cfg server.Config, listen, addrFile string, drainTimeout time.Dur
 	if err != nil {
 		return 1, err
 	}
+	// Signals are caught before the address is announced, so whoever
+	// signals as soon as it appears gets a drain, not a kill.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -374,10 +379,6 @@ func runServer(cfg server.Config, listen, addrFile string, drainTimeout time.Dur
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "logstreamd: multi-tenant ingest on http://%s/v1/ingest\n", ln.Addr())
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 
 	select {
 	case sig := <-sigCh:

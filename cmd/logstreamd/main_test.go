@@ -1,14 +1,18 @@
 package main
 
 import (
+	"compress/gzip"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -185,6 +189,90 @@ func TestParentFileModeRootsResume(t *testing.T) {
 				t.Errorf("digest %s, want %s", got, tc.digest)
 			}
 		})
+	}
+}
+
+// TestParentWALRootResumes resumes a -listen -wal root that the tree
+// before batch records wrote, one record per line: 2,001 Spark lines (seed
+// 5) posted to tenant t as 300-line POSTs, line 1,000 over 4 MiB long, and
+// the process killed with -9 before any checkpoint, so only the WAL holds
+// the lines. Its segments are committed gzipped (the long line is one byte
+// repeated). Replayed by this tree, the tenant must report what that tree
+// reported when it resumed the same root.
+func TestParentWALRootResumes(t *testing.T) {
+	root := t.TempDir()
+	src := filepath.Join("testdata", "parent-roots", "wal")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		dst := filepath.Join(root, strings.TrimSuffix(rel, ".gz"))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			return err
+		}
+		data, err := io.ReadAll(zr)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	addrFile, stdout, stderr := filepath.Join(dir, "addr"), filepath.Join(dir, "stdout"), filepath.Join(dir, "stderr")
+	type result struct {
+		code int
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		code, err := runTo(t, stdout, stderr, "-listen", "127.0.0.1:0", "-listen-addr-file", addrFile, "-checkpoint-dir", root, "-wal")
+		done <- result{code, err}
+	}()
+	var addr []byte
+	for start := time.Now(); len(addr) == 0 && time.Since(start) < 10*time.Second; time.Sleep(10 * time.Millisecond) {
+		addr, _ = os.ReadFile(addrFile)
+	}
+	if len(addr) == 0 {
+		t.Fatal("the server never bound")
+	}
+	var st struct {
+		Stream struct{ Processed, Oversized, WALReplayed int64 }
+		Digest string
+	}
+	for start := time.Now(); st.Stream.Processed < 2001 && time.Since(start) < 30*time.Second; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get("http://" + strings.TrimSpace(string(addr)) + "/v1/tenants/t/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-done; r.code != 0 || r.err != nil {
+		t.Fatalf("exit %d, error %v", r.code, r.err)
+	}
+	const digest = "aae0345b8f5df3376010a1ad4742d6918a5b021d3bd3b21fb399307b87c840af"
+	if st.Stream.Processed != 2001 || st.Stream.Oversized != 1 || st.Stream.WALReplayed != 2001 || st.Digest != digest {
+		t.Fatalf("resumed Processed=%d Oversized=%d WALReplayed=%d digest %s, want 2001, 1, 2001 and %s",
+			st.Stream.Processed, st.Stream.Oversized, st.Stream.WALReplayed, st.Digest, digest)
 	}
 }
 

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"os"
+	"strconv"
 
+	"logparse/internal/core"
 	"logparse/internal/eventstore"
 )
 
@@ -66,7 +71,79 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, 0, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQuery(w, resp)
+}
+
+// writeQuery writes resp with the bytes writeJSON would. encoding/json
+// hands every encoder's buffer back to its pool whatever the size, so a
+// list or top answer of many rows would keep a buffer of its size there:
+// only the small envelope goes through encoding/json, and the rows are
+// appended after it into a buffer of this answer's own, written out each
+// time it passes queryChunk bytes.
+func writeQuery(w http.ResponseWriter, resp queryResponse) {
+	events, templates := resp.Events, resp.Templates
+	resp.Events, resp.Templates = nil, nil
+	head, err := json.Marshal(resp)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, 0, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// The rows' members come just before "stats", which no string value
+	// can hold unescaped.
+	i := bytes.Index(head, []byte(`"stats":`))
+	b := append([]byte(nil), head[:i]...)
+	if len(events) > 0 {
+		b = writeRows(w, append(b, `"events":[`...), events, appendRow)
+	}
+	if len(templates) > 0 {
+		b = writeRows(w, append(b, `"templates":[`...), templates, appendTemplateCount)
+	}
+	_, _ = w.Write(append(append(b, head[i:]...), '\n'))
+}
+
+// queryChunk is how many bytes of rows writeQuery gathers before a write.
+const queryChunk = 32 << 10
+
+// writeRows appends rows to b as a JSON list's elements and its closing
+// "],", writing b to w and emptying it whenever it reaches queryChunk.
+func writeRows[T any](w io.Writer, b []byte, rows []T, appendRow func([]byte, T) []byte) []byte {
+	for i, r := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b = appendRow(b, r); len(b) >= queryChunk {
+			_, _ = w.Write(b)
+			b = b[:0]
+		}
+	}
+	return append(b, "],"...)
+}
+
+// appendRow appends r as json.Marshal encodes it.
+func appendRow(b []byte, r eventstore.Row) []byte {
+	b = strconv.AppendInt(append(b, `{"seq":`...), r.Seq, 10)
+	b = core.AppendJSONString(append(b, `,"time":`...), r.Time)
+	b = strconv.AppendInt(append(b, `,"template":`...), int64(r.Template), 10)
+	if r.Name != "" {
+		b = core.AppendJSONString(append(b, `,"name":`...), r.Name)
+	}
+	b = core.AppendJSONString(append(b, `,"kind":`...), r.Kind)
+	if r.RawOff != 0 {
+		b = strconv.AppendInt(append(b, `,"raw_off":`...), r.RawOff, 10)
+	}
+	return append(b, '}')
+}
+
+// appendTemplateCount appends c as json.Marshal encodes it.
+func appendTemplateCount(b []byte, c eventstore.TemplateCount) []byte {
+	b = strconv.AppendInt(append(b, `{"template":`...), int64(c.Template), 10)
+	b = strconv.AppendInt(append(b, `,"count":`...), c.Count, 10)
+	if c.Name != "" {
+		b = core.AppendJSONString(append(b, `,"name":`...), c.Name)
+	}
+	return append(b, '}')
 }
 
 // runQuery answers one parsed request; cold bypasses (and replaces) the

@@ -1,6 +1,10 @@
 package stream
 
-import "sync"
+import (
+	"sync"
+
+	"logparse/internal/stream/wal"
+)
 
 // ingestBatch is the most lines one batch holds. Lines are admitted, queued
 // and consumed a batch at a time, so ring lock, counter and pool traffic is
@@ -18,27 +22,25 @@ const batchKeepBytes = 256 << 10
 // admitter filling it, the ring queueing it, the consumer processing it —
 // and the consumer returns it to batchPool, so the steady state reuses a
 // few buffers instead of leaving one []byte per line for the collector.
-// Handing a batch on is a pointer move; nothing is counted per line.
+// Handing a batch on is a pointer move; nothing is counted per line. With a
+// WAL, the push path logs a batch as one record before the ring takes it,
+// so line i's number is the first's plus i.
 type batch struct {
-	buf   []byte
-	lines [ingestBatch]lineEnd
+	buf []byte
+	// nos holds each line's 1-based number in the source (empty lines
+	// excluded); lines where its bytes end in buf (they start where the
+	// previous line's end) and whether it was truncated at MaxLineBytes.
+	nos   [ingestBatch]int64
+	lines [ingestBatch]wal.Line
 	n     int
-}
-
-// lineEnd is one line of a batch: its 1-based number in the source (empty
-// lines excluded), where its bytes end in buf (they start where the
-// previous line's end), and whether it was truncated at MaxLineBytes.
-type lineEnd struct {
-	no        int64
-	end       int
-	oversized bool
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 func (b *batch) add(lineNo int64, line []byte, oversized bool) {
 	b.buf = append(b.buf, line...)
-	b.lines[b.n] = lineEnd{no: lineNo, end: len(b.buf), oversized: oversized}
+	b.nos[b.n] = lineNo
+	b.lines[b.n] = wal.Line{End: len(b.buf), Oversized: oversized}
 	b.n++
 }
 
@@ -47,16 +49,16 @@ func (b *batch) add(lineNo int64, line []byte, oversized bool) {
 func (b *batch) item(i int) item {
 	start := 0
 	if i > 0 {
-		start = b.lines[i-1].end
+		start = b.lines[i-1].End
 	}
 	l := b.lines[i]
-	return item{lineNo: l.no, data: b.buf[start:l.end:l.end], oversized: l.oversized}
+	return item{lineNo: b.nos[i], data: b.buf[start:l.End:l.End], oversized: l.Oversized}
 }
 
 // truncate keeps the first n ≥ 1 lines.
 func (b *batch) truncate(n int) {
 	b.n = n
-	b.buf = b.buf[:b.lines[n-1].end]
+	b.buf = b.buf[:b.lines[n-1].End]
 }
 
 func (b *batch) reset() {
@@ -95,11 +97,11 @@ type admitter struct {
 // add copies line into the batch, reporting whether the batch is now due
 // for a flush: it holds ingestBatch lines, or as many as the ring does. A
 // line longer than MaxLineBytes is truncated to it and marked oversized —
-// decided here, for a pushed line and a replayed WAL record alike.
-func (a *admitter) add(lineNo int64, line []byte) (full bool) {
-	oversized := len(line) > a.e.cfg.MaxLineBytes
-	if oversized {
-		line = line[:a.e.cfg.MaxLineBytes]
+// decided here, for a pushed line and a replayed WAL line alike; a replayed
+// line keeps the mark its record carries.
+func (a *admitter) add(lineNo int64, line []byte, oversized bool) (full bool) {
+	if len(line) > a.e.cfg.MaxLineBytes {
+		line, oversized = line[:a.e.cfg.MaxLineBytes], true
 	}
 	if a.b == nil {
 		a.b = batchPool.Get().(*batch)

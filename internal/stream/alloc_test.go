@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"logparse/internal/core"
+	"logparse/internal/stream/wal"
 )
 
 // allocTemplates covers the line shapes the allocation tests feed in.
@@ -40,7 +41,8 @@ func seedTemplates(t *testing.T, dir string, tmpls []core.Template) string {
 // nothing.
 func consumeOne(ctx context.Context, e *Engine, it item) {
 	b := batch{buf: it.data, n: 1}
-	b.lines[0] = lineEnd{no: it.lineNo, end: len(it.data), oversized: it.oversized}
+	b.nos[0] = it.lineNo
+	b.lines[0] = wal.Line{End: len(it.data), Oversized: it.oversized}
 	e.consumeBatch(ctx, &b)
 }
 

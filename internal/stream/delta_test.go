@@ -133,7 +133,7 @@ func flipInRecord(t *testing.T, dir string, gen uint64) {
 			t.Fatal(err)
 		}
 		off := deltaSpec.HeaderSize()
-		wal.DecodeSegment(data, func(seq uint64, payload []byte) error {
+		wal.DecodeSegment(data, func(seq uint64, payload []byte, _ bool) error {
 			if seq == gen {
 				data[off+16+len(payload)/2] ^= 0xff
 			}

@@ -71,7 +71,7 @@ type Engine struct {
 	ring          *ring
 	running       bool
 	serveEnded    bool           // the last incarnation has returned (WaitServing stops waiting)
-	walReplayed   int64          // WAL records re-admitted at Serve start, process lifetime
+	walReplayed   int64          // WAL lines re-admitted at Serve start, process lifetime
 	replay        sync.WaitGroup // the serving incarnation's WAL replay goroutine
 	walErr        error          // the WAL failure that ended the current incarnation
 

@@ -149,11 +149,11 @@ func (e *Engine) replayWAL(r *ring, start int64) {
 		}
 		return nil
 	}
-	_, err := e.wal.Replay(func(seq uint64, payload []byte) error {
+	_, err := e.wal.Replay(func(seq uint64, line []byte, oversized bool) error {
 		if int64(seq) <= start {
 			return nil // the checkpoint already covers it
 		}
-		if adm.add(int64(seq), payload) {
+		if adm.add(int64(seq), line, oversized) {
 			return flush()
 		}
 		return nil
@@ -264,7 +264,14 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 
 	// flush admits the pending lines; a non-nil error fails the push.
 	flush := func() error {
-		if w != nil && e.push.pending() {
+		if b := e.push.b; w != nil && e.push.pending() {
+			// Append-before-admit: the batch reaches the WAL buffer as one
+			// record before it can reach the ring, so no admitted line is
+			// ever absent from the log — shed lines are logged too.
+			// Durability waits for the Commit below.
+			if err := w.AppendBatch(uint64(b.nos[0]), b.buf, b.lines[:b.n]); err != nil {
+				return e.walAbort(err)
+			}
 			// The enumerated crash point between WAL append and ring
 			// push: the batch's lines are in the WAL (possibly auto-
 			// flushed to disk) but not yet admitted.
@@ -290,20 +297,9 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 			res.Skipped++
 			continue
 		}
-		if len(line) > e.cfg.MaxLineBytes+1 {
-			// One byte over the cap is kept, in the WAL too, so that the
-			// admitter — here and on WAL replay — sees the line as over-long.
-			line = line[:e.cfg.MaxLineBytes+1]
-		}
-		if w != nil {
-			// Append-before-admit: the line reaches the WAL buffer before
-			// it can reach the ring, so no admitted line is ever absent
-			// from the log. Durability waits for the Commit below.
-			if err := w.Append(uint64(e.pushSeq), line); err != nil {
-				return res, e.walAbort(err)
-			}
-		}
-		if e.push.add(e.pushSeq, line) {
+		// Lines at or below pushSkip all come first, so a batch's numbers
+		// are consecutive, as its WAL record requires.
+		if e.push.add(e.pushSeq, line, false) {
 			if err := flush(); err != nil {
 				return res, err
 			}

@@ -198,7 +198,7 @@ func TestAdmitterFlush(t *testing.T) {
 			}
 			adm := admitter{e: e, ring: r}
 			for i := 1; i <= capacity; i++ {
-				if full := adm.add(int64(i), []byte(fmt.Sprint(i))); full != (i == capacity) {
+				if full := adm.add(int64(i), []byte(fmt.Sprint(i)), false); full != (i == capacity) {
 					t.Fatalf("add %d reports full=%v with a ring of %d", i, full, capacity)
 				}
 			}

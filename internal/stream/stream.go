@@ -276,8 +276,10 @@ type Stats struct {
 	// is its current segment-file count.
 	WALLastSeq  int64
 	WALSegments int
-	// WALReplayed counts records the engine re-admitted from the WAL tail
-	// at Serve start (this process's lifetime).
+	// WALReplayed counts lines the engine re-admitted from the WAL tail at
+	// Serve start (this process's lifetime) — lines, not records: a batch
+	// record holds up to 64, and its lines at or below the checkpoint are
+	// not counted.
 	WALReplayed int64
 	// WALTornTails and WALCorruptDropped report the crash damage repaired
 	// when the WAL was opened: partially-written final records truncated

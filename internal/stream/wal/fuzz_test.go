@@ -37,13 +37,28 @@ func FuzzWALDecode(f *testing.F) {
 	backwards = AppendRecord(backwards, 4, []byte("seq went backwards"))
 	f.Add(backwards)
 
+	// Batch records after a one-line one, as a tree that logs batches
+	// extends a segment an older one wrote: whole, torn, flipped, and with
+	// a line table that covers less than the body.
+	data, lines := batchOf(64, 5)
+	batched := AppendBatchRecord(append([]byte(nil), valid...), 10, data[:lines[2].End], lines[:3])
+	batched = AppendBatchRecord(batched, 13, data, lines)
+	f.Add(batched)
+	f.Add(batched[:len(batched)-100])
+	flipped = append([]byte(nil), batched...)
+	flipped[len(valid)+recHeaderSize+1] ^= 0x02 // a line length
+	f.Add(flipped)
+	short := append([]Line(nil), lines[:3]...)
+	short[2].End--
+	f.Add(AppendBatchRecord(append([]byte(nil), valid...), 10, data[:lines[2].End], short))
+
 	f.Add(append(append([]byte(nil), valid...), "trailing garbage"...))
 	f.Add([]byte("not a segment at all"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var seqs []uint64
-		info, err := DecodeSegment(data, func(seq uint64, payload []byte) error {
+		info, err := DecodeSegment(data, func(seq uint64, _ []byte, _ bool) error {
 			seqs = append(seqs, seq)
 			return nil
 		})
@@ -95,7 +110,7 @@ func FuzzWALDecode(f *testing.F) {
 		// same records.
 		if info.Good >= int64(segHeaderSize) {
 			n := 0
-			info2, err2 := DecodeSegment(data[:info.Good], func(seq uint64, payload []byte) error {
+			info2, err2 := DecodeSegment(data[:info.Good], func(seq uint64, _ []byte, _ bool) error {
 				if seq != seqs[n] {
 					t.Fatalf("repaired prefix record %d has seq %d, first pass saw %d", n, seq, seqs[n])
 				}

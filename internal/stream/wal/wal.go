@@ -56,11 +56,12 @@ type Options struct {
 
 // OpenInfo reports what Open found and repaired.
 type OpenInfo struct {
-	// Segments and Records count the surviving segment files and records.
+	// Segments counts the surviving segment files, Records the lines
+	// their records hold.
 	Segments int
 	Records  int64
-	// LastSeq is the newest surviving record's sequence number (0 when
-	// the log is empty).
+	// LastSeq is the newest surviving line's sequence number (0 when the
+	// log is empty).
 	LastSeq uint64
 	// TornTails counts files whose partially-written final record was
 	// truncated away — the expected signature of a crash mid-append.
@@ -113,10 +114,7 @@ type WAL struct {
 	log     *seglog.Log   // segment files, repair, rotation, the latched first failure
 	bw      *bufio.Writer // the append buffer, draining into log
 	lastSeq uint64
-	// hdrBuf is Append's reusable record-header scratch (guarded by mu);
-	// a per-call array would escape to the heap and cost one allocation
-	// per appended line.
-	hdrBuf [recHeaderSize]byte
+	head    []byte // AppendBatch's reusable header-and-line-table scratch
 }
 
 // Open scans dir, repairs crash damage (seglog.Open: a torn tail is
@@ -135,7 +133,7 @@ func Open(opts Options) (*WAL, OpenInfo, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam}, VerifyRecord, nil)
+	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam}, verify, nil)
 	info := OpenInfo{
 		Segments: li.Segments, Records: li.Units, LastSeq: li.LastSeq,
 		TornTails: li.TornTails, TornBytes: li.TornBytes, CorruptDropped: li.CorruptDropped,
@@ -148,10 +146,17 @@ func Open(opts Options) (*WAL, OpenInfo, error) {
 	return w, info, nil
 }
 
-// Append buffers one record. seq must exceed every previously appended
-// seq. The payload is copied into the buffer before return, so the caller
-// may reuse it. Durability comes only from the next Commit.
+// Append buffers a record holding the one line payload, numbered seq.
 func (w *WAL) Append(seq uint64, payload []byte) error {
+	return w.AppendBatch(seq, payload, []Line{{End: len(payload)}})
+}
+
+// AppendBatch buffers one record holding data's lines, numbered seq,
+// seq+1, …: line i is data[lines[i-1].End:lines[i].End]. seq must exceed
+// every previously appended seq. The bytes are copied into the buffer
+// before return, so the caller may reuse them. Durability comes only from
+// the next Commit.
+func (w *WAL) AppendBatch(seq uint64, data []byte, lines []Line) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.log.Check(); err != nil {
@@ -160,8 +165,12 @@ func (w *WAL) Append(seq uint64, payload []byte) error {
 	if seq == 0 || seq <= w.lastSeq {
 		return w.log.Fail(fmt.Errorf("wal: append seq %d not above %d", seq, w.lastSeq))
 	}
-	if len(payload) > MaxRecordBytes {
-		return w.log.Fail(fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(payload)))
+	if len(lines) == 0 || lines[len(lines)-1].End != len(data) {
+		return w.log.Fail(fmt.Errorf("wal: append of %d lines that do not end at the %d bytes given", len(lines), len(data)))
+	}
+	w.head = appendBatchHead(w.head[:0], seq, data, lines)
+	if size := len(w.head) - recHeaderSize + len(data); size > MaxRecordBytes {
+		return w.log.Fail(fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", size))
 	}
 	if !w.log.Active() {
 		// The newest segment while it has room, else a fresh one whose
@@ -174,16 +183,15 @@ func (w *WAL) Append(seq uint64, payload []byte) error {
 			w.tm.created.Inc()
 		}
 	}
-	encodeRecordHeader(&w.hdrBuf, seq, payload)
-	if _, err := w.bw.Write(w.hdrBuf[:]); err != nil {
+	if _, err := w.bw.Write(w.head); err != nil {
 		return w.log.Fail(fmt.Errorf("wal: append: %w", err))
 	}
-	if _, err := w.bw.Write(payload); err != nil {
+	if _, err := w.bw.Write(data); err != nil {
 		return w.log.Fail(fmt.Errorf("wal: append: %w", err))
 	}
-	w.lastSeq = seq
-	w.tm.appends.Inc()
-	w.tm.bytes.Add(uint64(recHeaderSize + len(payload)))
+	w.lastSeq = seq + uint64(len(lines)) - 1
+	w.tm.appends.Add(uint64(len(lines)))
+	w.tm.bytes.Add(uint64(len(w.head) + len(data)))
 	return nil
 }
 
@@ -228,11 +236,12 @@ func (w *WAL) syncActiveLocked() error {
 	return err
 }
 
-// Replay feeds every record on disk, in seq order, to fn. The engine
-// calls it once at Serve start, before any Append of the new incarnation;
-// pending unflushed appends are not visible to it. fn's error stops the
-// walk and is returned.
-func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) (int64, error) {
+// Replay feeds every line on disk, in seq order, to fn, with its
+// over-long mark (false for a one-line record). The engine calls it once at
+// Serve start, before any append of the new incarnation; pending unflushed
+// appends are not visible to it. fn's error stops the walk and is
+// returned; the count is of lines fed.
+func (w *WAL) Replay(fn func(seq uint64, line []byte, oversized bool) error) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.log.Closed() {
@@ -244,21 +253,24 @@ func (w *WAL) Replay(fn func(seq uint64, payload []byte) error) (int64, error) {
 		}
 	}
 	var n int64
-	_, err := seglog.Scan(&spec, w.opts.Dir, seglog.ScanInfo{}, VerifyRecord, func(_ int, _ int64, fr seglog.Frame, payload []byte) error {
-		if err := fn(fr.MinSeq, payload); err != nil {
-			return err
-		}
-		n++
-		w.tm.replayed.Inc()
-		return nil
+	_, err := seglog.Scan(&spec, w.opts.Dir, seglog.ScanInfo{}, verify, func(_ int, _ int64, _ seglog.Frame, rec record) error {
+		return rec.lines(func(seq uint64, line []byte, oversized bool) error {
+			if err := fn(seq, line, oversized); err != nil {
+				return err
+			}
+			n++
+			w.tm.replayed.Inc()
+			return nil
+		})
 	})
 	return n, err
 }
 
 // TruncateThrough deletes sealed segments entirely covered by seq — the
 // checkpoint-coordination point: after a checkpoint at offset N is
-// durable, records with seq ≤ N are redundant and their segments are
-// garbage. The active segment is never deleted (it may hold committed
+// durable, lines with seq ≤ N are redundant, and so is a segment whose
+// last record ends at or below N. A segment whose last record straddles N
+// stays. The active segment is never deleted (it may hold committed
 // records above seq).
 func (w *WAL) TruncateThrough(seq uint64) error {
 	w.mu.Lock()

@@ -27,7 +27,7 @@ func appendN(t *testing.T, w *WAL, start, end uint64) {
 // replayAll collects every (seq, payload) pair.
 func replayAll(t *testing.T, w *WAL) (seqs []uint64, payloads []string) {
 	t.Helper()
-	n, err := w.Replay(func(seq uint64, payload []byte) error {
+	n, err := w.Replay(func(seq uint64, payload []byte, _ bool) error {
 		seqs = append(seqs, seq)
 		payloads = append(payloads, string(payload))
 		return nil

@@ -13,6 +13,7 @@ import (
 
 	"logparse/internal/faultinject"
 	"logparse/internal/seglog"
+	"logparse/internal/stream/wal"
 	"logparse/internal/telemetry"
 )
 
@@ -588,32 +589,110 @@ func TestCheckpointDirSyncFailureSurfaced(t *testing.T) {
 
 // TestWALReplayCountsOversized: a line cut at MaxLineBytes is counted in
 // Oversized whether the engine processes it as pushed or re-admits it from
-// the WAL after a crash before any checkpoint. The record keeps one byte
-// over the cap, and the admitter decides for both.
+// the WAL after a crash before any checkpoint. A batch record carries each
+// line's mark, and the admitter cuts again when the cap shrank across the
+// restart; a one-line record, as an older tree wrote it, keeps one byte
+// over the cap, so the admitter sees the line as over-long.
 func TestWALReplayCountsOversized(t *testing.T) {
 	lines := byteLines([]string{"short line one", "long " + strings.Repeat("x", 75), "short line two"})
-	cfg := func(root string) Config {
+	cfg := func(root string, maxLine int) Config {
 		return Config{
 			CheckpointDir:   filepath.Join(root, "ckpt"),
 			WALDir:          filepath.Join(root, "wal"),
-			MaxLineBytes:    32,
+			MaxLineBytes:    maxLine,
 			CheckpointEvery: -1,
 			Retrainer:       &groupMiner{},
 		}
 	}
+	// run serves cfg to the end, pushing lines first when there are any.
+	run := func(cfg Config, lines [][]byte) *Engine {
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := serveAsync(context.Background(), eng)
+		if _, err := eng.PushBatch(context.Background(), lines); len(lines) > 0 && err != nil {
+			t.Fatal(err)
+		}
+		eng.Stop()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	// batchRecords leaves lines acknowledged in the WAL of a root that no
+	// checkpoint covers.
+	batchRecords := func(root string) {
+		crashed, err := New(cfg(root, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := serveAsync(ctx, crashed)
+		if _, err := crashed.PushBatch(ctx, lines); err != nil { // acknowledged: in the WAL
+			t.Fatal(err)
+		}
+		cancel() // killed before any checkpoint
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("killed Serve = %v, want context.Canceled", err)
+		}
+	}
+	// oneLineRecords writes the WAL segment an older tree left for the same
+	// pushes: one record per line, the long one cut one byte over the cap.
+	oneLineRecords := func(root string) {
+		img := wal.SegmentHeader(1)
+		for i, line := range lines {
+			img = wal.AppendRecord(img, uint64(i+1), line[:min(len(line), 33)])
+		}
+		if err := os.MkdirAll(filepath.Join(root, "wal"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, "wal", "wal-00000000000000000001.seg"), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		write   func(root string)
+		maxLine int // on recovery
+	}{
+		{"batch records", batchRecords, 32},
+		{"batch records, smaller cap on replay", batchRecords, 20},
+		{"one-line records", oneLineRecords, 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean := run(cfg(t.TempDir(), tc.maxLine), lines)
+			root := t.TempDir()
+			tc.write(root)
+			recovered := run(cfg(root, tc.maxLine), nil)
+			want, got := clean.Stats(), recovered.Stats()
+			if want.Oversized != 1 || got.WALReplayed != 3 || got.Processed != 3 || got.Oversized != want.Oversized {
+				t.Fatalf("recovered Oversized=%d Processed=%d WALReplayed=%d, want the uninterrupted Oversized=%d over 3 replayed lines",
+					got.Oversized, got.Processed, got.WALReplayed, want.Oversized)
+			}
+			if recovered.Digest() != clean.Digest() {
+				t.Fatalf("recovered digest %s, want %s", recovered.Digest(), clean.Digest())
+			}
+		})
+	}
+}
 
-	clean, err := New(cfg(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
+// TestWALReplaySkipsInsideRecord: the last checkpoint's offset falls inside
+// a batch record. Truncation keeps the sealed segment that straddles it,
+// and replay re-admits exactly the lines above the offset.
+func TestWALReplaySkipsInsideRecord(t *testing.T) {
+	lines := synthLines(100, 5)
+	cfg := func(root string) Config {
+		return Config{
+			CheckpointDir:   filepath.Join(root, "ckpt"),
+			WALDir:          filepath.Join(root, "wal"),
+			WALSegmentBytes: 1, // each push's commit seals its segment
+			CheckpointEvery: 40,
+			RetrainBatch:    64,
+			Retrainer:       &groupMiner{},
+		}
 	}
-	done := serveAsync(context.Background(), clean)
-	if _, err := clean.PushBatch(context.Background(), lines); err != nil {
-		t.Fatal(err)
-	}
-	clean.Stop()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	want := walReferenceDigest(t, lines)
 
 	root := t.TempDir()
 	crashed, err := New(cfg(root))
@@ -621,30 +700,39 @@ func TestWALReplayCountsOversized(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done = serveAsync(ctx, crashed)
-	if _, err := crashed.PushBatch(ctx, lines); err != nil { // acknowledged: in the WAL
-		t.Fatal(err)
+	done := serveAsync(ctx, crashed)
+	for _, b := range walBatches(lines, 64) { // records of lines 1–64 and 65–100
+		if _, err := crashed.PushBatch(ctx, b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cancel() // killed before any checkpoint
+	for st := crashed.Stats(); st.Processed < 100 || st.Checkpoints < 2; st = crashed.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	cancel() // killed with the last checkpoint at line 80
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed Serve = %v, want context.Canceled", err)
 	}
+	if st := crashed.Stats(); st.WALSegments != 1 {
+		t.Fatalf("before the restart: %d WAL segments, want the one that straddles the last checkpoint (%+v)", st.WALSegments, st)
+	}
+
 	recovered, err := New(cfg(root))
 	if err != nil {
 		t.Fatal(err)
 	}
 	done = serveAsync(context.Background(), recovered)
+	for st := recovered.Stats(); st.Processed < 100; st = recovered.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	recovered.Stop()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-
-	want, got := clean.Stats(), recovered.Stats()
-	if want.Oversized != 1 || got.WALReplayed != 3 || got.Processed != 3 || got.Oversized != want.Oversized {
-		t.Fatalf("recovered Oversized=%d Processed=%d WALReplayed=%d, want the uninterrupted Oversized=%d over 3 replayed lines",
-			got.Oversized, got.Processed, got.WALReplayed, want.Oversized)
+	if st := recovered.Stats(); st.WALReplayed != 20 || st.Offset != 100 {
+		t.Fatalf("recovered WALReplayed=%d Offset=%d, want 20 lines replayed to 100 (%+v)", st.WALReplayed, st.Offset, st)
 	}
-	if recovered.Digest() != clean.Digest() {
-		t.Fatalf("recovered digest %s, want %s", recovered.Digest(), clean.Digest())
+	if got := recovered.Digest(); got != want {
+		t.Fatalf("recovered digest %s, want %s", got, want)
 	}
 }

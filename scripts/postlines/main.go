@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -21,26 +22,46 @@ func main() {
 	in := flag.String("in", "", "file of raw log lines (required)")
 	batch := flag.Int("batch", 500, "lines per POST")
 	flag.Parse()
-	data, err := os.ReadFile(*in)
-	lines, posts, start := bytes.Count(data, []byte{'\n'}), 0, time.Now()
-	for ; err == nil && len(data) > 0; posts++ {
-		end := 0 // the body: the next batch lines of data, sent as a view
-		for n := 0; n < *batch && end < len(data); n++ {
-			i := bytes.IndexByte(data[end:], '\n')
-			if i < 0 {
-				i = len(data) - end - 1
+	f, err := os.Open(*in)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "postlines:", err)
+		os.Exit(1)
+	}
+	defer f.Close()
+	// The file is read one body at a time, so a long run holds one body in
+	// memory, not the file.
+	br := bufio.NewReaderSize(f, 1<<20)
+	var body []byte
+	lines, posts, start := 0, 0, time.Now()
+	for err == nil {
+		body = body[:0]
+		for n := 0; n < *batch; n++ {
+			line, rerr := br.ReadSlice('\n')
+			for rerr == bufio.ErrBufferFull { // a line longer than the reader's buffer
+				body = append(body, line...)
+				line, rerr = br.ReadSlice('\n')
 			}
-			end += i + 1
+			body = append(body, line...)
+			if rerr != nil {
+				if rerr != io.EOF {
+					err = rerr
+				}
+				break
+			}
+			lines++
+		}
+		if len(body) == 0 || err != nil {
+			break
 		}
 		var resp *http.Response
-		if resp, err = http.Post(*url, "text/plain", bytes.NewReader(data[:end])); err == nil {
+		if resp, err = http.Post(*url, "text/plain", bytes.NewReader(body)); err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				err = fmt.Errorf("POST %s: status %d", *url, resp.StatusCode)
 			}
 		}
-		data = data[end:]
+		posts++
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "postlines:", err)

@@ -4,10 +4,12 @@
 #
 #   logstreamd -listen 127.0.0.1:0 -wal -events … -debug-addr 127.0.0.1:0
 #
-# (every other flag default, as the benchmark does), replays LINES generated
+# (every other flag default, as the benchmark does), posts WARM generated
 # lines of DATASET into tenant t0 as 500-line POSTs on one connection
-# (scripts/postlines), captures /debug/pprof/profile over the measured part
-# only — the first tenth of the lines is warm-up — and prints the cumulative
+# (scripts/postlines) to warm it up and measure its rate, then posts fresh
+# lines sized from that rate to keep the server busy for a CPU profile of
+# SECONDS seconds, captured over exactly that part (/debug/pprof/profile).
+# It prints how many seconds of CPU the profile sampled and the cumulative
 # top restricted to this module, net/http, the garbage collector's
 # background workers, io.ReadAll, time.Now, mutexes and map lookups. Then,
 # on the now idle tenant, times the benchmark's four query shapes (p50 of
@@ -21,15 +23,19 @@
 # once the tenant has processed every line, left in $PROFILE_OUT with .heap
 # before .pprof.
 #
-#   scripts/profile_server.sh [-online Drain|Spell] DATASET LINES
-#   scripts/profile_server.sh HDFS 3000000                 # the wire-hdfs shape
-#   scripts/profile_server.sh -online Drain Thunderbird 2000000   # learn-drain
+#   scripts/profile_server.sh [-online Drain|Spell] DATASET SECONDS [WARM]
+#   scripts/profile_server.sh HDFS 4                      # the wire-hdfs shape
+#   scripts/profile_server.sh -online Drain Thunderbird 8 # learn-drain
 #
-# The profile is left in $PROFILE_OUT (default /tmp/logstreamd.pprof) for
+# WARM defaults to 100000 lines. Every line posted is a fresh one — a
+# learner finds a repeated line far cheaper than a new one — so a long
+# profile of a fast shape generates many: about 1.3 M lines (130 MB) per
+# second of the HDFS shape on a 2-vCPU host, streamed from a file. The
+# profile is left in $PROFILE_OUT (default /tmp/logstreamd.pprof) for
 # `go tool pprof`. Data lives on /dev/shm when writable, like the
-# benchmark's. Run from the repository root (scripts/verify.sh runs 20 k-line
-# smokes of the plain and the -online leg). Exits non-zero on a failed request
-# or an empty profile.
+# benchmark's. Run from the repository root (scripts/verify.sh runs
+# one-second smokes of the plain and the -online leg). Exits non-zero on a
+# failed request or an empty profile.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,12 +45,13 @@ if [ "${1:-}" = "-online" ]; then
 	online="$2"
 	shift 2
 fi
-if [ "$#" != 2 ]; then
-	echo "usage: scripts/profile_server.sh [-online Drain|Spell] DATASET LINES" >&2
+if [ "$#" != 2 ] && [ "$#" != 3 ]; then
+	echo "usage: scripts/profile_server.sh [-online Drain|Spell] DATASET SECONDS [WARM]" >&2
 	exit 2
 fi
 DATASET="$1"
-LINES="$2"
+secs="$2"
+warm="${3:-100000}"
 out="${PROFILE_OUT:-/tmp/logstreamd.pprof}"
 
 base=/dev/shm
@@ -60,7 +67,7 @@ trap cleanup EXIT
 echo "==> building logstreamd + loggen + postlines"
 go build -o "$work/" ./cmd/logstreamd ./cmd/loggen ./scripts/postlines
 
-"$work/loggen" -dataset "$DATASET" -lines "$LINES" -seed 1 2>/dev/null | cut -f3 >"$work/lines.log"
+"$work/loggen" -dataset "$DATASET" -lines "$warm" -seed 1 2>/dev/null | cut -f3 >"$work/warm.log"
 
 echo "==> starting logstreamd -listen -wal -events${online:+ -online $online}"
 "$work/logstreamd" -listen 127.0.0.1:0 -listen-addr-file "$work/addr" \
@@ -80,26 +87,32 @@ done
 addr="$(head -n1 "$work/addr")"
 debug="$(head -n1 "$work/debug")"
 
-# The warm-up tenth also sizes the profile: learners slow down as they grow,
-# so leave headroom — an idle server adds no samples to a CPU profile, and
-# overshooting costs only the wait.
-warm=$((LINES / 10))
-head -n "$warm" "$work/lines.log" >"$work/warm.log"
-tail -n +"$((warm + 1))" "$work/lines.log" >"$work/rest.log"
+# The rate of the warm-up's second half sizes the measured part: one and a
+# half times the lines the profile's length takes at that rate. Learners
+# slow down as they grow, and an idle server adds no samples to a CPU
+# profile, so the surplus costs only the wait. loggen's output for a seed
+# does not depend on -lines, so the measured part is the continuation of
+# the warm-up's stream.
 ingest="http://$addr/v1/ingest?tenant=t0"
-warm_s="$("$work/postlines" -url "$ingest" -in "$work/warm.log" | awk '{print $NF}')"
-secs="$(awk -v s="$warm_s" 'BEGIN { printf "%d", 1.5 * 9 * s + 2 }')"
-echo "==> profiling $secs s over the measured part"
+half=$((warm / 2))
+head -n "$half" "$work/warm.log" >"$work/w1.log"
+tail -n +"$((half + 1))" "$work/warm.log" >"$work/w2.log"
+"$work/postlines" -url "$ingest" -in "$work/w1.log" >/dev/null
+warm_s="$("$work/postlines" -url "$ingest" -in "$work/w2.log" | awk '{print $NF}')"
+more="$(awk -v w="$((warm - half))" -v s="$warm_s" -v p="$secs" 'BEGIN { if (s < 0.001) s = 0.001; printf "%d", 1.5 * p * w / s + 1000 }')"
+LINES=$((warm + more))
+# The measured part goes in three pieces, to stamp the window [t40, t60)
+# that the span query counts over.
+"$work/loggen" -dataset "$DATASET" -lines "$LINES" -seed 1 2>/dev/null | cut -f3 |
+	awk -v w="$warm" -v a="$((LINES * 2 / 5))" -v b="$((LINES * 3 / 5))" -v dir="$work" '
+		NR <= w { next }
+		NR <= a { print > (dir "/a.log"); next }
+		NR <= b { print > (dir "/b.log"); next }
+		{ print > (dir "/c.log") }'
+echo "==> profiling $secs s over $more fresh lines after $warm warm-up lines"
 curl -s -o "$out" "http://$debug/debug/pprof/profile?seconds=$secs" &
 profile_pid=$!
 sleep 0.2 # let the profiler start
-# The measured part goes in three pieces, to stamp the window [t40, t60)
-# that the span query counts over.
-n40=$((LINES * 2 / 5 - warm))
-n60=$((LINES * 3 / 5 - warm))
-head -n "$n40" "$work/rest.log" >"$work/a.log"
-sed -n "$((n40 + 1)),${n60}p" "$work/rest.log" >"$work/b.log"
-tail -n +"$((n60 + 1))" "$work/rest.log" >"$work/c.log"
 "$work/postlines" -url "$ingest" -in "$work/a.log"
 t40="$(date -u +%Y-%m-%dT%H:%M:%S.%NZ)"
 "$work/postlines" -url "$ingest" -in "$work/b.log"
@@ -108,16 +121,19 @@ t60="$(date -u +%Y-%m-%dT%H:%M:%S.%NZ)"
 wait "$profile_pid"
 [ -s "$out" ] || { echo "profile_server: FAIL: empty profile" >&2; exit 1; }
 
-echo "==> go tool pprof -top -cum (this module, net/http, GC workers, io.ReadAll, time.Now, locks, map lookups)"
 go tool pprof -top -cum -nodecount=60 \
 	-show='logparse/|net/http\.|runtime\.gcBgMarkWorker|runtime\.growslice|io\.ReadAll|time\.Now|sync\.\(\*Mutex\)|runtime\.mapaccess' \
-	"$work/logstreamd" "$out" 2>/dev/null | sed -n '1,70p'
+	"$work/logstreamd" "$out" 2>/dev/null >"$work/top"
+# pprof's header line reads "Duration: 4.13s, Total samples = 5.02s (…)".
+sed -n 's/^Duration: \([^,]*\), Total samples = \([^ ]*\) .*/==> sampled CPU: \2 over a \1 profile/p' "$work/top"
+echo "==> go tool pprof -top -cum (this module, net/http, GC workers, io.ReadAll, time.Now, locks, map lookups)"
+sed -n '1,70p' "$work/top"
 
 # The query rounds ask what the benchmark's do, once the tenant is idle: the
 # most frequent template's count, the top ten, a list of the rarest template
 # with at least 100 events, and a count over the [t40, t60) window recorded
 # while posting. Each shape's p50 is over 20 rounds on one connection.
-lines="$(grep -c . "$work/lines.log")"
+lines="$(cat "$work/warm.log" "$work/a.log" "$work/b.log" "$work/c.log" | grep -c .)"
 for _ in $(seq 1 600); do
 	curl -s "http://$addr/v1/tenants/t0/stats" | grep -q "\"Processed\":$lines[,}]" && break
 	sleep 0.1

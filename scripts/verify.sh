@@ -93,11 +93,11 @@ sh scripts/events_smoke.sh
 echo "==> SLCT stream-equals-batch smoke (scripts/slct_smoke.sh)"
 sh scripts/slct_smoke.sh
 
-echo "==> server profile recipe smoke (scripts/profile_server.sh HDFS 20000, -online Spell Thunderbird 20000)"
+echo "==> server profile recipe smoke (scripts/profile_server.sh HDFS 1 20000, -online Spell Thunderbird 1 20000)"
 prof="$(mktemp)"
-PROFILE_OUT="$prof" sh scripts/profile_server.sh HDFS 20000 >"$prof.out"
+PROFILE_OUT="$prof" sh scripts/profile_server.sh HDFS 1 20000 >"$prof.out"
 grep '^server memory: VmHWM' "$prof.out"
-PROFILE_OUT="$prof" sh scripts/profile_server.sh -online Spell Thunderbird 20000 >"$prof.out"
+PROFILE_OUT="$prof" sh scripts/profile_server.sh -online Spell Thunderbird 1 20000 >"$prof.out"
 grep '^server memory: VmHWM' "$prof.out"
 rm -f "$prof" "$prof.out" "$prof.query.pprof"
 

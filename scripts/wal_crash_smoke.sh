@@ -8,7 +8,12 @@
 # last recovery), then replay the full stream and require the digest of an
 # uninterrupted run.
 #
-#   scripts/wal_crash_smoke.sh [ITERATIONS] [LINES]    defaults 10 / 3000
+#   scripts/wal_crash_smoke.sh [ITERATIONS] [LINES] [POST]    defaults 10 / 3000 / 50
+#
+# POST is the lines per HTTP batch. The server logs each admission batch of
+# up to 64 lines as one WAL record, so POSTs above 64 lines let a kill land
+# between the records of one POST, and POSTs above the 64 KiB WAL buffer
+# (about 1,240 of these lines) after a buffer flush in the middle of one.
 #
 # Kill offsets are drawn from a per-iteration seeded PRNG, so a failure
 # reproduces by rerunning with the same arguments. Run from the repository
@@ -20,7 +25,7 @@ cd "$(dirname "$0")/.."
 
 ITERS="${1:-10}"
 LINES="${2:-3000}"
-BATCH=50
+BATCH="${3:-50}"
 
 work="$(mktemp -d)"
 server_pid=""
@@ -63,6 +68,12 @@ stop_server() {
 	server_pid=""
 }
 
+post_all() { # post every batch in order -> 0 when each is acknowledged
+	for f in "$work"/batches/b*; do
+		post "$f" || return 1
+	done
+}
+
 post() { # post FILE -> 0 on HTTP 200
 	code="$(curl -s -o "$work/post.out" -w '%{http_code}' --data-binary @"$1" \
 		"http://$addr/v1/ingest?tenant=t" 2>/dev/null)" || return 1
@@ -90,7 +101,7 @@ wait_offset_at_least() { # wait_offset_at_least N WHY
 
 echo "==> uninterrupted reference run"
 start_server "$work/ref"
-post "$work/t.log" || { echo "wal_crash_smoke: FAIL: reference ingest:" >&2; cat "$work/post.out" >&2; exit 1; }
+post_all || { echo "wal_crash_smoke: FAIL: reference ingest:" >&2; cat "$work/post.out" >&2; exit 1; }
 wait_offset_at_least "$LINES" "reference run"
 want="$(digest_of)"
 stop_server
@@ -132,7 +143,7 @@ done
 
 echo "==> full replay over the crash-scarred root"
 start_server "$root"
-post "$work/t.log" || { echo "wal_crash_smoke: FAIL: replay ingest:" >&2; cat "$work/post.out" >&2; exit 1; }
+post_all || { echo "wal_crash_smoke: FAIL: replay ingest:" >&2; cat "$work/post.out" >&2; exit 1; }
 wait_offset_at_least "$LINES" "full replay"
 got="$(digest_of)"
 if [ "$got" != "$want" ]; then
