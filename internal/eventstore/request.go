@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"logparse/internal/core"
 )
 
 // Request is a query in the vocabulary both front ends — GET /v1/query and
@@ -99,6 +101,34 @@ type TemplateCount struct {
 	Template int32  `json:"template"`
 	Count    int64  `json:"count"`
 	Name     string `json:"name,omitempty"`
+}
+
+// AppendJSON appends r as json.Marshal encodes it, for a writer that keeps
+// a large answer's bytes out of encoding/json's buffer pool. The struct
+// tags above stay the format; TestRowsAppendJSONAsMarshal holds the two
+// together.
+func (r Row) AppendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"seq":`...), r.Seq, 10)
+	b = core.AppendJSONString(append(b, `,"time":`...), r.Time)
+	b = strconv.AppendInt(append(b, `,"template":`...), int64(r.Template), 10)
+	if r.Name != "" {
+		b = core.AppendJSONString(append(b, `,"name":`...), r.Name)
+	}
+	b = core.AppendJSONString(append(b, `,"kind":`...), r.Kind)
+	if r.RawOff != 0 {
+		b = strconv.AppendInt(append(b, `,"raw_off":`...), r.RawOff, 10)
+	}
+	return append(b, '}')
+}
+
+// AppendJSON appends c as json.Marshal encodes it; see Row.AppendJSON.
+func (c TemplateCount) AppendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"template":`...), int64(c.Template), 10)
+	b = strconv.AppendInt(append(b, `,"count":`...), c.Count, 10)
+	if c.Name != "" {
+		b = core.AppendJSONString(append(b, `,"name":`...), c.Name)
+	}
+	return append(b, '}')
 }
 
 // Answer is what a Request selected; exactly one of Count, Events and

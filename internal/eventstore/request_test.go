@@ -2,6 +2,7 @@ package eventstore
 
 import (
 	"cmp"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -171,5 +172,54 @@ func TestTopAllocs(t *testing.T) {
 	}
 	if len(rows) != 10 || cap(rows) != 10 {
 		t.Errorf("top(2^31−1) over 10 templates: %d rows, capacity %d; want 10, 10", len(rows), cap(rows))
+	}
+}
+
+// TestRowsAppendJSONAsMarshal holds Row.AppendJSON and
+// TemplateCount.AppendJSON to json.Marshal's bytes. Every field is set in
+// turn, by reflection, to a value it may take, alone and with all the
+// others, so a field added to either type must be encoded by hand too.
+func TestRowsAppendJSONAsMarshal(t *testing.T) {
+	odd := "<a href=\"x\">&amp;</a> \\ \u2028\u2029 \x01\x1f \xff tab\there \"stats\":"
+	check := func(v any, appendJSON func([]byte) []byte) {
+		t.Helper()
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSON([]byte("prefix")); string(got) != "prefix"+string(want) {
+			t.Fatalf("AppendJSON of %+v = %s, want prefix%s", v, got, want)
+		}
+	}
+	// set gives field f of *p its i-th sample value.
+	set := func(f reflect.Value, i int) {
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString([]string{odd, "matched", "2026-08-08T00:00:00Z"}[i%3])
+		case reflect.Int32, reflect.Int64:
+			f.SetInt([]int64{-1, 7, math.MaxInt32}[i%3])
+		default:
+			t.Fatalf("no sample values for a %s field", f.Kind())
+		}
+	}
+	for _, tc := range []struct {
+		zero       any
+		appendJSON func(v any) func([]byte) []byte
+	}{
+		{&Row{}, func(v any) func([]byte) []byte { return v.(*Row).AppendJSON }},
+		{&TemplateCount{}, func(v any) func([]byte) []byte { return v.(*TemplateCount).AppendJSON }},
+	} {
+		typ := reflect.TypeOf(tc.zero).Elem()
+		all := reflect.New(typ)
+		check(all.Interface(), tc.appendJSON(all.Interface()))
+		for i := range typ.NumField() {
+			for s := range 3 {
+				one := reflect.New(typ)
+				set(one.Elem().Field(i), s)
+				check(one.Interface(), tc.appendJSON(one.Interface()))
+				set(all.Elem().Field(i), s+i)
+				check(all.Interface(), tc.appendJSON(all.Interface()))
+			}
+		}
 	}
 }

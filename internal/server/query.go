@@ -6,9 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 
-	"logparse/internal/core"
 	"logparse/internal/eventstore"
 )
 
@@ -93,57 +91,36 @@ func writeQuery(w http.ResponseWriter, resp queryResponse) {
 	// The rows' members come just before "stats", which no string value
 	// can hold unescaped.
 	i := bytes.Index(head, []byte(`"stats":`))
-	b := append([]byte(nil), head[:i]...)
+	// Sized once for the envelope and up to a chunk of rows at a guess of
+	// rowBytes each, so the buffer seldom regrows.
+	b := make([]byte, 0, len(head)+min(queryChunk, rowBytes*(len(events)+len(templates))))
+	b = append(b, head[:i]...)
 	if len(events) > 0 {
-		b = writeRows(w, append(b, `"events":[`...), events, appendRow)
+		b = writeRows(w, append(b, `"events":[`...), events, eventstore.Row.AppendJSON)
 	}
 	if len(templates) > 0 {
-		b = writeRows(w, append(b, `"templates":[`...), templates, appendTemplateCount)
+		b = writeRows(w, append(b, `"templates":[`...), templates, eventstore.TemplateCount.AppendJSON)
 	}
 	_, _ = w.Write(append(append(b, head[i:]...), '\n'))
 }
 
-// queryChunk is how many bytes of rows writeQuery gathers before a write.
-const queryChunk = 32 << 10
+// queryChunk is how many bytes of rows writeQuery gathers before a write;
+// rowBytes is a generous size of one row.
+const queryChunk, rowBytes = 32 << 10, 256
 
 // writeRows appends rows to b as a JSON list's elements and its closing
 // "],", writing b to w and emptying it whenever it reaches queryChunk.
-func writeRows[T any](w io.Writer, b []byte, rows []T, appendRow func([]byte, T) []byte) []byte {
+func writeRows[T any](w io.Writer, b []byte, rows []T, appendRow func(T, []byte) []byte) []byte {
 	for i, r := range rows {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if b = appendRow(b, r); len(b) >= queryChunk {
+		if b = appendRow(r, b); len(b) >= queryChunk {
 			_, _ = w.Write(b)
 			b = b[:0]
 		}
 	}
 	return append(b, "],"...)
-}
-
-// appendRow appends r as json.Marshal encodes it.
-func appendRow(b []byte, r eventstore.Row) []byte {
-	b = strconv.AppendInt(append(b, `{"seq":`...), r.Seq, 10)
-	b = core.AppendJSONString(append(b, `,"time":`...), r.Time)
-	b = strconv.AppendInt(append(b, `,"template":`...), int64(r.Template), 10)
-	if r.Name != "" {
-		b = core.AppendJSONString(append(b, `,"name":`...), r.Name)
-	}
-	b = core.AppendJSONString(append(b, `,"kind":`...), r.Kind)
-	if r.RawOff != 0 {
-		b = strconv.AppendInt(append(b, `,"raw_off":`...), r.RawOff, 10)
-	}
-	return append(b, '}')
-}
-
-// appendTemplateCount appends c as json.Marshal encodes it.
-func appendTemplateCount(b []byte, c eventstore.TemplateCount) []byte {
-	b = strconv.AppendInt(append(b, `{"template":`...), int64(c.Template), 10)
-	b = strconv.AppendInt(append(b, `,"count":`...), c.Count, 10)
-	if c.Name != "" {
-		b = core.AppendJSONString(append(b, `,"name":`...), c.Name)
-	}
-	return append(b, '}')
 }
 
 // runQuery answers one parsed request; cold bypasses (and replaces) the

@@ -95,19 +95,24 @@ type admitter struct {
 }
 
 // add copies line into the batch, reporting whether the batch is now due
-// for a flush: it holds ingestBatch lines, or as many as the ring does. A
-// line longer than MaxLineBytes is truncated to it and marked oversized —
-// decided here, for a pushed line and a replayed WAL line alike; a replayed
-// line keeps the mark its record carries.
+// for a flush: it holds ingestBatch lines, or as many as the ring does, or
+// one more line of MaxLineBytes could take its WAL record past
+// wal.MaxRecordBytes — so the push path never logs a record the WAL
+// refuses, whatever the lines' sizes. A line longer than MaxLineBytes is
+// truncated to it and marked oversized — decided here, for a pushed line
+// and a replayed WAL line alike; a replayed line keeps the mark its record
+// carries.
 func (a *admitter) add(lineNo int64, line []byte, oversized bool) (full bool) {
-	if len(line) > a.e.cfg.MaxLineBytes {
-		line, oversized = line[:a.e.cfg.MaxLineBytes], true
+	limit := a.e.cfg.MaxLineBytes
+	if len(line) > limit {
+		line, oversized = line[:limit], true
 	}
 	if a.b == nil {
 		a.b = batchPool.Get().(*batch)
 	}
 	a.b.add(lineNo, line, oversized)
-	return a.b.n == min(ingestBatch, len(a.ring.buf))
+	return a.b.n == min(ingestBatch, len(a.ring.buf)) ||
+		len(a.b.buf)+limit+wal.BatchOverhead(a.b.n+1) > wal.MaxRecordBytes
 }
 
 // pending reports whether lines wait for a flush.

@@ -78,6 +78,12 @@ const (
 // giant read.
 const MaxRecordBytes = 64 << 20
 
+// BatchOverhead bounds what a batch record of n lines takes within
+// MaxRecordBytes beyond its line bytes: the line count and a table of the
+// widest uvarints. A writer keeping line bytes plus this within
+// MaxRecordBytes never has AppendBatch refuse a record.
+func BatchOverhead(n int) int { return (n + 1) * binary.MaxVarintLen64 }
+
 // castagnoli is the CRC32C table (the polynomial with hardware support on
 // amd64/arm64, the same choice as most storage formats).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -1,16 +1,19 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"logparse/internal/core"
 	"logparse/internal/faultinject"
 	"logparse/internal/seglog"
 	"logparse/internal/stream/wal"
@@ -734,5 +737,59 @@ func TestWALReplaySkipsInsideRecord(t *testing.T) {
 	}
 	if got := recovered.Digest(); got != want {
 		t.Fatalf("recovered digest %s, want %s", got, want)
+	}
+}
+
+// TestWALBatchPastMaxRecordBytes: one push whose lines total more than
+// wal.MaxRecordBytes — 17 lines of the default MaxLineBytes, 68 MiB — is
+// acknowledged, because the admitter closes a batch before its WAL record
+// could pass the ceiling, and all 17 lines replay after a crash before any
+// checkpoint. The collector runs often so the test's peak stays near the
+// bytes it holds.
+func TestWALBatchPastMaxRecordBytes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	line := bytes.Repeat([]byte("x"), core.DefaultMaxLineBytes)
+	lines := make([][]byte, wal.MaxRecordBytes/len(line)+1)
+	for i := range lines {
+		lines[i] = line
+	}
+	root := t.TempDir()
+	cfg := Config{
+		CheckpointDir:   filepath.Join(root, "ckpt"),
+		WALDir:          filepath.Join(root, "wal"),
+		CheckpointEvery: -1,
+		Retrainer:       &groupMiner{},
+	}
+	crashed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := serveAsync(ctx, crashed)
+	res, err := crashed.PushBatch(ctx, lines)
+	if err != nil || res.Accepted != len(lines) {
+		t.Fatalf("PushBatch = %+v, %v; want all %d lines acknowledged", res, err, len(lines))
+	}
+	cancel() // killed before any checkpoint
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed Serve = %v, want context.Canceled", err)
+	}
+
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	done = serveAsync(ctx, recovered)
+	for st := recovered.Stats(); st.Processed < int64(len(lines)); st = recovered.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	cancel() // no closing checkpoint of 68 MiB of lines
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("recovered Serve = %v, want context.Canceled", err)
+	}
+	if st := recovered.Stats(); st.WALReplayed != int64(len(lines)) || st.Oversized != 0 {
+		t.Fatalf("recovered WALReplayed=%d Processed=%d Oversized=%d, want %d lines replayed, none cut",
+			st.WALReplayed, st.Processed, st.Oversized, len(lines))
 	}
 }
