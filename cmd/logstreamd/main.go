@@ -152,7 +152,7 @@ func run() (int, error) {
 		linger        = flag.Bool("linger", false, "after the source drains, keep the debug server running until SIGINT")
 	)
 	flag.IntVar(&tmpl.CheckpointEvery, "checkpoint-every", 5000, "checkpoint after this many processed lines (<0 disables periodic checkpoints)")
-	flag.IntVar(&tmpl.RingCapacity, "ring", 1024, "admission ring capacity (memory bound on in-flight lines)")
+	flag.IntVar(&tmpl.RingBytes, "ring-bytes", 256<<10, "admission ring budget in bytes a tenant may queue: line bytes plus 2 KiB per batch of up to 64 lines")
 	choiceVar(&tmpl.Policy, "policy", "admission policy when the ring is full: backpressure (default) or shed",
 		map[string]stream.AdmissionPolicy{"backpressure": stream.Backpressure, "shed": stream.LoadShed})
 	flag.IntVar(&tmpl.RetrainBatch, "retrain-batch", 256, "unmatched lines buffered before retraining")
@@ -160,7 +160,7 @@ func run() (int, error) {
 	flag.IntVar(&tmpl.EventStoreBlockBytes, "events-block-bytes", 0, "event-store target block size in raw bytes, one to two per event (0 = default 64 KiB); smaller blocks skip more precisely, larger compress better")
 	flag.Float64Var(&srv.QuotaRate, "quota-rate", 0, "per-tenant admission quota in lines/sec (0 = unlimited; needs -listen)")
 	flag.Float64Var(&srv.QuotaBurst, "quota-burst", 0, "per-tenant quota burst in lines (default one second's worth; needs -listen)")
-	flag.Int64Var(&srv.MaxBodyBytes, "max-body", 1<<20, "ingest request body cap in bytes (needs -listen)")
+	flag.Int64Var(&srv.MaxBodyBytes, "max-body", 1<<20, "ingest request body cap in bytes; the 4 MiB line cap stays apart so WAL replay keeps lines admitted under a larger cap (needs -listen)")
 	flag.DurationVar(&srv.RequestTimeout, "request-timeout", 30*time.Second, "per-request deadline (needs -listen)")
 	flag.BoolVar(&srv.WAL, "wal", false, "per-tenant write-ahead log: acknowledged batches survive kill -9 without client replay (needs -listen)")
 	choiceVar(&tmpl.WALSync, "wal-sync", "WAL durability policy: batch (default; one fsync per acknowledged batch) or none (flush only; survives process kill, not power loss)",

@@ -209,7 +209,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 // request is stuck, completes at full speed: a tenant is its own fault domain.
 func TestSlowShardDeadlineIsolation(t *testing.T) {
 	cfg := testConfig(t.TempDir())
-	cfg.Stream.RingCapacity = 8
+	cfg.Stream.RingBytes = 1 // one batch at a time
 	cfg.RequestTimeout = 150 * time.Millisecond
 	slow := &faultinject.SlowShard{PerLine: 10 * time.Millisecond}
 	cfg.ConfigureEngine = func(tenant string, sc *stream.Config) {
@@ -224,7 +224,7 @@ func TestSlowShardDeadlineIsolation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	batch := tenantLines(t, 0, 120)
+	batch := tenantLines(t, 0, 300) // beyond the consumer's batch and the ring's one
 	slowDone := make(chan int, 1)
 	go func() {
 		resp := postLines(t, ts, "molasses", batch)
@@ -289,7 +289,6 @@ func benchServerLoopback(b *testing.B, wal bool) {
 		CheckpointRoot: b.TempDir(),
 		WAL:            wal,
 		Stream: stream.Config{
-			RingCapacity:    1024,
 			CheckpointEvery: 5000,
 			RetrainBatch:    64,
 			Retrainer:       &testMiner{},

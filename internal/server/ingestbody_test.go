@@ -64,7 +64,7 @@ func TestPooledBodyDoesNotAlias(t *testing.T) {
 	want := digestsAfterRun(t, testConfig(t.TempDir()), streams)
 
 	cfg := walTestConfig(t.TempDir())
-	cfg.Stream.RingCapacity = 2048
+	cfg.Stream.RingBytes = 1 << 20 // room for every line
 	cfg.ConfigureEngine = func(_ string, sc *stream.Config) {
 		sc.AfterLine = (&faultinject.SlowShard{PerLine: 20 * time.Microsecond}).AfterLine
 	}
@@ -123,7 +123,6 @@ func TestPooledBodyDoesNotAlias(t *testing.T) {
 func TestIngestAllocationIndependentOfBodySize(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.RequestTimeout = -1 // no TimeoutHandler goroutine and buffer in the count
-	cfg.Stream.RingCapacity = 1024
 	cfg.Stream.CheckpointEvery = -1
 	// Tenant t starts out knowing the one template every line matches.
 	store, err := stream.NewStore(filepath.Join(cfg.CheckpointRoot, "tenants", "t"))

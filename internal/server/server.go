@@ -74,7 +74,7 @@ type Config struct {
 	// server's clock only when nil. Retrainer is replaced by
 	// NewRetrainer's when that is set, else it is shared across tenants
 	// (nil: each engine builds the stream default). Online must be nil; it
-	// comes from NewOnline. Everything else (ring capacity, checkpoint
+	// comes from NewOnline. Everything else (ring budget, checkpoint
 	// cadence, retrain batch, policy, WAL sync policy and segment size,
 	// event block size) is copied, and ConfigureEngine sees the result
 	// last. The zero value means the stream package defaults.

@@ -87,7 +87,7 @@ func testConfig(root string) Config {
 	return Config{
 		CheckpointRoot: root,
 		Stream: stream.Config{
-			RingCapacity:    256,
+			RingBytes:       32 << 10,
 			CheckpointEvery: 400,
 			RetrainBatch:    64,
 			Retrainer:       &testMiner{},
@@ -681,7 +681,7 @@ func TestOnlineModeFleet(t *testing.T) {
 	cfg := Config{
 		CheckpointRoot: t.TempDir(),
 		Stream: stream.Config{
-			RingCapacity:    256,
+			RingBytes:       32 << 10,
 			CheckpointEvery: 400,
 		},
 		NewOnline: func(tenant string) (stream.OnlineParser, error) {

@@ -24,6 +24,7 @@ func TestTenantRecoveryDoesNotStallNeighbours(t *testing.T) {
 	const tail, prompt = 400, 50 * time.Millisecond
 	cfg := walTestConfig(t.TempDir())
 	cfg.Stream.CheckpointEvery = -1 // recovery comes from the WAL alone
+	cfg.Stream.RingBytes = 8 << 10  // a tail the ring cannot hold, so replay waits on the consumer
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,19 @@ import (
 // lines or changes what is admitted — it only amortises overhead.
 const ingestBatch = 64
 
-// batchKeepBytes caps the buffer a recycled batch keeps: a batch that grew
-// past it for long lines gives its buffer to the garbage collector, so the
-// pool never holds multi-MiB buffers.
+// batchKeepBytes is the most line bytes a batch of several lines holds: a
+// batch closes before the line that would take it past this, so a longer
+// line travels alone, in a buffer allocated once at its size. No WAL record
+// the push path writes is larger than one such batch or one MaxLineBytes
+// line, and no pooled buffer grows past it (recycle drops a larger one).
 const batchKeepBytes = 256 << 10
+
+// batchCharge is what the ring charges a queued batch beyond its line
+// bytes: the batch itself — 1,568 bytes of line tables, which the allocator
+// rounds to its 1,792-byte size class — and a small buffer's allocation, so
+// that a flood of one-line batches is charged what it costs
+// (TestBatchChargeCoversItsAllocation).
+const batchCharge = 2 << 10
 
 // batch is the unit of admission: up to ingestBatch admitted lines copied
 // back to back into one buffer. It has exactly one owner at a time — the
@@ -38,6 +47,9 @@ type batch struct {
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 func (b *batch) add(lineNo int64, line []byte, oversized bool) {
+	if len(line) > batchKeepBytes {
+		b.buf = make([]byte, 0, len(line)) // the batch's only line
+	}
 	b.buf = append(b.buf, line...)
 	b.nos[b.n] = lineNo
 	b.lines[b.n] = wal.Line{End: len(b.buf), Oversized: oversized}
@@ -55,23 +67,21 @@ func (b *batch) item(i int) item {
 	return item{lineNo: b.nos[i], data: b.buf[start:l.End:l.End], oversized: l.Oversized}
 }
 
+// charge is what b costs the ring.
+func (b *batch) charge() int { return batchCharge + len(b.buf) }
+
 // truncate keeps the first n ≥ 1 lines.
 func (b *batch) truncate(n int) {
 	b.n = n
 	b.buf = b.buf[:b.lines[n-1].End]
 }
 
-func (b *batch) reset() {
-	b.n = 0
-	b.buf = b.buf[:0]
-}
-
-// recycle returns b to the pool.
+// recycle returns b to the pool, emptied.
 func (b *batch) recycle() {
 	if cap(b.buf) > batchKeepBytes {
 		b.buf = nil
 	}
-	b.reset()
+	b.n, b.buf = 0, b.buf[:0]
 	batchPool.Put(b)
 }
 
@@ -87,67 +97,88 @@ type item struct {
 // admitter is the one way lines get into the ring. The push path
 // (PushBatch, under pushMu, and so Feed) and WAL replay each own one: add
 // cuts an over-long line and copies it into the admitter's batch, flush
-// hands the batch to the ring under a policy. Not safe for concurrent use.
+// logs the batch (the push path's, with a WAL) and hands it to the ring
+// under the admitter's policy. Not safe for concurrent use.
 type admitter struct {
-	e    *Engine
-	ring *ring
-	b    *batch // the batch being filled; nil once the ring took it
+	e      *Engine
+	ring   *ring
+	policy AdmissionPolicy
+	wal    *wal.WAL // logs each batch before the ring takes it; nil in replay
+	b      *batch   // the batch being filled; nil until its first line
+	// res counts the lines flush admitted and shed, and the owner's
+	// skipped ones, since the owner last zeroed it.
+	res PushResult
 }
 
-// add copies line into the batch, reporting whether the batch is now due
-// for a flush: it holds ingestBatch lines, or as many as the ring does, or
-// one more line of MaxLineBytes could take its WAL record past
-// wal.MaxRecordBytes — so the push path never logs a record the WAL
-// refuses, whatever the lines' sizes. A line longer than MaxLineBytes is
-// truncated to it and marked oversized — decided here, for a pushed line
-// and a replayed WAL line alike; a replayed line keeps the mark its record
-// carries.
-func (a *admitter) add(lineNo int64, line []byte, oversized bool) (full bool) {
-	limit := a.e.cfg.MaxLineBytes
-	if len(line) > limit {
+// add copies line into the batch, flushing before the line when the batch
+// has no room for it and after the line when the batch is full. Under
+// Backpressure it starts no batch while the ring's budget is spent, so the
+// lines in flight are the ring's plus at most one batch. A line longer than
+// MaxLineBytes is truncated to it and marked oversized — decided here, for
+// a pushed line and a replayed WAL line alike; a replayed line keeps the
+// mark its record carries.
+func (a *admitter) add(lineNo int64, line []byte, oversized bool) error {
+	if limit := a.e.cfg.MaxLineBytes; len(line) > limit {
 		line, oversized = line[:limit], true
 	}
+	if a.b != nil && len(a.b.buf)+len(line) > batchKeepBytes {
+		if err := a.flush(); err != nil {
+			return err
+		}
+	}
 	if a.b == nil {
+		if a.policy == Backpressure {
+			a.ring.waitRoom()
+		}
 		a.b = batchPool.Get().(*batch)
 	}
 	a.b.add(lineNo, line, oversized)
-	return a.b.n == min(ingestBatch, len(a.ring.buf)) ||
-		len(a.b.buf)+limit+wal.BatchOverhead(a.b.n+1) > wal.MaxRecordBytes
+	if a.b.n == ingestBatch {
+		return a.flush()
+	}
+	return nil
 }
-
-// pending reports whether lines wait for a flush.
-func (a *admitter) pending() bool { return a.b != nil && a.b.n > 0 }
 
 // flush hands the batch to the ring: Backpressure blocks until all of it
 // fits, LoadShed queues the prefix that fits and drops the rest, counted in
-// Shed. ok=false means the ring stopped (closed or aborted) first; nothing
-// is admitted or shed and the producer must stop. A batch the ring did not
-// take stays with the admitter, emptied.
-func (a *admitter) flush(policy AdmissionPolicy) (inserted, shed int, ok bool) {
+// Shed. With a WAL it first appends the batch as one record —
+// append-before-admit, so no admitted line is ever absent from the log and
+// shed lines are logged too; durability waits for the push's Commit — and
+// a failed append ends the incarnation (walAbort). ErrNotServing means the
+// ring stopped (closed or aborted) first: nothing is admitted or shed and
+// the producer must stop. A batch the ring did not take goes back to the
+// pool.
+func (a *admitter) flush() error {
 	b := a.b
-	if !a.pending() {
-		return 0, 0, true
+	if b == nil {
+		return nil
+	}
+	a.b = nil
+	if a.wal != nil {
+		if err := a.wal.AppendBatch(uint64(b.nos[0]), b.buf, b.lines[:b.n]); err != nil {
+			return a.e.walAbort(err)
+		}
+		// The enumerated crash point between WAL append and ring push: the
+		// batch's lines are in the WAL (possibly auto-flushed to disk) but
+		// not yet admitted.
+		if err := a.e.cfg.WALSeam.Fire("push"); err != nil {
+			return a.e.walAbort(err)
+		}
 	}
 	n := b.n
-	if policy == LoadShed {
-		var stopped bool
-		inserted, stopped = a.ring.pushTry(b)
-		ok = !stopped
-		if ok {
-			shed = n - inserted
-		}
-	} else if ok = a.ring.pushWait(b); ok {
-		inserted = n
+	inserted, ok := a.ring.push(b, a.policy == Backpressure)
+	if inserted == 0 {
+		b.recycle()
 	}
-	if inserted > 0 {
-		a.b = nil // the ring's now
-	} else {
-		b.reset()
+	if !ok {
+		return ErrNotServing
 	}
-	if shed > 0 {
+	a.res.Accepted += inserted
+	if shed := n - inserted; shed > 0 {
+		a.res.Shed += shed
 		a.e.mu.Lock()
 		a.e.ctrs.Shed += int64(shed)
 		a.e.mu.Unlock()
 	}
-	return inserted, shed, ok
+	return nil
 }

@@ -98,7 +98,6 @@ func TestPushBatchPerLineAllocBudget(t *testing.T) {
 	eng, err := New(Config{
 		CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
 		CheckpointEvery: -1,
-		RingCapacity:    1024,
 		Retrainer:       &groupMiner{},
 	})
 	if err != nil {

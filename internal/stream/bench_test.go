@@ -46,7 +46,6 @@ func benchIngest(b *testing.B, n, checkpointEvery int) {
 		b.StopTimer()
 		e, err := New(Config{
 			CheckpointDir:   b.TempDir(),
-			RingCapacity:    1024,
 			CheckpointEvery: checkpointEvery,
 			RetrainBatch:    64,
 			Retrainer:       &groupMiner{},
@@ -98,7 +97,6 @@ func benchPushBatch(b *testing.B, wal bool) {
 		b.StopTimer()
 		cfg := Config{
 			CheckpointDir:   b.TempDir(),
-			RingCapacity:    1024,
 			CheckpointEvery: 5000,
 			RetrainBatch:    64,
 			Retrainer:       &groupMiner{},
@@ -162,7 +160,6 @@ func BenchmarkStreamIngestEventStore(b *testing.B) {
 		dir := b.TempDir()
 		e, err := New(Config{
 			CheckpointDir:   b.TempDir(),
-			RingCapacity:    1024,
 			CheckpointEvery: 5000,
 			RetrainBatch:    64,
 			Retrainer:       &groupMiner{},
@@ -206,7 +203,6 @@ func benchOnlineIngest(b *testing.B, n int, mk func() OnlineParser) {
 		b.StopTimer()
 		e, err := New(Config{
 			CheckpointDir:   b.TempDir(),
-			RingCapacity:    1024,
 			CheckpointEvery: 5000,
 			Online:          mk(),
 		})
@@ -337,7 +333,6 @@ func BenchmarkStreamIngestTelemetry(b *testing.B) {
 		b.StopTimer()
 		e, err := New(Config{
 			CheckpointDir:   b.TempDir(),
-			RingCapacity:    1024,
 			CheckpointEvery: 5000,
 			RetrainBatch:    64,
 			Retrainer:       &groupMiner{},

@@ -20,6 +20,11 @@ import (
 // has a serving incarnation.
 var ErrAlreadyRunning = errors.New("stream: engine is already running")
 
+// ErrLineCapTooLarge is returned by New when a WAL is configured and
+// MaxLineBytes exceeds wal.MaxLineBytes: the first line that long would
+// make a record the WAL refuses, ending every incarnation that admits it.
+var ErrLineCapTooLarge = errors.New("stream: MaxLineBytes exceeds the longest line a WAL record holds")
+
 // Engine is the crash-safe streaming ingester. Build one with New (which
 // restores the newest trustworthy checkpoint), drive it with Serve and
 // PushBatch or with Feed, inspect it with Stats/Result, and persist it on
@@ -110,8 +115,8 @@ type Engine struct {
 // multi-tenant service one tenant's rotted checkpoints must degrade that
 // tenant, not crash the fleet.
 func New(cfg Config) (*Engine, error) {
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = 1024
+	if cfg.RingBytes <= 0 {
+		cfg.RingBytes = 256 << 10
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 5000
@@ -127,6 +132,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxLineBytes <= 0 {
 		cfg.MaxLineBytes = core.DefaultMaxLineBytes
+	}
+	if cfg.WALDir != "" && cfg.MaxLineBytes > wal.MaxLineBytes {
+		return nil, fmt.Errorf("%w: %d > %d", ErrLineCapTooLarge, cfg.MaxLineBytes, wal.MaxLineBytes)
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -151,7 +159,6 @@ func New(cfg Config) (*Engine, error) {
 		online: cfg.Online,
 		tm:     newEngineTelemetry(cfg.Telemetry),
 	}
-	e.push.e = e
 	store.bytes, store.bases, store.deltas = e.tm.ckptBytes, e.tm.ckptBases, e.tm.ckptDeltas
 	// The checkpoint dirsync fix (see Store.syncDir): surface directory-
 	// fsync failures instead of swallowing them.
@@ -173,6 +180,7 @@ func New(cfg Config) (*Engine, error) {
 		e.wal = w
 		e.walInfo = winfo
 	}
+	e.push = admitter{e: e, policy: cfg.Policy, wal: e.wal}
 
 	st, info, err := store.Load()
 	if err != nil {
@@ -298,7 +306,7 @@ func (e *Engine) begin(ctx context.Context) (r *ring, offset int64, end func(), 
 	}
 	e.running = true
 	e.serveEnded = false
-	r = newRing(e.cfg.RingCapacity)
+	r = newRing(e.cfg.RingBytes)
 	e.ring = r
 	unwatch := context.AfterFunc(ctx, r.abort)
 	return r, e.offset, func() {
@@ -765,7 +773,7 @@ func (e *Engine) statsLocked() Stats {
 		s.CheckpointAge = e.now().Sub(e.lastCkpt)
 	}
 	if e.ring != nil {
-		s.RingDepth, s.RingHighWater = e.ring.stats()
+		e.ring.stats(&s)
 	}
 	if e.wal != nil {
 		s.WALEnabled = true

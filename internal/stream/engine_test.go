@@ -144,7 +144,7 @@ func testConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
 		CheckpointDir:   t.TempDir(),
-		RingCapacity:    64,
+		RingBytes:       4 << 10,
 		CheckpointEvery: 50,
 		RetrainBatch:    32,
 		Retrainer:       &groupMiner{},
@@ -348,7 +348,7 @@ func TestEngineLoadShedKeepsMemoryBoundedAndCountsSheds(t *testing.T) {
 	lines := synthLines(400, 3)
 	cfg := testConfig(t)
 	cfg.Policy = LoadShed
-	cfg.RingCapacity = 4
+	cfg.RingBytes = 4 << 10
 	cfg.AfterLine = func(int64) { time.Sleep(200 * time.Microsecond) } // slow consumer
 	e, err := New(cfg)
 	if err != nil {
@@ -361,8 +361,8 @@ func TestEngineLoadShedKeepsMemoryBoundedAndCountsSheds(t *testing.T) {
 	if s.Shed == 0 {
 		t.Fatal("overloaded shed run dropped nothing; consumer not slow enough?")
 	}
-	if s.RingHighWater > 4 {
-		t.Fatalf("ring high-water %d exceeds capacity 4", s.RingHighWater)
+	if s.RingBytesHighWater > cfg.RingBytes {
+		t.Fatalf("ring bytes high-water %d exceeds the budget %d", s.RingBytesHighWater, cfg.RingBytes)
 	}
 	if got := s.Processed + s.Shed; got != int64(len(lines)) {
 		t.Fatalf("processed %d + shed %d = %d, want every source line (%d) accounted",

@@ -304,7 +304,7 @@ func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 	base := eng.offset
 	var batch batch
 	for b := 0; b < 10; b++ {
-		batch.reset()
+		batch.n, batch.buf = 0, batch.buf[:0]
 		for i := range ingestBatch {
 			batch.add(eng.offset+int64(i)+1, it.data, false)
 		}
@@ -330,7 +330,7 @@ func TestProcessMatchedPathAllocsEventStore(t *testing.T) {
 func TestEventTimeIsPerBatch(t *testing.T) {
 	const n = 10 * ingestBatch
 	cfg := testConfig(t)
-	cfg.RingCapacity = 2 * n
+	cfg.RingBytes = 1 << 20 // the whole push
 	cfg.CheckpointEvery = -1
 	seedTemplates(t, cfg.CheckpointDir, allocTemplates())
 	cfg.EventStoreDir = t.TempDir()

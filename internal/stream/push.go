@@ -48,10 +48,6 @@ func (e *DurableError) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *DurableError) Unwrap() error { return e.Err }
 
-// errReplayStopped marks a WAL replay cut short because the incarnation's
-// ring stopped under it — the incarnation is ending, not the WAL failing.
-var errReplayStopped = errors.New("stream: wal replay stopped")
-
 // PushResult reports what happened to one pushed batch, line by line.
 type PushResult struct {
 	// Accepted counts lines admitted into the ring for processing.
@@ -135,34 +131,21 @@ func (e *Engine) serve(ctx context.Context, r *ring, start int64) error {
 // were acknowledged once and are never shed: admission is Backpressure
 // whatever the configured policy.
 func (e *Engine) replayWAL(r *ring, start int64) {
-	adm := admitter{e: e, ring: r}
-	top := start
-	if last := int64(e.wal.LastSeq()); last > top {
-		top = last
-	}
-	var admitted int64
-	flush := func() error {
-		inserted, _, ok := adm.flush(Backpressure)
-		admitted += int64(inserted)
-		if !ok {
-			return errReplayStopped
-		}
-		return nil
-	}
+	adm := admitter{e: e, ring: r, policy: Backpressure}
+	top := max(start, int64(e.wal.LastSeq()))
 	_, err := e.wal.Replay(func(seq uint64, line []byte, oversized bool) error {
 		if int64(seq) <= start {
 			return nil // the checkpoint already covers it
 		}
-		if adm.add(int64(seq), line, oversized) {
-			return flush()
-		}
-		return nil
+		return adm.add(int64(seq), line, oversized)
 	})
 	if err == nil {
-		err = flush()
+		err = adm.flush()
 	}
 	if err != nil {
-		if !errors.Is(err, errReplayStopped) {
+		// ErrNotServing: the ring stopped under the replay — the
+		// incarnation is ending, not the WAL failing.
+		if !errors.Is(err, ErrNotServing) {
 			// The WAL itself failed mid-replay: end the incarnation the
 			// same way a push-side WAL failure does.
 			e.mu.Lock()
@@ -176,7 +159,7 @@ func (e *Engine) replayWAL(r *ring, start int64) {
 		return
 	}
 	e.mu.Lock()
-	e.walReplayed += admitted
+	e.walReplayed += int64(adm.res.Accepted)
 	e.mu.Unlock()
 	e.pushMu.Lock()
 	if !r.stopped() {
@@ -227,10 +210,11 @@ func (e *Engine) WaitServing(ctx context.Context) error {
 // mid-batch. Empty lines do not advance the line numbering, so replayed
 // streams number identically; lines at or below the restored offset are
 // skipped as replay duplicates; over-long lines are truncated at
-// MaxLineBytes and counted in Stats.Oversized. Under Backpressure a full ring blocks
-// PushBatch until the consumer frees room for the batch it admits next
-// (ingestBatch lines at a time); under LoadShed the lines that do not fit
-// are counted in PushResult.Shed and dropped. Each admitted line
+// MaxLineBytes and counted in Stats.Oversized. Under Backpressure a ring
+// whose RingBytes budget is spent blocks PushBatch until the consumer frees
+// room for the batch it admits next (at most ingestBatch lines and
+// batchKeepBytes of them, or one longer line); under LoadShed the lines that
+// do not fit are counted in PushResult.Shed and dropped. Each admitted line
 // is copied into a pooled batch at admission, so the caller may reuse or
 // free the backing of lines the moment PushBatch returns; per-line the
 // engine allocates nothing.
@@ -256,68 +240,38 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 	}
 	e.pushMu.Lock()
 	defer e.pushMu.Unlock()
-	var res PushResult
 	if e.push.ring == nil {
-		return res, ErrNotServing
+		return PushResult{}, ErrNotServing
 	}
-	w := e.wal
-
-	// flush admits the pending lines; a non-nil error fails the push.
-	flush := func() error {
-		if b := e.push.b; w != nil && e.push.pending() {
-			// Append-before-admit: the batch reaches the WAL buffer as one
-			// record before it can reach the ring, so no admitted line is
-			// ever absent from the log — shed lines are logged too.
-			// Durability waits for the Commit below.
-			if err := w.AppendBatch(uint64(b.nos[0]), b.buf, b.lines[:b.n]); err != nil {
-				return e.walAbort(err)
-			}
-			// The enumerated crash point between WAL append and ring
-			// push: the batch's lines are in the WAL (possibly auto-
-			// flushed to disk) but not yet admitted.
-			if err := e.cfg.WALSeam.Fire("push"); err != nil {
-				return e.walAbort(err)
-			}
-		}
-		inserted, shed, ok := e.push.flush(e.cfg.Policy)
-		res.Accepted += inserted
-		res.Shed += shed
-		if !ok {
-			return ErrNotServing
-		}
-		return nil
-	}
-
+	e.push.res = PushResult{}
 	for _, line := range lines {
 		if len(line) == 0 {
 			continue
 		}
 		e.pushSeq++
 		if e.pushSeq <= e.pushSkip {
-			res.Skipped++
+			e.push.res.Skipped++
 			continue
 		}
 		// Lines at or below pushSkip all come first, so a batch's numbers
 		// are consecutive, as its WAL record requires.
-		if e.push.add(e.pushSeq, line, false) {
-			if err := flush(); err != nil {
-				return res, err
-			}
+		if err := e.push.add(e.pushSeq, line, false); err != nil {
+			return e.push.res, err
 		}
 	}
-	if err := flush(); err != nil {
-		return res, err
+	if err := e.push.flush(); err != nil {
+		return e.push.res, err
 	}
-	if w != nil {
+	if e.wal != nil {
 		// The acknowledgment barrier — group commit: one flush + fsync
 		// covers every line of this batch. Only a nil return here
 		// acknowledges the batch; on failure the incarnation ends and the
 		// client replays the batch whole.
-		if err := w.Commit(); err != nil {
-			return res, e.walAbort(err)
+		if err := e.wal.Commit(); err != nil {
+			return e.push.res, e.walAbort(err)
 		}
 	}
-	return res, nil
+	return e.push.res, nil
 }
 
 // walAbort ends the serve incarnation after a write-ahead-log failure:
@@ -327,7 +281,6 @@ func (e *Engine) PushBatch(ctx context.Context, lines [][]byte) (PushResult, err
 // acknowledged and must be replayed whole against the next incarnation.
 // Called with pushMu held.
 func (e *Engine) walAbort(err error) error {
-	e.push.b = nil
 	e.mu.Lock()
 	if e.walErr == nil {
 		e.walErr = err

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 func pushCfg(dir string) Config {
 	return Config{
 		CheckpointDir: dir,
-		RingCapacity:  64,
+		RingBytes:     4 << 10,
 		RetrainBatch:  64,
 		Retrainer:     &groupMiner{minSupport: 3},
 	}
@@ -232,7 +233,7 @@ func (s *endlessSource) Read(p []byte) (int, error) {
 func TestStopDrainsRingBeforeClosingCheckpoint(t *testing.T) {
 	eng, err := New(Config{
 		CheckpointDir:   t.TempDir(),
-		RingCapacity:    64,
+		RingBytes:       4 << 10,
 		RetrainBatch:    64,
 		CheckpointEvery: -1, // the only checkpoint must come from the Stop path
 		Retrainer:       &groupMiner{minSupport: 3},
@@ -286,7 +287,7 @@ func TestStopMidStreamResumesToUninterruptedDigest(t *testing.T) {
 	mkCfg := func(dir string) Config {
 		return Config{
 			CheckpointDir: dir,
-			RingCapacity:  64,
+			RingBytes:     4 << 10,
 			RetrainBatch:  64,
 			Retrainer:     &groupMiner{minSupport: 3},
 		}
@@ -402,21 +403,26 @@ func TestAllCorruptCheckpointsQuarantineIntoEmptyStart(t *testing.T) {
 	}
 }
 
-// TestPushBatchRingCapacityBound holds the ring's line bound exact for ring
-// capacities below, at and above one batch: with the consumer held inside
-// line 1, LoadShed queues exactly RingCapacity lines and sheds the rest, and
-// Backpressure waits with the ring as full as whole batches make it. Either
-// way RingHighWater never exceeds RingCapacity and every pushed line is
+// TestPushBatchRingCapacityBound holds the ring's byte bound exact for
+// budgets of one batch's charge plus n lines of one length, n below, at and
+// above a full batch. With the consumer held inside line 1, LoadShed queues
+// exactly the lines that fit — n of them up to a full batch — and sheds
+// none that would have fit; Backpressure waits with the ring as full as
+// whole batches make it. LoadShed never charges past the budget,
+// Backpressure past one batch over an empty ring, and every pushed line is
 // processed or shed.
 func TestPushBatchRingCapacityBound(t *testing.T) {
-	for _, capacity := range []int{1, 3, ingestBatch - 1, ingestBatch, ingestBatch + 1, 1024} {
+	const lineLen = 40
+	for _, n := range []int{1, 3, ingestBatch - 1, ingestBatch, ingestBatch + 1, 1024} {
+		budget := batchCharge + n*lineLen
+		fullBatch := batchCharge + ingestBatch*lineLen
 		for _, policy := range []AdmissionPolicy{LoadShed, Backpressure} {
-			t.Run(fmt.Sprintf("%v/%d", policy, capacity), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/%d", policy, n), func(t *testing.T) {
 				held, release := make(chan struct{}), make(chan struct{})
 				eng, err := New(Config{
 					CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
 					CheckpointEvery: -1,
-					RingCapacity:    capacity,
+					RingBytes:       budget,
 					Policy:          policy,
 					Retrainer:       &groupMiner{},
 					AfterLine: func(lineNo int64) {
@@ -431,9 +437,9 @@ func TestPushBatchRingCapacityBound(t *testing.T) {
 				}
 				ctx := context.Background()
 				done := serveAsync(ctx, eng)
-				lines := make([][]byte, 2*capacity+2*ingestBatch+5)
+				lines := make([][]byte, 2*n+2*ingestBatch+5)
 				for i := range lines {
-					lines[i] = fmt.Appendf(nil, "connection from 10.0.0.%d port %d", i%50, i)
+					lines[i] = fmt.Appendf(nil, "connection from 10.0.0.%02d port %09d", i%50, i)
 				}
 				if _, err := eng.PushBatch(ctx, lines[:1]); err != nil {
 					t.Fatal(err)
@@ -445,8 +451,13 @@ func TestPushBatchRingCapacityBound(t *testing.T) {
 					if res, err = eng.PushBatch(ctx, rest); err != nil {
 						t.Fatal(err)
 					}
-					if res.Accepted != capacity || res.Shed != len(rest)-capacity {
-						t.Fatalf("held consumer: %+v, want %d accepted and the other %d shed", res, capacity, len(rest)-capacity)
+					st := eng.Stats()
+					if res.Accepted+res.Shed != len(rest) || st.RingDepth != res.Accepted ||
+						(n <= ingestBatch && res.Accepted != n) {
+						t.Fatalf("held consumer: %+v with %d lines queued, want all %d accepted or shed (%d accepted when n ≤ %d)", res, st.RingDepth, len(rest), n, ingestBatch)
+					}
+					if st.RingBytes > budget || budget-st.RingBytes >= batchCharge+lineLen {
+						t.Fatalf("%d of %d bytes charged: a shed line would have fit", st.RingBytes, budget)
 					}
 					close(release)
 				} else {
@@ -455,10 +466,10 @@ func TestPushBatchRingCapacityBound(t *testing.T) {
 						res, _ := eng.PushBatch(ctx, rest)
 						pushed <- res
 					}()
-					full := capacity - min(capacity, ingestBatch) // no further batch fits above this
-					for deadline := time.Now().Add(10 * time.Second); eng.Stats().RingDepth <= full; time.Sleep(time.Millisecond) {
+					full := budget - fullBatch // no further batch fits above this
+					for deadline := time.Now().Add(10 * time.Second); eng.Stats().RingBytes <= full; time.Sleep(time.Millisecond) {
 						if time.Now().After(deadline) {
-							t.Fatalf("ring depth %d never passed %d", eng.Stats().RingDepth, full)
+							t.Fatalf("ring bytes %d never passed %d", eng.Stats().RingBytes, full)
 						}
 					}
 					close(release)
@@ -471,8 +482,12 @@ func TestPushBatchRingCapacityBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := eng.Stats()
-				if st.RingHighWater > capacity || (policy == LoadShed && st.RingHighWater != capacity) {
-					t.Fatalf("ring high-water %d with capacity %d", st.RingHighWater, capacity)
+				bound := budget
+				if policy == Backpressure {
+					bound = max(budget, fullBatch)
+				}
+				if st.RingBytesHighWater > bound {
+					t.Fatalf("ring bytes high-water %d with a budget of %d", st.RingBytesHighWater, budget)
 				}
 				if st.Processed+st.Shed != int64(len(lines)) || st.Shed != int64(res.Shed) || st.Matched != st.Processed {
 					t.Fatalf("%d lines pushed: processed %d, shed %d (push said %d), matched %d", len(lines), st.Processed, st.Shed, res.Shed, st.Matched)
@@ -500,7 +515,7 @@ func TestConcurrentPushersStopMidStream(t *testing.T) {
 	eng, err := New(Config{
 		CheckpointDir:   seedTemplates(t, t.TempDir(), tmpls),
 		CheckpointEvery: 500,
-		RingCapacity:    100,
+		RingBytes:       64 << 10, // above any one batch here
 		Retrainer:       &groupMiner{},
 		EventStoreDir:   storeDir,
 	})
@@ -556,8 +571,8 @@ func TestConcurrentPushersStopMidStream(t *testing.T) {
 		total += n
 	}
 	st := eng.Stats()
-	if st.Processed != total || st.Matched != total || st.Shed != 0 || st.RingHighWater > 100 {
-		t.Fatalf("%d lines accepted: processed %d, matched %d, shed %d, ring high-water %d", total, st.Processed, st.Matched, st.Shed, st.RingHighWater)
+	if st.Processed != total || st.Matched != total || st.Shed != 0 || st.RingBytesHighWater > 64<<10 {
+		t.Fatalf("%d lines accepted: processed %d, matched %d, shed %d, ring bytes high-water %d", total, st.Processed, st.Matched, st.Shed, st.RingBytesHighWater)
 	}
 	_, counts := eng.Result()
 	stored, _ := storeCounts(t, storeDir)
@@ -565,5 +580,167 @@ func TestConcurrentPushersStopMidStream(t *testing.T) {
 		if counts[p] != n || stored[int32(p)] != n {
 			t.Fatalf("pusher %d: %d lines accepted, engine counted %d, event store %d", p, n, counts[p], stored[int32(p)])
 		}
+	}
+}
+
+// heapInUse is the live heap after two collections, the second clearing
+// what sync.Pool kept through the first.
+func heapInUse() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// heldConsumer builds an engine under policy with a ring of budget bytes
+// whose consumer holds inside line 1 until release is called, serves it,
+// and returns once line 1 is held. A test that ends early releases the
+// consumer and stops the engine on cleanup, so a blocked pusher returns.
+func heldConsumer(t *testing.T, policy AdmissionPolicy, budget int) (eng *Engine, release func(), done <-chan error) {
+	t.Helper()
+	held, unblock := make(chan struct{}), make(chan struct{})
+	release = sync.OnceFunc(func() { close(unblock) })
+	eng, err := New(Config{
+		CheckpointDir:   seedTemplates(t, t.TempDir(), allocTemplates()),
+		CheckpointEvery: -1,
+		RingBytes:       budget,
+		Policy:          policy,
+		Retrainer:       &groupMiner{},
+		AfterLine: func(lineNo int64) {
+			if lineNo == 1 {
+				close(held)
+				<-unblock
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		release()
+		eng.Stop()
+	})
+	done = serveAsync(context.Background(), eng)
+	if _, err := eng.PushBatch(context.Background(), [][]byte{[]byte("connection from 10.0.0.1 port 1")}); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	return eng, release, done
+}
+
+// pushHeld pushes lines into a held engine and returns the heap growth
+// with everything it admitted in flight: under LoadShed once PushBatch
+// returns, under Backpressure once the ring's bytes pass full and the
+// pusher has had time to fill the batch it then waits with.
+func pushHeld(t *testing.T, eng *Engine, lines [][]byte, full int) int64 {
+	t.Helper()
+	before := heapInUse()
+	if eng.cfg.Policy == LoadShed {
+		if _, err := eng.PushBatch(context.Background(), lines); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		go eng.PushBatch(context.Background(), lines)
+		for deadline := time.Now().Add(10 * time.Second); eng.Stats().RingBytes <= full; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("ring bytes %d never passed %d", eng.Stats().RingBytes, full)
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	grown := heapInUse() - before
+	runtime.KeepAlive(lines)
+	return grown
+}
+
+// TestPushBatchHeldConsumerMemory holds the consumer inside line 1 and
+// pushes lines of 1 KiB, 512 KiB and MaxLineBytes under both policies: the
+// bytes the ring charges and the heap the push grows by each stay within
+// the budget plus one batch, however long the lines. (A ring of 1,024
+// lines held ≈ 600 MiB of 512 KiB lines.)
+func TestPushBatchHeldConsumerMemory(t *testing.T) {
+	const budget = 256 << 10
+	for _, c := range []struct{ size, lines int }{{1 << 10, 2000}, {512 << 10, 400}, {core.DefaultMaxLineBytes, 8}} {
+		size := c.size
+		oneBatch := batchCharge + max(size, min(ingestBatch*size, batchKeepBytes))
+		for _, policy := range []AdmissionPolicy{LoadShed, Backpressure} {
+			t.Run(fmt.Sprintf("%v/%d", policy, size), func(t *testing.T) {
+				eng, release, done := heldConsumer(t, policy, budget)
+				line := fmt.Appendf(nil, "connection from %s port 1", bytes.Repeat([]byte("x"), size-len("connection from  port 1")))
+				lines := make([][]byte, c.lines)
+				for i := range lines {
+					lines[i] = line
+				}
+				grown := pushHeld(t, eng, lines, budget-oneBatch)
+				st := eng.Stats()
+				t.Logf("%d lines of %d bytes: heap grew %d, ring high-water %d bytes, %d lines; bound %d", len(lines), size, grown, st.RingBytesHighWater, st.RingHighWater, budget+oneBatch)
+				if grown > int64(budget+oneBatch) || st.RingBytesHighWater > budget+oneBatch {
+					t.Fatalf("heap grew %d bytes and the ring charged up to %d, with a budget of %d and a batch of %d", grown, st.RingBytesHighWater, budget, oneBatch)
+				}
+				release()
+				eng.Stop()
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestPushBatchTinyLineFlood holds the consumer and makes 10,000 PushBatch
+// calls of one 1-byte line each, under both policies: each call is a batch
+// of its own, and batchCharge keeps the bytes charged within the budget and
+// the heap's growth within the budget plus one batch. (Counted in lines, a
+// ring of 1,024 took 1,024 such batches, ≈ 1.8 MB of line tables.)
+func TestPushBatchTinyLineFlood(t *testing.T) {
+	const budget, calls = 256 << 10, 10000
+	for _, policy := range []AdmissionPolicy{LoadShed, Backpressure} {
+		t.Run(policy.String(), func(t *testing.T) {
+			eng, release, done := heldConsumer(t, policy, budget)
+			line := [][]byte{[]byte("x")}
+			before := heapInUse()
+			pushed := make(chan PushResult, 1)
+			go func() {
+				var total PushResult
+				for range calls {
+					res, err := eng.PushBatch(context.Background(), line)
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					total.Accepted += res.Accepted
+					total.Shed += res.Shed
+				}
+				pushed <- total
+			}()
+			var res PushResult
+			if policy == LoadShed {
+				res = <-pushed
+			} else {
+				for deadline := time.Now().Add(10 * time.Second); eng.Stats().RingBytes+batchCharge+1 <= budget; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("ring bytes %d never filled %d", eng.Stats().RingBytes, budget)
+					}
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			grown := heapInUse() - before
+			st := eng.Stats()
+			if st.RingBytesHighWater > budget || grown > budget+batchCharge+1 {
+				t.Fatalf("%d one-line batches queued: ring charged up to %d bytes, heap grew %d, budget %d", st.RingHighWater, st.RingBytesHighWater, grown, budget)
+			}
+			release()
+			if policy == Backpressure {
+				res = <-pushed
+			}
+			eng.Stop()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if st := eng.Stats(); res.Accepted+res.Shed != calls || st.Processed+st.Shed != calls+1 {
+				t.Fatalf("%+v from %d calls; processed %d, shed %d", res, calls, st.Processed, st.Shed)
+			}
+		})
 	}
 }

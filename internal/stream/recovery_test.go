@@ -58,7 +58,7 @@ func TestKillAndRecoverConvergesToUninterruptedRun(t *testing.T) {
 	base := func(dir string) Config {
 		return Config{
 			CheckpointDir:   dir,
-			RingCapacity:    32,
+			RingBytes:       4 << 10,
 			CheckpointEvery: 37, // deliberately coprime with the kill points
 			RetrainBatch:    24,
 			Retrainer:       &groupMiner{},

@@ -2,13 +2,16 @@ package stream
 
 import "sync"
 
-// ring is the fixed-capacity admission queue between a producer (PushBatch
-// or WAL replay, both through admitter.flush) and the matching consumer. It
-// queues batches but counts lines: its capacity, in lines, is the engine's
-// memory bound on in-flight lines. pushWait blocks the producer until the
-// whole batch fits (Backpressure) and pushTry queues only the prefix that
-// fits (LoadShed); neither ever grows the buffer. No batch holds more lines
-// than the capacity (admitter.add), so every batch fits an empty ring.
+// ring is the admission queue between a producer (PushBatch or WAL replay,
+// both through admitter.flush) and the matching consumer. It queues batches
+// and bounds bytes: each queued batch is charged its line bytes plus
+// batchCharge, the batch's own tables, and the charges stay within the
+// budget (Config.RingBytes) — except that an empty ring admits what does
+// not fit, so nothing can block progress. push blocks the producer until
+// the whole batch fits (Backpressure) or queues only the prefix that fits
+// (LoadShed). Every queued batch costs at least batchCharge, so
+// budget/batchCharge+1 slots always suffice and the slot array never
+// grows.
 //
 // close marks the clean end of input — Stop, or Feed at the end of its
 // reader (the consumer drains what is queued); abort is the hard stop
@@ -19,19 +22,20 @@ type ring struct {
 	notFull  sync.Cond
 	notEmpty sync.Cond
 
-	// buf is the FIFO of queued batches. Each holds at least one line, so
-	// one slot per line of capacity is enough.
-	buf       []*batch
-	head      int
-	queued    int // batches
-	lines     int
-	highWater int // most lines ever queued
-	closed    bool
-	aborted   bool
+	buf            []*batch // the FIFO of queued batches
+	head           int
+	queued         int // batches
+	budget         int
+	bytes          int // charged to the queued batches
+	lines          int
+	highWater      int // most lines ever queued
+	bytesHighWater int // most bytes ever charged
+	closed         bool
+	aborted        bool
 }
 
-func newRing(capacity int) *ring {
-	r := &ring{buf: make([]*batch, capacity)}
+func newRing(budget int) *ring {
+	r := &ring{buf: make([]*batch, budget/batchCharge+1), budget: budget}
 	r.notFull.L = &r.mu
 	r.notEmpty.L = &r.mu
 	return r
@@ -42,46 +46,60 @@ func (r *ring) insertLocked(b *batch) {
 	r.buf[(r.head+r.queued)%len(r.buf)] = b
 	r.queued++
 	r.lines += b.n
+	r.bytes += b.charge()
 	r.highWater = max(r.highWater, r.lines)
+	r.bytesHighWater = max(r.bytesHighWater, r.bytes)
 	r.notEmpty.Signal()
 }
 
-// pushWait queues b, blocking until all of its lines fit. ok=false means
-// the ring stopped (closed or aborted) first and the caller still owns b.
-func (r *ring) pushWait(b *batch) (ok bool) {
+// push queues b and reports how many of its lines that is. With wait
+// (Backpressure) it blocks until all of b fits or the ring is empty;
+// without (LoadShed) it queues the prefix that fits — at least one line
+// into an empty ring — never blocking. With inserted > 0 the ring owns b,
+// truncated to them; otherwise the caller still owns b. ok=false means the
+// ring stopped (closed or aborted) first.
+func (r *ring) push(b *batch, wait bool) (inserted int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.lines+b.n > len(r.buf) && !r.aborted && !r.closed {
+	for wait && !r.roomLocked(b.charge()) {
 		r.notFull.Wait()
 	}
 	if r.aborted || r.closed {
 		// close/abort broadcast notEmpty; the consumer drains without
 		// needing a signal from us.
-		return false
-	}
-	r.insertLocked(b)
-	return true
-}
-
-// pushTry queues the prefix of b that fits, never blocking, and reports how
-// many lines that is. With inserted > 0 the ring owns b, truncated to them;
-// otherwise the caller still owns b. stopped=true means the ring accepts no
-// further input (the caller exits rather than counting the batch as shed).
-func (r *ring) pushTry(b *batch) (inserted int, stopped bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.aborted || r.closed {
-		return 0, true
-	}
-	free := len(r.buf) - r.lines
-	if free == 0 {
 		return 0, false
 	}
-	if b.n > free {
-		b.truncate(free)
+	n := b.n
+	if !wait {
+		for n > 0 && batchCharge+b.lines[n-1].End > r.budget-r.bytes {
+			n-- // the prefix of b that fits
+		}
+		if r.queued == 0 {
+			n = max(n, 1) // a line over the budget goes alone
+		}
 	}
-	r.insertLocked(b)
-	return b.n, false
+	if n > 0 {
+		b.truncate(n)
+		r.insertLocked(b)
+	}
+	return n, true
+}
+
+// waitRoom blocks until the ring's budget is not spent, the ring is empty
+// or it stops, so that a producer under Backpressure fills no batch the
+// ring cannot take yet.
+func (r *ring) waitRoom() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for !r.roomLocked(1) {
+		r.notFull.Wait()
+	}
+}
+
+// roomLocked reports whether a batch charged need bytes may be queued now,
+// or the ring stopped.
+func (r *ring) roomLocked(need int) bool {
+	return r.queued == 0 || r.bytes+need <= r.budget || r.aborted || r.closed
 }
 
 // pop removes the oldest batch, blocking while the ring is empty and still
@@ -101,6 +119,7 @@ func (r *ring) pop() (b *batch, ok bool) {
 	r.head = (r.head + 1) % len(r.buf)
 	r.queued--
 	r.lines -= b.n
+	r.bytes -= b.charge()
 	r.notFull.Broadcast()
 	return b, true
 }
@@ -132,9 +151,10 @@ func (r *ring) stopped() bool {
 	return r.closed || r.aborted
 }
 
-// stats reports the lines queued now and the most ever queued.
-func (r *ring) stats() (depth, highWater int) {
+// stats copies the ring's occupancy, now and at its most, into s.
+func (r *ring) stats(s *Stats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lines, r.highWater
+	s.RingDepth, s.RingHighWater = r.lines, r.highWater
+	s.RingBytes, s.RingBytesHighWater = r.bytes, r.bytesHighWater
 }

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -44,11 +46,17 @@ func drainRing(t *testing.T, r *ring) []int64 {
 	}
 }
 
+// ringStats reads r's occupancy.
+func ringStats(r *ring) (s Stats) {
+	r.stats(&s)
+	return s
+}
+
 func TestRingFIFOAndDrainAfterClose(t *testing.T) {
-	r := newRing(4)
+	r := newRing(3*batchCharge + 4) // three batches holding lines 1 to 4
 	for _, b := range []*batch{numbered(1, 2), numbered(3, 3), numbered(4, 4)} {
-		if n, stopped := r.pushTry(b); n != b.n || stopped {
-			t.Fatalf("pushTry = (%d, %v) with free capacity, want (%d, false)", n, stopped, b.n)
+		if n, ok := r.push(b, false); n != b.n || !ok {
+			t.Fatalf("push = (%d, %v) with room, want (%d, true)", n, ok, b.n)
 		}
 	}
 	r.close()
@@ -58,25 +66,25 @@ func TestRingFIFOAndDrainAfterClose(t *testing.T) {
 	if _, ok := r.pop(); ok {
 		t.Fatal("pop after drain of a closed ring should report done")
 	}
-	if n, stopped := r.pushTry(numbered(5, 5)); n != 0 || !stopped {
-		t.Fatalf("pushTry on a closed ring = (%d, %v), want (0, true)", n, stopped)
+	if n, ok := r.push(numbered(5, 5), false); n != 0 || ok {
+		t.Fatalf("push on a closed ring = (%d, %v), want (0, false)", n, ok)
 	}
-	if r.pushWait(numbered(5, 5)) {
-		t.Fatal("pushWait succeeded on a closed ring")
+	if _, ok := r.push(numbered(5, 5), true); ok {
+		t.Fatal("a waiting push succeeded on a closed ring")
 	}
 }
 
 func TestRingPushTryShedsWhenFull(t *testing.T) {
-	r := newRing(2)
+	r := newRing(batchCharge + 2) // one batch of two 1-byte lines
 	b := numbered(1, 3)
-	if n, stopped := r.pushTry(b); n != 2 || stopped {
-		t.Fatalf("pushTry of 3 into capacity 2 = (%d, %v), want (2, false)", n, stopped)
+	if n, ok := r.push(b, false); n != 2 || !ok {
+		t.Fatalf("push of 3 lines into room for 2 = (%d, %v), want (2, true)", n, ok)
 	}
-	if n, _ := r.pushTry(numbered(4, 4)); n != 0 {
-		t.Fatal("pushTry succeeded on a full ring")
+	if n, _ := r.push(numbered(4, 4), false); n != 0 {
+		t.Fatal("push succeeded on a full ring")
 	}
-	if depth, high := r.stats(); depth != 2 || high != 2 {
-		t.Fatalf("stats = (%d, %d), want (2, 2)", depth, high)
+	if s := ringStats(r); s.RingDepth != 2 || s.RingHighWater != 2 || s.RingBytes != batchCharge+2 || s.RingBytesHighWater != s.RingBytes {
+		t.Fatalf("stats = %d lines (most %d), %d bytes (most %d); want 2 lines and the budget %d", s.RingDepth, s.RingHighWater, s.RingBytes, s.RingBytesHighWater, batchCharge+2)
 	}
 	got, ok := r.pop()
 	if !ok || got != b || fmt.Sprint(lineNos(t, got)) != "[1 2]" || len(got.buf) != 2 {
@@ -85,24 +93,27 @@ func TestRingPushTryShedsWhenFull(t *testing.T) {
 }
 
 func TestRingPushWaitBlocksUntilPop(t *testing.T) {
-	r := newRing(2)
-	r.pushWait(numbered(1, 1))
+	r := newRing(batchCharge + 2)
+	r.push(numbered(1, 1), true)
 
 	done := make(chan bool)
-	go func() { done <- r.pushWait(numbered(2, 3)) }()
+	go func() {
+		_, ok := r.push(numbered(2, 3), true)
+		done <- ok
+	}()
 	select {
 	case <-done:
-		t.Fatal("pushWait returned while its batch did not fit")
+		t.Fatal("a waiting push returned while its batch did not fit")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if depth, _ := r.stats(); depth != 1 {
+	if depth := ringStats(r).RingDepth; depth != 1 {
 		t.Fatalf("depth %d while the second batch waits, want 1: a batch is queued whole", depth)
 	}
 	if b, ok := r.pop(); !ok || fmt.Sprint(lineNos(t, b)) != "[1]" {
 		t.Fatal("first pop is not line 1")
 	}
 	if ok := <-done; !ok {
-		t.Fatal("pushWait failed after the ring drained")
+		t.Fatal("a waiting push failed after the ring drained")
 	}
 	r.close()
 	if got := fmt.Sprint(drainRing(t, r)); got != "[2 3]" {
@@ -111,8 +122,8 @@ func TestRingPushWaitBlocksUntilPop(t *testing.T) {
 }
 
 func TestRingAbortWakesBlockedCallers(t *testing.T) {
-	full := newRing(1) // producer blocks on a full ring
-	full.pushWait(numbered(1, 1))
+	full := newRing(1) // one batch over the budget fills it
+	full.push(numbered(1, 1), true)
 	empty := newRing(1) // consumer blocks on an empty ring
 
 	var wg sync.WaitGroup
@@ -120,7 +131,8 @@ func TestRingAbortWakesBlockedCallers(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		results <- full.pushWait(numbered(2, 2))
+		_, ok := full.push(numbered(2, 2), true)
+		results <- ok
 	}()
 	go func() {
 		defer wg.Done()
@@ -144,36 +156,43 @@ func TestRingAbortWakesBlockedCallers(t *testing.T) {
 
 func TestRingAbortAbandonsPendingItems(t *testing.T) {
 	r := newRing(4)
-	r.pushTry(numbered(1, 1))
+	r.push(numbered(1, 1), false)
 	r.abort()
 	if _, ok := r.pop(); ok {
 		t.Fatal("pop returned a batch from an aborted ring")
 	}
 }
 
+// TestRingHighWaterNeverExceedsCapacity: a LoadShed push fills the budget to the
+// byte and never past it, and the high-water marks say so.
 func TestRingHighWaterNeverExceedsCapacity(t *testing.T) {
-	r := newRing(3)
+	const budget = 2*batchCharge + 3
+	r := newRing(budget)
 	for i := int64(0); i < 10; i++ {
-		r.pushTry(numbered(i, i+1))
+		r.push(numbered(i, i+1), false)
+		if s := ringStats(r); s.RingBytes > budget {
+			t.Fatalf("push %d: %d bytes queued over a budget of %d", i, s.RingBytes, budget)
+		}
 		if i%2 == 0 {
 			r.pop()
 		}
 	}
-	if _, high := r.stats(); high != 3 {
-		t.Fatalf("high-water %d, want the capacity 3", high)
+	if s := ringStats(r); s.RingBytesHighWater != budget || s.RingHighWater != 3 {
+		t.Fatalf("high-water %d bytes and %d lines, want the budget %d: lines 1 2 and 2", s.RingBytesHighWater, s.RingHighWater, budget)
 	}
 }
 
 // TestAdmitterFlush pins the one admission routine every producer uses:
 // what a flush inserts, sheds and reports under each policy when the batch
 // does not fit or the ring stops under it — and who owns the batch after:
-// the ring when it took any of it, else the admitter, emptied for reuse.
+// the ring when it took any of it, else the pool. The ring has room for a
+// queued batch of one 2-byte line and a batch of three 1-byte lines.
 func TestAdmitterFlush(t *testing.T) {
-	const capacity = 4
+	const capacity = 4 // lines in the flushed batch
 	cases := []struct {
 		name     string
 		policy   AdmissionPolicy
-		queued   int           // lines already in the ring
+		queued   int           // 2-byte lines already in the ring
 		before   func(r *ring) // runs before the flush
 		during   func(r *ring) // runs while the flush waits for room
 		inserted int
@@ -192,14 +211,14 @@ func TestAdmitterFlush(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e := &Engine{cfg: Config{MaxLineBytes: 64}}
-			r := newRing(capacity)
+			r := newRing(2*batchCharge + 2 + 3)
 			if c.queued > 0 {
-				r.pushTry(numbered(-int64(c.queued), -1))
+				r.push(numbered(-int64(c.queued), -1), false)
 			}
-			adm := admitter{e: e, ring: r}
+			adm := admitter{e: e, ring: r, policy: c.policy}
 			for i := 1; i <= capacity; i++ {
-				if full := adm.add(int64(i), []byte(fmt.Sprint(i)), false); full != (i == capacity) {
-					t.Fatalf("add %d reports full=%v with a ring of %d", i, full, capacity)
+				if err := adm.add(int64(i), []byte(fmt.Sprint(i)), false); err != nil || adm.res.Accepted != 0 {
+					t.Fatalf("add %d = %v, %d lines flushed before the batch is full", i, err, adm.res.Accepted)
 				}
 			}
 			b := adm.b
@@ -212,21 +231,19 @@ func TestAdmitterFlush(t *testing.T) {
 					c.during(r)
 				}()
 			}
-			inserted, shed, ok := adm.flush(c.policy)
-			if inserted != c.inserted || shed != c.shed || ok != c.ok {
-				t.Fatalf("flush = (%d, %d, %v), want (%d, %d, %v)", inserted, shed, ok, c.inserted, c.shed, c.ok)
+			err := adm.flush()
+			inserted, shed, ok := adm.res.Accepted, adm.res.Shed, err == nil
+			if inserted != c.inserted || shed != c.shed || ok != c.ok || (!ok && !errors.Is(err, ErrNotServing)) {
+				t.Fatalf("flush = %v with %d inserted and %d shed, want %d and %d, ok=%v", err, inserted, shed, c.inserted, c.shed, c.ok)
 			}
 			if e.ctrs.Shed != int64(c.shed) {
 				t.Fatalf("Shed counter = %d, want %d", e.ctrs.Shed, c.shed)
 			}
-			if inserted == 0 {
-				if adm.b != b || b.n != 0 || len(b.buf) != 0 {
-					t.Fatalf("a batch the ring did not take is not back with the admitter, empty (holder %p, batch %p with %d lines)", adm.b, b, b.n)
-				}
-				return
-			}
 			if adm.b != nil {
-				t.Fatal("the admitter kept the batch the ring took")
+				t.Fatal("the admitter kept the batch it flushed")
+			}
+			if inserted == 0 {
+				return
 			}
 			r.close()
 			var got []int64
@@ -262,5 +279,55 @@ func TestBatchRecycleDropsLargeBuffers(t *testing.T) {
 	}
 	for _, x := range got {
 		x.recycle()
+	}
+}
+
+// TestBatchChargeCoversItsAllocation: what the ring charges a batch beyond
+// its line bytes covers what a pooled batch of one short line allocates.
+func TestBatchChargeCoversItsAllocation(t *testing.T) {
+	const n = 1000
+	keep := make([]*batch, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = new(batch)
+		keep[i].add(int64(i), []byte("x"), false)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > batchCharge+1 {
+		t.Fatalf("a one-line batch allocates %d bytes, charged %d", per, batchCharge+1)
+	}
+}
+
+// TestAdmitterBatchesByBytes: a batch closes at ingestBatch lines and
+// before the line that would take it past batchKeepBytes, so a longer line
+// travels alone, in a buffer of exactly its size.
+func TestAdmitterBatchesByBytes(t *testing.T) {
+	const k = 100 << 10
+	r := newRing(4 << 20)
+	adm := admitter{e: &Engine{cfg: Config{MaxLineBytes: 1 << 20}}, ring: r, policy: LoadShed}
+	sizes := []int{k, k, k, 3 * k}
+	for range ingestBatch + 1 {
+		sizes = append(sizes, 1)
+	}
+	for i, size := range sizes {
+		if err := adm.add(int64(i+1), make([]byte, size), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := adm.flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.close()
+	var got []string
+	for b, ok := r.pop(); ok; b, ok = r.pop() {
+		got = append(got, fmt.Sprintf("%d lines %d bytes", b.n, len(b.buf)))
+		if len(b.buf) > batchKeepBytes && cap(b.buf) != len(b.buf) {
+			t.Errorf("a %d-byte line travels in a buffer of %d", len(b.buf), cap(b.buf))
+		}
+	}
+	want := fmt.Sprintf("[2 lines %d bytes 1 lines %d bytes 1 lines %d bytes 64 lines 64 bytes 1 lines 1 bytes]", 2*k, k, 3*k)
+	if fmt.Sprint(got) != want {
+		t.Fatalf("batches %v, want %s", got, want)
 	}
 }

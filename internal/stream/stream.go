@@ -27,7 +27,7 @@
 //
 //   - bounded memory: admitted lines travel in pooled batches of up to 64,
 //     each with one owner at a time (admitter, ring, consumer), through a
-//     ring bounded in lines with a configurable policy — Backpressure
+//     ring bounded in bytes with a configurable policy — Backpressure
 //     blocks the pusher until its batch fits, LoadShed keeps the prefix
 //     that fits and counts the rest as shed — and the unmatched buffer is
 //     capped, shedding its oldest lines when retraining cannot keep up;
@@ -104,8 +104,11 @@ const (
 type Config struct {
 	// CheckpointDir is the directory holding the checkpoint generations.
 	CheckpointDir string
-	// RingCapacity bounds the admission ring (default 1024 lines).
-	RingCapacity int
+	// RingBytes bounds what the admission ring queues: line bytes plus
+	// 2 KiB per batch for the batch itself (default 256 KiB). An empty
+	// ring still takes one batch over it, so what is queued stays within
+	// RingBytes plus one batch: ≤ 64 lines and 256 KiB, or one longer line.
+	RingBytes int
 	// Policy is the admission policy when the ring is full.
 	Policy AdmissionPolicy
 	// CheckpointEvery checkpoints after this many processed lines
@@ -134,7 +137,8 @@ type Config struct {
 	Online OnlineParser
 	// MaxLineBytes caps one line (default core.DefaultMaxLineBytes);
 	// longer lines are truncated at the cap and counted in
-	// Stats.Oversized, as in core.ReadMessagesOpts.
+	// Stats.Oversized, as in core.ReadMessagesOpts. With a WAL it must not
+	// exceed wal.MaxLineBytes (New returns ErrLineCapTooLarge).
 	MaxLineBytes int
 	// AfterLine, when non-nil, is called by the consumer after each
 	// processed line with its line number, with the line's event
@@ -258,10 +262,13 @@ type Stats struct {
 	// mode, empty in retrain mode.
 	OnlineParser string
 	// RingDepth and RingHighWater report the admission ring's current and
-	// maximum occupancy — memory is bounded by RingCapacity regardless of
-	// how far the pusher runs ahead.
-	RingDepth     int
-	RingHighWater int
+	// maximum occupancy in lines, RingBytes and RingBytesHighWater in the
+	// bytes it charges, which Config.RingBytes bounds however far the
+	// pusher runs ahead.
+	RingDepth          int
+	RingHighWater      int
+	RingBytes          int
+	RingBytesHighWater int
 	// RecoveredFrom reports which checkpoint base the engine restored at
 	// startup, before applying the delta chain: "" (fresh start),
 	// "current", "previous", or "reset" (every base was corrupt; the engine

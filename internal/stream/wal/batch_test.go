@@ -209,3 +209,13 @@ func TestTruncateKeepsStraddlingSegment(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxLineBytesFitsOneRecord: a line of MaxLineBytes, marked oversized
+// and numbered with the widest seq, makes a record within MaxRecordBytes.
+func TestMaxLineBytesFitsOneRecord(t *testing.T) {
+	data := make([]byte, MaxLineBytes)
+	head := appendBatchHead(nil, 1<<63, data, []Line{{End: len(data), Oversized: true}})
+	if size := len(head) - recHeaderSize + len(data); size > MaxRecordBytes {
+		t.Fatalf("a MaxLineBytes line makes a %d-byte record, over MaxRecordBytes %d", size, MaxRecordBytes)
+	}
+}

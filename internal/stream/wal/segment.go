@@ -72,17 +72,16 @@ const (
 	batchFlag = 1 << 31
 )
 
-// MaxRecordBytes bounds one record's payload — a plausibility ceiling well
-// above any line the engine admits (stream.Config.MaxLineBytes defaults to
-// 4 MiB), so a corrupted length field is rejected instead of driving a
-// giant read.
+// MaxRecordBytes bounds one record's payload — a plausibility ceiling, so a
+// corrupted length field is rejected instead of driving a giant read. The
+// engine's records stay far below it: a batch of several lines holds at
+// most 256 KiB of them, and a longer line is a record of its own.
 const MaxRecordBytes = 64 << 20
 
-// BatchOverhead bounds what a batch record of n lines takes within
-// MaxRecordBytes beyond its line bytes: the line count and a table of the
-// widest uvarints. A writer keeping line bytes plus this within
-// MaxRecordBytes never has AppendBatch refuse a record.
-func BatchOverhead(n int) int { return (n + 1) * binary.MaxVarintLen64 }
+// MaxLineBytes is the longest line a record holds alone: MaxRecordBytes
+// less the widest line count and table entry. stream.New refuses a larger
+// line cap when it logs to a WAL.
+const MaxLineBytes = MaxRecordBytes - 2*binary.MaxVarintLen64
 
 // castagnoli is the CRC32C table (the polynomial with hardware support on
 // amd64/arm64, the same choice as most storage formats).

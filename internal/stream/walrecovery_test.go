@@ -165,7 +165,7 @@ func walTestConfig(root string) Config {
 		CheckpointDir:   filepath.Join(root, "ckpt"),
 		WALDir:          filepath.Join(root, "wal"),
 		WALSegmentBytes: 8 * 1024,
-		RingCapacity:    128,
+		RingBytes:       8 << 10,
 		CheckpointEvery: 250,
 		RetrainBatch:    64,
 		Retrainer:       &groupMiner{},
@@ -194,7 +194,7 @@ func walReferenceDigest(t *testing.T, lines []string) string {
 	t.Helper()
 	eng, err := New(Config{
 		CheckpointDir:   t.TempDir(),
-		RingCapacity:    128,
+		RingBytes:       8 << 10,
 		CheckpointEvery: 250,
 		RetrainBatch:    64,
 		Retrainer:       &groupMiner{},
@@ -451,7 +451,7 @@ func TestWALOffMatchesWALOn(t *testing.T) {
 	run := func(walOn bool) (string, Stats) {
 		cfg := Config{
 			CheckpointDir:   filepath.Join(t.TempDir(), "ckpt"),
-			RingCapacity:    128,
+			RingBytes:       8 << 10,
 			CheckpointEvery: 250,
 			RetrainBatch:    64,
 			Retrainer:       &groupMiner{},
@@ -503,7 +503,6 @@ func TestPushBatchWALPerLineAllocBudget(t *testing.T) {
 		WALDir:          filepath.Join(t.TempDir(), "wal"),
 		WALSegmentBytes: 1 << 30, // no rotation during measurement
 		CheckpointEvery: -1,
-		RingCapacity:    1024,
 		Retrainer:       &groupMiner{},
 	})
 	if err != nil {
@@ -791,5 +790,26 @@ func TestWALBatchPastMaxRecordBytes(t *testing.T) {
 	if st := recovered.Stats(); st.WALReplayed != int64(len(lines)) || st.Oversized != 0 {
 		t.Fatalf("recovered WALReplayed=%d Processed=%d Oversized=%d, want %d lines replayed, none cut",
 			st.WALReplayed, st.Processed, st.Oversized, len(lines))
+	}
+}
+
+// TestNewRefusesUnloggableLineCap: with a WAL, New refuses a MaxLineBytes
+// longer than one record holds, by name, where the first such line used to
+// latch the WAL and end the incarnation, and its client's retry failed the
+// same way. The longest line a record holds, and any cap without a WAL,
+// are accepted.
+func TestNewRefusesUnloggableLineCap(t *testing.T) {
+	cfg := walTestConfig(t.TempDir())
+	cfg.MaxLineBytes = wal.MaxRecordBytes - 1
+	if _, err := New(cfg); !errors.Is(err, ErrLineCapTooLarge) {
+		t.Fatalf("New with a %d-byte line cap and a WAL = %v, want ErrLineCapTooLarge", cfg.MaxLineBytes, err)
+	}
+	cfg.MaxLineBytes = wal.MaxLineBytes
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("New with the longest loggable line cap: %v", err)
+	}
+	cfg.WALDir, cfg.MaxLineBytes = "", 2*wal.MaxRecordBytes
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("New with a %d-byte line cap and no WAL: %v", cfg.MaxLineBytes, err)
 	}
 }
