@@ -83,7 +83,7 @@ func TestCrashTornBlockWrite(t *testing.T) {
 	if info.TornBytes == 0 {
 		t.Fatalf("torn tail removed no bytes: %+v", info)
 	}
-	if info.LastSeq != 300 || info.Events != 300 {
+	if info.LastSeq != 300 || info.Units != 300 {
 		t.Fatalf("recovery lost finalized events: %+v", info)
 	}
 	got := readAll(t, dir)
@@ -250,7 +250,7 @@ func TestCrashCorruptMidFile(t *testing.T) {
 	}
 	// The first block was damaged, so nothing survives — and crucially no
 	// later segment leaks back in out of order.
-	if info.Events != 0 || info.Segments != 0 {
+	if info.Units != 0 || info.Segments != 0 {
 		t.Fatalf("untrusted data survived: %+v", info)
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "evt-*.seg")); len(left) != 0 {
@@ -297,8 +297,8 @@ func TestCrashTruncatedTail(t *testing.T) {
 	if info.TornTails != 1 || info.CorruptDropped != 0 {
 		t.Fatalf("recovery info: %+v", info)
 	}
-	if info.Blocks != blocks-1 {
-		t.Fatalf("recovered %d blocks, want %d (exactly the torn one lost)", info.Blocks, blocks-1)
+	if info.Frames != blocks-1 {
+		t.Fatalf("recovered %d blocks, want %d (exactly the torn one lost)", info.Frames, blocks-1)
 	}
 	// Appending after repair continues the sequence cleanly.
 	lo := int(info.LastSeq)

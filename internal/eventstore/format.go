@@ -212,22 +212,6 @@ func (ev Event) check() error {
 	return nil
 }
 
-// SegmentInfo summarizes the valid prefix of one decoded segment image.
-type SegmentInfo struct {
-	// FirstSeq is the header's first sequence number.
-	FirstSeq int64
-	// LastSeq is the last finalized block's maximum seq (0 when the
-	// segment holds no finalized blocks).
-	LastSeq int64
-	// Blocks counts the finalized blocks; Events their events.
-	Blocks int
-	Events int64
-	// Good is the byte length of the valid prefix: the header plus every
-	// whole, verified block. Truncating the file to Good removes a torn
-	// or corrupt tail without touching trustworthy data.
-	Good int64
-}
-
 // SegmentHeader returns the encoded header of a segment whose first block
 // starts at firstSeq. Exported for tests and fuzz seeds.
 func SegmentHeader(firstSeq int64) []byte { return spec.Header(uint64(firstSeq)) }
@@ -638,29 +622,27 @@ func verifyBlock(wantIndex bool) func([]byte) (seglog.Frame, blockView, error) {
 
 // scanSegmentMeta walks one segment image verifying headers, checksums,
 // footers and block ordering, and hands each (when non-nil) every block's
-// offset and view — but never decodes a body.
-func scanSegmentMeta(data []byte, wantIndex bool, each func(off int64, fr seglog.Frame, v blockView) error) (SegmentInfo, error) {
-	info, err := seglog.Walk(&spec, data, verifyBlock(wantIndex), each)
-	return SegmentInfo{
-		FirstSeq: int64(info.FirstSeq), LastSeq: int64(info.LastSeq),
-		Blocks: info.Frames, Events: info.Units, Good: info.Good,
-	}, err
+// offset and view — but never decodes a body. The Info counts blocks as
+// frames and their events as units.
+func scanSegmentMeta(data []byte, wantIndex bool, each func(off int64, fr seglog.Frame, v blockView) error) (seglog.Info, error) {
+	return seglog.Walk(&spec, data, verifyBlock(wantIndex), each)
 }
 
-// DecodeSegment is the full verification of one segment image: the
-// metadata walk plus, per block, the body's decoding and event-structure
-// check, calling fn (when non-nil) for each event in order. It never
-// panics on malformed input: the returned error is nil for a clean
-// segment, a *seglog.TornTailError when the image ends mid-block (a crash
-// signature — the prefix in SegmentInfo.Good is trustworthy), a
-// *seglog.CorruptError when bytes present fail verification, or fn's own
-// error, which stops the walk. Path fields of returned errors are empty.
-// Exported for the fuzz target and tests.
-func DecodeSegment(data []byte, fn func(Event) error) (SegmentInfo, error) {
+// DecodeSegment is the full verification of the image data of the segment
+// file path: the metadata walk plus, per block, the body's decoding and
+// event-structure check, calling fn (when non-nil) for each event in
+// order. It never panics on malformed input: the returned error is nil for
+// a clean segment, a *seglog.TornTailError when the image ends mid-block (a
+// crash signature — the prefix in Info.Good is trustworthy), a
+// *seglog.CorruptError when bytes present fail verification, both naming
+// path, or fn's own error, which stops the walk. Exported for the fuzz
+// target and tests.
+func DecodeSegment(path string, data []byte, fn func(Event) error) (seglog.Info, error) {
 	var z decoder
-	return scanSegmentMeta(data, true, func(_ int64, _ seglog.Frame, v blockView) error {
+	info, err := scanSegmentMeta(data, true, func(_ int64, _ seglog.Frame, v blockView) error {
 		return z.decode(v, nil, fn)
 	})
+	return info, spec.At(err, path, 0)
 }
 
 // runColumn run-length encodes one column of the block being built.

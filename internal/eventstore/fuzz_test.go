@@ -85,7 +85,7 @@ func FuzzBlockDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var seqs []int64
-		info, err := DecodeSegment(data, func(ev Event) error {
+		info, err := DecodeSegment("", data, func(ev Event) error {
 			seqs = append(seqs, ev.Seq)
 			return nil
 		})
@@ -118,11 +118,11 @@ func FuzzBlockDecode(f *testing.F) {
 		// Recovery truncates at Good: the repaired prefix must decode
 		// clean with identical contents.
 		if info.Good >= int64(segHeaderSize) {
-			rinfo, rerr := DecodeSegment(data[:info.Good], nil)
+			rinfo, rerr := DecodeSegment("", data[:info.Good], nil)
 			if rerr != nil {
 				t.Fatalf("repaired prefix does not decode: %v", rerr)
 			}
-			if rinfo.Blocks != info.Blocks || rinfo.Events != info.Events || rinfo.Good != info.Good {
+			if rinfo.Frames != info.Frames || rinfo.Units != info.Units || rinfo.Good != info.Good {
 				t.Fatalf("repaired prefix diverged: %+v vs %+v", rinfo, info)
 			}
 		}
@@ -223,7 +223,7 @@ func FuzzBlockRoundtrip(f *testing.F) {
 				}
 				return nil
 			})
-			if err != nil || info.Events != int64(len(evs)) || info.Good != int64(len(img)) {
+			if err != nil || info.Units != int64(len(evs)) || info.Good != int64(len(img)) {
 				t.Fatalf("%s: %+v, %v", name, info, err)
 			}
 			if !slices.Equal(got, evs) {
@@ -243,14 +243,14 @@ func FuzzBlockRoundtrip(f *testing.F) {
 func TestFuzzSeedsRoundtrip(t *testing.T) {
 	data := fuzzSeedSegment()
 	var got []Event
-	info, err := DecodeSegment(data, func(ev Event) error {
+	info, err := DecodeSegment("", data, func(ev Event) error {
 		got = append(got, ev)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("DecodeSegment: %v", err)
 	}
-	if info.Blocks != 2 || info.Events != 5 || info.FirstSeq != 1 || info.LastSeq != 9 {
+	if info.Frames != 2 || info.Units != 5 || info.FirstSeq != 1 || info.LastSeq != 9 {
 		t.Fatalf("seed info: %+v", info)
 	}
 	if len(got) != 5 || got[0].Seq != 1 || got[2].RawOff != 128 || got[3].Kind != KindLateMatched {

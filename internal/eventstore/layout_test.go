@@ -162,7 +162,7 @@ func TestHostileColumns(t *testing.T) {
 	body := func(cols ...[]byte) []byte { return slices.Concat(cols...) }
 	decode := func(raw []byte) (int, error) {
 		n := 0
-		_, err := DecodeSegment(rawBlock(SegmentHeader(10), raw, meta, index), func(Event) error { n++; return nil })
+		_, err := DecodeSegment("", rawBlock(SegmentHeader(10), raw, meta, index), func(Event) error { n++; return nil })
 		return n, err
 	}
 	if n, err := decode(body(seq, tim, zero, zero, tmpl)); n != 4 || err != nil {
@@ -229,7 +229,7 @@ func TestHostileColumns(t *testing.T) {
 		"rawLen ≠ bodyLen":          {version: 3, minSeq: 10, maxSeq: 15, minTime: 100, maxTime: 100, count: 6, matched: 4, rawLen: uint32(len(cols) + 3)},
 		"count above MaxBlockBytes": {version: 3, minSeq: 10, maxSeq: 15, minTime: 100, maxTime: 100, count: MaxBlockBytes + 3, matched: 4},
 	} {
-		_, err := DecodeSegment(rawBlock(SegmentHeader(10), body(cols, honest), m, index), nil)
+		_, err := DecodeSegment("", rawBlock(SegmentHeader(10), body(cols, honest), m, index), nil)
 		var ce *seglog.CorruptError
 		if !errors.As(err, &ce) {
 			t.Errorf("v3 %s: err %v; want a CorruptError", name, err)
@@ -254,7 +254,7 @@ func TestHostileColumns(t *testing.T) {
 	img := appendBlockV3(SegmentHeader(0), evs)
 	for _, data := range [][]byte{v4, img} {
 		var got []Event
-		if _, err := DecodeSegment(data, func(ev Event) error { got = append(got, ev); return nil }); err != nil || !slices.Equal(got, evs) {
+		if _, err := DecodeSegment("", data, func(ev Event) error { got = append(got, ev); return nil }); err != nil || !slices.Equal(got, evs) {
 			t.Fatalf("Fibonacci block: %d of %d events back, %v", len(got), len(evs), err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestHostileColumns(t *testing.T) {
 	}
 	flipped := slices.Clone(bodyBytes)
 	flipped[len(flipped)-1] ^= 1 << 7
-	_, err = DecodeSegment(rawBlock(SegmentHeader(0), flipped, bm, fib), nil)
+	_, err = DecodeSegment("", rawBlock(SegmentHeader(0), flipped, bm, fib), nil)
 	var ce *seglog.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Fibonacci block with a bit flipped: %v", err)
@@ -504,7 +504,7 @@ func TestMixedLayouts(t *testing.T) {
 
 	// The writer's Open repairs nothing, and AlignTo cuts at a v3 block edge.
 	s, oi, err := Open(Options{Dir: dir, BlockBytes: 64})
-	if err != nil || oi.Events != 600 || oi.TornTails != 0 || oi.CorruptDropped != 0 {
+	if err != nil || oi.Units != 600 || oi.TornTails != 0 || oi.CorruptDropped != 0 {
 		t.Fatalf("Open over v1, v2 and v3: %+v, %v", oi, err)
 	}
 	ai, err := s.AlignTo(375)
@@ -620,14 +620,15 @@ func TestParentWrittenSegment(t *testing.T) {
 				ev.Time = dt
 				want = append(want, ev)
 			}
-			data, err := os.ReadFile(filepath.Join("testdata", fx.layout, "evt-00000000000000000001.seg"))
+			path := filepath.Join("testdata", fx.layout, "evt-00000000000000000001.seg")
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []Event
-			info, err := DecodeSegment(data, func(ev Event) error { got = append(got, ev); return nil })
+			info, err := DecodeSegment(path, data, func(ev Event) error { got = append(got, ev); return nil })
 			magic := []byte("EVB" + fx.layout[1:])
-			if err != nil || info.Blocks != fx.blocks || info.Good != int64(len(data)) || bytes.Count(data, magic) < fx.blocks {
+			if err != nil || info.Frames != fx.blocks || info.Good != int64(len(data)) || bytes.Count(data, magic) < fx.blocks {
 				t.Fatalf("DecodeSegment: %+v, %v", info, err)
 			}
 			if len(want) != 1739 || !slices.Equal(got, want) {
@@ -641,7 +642,7 @@ func TestParentWrittenSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, oi, err := Open(Options{Dir: dir})
-			if err != nil || oi.Events != 1739 || oi.LastSeq != 1500 || oi.TornTails+oi.CorruptDropped != 0 {
+			if err != nil || oi.Units != 1739 || oi.LastSeq != 1500 || oi.TornTails+oi.CorruptDropped != 0 {
 				t.Fatalf("Open: %+v, %v", oi, err)
 			}
 			s.Close()

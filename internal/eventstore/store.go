@@ -37,27 +37,6 @@ type Options struct {
 	Telemetry *telemetry.Handle
 }
 
-// OpenInfo reports what Open found and repaired.
-type OpenInfo struct {
-	// Segments, Blocks and Events count the surviving files, finalized
-	// blocks and their events.
-	Segments int
-	Blocks   int
-	Events   int64
-	// LastSeq is the newest finalized event's sequence number (0 when
-	// the store is empty).
-	LastSeq int64
-	// TornTails counts files whose partially-written final block was
-	// truncated away — the expected signature of a crash mid-write.
-	TornTails int
-	// TornBytes is the total byte count those truncations removed.
-	TornBytes int64
-	// CorruptDropped counts files truncated or deleted because of body
-	// corruption (checksum mismatch, broken header) rather than a torn
-	// tail.
-	CorruptDropped int
-}
-
 // AlignInfo reports what AlignTo dropped.
 type AlignInfo struct {
 	// BlocksDropped and EventsDropped count the finalized blocks (and
@@ -128,10 +107,11 @@ type StoreStats struct {
 // Open scans dir, repairs crash damage (seglog.Open: a torn tail is
 // truncated, corrupt bytes and everything after them discarded), and
 // returns a Store positioned to append after the newest surviving
-// finalized block.
-func Open(opts Options) (*Store, OpenInfo, error) {
+// finalized block. The OpenInfo counts blocks as frames and their events
+// as units.
+func Open(opts Options) (*Store, seglog.OpenInfo, error) {
 	if opts.Dir == "" {
-		return nil, OpenInfo{}, errors.New("eventstore: Options.Dir is required")
+		return nil, seglog.OpenInfo{}, errors.New("eventstore: Options.Dir is required")
 	}
 	if opts.BlockBytes <= 0 {
 		opts.BlockBytes = defaultBlockBytes
@@ -144,7 +124,7 @@ func Open(opts Options) (*Store, OpenInfo, error) {
 	}
 	s := &Store{opts: opts, tm: newStoreTelemetry(opts.Telemetry)}
 	s.bb.reset()
-	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam},
+	log, info, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam},
 		verifyBlock(false), func(seg int, off int64, _ seglog.Frame, v blockView) {
 			if seg == len(s.blocks) {
 				s.blocks = append(s.blocks, nil)
@@ -152,14 +132,10 @@ func Open(opts Options) (*Store, OpenInfo, error) {
 			v.meta.off = off
 			s.blocks[seg] = append(s.blocks[seg], v.meta)
 		})
-	info := OpenInfo{
-		Segments: li.Segments, Blocks: li.Frames, Events: li.Units, LastSeq: int64(li.LastSeq),
-		TornTails: li.TornTails, TornBytes: li.TornBytes, CorruptDropped: li.CorruptDropped,
-	}
 	if err != nil {
 		return nil, info, err
 	}
-	s.log, s.lastSeq, s.events = log, info.LastSeq, info.Events
+	s.log, s.lastSeq, s.events = log, int64(info.LastSeq), info.Units
 	return s, info, nil
 }
 

@@ -64,7 +64,7 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if info.Segments != 0 || info.Events != 0 {
+	if info.Segments != 0 || info.Units != 0 {
 		t.Fatalf("fresh dir not empty: %+v", info)
 	}
 	const n = 2000
@@ -102,7 +102,7 @@ func TestStoreRoundtrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if info2.Events != n || info2.LastSeq != n || info2.TornTails != 0 || info2.CorruptDropped != 0 {
+	if info2.Units != n || info2.LastSeq != n || info2.TornTails != 0 || info2.CorruptDropped != 0 {
 		t.Fatalf("reopen info: %+v", info2)
 	}
 }
@@ -402,7 +402,7 @@ func TestDecodeSegmentMatchesMetaScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, ferr := DecodeSegment(data, nil)
+		full, ferr := DecodeSegment(path, data, nil)
 		meta, merr := scanSegmentMeta(data, true, nil)
 		if ferr != nil || merr != nil {
 			t.Fatalf("%s: decode errs %v / %v", path, ferr, merr)

@@ -19,8 +19,8 @@ type layer struct {
 	name  string
 	glob  string
 	write func(t *testing.T, dir string, n int, seam seglog.Seam)
-	// open returns (tornTails, corruptDropped, lastSeq) and a closer.
-	open func(t *testing.T, dir string, seam seglog.Seam) (int, int, int64, func() error)
+	// open returns what the layer's Open repaired and a closer.
+	open func(t *testing.T, dir string, seam seglog.Seam) (seglog.OpenInfo, func() error)
 	// commitOne opens dir with seam, appends one unit and commits it.
 	commitOne func(dir string, seam seglog.Seam, seq int) error
 }
@@ -47,12 +47,12 @@ var layers = []layer{
 				t.Fatal(err)
 			}
 		},
-		open: func(t *testing.T, dir string, seam seglog.Seam) (int, int, int64, func() error) {
+		open: func(t *testing.T, dir string, seam seglog.Seam) (seglog.OpenInfo, func() error) {
 			w, info, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 512, Seam: seam})
 			if err != nil {
 				t.Fatalf("wal.Open: %v", err)
 			}
-			return info.TornTails, info.CorruptDropped, int64(info.LastSeq), w.Close
+			return info, w.Close
 		},
 		commitOne: func(dir string, seam seglog.Seam, seq int) error {
 			w, _, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 512, Seam: seam})
@@ -82,12 +82,12 @@ var layers = []layer{
 				t.Fatal(err)
 			}
 		},
-		open: func(t *testing.T, dir string, seam seglog.Seam) (int, int, int64, func() error) {
+		open: func(t *testing.T, dir string, seam seglog.Seam) (seglog.OpenInfo, func() error) {
 			s, info, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 16, SegmentBytes: 256, Seam: seam})
 			if err != nil {
 				t.Fatalf("eventstore.Open: %v", err)
 			}
-			return info.TornTails, info.CorruptDropped, info.LastSeq, s.Close
+			return info, s.Close
 		},
 		commitOne: func(dir string, seam seglog.Seam, seq int) error {
 			s, _, err := eventstore.Open(eventstore.Options{Dir: dir, BlockBytes: 16, SegmentBytes: 256, Seam: seam})
@@ -162,17 +162,17 @@ func TestRepairIsIdempotent(t *testing.T) {
 				}
 				dm.damage(t, files)
 
-				torn, corrupt, last, closeFn := ly.open(t, dir, seglog.Seam{})
-				if dm.name != "none" && torn+corrupt == 0 {
+				info, closeFn := ly.open(t, dir, seglog.Seam{})
+				if dm.name != "none" && info.TornTails+info.CorruptDropped == 0 {
 					t.Fatalf("first Open repaired nothing over %q", dm.name)
 				}
 				if err := closeFn(); err != nil {
 					t.Fatalf("Close: %v", err)
 				}
-				torn2, corrupt2, last2, closeFn := ly.open(t, dir, seglog.Seam{})
+				info2, closeFn := ly.open(t, dir, seglog.Seam{})
 				defer closeFn()
-				if torn2 != 0 || corrupt2 != 0 || last2 != last {
-					t.Fatalf("second Open: torn=%d corrupt=%d lastSeq=%d, want 0, 0, %d", torn2, corrupt2, last2, last)
+				if info2.TornTails != 0 || info2.CorruptDropped != 0 || info2.LastSeq != info.LastSeq {
+					t.Fatalf("second Open: torn=%d corrupt=%d lastSeq=%d, want 0, 0, %d", info2.TornTails, info2.CorruptDropped, info2.LastSeq, info.LastSeq)
 				}
 			})
 		}

@@ -1,11 +1,15 @@
 // Package seglog is the one owner of the decisions "how a directory of
 // append-only segment files is named, framed, verified, repaired and
-// rotated". The write-ahead log (internal/stream/wal) and the parsed-event
-// store (internal/eventstore) are both built on it: each supplies a Spec
-// (file prefix, magic line, sequence discipline) and a verify-one-frame
-// function for its own codec — a CRC-checked record, a checksummed block —
-// and gets back the frame walk, the torn-vs-corrupt classification, the
-// crash repair, the read-only scan and the active-segment lifecycle.
+// rotated". The write-ahead log (internal/stream/wal), the parsed-event
+// store (internal/eventstore) and the checkpoint delta log (internal/stream,
+// in the WAL's record format) are built on it: each supplies a Spec (file
+// prefix, magic line, sequence discipline) and a verify-one-frame function
+// for its own codec — a CRC-checked record, a checksummed block — and gets
+// back the frame walk, the torn-vs-corrupt classification, the crash
+// repair, the read-only scan and the active-segment lifecycle. Info,
+// OpenInfo, TornTailError and CorruptError are the one account of damage
+// for every persisted file: the checkpoint's base files report theirs as a
+// CorruptError too.
 //
 // Segment file layout:
 //
@@ -114,17 +118,18 @@ func (e *TornTailError) Error() string {
 	return fmt.Sprintf("%s: torn tail in %s at offset %d", e.Log, e.Path, e.Offset)
 }
 
-// CorruptError reports segment bytes that are physically present but
-// cannot be trusted. Offset is where the valid prefix ends.
+// CorruptError reports file bytes that are physically present but cannot
+// be trusted — a segment's frame or a whole checkpoint base. Offset is
+// where the valid prefix ends.
 type CorruptError struct {
-	Log    string // the Spec's Name
+	Log    string // the Spec's Name, or "checkpoint" for a base file
 	Path   string
 	Offset int64
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("%s: corrupt segment %s at offset %d: %s", e.Log, e.Path, e.Offset, e.Reason)
+	return fmt.Sprintf("%s: corrupt %s at offset %d: %s", e.Log, e.Path, e.Offset, e.Reason)
 }
 
 // At places a classification error produced below the file level: verify

@@ -26,8 +26,8 @@
 //     tenant streams on undisturbed;
 //
 //   - corrupt-state quarantine: a tenant whose checkpoint generations all
-//     fail verification starts empty with the typed error in its stats
-//     instead of refusing to serve (stream.AllCorruptError absorption);
+//     fail verification starts empty, each base's *seglog.CorruptError in
+//     its stats, instead of refusing to serve (stream.New absorbs them);
 //
 //   - whole-fleet crash recovery: every tenant checkpoints independently,
 //     so after a SIGKILL a restarted server resumes each tenant from its
@@ -404,7 +404,7 @@ func (s *Server) build(t *tenant) {
 		s.mu.Unlock()
 		return
 	}
-	if t.eng.RecoveryError() != nil {
+	if t.eng.Stats().RecoveredFrom == "reset" {
 		s.tm.corruptResets.Inc()
 	}
 	t.engCfg = cfg

@@ -139,50 +139,15 @@ func (st *State) TemplateNames() ([]string, error) {
 	return names, nil
 }
 
-// CorruptError reports a checkpoint file that exists but cannot be trusted.
-type CorruptError struct {
-	Path   string
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("stream: corrupt checkpoint %s: %s", e.Path, e.Reason)
-}
-
-// AllCorruptError reports that every checkpoint generation on disk exists
-// but failed verification — there is state, and none of it can be trusted.
-// Current and Previous hold the per-generation *CorruptError (nil when
-// that generation does not exist).
-type AllCorruptError struct {
-	Current  error
-	Previous error
-}
-
-func (e *AllCorruptError) Error() string {
-	if e.Previous == nil {
-		return fmt.Sprintf("stream: only checkpoint generation is unusable: %v", e.Current)
-	}
-	return fmt.Sprintf("stream: every checkpoint generation is unusable: %v; previous: %v", e.Current, e.Previous)
-}
-
-// Unwrap exposes the per-generation errors to errors.Is/As.
-func (e *AllCorruptError) Unwrap() []error {
-	errs := []error{e.Current}
-	if e.Previous != nil {
-		errs = append(errs, e.Previous)
-	}
-	return errs
-}
-
 // LoadInfo reports where Load found usable state.
 type LoadInfo struct {
 	// Source is the base Load started from: "none", "current" or "previous"
-	// ("reset" is synthesized by the engine when it absorbs an
-	// AllCorruptError).
+	// ("reset" is synthesized by the engine when every base on disk is
+	// corrupt).
 	Source string
-	// CorruptCurrent is the error that disqualified the current
-	// generation when Source is "previous" because of corruption (nil
-	// when current was simply missing).
+	// CorruptCurrent is why the current base was refused when Source is
+	// "previous" — its *seglog.CorruptError, or the error reading it — and
+	// nil when it was simply missing.
 	CorruptCurrent error
 	// Deltas counts the delta records applied on top of the base.
 	Deltas int
@@ -593,10 +558,11 @@ func (s *Store) syncDir() {
 // (LoadInfo.ChainEnd). The returned State is self-contained, template changes
 // folded into Online.Data. Load only reads: repairing the delta log is the
 // next save's job. (nil, info, nil) with Source "none" means a fresh start.
-// When every existing base fails verification the error is a typed
-// *AllCorruptError, which the engine absorbs into an empty start with the
-// damage surfaced through Stats and telemetry; non-corruption failures
-// (permissions, IO) stay plain errors and fail construction.
+// When every existing base fails verification the error joins their
+// *seglog.CorruptErrors — the one case in which it holds any — and the
+// engine absorbs it into an empty start with the damage surfaced through
+// Stats and telemetry; non-corruption failures (permissions, IO) stay plain
+// errors and fail construction.
 func (s *Store) Load() (*State, LoadInfo, error) {
 	st, info, err := s.loadBase()
 	if st == nil {
@@ -637,60 +603,61 @@ func (s *Store) loadBase() (*State, LoadInfo, error) {
 		return st, info, nil
 	}
 	// Neither loads. A missing file is not damage; what exists is either
-	// all corrupt (typed, absorbed by the engine) or unreadable (fatal).
-	var exist []error
+	// all corrupt (absorbed by the engine) or unreadable (fatal).
+	var corrupt []error
 	for _, err := range []error{errCur, errPrev} {
-		var ce *CorruptError
+		var ce *seglog.CorruptError
 		if os.IsNotExist(err) {
 			continue
 		} else if !errors.As(err, &ce) {
 			return nil, info, fmt.Errorf("stream: checkpoint base is unusable: %w", err)
 		}
-		exist = append(exist, err)
+		corrupt = append(corrupt, err)
 	}
-	switch len(exist) {
-	case 0:
+	if len(corrupt) == 0 {
 		info.Source = "none"
-		return nil, info, nil
-	case 1:
-		return nil, info, &AllCorruptError{Current: exist[0]}
 	}
-	return nil, info, &AllCorruptError{Current: exist[0], Previous: exist[1]}
+	return nil, info, errors.Join(corrupt...)
 }
 
-// loadFile reads and verifies one checkpoint file.
+// loadFile reads and verifies one checkpoint base. A base is published
+// whole by rename, never torn, so every damage is a *seglog.CorruptError
+// with no valid prefix.
 func loadFile(path string) (*State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	corrupt := func(reason string) (*State, error) {
+		return nil, &seglog.CorruptError{Log: "checkpoint", Path: path, Reason: reason}
+	}
 	rest, ok := strings.CutPrefix(string(data), checkpointMagic+"\n")
 	if !ok {
-		return nil, &CorruptError{Path: path, Reason: "bad magic header"}
+		return corrupt("bad magic header")
 	}
 	nl := strings.IndexByte(rest, '\n')
 	if nl < 0 {
-		return nil, &CorruptError{Path: path, Reason: "truncated before payload"}
+		return corrupt("truncated before payload")
 	}
 	sumLine, payload := rest[:nl], []byte(rest[nl+1:])
 	hexSum, ok := strings.CutPrefix(sumLine, "sha256 ")
 	if !ok {
-		return nil, &CorruptError{Path: path, Reason: "missing sha256 header"}
+		return corrupt("missing sha256 header")
 	}
 	want, err := hex.DecodeString(hexSum)
 	if err != nil || len(want) != sha256.Size {
-		return nil, &CorruptError{Path: path, Reason: "malformed sha256 header"}
+		return corrupt("malformed sha256 header")
 	}
 	got := sha256.Sum256(payload)
 	if !bytes.Equal(got[:], want) {
-		return nil, &CorruptError{Path: path, Reason: "payload digest mismatch (torn or tampered write)"}
+		return corrupt("payload digest mismatch (torn or tampered write)")
 	}
 	var st State
 	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, &CorruptError{Path: path, Reason: "payload does not decode: " + err.Error()}
+		return corrupt("payload does not decode: " + err.Error())
 	}
 	if err := validateState(&st); err != nil {
-		return nil, &CorruptError{Path: path, Reason: err.Error()}
+		return corrupt(err.Error())
 	}
 	return &st, nil
 }

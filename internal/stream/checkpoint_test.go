@@ -131,12 +131,21 @@ func TestCheckpointCorruptCurrentFallsBackToPrevious(t *testing.T) {
 	if info.Source != "previous" || st.Offset != 10 {
 		t.Fatalf("Load = source %q offset %d, want previous/10", info.Source, st.Offset)
 	}
-	var ce *CorruptError
+	var ce *seglog.CorruptError
 	if !errors.As(info.CorruptCurrent, &ce) {
 		t.Fatalf("CorruptCurrent = %v, want a CorruptError", info.CorruptCurrent)
 	}
-	if !strings.Contains(ce.Reason, "digest mismatch") {
-		t.Fatalf("Reason = %q, want a digest mismatch", ce.Reason)
+	if !strings.Contains(ce.Reason, "digest mismatch") || ce.Log != "checkpoint" || ce.Path != filepath.Join(dir, currentName) {
+		t.Fatalf("CorruptCurrent = %q in %s (log %q), want a digest mismatch in the current base", ce.Reason, ce.Path, ce.Log)
+	}
+
+	// An engine that starts from the previous base says why in its stats.
+	eng, err := New(Config{CheckpointDir: dir, Retrainer: &groupMiner{minSupport: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats(); got.RecoveredFrom != "previous" || got.RecoveryError != ce.Error() {
+		t.Fatalf("stats = recovered %q / error %q, want previous + %q", got.RecoveredFrom, got.RecoveryError, ce.Error())
 	}
 }
 
@@ -160,9 +169,34 @@ func TestCheckpointTruncatedFileIsCorrupt(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)/2], 0o644)
 	_, _, err := s.Load()
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Load of a truncated sole generation = %v, want CorruptError", err)
+	var ce *seglog.CorruptError
+	if !errors.As(err, &ce) || ce.Path != path {
+		t.Fatalf("Load of a truncated sole generation = %v, want a CorruptError naming %s", err, path)
+	}
+}
+
+// TestUnreadableBaseFailsNew: only damage is absorbed into an empty start.
+// A base that cannot be read at all — here a directory in its place — fails
+// New even when the other base is corrupt.
+func TestUnreadableBaseFailsNew(t *testing.T) {
+	for _, names := range [][2]string{{currentName, prevName}, {prevName, currentName}} {
+		unreadable, rotten := names[0], names[1]
+		dir := t.TempDir()
+		s, _ := NewStore(dir)
+		s.Save(testState(10))
+		s.Save(testState(20))
+		corrupt(t, filepath.Join(dir, rotten))
+		if err := os.Remove(filepath.Join(dir, unreadable)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(dir, unreadable), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, err := New(Config{CheckpointDir: dir, Retrainer: &groupMiner{minSupport: 3}})
+		var ce *seglog.CorruptError
+		if err == nil || errors.As(err, &ce) {
+			t.Fatalf("New with %s unreadable and %s corrupt = %v, want the read error alone", unreadable, rotten, err)
+		}
 	}
 }
 
@@ -242,7 +276,7 @@ func TestCheckpointRejectsDuplicateTemplates(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err := s.Load()
-	var ce *CorruptError
+	var ce *seglog.CorruptError
 	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "duplicate template") {
 		t.Fatalf("Load = %v, want duplicate-template CorruptError", err)
 	}

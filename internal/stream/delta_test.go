@@ -133,7 +133,7 @@ func flipInRecord(t *testing.T, dir string, gen uint64) {
 			t.Fatal(err)
 		}
 		off := deltaSpec.HeaderSize()
-		wal.DecodeSegment(data, func(seq uint64, payload []byte, _ bool) error {
+		wal.DecodeSegment(path, data, func(seq uint64, payload []byte, _ bool) error {
 			if seq == gen {
 				data[off+16+len(payload)/2] ^= 0xff
 			}
@@ -306,11 +306,16 @@ func checkRecovery(t *testing.T, m chainMode, dir, from string, offset int64, de
 	before := listing()
 	store, _ := NewStore(dir)
 	st, info, err := store.Load()
-	var all *AllCorruptError
 	switch {
 	case from == "reset":
-		if !errors.As(err, &all) {
-			t.Fatalf("Load = %v, want an AllCorruptError", err)
+		var ce *seglog.CorruptError
+		if !errors.As(err, &ce) || st != nil {
+			t.Fatalf("Load = %v, want every base's CorruptError", err)
+		}
+		for _, name := range []string{currentName, prevName} {
+			if path := filepath.Join(dir, name); !strings.Contains(err.Error(), path) {
+				t.Fatalf("Load = %v, which does not name the corrupt base %s", err, path)
+			}
 		}
 	case err != nil:
 		t.Fatal(err)

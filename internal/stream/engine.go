@@ -13,6 +13,7 @@ import (
 	"logparse/internal/match"
 	"logparse/internal/parsers/slct"
 	"logparse/internal/robust"
+	"logparse/internal/seglog"
 	"logparse/internal/stream/wal"
 )
 
@@ -72,7 +73,7 @@ type Engine struct {
 	lastCkpt      time.Time
 	haveCkpt      bool
 	recoveredFrom string
-	recoveryErr   error // non-nil after a corrupt-reset start (*AllCorruptError)
+	recoveryErr   error // the damage that kept the engine off its current base
 	ring          *ring
 	running       bool
 	serveEnded    bool           // the last incarnation has returned (WaitServing stops waiting)
@@ -84,14 +85,14 @@ type Engine struct {
 	// empty); walInfo is what opening it found and repaired. Both are
 	// immutable after New; the WAL itself is internally locked.
 	wal     *wal.WAL
-	walInfo wal.OpenInfo
+	walInfo seglog.OpenInfo
 
 	// events is the parsed-event store (nil when Config.EventStoreDir is
 	// empty); eventsInfo/eventsAlign record what opening and aligning it
 	// found. events is immutable after New; its mutable state lives under
 	// e.mu with the rest of the engine.
 	events         *eventstore.Store
-	eventsInfo     eventstore.OpenInfo
+	eventsInfo     seglog.OpenInfo
 	eventsAlign    eventstore.AlignInfo
 	evBuf          []eventstore.Event // the consumed batch's events, not yet appended
 	eventsAppended int64              // events appended this process
@@ -110,10 +111,10 @@ type Engine struct {
 // New builds an engine, restoring the newest trustworthy checkpoint from
 // cfg.CheckpointDir (falling back from a corrupt current generation to the
 // previous one). When every existing generation is corrupt, the engine
-// starts empty and quarantines the damage as a typed *AllCorruptError,
-// surfaced through RecoveryError, Stats and telemetry — in a shared
-// multi-tenant service one tenant's rotted checkpoints must degrade that
-// tenant, not crash the fleet.
+// starts empty and quarantines the damage — each base's
+// *seglog.CorruptError, joined — surfaced through RecoveryError, Stats and
+// telemetry: in a shared multi-tenant service one tenant's rotted
+// checkpoints must degrade that tenant, not crash the fleet.
 func New(cfg Config) (*Engine, error) {
 	if cfg.RingBytes <= 0 {
 		cfg.RingBytes = 256 << 10
@@ -183,16 +184,16 @@ func New(cfg Config) (*Engine, error) {
 	e.push = admitter{e: e, policy: cfg.Policy, wal: e.wal}
 
 	st, info, err := store.Load()
+	e.recoveryErr = info.CorruptCurrent
 	if err != nil {
-		var all *AllCorruptError
-		if !errors.As(err, &all) {
+		var ce *seglog.CorruptError
+		if !errors.As(err, &ce) {
 			return nil, err
 		}
 		// Every generation on disk failed verification: start empty,
-		// keep the typed error for the operator instead of crashing.
-		st = nil
+		// keep the damage for the operator instead of crashing.
 		info = LoadInfo{Source: "reset"}
-		e.recoveryErr = all
+		e.recoveryErr = err
 		e.tm.corruptResets.Inc()
 	}
 	e.recoveredFrom = ""
@@ -711,10 +712,11 @@ func (e *Engine) digestLocked() digestRows {
 	return renderDigest(len(e.counts), tokens, e.counts)
 }
 
-// RecoveryError returns the typed error of a corrupt-reset start (every
-// checkpoint generation failed verification, the engine started empty) and
-// nil after a healthy start. Use errors.As with *AllCorruptError to reach
-// the per-generation corruption details.
+// RecoveryError returns the damage that kept the engine off its current
+// checkpoint base: after a "reset" start (every base failed verification,
+// the engine started empty) each base's *seglog.CorruptError, joined; after
+// a "previous" start the current base's; nil otherwise. errors.As with
+// *seglog.CorruptError reaches the file and the reason.
 func (e *Engine) RecoveryError() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

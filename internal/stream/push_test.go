@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"logparse/internal/core"
+	"logparse/internal/seglog"
 	"logparse/internal/telemetry"
 )
 
@@ -341,9 +343,9 @@ func TestStopMidStreamResumesToUninterruptedDigest(t *testing.T) {
 
 // TestAllCorruptCheckpointsQuarantineIntoEmptyStart proves the
 // corrupt-state quarantine: when every checkpoint generation fails
-// verification, New succeeds with an empty engine, surfaces the typed
-// *AllCorruptError through RecoveryError/Stats/telemetry, and the engine
-// re-learns the stream from scratch.
+// verification, New succeeds with an empty engine, surfaces each base's
+// *seglog.CorruptError through RecoveryError/Stats/telemetry, and the
+// engine re-learns the stream from scratch.
 func TestAllCorruptCheckpointsQuarantineIntoEmptyStart(t *testing.T) {
 	lines := synthLines(3000, 5)
 	dir := t.TempDir()
@@ -372,17 +374,18 @@ func TestAllCorruptCheckpointsQuarantineIntoEmptyStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New over all-corrupt checkpoints = %v, want quarantined empty start", err)
 	}
-	var all *AllCorruptError
-	if !errors.As(eng2.RecoveryError(), &all) {
-		t.Fatalf("RecoveryError = %v, want *AllCorruptError", eng2.RecoveryError())
-	}
-	var ce *CorruptError
-	if !errors.As(eng2.RecoveryError(), &ce) {
-		t.Fatal("AllCorruptError should unwrap to the per-generation CorruptError")
+	var ce *seglog.CorruptError
+	if !errors.As(eng2.RecoveryError(), &ce) || ce.Log != "checkpoint" {
+		t.Fatalf("RecoveryError = %v, want the bases' *seglog.CorruptError", eng2.RecoveryError())
 	}
 	st := eng2.Stats()
-	if st.RecoveredFrom != "reset" || st.RecoveryError == "" {
-		t.Fatalf("stats = recovered %q / error %q, want reset + non-empty error", st.RecoveredFrom, st.RecoveryError)
+	if st.RecoveredFrom != "reset" || st.RecoveryError != eng2.RecoveryError().Error() {
+		t.Fatalf("stats = recovered %q / error %q, want reset + the recovery error", st.RecoveredFrom, st.RecoveryError)
+	}
+	for _, name := range []string{currentName, prevName} {
+		if path := filepath.Join(dir, name); !strings.Contains(st.RecoveryError, path) {
+			t.Fatalf("RecoveryError %q does not name the corrupt base %s", st.RecoveryError, path)
+		}
 	}
 	if st.Offset != 0 || st.Templates != 0 {
 		t.Fatalf("quarantined start not empty: offset %d, templates %d", st.Offset, st.Templates)

@@ -274,8 +274,9 @@ type Stats struct {
 	// "current", "previous", or "reset" (every base was corrupt; the engine
 	// started empty).
 	RecoveredFrom string
-	// RecoveryError is the rendered *AllCorruptError of a corrupt-reset
-	// start, empty after a healthy one.
+	// RecoveryError renders why the current base was not used: every
+	// base's damage when RecoveredFrom is "reset", the current base's when
+	// it is "previous"; empty otherwise.
 	RecoveryError string
 	// WALEnabled reports whether the push-mode write-ahead log is on.
 	WALEnabled bool

@@ -73,7 +73,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			if info.Records != int64(n) || info.LastSeq != uint64(9+n) {
+			if info.Units != int64(n) || info.LastSeq != uint64(9+n) {
 				t.Fatalf("OpenInfo %+v, want %d lines through %d", info, n, 9+n)
 			}
 			var seqs []uint64
@@ -96,7 +96,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 				t.Fatal("segment bytes differ from AppendBatchRecord's")
 			}
 			seqs, got, over = nil, nil, nil
-			if di, err := DecodeSegment(img, collect); err != nil || di.Records != n {
+			if di, err := DecodeSegment("", img, collect); err != nil || di.Units != int64(n) {
 				t.Fatalf("DecodeSegment: %+v, %v", di, err)
 			}
 			checkLines(t, 10, data, lines, seqs, got, over)
@@ -113,13 +113,13 @@ func TestBatchRecordTornAtEveryOffset(t *testing.T) {
 	start := len(img)
 	img = AppendBatchRecord(img, 2, data, lines)
 	for cut := start + 1; cut < len(img); cut++ {
-		info, err := DecodeSegment(img[:cut], nil)
+		info, err := DecodeSegment("", img[:cut], nil)
 		var torn *seglog.TornTailError
-		if !errors.As(err, &torn) || torn.Offset != int64(start) || info.Records != 1 {
+		if !errors.As(err, &torn) || torn.Offset != int64(start) || info.Units != 1 {
 			t.Fatalf("cut at %d: info %+v, err %v; want a torn tail at %d after 1 line", cut, info, err, start)
 		}
 	}
-	if info, err := DecodeSegment(img, nil); err != nil || info.Records != 65 || info.LastSeq != 65 {
+	if info, err := DecodeSegment("", img, nil); err != nil || info.Units != 65 || info.LastSeq != 65 {
 		t.Fatalf("whole image: %+v, %v", info, err)
 	}
 }
@@ -132,8 +132,8 @@ func TestBatchRecordCorrupt(t *testing.T) {
 	head := AppendRecord(SegmentHeader(1), 1, []byte("one-line record"))
 	start := len(head)
 	img := AppendBatchRecord(append([]byte(nil), head...), 2, data, lines)
-	decode := func(img []byte) (SegmentInfo, error) {
-		return DecodeSegment(img, func(uint64, []byte, bool) error { return nil })
+	decode := func(img []byte) (seglog.Info, error) {
+		return DecodeSegment("", img, func(uint64, []byte, bool) error { return nil })
 	}
 	for i := start; i < len(img); i++ {
 		flipped := append([]byte(nil), img...)
@@ -141,7 +141,7 @@ func TestBatchRecordCorrupt(t *testing.T) {
 		info, err := decode(flipped)
 		var corrupt *seglog.CorruptError
 		switch {
-		case err == nil || info.Records != 1:
+		case err == nil || info.Units != 1:
 			t.Fatalf("byte %d flipped: %+v, %v; want the record refused", i, info, err)
 		case (i < start+4 || i >= start+8) && !errors.As(err, &corrupt):
 			t.Fatalf("byte %d flipped: %v, want a *seglog.CorruptError", i, err)
@@ -159,7 +159,7 @@ func TestBatchRecordCorrupt(t *testing.T) {
 	} {
 		info, err := decode(bad)
 		var corrupt *seglog.CorruptError
-		if !errors.As(err, &corrupt) || corrupt.Offset != int64(start) || info.Records != 1 {
+		if !errors.As(err, &corrupt) || corrupt.Offset != int64(start) || info.Units != 1 {
 			t.Fatalf("%s: %+v, %v; want a *seglog.CorruptError at %d", name, info, err, start)
 		}
 	}

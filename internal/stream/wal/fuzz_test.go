@@ -58,7 +58,7 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var seqs []uint64
-		info, err := DecodeSegment(data, func(seq uint64, _ []byte, _ bool) error {
+		info, err := DecodeSegment("", data, func(seq uint64, _ []byte, _ bool) error {
 			seqs = append(seqs, seq)
 			return nil
 		})
@@ -85,8 +85,8 @@ func FuzzWALDecode(f *testing.F) {
 		if info.Good < 0 || info.Good > int64(len(data)) {
 			t.Fatalf("valid prefix %d outside the image [0,%d]", info.Good, len(data))
 		}
-		if info.Records != len(seqs) {
-			t.Fatalf("info counts %d records, callback saw %d", info.Records, len(seqs))
+		if info.Units != int64(len(seqs)) {
+			t.Fatalf("info counts %d records, callback saw %d", info.Units, len(seqs))
 		}
 		for i := 1; i < len(seqs); i++ {
 			if seqs[i] <= seqs[i-1] {
@@ -110,7 +110,7 @@ func FuzzWALDecode(f *testing.F) {
 		// same records.
 		if info.Good >= int64(segHeaderSize) {
 			n := 0
-			info2, err2 := DecodeSegment(data[:info.Good], func(seq uint64, _ []byte, _ bool) error {
+			info2, err2 := DecodeSegment("", data[:info.Good], func(seq uint64, _ []byte, _ bool) error {
 				if seq != seqs[n] {
 					t.Fatalf("repaired prefix record %d has seq %d, first pass saw %d", n, seq, seqs[n])
 				}
@@ -120,7 +120,7 @@ func FuzzWALDecode(f *testing.F) {
 			if err2 != nil {
 				t.Fatalf("repaired prefix does not decode cleanly: %v", err2)
 			}
-			if info2.Records != info.Records || info2.Good != info.Good {
+			if info2.Units != info.Units || info2.Good != info.Good {
 				t.Fatalf("repaired prefix decode diverges: %+v vs %+v", info2, info)
 			}
 		}

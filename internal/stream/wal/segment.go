@@ -87,21 +87,6 @@ const MaxLineBytes = MaxRecordBytes - 2*binary.MaxVarintLen64
 // amd64/arm64, the same choice as most storage formats).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SegmentInfo summarizes the valid prefix of one decoded segment image.
-type SegmentInfo struct {
-	// FirstSeq is the header's first sequence number.
-	FirstSeq uint64
-	// LastSeq is the last valid record's seq (0 when the segment holds no
-	// valid records).
-	LastSeq uint64
-	// Records counts the valid records' lines.
-	Records int
-	// Good is the byte length of the valid prefix: the header plus every
-	// whole, verified record. Truncating the file to Good removes a torn
-	// or corrupt tail without touching trustworthy data.
-	Good int64
-}
-
 // SegmentHeader returns the encoded header of a segment whose first record
 // has sequence number firstSeq. Exported for tests and fuzz seeds.
 func SegmentHeader(firstSeq uint64) []byte { return spec.Header(firstSeq) }
@@ -239,19 +224,19 @@ func (r record) lines(fn func(seq uint64, line []byte, oversized bool) error) er
 	return nil
 }
 
-// DecodeSegment walks one segment image, calling fn (when non-nil) for
-// each line of each verified record in order. It never panics on malformed
-// input: the returned error is nil for a clean segment, a
+// DecodeSegment walks the image data of the segment file path, calling fn
+// (when non-nil) for each line of each verified record in order; the Info
+// counts records as frames and their lines as units. It never panics on
+// malformed input: the returned error is nil for a clean segment, a
 // *seglog.TornTailError when the image ends mid-header or mid-record (a
-// crash signature — the valid prefix in SegmentInfo.Good is trustworthy),
-// a *seglog.CorruptError when the bytes present fail verification, or fn's
-// own error, which stops the walk. The Path fields of returned errors are
-// empty.
-func DecodeSegment(data []byte, fn func(seq uint64, line []byte, oversized bool) error) (SegmentInfo, error) {
+// crash signature — the valid prefix in Info.Good is trustworthy), a
+// *seglog.CorruptError when the bytes present fail verification, both
+// naming path, or fn's own error, which stops the walk.
+func DecodeSegment(path string, data []byte, fn func(seq uint64, line []byte, oversized bool) error) (seglog.Info, error) {
 	var each func(int64, seglog.Frame, record) error
 	if fn != nil {
 		each = func(_ int64, _ seglog.Frame, rec record) error { return rec.lines(fn) }
 	}
 	info, err := seglog.Walk(&spec, data, verify, each)
-	return SegmentInfo{FirstSeq: info.FirstSeq, LastSeq: info.LastSeq, Records: int(info.Units), Good: info.Good}, err
+	return info, spec.At(err, path, 0)
 }

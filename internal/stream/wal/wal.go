@@ -22,7 +22,9 @@ const (
 	SyncBatch SyncPolicy = iota
 	// SyncNone flushes to the OS on Commit but never fsyncs: records
 	// survive a process kill (the page cache persists) but not a kernel
-	// crash or power cut. The bench-twin policy for measuring fsync cost.
+	// crash or power cut. It is an operator option (logstreamd -wal-sync
+	// none, in README) for hosts where an fsync per acknowledged batch
+	// costs more than that window.
 	SyncNone
 )
 
@@ -52,25 +54,6 @@ type Options struct {
 	Telemetry *telemetry.Handle
 	// Now is the clock for the fsync-latency histogram (default time.Now).
 	Now func() time.Time
-}
-
-// OpenInfo reports what Open found and repaired.
-type OpenInfo struct {
-	// Segments counts the surviving segment files, Records the lines
-	// their records hold.
-	Segments int
-	Records  int64
-	// LastSeq is the newest surviving line's sequence number (0 when the
-	// log is empty).
-	LastSeq uint64
-	// TornTails counts files whose partially-written final record was
-	// truncated away — the expected signature of a crash mid-append.
-	TornTails int
-	// TornBytes is the total byte count those truncations removed.
-	TornBytes int64
-	// CorruptDropped counts files that were truncated or deleted because of
-	// body corruption (bad CRC, broken header) rather than a torn tail.
-	CorruptDropped int
 }
 
 // ErrClosed is returned by operations on a closed WAL.
@@ -120,9 +103,10 @@ type WAL struct {
 // Open scans dir, repairs crash damage (seglog.Open: a torn tail is
 // truncated, corrupt bytes and everything after them discarded), and
 // returns a WAL positioned to append after the newest surviving record.
-func Open(opts Options) (*WAL, OpenInfo, error) {
+// The OpenInfo counts records as frames and their lines as units.
+func Open(opts Options) (*WAL, seglog.OpenInfo, error) {
 	if opts.Dir == "" {
-		return nil, OpenInfo{}, errors.New("wal: Options.Dir is required")
+		return nil, seglog.OpenInfo{}, errors.New("wal: Options.Dir is required")
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
@@ -133,15 +117,11 @@ func Open(opts Options) (*WAL, OpenInfo, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	log, li, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam}, verify, nil)
-	info := OpenInfo{
-		Segments: li.Segments, Records: li.Units, LastSeq: li.LastSeq,
-		TornTails: li.TornTails, TornBytes: li.TornBytes, CorruptDropped: li.CorruptDropped,
-	}
+	log, info, err := seglog.Open(&spec, seglog.Options{Dir: opts.Dir, SegmentBytes: opts.SegmentBytes, Seam: opts.Seam}, verify, nil)
 	if err != nil {
 		return nil, info, err
 	}
-	w := &WAL{opts: opts, tm: newWALTelemetry(opts.Telemetry), log: log, lastSeq: li.LastSeq}
+	w := &WAL{opts: opts, tm: newWALTelemetry(opts.Telemetry), log: log, lastSeq: info.LastSeq}
 	w.bw = bufio.NewWriterSize(log, opts.BufferBytes)
 	return w, info, nil
 }

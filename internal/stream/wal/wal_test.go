@@ -63,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer w2.Close()
-	if info2.Records != 50 || info2.LastSeq != 50 || info2.TornTails != 0 || info2.CorruptDropped != 0 {
+	if info2.Units != 50 || info2.LastSeq != 50 || info2.TornTails != 0 || info2.CorruptDropped != 0 {
 		t.Fatalf("reopen OpenInfo = %+v", info2)
 	}
 	seqs, payloads := replayAll(t, w2)
@@ -109,7 +109,7 @@ func TestReopenContinuesActiveSegment(t *testing.T) {
 		t.Fatalf("second reopen: %v", err)
 	}
 	defer w3.Close()
-	if info.Records != 20 || info.LastSeq != 20 {
+	if info.Units != 20 || info.LastSeq != 20 {
 		t.Fatalf("OpenInfo = %+v, want 20 records through seq 20", info)
 	}
 }
@@ -146,7 +146,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if info.TornTails != 1 {
 		t.Fatalf("TornTails = %d, want 1", info.TornTails)
 	}
-	if info.Records != 11 || info.LastSeq != 11 {
+	if info.Units != 11 || info.LastSeq != 11 {
 		t.Fatalf("OpenInfo = %+v, want 11 records through seq 11", info)
 	}
 	seqs, _ := replayAll(t, w2)
@@ -159,7 +159,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info3.TornTails != 0 || info3.Records != 11 {
+	if info3.TornTails != 0 || info3.Units != 11 {
 		t.Fatalf("second repair pass: %+v", info3)
 	}
 }
@@ -336,7 +336,7 @@ func TestHookAbortsRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if info.Records != 1 || info.LastSeq != 1 {
+	if info.Units != 1 || info.LastSeq != 1 {
 		t.Fatalf("recovery after mid-rotation crash: %+v", info)
 	}
 }
@@ -400,31 +400,31 @@ func TestDecodeSegmentClassification(t *testing.T) {
 	valid = AppendRecord(valid, 2, []byte("second"))
 
 	t.Run("clean", func(t *testing.T) {
-		info, err := DecodeSegment(valid, nil)
-		if err != nil || info.Records != 2 || info.LastSeq != 2 {
+		info, err := DecodeSegment("", valid, nil)
+		if err != nil || info.Units != 2 || info.LastSeq != 2 {
 			t.Fatalf("info=%+v err=%v", info, err)
 		}
 	})
 	t.Run("torn header", func(t *testing.T) {
-		_, err := DecodeSegment(valid[:5], nil)
+		_, err := DecodeSegment("", valid[:5], nil)
 		var torn *seglog.TornTailError
 		if !errors.As(err, &torn) {
 			t.Fatalf("prefix of a valid header must classify as torn tail, got %v", err)
 		}
 	})
 	t.Run("torn record", func(t *testing.T) {
-		info, err := DecodeSegment(valid[:len(valid)-3], nil)
+		info, err := DecodeSegment("", valid[:len(valid)-3], nil)
 		var torn *seglog.TornTailError
 		if !errors.As(err, &torn) {
 			t.Fatalf("cut-short record must classify as torn tail, got %v", err)
 		}
-		if info.Records != 1 {
+		if info.Units != 1 {
 			t.Fatalf("valid prefix before the tear must decode: %+v", info)
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte("not a wal segment at all........"), valid...)
-		_, err := DecodeSegment(bad, nil)
+		_, err := DecodeSegment("", bad, nil)
 		var corrupt *seglog.CorruptError
 		if !errors.As(err, &corrupt) {
 			t.Fatalf("bad magic must classify as corrupt, got %v", err)
@@ -433,20 +433,20 @@ func TestDecodeSegmentClassification(t *testing.T) {
 	t.Run("flipped crc", func(t *testing.T) {
 		flipped := append([]byte(nil), valid...)
 		flipped[len(flipped)-1] ^= 0x01
-		info, err := DecodeSegment(flipped, nil)
+		info, err := DecodeSegment("", flipped, nil)
 		var corrupt *seglog.CorruptError
 		if !errors.As(err, &corrupt) {
 			t.Fatalf("crc mismatch must classify as corrupt, got %v", err)
 		}
-		if info.Records != 1 {
+		if info.Units != 1 {
 			t.Fatalf("prefix before the flip must decode: %+v", info)
 		}
 	})
 	t.Run("zero-length record", func(t *testing.T) {
 		img := SegmentHeader(7)
 		img = AppendRecord(img, 7, nil)
-		info, err := DecodeSegment(img, nil)
-		if err != nil || info.Records != 1 || info.LastSeq != 7 {
+		info, err := DecodeSegment("", img, nil)
+		if err != nil || info.Units != 1 || info.LastSeq != 7 {
 			t.Fatalf("zero-length record: info=%+v err=%v", info, err)
 		}
 	})
@@ -454,7 +454,7 @@ func TestDecodeSegmentClassification(t *testing.T) {
 		img := SegmentHeader(3)
 		img = AppendRecord(img, 3, []byte("a"))
 		img = AppendRecord(img, 3, []byte("b"))
-		_, err := DecodeSegment(img, nil)
+		_, err := DecodeSegment("", img, nil)
 		var corrupt *seglog.CorruptError
 		if !errors.As(err, &corrupt) {
 			t.Fatalf("repeated seq must classify as corrupt, got %v", err)
@@ -475,7 +475,7 @@ func TestSyncNonePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if info.Records != 20 {
+	if info.Units != 20 {
 		t.Fatalf("SyncNone commit lost records within the process: %+v", info)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"logparse/internal/core"
 	"logparse/internal/parsers"
 	"logparse/internal/parsers/slct"
+	"logparse/internal/seglog"
 	"logparse/internal/stream"
 )
 
@@ -39,8 +40,10 @@ type (
 	StreamOnlineParser = stream.OnlineParser
 	// StreamCheckpointState is the persisted checkpoint payload.
 	StreamCheckpointState = stream.State
-	// StreamCorruptError reports an untrustworthy checkpoint file.
-	StreamCorruptError = stream.CorruptError
+	// StreamCorruptError reports an untrustworthy persisted file — a
+	// checkpoint base, or a segment of the delta log, WAL or event store;
+	// errors.As reaches it through StreamEngine's RecoveryError.
+	StreamCorruptError = seglog.CorruptError
 )
 
 // Admission policies for StreamConfig.Policy.
